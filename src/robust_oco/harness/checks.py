@@ -141,7 +141,7 @@ def check_regularizer_sums(traces: int = 1000, seed: int = 2026) -> CheckReport:
 
 
 def check_md_inversion(samples: int = 1000, seed: int = 2027) -> CheckReport:
-    """Round-trip of the monotone link through its bisection inverse."""
+    """Round-trip of the monotone link through its safeguarded Newton inverse."""
     report = CheckReport("md_inversion", True)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -169,7 +169,8 @@ def check_md_inversion(samples: int = 1000, seed: int = 2027) -> CheckReport:
             report.line(False, f"round-trip error {rel:.2e} at x0={x0:.6g} (V={V:.3g}, h={h:.3g})")
     report.line(
         failures == 0,
-        f"{samples - failures}/{samples} round-trips within 1e-8 relative (worst {worst:.2e})",
+        f"{samples - failures}/{samples} round-trips through the Newton inverse "
+        f"within 1e-8 relative (worst {worst:.2e})",
     )
     return report
 

@@ -3,9 +3,11 @@
 The learner keeps a dual accumulator theta and maps it back to an iterate by
 inverting a scalar monotone link: the radial derivative of the mirror map
 plus the radial subgradient of the Huber penalty. The link inversion is a
-safeguarded bisection run in log-radius space, which keeps the iteration
-count bounded even when the bracket spans hundreds of orders of magnitude
-(parameter-free iterates are exponential in the dual norm).
+safeguarded Newton iteration in log-radius space: the link and its slope are
+closed form, and any step that leaves the current bracket falls back to the
+bracket midpoint, which keeps the iteration count bounded even when the
+bracket spans hundreds of orders of magnitude (parameter-free iterates are
+exponential in the dual norm).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .regularizer import HuberRegularizer
 DEFAULT_POWER = math.log(1e6)  # fallback exponent when no horizon is declared
 
 _SOLVE_RTOL = 1e-9
+_SOLVE_UTOL = 1e-10  # bound on the estimated error in log radius
 _SOLVE_MAX_ITER = 200
 _LOG_TINY = math.log(5e-324)
 
@@ -90,10 +93,12 @@ def link_inverse_solve(
 
     The residual is driven below 1e-9 * max(1, theta_norm). With the penalty
     disabled the link is the mirror-map part alone and inverts in closed
-    form; otherwise the bisection bracket comes from inverting each summand
+    form; otherwise the bracket comes from inverting each summand
     separately: either summand at the full target bounds the root from
     above, and the smaller summand inverse at half the target bounds it from
-    below (there the whole link is at most the target).
+    below (there the whole link is at most the target). Newton steps on
+    log L(u) - log theta in u = log x start from the upper end; a step that
+    leaves the bracket is replaced by the bracket midpoint.
     """
     if theta_norm < 0:
         raise ValueError("dual norm must be nonnegative")
@@ -127,6 +132,10 @@ def link_inverse_solve(
     )
     if not math.isfinite(lo):
         lo = 0.0
+    if hi == 0.0:
+        # the upper bound underflowed: the root lies below the smallest
+        # positive double and rounds to zero
+        return 0.0
 
     if not math.isfinite(hi):
         # neither summand alone reaches theta at a representable radius; the
@@ -157,39 +166,61 @@ def link_inverse_solve(
             f"(V={V}, h={h}, a={a}); the iterate has left float range"
         )
 
-    # fast link evaluation in log-radius space with hoisted constants
+    # link value and slope dL/du in log-radius space, constants hoisted
     p, log_S = reg.p, reg.log_S
     log_cp = math.log(reg.c * p)
     pm1, om = p - 1.0, 1.0 - 1.0 / p
     six_sqrt_v = 6.0 * math.sqrt(V)
+    three_sqrt_v = 3.0 * math.sqrt(V)
+    three_h = 3.0 * h
     lin_base = 3.0 * V / h
-    log1p, exp, sqrt = math.log1p, math.exp, math.sqrt
+    log, log1p, exp, sqrt = math.log, math.log1p, math.exp, math.sqrt
 
-    def link_at(u: float, x: float) -> float:
-        ls = log_S + log1p(exp(p * u - log_S)) if p * u <= log_S else (
-            p * u + log1p(exp(log_S - p * u))
+    def link_at(u: float, x: float) -> tuple[float, float]:
+        # ls = log(S + x^p); S / (S + x^p) = exp(log_S - ls)
+        pu = p * u
+        ls = log_S + log1p(exp(pu - log_S)) if pu <= log_S else (
+            pu + log1p(exp(log_S - pu))
         )
         r = exp(log_cp + pm1 * u - om * ls)
+        dr = r * pm1 * exp(log_S - ls)
         F = log1p(x / a)
+        xa = x / (a + x)
         if low_branch:
-            return six_sqrt_v * sqrt(F) + r
-        return 3.0 * h * F + lin_base + r
+            sf = sqrt(F)
+            mirror_slope = three_sqrt_v * xa / sf if sf > 0.0 else 0.0
+            return six_sqrt_v * sf + r, mirror_slope + dr
+        return three_h * F + lin_base + r, three_h * xa + dr
 
+    # Newton on log L(u) - log theta from the upper end; a step that leaves
+    # the bracket [u_lo, u_hi] is replaced by the bracket midpoint
     tol = _SOLVE_RTOL * max(1.0, theta_norm)
+    log_theta = math.log(theta_norm)
     u_lo = math.log(lo) if lo > 0.0 else _LOG_TINY
     u_hi = math.log(hi)
     if u_lo > u_hi:
         u_lo = _LOG_TINY
+    u = u_hi
     for _ in range(_SOLVE_MAX_ITER):
-        u_mid = 0.5 * (u_lo + u_hi)
-        x = math.exp(u_mid)
-        resid = link_at(u_mid, x) - theta_norm
-        if abs(resid) <= tol and (u_hi - u_lo) <= 1e-10:
+        x = math.exp(u)
+        value, slope = link_at(u, x)
+        resid = value - theta_norm
+        # converged when the residual is small and the root is pinned in u,
+        # by the Newton error estimate or by a bracket that has collapsed
+        # (the closed-form lower end is exact only in real arithmetic)
+        if abs(resid) <= tol and (
+            abs(resid) <= _SOLVE_UTOL * slope or u_hi - u_lo <= _SOLVE_UTOL
+        ):
             return x
         if resid < 0:
-            u_lo = u_mid
+            u_lo = u
         else:
-            u_hi = u_mid
+            u_hi = u
+        # a flat link (slope 0) sends u_next to u_hi, forcing the midpoint
+        u_next = u - (log(value) - log_theta) * value / slope if slope > 0.0 else u_hi
+        if not u_lo < u_next < u_hi:
+            u_next = 0.5 * (u_lo + u_hi)
+        u = u_next
     raise SolverError(
         f"link inversion did not converge: theta={theta_norm}, V={V}, h={h}, a={a}"
     )

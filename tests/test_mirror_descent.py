@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
+import robust_oco
 from robust_oco.core import norm
 from robust_oco.mirror_descent import (
     MirrorDescentLearner,
@@ -25,6 +31,17 @@ def random_state(rng, allow_zero_scale=True):
     for w in rng.uniform(0.0, 3.0, size=int(rng.integers(0, 4))):
         reg.advance(float(w))
     return V, h, a, reg
+
+
+def round_trip_samples(samples=1000, seed=2027):
+    """The md_inversion check's sampling: (V, h, a, reg, x0, theta = L(x0))."""
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        V, h, a, reg = random_state(rng)
+        x0 = float(np.exp(rng.uniform(math.log(1e-6), math.log(1e3))))
+        z = V / (h * h)
+        x_star = a * math.expm1(z) if z < 700 else math.inf
+        yield V, h, a, reg, x0, link_value(x0, V, h, a, reg, low_branch=x0 <= x_star)
 
 
 class TestPsiPrime:
@@ -69,17 +86,42 @@ class TestLinkInverse:
         assert link_inverse_solve(0.0, V=2.0, h=1.0, a=0.5, reg=reg) == 0.0
 
     def test_round_trip_thousand_states(self):
-        rng = np.random.default_rng(2027)
         worst = 0.0
-        for _ in range(1000):
-            V, h, a, reg = random_state(rng)
-            x0 = float(np.exp(rng.uniform(math.log(1e-6), math.log(1e3))))
-            z = V / (h * h)
-            x_star = a * math.expm1(z) if z < 700 else math.inf
-            y = link_value(x0, V, h, a, reg, low_branch=x0 <= x_star)
+        for V, h, a, reg, x0, y in round_trip_samples():
             back = link_inverse_solve(y, V, h, a, reg)
             worst = max(worst, abs(back - x0) / x0)
         assert worst <= 1e-8
+
+    def test_matches_fifty_digit_root(self):
+        # the oracle solves the piecewise link (branch chosen by x against
+        # x*) at 50 digits, independently of the solver's branch decision
+        worst = 0.0
+        with mpmath.workdps(50):
+            for V, h, a, reg, x0, theta in round_trip_samples():
+                got = link_inverse_solve(theta, V, h, a, reg)
+                root = _mp_link_root(theta, V, h, a, reg, x0)
+                worst = max(worst, float(abs(got - root) / root))
+        assert worst <= 1e-8
+
+    def test_underflowing_bracket_returns_zero(self):
+        # at p = ln 3 the penalty inverse of a 1e-40 dual norm underflows to
+        # 0.0; the solve must return the rounded root 0.0, not loop forever.
+        # A subprocess with a timeout keeps a regression from hanging the suite.
+        code = (
+            "import numpy as np\n"
+            "from robust_oco import ProtocolConfig, RobustProtocol\n"
+            "p = RobustProtocol(ProtocolConfig(mode='known_g', T=3, k=1, G=1.0))\n"
+            "p.round(np.array([1e-40]))\n"
+            "assert not p.predict().any()\n"
+        )
+        src = str(Path(robust_oco.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_branch_continuity_at_threshold(self):
         rng = np.random.default_rng(55)
@@ -123,6 +165,24 @@ class TestLinkInverse:
             for low in (True, False):
                 vals = [link_value(float(x), V, h, a, reg, low) for x in xs]
                 assert all(b > a_ for a_, b in zip(vals, vals[1:]))
+
+
+def _mp_link_root(theta, V, h, a, reg, x0):
+    """Root of the piecewise link L(x) = theta at the working mpmath precision."""
+    mpf = mpmath.mpf
+    V, h, a, c, p = mpf(V), mpf(h), mpf(a), mpf(reg.c), mpf(reg.p)
+    S = mpmath.exp(mpf(reg.log_S))
+    x_star = a * mpmath.expm1(V / (h * h))
+
+    def resid(u):
+        x = mpmath.exp(u)
+        F = mpmath.log1p(x / a)
+        mirror = 6 * mpmath.sqrt(V * F) if x <= x_star else 3 * h * F + 3 * V / h
+        r = c * p * x ** (p - 1) / (S + x ** p) ** (1 - 1 / p)
+        return mirror + r - mpf(theta)
+
+    u0 = mpmath.log(mpf(x0))
+    return mpmath.exp(mpmath.findroot(resid, (u0 - 1, u0 + 1), solver="anderson"))
 
 
 class TestMirrorDescentLearner:
