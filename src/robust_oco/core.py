@@ -21,7 +21,9 @@ class NonFiniteError(RuntimeError):
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-d float64 array, optionally checking dimension."""
-    v = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim == 0:
+        v = v.reshape(1)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
     if dim is not None and v.size != dim:
@@ -33,7 +35,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 def ensure_finite(x, context: str) -> None:
     """Abort with a diagnostic if any entry of x is NaN or Inf."""
     arr = np.asarray(x)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite value in {context}: {arr!r}")
 
 
@@ -87,14 +89,16 @@ class CorruptionLedger:
         if self.lipschitz_G <= 0:
             raise ValueError("lipschitz_G must be positive")
 
-    def update(self, g_true: np.ndarray, g_tilde: np.ndarray) -> None:
+    def update(self, g_true: np.ndarray, g_tilde: np.ndarray) -> bool:
+        """Account one round; return True when it was corrupted (g_tilde != g_true)."""
         if np.array_equal(g_true, g_tilde):
-            return
+            return False
         dev = norm(g_true - g_tilde)
         self.count_corrupted += 1
         if dev >= self.lipschitz_G:
             self.big_rounds += 1
         self.deviation_sum += min(dev, self.lipschitz_G)
+        return True
 
     def check(self) -> None:
         assert self.big_rounds <= self.count_corrupted

@@ -27,9 +27,6 @@ class EpigraphPoint:
     w: np.ndarray
     y: float
 
-    def is_feasible(self) -> bool:
-        return self.y >= float(np.dot(self.w, self.w))
-
 
 @dataclass
 class QuadWeights:

@@ -117,7 +117,7 @@ def run_experiment(
             w = learner.predict() if protocol is None else protocol.predict()
             g_true, g_tilde = adversary.round(t, w)
             loss_gap = adversary.loss_gap(w, comparator)
-            budget.update(g_true, g_tilde)
+            corrupted = budget.update(g_true, g_tilde)
             if protocol is None:
                 regret.update(w, g_true, g_tilde, loss_gap)
                 learner.observe(g_tilde, 1.0)
@@ -133,7 +133,7 @@ def run_experiment(
                 [t] + point + [
                     norm(g_true), norm(g_tilde), clipped_norm,
                     rec_h, rec_z, rec_alpha, rec_beta,
-                    int(not np.array_equal(g_true, g_tilde)),
+                    int(corrupted),
                     regret.true_regret_linear, regret.observed_regret_linear,
                 ]
             )

@@ -291,7 +291,11 @@ class MirrorDescentLearner(OnlineLearner):
             raise ValueError(f"hints must be nondecreasing: {hint} < {self.h}")
 
         theta = self._grad_psi() - g
-        ensure_finite(theta, "dual accumulator")
+        # a NaN or Inf entry makes the norm NaN or Inf, so the entrywise
+        # check only runs when it is going to fail
+        theta_norm = norm(theta)
+        if not math.isfinite(theta_norm):
+            ensure_finite(theta, "dual accumulator")
 
         # scalar bookkeeping: the dual-magnitude budget B folds in the
         # pre-update normalized sum N
@@ -302,7 +306,6 @@ class MirrorDescentLearner(OnlineLearner):
         self.V = self.h * self.h + self.C
         self.a = self._wealth_scale()
 
-        theta_norm = norm(theta)
         if theta_norm == 0.0:
             w_next = np.zeros(self.dim)
             radius = 0.0

@@ -11,7 +11,7 @@ choices for both; anything else goes through the custom mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -186,6 +186,7 @@ class RobustProtocol:
             np.zeros(config.dim) if comparator is None
             else as_vector(comparator, config.dim)
         )
+        self._comparator_norm = norm(self.comparator)
         if params.uses_filter:
             self.filter = GradientFilter(k=config.k, tau_G=params.tau_G)
             self.tracker = MagnitudeTracker(tau_D=params.tau_D)
@@ -244,7 +245,7 @@ class RobustProtocol:
     def _update_ledgers(self, w, g_tilde, g_clipped, a_t, g_true, loss_gap) -> None:
         u = self.comparator
         w_norm = norm(w)
-        u_norm = norm(u)
+        u_norm = self._comparator_norm
         self._ledger_reg.advance(w_norm)
         r_w = self._ledger_reg.evaluate(w_norm) + a_t * w_norm * w_norm
         r_u = self._ledger_reg.evaluate(u_norm) + a_t * u_norm * u_norm
@@ -273,12 +274,3 @@ def online_to_batch(iterates) -> np.ndarray:
     if not trace:
         raise ValueError("online_to_batch requires a nonempty trace")
     return np.mean(np.stack(trace, axis=0), axis=0)
-
-
-def preset_config(mode: str, T: int, k: int, dim: int = 1, epsilon: float = 1.0,
-                  G: float | None = None, tau_G: float = 1.0) -> ProtocolConfig:
-    """Convenience constructor for the three preset modes."""
-    cfg = ProtocolConfig(mode=mode, T=T, epsilon=epsilon, k=k, dim=dim, tau_G=tau_G)
-    if mode == "known_g":
-        cfg = replace(cfg, G=G if G is not None else 1.0)
-    return cfg

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,19 +63,19 @@ class TestClip:
 class TestCorruptionLedger:
     def test_uncorrupted_round_changes_nothing(self):
         led = CorruptionLedger(lipschitz_G=1.0)
-        led.update(np.array([0.3]), np.array([0.3]))
+        assert led.update(np.array([0.3]), np.array([0.3])) is False
         assert (led.count_corrupted, led.big_rounds, led.deviation_sum) == (0, 0, 0.0)
 
     def test_big_round(self):
         led = CorruptionLedger(lipschitz_G=1.0)
-        led.update(np.array([1.0]), np.array([-1.0]))
+        assert led.update(np.array([1.0]), np.array([-1.0])) is True
         assert led.count_corrupted == 1
         assert led.big_rounds == 1
         assert led.deviation_sum == 1.0  # min(2, G)
 
     def test_small_round(self):
         led = CorruptionLedger(lipschitz_G=1.0)
-        led.update(np.array([1.0]), np.array([1.5]))
+        assert led.update(np.array([1.0]), np.array([1.5])) is True
         assert led.count_corrupted == 1
         assert led.big_rounds == 0
         assert led.deviation_sum == 0.5
@@ -85,7 +86,7 @@ class TestCorruptionLedger:
         for _ in range(500):
             g = rng.standard_normal(2)
             gt = g if rng.uniform() < 0.5 else g + rng.standard_normal(2) * 3
-            led.update(g, gt)
+            assert led.update(g, gt) is (not np.array_equal(g, gt))
             led.check()
         assert led.big_rounds <= led.count_corrupted
         assert led.deviation_sum / 2.0 <= led.count_corrupted + 1e-12
@@ -139,3 +140,45 @@ class TestFiniteness:
     def test_dim_check(self):
         with pytest.raises(ValueError):
             as_vector([1.0, 2.0], dim=3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", ["entry", "scalar"])
+    @pytest.mark.parametrize(
+        "check", [lambda x: ensure_finite(x, "test"), as_vector],
+        ids=["ensure_finite", "as_vector"],
+    )
+    def test_non_finite_rejected(self, check, shape, bad):
+        x = np.array([1.0, bad, -2.0]) if shape == "entry" else bad
+        with pytest.raises(NonFiniteError):
+            check(x)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1.7e308, -1.7e308], [5e-324, -2.2e-308, 1e-310]],
+        ids=["squared_norm_overflows", "subnormal"],
+    )
+    def test_finite_extremes_accepted_without_warning(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ensure_finite(np.array(values), "test")
+            assert np.array_equal(as_vector(values), values)
+
+    @pytest.mark.parametrize("x", [3.5, np.float64(3.5), np.array(3.5), np.int64(3)])
+    def test_scalar_becomes_length_one(self, x):
+        v = as_vector(x)
+        assert v.shape == (1,) and v.dtype == np.float64
+        assert v[0] == float(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [[], np.zeros(0), [[1.0, 2.0]], np.zeros((2, 2)), np.zeros((1, 1)), np.zeros((0, 3))],
+        ids=["empty_list", "empty_array", "row", "square", "one_by_one", "empty_2d"],
+    )
+    def test_non_vector_shape_rejected(self, x):
+        with pytest.raises(ValueError):
+            as_vector(x)
+
+    def test_float64_vector_is_not_copied(self):
+        v = np.array([1.0, -2.0, 3.0])
+        assert as_vector(v) is v
+        assert as_vector(v, dim=3) is v

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import robust_oco
-from robust_oco.core import norm
+from robust_oco.core import NonFiniteError, norm
 from robust_oco.mirror_descent import (
     MirrorDescentLearner,
     SolverError,
@@ -240,6 +240,28 @@ class TestMirrorDescentLearner:
                 assert norm(md.predict()) > 1e250  # died of genuine overflow
                 break
             assert np.isfinite(md.predict()).all()
+
+    @pytest.mark.parametrize("corrupt", ["overflowing_iterate", "vanishing_wealth_scale"])
+    def test_non_finite_dual_accumulator_leaves_state_unchanged(self, corrupt):
+        # the dual accumulator is checked through its norm; a NaN (from an
+        # iterate whose norm overflows, 3 psi'(inf)/inf) or Inf (from
+        # psi'(n) = inf at a wealth scale of one subnormal) entry must still
+        # raise before any scalar state moves
+        md = MirrorDescentLearner(2, epsilon=1.0, initial_hint=1.0, c=1.0, p=3.0)
+        md.observe(np.array([0.3, -0.4]), 1.0)
+        md.observe(np.array([0.1, 0.2]), 1.5)
+        if corrupt == "overflowing_iterate":
+            md.w = np.array([1.7e308, 1.7e308])
+        else:
+            md.w = np.array([1.0, -2.0])
+            md.a = 5e-324
+        fields = ("t", "N", "B", "C", "h", "V", "a")
+        before = [getattr(md, f) for f in fields] + [md.reg.log_S]
+        theta, w = md.theta.copy(), md.w.copy()
+        with pytest.raises(NonFiniteError, match="dual accumulator"):
+            md.observe(np.array([0.5, 0.5]), 2.0)
+        assert [getattr(md, f) for f in fields] + [md.reg.log_S] == before
+        assert np.array_equal(md.theta, theta) and np.array_equal(md.w, w)
 
     def test_penalty_caps_exponential_growth(self):
         # same stream with the composite penalty active: the run completes
