@@ -4,15 +4,29 @@ Everything downstream trades in plain float64 numpy arrays ("vectors") under
 the Euclidean norm. Corruption experiments intentionally drive exponential
 blow-ups, so any NaN/Inf is treated as a fatal state-corruption signal rather
 than silently propagated.
+
+The per-round vector kernels (norm, finiteness check, ledger equality) are
+exact and never warn, on subnormal and near-overflow input alike. Vectors of
+at most SMALL_DIM entries, which covers every scalar (d = 1) learner, never
+enter a numpy reduction: a Python-level pass over ``tolist()`` costs a
+fraction of one numpy dispatch at that size.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
+
+
+SMALL_DIM = 16  # vectors up to this size skip numpy reductions
+_FLOAT64 = np.dtype(np.float64)
+# below this squared norm, np.vdot may have lost digits to underflow
+_SQUARED_NORM_FLOOR = 1e-280
+_FLOAT_MIN = sys.float_info.min  # smallest normal double
 
 
 class NonFiniteError(RuntimeError):
@@ -33,41 +47,84 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 
 def ensure_finite(x, context: str) -> None:
-    """Abort with a diagnostic if any entry of x is NaN or Inf."""
+    """Abort with a diagnostic if any entry of x is NaN or Inf.
+
+    A 1-d float64 vector passes as soon as its sum of squares is finite,
+    which proves every entry finite: math.hypot up to SMALL_DIM entries,
+    np.vdot (which never warns) above. A non-finite sum decides nothing (the
+    norm of a finite [1.7e308, 1.7e308] overflows), so it falls through to
+    the entrywise check, as does every other input.
+    """
     arr = np.asarray(x)
+    if arr.ndim == 1 and arr.dtype is _FLOAT64 and math.isfinite(
+        math.hypot(*arr.tolist()) if arr.size <= SMALL_DIM
+        else float(np.vdot(arr, arr))
+    ):
+        return
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite value in {context}: {arr!r}")
 
 
 def norm(v: np.ndarray) -> float:
-    s = float(np.dot(v, v))
-    if math.isfinite(s):
+    """Euclidean norm of a vector, exact to a few ulps and never warning.
+
+    Up to SMALL_DIM entries this is math.hypot, which scales internally and
+    is within one ulp over the whole float range, subnormals included.
+    Larger vectors, where one numpy reduction costs less than a Python-level
+    pass, take np.vdot: unlike np.dot, np.inner and @, it does not warn on
+    overflow, at the same cost. Its square root is used when the squared
+    norm s is finite and above 1e-280, where underflowed squares shift s by
+    at most d * 2**-1074; otherwise the vector is first rescaled by its
+    largest magnitude. Either way the relative error is at most
+    (d/2 + 2) * 2**-53, plus one subnormal unit when the norm is subnormal.
+    A NaN or Inf entry gives NaN or Inf, and a finite vector whose norm
+    exceeds the float range gives Inf.
+    """
+    if v.size <= SMALL_DIM:
+        return math.hypot(*v.tolist())
+    s = float(np.vdot(v, v))
+    if math.isfinite(s) and s > _SQUARED_NORM_FLOOR:
         return math.sqrt(s)
-    # squared sum overflowed; rescale by the largest magnitude first
+    # overflowed, underflowed, or NaN: rescale by the largest magnitude first
     m = float(np.max(np.abs(v)))
     if not math.isfinite(m) or m == 0.0:
         return m
     u = v / m
-    return m * math.sqrt(float(np.dot(u, u)))
+    return m * math.sqrt(float(np.vdot(u, u)))
 
 
 def clip_gradient(g_tilde: np.ndarray, h: float) -> np.ndarray:
     """Rescale g_tilde to norm at most h, preserving direction.
 
     The zero vector maps to itself (the formula's limit), guarding the
-    division by the input norm. Rescaling repeats if rounding leaves the
-    result an ulp above the threshold, so clipping is exactly idempotent.
+    division by the input norm. When the scale h/n would underflow, or the
+    norm n of a finite input overflows, the direction is normalised by the
+    largest magnitude first, so the result still has norm h, not 0.
+    Rescaling repeats if rounding leaves the result an ulp above the
+    threshold (subnormal entries step toward zero one unit at a time), so
+    clipping is exactly idempotent and the result never exceeds h.
     """
     if h <= 0:
         raise ValueError(f"clipping threshold must be positive, got {h}")
     n = norm(g_tilde)
     if n <= h:
         return g_tilde
-    out = g_tilde * (h / n)
+    scale = h / n
+    if scale < _FLOAT_MIN:
+        u = g_tilde / float(np.max(np.abs(g_tilde)))
+        out = u * (h / norm(u))
+    else:
+        out = g_tilde * scale
     n = norm(out)
     while n > h:
-        out = out * (h / n)
-        n = norm(out)
+        out_next = out * (h / n)
+        n_next = norm(out_next)
+        if n_next >= n:
+            # subnormal entries can round back to themselves: step each one
+            # toward zero instead, so the loop always terminates
+            out_next = np.nextafter(out, 0.0)
+            n_next = norm(out_next)
+        out, n = out_next, n_next
     return out
 
 
@@ -90,8 +147,15 @@ class CorruptionLedger:
             raise ValueError("lipschitz_G must be positive")
 
     def update(self, g_true: np.ndarray, g_tilde: np.ndarray) -> bool:
-        """Account one round; return True when it was corrupted (g_tilde != g_true)."""
-        if np.array_equal(g_true, g_tilde):
+        """Account one round; return True when it was corrupted (g_tilde != g_true).
+
+        Equality is entrywise float equality (-0.0 equals 0.0, NaN equals
+        nothing); small vectors compare as Python lists.
+        """
+        if (
+            g_true.tolist() == g_tilde.tolist() if g_true.size <= SMALL_DIM
+            else np.array_equal(g_true, g_tilde)
+        ):
             return False
         dev = norm(g_true - g_tilde)
         self.count_corrupted += 1
@@ -134,8 +198,8 @@ class RegretLedger:
                 f"g_obs {g_observed.shape}, comparator {u.shape}"
             )
         diff = w - u
-        self.true_regret_linear += float(np.dot(g_true, diff))
-        self.observed_regret_linear += float(np.dot(g_observed, diff))
+        self.true_regret_linear += float(np.vdot(g_true, diff))
+        self.observed_regret_linear += float(np.vdot(g_observed, diff))
         if loss_gap is not None:
             self.has_loss_oracle = True
             self.loss_regret += float(loss_gap)

@@ -103,7 +103,7 @@ def weighted_project(point: EpigraphPoint, h: float, gamma: float) -> EpigraphPo
         raise SolverError(f"epigraph projection did not converge for {point}")
 
     w = (s / nw) * point.w
-    y = max(s * s, float(np.dot(w, w)))  # clamp: feasibility holds exactly
+    y = max(s * s, float(np.vdot(w, w)))  # clamp: feasibility holds exactly
     return EpigraphPoint(w, y)
 
 
@@ -126,10 +126,10 @@ def correction_direction(
         return np.zeros_like(hat.w), 0.0
     dw = hat.w - proj.w
     dy = hat.y - proj.y
-    dist2 = h * h * float(np.dot(dw, dw)) + gamma * gamma * dy * dy
+    dist2 = h * h * float(np.vdot(dw, dw)) + gamma * gamma * dy * dy
     if dist2 == 0.0:
         return np.zeros_like(hat.w), 0.0
-    scale = float(np.dot(g_clipped, g_clipped)) / (h * h) + (a_t * a_t) / (gamma * gamma)
+    scale = float(np.vdot(g_clipped, g_clipped)) / (h * h) + (a_t * a_t) / (gamma * gamma)
     root = math.sqrt(dist2)
     delta_w = (scale * h * h / root) * dw
     delta_y = scale * gamma * gamma * dy / root

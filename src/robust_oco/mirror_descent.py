@@ -264,12 +264,23 @@ class MirrorDescentLearner(OnlineLearner):
         self.N = 4.0
         self.B = 16.0  # 4 * N at initialization
         self.V = self.h * self.h + self.C
-        self.a = self._wealth_scale()
+        self.a = self._wealth_scale(self.B)
         self.t = 0
 
-    def _wealth_scale(self) -> float:
-        ln_b = max(math.log(self.B), 1.0)
-        return self.epsilon / (math.sqrt(self.B) * ln_b * ln_b)
+    def _wealth_scale(self, B: float) -> float:
+        """The scale a = epsilon / (sqrt(B) ln(B)^2) inside the mirror map's log.
+
+        Raises ValueError when a underflows to 0 (the link takes log(a)): at
+        construction for a subnormal epsilon, or later as B grows.
+        """
+        ln_b = max(math.log(B), 1.0)
+        a = self.epsilon / (math.sqrt(B) * ln_b * ln_b)
+        if a == 0.0:
+            raise ValueError(
+                f"mirror descent wealth scale underflows to 0 at epsilon="
+                f"{self.epsilon}, B={B}; epsilon is too small"
+            )
+        return a
 
     def _grad_psi(self) -> np.ndarray:
         n = norm(self.w)
@@ -282,10 +293,13 @@ class MirrorDescentLearner(OnlineLearner):
 
     def observe(self, gradient: np.ndarray, hint: float) -> None:
         g = as_vector(gradient, self.dim)
-        g2 = float(np.dot(g, g))
+        # from the exact norm: no overflow warning, and g_norm * g_norm is
+        # bit-identical to the squared entry at d = 1
+        g_norm = norm(g)
+        g2 = g_norm * g_norm
         if g2 > (self.h * self.h) * (1.0 + 1e-9) + 1e-300:
             raise ValueError(
-                f"gradient norm {math.sqrt(g2)} exceeds the promised hint {self.h}"
+                f"gradient norm {g_norm} exceeds the promised hint {self.h}"
             )
         if hint < self.h:
             raise ValueError(f"hints must be nondecreasing: {hint} < {self.h}")
@@ -298,13 +312,15 @@ class MirrorDescentLearner(OnlineLearner):
             ensure_finite(theta, "dual accumulator")
 
         # scalar bookkeeping: the dual-magnitude budget B folds in the
-        # pre-update normalized sum N
-        self.B += 4.0 * self.N
+        # pre-update normalized sum N; the wealth scale is checked first so a
+        # failure leaves the state unchanged
+        B = self.B + 4.0 * self.N
+        self.a = self._wealth_scale(B)
+        self.B = B
         self.N += g2 / (self.h * self.h)
         self.C += g2
         self.h = hint
         self.V = self.h * self.h + self.C
-        self.a = self._wealth_scale()
 
         if theta_norm == 0.0:
             w_next = np.zeros(self.dim)

@@ -156,7 +156,7 @@ class DecompositionLedger:
 
     @property
     def bias_term(self) -> float:
-        return float(np.dot(self._bias_grad_accum, -self.comparator)) + self.bias_reg_sum
+        return float(np.vdot(self._bias_grad_accum, -self.comparator)) + self.bias_reg_sum
 
     def reconstructed_regret(self) -> float:
         return (
@@ -251,12 +251,12 @@ class RobustProtocol:
         r_u = self._ledger_reg.evaluate(u_norm) + a_t * u_norm * u_norm
 
         d = self.decomposition
-        d.composite_term += float(np.dot(g_clipped, w - u)) + r_w - r_u
+        d.composite_term += float(np.vdot(g_clipped, w - u)) + r_w - r_u
         d.correction_term += r_w
         d.bias_reg_sum += r_u
         if g_true is not None:
             g_true = as_vector(g_true, self.config.dim)
-            d.error_term += float(np.dot(g_true - g_clipped, w))
+            d.error_term += float(np.vdot(g_true - g_clipped, w))
             d._bias_grad_accum += g_true - g_clipped
             self.regret.update(w, g_true, g_tilde, loss_gap)
 

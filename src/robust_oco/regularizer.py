@@ -11,7 +11,11 @@ ones long before the quantities of interest leave float range.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+
+_FLOAT_MIN = sys.float_info.min  # smallest normal double
+
 
 def _log1p_exp(z: float) -> float:
     """log(1 + e^z), stable for large |z|."""
@@ -109,7 +113,10 @@ class HuberRegularizer:
         if y >= cp:
             return math.inf
         p = self.p
-        log_r = (p / (p - 1.0)) * math.log(y / cp) if p > 1.0 else -math.inf
+        q = y / cp
+        # a subnormal y can underflow the ratio; take its log in two parts
+        log_q = math.log(q) if q >= _FLOAT_MIN else math.log(y) - math.log(cp)
+        log_r = (p / (p - 1.0)) * log_q if p > 1.0 else -math.inf
         if log_r == -math.inf:
             return 0.0
         # x^p = S * r / (1 - r) with r = (y/cp)^(p/(p-1))

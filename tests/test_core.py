@@ -1,12 +1,14 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_oco.core import (
+    SMALL_DIM,
     CorruptionLedger,
     NonFiniteError,
     RegretLedger,
@@ -15,6 +17,31 @@ from robust_oco.core import (
     ensure_finite,
     norm,
 )
+
+# both sides of the small-vector gate
+GATE_DIMS = (1, 2, SMALL_DIM, SMALL_DIM + 1, 256)
+TINY = 2.0**-1074  # smallest subnormal
+ULP = 2.0**-53
+
+
+def exact_norm(v) -> float:
+    """The Euclidean norm to 50 digits, rounded once to a double."""
+    with mpmath.workdps(50):
+        return float(mpmath.sqrt(mpmath.fsum(mpmath.mpf(float(x)) ** 2 for x in v)))
+
+
+def log_uniform_vector(rng, d, lo_exp, hi_exp) -> np.ndarray:
+    """Random signs, magnitudes log-uniform over [2**lo_exp, 2**hi_exp]."""
+    mags = np.exp2(rng.uniform(lo_exp, hi_exp, d))
+    return np.where(rng.uniform(size=d) < 0.5, -mags, mags)
+
+
+MAGNITUDE_FAMILIES = {
+    "subnormal": (-1074, -1022),
+    "near_overflow": (1000, 1023.9),
+    "mixed": (-1074, 1023.9),
+    "unit": (-4, 4),
+}
 
 
 class TestClip:
@@ -60,6 +87,111 @@ class TestClip:
         assert np.all(d_after <= d_before * (1 + 1e-12) + 1e-12)
 
 
+class TestNormOracle:
+    @pytest.mark.parametrize("family", sorted(MAGNITUDE_FAMILIES))
+    @pytest.mark.parametrize("d", GATE_DIMS)
+    def test_matches_fifty_digit_root(self, d, family):
+        # hypot (d <= SMALL_DIM) is within an ulp; the vdot and rescaled
+        # paths within (d/2 + 2) ulps; results in the subnormal range carry
+        # one subnormal unit of absolute rounding on top
+        rng = np.random.default_rng(d * 31 + len(family))
+        lo, hi = MAGNITUDE_FAMILIES[family]
+        rel = 2 * ULP if d <= SMALL_DIM else (d / 2 + 2) * ULP
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(40):
+                v = log_uniform_vector(rng, d, lo, hi)
+                exact = exact_norm(v)
+                got = norm(v)
+                if math.isinf(exact):
+                    assert got == math.inf
+                else:
+                    assert abs(got - exact) <= rel * exact + TINY, (v, got, exact)
+
+    @pytest.mark.parametrize("d", GATE_DIMS)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_any_finite_floats(self, d, data):
+        v = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                        min_size=d, max_size=d)))
+        exact = exact_norm(v)
+        rel = 2 * ULP if d <= SMALL_DIM else (d / 2 + 2) * ULP
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = norm(v)
+        if math.isinf(exact):
+            assert got == math.inf
+        else:
+            assert abs(got - exact) <= rel * exact + TINY
+
+    def test_underflow_reproducers_exact(self):
+        assert norm(np.array([1e-170])) == 1e-170
+        assert norm(np.array([3e-162, 4e-162])) == 5e-162
+        out = clip_gradient(np.array([1e-170]), 1e-300)
+        assert 0.0 < norm(out) <= 1e-300
+
+    @pytest.mark.parametrize("d", GATE_DIMS)
+    def test_non_finite_entries(self, d):
+        for bad in (math.nan, math.inf, -math.inf):
+            v = np.ones(d)
+            v[d // 2] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = norm(v)
+            assert math.isnan(got) if math.isnan(bad) else got == math.inf
+
+    @pytest.mark.parametrize("d", GATE_DIMS[1:])
+    def test_norm_past_float_range_is_inf(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm(np.full(d, 1.7e308)) == math.inf
+            assert norm(np.zeros(d)) == 0.0
+
+
+class TestClipInvariant:
+    @pytest.mark.parametrize("d", GATE_DIMS)
+    @given(
+        data=st.data(),
+        h=st.floats(min_value=5e-324, max_value=1.7e308, allow_subnormal=True),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_clipped_norm_within_threshold(self, d, data, h):
+        g = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                        min_size=d, max_size=d)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = clip_gradient(g, h)
+            assert norm(out) <= h
+        # direction is kept: no sign flips, zero entries stay zero
+        assert np.all(np.sign(out) * np.sign(g) >= 0)
+
+    @pytest.mark.parametrize(
+        "g, h",
+        [([1e30], 1e-300), ([1.7e308, 1.7e308], 1.0), ([3.0, -4.0], 1e-310)],
+        ids=["scale_underflows", "norm_overflows", "subnormal_threshold"],
+    )
+    def test_extreme_ratio_still_reaches_threshold(self, g, h):
+        # the scale h / ||g|| is not representable, yet the clipped vector is
+        g = np.array(g)
+        out = clip_gradient(g, h)
+        assert h * (1 - 4 * ULP) - TINY <= norm(out) <= h
+        u = g / np.max(np.abs(g))
+        assert np.allclose(out / h, u / norm(u))
+
+
+    @pytest.mark.parametrize(
+        "g, h",
+        [([1.0] * 3, 3e-308), ([1e300] * 3, 3e-308), ([3.0, -4.0] * 8 + [1.0], 1.5e-323)],
+        ids=["unit", "huge", "d17_three_subnormal_units"],
+    )
+    def test_subnormal_result_terminates(self, g, h):
+        # rescaling by h / n leaves these subnormal entries where they are;
+        # the clip must still finish within h and stay idempotent
+        out = clip_gradient(np.array(g), h)
+        assert norm(out) <= h
+        assert np.array_equal(clip_gradient(out, h), out)
+
+
 class TestCorruptionLedger:
     def test_uncorrupted_round_changes_nothing(self):
         led = CorruptionLedger(lipschitz_G=1.0)
@@ -90,6 +222,36 @@ class TestCorruptionLedger:
             led.check()
         assert led.big_rounds <= led.count_corrupted
         assert led.deviation_sum / 2.0 <= led.count_corrupted + 1e-12
+
+    @pytest.mark.parametrize("d", GATE_DIMS)
+    def test_signed_zero_is_uncorrupted(self, d):
+        led = CorruptionLedger(lipschitz_G=1.0)
+        pos, neg = np.zeros(d), -np.zeros(d)
+        neg[0] = 0.25
+        pos[0] = 0.25
+        assert led.update(pos, neg) is False
+        assert led.count_corrupted == 0
+
+    @pytest.mark.parametrize("d", GATE_DIMS)
+    def test_nan_is_never_equal(self, d):
+        led = CorruptionLedger(lipschitz_G=1.0)
+        g = np.ones(d)
+        g[-1] = math.nan
+        assert led.update(g, g) is True
+        assert led.update(g, g.copy()) is True
+        assert led.count_corrupted == 2
+
+    @pytest.mark.parametrize("d", GATE_DIMS)
+    def test_matches_array_equal(self, d):
+        rng = np.random.default_rng(d)
+        led = CorruptionLedger(lipschitz_G=1.0)
+        for _ in range(200):
+            g = rng.standard_normal(d)
+            gt = g.copy()
+            if rng.uniform() < 0.5:
+                i = rng.integers(d)
+                gt[i] = np.nextafter(gt[i], math.inf)
+            assert led.update(g, gt) is (not np.array_equal(g, gt))
 
 
 class TestRegretLedger:
@@ -177,6 +339,36 @@ class TestFiniteness:
     def test_non_vector_shape_rejected(self, x):
         with pytest.raises(ValueError):
             as_vector(x)
+
+    @pytest.mark.parametrize("d", GATE_DIMS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ensure_finite_matches_entrywise_check(self, d, data):
+        special = st.sampled_from(
+            [math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 5e-324, -0.0]
+        )
+        entries = st.one_of(special, st.floats())
+        arr = np.array(data.draw(st.lists(entries, min_size=d, max_size=d)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if np.isfinite(arr).all():
+                ensure_finite(arr, "test")
+            else:
+                with pytest.raises(NonFiniteError, match="non-finite value in test"):
+                    ensure_finite(arr, "test")
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.array([1, 2], dtype=np.int64), np.array([1.0, 2.0], dtype=np.float32),
+         np.array([math.nan], dtype=np.float32), np.array([[1.0, math.inf]])],
+        ids=["int", "float32", "float32_nan", "row"],
+    )
+    def test_ensure_finite_other_inputs_use_entrywise_check(self, x):
+        if np.isfinite(x).all():
+            ensure_finite(x, "test")
+        else:
+            with pytest.raises(NonFiniteError):
+                ensure_finite(x, "test")
 
     def test_float64_vector_is_not_copied(self):
         v = np.array([1.0, -2.0, 3.0])

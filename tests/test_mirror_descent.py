@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -221,6 +222,32 @@ class TestMirrorDescentLearner:
         md = MirrorDescentLearner(1, 1.0, 1.0)
         with pytest.raises(ValueError):
             md.observe(np.array([1.5]), 1.0)
+
+    def test_near_overflow_gradient_rejected_without_warning(self):
+        md = MirrorDescentLearner(1, epsilon=1.0, initial_hint=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exceeds the promised hint"):
+                md.observe(np.array([1e200]), 1.0)
+        assert md.t == 0
+
+    def test_subnormal_epsilon_rejected_at_construction(self):
+        # the wealth scale epsilon / (sqrt(B) ln(B)^2) underflows to 0 and
+        # the link takes log(a): a clean error, not a math domain error
+        with pytest.raises(ValueError, match="wealth scale underflows"):
+            MirrorDescentLearner(1, epsilon=5e-324, initial_hint=1.0)
+
+    def test_wealth_scale_underflow_after_growth_leaves_state_unchanged(self):
+        # a = 1e-322 / 30.7 still rounds to one subnormal at B = 16, but
+        # not at B = 32 after the first round
+        md = MirrorDescentLearner(1, epsilon=1e-322, initial_hint=1.0)
+        assert md.a == 5e-324
+        fields = ("t", "N", "B", "C", "h", "V", "a")
+        before = [getattr(md, f) for f in fields]
+        with pytest.raises(ValueError, match="wealth scale underflows"):
+            md.observe(np.array([-1.0]), 1.0)
+        assert [getattr(md, f) for f in fields] == before
+        assert np.array_equal(md.predict(), [0.0])
 
     def test_rejects_decreasing_hints(self):
         md = MirrorDescentLearner(1, 1.0, 2.0)

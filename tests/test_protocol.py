@@ -1,13 +1,43 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from robust_oco.core import NonFiniteError
+from robust_oco.mirror_descent import SolverError
 from robust_oco.protocol import (
     ProtocolConfig,
     RobustProtocol,
     online_to_batch,
 )
+
+# how each layer names itself in the errors it raises
+LAYER_MESSAGE = re.compile(
+    "vector input|dual accumulator|mirror descent iterate|iterate after round"
+    "|link inversion|no representable radius|epigraph projection|wealth scale"
+)
+# log2 magnitude ranges of the finite hostile gradients
+MAGNITUDES = {
+    "unit": (-2, 2),
+    "subnormal": (-1074, -1022),
+    "near_overflow": (1000, 1023.9),
+    "mixed": (-1074, 1023.9),
+}
+GRADIENT_KINDS = tuple(MAGNITUDES) + ("nan", "inf")
+
+
+def hostile_gradient(rng, kind: str, dim: int) -> np.ndarray:
+    """A gradient of the given kind; nan and inf poison one entry of a unit one."""
+    lo, hi = MAGNITUDES.get(kind, MAGNITUDES["unit"])
+    g = np.exp2(rng.uniform(lo, hi, dim)) * rng.choice([-1.0, 1.0], dim)
+    if kind == "nan":
+        g[rng.integers(dim)] = math.nan
+    elif kind == "inf":
+        g[rng.integers(dim)] = rng.choice([-math.inf, math.inf])
+    return g
 
 
 class TestPresets:
@@ -167,6 +197,46 @@ class TestProtocolRound:
         protocol = RobustProtocol(cfg)
         with pytest.raises(Exception):
             protocol.round(np.array([math.nan]))
+
+
+class TestHostileInputContract:
+    @given(
+        mode=st.sampled_from(["known_g", "unknown_g_case1"]),
+        dim=st.one_of(st.sampled_from([1, 2, 16, 17]), st.integers(1, 1000)),
+        T=st.integers(3, 10**6),
+        k=st.integers(1, 50),
+        G=st.floats(1e-3, 1e3),
+        kinds=st.lists(st.sampled_from(GRADIENT_KINDS), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_round_leaves_finite_iterate_or_names_its_layer(
+        self, mode, dim, T, k, G, kinds, seed
+    ):
+        # a hostile observed gradient (subnormal, near overflow, NaN, Inf)
+        # either plays out to a finite iterate or raises a typed error that
+        # names the layer; the true gradient is a bounded one, as the
+        # corruption model has it; p = ln T
+        rng = np.random.default_rng(seed)
+        cfg = ProtocolConfig(
+            mode=mode, T=T, k=k, dim=dim, G=G if mode == "known_g" else None
+        )
+        protocol = RobustProtocol(cfg, comparator=np.full(dim, 0.5))
+        assert protocol.params.p == math.log(T)
+        for kind in kinds:
+            g_true = rng.uniform(-1.0, 1.0, dim) * (min(G, 1.0) / math.sqrt(dim))
+            try:
+                rec = protocol.round(hostile_gradient(rng, kind, dim), g_true=g_true)
+            except (NonFiniteError, SolverError, ValueError) as exc:
+                assert LAYER_MESSAGE.search(str(exc)), exc
+                if kind in ("nan", "inf"):
+                    assert isinstance(exc, NonFiniteError)
+                    assert "vector input" in str(exc)
+                return
+            assert kind not in ("nan", "inf")
+            assert np.isfinite(protocol.predict()).all()
+            assert rec.g_clipped_norm <= rec.h
+            assert math.isfinite(protocol.regret.true_regret_linear)
 
 
 class TestStochasticOptimizationEndToEnd:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +137,18 @@ class TestRadialSubgradientInverse:
         reg = make_state(c=2.0, p=3.0, alpha=1.0)
         assert reg.radial_subgradient_inverse(2.0 * 3.0) == math.inf
         assert reg.radial_subgradient_inverse(100.0) == math.inf
+
+    @pytest.mark.parametrize("y", [5e-324, 1e-310, 3e-308])
+    def test_subnormal_norm_matches_fifty_digit_inverse(self, y):
+        # y / (c p) underflows for a subnormal y; the radius does not
+        reg = make_state(c=20.0, p=math.log(1e6), alpha=0.05, norms=[0.5])
+        with mpmath.workdps(50):
+            p = mpmath.mpf(reg.p)
+            r = (mpmath.mpf(y) / (mpmath.mpf(reg.c) * p)) ** (p / (p - 1))
+            x = (mpmath.exp(mpmath.mpf(reg.log_S)) * r / (1 - r)) ** (1 / p)
+        got = reg.radial_subgradient_inverse(y)
+        assert got > 0.0
+        assert math.isclose(got, float(x), rel_tol=1e-12)
 
     @given(
         st.floats(0.05, 10.0), st.floats(1.2, 9.0), st.floats(0.05, 4.0),
