@@ -246,9 +246,6 @@ class KTBettor(OnlineLearner):
         if epsilon <= 0:
             raise ValueError("initial wealth must be positive")
         self.epsilon = epsilon
-        self.reset()
-
-    def reset(self) -> None:
         self.sum_neg_grad = 0.0
         self.reward = 0.0
         self.t = 0

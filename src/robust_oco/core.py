@@ -174,15 +174,15 @@ class RegretLedger:
     """Cumulative linearized regret against a fixed comparator.
 
     true_regret_linear uses the true gradients, observed_regret_linear the
-    corrupted ones. loss_regret is only tracked when a loss oracle supplies
-    per-round loss gaps.
+    corrupted ones. loss_regret sums the per-round loss gaps of a loss
+    oracle, and stays 0.0 without one. A round whose regret totals would
+    leave float range raises NonFiniteError and leaves every total unchanged.
     """
 
     comparator: np.ndarray
     true_regret_linear: float = 0.0
     observed_regret_linear: float = 0.0
     loss_regret: float = 0.0
-    has_loss_oracle: bool = False
 
     def update(
         self,
@@ -198,10 +198,17 @@ class RegretLedger:
                 f"g_obs {g_observed.shape}, comparator {u.shape}"
             )
         diff = w - u
-        self.true_regret_linear += float(np.vdot(g_true, diff))
-        self.observed_regret_linear += float(np.vdot(g_observed, diff))
+        # a non-finite increment makes its total non-finite too
+        true_total = self.true_regret_linear + float(np.vdot(g_true, diff))
+        observed_total = self.observed_regret_linear + float(np.vdot(g_observed, diff))
+        if not (math.isfinite(true_total) and math.isfinite(observed_total)):
+            raise NonFiniteError(
+                f"non-finite value in regret ledger: true {true_total}, "
+                f"observed {observed_total}"
+            )
+        self.true_regret_linear = true_total
+        self.observed_regret_linear = observed_total
         if loss_gap is not None:
-            self.has_loss_oracle = True
             self.loss_regret += float(loss_gap)
 
 
@@ -211,7 +218,8 @@ class OnlineLearner(ABC):
     predict() is deterministic given the observe history and may be called
     repeatedly; the first prediction is always the origin. observe() consumes
     one (gradient, hint) pair, where the hint is the magnitude bound the
-    caller promises for the next round's gradient.
+    caller promises for the next round's gradient. There is no reset: a
+    fresh run builds a fresh learner.
     """
 
     @abstractmethod
@@ -219,6 +227,3 @@ class OnlineLearner(ABC):
 
     @abstractmethod
     def observe(self, gradient: np.ndarray, hint: float) -> None: ...
-
-    @abstractmethod
-    def reset(self) -> None: ...

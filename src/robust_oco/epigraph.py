@@ -59,9 +59,6 @@ class QuadWeights:
             beta_t = 0.0
         return alpha_t, beta_t
 
-    def reset(self) -> None:
-        self.beta_denominator = 1
-
 
 def weighted_project(point: EpigraphPoint, h: float, gamma: float) -> EpigraphPoint:
     """Minimize h^2||w - w_hat||^2 + gamma^2(y - y_hat)^2 over y >= ||w||^2.
@@ -161,7 +158,6 @@ class EpigraphLearner(OnlineLearner):
             raise ValueError("initial threshold tau_G must be positive")
         self.dim = dim
         self.gamma = gamma
-        self.tau_G = tau_G
         self.learner_w = MirrorDescentLearner(
             dim, epsilon, initial_hint=2.0 * tau_G, c=c, p=p, alpha=alpha
         )
@@ -208,12 +204,5 @@ class EpigraphLearner(OnlineLearner):
             np.array([0.5 * (a_t + delta_y)]), 1.5 * self.gamma
         )
         self.h = hint
-        self._hat = None
-        self._played = None
-
-    def reset(self) -> None:
-        self.learner_w.reset()
-        self.learner_y.reset()
-        self.h = self.tau_G
         self._hat = None
         self._played = None

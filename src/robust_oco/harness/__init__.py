@@ -1,8 +1,8 @@
 """Experiment harness: configs, the runner, verification checks, and the CLI."""
 
 from .checks import CHECKS, CheckReport, run_check
-from .config import ExperimentConfig, from_ini, to_ini
-from .runner import ExperimentTrace, SweepConfig, run_experiment, run_sweep
+from .config import ExperimentConfig, SweepConfig, from_ini, to_ini
+from .runner import ExperimentTrace, run_experiment, run_sweep
 
 __all__ = [
     "CHECKS",

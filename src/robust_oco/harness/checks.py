@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adversaries import AdversarySpec, make_adversary, random_sign_expectation
+from ..adversaries import ADVERSARY_KINDS, AdversarySpec, make_adversary, random_sign_expectation
 from ..core import norm
 from ..epigraph import EpigraphPoint, weighted_project
 from ..mirror_descent import link_inverse_solve, link_value
@@ -253,11 +253,6 @@ def check_lb_theorem2_floor(seeds: int = 2000) -> CheckReport:
     return report
 
 
-ORIGIN_SAFETY_KINDS = (
-    "sign_flip_window", "lb_theorem2", "lb_origin", "dro_reweight", "iid_random",
-)
-
-
 def check_origin_safety(T: int = 1000, ks=(0, 10, 100), seed: int = 7) -> CheckReport:
     """Regret at the origin stays constant-order for every adversary at every budget.
 
@@ -266,7 +261,7 @@ def check_origin_safety(T: int = 1000, ks=(0, 10, 100), seed: int = 7) -> CheckR
     """
     report = CheckReport("origin_safety", True)
     epsilon, G = 1.0, 1.0
-    for kind in ORIGIN_SAFETY_KINDS:
+    for kind in ADVERSARY_KINDS:
         for k in ks:
             T_eff = min(T, 30) if kind == "lb_origin" else T
             k_eff = min(k, T_eff) if kind == "lb_origin" else k
@@ -309,8 +304,6 @@ def check_decomposition_identity(configs: int = 50, seed: int = 99) -> CheckRepo
         dim = int(rng.integers(1, 4))
         mode = ("known_g", "unknown_g_case1", "unknown_g_case2")[i % 3]
         kind = ("dro_reweight", "lb_theorem2", "iid_random")[int(rng.integers(0, 3))]
-        if kind == "lb_theorem2":
-            dim = max(dim, 1)
         spec = AdversarySpec(
             kind=kind, T=T, k=min(k, (T - 1) // 2), seed=int(rng.integers(0, 1 << 30)),
             dim=dim, G=float(rng.uniform(0.5, 3.0)),

@@ -11,17 +11,12 @@ import sys
 from pathlib import Path
 
 from .checks import CHECKS, run_check
-from .config import from_ini
-from .runner import SweepConfig, run_experiment, run_sweep
-
-
-def _load_config(path: str):
-    text = Path(path).read_text()
-    return from_ini(text)
+from .config import from_ini, sweep_from_ini
+from .runner import run_experiment, run_sweep
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config)
+    config = from_ini(Path(args.config).read_text())
     out_dir = args.out if args.out else config.output_path
     seeds = [args.seed] if args.seed is not None else list(config.seeds)
     for seed in seeds:
@@ -36,29 +31,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_sweep_section(path: str) -> SweepConfig:
-    import configparser
-
-    parser = configparser.ConfigParser()
-    parser.read_string(Path(path).read_text())
-    if "sweep" not in parser:
-        raise ValueError("sweep config needs a [sweep] section")
-    s = parser["sweep"]
-    return SweepConfig(
-        ks=tuple(int(x) for x in s.get("ks", "20 30 40 50 60 70").split()),
-        algorithms=tuple(s.get("algorithms", "kt_bettor known_g").split()),
-        seeds=tuple(int(x) for x in s.get("seeds", "0").split()),
-        epsilon=float(s.get("epsilon", "1.0")),
-        G=float(s.get("G", "1.0")),
-        tau_G=float(s.get("tau_G", "1.0")),
-        window_frac=float(s.get("window_frac", "0.75")),
-        output_path=s.get("output_path", "out"),
-        workers=int(s.get("workers", "1")),
-    )
-
-
 def _cmd_sweep(args) -> int:
-    sweep = _parse_sweep_section(args.config)
+    sweep = sweep_from_ini(Path(args.config).read_text())
     out = Path(args.out) if args.out else Path(sweep.output_path) / "sweep.csv"
     rows = run_sweep(sweep, out_path=out)
     for row in rows:

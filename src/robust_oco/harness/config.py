@@ -3,18 +3,19 @@
 Configs are the unit of experiment provenance: everything a run needs,
 including every random seed, lives here, and serialization round-trips to the
 identical dataclass so configs can be diffed and replayed byte-for-byte.
+Each section is read and written through its dataclass's fields().
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from ..adversaries import AdversarySpec
-from ..protocol import ProtocolConfig
+from ..protocol import MODES, ProtocolConfig
 
-ALGORITHMS = ("kt_bettor", "known_g", "unknown_g_case1", "unknown_g_case2")
+ALGORITHMS = ("kt_bettor",) + MODES
 
 COMPARATOR_FROM_ADVERSARY = "adversary"
 
@@ -52,103 +53,122 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
+@dataclass
+class SweepConfig:
+    """Corruption-scaling grid: k values with horizon T = k^2 per cell."""
+
+    ks: tuple[int, ...] = (20, 30, 40, 50, 60, 70)
+    algorithms: tuple[str, ...] = ("kt_bettor", "known_g")
+    seeds: tuple[int, ...] = (0,)
+    epsilon: float = 1.0
+    G: float = 1.0
+    tau_G: float = 1.0
+    window_frac: float = 0.75
+    output_path: str = "out"
+    workers: int = 1
+
+
+# INI value parsers keyed by field annotation, which fields() reports as source
+# text; a field with any other annotation (a nested section) is not an INI key
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "float | None": lambda raw: None if raw.lower() == "none" else float(raw),
+    "tuple[int, ...]": lambda raw: tuple(int(x) for x in raw.split()),
+    "tuple[str, ...]": lambda raw: tuple(raw.split()),
+    "tuple[float, ...] | str": lambda raw: (
+        raw if raw == COMPARATOR_FROM_ADVERSARY else tuple(float(x) for x in raw.split())
+    ),
+}
+
+
+def _format(v) -> str:
     if v is None:
         return "none"
+    if isinstance(v, tuple):
+        return " ".join(_format(x) for x in v)
     if isinstance(v, float):
         return repr(v)
     return str(v)
 
 
-def to_ini(config: ExperimentConfig) -> str:
+def _ini_fields(cls) -> list:
+    return [f for f in fields(cls) if f.type in _PARSERS]
+
+
+def section_to_dataclass(cls, parser, section: str, **fallbacks):
+    """Build dataclass cls from the INI section [section] through its fields().
+
+    Values are typed by field annotation. An absent key takes its fallback,
+    then its field default; an absent section reads as empty. An unknown or
+    missing required key, or an unparsable value, raises ValueError naming
+    the section and the key.
+    """
+    raw = parser[section] if parser.has_section(section) else {}
+    keys = {f.name: f for f in _ini_fields(cls)}
+    values = dict(fallbacks)
+    for name, text in raw.items():
+        if name not in keys:
+            raise ValueError(
+                f"[{section}] has unknown key {name!r}; expected: {', '.join(keys)}"
+            )
+        try:
+            values[name] = _PARSERS[keys[name].type](text.strip())
+        except ValueError as exc:
+            raise ValueError(f"[{section}] {name}: {exc}") from None
+    for f in keys.values():
+        if f.name not in values and f.default is MISSING:
+            raise ValueError(f"[{section}] is missing the required key {f.name!r}")
+    return cls(**values)
+
+
+def _read(text: str, *sections: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep field-name case
-    parser["experiment"] = {
-        "algorithm": config.algorithm,
-        "comparator": (
-            config.comparator
-            if isinstance(config.comparator, str)
-            else " ".join(repr(x) for x in config.comparator)
-        ),
-        "seeds": " ".join(str(s) for s in config.seeds),
-        "output_path": config.output_path,
-    }
-    parser["adversary"] = {
-        f.name: _format_value(getattr(config.adversary, f.name))
-        for f in fields(AdversarySpec)
-    }
-    parser["protocol"] = {
-        f.name: _format_value(getattr(config.protocol, f.name))
-        for f in fields(ProtocolConfig)
-    }
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ValueError(str(exc)) from None
+    for name in parser.sections():
+        if name not in sections:
+            raise ValueError(f"unknown config section [{name}]")
+    return parser
+
+
+def _write(**sections) -> str:
+    """INI text with one section per keyword, each from a dataclass's fields()."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    for name, obj in sections.items():
+        parser[name] = {f.name: _format(getattr(obj, f.name)) for f in _ini_fields(obj)}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
 
 
-def _parse_typed(section, name: str, caster, default=None, optional=False):
-    if name not in section:
-        return default
-    raw = section[name].strip()
-    if optional and raw.lower() in ("none", ""):
-        return None
-    return caster(raw)
+def to_ini(config: ExperimentConfig) -> str:
+    return _write(experiment=config, adversary=config.adversary, protocol=config.protocol)
 
 
 def from_ini(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    parser.read_string(text)
-    if "experiment" not in parser or "adversary" not in parser:
-        raise ValueError("config needs [experiment] and [adversary] sections")
-    exp = parser["experiment"]
-    adv = parser["adversary"]
-
-    adversary = AdversarySpec(
-        kind=adv["kind"],
-        T=int(adv["T"]),
-        k=_parse_typed(adv, "k", int, 0),
-        window_start=_parse_typed(adv, "window_start", int, 1),
-        D=_parse_typed(adv, "D", float, 1.0),
-        seed=_parse_typed(adv, "seed", int, 0),
-        dim=_parse_typed(adv, "dim", int, 1),
-        G=_parse_typed(adv, "G", float, 1.0),
-        epsilon=_parse_typed(adv, "epsilon", float, 1.0),
+    parser = _read(text, "experiment", "adversary", "protocol")
+    adversary = section_to_dataclass(AdversarySpec, parser, "adversary")
+    algorithm = parser.get("experiment", "algorithm", fallback="").strip()
+    protocol = section_to_dataclass(
+        ProtocolConfig, parser, "protocol",
+        mode="known_g" if algorithm == "kt_bettor" else algorithm,
+        T=adversary.T, k=adversary.k, dim=adversary.dim,
+    )
+    return section_to_dataclass(
+        ExperimentConfig, parser, "experiment",
+        adversary=adversary, protocol=protocol,
     )
 
-    prot = parser["protocol"] if "protocol" in parser else {}
-    algorithm = exp["algorithm"].strip()
-    default_mode = algorithm if algorithm != "kt_bettor" else "known_g"
-    protocol = ProtocolConfig(
-        mode=_parse_typed(prot, "mode", str, default_mode),
-        T=_parse_typed(prot, "T", int, adversary.T),
-        epsilon=_parse_typed(prot, "epsilon", float, 1.0),
-        k=_parse_typed(prot, "k", int, adversary.k),
-        G=_parse_typed(prot, "G", float, None, optional=True),
-        tau_G=_parse_typed(prot, "tau_G", float, 1.0),
-        tau_D=_parse_typed(prot, "tau_D", float, None, optional=True),
-        c=_parse_typed(prot, "c", float, None, optional=True),
-        gamma_alpha=_parse_typed(prot, "gamma_alpha", float, None, optional=True),
-        gamma_beta=_parse_typed(prot, "gamma_beta", float, None, optional=True),
-        p=_parse_typed(prot, "p", float, None, optional=True),
-        alpha_offset=_parse_typed(prot, "alpha_offset", float, None, optional=True),
-        dim=_parse_typed(prot, "dim", int, adversary.dim),
-    )
 
-    comparator_raw = exp.get("comparator", COMPARATOR_FROM_ADVERSARY).strip()
-    comparator = (
-        comparator_raw
-        if comparator_raw == COMPARATOR_FROM_ADVERSARY
-        else tuple(float(x) for x in comparator_raw.split())
-    )
-    seeds = tuple(int(s) for s in exp.get("seeds", "0").split())
-    return ExperimentConfig(
-        algorithm=algorithm,
-        adversary=adversary,
-        protocol=protocol,
-        comparator=comparator,
-        seeds=seeds,
-        output_path=exp.get("output_path", "out").strip(),
-    )
+def sweep_to_ini(sweep: SweepConfig) -> str:
+    return _write(sweep=sweep)
+
+
+def sweep_from_ini(text: str) -> SweepConfig:
+    return section_to_dataclass(SweepConfig, _read(text, "sweep"), "sweep")

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..adversaries import KTBettor, make_adversary
+from ..adversaries import AdversarySpec, KTBettor, make_adversary
 from ..core import CorruptionLedger, NonFiniteError, RegretLedger, norm
-from ..protocol import ProtocolConfig, RobustProtocol
-from .config import COMPARATOR_FROM_ADVERSARY, ExperimentConfig
+from ..protocol import DecompositionLedger, ProtocolConfig, RobustProtocol, RoundRecord
+from .config import COMPARATOR_FROM_ADVERSARY, ExperimentConfig, SweepConfig
 
 
 def trace_columns(dim: int) -> list[str]:
@@ -83,6 +83,39 @@ def resolve_comparator(config: ExperimentConfig, adversary) -> np.ndarray:
     return np.asarray(config.comparator, dtype=np.float64)
 
 
+class KTPlayer(KTBettor):
+    """The KT bettor under the protocol's round contract (g_true required).
+
+    It sees the observed gradient unclipped and has no regularizer, so its
+    decomposition ledger is never updated and the four terms stay 0.0.
+    """
+
+    def __init__(self, epsilon: float, comparator: np.ndarray):
+        super().__init__(epsilon)
+        self.regret = RegretLedger(comparator=comparator)
+        self.decomposition = DecompositionLedger(comparator=comparator)
+
+    def round(self, g_tilde, g_true=None, loss_gap=None) -> RoundRecord:
+        w = self.predict()
+        self.regret.update(w, g_true, g_tilde, loss_gap)
+        self.observe(g_tilde, 1.0)
+        return RoundRecord(
+            t=self.t, w=w, g_clipped_norm=norm(g_tilde), h=0.0,
+            z=0.0, alpha_t=0.0, beta_t=0.0,
+        )
+
+
+def make_player(config: ExperimentConfig, comparator: np.ndarray):
+    """The configured algorithm, as a player with predict() and round()."""
+    if config.algorithm == "kt_bettor":
+        if config.adversary.dim != 1:
+            raise ValueError("the KT baseline is one-dimensional")
+        return KTPlayer(config.protocol.epsilon, comparator)
+    adv = config.adversary
+    proto_cfg = replace(config.protocol, mode=config.algorithm, T=adv.T, dim=adv.dim)
+    return RobustProtocol(proto_cfg, comparator=comparator)
+
+
 def run_experiment(
     config: ExperimentConfig,
     seed: int | None = None,
@@ -95,44 +128,24 @@ def run_experiment(
     dim = config.adversary.dim
     T = config.adversary.T
     budget = CorruptionLedger(lipschitz_G=adversary.lipschitz_bound)
-
-    protocol: RobustProtocol | None = None
-    if config.algorithm == "kt_bettor":
-        if dim != 1:
-            raise ValueError("the KT baseline is one-dimensional")
-        learner = KTBettor(epsilon=config.protocol.epsilon)
-        regret = RegretLedger(comparator=comparator)
-    else:
-        proto_cfg = replace(
-            config.protocol, mode=config.algorithm, T=T, dim=dim
-        )
-        protocol = RobustProtocol(proto_cfg, comparator=comparator)
-        regret = protocol.regret
+    player = make_player(config, comparator)
+    regret = player.regret
 
     columns = trace_columns(dim)
     rows: list[list] = []
     started = time.perf_counter()
     try:
         for t in range(1, T + 1):
-            w = learner.predict() if protocol is None else protocol.predict()
+            w = player.predict()
             g_true, g_tilde = adversary.round(t, w)
             loss_gap = adversary.loss_gap(w, comparator)
             corrupted = budget.update(g_true, g_tilde)
-            if protocol is None:
-                regret.update(w, g_true, g_tilde, loss_gap)
-                learner.observe(g_tilde, 1.0)
-                rec_h, rec_z, rec_alpha, rec_beta = 0.0, 0.0, 0.0, 0.0
-                clipped_norm = norm(g_tilde)
-            else:
-                rec = protocol.round(g_tilde, g_true=g_true, loss_gap=loss_gap)
-                rec_h, rec_z = rec.h, rec.z
-                rec_alpha, rec_beta = rec.alpha_t, rec.beta_t
-                clipped_norm = rec.g_clipped_norm
+            rec = player.round(g_tilde, g_true=g_true, loss_gap=loss_gap)
             point = list(w) if dim <= 3 else [norm(w)]
             rows.append(
                 [t] + point + [
-                    norm(g_true), norm(g_tilde), clipped_norm,
-                    rec_h, rec_z, rec_alpha, rec_beta,
+                    norm(g_true), norm(g_tilde), rec.g_clipped_norm,
+                    rec.h, rec.z, rec.alpha_t, rec.beta_t,
                     int(corrupted),
                     regret.true_regret_linear, regret.observed_regret_linear,
                 ]
@@ -150,11 +163,11 @@ def run_experiment(
         "seed": seed,
         "final_true_regret": regret.true_regret_linear,
         "final_observed_regret": regret.observed_regret_linear,
-        "loss_regret": regret.loss_regret if regret.has_loss_oracle else 0.0,
-        "error_term": protocol.decomposition.error_term if protocol else 0.0,
-        "correction_term": protocol.decomposition.correction_term if protocol else 0.0,
-        "bias_term": protocol.decomposition.bias_term if protocol else 0.0,
-        "composite_term": protocol.decomposition.composite_term if protocol else 0.0,
+        "loss_regret": regret.loss_regret,
+        "error_term": player.decomposition.error_term,
+        "correction_term": player.decomposition.correction_term,
+        "bias_term": player.decomposition.bias_term,
+        "composite_term": player.decomposition.composite_term,
         "count_corrupted": budget.count_corrupted,
         "big_rounds": budget.big_rounds,
         "deviation_sum": budget.deviation_sum,
@@ -168,21 +181,6 @@ def run_experiment(
     return trace
 
 
-@dataclass
-class SweepConfig:
-    """Corruption-scaling grid: k values with horizon T = k^2 per cell."""
-
-    ks: tuple[int, ...] = (20, 30, 40, 50, 60, 70)
-    algorithms: tuple[str, ...] = ("kt_bettor", "known_g")
-    seeds: tuple[int, ...] = (0,)
-    epsilon: float = 1.0
-    G: float = 1.0
-    tau_G: float = 1.0
-    window_frac: float = 0.75
-    output_path: str = "out"
-    workers: int = 1
-
-
 SWEEP_COLUMNS = [
     "algorithm", "k", "T", "seed",
     "regret_corrupted", "regret_uncorrupted", "ratio",
@@ -191,8 +189,6 @@ SWEEP_COLUMNS = [
 
 def _sweep_cell_config(sweep: SweepConfig, algorithm: str, k: int,
                        corrupted: bool) -> ExperimentConfig:
-    from ..adversaries import AdversarySpec  # local to keep pickling light
-
     T = k * k
     window_start = int(sweep.window_frac * T)
     adversary = AdversarySpec(

@@ -250,16 +250,12 @@ class MirrorDescentLearner(OnlineLearner):
             raise ValueError("initial hint must be positive")
         self.dim = dim
         self.epsilon = epsilon
-        self.initial_hint = initial_hint
-        self._reg_params = (c, p if p is not None else DEFAULT_POWER, alpha)
-        self.reset()
-
-    def reset(self) -> None:
-        c, p, alpha = self._reg_params
-        self.reg = HuberRegularizer(c=c, p=p, alpha=alpha)
-        self.theta = np.zeros(self.dim)
-        self.w = np.zeros(self.dim)
-        self.h = self.initial_hint
+        self.reg = HuberRegularizer(
+            c=c, p=p if p is not None else DEFAULT_POWER, alpha=alpha
+        )
+        self.theta = np.zeros(dim)
+        self.w = np.zeros(dim)
+        self.h = initial_hint
         self.C = 0.0
         self.N = 4.0
         self.B = 16.0  # 4 * N at initialization

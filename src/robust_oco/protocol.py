@@ -5,7 +5,7 @@ to the configured base learner, and updates the regret / decomposition
 ledgers. Two wirings exist: a constant threshold equal to a known gradient
 bound with the mirror descent learner, and the adaptive filter + tracker +
 epigraph stack when no bound is known. Presets cover the standard parameter
-choices for both; anything else goes through the custom mode.
+choices for both.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .mirror_descent import MirrorDescentLearner
 from .regularizer import HuberRegularizer
 from .thresholds import GradientFilter, MagnitudeTracker
 
-MODES = ("known_g", "unknown_g_case1", "unknown_g_case2", "custom")
+MODES = ("known_g", "unknown_g_case1", "unknown_g_case2")
 
 
 @dataclass
@@ -38,12 +38,7 @@ class ProtocolConfig:
     k: int = 0
     G: float | None = None
     tau_G: float = 1.0
-    tau_D: float | None = None
-    c: float | None = None
-    gamma_alpha: float | None = None
-    gamma_beta: float | None = None
     p: float | None = None
-    alpha_offset: float | None = None
     dim: int = 1
 
     def resolve(self) -> "ResolvedParams":
@@ -67,54 +62,28 @@ class ProtocolConfig:
                 tau_G=self.tau_G, tau_D=1.0, gamma_alpha=0.0, gamma_beta=0.0,
             )
 
-        if self.mode in ("unknown_g_case1", "unknown_g_case2"):
-            if self.G is not None:
-                raise ValueError(f"{self.mode} must not be given the gradient bound G")
-            if self.tau_G <= 0:
-                raise ValueError("tau_G must be positive")
-            if self.mode == "unknown_g_case1":
-                if self.k < 1:
-                    raise ValueError("unknown_g_case1 needs k >= 1 (its presets divide by k)")
-                c = self.k * self.tau_G
-                gamma_beta = float(self.k)
-                gamma_alpha = 1.0
-                tau_D = self.epsilon / self.k
-            else:
-                c = self.tau_G
-                gamma_beta = float(self.k) ** 2
-                gamma_alpha = float(self.k) + 1.0
-                tau_D = 1.0
-            alpha = self.epsilon * self.tau_G / c
-            return ResolvedParams(
-                uses_filter=True, G=None, c=c, p=p, alpha=alpha,
-                tau_G=self.tau_G, tau_D=tau_D,
-                gamma_alpha=gamma_alpha, gamma_beta=gamma_beta,
-            )
-
-        # custom: wiring chosen by whether G is supplied, parameters explicit
-        required = {"c": self.c, "gamma_alpha": self.gamma_alpha,
-                    "gamma_beta": self.gamma_beta}
+        # unknown_g_case1 or unknown_g_case2
         if self.G is not None:
-            if self.c is None:
-                raise ValueError("custom known-bound mode requires c")
-            alpha = self.alpha_offset if self.alpha_offset is not None else 1.0
-            return ResolvedParams(
-                uses_filter=False, G=self.G, c=self.c, p=p, alpha=alpha,
-                tau_G=self.tau_G, tau_D=1.0, gamma_alpha=0.0, gamma_beta=0.0,
-            )
-        missing = [k for k, v in required.items() if v is None]
-        if missing:
-            raise ValueError(f"custom unknown-bound mode requires {missing}")
-        alpha = (
-            self.alpha_offset
-            if self.alpha_offset is not None
-            else self.epsilon * self.tau_G / self.c
-        )
+            raise ValueError(f"{self.mode} must not be given the gradient bound G")
+        if self.tau_G <= 0:
+            raise ValueError("tau_G must be positive")
+        if self.mode == "unknown_g_case1":
+            if self.k < 1:
+                raise ValueError("unknown_g_case1 needs k >= 1 (its presets divide by k)")
+            c = self.k * self.tau_G
+            gamma_beta = float(self.k)
+            gamma_alpha = 1.0
+            tau_D = self.epsilon / self.k
+        else:
+            c = self.tau_G
+            gamma_beta = float(self.k) ** 2
+            gamma_alpha = float(self.k) + 1.0
+            tau_D = 1.0
+        alpha = self.epsilon * self.tau_G / c
         return ResolvedParams(
-            uses_filter=True, G=None, c=self.c, p=p, alpha=alpha,
-            tau_G=self.tau_G,
-            tau_D=self.tau_D if self.tau_D is not None else 1.0,
-            gamma_alpha=self.gamma_alpha, gamma_beta=self.gamma_beta,
+            uses_filter=True, G=None, c=c, p=p, alpha=alpha,
+            tau_G=self.tau_G, tau_D=tau_D,
+            gamma_alpha=gamma_alpha, gamma_beta=gamma_beta,
         )
 
 

@@ -17,13 +17,6 @@ from dataclasses import dataclass, field
 _FLOAT_MIN = sys.float_info.min  # smallest normal double
 
 
-def _log1p_exp(z: float) -> float:
-    """log(1 + e^z), stable for large |z|."""
-    if z > 0:
-        return z + math.log1p(math.exp(-z))
-    return math.log1p(math.exp(z))
-
-
 @dataclass
 class HuberRegularizer:
     """Running state (S_t, previous iterate norm) of the composite penalty.
@@ -123,13 +116,6 @@ class HuberRegularizer:
         log_xp = self.log_S + log_r - math.log1p(-math.exp(log_r))
         return math.exp(log_xp / p)
 
-    def copy(self) -> "HuberRegularizer":
-        out = HuberRegularizer(self.c, self.p, self.alpha)
-        out.log_S = self.log_S
-        out.last_iterate_norm = self.last_iterate_norm
-        out.t = self.t
-        return out
-
 
 def _logaddexp(a: float, b: float) -> float:
     if a == -math.inf:
@@ -174,7 +160,7 @@ def check_sum_bounds(
     if u == 0.0:
         log_term = 0.0
     else:
-        log_term = _log1p_exp(p * math.log(u / alpha))
+        log_term = _logaddexp(0.0, p * math.log(u / alpha))  # log(1 + (u/alpha)^p)
     upper = 3.0 * c * p * u * (log_term + 2.0)
     upper_ok = sum_at_comparator <= upper
     return lower_ok, upper_ok

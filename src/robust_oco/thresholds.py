@@ -65,11 +65,6 @@ class GradientFilter:
             doubled = True
         return clipped, self.h, doubled
 
-    def reset(self) -> None:
-        self.h = self.tau_G
-        self.n = 0
-        self.pass_rounds = self.clip_rounds = self.doublings = 0
-
 
 @dataclass
 class MagnitudeTracker:
@@ -78,8 +73,6 @@ class MagnitudeTracker:
     tau_D: float
     z: float = field(init=False)
     epoch_index: int = field(init=False, default=0)
-    epoch_start_round: int = field(init=False, default=1)
-    _round: int = field(init=False, default=0)
 
     def __post_init__(self):
         if self.tau_D <= 0:
@@ -94,19 +87,11 @@ class MagnitudeTracker:
         """
         if not math.isfinite(w_norm) or w_norm < 0:
             raise ValueError(f"invalid iterate norm {w_norm}")
-        self._round += 1
         if w_norm > self.z:
             self.z = 2.0 * w_norm
             self.epoch_index += 1
-            self.epoch_start_round = self._round
             return self.z, True
         return self.z, False
-
-    def reset(self) -> None:
-        self.z = self.tau_D
-        self.epoch_index = 0
-        self.epoch_start_round = 1
-        self._round = 0
 
 
 def check_filter_properties(

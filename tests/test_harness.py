@@ -6,7 +6,13 @@ import pytest
 from robust_oco.adversaries import AdversarySpec
 from robust_oco.harness.checks import CHECKS, run_check
 from robust_oco.harness.cli import main
-from robust_oco.harness.config import ExperimentConfig, from_ini, to_ini
+from robust_oco.harness.config import (
+    ExperimentConfig,
+    from_ini,
+    sweep_from_ini,
+    sweep_to_ini,
+    to_ini,
+)
 from robust_oco.harness.runner import (
     SweepConfig,
     run_experiment,
@@ -16,6 +22,7 @@ from robust_oco.harness.runner import (
 from robust_oco.protocol import ProtocolConfig
 
 DATA = Path(__file__).parent / "data"
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def figure_config(algorithm="known_g", T=12, k=3, start=5):
@@ -26,6 +33,24 @@ def figure_config(algorithm="known_g", T=12, k=3, start=5):
         comparator=(1.0,),
         seeds=(0,),
     )
+
+
+def reweight_config():
+    """The unknown-bound reweighting cell of the byte-level rerun checks."""
+    return ExperimentConfig(
+        algorithm="unknown_g_case1",
+        adversary=AdversarySpec(kind="dro_reweight", T=60, k=4, seed=5),
+        protocol=ProtocolConfig(mode="unknown_g_case1", T=60, k=8, tau_G=0.5),
+        comparator=(0.5,),
+        seeds=(5,),
+    )
+
+
+def assert_golden(tmp_path, config, seed, golden):
+    run_experiment(config, seed=seed, out_dir=tmp_path)
+    stem = f"{config.algorithm}_{config.adversary.kind}_seed{seed}"
+    produced = (tmp_path / f"trace_{stem}.csv").read_text()
+    assert produced == (DATA / golden).read_text()
 
 
 class TestConfigRoundTrip:
@@ -61,6 +86,31 @@ class TestConfigRoundTrip:
         cfg.protocol.epsilon = 0.1 + 0.2  # not exactly representable as 0.3
         assert from_ini(to_ini(cfg)).protocol.epsilon == cfg.protocol.epsilon
 
+    def test_sweep_identity_on_full_config(self):
+        sweep = SweepConfig(
+            ks=(3, 5, 8), algorithms=("known_g", "unknown_g_case2"),
+            seeds=(2, 7), epsilon=0.1 + 0.2, G=2.5, tau_G=0.125,
+            window_frac=0.5, output_path="results/sweep", workers=2,
+        )
+        assert sweep_from_ini(sweep_to_ini(sweep)) == sweep
+
+    def test_sweep_defaults_from_an_empty_section(self):
+        assert sweep_from_ini("[sweep]\n") == SweepConfig()
+
+    @pytest.mark.parametrize(
+        "path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name
+    )
+    def test_shipped_configs_round_trip(self, path):
+        text = path.read_text()
+        if "[sweep]" in text:
+            load, dump = sweep_from_ini, sweep_to_ini
+        else:
+            load, dump = from_ini, to_ini
+        config = load(text)
+        assert load(dump(config)) == config
+        # every shipped config spells out every key, in field order
+        assert dump(config) == text
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(
@@ -79,19 +129,21 @@ class TestRunExperiment:
         assert trace.summary["final_true_regret"] == trace.rows[-1][col]
 
     def test_golden_trace(self, tmp_path):
-        trace = run_experiment(figure_config(), seed=0, out_dir=tmp_path)
-        produced = (tmp_path / "trace_known_g_sign_flip_window_seed0.csv").read_text()
-        golden = (DATA / "golden_trace.csv").read_text()
-        assert produced == golden
+        assert_golden(tmp_path, figure_config(), 0, "golden_trace.csv")
+
+    @pytest.mark.parametrize(
+        "config, seed, golden",
+        [
+            (figure_config(algorithm="kt_bettor"), 0, "golden_trace_kt_bettor.csv"),
+            (reweight_config(), 5, "golden_trace_unknown_g_case1.csv"),
+        ],
+        ids=["kt_bettor", "unknown_g_case1"],
+    )
+    def test_golden_trace_of_other_players(self, tmp_path, config, seed, golden):
+        assert_golden(tmp_path, config, seed, golden)
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        cfg = ExperimentConfig(
-            algorithm="unknown_g_case1",
-            adversary=AdversarySpec(kind="dro_reweight", T=60, k=4, seed=5),
-            protocol=ProtocolConfig(mode="unknown_g_case1", T=60, k=8, tau_G=0.5),
-            comparator=(0.5,),
-            seeds=(5,),
-        )
+        cfg = reweight_config()
         run_experiment(cfg, seed=5, out_dir=tmp_path / "a")
         run_experiment(cfg, seed=5, out_dir=tmp_path / "b")
         name = "trace_unknown_g_case1_dro_reweight_seed5.csv"
@@ -213,3 +265,28 @@ class TestCLI:
 
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.ini")]) == 2
+
+    @pytest.mark.parametrize(
+        "command, edit, named",
+        [
+            ("run", lambda text: text.replace("T = 12\n", "", 1),
+             ("[adversary]", "'T'")),
+            ("run", lambda text: text.replace("window_start", "windw_start"),
+             ("[adversary]", "'windw_start'")),
+            ("run", lambda text: text.replace("[protocol]", "[protocl]"),
+             ("[protocl]",)),
+            ("sweep", lambda text: text + "wrkers = 2\n", ("[sweep]", "'wrkers'")),
+        ],
+        ids=["missing_T", "misspelled_window_start", "misspelled_section",
+             "misspelled_workers"],
+    )
+    def test_bad_key_is_usage_error_naming_it(self, tmp_path, capsys, command,
+                                              edit, named):
+        text = to_ini(figure_config()) if command == "run" else "[sweep]\nks = 4\n"
+        path = tmp_path / "bad.ini"
+        path.write_text(edit(text))
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert all(fragment in err for fragment in named), err
+        assert not (tmp_path / "out").exists()

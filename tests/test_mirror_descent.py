@@ -299,13 +299,6 @@ class TestMirrorDescentLearner:
             md.observe(np.array([-1.0]), 1.0)
         assert np.isfinite(md.predict()).all()
 
-    def test_reset_restores_initial_state(self):
-        md = MirrorDescentLearner(1, 1.0, 1.0, c=1.0, p=2.0, alpha=0.5)
-        md.observe(np.array([0.7]), 1.0)
-        md.reset()
-        assert np.array_equal(md.predict(), np.zeros(1))
-        assert md.B == 16.0 and md.N == 4.0 and md.C == 0.0
-
 
 def composite_regret(T, u, G, seed, epsilon=1.0, k=5, origin_adversarial=False):
     """Run the learner on a bounded stream, returning its composite regret."""

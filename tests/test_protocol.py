@@ -18,6 +18,7 @@ from robust_oco.protocol import (
 LAYER_MESSAGE = re.compile(
     "vector input|dual accumulator|mirror descent iterate|iterate after round"
     "|link inversion|no representable radius|epigraph projection|wealth scale"
+    "|regret ledger"
 )
 # log2 magnitude ranges of the finite hostile gradients
 MAGNITUDES = {
@@ -88,37 +89,6 @@ class TestPresets:
     def test_streaming_power_default(self):
         cfg = ProtocolConfig(mode="known_g", T=100, k=1, G=1.0, p=math.log(1e6))
         assert math.isclose(cfg.resolve().p, math.log(1e6))
-
-    def test_custom_known_wiring(self):
-        cfg = ProtocolConfig(mode="custom", T=50, k=2, G=1.5, c=4.0, alpha_offset=0.3)
-        params = cfg.resolve()
-        assert not params.uses_filter
-        assert params.c == 4.0 and params.alpha == 0.3
-
-    def test_custom_unknown_wiring_requires_weights(self):
-        with pytest.raises(ValueError, match="gamma"):
-            ProtocolConfig(mode="custom", T=50, k=2, c=1.0).resolve()
-        cfg = ProtocolConfig(
-            mode="custom", T=50, k=2, c=1.0, gamma_alpha=2.0, gamma_beta=3.0,
-            tau_G=0.4, tau_D=0.9,
-        )
-        params = cfg.resolve()
-        assert params.uses_filter
-        assert params.gamma == 5.0 and params.tau_D == 0.9
-        # alpha defaults to the scaled offset epsilon*tau_G/c
-        assert math.isclose(params.alpha, 1.0 * 0.4 / 1.0)
-
-    def test_custom_unknown_mode_runs(self):
-        cfg = ProtocolConfig(
-            mode="custom", T=30, k=1, c=0.5, gamma_alpha=1.0, gamma_beta=1.0,
-            tau_G=0.5, tau_D=1.0,
-        )
-        protocol = RobustProtocol(cfg, comparator=[0.0])
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            g = np.array([rng.uniform(-1, 1)])
-            protocol.round(g, g_true=g)
-        assert protocol.t == 30 and protocol.decomposition_gap() <= 1e-6
 
 
 class _PoisonedBound:
@@ -237,6 +207,22 @@ class TestHostileInputContract:
             assert np.isfinite(protocol.predict()).all()
             assert rec.g_clipped_norm <= rec.h
             assert math.isfinite(protocol.regret.true_regret_linear)
+            assert math.isfinite(protocol.regret.observed_regret_linear)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_observed_regret_raises_and_keeps_the_totals(self, sign):
+        # <g, w - u> overflows for a finite near-overflow observed gradient:
+        # the observed regret used to go to -inf and then NaN while the
+        # round succeeded
+        cfg = ProtocolConfig(mode="known_g", T=10, k=1, G=1.0, dim=2)
+        protocol = RobustProtocol(cfg, comparator=np.full(2, 2.0))
+        g_true = np.array([0.5, -0.25])
+        protocol.round(g_true, g_true=g_true)
+        ledger = protocol.regret
+        before = (ledger.true_regret_linear, ledger.observed_regret_linear)
+        with pytest.raises(NonFiniteError, match="regret ledger"):
+            protocol.round(sign * np.full(2, 1.7e308), g_true=g_true)
+        assert (ledger.true_regret_linear, ledger.observed_regret_linear) == before
 
 
 class TestStochasticOptimizationEndToEnd:
