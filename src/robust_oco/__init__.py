@@ -20,7 +20,7 @@ from .core import (
     clip_gradient,
 )
 from .epigraph import EpigraphLearner, EpigraphPoint, QuadWeights, weighted_project
-from .mirror_descent import MirrorDescentLearner, link_inverse_solve, psi_prime
+from .mirror_descent import MirrorDescentLearner, link_inverse_solve
 from .protocol import (
     DecompositionLedger,
     ProtocolConfig,
@@ -52,7 +52,6 @@ __all__ = [
     "link_inverse_solve",
     "make_adversary",
     "online_to_batch",
-    "psi_prime",
     "random_sign_expectation",
     "weighted_project",
 ]

@@ -67,6 +67,15 @@ class SweepConfig:
     output_path: str = "out"
     workers: int = 1
 
+    def __post_init__(self):
+        # checked before any cell runs, so a typo cannot discard finished cells
+        for algorithm in self.algorithms:
+            if algorithm not in ALGORITHMS:
+                raise ValueError(
+                    f"[sweep] algorithms: unknown algorithm {algorithm!r}; "
+                    f"expected one of {ALGORITHMS}"
+                )
+
 
 # INI value parsers keyed by field annotation, which fields() reports as source
 # text; a field with any other annotation (a nested section) is not an INI key

@@ -2,17 +2,20 @@
 
 The learner keeps a dual accumulator theta and maps it back to an iterate by
 inverting a scalar monotone link: the radial derivative of the mirror map
-plus the radial subgradient of the Huber penalty. The link inversion is a
-safeguarded Newton iteration in log-radius space: the link and its slope are
-closed form, and any step that leaves the current bracket falls back to the
-bracket midpoint, which keeps the iteration count bounded even when the
-bracket spans hundreds of orders of magnitude (parameter-free iterates are
-exponential in the dual norm).
+plus the radial subgradient of the Huber penalty. The link is a function of
+the radius alone, evaluated with its slope by one function, link_terms. Its
+inversion is a safeguarded Newton iteration in log-radius space: any step
+that leaves the current bracket falls back to the bracket midpoint, which
+keeps the iteration count bounded even when the bracket spans hundreds of
+orders of magnitude (parameter-free iterates are exponential in the dual
+norm). The solve also returns the mirror part of the link at its root, which
+the dual update reuses as the next round's mirror-map gradient.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -25,172 +28,124 @@ _SOLVE_RTOL = 1e-9
 _SOLVE_UTOL = 1e-10  # bound on the estimated error in log radius
 _SOLVE_MAX_ITER = 200
 _LOG_TINY = math.log(5e-324)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class SolverError(RuntimeError):
     """The monotone link inversion failed to converge; state is corrupt."""
 
 
-def psi_prime(x: float, V: float, h: float, a: float) -> float:
-    """Radial derivative of the mirror map: min over eta <= 1/h of F/eta + eta*V.
+def link_terms(
+    u: float, x: float, V: float, h: float, a: float, reg: HuberRegularizer
+) -> tuple[float, float, float]:
+    """The link at radius x = e^u: (mirror part, penalty part, slope dL/du).
 
-    With F = log(1 + x/a) the unconstrained minimum 2*sqrt(V*F) applies while
-    its minimizer respects eta <= 1/h, i.e. while h*sqrt(F) <= sqrt(V); past
-    that the constraint binds and the value is h*F + V/h. Continuous and
-    nondecreasing in x.
+    With F = log(1 + x/a) the mirror part is 3 min over eta <= 1/h of
+    F/eta + eta*V: 6*sqrt(V*F) while the unconstrained minimizer respects the
+    cap, i.e. while h*sqrt(F) <= sqrt(V), and 3hF + 3V/h past that. The two
+    pieces meet with equal value 6V/h and equal slope at x* = a(e^(V/h^2) - 1),
+    so the radius alone picks the piece. The penalty part is the Huber radial
+    subgradient.
     """
-    if x < 0:
-        raise ValueError("radius must be nonnegative")
     F = math.log1p(x / a)
-    if h * math.sqrt(F) <= math.sqrt(V):
-        return 2.0 * math.sqrt(V * F)
-    return h * F + V / h
+    sf = math.sqrt(F)
+    sv = math.sqrt(V)
+    xa = x / (a + x)
+    r, dr = reg.radial_subgradient_log(u)
+    if h * sf <= sv:
+        return 6.0 * sv * sf, r, (3.0 * sv * xa / sf if sf > 0.0 else 0.0) + dr
+    return 3.0 * h * F + 3.0 * V / h, r, 3.0 * h * xa + dr
 
 
-def branch_threshold(V: float, h: float, a: float, reg: HuberRegularizer) -> float:
-    """Dual-norm value at which the link switches from its root to its linear form.
-
-    The switch point is x* = a*(exp(V/h^2) - 1); the threshold is the link
-    value there, 6V/h + R(x*), with R evaluated in log space because x*
-    overflows a double once V/h^2 passes ~700.
-    """
-    z = V / (h * h)  # >= 1 since V >= h^2
-    log_x_star = math.log(a) + z + math.log1p(-math.exp(-z))
-    return 6.0 * V / h + reg.radial_subgradient_log(log_x_star)
-
-
-def link_value(
-    x: float, V: float, h: float, a: float, reg: HuberRegularizer, low_branch: bool
-) -> float:
+def link_value(x: float, V: float, h: float, a: float, reg: HuberRegularizer) -> float:
     """The scalar link L(x) mapping an iterate radius to a dual norm."""
-    F = math.log1p(x / a)
-    r = reg.radial_subgradient(x)
-    if low_branch:
-        return 6.0 * math.sqrt(V * F) + r
-    return 3.0 * h * F + 3.0 * V / h + r
+    if x == 0.0:
+        return 0.0
+    mirror, penalty, _ = link_terms(math.log(x), x, V, h, a, reg)
+    return mirror + penalty
 
 
-def _mirror_part_inverse(
-    y: float, V: float, h: float, a: float, low_branch: bool
-) -> float:
-    """Radius where the mirror-map summand of the link alone reaches y."""
-    if low_branch:
+def _mirror_part_inverse(y: float, V: float, h: float, a: float) -> float:
+    """Radius where the mirror part of the link alone reaches y.
+
+    The piece is picked by y against 6V/h, the mirror part's value at x*.
+    """
+    if y <= 6.0 * V / h:
         q = (y / 6.0) ** 2 / V
     else:
         q = (y - 3.0 * V / h) / (3.0 * h)
-        if q <= 0.0:
-            return 0.0
-    try:
-        return a * math.expm1(q) if q < 709.0 else math.inf
-    except OverflowError:
-        return math.inf
+    return a * math.expm1(q) if q < 709.0 else math.inf
+
+
+def _out_of_range(theta_norm: float, V: float, h: float, a: float) -> SolverError:
+    return SolverError(
+        f"no representable radius reaches dual norm {theta_norm} "
+        f"(V={V}, h={h}, a={a}); the iterate has left float range"
+    )
 
 
 def link_inverse_solve(
     theta_norm: float, V: float, h: float, a: float, reg: HuberRegularizer
-) -> float:
+) -> tuple[float, float]:
     """Solve L(x) = theta_norm for the unique nonnegative radius x.
 
-    The residual is driven below 1e-9 * max(1, theta_norm). With the penalty
-    disabled the link is the mirror-map part alone and inverts in closed
-    form; otherwise the bracket comes from inverting each summand
-    separately: either summand at the full target bounds the root from
-    above, and the smaller summand inverse at half the target bounds it from
-    below (there the whole link is at most the target). Newton steps on
-    log L(u) - log theta in u = log x start from the upper end; a step that
-    leaves the bracket is replaced by the bracket midpoint.
+    Returns x and the link's mirror part at x, which the learner reuses. The
+    residual is driven below 1e-9 * max(1, theta_norm). With the penalty
+    disabled the link is the mirror part alone and inverts in closed form;
+    otherwise the bracket comes from inverting each summand separately:
+    either summand at the full target bounds the root from above, and the
+    smaller summand inverse at half the target bounds it from below (there
+    the whole link is at most the target). Newton steps on log L(u) - log
+    theta in u = log x start from the upper end; a step that leaves the
+    bracket is replaced by the bracket midpoint, and an upper end that
+    rounding left short of the root moves up.
     """
     if theta_norm < 0:
         raise ValueError("dual norm must be nonnegative")
     if theta_norm == 0.0:
-        return 0.0
-    threshold = branch_threshold(V, h, a, reg)
-    low_branch = theta_norm <= threshold
+        return 0.0, 0.0
 
     if reg.c == 0.0:
-        x = _mirror_part_inverse(theta_norm, V, h, a, low_branch)
+        x = _mirror_part_inverse(theta_norm, V, h, a)
         if not math.isfinite(x):
-            raise SolverError(
-                f"no representable radius reaches dual norm {theta_norm}"
-            )
-        return x
+            raise _out_of_range(theta_norm, V, h, a)
+        return x, theta_norm
 
-    if low_branch:
-        # subgradient absorption at the origin: only possible at p = 1 where
-        # the penalty slope jumps to c immediately
-        r0 = reg.c if reg.p == 1.0 else 0.0
-        if theta_norm <= r0:
-            return 0.0
+    # subgradient absorption at the origin: only possible at p = 1 where the
+    # penalty slope jumps to c immediately
+    if reg.p == 1.0 and theta_norm <= reg.c:
+        return 0.0, 0.0
 
     hi = min(
-        _mirror_part_inverse(theta_norm, V, h, a, low_branch),
+        _mirror_part_inverse(theta_norm, V, h, a),
         reg.radial_subgradient_inverse(theta_norm),
     )
     lo = min(
-        _mirror_part_inverse(0.5 * theta_norm, V, h, a, low_branch),
+        _mirror_part_inverse(0.5 * theta_norm, V, h, a),
         reg.radial_subgradient_inverse(0.5 * theta_norm),
     )
-    if not math.isfinite(lo):
-        lo = 0.0
     if hi == 0.0:
         # the upper bound underflowed: the root lies below the smallest
         # positive double and rounds to zero
-        return 0.0
+        return 0.0, 0.0
 
     if not math.isfinite(hi):
         # neither summand alone reaches theta at a representable radius; the
         # root can still be representable because the penalty contributes up
         # to its asymptote c*p, putting the root just above the mirror-part
-        # inverse at theta - c*p
-        floor = _mirror_part_inverse(
-            max(theta_norm - reg.c * reg.p, 0.0), V, h, a, low_branch
-        )
-        if not math.isfinite(floor):
-            raise SolverError(
-                f"no representable radius reaches dual norm {theta_norm} "
-                f"(V={V}, h={h}, a={a}); the iterate has left float range"
-            )
+        # inverse at theta - c*p; past float range it leaves hi infinite
+        floor = _mirror_part_inverse(max(theta_norm - reg.c * reg.p, 0.0), V, h, a)
         lo = max(lo, floor)
         hi = max(floor, math.exp(reg.log_S / reg.p), 1.0)
-        for _ in range(1100):
-            if link_value(hi, V, h, a, reg, low_branch) >= theta_norm:
-                break
+        while math.isfinite(hi) and link_value(hi, V, h, a, reg) < theta_norm:
             hi *= 2.0
-    else:
-        # the closed-form bracket is exact in reals; absorb rounding slack
-        while math.isfinite(hi) and link_value(hi, V, h, a, reg, low_branch) < theta_norm:
-            hi *= 2.0
-    if not math.isfinite(hi):
-        raise SolverError(
-            f"no representable radius reaches dual norm {theta_norm} "
-            f"(V={V}, h={h}, a={a}); the iterate has left float range"
-        )
+        if not math.isfinite(hi):
+            raise _out_of_range(theta_norm, V, h, a)
 
-    # link value and slope dL/du in log-radius space, constants hoisted
-    p, log_S = reg.p, reg.log_S
-    log_cp = math.log(reg.c * p)
-    pm1, om = p - 1.0, 1.0 - 1.0 / p
-    six_sqrt_v = 6.0 * math.sqrt(V)
-    three_sqrt_v = 3.0 * math.sqrt(V)
-    three_h = 3.0 * h
-    lin_base = 3.0 * V / h
-    log, log1p, exp, sqrt = math.log, math.log1p, math.exp, math.sqrt
-
-    def link_at(u: float, x: float) -> tuple[float, float]:
-        # ls = log(S + x^p); S / (S + x^p) = exp(log_S - ls)
-        pu = p * u
-        ls = log_S + log1p(exp(pu - log_S)) if pu <= log_S else (
-            pu + log1p(exp(log_S - pu))
-        )
-        r = exp(log_cp + pm1 * u - om * ls)
-        dr = r * pm1 * exp(log_S - ls)
-        F = log1p(x / a)
-        xa = x / (a + x)
-        if low_branch:
-            sf = sqrt(F)
-            mirror_slope = three_sqrt_v * xa / sf if sf > 0.0 else 0.0
-            return six_sqrt_v * sf + r, mirror_slope + dr
-        return three_h * F + lin_base + r, three_h * xa + dr
+    def link_at(u: float, x: float) -> tuple[float, float, float]:
+        # kept nested: the per-layer count pass (perfbench/layers.py) counts
+        # the calls of this code object as the solve's link evaluations
+        return link_terms(u, x, V, h, a, reg)
 
     # Newton on log L(u) - log theta from the upper end; a step that leaves
     # the bracket [u_lo, u_hi] is replaced by the bracket midpoint
@@ -203,7 +158,8 @@ def link_inverse_solve(
     u = u_hi
     for _ in range(_SOLVE_MAX_ITER):
         x = math.exp(u)
-        value, slope = link_at(u, x)
+        mirror, penalty, slope = link_at(u, x)
+        value = mirror + penalty
         resid = value - theta_norm
         # converged when the residual is small and the root is pinned in u,
         # by the Newton error estimate or by a bracket that has collapsed
@@ -211,13 +167,20 @@ def link_inverse_solve(
         if abs(resid) <= tol and (
             abs(resid) <= _SOLVE_UTOL * slope or u_hi - u_lo <= _SOLVE_UTOL
         ):
-            return x
+            return x, mirror
         if resid < 0:
             u_lo = u
+            if u >= u_hi:
+                # rounding left the upper end short of the root: move it up
+                # by a factor e and evaluate there
+                if u >= _LOG_MAX:
+                    raise _out_of_range(theta_norm, V, h, a)
+                u = u_hi = min(u + 1.0, _LOG_MAX)
+                continue
         else:
             u_hi = u
         # a flat link (slope 0) sends u_next to u_hi, forcing the midpoint
-        u_next = u - (log(value) - log_theta) * value / slope if slope > 0.0 else u_hi
+        u_next = u - (math.log(value) - log_theta) * value / slope if slope > 0.0 else u_hi
         if not u_lo < u_next < u_hi:
             u_next = 0.5 * (u_lo + u_hi)
         u = u_next
@@ -253,8 +216,8 @@ class MirrorDescentLearner(OnlineLearner):
         self.reg = HuberRegularizer(
             c=c, p=p if p is not None else DEFAULT_POWER, alpha=alpha
         )
-        self.theta = np.zeros(dim)
         self.w = np.zeros(dim)
+        self.mirror_grad = np.zeros(dim)  # mirror-map gradient at w
         self.h = initial_hint
         self.C = 0.0
         self.N = 4.0
@@ -278,12 +241,6 @@ class MirrorDescentLearner(OnlineLearner):
             )
         return a
 
-    def _grad_psi(self) -> np.ndarray:
-        n = norm(self.w)
-        if n == 0.0:
-            return np.zeros(self.dim)
-        return (3.0 * psi_prime(n, self.V, self.h, self.a) / n) * self.w
-
     def predict(self) -> np.ndarray:
         return self.w.copy()
 
@@ -300,7 +257,7 @@ class MirrorDescentLearner(OnlineLearner):
         if hint < self.h:
             raise ValueError(f"hints must be nondecreasing: {hint} < {self.h}")
 
-        theta = self._grad_psi() - g
+        theta = self.mirror_grad - g
         # a NaN or Inf entry makes the norm NaN or Inf, so the entrywise
         # check only runs when it is going to fail
         theta_norm = norm(theta)
@@ -319,14 +276,17 @@ class MirrorDescentLearner(OnlineLearner):
         self.V = self.h * self.h + self.C
 
         if theta_norm == 0.0:
-            w_next = np.zeros(self.dim)
+            w_next = mirror_grad = np.zeros(self.dim)
             radius = 0.0
         else:
-            radius = link_inverse_solve(theta_norm, self.V, self.h, self.a, self.reg)
+            radius, mirror = link_inverse_solve(
+                theta_norm, self.V, self.h, self.a, self.reg
+            )
             w_next = (radius / theta_norm) * theta
+            mirror_grad = (mirror / theta_norm) * theta
 
         ensure_finite(w_next, "mirror descent iterate")
-        self.theta = theta
         self.w = w_next
+        self.mirror_grad = mirror_grad
         self.reg.advance(radius)
         self.t += 1

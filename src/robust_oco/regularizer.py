@@ -85,16 +85,16 @@ class HuberRegularizer:
             raise ValueError("radius must be nonnegative")
         if self.c == 0.0 or x == 0.0:
             return 0.0
-        return self.radial_subgradient_log(math.log(x))
+        return self.radial_subgradient_log(math.log(x))[0]
 
-    def radial_subgradient_log(self, log_x: float) -> float:
-        """radial_subgradient evaluated at x = e^log_x, for x too big to hold."""
+    def radial_subgradient_log(self, log_x: float) -> tuple[float, float]:
+        """radial_subgradient at x = e^log_x, for x too big to hold, and its slope in log x."""
         if self.c == 0.0:
-            return 0.0
-        p = self.p
-        log_num = math.log(self.c * p) + (p - 1.0) * log_x
-        log_den = (1.0 - 1.0 / p) * _logaddexp(self.log_S, p * log_x)
-        return math.exp(log_num - log_den)
+            return 0.0, 0.0
+        p, log_S = self.p, self.log_S
+        ls = _logaddexp(log_S, p * log_x)  # log(S + x^p)
+        r = math.exp(math.log(self.c * p) + (p - 1.0) * log_x - (1.0 - 1.0 / p) * ls)
+        return r, r * (p - 1.0) * math.exp(log_S - ls)
 
     def radial_subgradient_inverse(self, y: float) -> float:
         """Radius whose subgradient norm is y; inf when y is at/above the c*p asymptote."""

@@ -276,9 +276,11 @@ class TestCLI:
             ("run", lambda text: text.replace("[protocol]", "[protocl]"),
              ("[protocl]",)),
             ("sweep", lambda text: text + "wrkers = 2\n", ("[sweep]", "'wrkers'")),
+            ("sweep", lambda text: text + "algorithms = known_g knwon_g\n",
+             ("[sweep]", "'knwon_g'")),
         ],
         ids=["missing_T", "misspelled_window_start", "misspelled_section",
-             "misspelled_workers"],
+             "misspelled_workers", "misspelled_algorithm"],
     )
     def test_bad_key_is_usage_error_naming_it(self, tmp_path, capsys, command,
                                               edit, named):

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 
 import robust_oco
+from robust_oco import mirror_descent
 from robust_oco.core import NonFiniteError, norm
 from robust_oco.mirror_descent import (
     MirrorDescentLearner,
     SolverError,
     _mirror_part_inverse,
-    branch_threshold,
     link_inverse_solve,
+    link_terms,
     link_value,
-    psi_prime,
 )
 from robust_oco.regularizer import HuberRegularizer
 
@@ -40,56 +40,63 @@ def round_trip_samples(samples=1000, seed=2027):
     for _ in range(samples):
         V, h, a, reg = random_state(rng)
         x0 = float(np.exp(rng.uniform(math.log(1e-6), math.log(1e3))))
-        z = V / (h * h)
-        x_star = a * math.expm1(z) if z < 700 else math.inf
-        yield V, h, a, reg, x0, link_value(x0, V, h, a, reg, low_branch=x0 <= x_star)
+        yield V, h, a, reg, x0, link_value(x0, V, h, a, reg)
+
+
+def mirror_part(x, V, h, a):
+    """The link's mirror part 3 psi'(x), read off link_terms with no penalty."""
+    u = math.log(x) if x > 0.0 else -math.inf
+    return link_terms(u, x, V, h, a, HuberRegularizer(c=0.0, p=2.0, alpha=1.0))[0]
 
 
 class TestPsiPrime:
+    """The mirror part of the link, three times the mirror map's radial derivative."""
+
     def test_zero(self):
-        assert psi_prime(0.0, V=4.0, h=2.0, a=1.0) == 0.0
+        assert mirror_part(0.0, V=4.0, h=2.0, a=1.0) == 0.0
 
     def test_branch_equality_point(self):
-        # F = 1 at x = e - 1; with V = 4, h = 2 both forms give 4
+        # F = 1 at x = e - 1; with V = 4, h = 2 both forms give 3 * 4
         x = math.e - 1.0
-        assert math.isclose(psi_prime(x, V=4.0, h=2.0, a=1.0), 4.0, rel_tol=1e-12)
+        assert math.isclose(mirror_part(x, V=4.0, h=2.0, a=1.0), 12.0, rel_tol=1e-12)
 
     def test_constrained_branch(self):
-        # F = 3 > V/h^2 = 1: value h*F + V/h = 2*3 + 2 = 8
+        # F = 3 > V/h^2 = 1: value 3 (h*F + V/h) = 3 (2*3 + 2) = 24
         x = math.exp(3.0) - 1.0
-        assert math.isclose(psi_prime(x, V=4.0, h=2.0, a=1.0), 8.0, rel_tol=1e-12)
+        assert math.isclose(mirror_part(x, V=4.0, h=2.0, a=1.0), 24.0, rel_tol=1e-12)
 
     def test_continuous_and_nondecreasing(self):
         V, h, a = 3.0, 1.2, 0.7
         xs = np.linspace(0, 100, 2000)
-        vals = [psi_prime(float(x), V, h, a) for x in xs]
+        vals = [mirror_part(float(x), V, h, a) for x in xs]
         assert np.all(np.diff(vals) >= -1e-12)
         # continuity across the constraint boundary x_b where h*sqrt(F) = sqrt(V)
         x_b = a * math.expm1(V / (h * h))
-        left = psi_prime(x_b * (1 - 1e-12), V, h, a)
-        right = psi_prime(x_b * (1 + 1e-12), V, h, a)
+        left = mirror_part(x_b * (1 - 1e-12), V, h, a)
+        right = mirror_part(x_b * (1 + 1e-12), V, h, a)
         assert math.isclose(left, right, rel_tol=1e-9)
 
     def test_matches_quadrature_derivative(self):
         # the map's radial derivative is the integrand of its radial integral
+        # (trapezoid rule by hand: np.trapezoid needs NumPy 2)
         V, h, a = 5.0, 1.5, 0.4
         for x in (0.3, 2.0, 40.0):
             delta = 1e-4 * max(1.0, x)
             grid = np.linspace(x - delta, x + delta, 2001)
-            vals = np.array([psi_prime(float(s), V, h, a) for s in grid])
-            integral = np.trapezoid(vals, grid)
-            assert math.isclose(integral / (2 * delta), psi_prime(x, V, h, a), rel_tol=1e-6)
+            vals = np.array([mirror_part(float(s), V, h, a) for s in grid])
+            integral = float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)))
+            assert math.isclose(integral / (2 * delta), mirror_part(x, V, h, a), rel_tol=1e-6)
 
 
 class TestLinkInverse:
     def test_zero_maps_to_zero(self):
         reg = HuberRegularizer(c=1.0, p=2.0, alpha=1.0)
-        assert link_inverse_solve(0.0, V=2.0, h=1.0, a=0.5, reg=reg) == 0.0
+        assert link_inverse_solve(0.0, V=2.0, h=1.0, a=0.5, reg=reg) == (0.0, 0.0)
 
     def test_round_trip_thousand_states(self):
         worst = 0.0
         for V, h, a, reg, x0, y in round_trip_samples():
-            back = link_inverse_solve(y, V, h, a, reg)
+            back, _ = link_inverse_solve(y, V, h, a, reg)
             worst = max(worst, abs(back - x0) / x0)
         assert worst <= 1e-8
 
@@ -99,10 +106,22 @@ class TestLinkInverse:
         worst = 0.0
         with mpmath.workdps(50):
             for V, h, a, reg, x0, theta in round_trip_samples():
-                got = link_inverse_solve(theta, V, h, a, reg)
+                got, _ = link_inverse_solve(theta, V, h, a, reg)
                 root = _mp_link_root(theta, V, h, a, reg, x0)
                 worst = max(worst, float(abs(got - root) / root))
         assert worst <= 1e-8
+
+    def test_slope_matches_fifty_digit_derivative(self):
+        # Newton still converges on a wrong slope, only more slowly, so the
+        # slope gets its own oracle: d/du of the piecewise link at 50 digits
+        worst = 0.0
+        with mpmath.workdps(50):
+            for V, h, a, reg, x0, _ in round_trip_samples():
+                u = math.log(x0)
+                _, _, slope = link_terms(u, math.exp(u), V, h, a, reg)
+                exact = mpmath.diff(lambda v: _mp_link(v, V, h, a, reg), mpmath.mpf(u))
+                worst = max(worst, float(abs(slope - exact) / exact))
+        assert worst <= 1e-12
 
     def test_underflowing_bracket_returns_zero(self):
         # at p = ln 3 the penalty inverse of a 1e-40 dual norm underflows to
@@ -125,65 +144,85 @@ class TestLinkInverse:
         assert done.returncode == 0, done.stderr
 
     def test_branch_continuity_at_threshold(self):
+        # the radius picks the piece; at x* = a(e^(V/h^2) - 1) the pieces
+        # meet with mirror part 6V/h and equal slope
         rng = np.random.default_rng(55)
         for _ in range(200):
             V, h, a, reg = random_state(rng)
-            thr = branch_threshold(V, h, a, reg)
             z = V / (h * h)
             if z >= 700:
                 continue
-            x_star = a * math.expm1(z)
-            low = link_value(x_star, V, h, a, reg, low_branch=True)
-            high = link_value(x_star, V, h, a, reg, low_branch=False)
-            assert math.isclose(low, high, rel_tol=1e-9)
-            assert math.isclose(low, thr, rel_tol=1e-9)
+            u_star = math.log(a * math.expm1(z))
+            below = link_terms(u_star - 1e-12, math.exp(u_star - 1e-12), V, h, a, reg)
+            above = link_terms(u_star + 1e-12, math.exp(u_star + 1e-12), V, h, a, reg)
+            for left, right in zip(below, above):
+                assert math.isclose(left, right, rel_tol=1e-9)
+            assert math.isclose(below[0], 6.0 * V / h, rel_tol=1e-9)
+            assert math.isclose(_mirror_part_inverse(6.0 * V / h, V, h, a),
+                                math.exp(u_star), rel_tol=1e-9)
 
     def test_residual_tolerance(self):
         rng = np.random.default_rng(77)
         for _ in range(300):
             V, h, a, reg = random_state(rng)
             theta = float(np.exp(rng.uniform(math.log(1e-4), math.log(1e3))))
-            thr = branch_threshold(V, h, a, reg)
-            low = theta <= thr
             try:
-                x = link_inverse_solve(theta, V, h, a, reg)
+                x, mirror = link_inverse_solve(theta, V, h, a, reg)
             except SolverError:
                 # only legitimate when no double-precision radius reaches
                 # theta even after crediting the penalty its full asymptote
-                floor = _mirror_part_inverse(
-                    max(theta - reg.c * reg.p, 0.0), V, h, a, low
-                )
+                floor = _mirror_part_inverse(max(theta - reg.c * reg.p, 0.0), V, h, a)
                 assert not math.isfinite(floor)
                 continue
-            got = link_value(x, V, h, a, reg, low)
+            got = link_value(x, V, h, a, reg)
             assert abs(got - theta) <= 1e-9 * max(1.0, theta)
+            # the returned mirror part is the link's, at the returned radius
+            at_x = link_terms(math.log(x), x, V, h, a, reg)[0] if x > 0.0 else 0.0
+            assert abs(mirror - at_x) <= 1e-9 * max(1.0, theta)
+
+    def test_short_upper_end_moves_up(self, monkeypatch):
+        # the closed-form upper end is exact only in reals; one that falls
+        # short of the root moves up inside the Newton loop, and one that
+        # would have to leave float range raises
+        reg = HuberRegularizer(c=1.0, p=3.0, alpha=1.0)
+        exact = link_inverse_solve(50.0, 4.0, 2.0, 1.0, reg)
+        inverse = mirror_descent._mirror_part_inverse
+        monkeypatch.setattr(mirror_descent, "_mirror_part_inverse",
+                            lambda y, *rest: min(inverse(y, *rest) / 16.0, 1e300))
+        x, mirror = link_inverse_solve(50.0, 4.0, 2.0, 1.0, reg)
+        assert math.isclose(x, exact[0], rel_tol=1e-9)
+        assert math.isclose(mirror, exact[1], rel_tol=1e-9)
+        with pytest.raises(SolverError, match="no representable radius"):
+            link_inverse_solve(1e4, 4.0, 2.0, 1.0, reg)
 
     def test_strictly_increasing_link(self):
         rng = np.random.default_rng(101)
         for _ in range(100):
             V, h, a, reg = random_state(rng, allow_zero_scale=False)
             xs = np.exp(np.linspace(math.log(1e-6), math.log(1e4), 300))
-            for low in (True, False):
-                vals = [link_value(float(x), V, h, a, reg, low) for x in xs]
-                assert all(b > a_ for a_, b in zip(vals, vals[1:]))
+            vals = [link_value(float(x), V, h, a, reg) for x in xs]
+            assert all(b > a_ for a_, b in zip(vals, vals[1:]))
 
 
-def _mp_link_root(theta, V, h, a, reg, x0):
-    """Root of the piecewise link L(x) = theta at the working mpmath precision."""
+def _mp_link(u, V, h, a, reg):
+    """The piecewise link at radius e^u, at the working mpmath precision."""
     mpf = mpmath.mpf
     V, h, a, c, p = mpf(V), mpf(h), mpf(a), mpf(reg.c), mpf(reg.p)
     S = mpmath.exp(mpf(reg.log_S))
     x_star = a * mpmath.expm1(V / (h * h))
+    x = mpmath.exp(u)
+    F = mpmath.log1p(x / a)
+    mirror = 6 * mpmath.sqrt(V * F) if x <= x_star else 3 * h * F + 3 * V / h
+    return mirror + c * p * x ** (p - 1) / (S + x ** p) ** (1 - 1 / p)
 
-    def resid(u):
-        x = mpmath.exp(u)
-        F = mpmath.log1p(x / a)
-        mirror = 6 * mpmath.sqrt(V * F) if x <= x_star else 3 * h * F + 3 * V / h
-        r = c * p * x ** (p - 1) / (S + x ** p) ** (1 - 1 / p)
-        return mirror + r - mpf(theta)
 
-    u0 = mpmath.log(mpf(x0))
-    return mpmath.exp(mpmath.findroot(resid, (u0 - 1, u0 + 1), solver="anderson"))
+def _mp_link_root(theta, V, h, a, reg, x0):
+    """Root of the piecewise link L(x) = theta at the working mpmath precision."""
+    u0 = mpmath.log(mpmath.mpf(x0))
+    return mpmath.exp(mpmath.findroot(
+        lambda u: _mp_link(u, V, h, a, reg) - mpmath.mpf(theta), (u0 - 1, u0 + 1),
+        solver="anderson",
+    ))
 
 
 class TestMirrorDescentLearner:
@@ -268,27 +307,23 @@ class TestMirrorDescentLearner:
                 break
             assert np.isfinite(md.predict()).all()
 
-    @pytest.mark.parametrize("corrupt", ["overflowing_iterate", "vanishing_wealth_scale"])
+    @pytest.mark.parametrize("corrupt", [math.nan, math.inf], ids=["nan_entry", "inf_entry"])
     def test_non_finite_dual_accumulator_leaves_state_unchanged(self, corrupt):
-        # the dual accumulator is checked through its norm; a NaN (from an
-        # iterate whose norm overflows, 3 psi'(inf)/inf) or Inf (from
-        # psi'(n) = inf at a wealth scale of one subnormal) entry must still
-        # raise before any scalar state moves
+        # the dual accumulator is checked through its norm; a NaN or Inf
+        # entry in the stored mirror-map gradient must still raise before
+        # any scalar state moves
         md = MirrorDescentLearner(2, epsilon=1.0, initial_hint=1.0, c=1.0, p=3.0)
         md.observe(np.array([0.3, -0.4]), 1.0)
         md.observe(np.array([0.1, 0.2]), 1.5)
-        if corrupt == "overflowing_iterate":
-            md.w = np.array([1.7e308, 1.7e308])
-        else:
-            md.w = np.array([1.0, -2.0])
-            md.a = 5e-324
+        md.mirror_grad = np.array([corrupt, -2.0])
         fields = ("t", "N", "B", "C", "h", "V", "a")
         before = [getattr(md, f) for f in fields] + [md.reg.log_S]
-        theta, w = md.theta.copy(), md.w.copy()
+        mirror_grad, w = md.mirror_grad.copy(), md.w.copy()
         with pytest.raises(NonFiniteError, match="dual accumulator"):
             md.observe(np.array([0.5, 0.5]), 2.0)
         assert [getattr(md, f) for f in fields] + [md.reg.log_S] == before
-        assert np.array_equal(md.theta, theta) and np.array_equal(md.w, w)
+        assert np.array_equal(md.mirror_grad, mirror_grad, equal_nan=True)
+        assert np.array_equal(md.w, w)
 
     def test_penalty_caps_exponential_growth(self):
         # same stream with the composite penalty active: the run completes
