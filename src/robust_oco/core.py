@@ -96,10 +96,11 @@ def norm(v: np.ndarray) -> float:
 def clip_gradient(g_tilde: np.ndarray, h: float) -> np.ndarray:
     """Rescale g_tilde to norm at most h, preserving direction.
 
-    The zero vector maps to itself (the formula's limit), guarding the
-    division by the input norm. When the scale h/n would underflow, or the
-    norm n of a finite input overflows, the direction is normalised by the
-    largest magnitude first, so the result still has norm h, not 0.
+    An input of norm at most h, the zero vector included, is returned
+    itself, not a copy, so a caller can tell a pass from a clip by identity.
+    When the scale h/n would underflow, or the norm n of a finite input
+    overflows, the direction is normalised by the largest magnitude first,
+    so the result still has norm h, not 0.
     Rescaling repeats if rounding leaves the result an ulp above the
     threshold (subnormal entries step toward zero one unit at a time), so
     clipping is exactly idempotent and the result never exceeds h.
@@ -134,7 +135,8 @@ class CorruptionLedger:
 
     big_rounds counts rounds whose deviation reaches the Lipschitz bound G;
     deviation_sum accumulates min(deviation, G). Both are dominated by
-    count_corrupted, which is checked as an invariant on every update.
+    count_corrupted: big_rounds <= count_corrupted and
+    deviation_sum / G <= count_corrupted hold after every update.
     """
 
     lipschitz_G: float
@@ -163,10 +165,6 @@ class CorruptionLedger:
             self.big_rounds += 1
         self.deviation_sum += min(dev, self.lipschitz_G)
         return True
-
-    def check(self) -> None:
-        assert self.big_rounds <= self.count_corrupted
-        assert self.deviation_sum / self.lipschitz_G <= self.count_corrupted + 1e-12
 
 
 @dataclass

@@ -116,11 +116,9 @@ def correction_direction(
 
     The direction is the weighted displacement (h^2 dw, gamma^2 dy) normalized
     to unit dual form ||.||^2/h^2 + (.)^2/gamma^2 = 1, scaled by the dual form
-    of the fed pair (g_clipped, a_t). Interior predictions need no correction.
+    of the fed pair (g_clipped, a_t). An interior prediction is its own
+    projection, so its displacement, and with it the correction, is zero.
     """
-    nw = norm(hat.w)
-    if hat.y >= nw * nw:
-        return np.zeros_like(hat.w), 0.0
     dw = hat.w - proj.w
     dy = hat.y - proj.y
     dist2 = h * h * float(np.vdot(dw, dw)) + gamma * gamma * dy * dy
@@ -165,24 +163,21 @@ class EpigraphLearner(OnlineLearner):
             1, epsilon, initial_hint=1.5 * gamma, c=0.0, p=p, alpha=1.0
         )
         self.h = tau_G
-        self._hat: EpigraphPoint | None = None
-        self._played: EpigraphPoint | None = None
+        self._project()
 
-    def _refresh(self) -> EpigraphPoint:
-        if self._played is None:
-            hat = EpigraphPoint(
-                self.learner_w.predict(), float(self.learner_y.predict()[0])
-            )
-            self._hat = hat
-            self._played = weighted_project(hat, self.h, self.gamma)
-        return self._played
+    def _project(self) -> None:
+        """Lift the sub-learners' predictions and project them onto the set."""
+        self._hat = EpigraphPoint(
+            self.learner_w.predict(), float(self.learner_y.predict()[0])
+        )
+        self._played = weighted_project(self._hat, self.h, self.gamma)
 
     def predict(self) -> np.ndarray:
-        return self._refresh().w.copy()
+        return self._played.w.copy()
 
     def played_point(self) -> EpigraphPoint:
         """The feasible lifted point backing the current prediction."""
-        return self._refresh()
+        return self._played
 
     def observe(
         self,
@@ -195,14 +190,12 @@ class EpigraphLearner(OnlineLearner):
         a_t = alpha_t + beta_t
         if a_t > self.gamma * (1.0 + 1e-12):
             raise ValueError(f"penalty weight {a_t} exceeds gamma {self.gamma}")
-        proj = self._refresh()
         delta_w, delta_y = correction_direction(
-            self._hat, proj, self.h, self.gamma, g, a_t
+            self._hat, self._played, self.h, self.gamma, g, a_t
         )
         self.learner_w.observe(0.5 * (g + delta_w), 2.0 * hint)
         self.learner_y.observe(
             np.array([0.5 * (a_t + delta_y)]), 1.5 * self.gamma
         )
         self.h = hint
-        self._hat = None
-        self._played = None
+        self._project()

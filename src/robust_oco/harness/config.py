@@ -20,13 +20,18 @@ ALGORITHMS = ("kt_bettor",) + MODES
 COMPARATOR_FROM_ADVERSARY = "adversary"
 
 
+def protocol_mode(algorithm: str) -> str:
+    """The [protocol] mode of algorithm; the KT baseline reads only epsilon from it."""
+    return "known_g" if algorithm == "kt_bettor" else algorithm
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment: an algorithm, a gradient stream, and bookkeeping targets.
 
     comparator is either an explicit coordinate tuple or the string
-    "adversary", meaning the stream's own constructed comparator. For the
-    kt_bettor baseline the protocol section only contributes epsilon.
+    "adversary", meaning the stream's own constructed comparator. The protocol
+    must run protocol_mode(algorithm) at the stream's T and dim, or it raises.
     """
 
     algorithm: str
@@ -39,8 +44,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
+                f"[experiment] algorithm: unknown algorithm {self.algorithm!r}; "
+                f"expected one of {ALGORITHMS}"
             )
+        for key, expected, source in (
+            ("mode", protocol_mode(self.algorithm), "[experiment] algorithm"),
+            ("T", self.adversary.T, "[adversary] T"),
+            ("dim", self.adversary.dim, "[adversary] dim"),
+        ):
+            value = getattr(self.protocol, key)
+            if value != expected:
+                raise ValueError(
+                    f"[protocol] {key} = {value!r} disagrees with {source}, "
+                    f"which needs {expected!r}"
+                )
         if isinstance(self.comparator, str):
             if self.comparator != COMPARATOR_FROM_ADVERSARY:
                 raise ValueError(
@@ -65,7 +82,6 @@ class SweepConfig:
     tau_G: float = 1.0
     window_frac: float = 0.75
     output_path: str = "out"
-    workers: int = 1
 
     def __post_init__(self):
         # checked before any cell runs, so a typo cannot discard finished cells
@@ -165,8 +181,7 @@ def from_ini(text: str) -> ExperimentConfig:
     adversary = section_to_dataclass(AdversarySpec, parser, "adversary")
     algorithm = parser.get("experiment", "algorithm", fallback="").strip()
     protocol = section_to_dataclass(
-        ProtocolConfig, parser, "protocol",
-        mode="known_g" if algorithm == "kt_bettor" else algorithm,
+        ProtocolConfig, parser, "protocol", mode=protocol_mode(algorithm),
         T=adversary.T, k=adversary.k, dim=adversary.dim,
     )
     return section_to_dataclass(

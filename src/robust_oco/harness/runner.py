@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from ..adversaries import AdversarySpec, KTBettor, make_adversary
 from ..core import CorruptionLedger, NonFiniteError, RegretLedger, norm
 from ..protocol import DecompositionLedger, ProtocolConfig, RobustProtocol, RoundRecord
-from .config import COMPARATOR_FROM_ADVERSARY, ExperimentConfig, SweepConfig
+from .config import COMPARATOR_FROM_ADVERSARY, ExperimentConfig, SweepConfig, protocol_mode
 
 
 def trace_columns(dim: int) -> list[str]:
@@ -111,9 +110,7 @@ def make_player(config: ExperimentConfig, comparator: np.ndarray):
         if config.adversary.dim != 1:
             raise ValueError("the KT baseline is one-dimensional")
         return KTPlayer(config.protocol.epsilon, comparator)
-    adv = config.adversary
-    proto_cfg = replace(config.protocol, mode=config.algorithm, T=adv.T, dim=adv.dim)
-    return RobustProtocol(proto_cfg, comparator=comparator)
+    return RobustProtocol(config.protocol, comparator=comparator)
 
 
 def run_experiment(
@@ -195,11 +192,10 @@ def _sweep_cell_config(sweep: SweepConfig, algorithm: str, k: int,
         kind="sign_flip_window", T=T, k=k if corrupted else 0,
         window_start=window_start, dim=1,
     )
+    mode = protocol_mode(algorithm)
     protocol = ProtocolConfig(
-        mode=algorithm if algorithm != "kt_bettor" else "known_g",
-        T=T, epsilon=sweep.epsilon, k=k,
-        G=sweep.G if algorithm in ("kt_bettor", "known_g") else None,
-        tau_G=sweep.tau_G,
+        mode=mode, T=T, epsilon=sweep.epsilon, k=k,
+        G=sweep.G if mode == "known_g" else None, tau_G=sweep.tau_G,
     )
     return ExperimentConfig(
         algorithm=algorithm, adversary=adversary, protocol=protocol,
@@ -207,8 +203,7 @@ def _sweep_cell_config(sweep: SweepConfig, algorithm: str, k: int,
     )
 
 
-def _run_sweep_cell(args) -> dict:
-    sweep, algorithm, k, seed = args
+def _run_sweep_cell(sweep: SweepConfig, algorithm: str, k: int, seed: int) -> dict:
     corrupted = run_experiment(
         _sweep_cell_config(sweep, algorithm, k, corrupted=True), seed=seed
     )
@@ -229,18 +224,13 @@ def _run_sweep_cell(args) -> dict:
 
 
 def run_sweep(sweep: SweepConfig, out_path: str | Path | None = None) -> list[dict]:
-    """Run the grid; rows are merged in deterministic grid order regardless of workers."""
-    cells = [
-        (sweep, algorithm, k, seed)
+    """Run the grid; rows come in grid order (algorithm, then k, then seed)."""
+    rows = [
+        _run_sweep_cell(sweep, algorithm, k, seed)
         for algorithm in sweep.algorithms
         for k in sweep.ks
         for seed in sweep.seeds
     ]
-    if sweep.workers > 1:
-        with ProcessPoolExecutor(max_workers=sweep.workers) as pool:
-            rows = list(pool.map(_run_sweep_cell, cells))
-    else:
-        rows = [_run_sweep_cell(cell) for cell in cells]
     if out_path is not None:
         path = Path(out_path)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -4,8 +4,9 @@ A single round clips the observed gradient at the current threshold, feeds it
 to the configured base learner, and updates the regret / decomposition
 ledgers. Two wirings exist: a constant threshold equal to a known gradient
 bound with the mirror descent learner, and the adaptive filter + tracker +
-epigraph stack when no bound is known. Presets cover the standard parameter
-choices for both.
+epigraph stack when no bound is known. The protocol validates its config,
+refuses the gradient bound in the unknown-bound modes, and applies the
+standard parameter presets of both wirings as it builds its parts.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ MODES = ("known_g", "unknown_g_case1", "unknown_g_case2")
 
 @dataclass
 class ProtocolConfig:
-    """User-facing knobs; presets fill the derived regularization parameters.
+    """User-facing knobs; RobustProtocol validates them and applies the presets.
 
     In the unknown-bound modes G must stay None: those code paths may never
-    touch the true gradient bound, and the config enforces it.
+    touch the true gradient bound, and the protocol refuses one.
     """
 
     mode: str
@@ -41,68 +42,6 @@ class ProtocolConfig:
     tau_G: float = 1.0
     p: float | None = None
     dim: int = 1
-
-    def resolve(self) -> "ResolvedParams":
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.T < 3:
-            raise ValueError("horizon T must be at least 3")
-        if self.epsilon <= 0 or self.k < 0 or self.dim < 1:
-            raise ValueError("epsilon must be positive, k and dim nonnegative")
-        p = self.p if self.p is not None else math.log(self.T)
-
-        if self.mode == "known_g":
-            if self.G is None or self.G <= 0:
-                raise ValueError("known_g mode requires a positive G")
-            if self.k == 0:
-                c, alpha = 0.0, 1.0  # penalty disabled; offset unused
-            else:
-                c, alpha = self.k * self.G, self.epsilon / self.k
-            return ResolvedParams(
-                uses_filter=False, G=self.G, c=c, p=p, alpha=alpha,
-                tau_G=self.tau_G, tau_D=1.0, gamma_alpha=0.0, gamma_beta=0.0,
-            )
-
-        # unknown_g_case1 or unknown_g_case2
-        if self.G is not None:
-            raise ValueError(f"{self.mode} must not be given the gradient bound G")
-        if self.tau_G <= 0:
-            raise ValueError("tau_G must be positive")
-        if self.mode == "unknown_g_case1":
-            if self.k < 1:
-                raise ValueError("unknown_g_case1 needs k >= 1 (its presets divide by k)")
-            c = self.k * self.tau_G
-            gamma_beta = float(self.k)
-            gamma_alpha = 1.0
-            tau_D = self.epsilon / self.k
-        else:
-            c = self.tau_G
-            gamma_beta = float(self.k) ** 2
-            gamma_alpha = float(self.k) + 1.0
-            tau_D = 1.0
-        alpha = self.epsilon * self.tau_G / c
-        return ResolvedParams(
-            uses_filter=True, G=None, c=c, p=p, alpha=alpha,
-            tau_G=self.tau_G, tau_D=tau_D,
-            gamma_alpha=gamma_alpha, gamma_beta=gamma_beta,
-        )
-
-
-@dataclass(frozen=True)
-class ResolvedParams:
-    uses_filter: bool
-    G: float | None
-    c: float
-    p: float
-    alpha: float
-    tau_G: float
-    tau_D: float
-    gamma_alpha: float
-    gamma_beta: float
-
-    @property
-    def gamma(self) -> float:
-        return self.gamma_alpha + self.gamma_beta
 
 
 @dataclass
@@ -149,31 +88,57 @@ class RobustProtocol:
     """Gradient-clipping online learner robust to a budget of corrupted rounds."""
 
     def __init__(self, config: ProtocolConfig, comparator=None):
+        mode, k, epsilon = config.mode, config.k, config.epsilon
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+        if config.T < 3:
+            raise ValueError("horizon T must be at least 3")
+        if epsilon <= 0 or k < 0 or config.dim < 1:
+            raise ValueError("epsilon must be positive, k and dim nonnegative")
         self.config = config
-        self.params = params = config.resolve()
+        self.G = config.G  # None in the unknown-bound modes
+        p = config.p if config.p is not None else math.log(config.T)
+        if mode == "known_g":
+            if self.G is None or self.G <= 0:
+                raise ValueError("known_g mode requires a positive G")
+            if k == 0:
+                c, alpha = 0.0, 1.0  # penalty disabled; offset unused
+            else:
+                c, alpha = k * self.G, epsilon / k
+            self.filter = None
+            self.tracker = None
+            self.weights = None
+            self.learner = MirrorDescentLearner(
+                config.dim, epsilon, initial_hint=self.G, c=c, p=p, alpha=alpha,
+            )
+        else:
+            tau_G = config.tau_G
+            if self.G is not None:
+                raise ValueError(f"{mode} must not be given the gradient bound G")
+            if tau_G <= 0:
+                raise ValueError("tau_G must be positive")
+            if mode == "unknown_g_case1":
+                if k < 1:
+                    raise ValueError("unknown_g_case1 needs k >= 1 (its presets divide by k)")
+                c, tau_D = k * tau_G, epsilon / k
+                gamma_alpha, gamma_beta = 1.0, float(k)
+            else:
+                c, tau_D = tau_G, 1.0
+                gamma_alpha, gamma_beta = float(k) + 1.0, float(k) ** 2
+            alpha = epsilon * tau_G / c
+            self.filter = GradientFilter(k=k, tau_G=tau_G)
+            self.tracker = MagnitudeTracker(tau_D=tau_D)
+            self.weights = QuadWeights(gamma_alpha, gamma_beta)
+            self.learner = EpigraphLearner(
+                config.dim, epsilon, self.weights.gamma, tau_G, c, p, alpha,
+            )
+        # ledger-side penalty state over the *played* iterates
+        self._ledger_reg = HuberRegularizer(c=c, p=p, alpha=alpha)
         self.comparator = (
             np.zeros(config.dim) if comparator is None
             else as_vector(comparator, config.dim)
         )
         self._comparator_norm = norm(self.comparator)
-        if params.uses_filter:
-            self.filter = GradientFilter(k=config.k, tau_G=params.tau_G)
-            self.tracker = MagnitudeTracker(tau_D=params.tau_D)
-            self.weights = QuadWeights(params.gamma_alpha, params.gamma_beta)
-            self.learner = EpigraphLearner(
-                config.dim, config.epsilon, params.gamma,
-                params.tau_G, params.c, params.p, params.alpha,
-            )
-        else:
-            self.filter = None
-            self.tracker = None
-            self.weights = None
-            self.learner = MirrorDescentLearner(
-                config.dim, config.epsilon, initial_hint=params.G,
-                c=params.c, p=params.p, alpha=params.alpha,
-            )
-        # ledger-side penalty state over the *played* iterates
-        self._ledger_reg = HuberRegularizer(c=params.c, p=params.p, alpha=params.alpha)
         self.regret = RegretLedger(comparator=self.comparator)
         self.decomposition = DecompositionLedger(comparator=self.comparator)
         self.t = 0
@@ -190,30 +155,32 @@ class RobustProtocol:
         """
         g_tilde = as_vector(g_tilde, self.config.dim)
         w = self.learner.predict()
+        w_norm = norm(w)
         self.t += 1
 
-        if self.params.uses_filter:
+        if self.filter is not None:
             h_t = self.filter.h
             g_clipped, h_next, filter_doubled = self.filter.step(g_tilde)
-            z_next, tracker_doubled = self.tracker.step(norm(w))
+            z_next, tracker_doubled = self.tracker.step(w_norm)
             alpha_t, beta_t = self.weights.step(filter_doubled, tracker_doubled)
             self.learner.observe(g_clipped, h_next, alpha_t=alpha_t, beta_t=beta_t)
         else:
-            h_t = self.params.G
+            h_t = self.G
             g_clipped = clip_gradient(g_tilde, h_t)
             z_next, alpha_t, beta_t = 0.0, 0.0, 0.0
             self.learner.observe(g_clipped, h_t)
 
-        self._update_ledgers(w, g_tilde, g_clipped, alpha_t + beta_t, g_true, loss_gap)
+        self._update_ledgers(
+            w, w_norm, g_tilde, g_clipped, alpha_t + beta_t, g_true, loss_gap
+        )
         ensure_finite(self.learner.predict(), f"iterate after round {self.t}")
         return RoundRecord(
             t=self.t, w=w, g_clipped_norm=norm(g_clipped), h=h_t,
             z=z_next, alpha_t=alpha_t, beta_t=beta_t,
         )
 
-    def _update_ledgers(self, w, g_tilde, g_clipped, a_t, g_true, loss_gap) -> None:
+    def _update_ledgers(self, w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap) -> None:
         u = self.comparator
-        w_norm = norm(w)
         u_norm = self._comparator_norm
         self._ledger_reg.advance(w_norm)
         r_w = self._ledger_reg.evaluate(w_norm) + a_t * w_norm * w_norm

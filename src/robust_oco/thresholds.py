@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import clip_gradient, norm
+from .core import clip_gradient
 
 
 @dataclass
@@ -51,10 +51,10 @@ class GradientFilter:
         Returns (clipped gradient, threshold for the next round, doubled flag).
         """
         h_t = self.h
-        if norm(g_tilde) <= h_t:
+        clipped = clip_gradient(g_tilde, h_t)
+        if clipped is g_tilde:
             self.pass_rounds += 1
             return g_tilde, h_t, False
-        clipped = clip_gradient(g_tilde, h_t)
         self.clip_rounds += 1
         self.n += 1
         doubled = False

@@ -242,7 +242,7 @@ class TestCriterion10UnknownBoundBlindness:
     def test_config_rejects_bound_and_run_never_reads_it(self):
         for mode in ("unknown_g_case1", "unknown_g_case2"):
             with pytest.raises(ValueError):
-                ProtocolConfig(mode=mode, T=100, k=5, G=1.0).resolve()
+                RobustProtocol(ProtocolConfig(mode=mode, T=100, k=5, G=1.0))
         protocol = RobustProtocol(
             ProtocolConfig(mode="unknown_g_case1", T=300, k=4, tau_G=0.5),
             comparator=[1.0],

@@ -200,16 +200,16 @@ class TestEpigraphLearner:
         for T in (100, 1000, 10000):
             for u in (0.0, 1.0, -1.0):
                 cfg = ProtocolConfig(mode="unknown_g_case1", T=T, k=k, tau_G=0.5)
-                params = cfg.resolve()
                 protocol = RobustProtocol(cfg, comparator=[u])
                 rng = np.random.default_rng(7)
                 for _ in range(T):
                     g = np.array([rng.uniform(-1, 1)])
                     protocol.round(g, g_true=g)
                 h_T = protocol.filter.h
+                weights = protocol.weights
                 denom = (
                     h_T + abs(u) * h_T * math.sqrt(T)
-                    + u * u * (params.gamma_alpha * (k + 1) + params.gamma_beta)
+                    + u * u * (weights.gamma_alpha * (k + 1) + weights.gamma_beta)
                 ) * (1 + math.log(1 + max(abs(u), 1) * T)) ** 2
                 assert protocol.decomposition.composite_term / denom <= 1.0
 

@@ -90,7 +90,7 @@ class TestConfigRoundTrip:
         sweep = SweepConfig(
             ks=(3, 5, 8), algorithms=("known_g", "unknown_g_case2"),
             seeds=(2, 7), epsilon=0.1 + 0.2, G=2.5, tau_G=0.125,
-            window_frac=0.5, output_path="results/sweep", workers=2,
+            window_frac=0.5, output_path="results/sweep",
         )
         assert sweep_from_ini(sweep_to_ini(sweep)) == sweep
 
@@ -200,12 +200,6 @@ class TestSweep:
             row["ratio"], row["regret_corrupted"] / row["regret_uncorrupted"]
         )
 
-    def test_worker_pool_matches_sequential(self):
-        sweep = SweepConfig(ks=(4, 5), algorithms=("known_g",), seeds=(0,))
-        seq = run_sweep(sweep)
-        par = run_sweep(SweepConfig(**{**sweep.__dict__, "workers": 2}))
-        assert seq == par
-
 
 class TestChecksRegistry:
     def test_registered_names(self):
@@ -278,9 +272,20 @@ class TestCLI:
             ("sweep", lambda text: text + "wrkers = 2\n", ("[sweep]", "'wrkers'")),
             ("sweep", lambda text: text + "algorithms = known_g knwon_g\n",
              ("[sweep]", "'knwon_g'")),
+            ("run", lambda text: text.replace("algorithm = known_g", "algorithm = knwon_g"),
+             ("[experiment] algorithm", "'knwon_g'")),
+            ("run", lambda text: text.replace("[protocol]\nmode = known_g\nT = 12\n",
+                                              "[protocol]\nmode = known_g\nT = 50\n"),
+             ("[protocol] T", "50")),
+            ("run", lambda text: text.replace("mode = known_g", "mode = unknown_g_case2"),
+             ("[protocol] mode", "'unknown_g_case2'")),
+            ("run", lambda text: text.replace("p = none\ndim = 1", "p = none\ndim = 2"),
+             ("[protocol] dim", "[adversary] dim")),
         ],
         ids=["missing_T", "misspelled_window_start", "misspelled_section",
-             "misspelled_workers", "misspelled_algorithm"],
+             "misspelled_workers", "misspelled_algorithm",
+             "misspelled_experiment_algorithm", "protocol_T_disagrees",
+             "protocol_mode_disagrees", "protocol_dim_disagrees"],
     )
     def test_bad_key_is_usage_error_naming_it(self, tmp_path, capsys, command,
                                               edit, named):

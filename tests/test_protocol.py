@@ -41,54 +41,66 @@ def hostile_gradient(rng, kind: str, dim: int) -> np.ndarray:
     return g
 
 
+def _penalty(protocol):
+    """The learner's Huber penalty, whose c, p and alpha the presets set."""
+    if protocol.filter is None:
+        return protocol.learner.reg
+    return protocol.learner.learner_w.reg
+
+
 class TestPresets:
     def test_known_g_parameters(self):
-        params = ProtocolConfig(mode="known_g", T=400, epsilon=2.0, k=20, G=3.0).resolve()
-        assert not params.uses_filter
-        assert params.G == 3.0
-        assert params.c == 20 * 3.0
-        assert params.alpha == 2.0 / 20
-        assert math.isclose(params.p, math.log(400))
+        cfg = ProtocolConfig(mode="known_g", T=400, epsilon=2.0, k=20, G=3.0)
+        protocol = RobustProtocol(cfg)
+        reg = _penalty(protocol)
+        assert protocol.filter is None
+        assert protocol.G == 3.0
+        assert reg.c == 20 * 3.0
+        assert reg.alpha == 2.0 / 20
+        assert math.isclose(reg.p, math.log(400))
 
     def test_known_g_zero_budget_disables_penalty(self):
-        params = ProtocolConfig(mode="known_g", T=100, k=0, G=1.0).resolve()
-        assert params.c == 0.0
+        protocol = RobustProtocol(ProtocolConfig(mode="known_g", T=100, k=0, G=1.0))
+        assert _penalty(protocol).c == 0.0
 
     def test_known_g_needs_bound(self):
         with pytest.raises(ValueError):
-            ProtocolConfig(mode="known_g", T=100, k=0).resolve()
+            RobustProtocol(ProtocolConfig(mode="known_g", T=100, k=0))
 
     def test_case1_parameters(self):
         cfg = ProtocolConfig(mode="unknown_g_case1", T=900, epsilon=2.0, k=30, tau_G=0.5)
-        params = cfg.resolve()
-        assert params.uses_filter
-        assert params.c == 30 * 0.5
-        assert params.gamma_beta == 30.0
-        assert params.gamma_alpha == 1.0
-        assert params.tau_D == 2.0 / 30
-        assert math.isclose(params.alpha, 2.0 * 0.5 / params.c)
+        protocol = RobustProtocol(cfg)
+        reg = _penalty(protocol)
+        assert protocol.filter is not None
+        assert reg.c == 30 * 0.5
+        assert protocol.weights.gamma_beta == 30.0
+        assert protocol.weights.gamma_alpha == 1.0
+        assert protocol.learner.gamma == protocol.weights.gamma
+        assert protocol.tracker.tau_D == 2.0 / 30
+        assert math.isclose(reg.alpha, 2.0 * 0.5 / reg.c)
 
     def test_case1_needs_positive_budget(self):
         with pytest.raises(ValueError):
-            ProtocolConfig(mode="unknown_g_case1", T=100, k=0).resolve()
+            RobustProtocol(ProtocolConfig(mode="unknown_g_case1", T=100, k=0))
 
     def test_case2_parameters(self):
         cfg = ProtocolConfig(mode="unknown_g_case2", T=900, epsilon=1.5, k=4, tau_G=0.7)
-        params = cfg.resolve()
-        assert params.c == 0.7
-        assert params.gamma_beta == 16.0
-        assert params.gamma_alpha == 5.0
-        assert params.tau_D == 1.0
-        assert math.isclose(params.alpha, 1.5)
+        protocol = RobustProtocol(cfg)
+        reg = _penalty(protocol)
+        assert reg.c == 0.7
+        assert protocol.weights.gamma_beta == 16.0
+        assert protocol.weights.gamma_alpha == 5.0
+        assert protocol.tracker.tau_D == 1.0
+        assert math.isclose(reg.alpha, 1.5)
 
     def test_unknown_modes_refuse_the_bound(self):
         for mode in ("unknown_g_case1", "unknown_g_case2"):
             with pytest.raises(ValueError):
-                ProtocolConfig(mode=mode, T=100, k=5, G=1.0).resolve()
+                RobustProtocol(ProtocolConfig(mode=mode, T=100, k=5, G=1.0))
 
     def test_streaming_power_default(self):
         cfg = ProtocolConfig(mode="known_g", T=100, k=1, G=1.0, p=math.log(1e6))
-        assert math.isclose(cfg.resolve().p, math.log(1e6))
+        assert math.isclose(_penalty(RobustProtocol(cfg)).p, math.log(1e6))
 
 
 class _PoisonedBound:
@@ -110,6 +122,7 @@ class TestUnknownModesAreBlindToTheBound:
         # plant a poisoned value where the bound would live; any numeric read
         # of it during the run raises
         protocol.config.G = _PoisonedBound()
+        protocol.G = _PoisonedBound()
         rng = np.random.default_rng(0)
         for t in range(1, 201):
             w = protocol.predict()
@@ -192,7 +205,7 @@ class TestHostileInputContract:
             mode=mode, T=T, k=k, dim=dim, G=G if mode == "known_g" else None
         )
         protocol = RobustProtocol(cfg, comparator=np.full(dim, 0.5))
-        assert protocol.params.p == math.log(T)
+        assert _penalty(protocol).p == math.log(T)
         for kind in kinds:
             g_true = rng.uniform(-1.0, 1.0, dim) * (min(G, 1.0) / math.sqrt(dim))
             try:
