@@ -97,7 +97,9 @@ class IIDRandomAdversary(Adversary):
         norms = np.linalg.norm(directions, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         radii = G * rng.uniform(0.0, 1.0, size=(T, 1))
-        self._g = directions / norms * radii
+        directions /= norms  # in place: no second (T, dim) array at large d
+        directions *= radii
+        self._g = directions
         self.budget = 0
         self.lipschitz_bound = G
 

@@ -5,8 +5,8 @@ the Euclidean norm. Corruption experiments intentionally drive exponential
 blow-ups, so any NaN/Inf is treated as a fatal state-corruption signal rather
 than silently propagated.
 
-The per-round vector kernels (norm, finiteness check, ledger equality) are
-exact and never warn, on subnormal and near-overflow input alike. Vectors of
+The per-round vector kernels (norm, inner product, finiteness check, ledger
+equality) never warn, on subnormal and near-overflow input alike. Vectors of
 at most SMALL_DIM entries, which covers every scalar (d = 1) learner, never
 enter a numpy reduction: a Python-level pass over ``tolist()`` costs a
 fraction of one numpy dispatch at that size.
@@ -15,6 +15,7 @@ fraction of one numpy dispatch at that size.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -91,6 +92,21 @@ def norm(v: np.ndarray) -> float:
         return m
     u = v / m
     return m * math.sqrt(float(np.vdot(u, u)))
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two vectors of equal size, as a Python float.
+
+    Up to SMALL_DIM entries Python's sum() adds the products, within
+    d * 2**-53 * sum(|a_i b_i|) of the exact value and, at d = 1, equal to
+    np.vdot up to the sign of a zero; above that it is np.vdot (which never
+    warns). math.fsum is not used: it raises on overflow. Here a sum past
+    float range gives +-inf and a NaN entry gives NaN, so callers'
+    finiteness checks see the failure.
+    """
+    if a.size <= SMALL_DIM:
+        return sum(map(operator.mul, a.tolist(), b.tolist()))
+    return float(np.vdot(a, b))
 
 
 def clip_gradient(g_tilde: np.ndarray, h: float) -> np.ndarray:
@@ -197,8 +213,8 @@ class RegretLedger:
             )
         diff = w - u
         # a non-finite increment makes its total non-finite too
-        true_total = self.true_regret_linear + float(np.vdot(g_true, diff))
-        observed_total = self.observed_regret_linear + float(np.vdot(g_observed, diff))
+        true_total = self.true_regret_linear + dot(g_true, diff)
+        observed_total = self.observed_regret_linear + dot(g_observed, diff)
         if not (math.isfinite(true_total) and math.isfinite(observed_total)):
             raise NonFiniteError(
                 f"non-finite value in regret ledger: true {true_total}, "

@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OnlineLearner, as_vector, norm
+from .core import OnlineLearner, as_vector, dot, norm
 from .mirror_descent import MirrorDescentLearner, SolverError
 
 _PROJ_RTOL = 1e-12
 _PROJ_MAX_ITER = 300
+_PROJ_COLLAPSE = 4e-16  # relative bracket width of a few ulps
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,11 @@ def weighted_project(point: EpigraphPoint, h: float, gamma: float) -> EpigraphPo
     input direction at radius s, the unique nonnegative root of
     s*(h^2 + 2 gamma^2 (s^2 - y_hat)) = h^2 ||w_hat||; the root is found by
     bisection (the cubic is below the target before the crossing and above it
-    after, even when it dips negative first).
+    after, even when it dips negative first). The bisection stops when the
+    residual is within 1e-12 * max(1, h^2 ||w_hat||) or the bracket has
+    collapsed to a few ulps (hi - lo <= 4e-16 * hi): the residual's rounding
+    error grows with the cubic term 2 gamma^2 s^3, so on well-posed input it
+    can stay above the first bound at every representable radius.
     """
     if h <= 0 or gamma <= 0:
         raise ValueError("projection weights must be positive")
@@ -90,17 +95,21 @@ def weighted_project(point: EpigraphPoint, h: float, gamma: float) -> EpigraphPo
     for _ in range(_PROJ_MAX_ITER):
         s = 0.5 * (lo + hi)
         r = residual(s)
-        if abs(r) <= tol:
+        if abs(r) <= tol or hi - lo <= _PROJ_COLLAPSE * hi:
             break
         if r < 0:
             lo = s
         else:
             hi = s
     else:
-        raise SolverError(f"epigraph projection did not converge for {point}")
+        raise SolverError(
+            f"epigraph projection did not converge for {point} (h={h}, gamma={gamma})"
+        )
 
     w = (s / nw) * point.w
-    y = max(s * s, float(np.vdot(w, w)))  # clamp: feasibility holds exactly
+    # clamp: feasibility holds exactly; np.vdot, not core.dot, because
+    # callers check feasibility against the BLAS sum of squares (w @ w)
+    y = max(s * s, float(np.vdot(w, w)))
     return EpigraphPoint(w, y)
 
 
@@ -121,10 +130,10 @@ def correction_direction(
     """
     dw = hat.w - proj.w
     dy = hat.y - proj.y
-    dist2 = h * h * float(np.vdot(dw, dw)) + gamma * gamma * dy * dy
+    dist2 = h * h * dot(dw, dw) + gamma * gamma * dy * dy
     if dist2 == 0.0:
         return np.zeros_like(hat.w), 0.0
-    scale = float(np.vdot(g_clipped, g_clipped)) / (h * h) + (a_t * a_t) / (gamma * gamma)
+    scale = dot(g_clipped, g_clipped) / (h * h) + (a_t * a_t) / (gamma * gamma)
     root = math.sqrt(dist2)
     delta_w = (scale * h * h / root) * dw
     delta_y = scale * gamma * gamma * dy / root

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..adversaries import AdversarySpec, KTBettor, make_adversary
 from ..core import CorruptionLedger, NonFiniteError, RegretLedger, norm
+from ..mirror_descent import SolverError
 from ..protocol import DecompositionLedger, ProtocolConfig, RobustProtocol, RoundRecord
 from .config import COMPARATOR_FROM_ADVERSARY, ExperimentConfig, SweepConfig, protocol_mode
 
@@ -46,6 +47,8 @@ def trace_columns(dim: int) -> list[str]:
 
 
 def _fmt(x) -> str:
+    if type(x) is float:  # nearly every trace value
+        return format(x, ".17g")
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
@@ -62,8 +65,7 @@ class ExperimentTrace:
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([_fmt(x) for x in row])
+            writer.writerows([_fmt(x) for x in row] for row in self.rows)
         with open(summary_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(list(self.summary.keys()))
@@ -138,7 +140,7 @@ def run_experiment(
             loss_gap = adversary.loss_gap(w, comparator)
             corrupted = budget.update(g_true, g_tilde)
             rec = player.round(g_tilde, g_true=g_true, loss_gap=loss_gap)
-            point = list(w) if dim <= 3 else [norm(w)]
+            point = w.tolist() if dim <= 3 else [norm(w)]
             rows.append(
                 [t] + point + [
                     norm(g_true), norm(g_tilde), rec.g_clipped_norm,
@@ -147,8 +149,9 @@ def run_experiment(
                     regret.true_regret_linear, regret.observed_regret_linear,
                 ]
             )
-    except NonFiniteError as exc:
-        raise NonFiniteError(f"run aborted at round {len(rows) + 1}: {exc}") from exc
+    except (NonFiniteError, SolverError) as exc:
+        # same type, so callers and the benchmark still classify the failure
+        raise type(exc)(f"run aborted at round {len(rows) + 1}: {exc}") from exc
     wall = time.perf_counter() - started
 
     summary = {

@@ -77,6 +77,15 @@ def _mirror_part_inverse(y: float, V: float, h: float, a: float) -> float:
     return a * math.expm1(q) if q < 709.0 else math.inf
 
 
+def _bracket_end(y: float, V: float, h: float, a: float, reg: HuberRegularizer) -> float:
+    """The smaller of the two summand inverses at y, each summand alone reaching y.
+
+    At y = theta it bounds the link's root from above; at y = theta / 2 from
+    below, since there the whole link is at most theta.
+    """
+    return min(_mirror_part_inverse(y, V, h, a), reg.radial_subgradient_inverse(y))
+
+
 def _out_of_range(theta_norm: float, V: float, h: float, a: float) -> SolverError:
     return SolverError(
         f"no representable radius reaches dual norm {theta_norm} "
@@ -92,13 +101,14 @@ def link_inverse_solve(
     Returns x and the link's mirror part at x, which the learner reuses. The
     residual is driven below 1e-9 * max(1, theta_norm). With the penalty
     disabled the link is the mirror part alone and inverts in closed form;
-    otherwise the bracket comes from inverting each summand separately:
-    either summand at the full target bounds the root from above, and the
-    smaller summand inverse at half the target bounds it from below (there
-    the whole link is at most the target). Newton steps on log L(u) - log
-    theta in u = log x start from the upper end; a step that leaves the
-    bracket is replaced by the bracket midpoint, and an upper end that
-    rounding left short of the root moves up.
+    otherwise the bracket comes from inverting each summand separately
+    (_bracket_end): either summand at the full target bounds the root from
+    above, and the smaller summand inverse at half the target bounds it from
+    below. Newton steps on log L(u) - log theta in u = log x start from the
+    upper end; a step that leaves the bracket is replaced by the bracket
+    midpoint, and an upper end that rounding left short of the root moves up.
+    The lower end is computed only when the first evaluation, at the upper
+    end, fails the slope test: most solves converge there and never read it.
     """
     if theta_norm < 0:
         raise ValueError("dual norm must be nonnegative")
@@ -116,14 +126,8 @@ def link_inverse_solve(
     if reg.p == 1.0 and theta_norm <= reg.c:
         return 0.0, 0.0
 
-    hi = min(
-        _mirror_part_inverse(theta_norm, V, h, a),
-        reg.radial_subgradient_inverse(theta_norm),
-    )
-    lo = min(
-        _mirror_part_inverse(0.5 * theta_norm, V, h, a),
-        reg.radial_subgradient_inverse(0.5 * theta_norm),
-    )
+    hi = _bracket_end(theta_norm, V, h, a, reg)
+    floor = 0.0  # a known lower bound on the root
     if hi == 0.0:
         # the upper bound underflowed: the root lies below the smallest
         # positive double and rounds to zero
@@ -135,7 +139,6 @@ def link_inverse_solve(
         # to its asymptote c*p, putting the root just above the mirror-part
         # inverse at theta - c*p; past float range it leaves hi infinite
         floor = _mirror_part_inverse(max(theta_norm - reg.c * reg.p, 0.0), V, h, a)
-        lo = max(lo, floor)
         hi = max(floor, math.exp(reg.log_S / reg.p), 1.0)
         while math.isfinite(hi) and link_value(hi, V, h, a, reg) < theta_norm:
             hi *= 2.0
@@ -151,11 +154,8 @@ def link_inverse_solve(
     # the bracket [u_lo, u_hi] is replaced by the bracket midpoint
     tol = _SOLVE_RTOL * max(1.0, theta_norm)
     log_theta = math.log(theta_norm)
-    u_lo = math.log(lo) if lo > 0.0 else _LOG_TINY
-    u_hi = math.log(hi)
-    if u_lo > u_hi:
-        u_lo = _LOG_TINY
-    u = u_hi
+    u = u_hi = math.log(hi)
+    u_lo = None  # set after the first evaluation, unless that one converges
     for _ in range(_SOLVE_MAX_ITER):
         x = math.exp(u)
         mirror, penalty, slope = link_at(u, x)
@@ -164,9 +164,16 @@ def link_inverse_solve(
         # converged when the residual is small and the root is pinned in u,
         # by the Newton error estimate or by a bracket that has collapsed
         # (the closed-form lower end is exact only in real arithmetic)
-        if abs(resid) <= tol and (
-            abs(resid) <= _SOLVE_UTOL * slope or u_hi - u_lo <= _SOLVE_UTOL
-        ):
+        small = abs(resid) <= tol
+        if small and abs(resid) <= _SOLVE_UTOL * slope:
+            return x, mirror
+        if u_lo is None:
+            # u_hi is still the initial upper end here
+            lo = max(_bracket_end(0.5 * theta_norm, V, h, a, reg), floor)
+            u_lo = math.log(lo) if lo > 0.0 else _LOG_TINY
+            if u_lo > u_hi:
+                u_lo = _LOG_TINY
+        if small and u_hi - u_lo <= _SOLVE_UTOL:
             return x, mirror
         if resid < 0:
             u_lo = u

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RegretLedger, as_vector, clip_gradient, ensure_finite, norm
+from .core import RegretLedger, as_vector, clip_gradient, dot, ensure_finite, norm
 from .epigraph import EpigraphLearner, QuadWeights
 from .mirror_descent import MirrorDescentLearner
 from .regularizer import HuberRegularizer
@@ -187,13 +187,14 @@ class RobustProtocol:
         r_u = self._ledger_reg.evaluate(u_norm) + a_t * u_norm * u_norm
 
         d = self.decomposition
-        d.composite_term += float(np.vdot(g_clipped, w - u)) + r_w - r_u
+        d.composite_term += dot(g_clipped, w - u) + r_w - r_u
         d.correction_term += r_w
         d.bias_reg_sum += r_u
         if g_true is not None:
             g_true = as_vector(g_true, self.config.dim)
-            d.error_term += float(np.vdot(g_true - g_clipped, w))
-            d._bias_grad_accum += g_true - g_clipped
+            dg = g_true - g_clipped
+            d.error_term += dot(dg, w)
+            d._bias_grad_accum += dg
             self.regret.update(w, g_true, g_tilde, loss_gap)
 
     def decomposition_gap(self) -> float:

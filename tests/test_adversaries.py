@@ -144,6 +144,20 @@ class TestLBOrigin:
             LBOriginAdversary(T=31, k=0, epsilon=1.0)
 
 
+class TestIIDRandom:
+    @pytest.mark.parametrize("dim", [1, 3, 256])
+    def test_stream_matches_out_of_place_formula(self, dim):
+        for seed in range(3):
+            adv = IIDRandomAdversary(T=50, G=2.0, seed=seed, dim=dim)
+            rng = np.random.default_rng(seed)
+            directions = rng.standard_normal((50, dim))
+            norms = np.linalg.norm(directions, axis=1, keepdims=True)
+            norms[norms == 0.0] = 1.0
+            radii = 2.0 * rng.uniform(0.0, 1.0, size=(50, 1))
+            expected = directions / norms * radii
+            assert np.array_equal(adv._g, expected)
+
+
 class TestDROReweight:
     def test_zero_budget_is_identity(self):
         base = IIDRandomAdversary(T=40, G=1.0, seed=5)

@@ -14,6 +14,7 @@ from robust_oco.core import (
     RegretLedger,
     as_vector,
     clip_gradient,
+    dot,
     ensure_finite,
     norm,
 )
@@ -146,6 +147,51 @@ class TestNormOracle:
             warnings.simplefilter("error")
             assert norm(np.full(d, 1.7e308)) == math.inf
             assert norm(np.zeros(d)) == 0.0
+
+
+class TestDot:
+    @pytest.mark.parametrize("family", sorted(MAGNITUDE_FAMILIES))
+    def test_equals_vdot_at_d1(self, family):
+        rng = np.random.default_rng(7 + len(family))
+        lo, hi = MAGNITUDE_FAMILIES[family]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(200):
+                a = log_uniform_vector(rng, 1, lo, hi)
+                b = log_uniform_vector(rng, 1, lo, hi)
+                # == rather than bits: the sign of a zero may differ
+                assert dot(a, b) == float(np.vdot(a, b)), (a, b)
+
+    @pytest.mark.parametrize("d", GATE_DIMS)
+    def test_matches_fifty_digit_sum(self, d):
+        # the products stay normal, so each rounding is relative
+        rng = np.random.default_rng(d * 13)
+        for _ in range(40):
+            a = log_uniform_vector(rng, d, -300, 300)
+            b = log_uniform_vector(rng, d, -300, 300)
+            got = dot(a, b)
+            assert type(got) is float
+            with mpmath.workdps(50):
+                products = [mpmath.mpf(float(x)) * mpmath.mpf(float(y)) for x, y in zip(a, b)]
+                exact = mpmath.fsum(products)
+                bound = d * ULP * mpmath.fsum(abs(p) for p in products)
+                assert abs(mpmath.mpf(got) - exact) <= bound, (a, b, got)
+
+    @pytest.mark.parametrize("d", GATE_DIMS[1:])
+    def test_past_float_range_is_inf(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dot(np.full(d, 1e308), np.ones(d)) == math.inf
+            assert dot(np.full(d, -1e308), np.ones(d)) == -math.inf
+
+    @pytest.mark.parametrize("d", GATE_DIMS)
+    def test_nan_propagates(self, d):
+        a = np.ones(d)
+        a[d // 2] = math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(dot(a, np.ones(d)))
+            assert math.isnan(dot(np.ones(d), a))
 
 
 class TestClipInvariant:

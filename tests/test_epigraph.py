@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from robust_oco.epigraph import (
     correction_direction,
     weighted_project,
 )
+from robust_oco.mirror_descent import SolverError
 
 
 class TestWeightedProject:
@@ -58,6 +60,25 @@ class TestWeightedProject:
             pt = EpigraphPoint(rng.standard_normal(2) * 4, float(rng.uniform(-5, 1)))
             out = weighted_project(pt, 1.3, 0.6)
             assert norm(out.w) <= norm(pt.w) + 1e-12
+
+
+    def test_collapsed_bracket_stops_at_the_root(self):
+        # the residual's rounding (an ulp of the cubic term 2 gamma^2 s^3,
+        # about 3e-12 here) never meets the 1e-12 * target stop rule, so the
+        # bisection must stop on the collapsed bracket instead of aborting
+        w_hat, y_hat, h, gamma = 2.0338438752003833, 4.020070730557359, 1.0, 31.0
+        out = weighted_project(EpigraphPoint(np.array([w_hat]), y_hat), h, gamma)
+        with mpmath.workdps(50):
+            g2, nw, y = 2 * mpmath.mpf(gamma) ** 2, mpmath.mpf(w_hat), mpmath.mpf(y_hat)
+            roots = mpmath.polyroots([g2, 0, h * h - g2 * y, -h * h * nw], extraprec=200)
+            root = max(r.real for r in roots if abs(r.imag) < mpmath.mpf(10) ** -30)
+            assert abs(mpmath.mpf(float(out.w[0])) - root) <= 5e-16 * root
+        assert out.y >= float(out.w @ out.w)
+
+    def test_failure_names_the_weights(self):
+        pt = EpigraphPoint(np.array([math.nan]), 0.0)
+        with pytest.raises(SolverError, match=r"h=2\.0, gamma=3\.0"):
+            weighted_project(pt, 2.0, 3.0)
 
 
 class TestCorrectionDirection:

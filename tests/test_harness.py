@@ -1,7 +1,10 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from robust_oco import mirror_descent
 
 from robust_oco.adversaries import AdversarySpec
 from robust_oco.harness.checks import CHECKS, run_check
@@ -14,11 +17,13 @@ from robust_oco.harness.config import (
     to_ini,
 )
 from robust_oco.harness.runner import (
+    ExperimentTrace,
     SweepConfig,
     run_experiment,
     run_sweep,
     trace_columns,
 )
+from robust_oco.mirror_descent import SolverError
 from robust_oco.protocol import ProtocolConfig
 
 DATA = Path(__file__).parent / "data"
@@ -148,6 +153,37 @@ class TestRunExperiment:
         run_experiment(cfg, seed=5, out_dir=tmp_path / "b")
         name = "trace_unknown_g_case1_dro_reweight_seed5.csv"
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_solver_abort_names_its_round(self, monkeypatch):
+        # known_g solves the link once per round on the sign-flip stream
+        solve = mirror_descent.link_inverse_solve
+        calls = []
+
+        def failing_third_call(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise SolverError("link inversion did not converge")
+            return solve(*args)
+
+        monkeypatch.setattr(mirror_descent, "link_inverse_solve", failing_third_call)
+        with pytest.raises(SolverError, match=r"run aborted at round 3: link inversion") as info:
+            run_experiment(figure_config(), seed=0)
+        assert isinstance(info.value.__cause__, SolverError)
+        assert str(info.value.__cause__) == "link inversion did not converge"
+
+    def test_trace_bytes_of_each_value_type(self, tmp_path):
+        trace = ExperimentTrace(
+            columns=["a", "b", "c", "d", "e", "f"],
+            rows=[[3, np.int64(-7), 0.1, np.float64(-2.5e-300), math.inf, math.nan]],
+            summary={"algorithm": "known_g", "T": 3, "x": 0.5},
+        )
+        trace.write(tmp_path / "trace.csv", tmp_path / "summary.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == (
+            b"a,b,c,d,e,f\r\n3,-7,0.10000000000000001,-2.5e-300,inf,nan\r\n"
+        )
+        assert (tmp_path / "summary.csv").read_bytes() == (
+            b"algorithm,T,x\r\nknown_g,3,0.5\r\n"
+        )
 
     def test_schema_stability(self):
         assert trace_columns(1) == [

@@ -195,6 +195,21 @@ class TestLinkInverse:
         with pytest.raises(SolverError, match="no representable radius"):
             link_inverse_solve(1e4, 4.0, 2.0, 1.0, reg)
 
+    @pytest.mark.parametrize("alpha, theta, calls", [(1e6, 5.0, 1), (1.0, 50.0, 2)])
+    def test_lower_end_only_when_the_upper_end_misses(self, monkeypatch, alpha, theta,
+                                                      calls):
+        # a large alpha leaves the penalty negligible, so the first Newton
+        # evaluation, at the upper end, converges and the lower end (one more
+        # subgradient inverse) is never computed
+        reg = HuberRegularizer(c=1.0, p=3.0, alpha=alpha)
+        inverse = reg.radial_subgradient_inverse
+        seen = []
+        monkeypatch.setattr(reg, "radial_subgradient_inverse",
+                            lambda y: seen.append(y) or inverse(y))
+        x, _ = link_inverse_solve(theta, 4.0, 2.0, 1.0, reg)
+        assert seen == [theta, 0.5 * theta][:calls]
+        assert abs(link_value(x, 4.0, 2.0, 1.0, reg) - theta) <= 1e-9 * theta
+
     def test_strictly_increasing_link(self):
         rng = np.random.default_rng(101)
         for _ in range(100):

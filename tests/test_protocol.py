@@ -182,6 +182,20 @@ class TestProtocolRound:
             protocol.round(np.array([math.nan]))
 
 
+    def test_constant_stream_completes_past_the_projection_collapse(self):
+        # a constant -1 stream pushes case2's iterate out to where the
+        # projection's bisection collapses before its residual meets the
+        # stop rule; the run used to abort at round 4,204
+        cfg = ProtocolConfig(mode="unknown_g_case2", T=4900, k=5)
+        protocol = RobustProtocol(cfg)
+        g = np.array([-1.0])
+        for _ in range(4900):
+            protocol.round(g)
+        point = protocol.learner.played_point()
+        assert protocol.t == 4900
+        assert point.y >= float(point.w @ point.w) and point.w[0] > 0
+
+
 class TestHostileInputContract:
     @given(
         mode=st.sampled_from(["known_g", "unknown_g_case1"]),
