@@ -21,12 +21,7 @@ from .core import (
 )
 from .epigraph import EpigraphLearner, EpigraphPoint, QuadWeights, weighted_project
 from .mirror_descent import MirrorDescentLearner, link_inverse_solve
-from .protocol import (
-    DecompositionLedger,
-    ProtocolConfig,
-    RobustProtocol,
-    online_to_batch,
-)
+from .protocol import DecompositionLedger, ProtocolConfig, RobustProtocol
 from .regularizer import HuberRegularizer, check_sum_bounds
 from .thresholds import GradientFilter, MagnitudeTracker
 
@@ -51,7 +46,6 @@ __all__ = [
     "clip_gradient",
     "link_inverse_solve",
     "make_adversary",
-    "online_to_batch",
     "random_sign_expectation",
     "weighted_project",
 ]

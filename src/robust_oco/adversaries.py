@@ -44,7 +44,7 @@ class AdversarySpec:
         if self.kind not in ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         if self.T < 1 or self.k < 0 or self.dim < 1:
-            raise ValueError("T must be >= 1, k and dim nonnegative")
+            raise ValueError("T must be >= 1, k nonnegative and dim at least 1")
 
 
 class Adversary(ABC):
@@ -195,9 +195,6 @@ class DROReweightAdversary(Adversary):
 
     def loss_gap(self, w, u):
         return self._base.loss_gap(w, u)
-
-    def tv_to_uniform(self) -> float:
-        return 0.5 * float(np.abs(self.weights - 1.0 / len(self.weights)).sum())
 
 
 def random_sign_expectation(T: int) -> float:

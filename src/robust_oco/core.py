@@ -200,18 +200,18 @@ class RegretLedger:
 
     def update(
         self,
-        w: np.ndarray,
+        diff: np.ndarray,
         g_true: np.ndarray,
         g_observed: np.ndarray,
         loss_gap: float | None = None,
     ) -> None:
-        u = self.comparator
-        if w.shape != u.shape or g_true.shape != u.shape or g_observed.shape != u.shape:
+        """Account one round; diff is the played point minus the comparator."""
+        shape = self.comparator.shape
+        if diff.shape != shape or g_true.shape != shape or g_observed.shape != shape:
             raise ValueError(
-                f"dimension mismatch: w {w.shape}, g {g_true.shape}, "
-                f"g_obs {g_observed.shape}, comparator {u.shape}"
+                f"dimension mismatch: w - u {diff.shape}, g {g_true.shape}, "
+                f"g_obs {g_observed.shape}, comparator {shape}"
             )
-        diff = w - u
         # a non-finite increment makes its total non-finite too
         true_total = self.true_regret_linear + dot(g_true, diff)
         observed_total = self.observed_regret_linear + dot(g_observed, diff)
@@ -229,11 +229,14 @@ class RegretLedger:
 class OnlineLearner(ABC):
     """predict/observe state machine shared by every learner in this package.
 
-    predict() is deterministic given the observe history and may be called
-    repeatedly; the first prediction is always the origin. observe() consumes
-    one (gradient, hint) pair, where the hint is the magnitude bound the
-    caller promises for the next round's gradient. There is no reset: a
-    fresh run builds a fresh learner.
+    predict() is deterministic given the observe history and safe to call
+    repeatedly; the first prediction is always the origin. The returned array
+    may be the learner's own iterate, not a copy: observe() replaces the
+    iterate with a new array and never writes into the old one, and callers
+    must not write into it either. observe() consumes one (gradient, hint)
+    pair, where the hint is the magnitude bound the caller promises for the
+    next round's gradient. There is no reset: a fresh run builds a fresh
+    learner.
     """
 
     @abstractmethod

@@ -182,21 +182,11 @@ class EpigraphLearner(OnlineLearner):
         self._played = weighted_project(self._hat, self.h, self.gamma)
 
     def predict(self) -> np.ndarray:
-        return self._played.w.copy()
+        return self._played.w
 
-    def played_point(self) -> EpigraphPoint:
-        """The feasible lifted point backing the current prediction."""
-        return self._played
-
-    def observe(
-        self,
-        gradient: np.ndarray,
-        hint: float,
-        alpha_t: float = 0.0,
-        beta_t: float = 0.0,
-    ) -> None:
+    def observe(self, gradient: np.ndarray, hint: float, a_t: float = 0.0) -> None:
+        """Consume one round; a_t is its quadratic penalty weight, at most gamma."""
         g = as_vector(gradient, self.dim)
-        a_t = alpha_t + beta_t
         if a_t > self.gamma * (1.0 + 1e-12):
             raise ValueError(f"penalty weight {a_t} exceeds gamma {self.gamma}")
         delta_w, delta_y = correction_direction(

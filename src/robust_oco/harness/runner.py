@@ -97,12 +97,14 @@ class KTPlayer(KTBettor):
         self.decomposition = DecompositionLedger(comparator=comparator)
 
     def round(self, g_tilde, g_true=None, loss_gap=None) -> RoundRecord:
-        w = self.predict()
-        self.regret.update(w, g_true, g_tilde, loss_gap)
+        # w - u broadcasts over a comparator of another dimension; the
+        # ledger rejects it by shape
+        self.regret.update(
+            self.predict() - self.regret.comparator, g_true, g_tilde, loss_gap
+        )
         self.observe(g_tilde, 1.0)
         return RoundRecord(
-            t=self.t, w=w, g_clipped_norm=norm(g_tilde), h=0.0,
-            z=0.0, alpha_t=0.0, beta_t=0.0,
+            g_clipped_norm=norm(g_tilde), h=0.0, z=0.0, alpha_t=0.0, beta_t=0.0,
         )
 
 
@@ -149,7 +151,7 @@ def run_experiment(
                     regret.true_regret_linear, regret.observed_regret_linear,
                 ]
             )
-    except (NonFiniteError, SolverError) as exc:
+    except (NonFiniteError, SolverError, ValueError) as exc:
         # same type, so callers and the benchmark still classify the failure
         raise type(exc)(f"run aborted at round {len(rows) + 1}: {exc}") from exc
     wall = time.perf_counter() - started

@@ -249,7 +249,7 @@ class MirrorDescentLearner(OnlineLearner):
         return a
 
     def predict(self) -> np.ndarray:
-        return self.w.copy()
+        return self.w
 
     def observe(self, gradient: np.ndarray, hint: float) -> None:
         g = as_vector(gradient, self.dim)

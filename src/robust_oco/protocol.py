@@ -6,7 +6,8 @@ ledgers. Two wirings exist: a constant threshold equal to a known gradient
 bound with the mirror descent learner, and the adaptive filter + tracker +
 epigraph stack when no bound is known. The protocol validates its config,
 refuses the gradient bound in the unknown-bound modes, and applies the
-standard parameter presets of both wirings as it builds its parts.
+standard parameter presets of both wirings as it builds its parts, among
+them the penalty exponent p = ln T.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class ProtocolConfig:
     k: int = 0
     G: float | None = None
     tau_G: float = 1.0
-    p: float | None = None
     dim: int = 1
 
 
@@ -75,8 +75,6 @@ class DecompositionLedger:
 
 
 class RoundRecord(NamedTuple):
-    t: int
-    w: np.ndarray
     g_clipped_norm: float
     h: float
     z: float
@@ -94,10 +92,10 @@ class RobustProtocol:
         if config.T < 3:
             raise ValueError("horizon T must be at least 3")
         if epsilon <= 0 or k < 0 or config.dim < 1:
-            raise ValueError("epsilon must be positive, k and dim nonnegative")
+            raise ValueError("epsilon must be positive, k nonnegative and dim at least 1")
         self.config = config
         self.G = config.G  # None in the unknown-bound modes
-        p = config.p if config.p is not None else math.log(config.T)
+        p = math.log(config.T)
         if mode == "known_g":
             if self.G is None or self.G <= 0:
                 raise ValueError("known_g mode requires a positive G")
@@ -163,31 +161,30 @@ class RobustProtocol:
             g_clipped, h_next, filter_doubled = self.filter.step(g_tilde)
             z_next, tracker_doubled = self.tracker.step(w_norm)
             alpha_t, beta_t = self.weights.step(filter_doubled, tracker_doubled)
-            self.learner.observe(g_clipped, h_next, alpha_t=alpha_t, beta_t=beta_t)
+            a_t = alpha_t + beta_t
+            self.learner.observe(g_clipped, h_next, a_t)
         else:
             h_t = self.G
             g_clipped = clip_gradient(g_tilde, h_t)
-            z_next, alpha_t, beta_t = 0.0, 0.0, 0.0
+            z_next, alpha_t, beta_t, a_t = 0.0, 0.0, 0.0, 0.0
             self.learner.observe(g_clipped, h_t)
 
-        self._update_ledgers(
-            w, w_norm, g_tilde, g_clipped, alpha_t + beta_t, g_true, loss_gap
-        )
+        self._update_ledgers(w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap)
         ensure_finite(self.learner.predict(), f"iterate after round {self.t}")
         return RoundRecord(
-            t=self.t, w=w, g_clipped_norm=norm(g_clipped), h=h_t,
+            g_clipped_norm=norm(g_clipped), h=h_t,
             z=z_next, alpha_t=alpha_t, beta_t=beta_t,
         )
 
     def _update_ledgers(self, w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap) -> None:
-        u = self.comparator
         u_norm = self._comparator_norm
         self._ledger_reg.advance(w_norm)
         r_w = self._ledger_reg.evaluate(w_norm) + a_t * w_norm * w_norm
         r_u = self._ledger_reg.evaluate(u_norm) + a_t * u_norm * u_norm
 
         d = self.decomposition
-        d.composite_term += dot(g_clipped, w - u) + r_w - r_u
+        diff = w - self.comparator
+        d.composite_term += dot(g_clipped, diff) + r_w - r_u
         d.correction_term += r_w
         d.bias_reg_sum += r_u
         if g_true is not None:
@@ -195,7 +192,7 @@ class RobustProtocol:
             dg = g_true - g_clipped
             d.error_term += dot(dg, w)
             d._bias_grad_accum += dg
-            self.regret.update(w, g_true, g_tilde, loss_gap)
+            self.regret.update(diff, g_true, g_tilde, loss_gap)
 
     def decomposition_gap(self) -> float:
         """Relative gap between the ledger identity and the measured regret."""
@@ -204,10 +201,3 @@ class RobustProtocol:
             1.0, abs(target)
         )
 
-
-def online_to_batch(iterates) -> np.ndarray:
-    """Uniform average of an iterate trace (the stochastic-optimization point)."""
-    trace = [as_vector(x) for x in iterates]
-    if not trace:
-        raise ValueError("online_to_batch requires a nonempty trace")
-    return np.mean(np.stack(trace, axis=0), axis=0)

@@ -21,9 +21,7 @@ _FLOAT_MIN = sys.float_info.min  # smallest normal double
 class HuberRegularizer:
     """Running state (S_t, previous iterate norm) of the composite penalty.
 
-    S is kept canonically as log_S and mirrored in raw form when it fits in a
-    double; all formulas read log_S, so the raw mirror is display-only once
-    p >= 20 or the sum overflows.
+    S is kept as log_S only: a sum of p-th powers soon leaves float range.
     """
 
     c: float
@@ -41,13 +39,6 @@ class HuberRegularizer:
         if self.alpha <= 0:
             raise ValueError("offset alpha must be positive")
         self.log_S = self.p * math.log(self.alpha)
-
-    @property
-    def S(self) -> float:
-        try:
-            return math.exp(self.log_S)
-        except OverflowError:
-            return math.inf
 
     def advance(self, w_next_norm: float) -> None:
         """Fold the next iterate norm into S and remember it for sigma."""
@@ -75,20 +66,12 @@ class HuberRegularizer:
             return c * lin * knot * math.exp(-log_denom)
         return c * lin * math.exp((p - 1.0) * math.log(wt) - log_denom)
 
-    def radial_subgradient(self, x: float) -> float:
-        """Norm of the next round's penalty subgradient at radius x.
-
-        Equals c*p*x^(p-1) / (S + x^p)^(1-1/p): monotone nondecreasing in x
-        and bounded above by c*p.
-        """
-        if x < 0:
-            raise ValueError("radius must be nonnegative")
-        if self.c == 0.0 or x == 0.0:
-            return 0.0
-        return self.radial_subgradient_log(math.log(x))[0]
-
     def radial_subgradient_log(self, log_x: float) -> tuple[float, float]:
-        """radial_subgradient at x = e^log_x, for x too big to hold, and its slope in log x."""
+        """Next round's penalty subgradient norm at radius x = e^log_x, and its slope in log x.
+
+        The norm is c*p*x^(p-1) / (S + x^p)^(1-1/p): monotone nondecreasing
+        in x and bounded above by c*p. Taking log x lets x exceed float range.
+        """
         if self.c == 0.0:
             return 0.0, 0.0
         p, log_S = self.p, self.log_S

@@ -308,7 +308,7 @@ class TestRegretLedger:
     def test_comparator_identity(self):
         u = np.array([1.5, -2.0])
         led = RegretLedger(comparator=u)
-        led.update(u, np.array([3.0, 4.0]), np.array([3.0, 4.0]))
+        led.update(u - u, np.array([3.0, 4.0]), np.array([3.0, 4.0]))
         assert led.true_regret_linear == 0.0
 
     def test_orthogonality(self):
@@ -331,7 +331,7 @@ class TestRegretLedger:
                 w = np.array([rng.uniform(-5, 5)])
                 g = np.array([1.0 if w[0] > 1.0 else -1.0])
                 gap = abs(w[0] - 1.0) - abs(u[0] - 1.0)
-                led.update(w, g, g, loss_gap=gap)
+                led.update(w - u, g, g, loss_gap=gap)
             assert led.loss_regret <= led.true_regret_linear + 1e-9
 
 

@@ -186,7 +186,11 @@ class TestEpigraphLearner:
         rng = np.random.default_rng(47)
         learner = self.make(T=10_000)
         for t in range(10_000):
-            pt = learner.played_point()
+            hat = EpigraphPoint(
+                learner.learner_w.predict(), float(learner.learner_y.predict()[0])
+            )
+            pt = weighted_project(hat, learner.h, learner.gamma)
+            assert np.array_equal(pt.w, learner.predict())
             assert pt.y >= float(pt.w @ pt.w)
             learner.observe(np.array([rng.uniform(-1, 1)]), 1.0)
 
@@ -198,18 +202,18 @@ class TestEpigraphLearner:
             hat = EpigraphPoint(
                 learner.learner_w.predict(), float(learner.learner_y.predict()[0])
             )
-            proj = learner.played_point()
+            proj = weighted_project(hat, learner.h, gamma)
             g = np.array([rng.uniform(-1, 1)])
             a_t = float(rng.uniform(0, gamma))
             dw, dy = correction_direction(hat, proj, learner.h, gamma, g, a_t)
             assert norm(0.5 * (g + dw)) <= 1.5 * learner.h * (1 + 1e-12)
             assert abs(0.5 * (a_t + dy)) <= 1.5 * gamma * (1 + 1e-12)
-            learner.observe(g, 1.0, alpha_t=a_t, beta_t=0.0)
+            learner.observe(g, 1.0, a_t)
 
     def test_penalty_weight_above_gamma_rejected(self):
         learner = self.make(gamma=1.0)
         with pytest.raises(ValueError):
-            learner.observe(np.zeros(1), 1.0, alpha_t=0.8, beta_t=0.4)
+            learner.observe(np.zeros(1), 1.0, 0.8 + 0.4)
 
     def test_composite_regret_envelope(self):
         # composite regret on uncorrupted streams, normalized by

@@ -51,6 +51,16 @@ def reweight_config():
     )
 
 
+def kt_reweight_config():
+    """The KT baseline on a reweighted stream whose observed gradients exceed 1."""
+    return ExperimentConfig(
+        algorithm="kt_bettor",
+        adversary=AdversarySpec(kind="dro_reweight", T=200, k=20, seed=0),
+        protocol=ProtocolConfig(mode="known_g", T=200, k=20),
+        comparator=(1.0,),
+    )
+
+
 def assert_golden(tmp_path, config, seed, golden):
     run_experiment(config, seed=seed, out_dir=tmp_path)
     stem = f"{config.algorithm}_{config.adversary.kind}_seed{seed}"
@@ -170,6 +180,22 @@ class TestRunExperiment:
             run_experiment(figure_config(), seed=0)
         assert isinstance(info.value.__cause__, SolverError)
         assert str(info.value.__cause__) == "link inversion did not converge"
+
+    def test_rejected_gradient_names_its_round(self):
+        # the reweighted stream's 15th observed gradient breaks the KT
+        # bettor's |g| <= 1 contract
+        with pytest.raises(
+            ValueError, match=r"run aborted at round 15: KT bettor requires \|g\| <= 1"
+        ) as info:
+            run_experiment(kt_reweight_config(), seed=0)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__).startswith("KT bettor requires")
+
+    def test_kt_comparator_of_another_dimension_rejected(self):
+        cfg = figure_config(algorithm="kt_bettor")
+        cfg.comparator = (1.0, 2.0)
+        with pytest.raises(ValueError, match="run aborted at round 1: dimension mismatch"):
+            run_experiment(cfg, seed=0)
 
     def test_trace_bytes_of_each_value_type(self, tmp_path):
         trace = ExperimentTrace(
@@ -315,13 +341,15 @@ class TestCLI:
              ("[protocol] T", "50")),
             ("run", lambda text: text.replace("mode = known_g", "mode = unknown_g_case2"),
              ("[protocol] mode", "'unknown_g_case2'")),
-            ("run", lambda text: text.replace("p = none\ndim = 1", "p = none\ndim = 2"),
+            ("run", lambda text: text.replace("tau_G = 1.0\ndim = 1", "tau_G = 1.0\ndim = 2"),
              ("[protocol] dim", "[adversary] dim")),
+            ("run", lambda text: text.replace("tau_G = 1.0\n", "tau_G = 1.0\np = 2.0\n"),
+             ("[protocol]", "'p'")),
         ],
         ids=["missing_T", "misspelled_window_start", "misspelled_section",
              "misspelled_workers", "misspelled_algorithm",
              "misspelled_experiment_algorithm", "protocol_T_disagrees",
-             "protocol_mode_disagrees", "protocol_dim_disagrees"],
+             "protocol_mode_disagrees", "protocol_dim_disagrees", "protocol_p"],
     )
     def test_bad_key_is_usage_error_naming_it(self, tmp_path, capsys, command,
                                               edit, named):

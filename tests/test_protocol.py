@@ -7,12 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_oco.core import NonFiniteError
-from robust_oco.mirror_descent import SolverError
-from robust_oco.protocol import (
-    ProtocolConfig,
-    RobustProtocol,
-    online_to_batch,
-)
+from robust_oco.epigraph import EpigraphPoint, weighted_project
+from robust_oco.mirror_descent import MirrorDescentLearner, SolverError
+from robust_oco.protocol import ProtocolConfig, RobustProtocol
 
 # how each layer names itself in the errors it raises
 LAYER_MESSAGE = re.compile(
@@ -99,8 +96,9 @@ class TestPresets:
                 RobustProtocol(ProtocolConfig(mode=mode, T=100, k=5, G=1.0))
 
     def test_streaming_power_default(self):
-        cfg = ProtocolConfig(mode="known_g", T=100, k=1, G=1.0, p=math.log(1e6))
-        assert math.isclose(_penalty(RobustProtocol(cfg)).p, math.log(1e6))
+        # a learner built without a horizon falls back to p = ln(1e6)
+        learner = MirrorDescentLearner(1, epsilon=1.0, initial_hint=1.0, c=1.0)
+        assert math.isclose(learner.reg.p, math.log(1e6))
 
 
 class _PoisonedBound:
@@ -191,7 +189,12 @@ class TestProtocolRound:
         g = np.array([-1.0])
         for _ in range(4900):
             protocol.round(g)
-        point = protocol.learner.played_point()
+        learner = protocol.learner
+        hat = EpigraphPoint(
+            learner.learner_w.predict(), float(learner.learner_y.predict()[0])
+        )
+        point = weighted_project(hat, learner.h, learner.gamma)
+        assert np.array_equal(point.w, protocol.predict())
         assert protocol.t == 4900
         assert point.y >= float(point.w @ point.w) and point.w[0] > 0
 
@@ -268,25 +271,6 @@ class TestStochasticOptimizationEndToEnd:
             iterates.append(w)
             g = np.array([1.0 if w[0] > target else -1.0])
             protocol.round(-g if t in corrupt else g, g_true=g)
-        gap = abs(online_to_batch(iterates)[0] - target)
+        gap = abs(np.mean(iterates, axis=0)[0] - target)
         assert gap <= 0.05
 
-
-class TestOnlineToBatch:
-    def test_arithmetic_mean(self):
-        avg = online_to_batch([np.array([0.0]), np.array([1.0]), np.array([2.0])])
-        assert np.array_equal(avg, [1.0])
-
-    def test_constant_trace(self):
-        avg = online_to_batch([np.array([3.0, -1.0])] * 7)
-        assert np.array_equal(avg, [3.0, -1.0])
-
-    def test_coordinatewise_means(self):
-        rng = np.random.default_rng(6)
-        pts = [rng.standard_normal(3) for _ in range(11)]
-        avg = online_to_batch(pts)
-        assert np.allclose(avg, np.mean(pts, axis=0))
-
-    def test_empty_trace_is_error(self):
-        with pytest.raises(ValueError):
-            online_to_batch([])

@@ -16,31 +16,41 @@ def make_state(c=1.0, p=2.0, alpha=1.0, norms=()):
     return reg
 
 
+def S(reg):
+    """The running power sum, from the log_S the formulas read."""
+    return math.exp(reg.log_S)
+
+
+def subgradient(reg, x):
+    """The penalty subgradient norm at radius x > 0, as the link evaluates it."""
+    return reg.radial_subgradient_log(math.log(x))[0]
+
+
 class TestAdvance:
     def test_fresh_state_holds_offset_power(self):
         reg = make_state(alpha=1.0, p=2.0, norms=[0.0])
-        assert math.isclose(reg.S, 1.0)
+        assert math.isclose(S(reg), 1.0)
 
     def test_accumulates_powers(self):
         reg = make_state(alpha=1.0, p=2.0, norms=[2.0, 3.0])
-        assert math.isclose(reg.S, 1.0 + 4.0 + 9.0)
+        assert math.isclose(S(reg), 1.0 + 4.0 + 9.0)
 
     def test_zero_norm_is_noop_on_sum(self):
         reg = make_state(alpha=1.0, p=2.0, norms=[2.0])
-        s = reg.S
+        s = S(reg)
         reg.advance(0.0)
-        assert reg.S == s
+        assert S(reg) == s
         assert reg.last_iterate_norm == 0.0
 
     def test_sum_nondecreasing_and_floored_at_offset_power(self):
         rng = np.random.default_rng(0)
         reg = make_state(alpha=0.5, p=3.0, norms=[0.1])
-        prev = reg.S
+        prev = S(reg)
         for n in rng.uniform(0, 2, 100):
             reg.advance(float(n))
-            assert reg.S >= prev
-            assert reg.S >= 0.5**3
-            prev = reg.S
+            assert S(reg) >= prev
+            assert S(reg) >= 0.5**3
+            prev = S(reg)
 
 
 class TestEvaluate:
@@ -61,7 +71,7 @@ class TestEvaluate:
         above = reg.evaluate(wt * (1 + 1e-9))
         assert math.isclose(below, at, rel_tol=1e-6)
         assert math.isclose(above, at, rel_tol=1e-6)
-        assert math.isclose(at, 1.5 * wt**3.0 / reg.S ** (1 - 1 / 3.0), rel_tol=1e-12)
+        assert math.isclose(at, 1.5 * wt**3.0 / S(reg) ** (1 - 1 / 3.0), rel_tol=1e-12)
 
     def test_requires_one_advance(self):
         reg = make_state()
@@ -84,31 +94,27 @@ class TestEvaluate:
         # beyond the knot the slope is exactly c*p*||w_t||^(p-1)/S^(1-1/p)
         reg = make_state(c=2.0, p=3.0, alpha=0.5, norms=[0.6, 1.1])
         wt = reg.last_iterate_norm
-        slope_bound = 2.0 * 3.0 * wt ** 2.0 / reg.S ** (1 - 1 / 3.0)
+        slope_bound = 2.0 * 3.0 * wt ** 2.0 / S(reg) ** (1 - 1 / 3.0)
         x = 2.0
         fd = (reg.evaluate(x + 1e-6) - reg.evaluate(x)) / 1e-6
         assert fd <= slope_bound * (1 + 1e-6)
 
 
 class TestRadialSubgradient:
-    def test_zero_at_origin_for_p_above_one(self):
-        reg = make_state(c=1.0, p=2.5, alpha=1.0)
-        assert reg.radial_subgradient(0.0) == 0.0
-
     def test_constant_for_p_one(self):
         reg = make_state(c=3.0, p=1.0, alpha=1.0)
         for x in (0.1, 1.0, 50.0):
-            assert math.isclose(reg.radial_subgradient(x), 3.0, rel_tol=1e-12)
+            assert math.isclose(subgradient(reg, x), 3.0, rel_tol=1e-12)
 
     def test_closed_form_value(self):
         # c=1, p=2, S=1, x=1 -> 2 / sqrt(2)
         reg = make_state(c=1.0, p=2.0, alpha=1.0)
-        assert math.isclose(reg.radial_subgradient(1.0), math.sqrt(2.0), rel_tol=1e-12)
+        assert math.isclose(subgradient(reg, 1.0), math.sqrt(2.0), rel_tol=1e-12)
 
     def test_monotone_and_bounded(self):
         reg = make_state(c=2.0, p=4.0, alpha=0.5, norms=[1.0, 3.0])
-        xs = np.linspace(0, 50, 500)
-        vals = [reg.radial_subgradient(float(x)) for x in xs]
+        xs = np.linspace(0, 50, 500)[1:]
+        vals = [subgradient(reg, float(x)) for x in xs]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         assert all(v <= 2.0 * 4.0 + 1e-12 for v in vals)
 
@@ -125,7 +131,7 @@ class TestRadialSubgradient:
             return (reg2.evaluate(x + h) - reg2.evaluate(x - h)) / (2 * h)
 
         fd = 2.0 * central(5e-7) - central(1e-6)
-        assert math.isclose(fd, reg.radial_subgradient(x), rel_tol=1e-6)
+        assert math.isclose(fd, subgradient(reg, x), rel_tol=1e-6)
 
 
 class TestRadialSubgradientInverse:
@@ -158,7 +164,7 @@ class TestRadialSubgradientInverse:
     def test_round_trip(self, c, p, alpha, log_x):
         reg = make_state(c=c, p=p, alpha=alpha, norms=[0.5, 1.5])
         x = math.exp(log_x)
-        y = reg.radial_subgradient(x)
+        y = subgradient(reg, x)
         if y >= c * p * (1.0 - 1e-5):
             return  # within float epsilon of the asymptote the map is singular
         back = reg.radial_subgradient_inverse(y)
@@ -193,7 +199,7 @@ class TestAgainstNaiveFormulas:
         reg = make_state(c=c, p=p, alpha=alpha, norms=[0.5, 2.0])
         S = alpha**p + 0.5**p + 2.0**p
         direct = c * p * x ** (p - 1) / (S + x**p) ** (1 - 1 / p)
-        assert math.isclose(reg.radial_subgradient(x), direct, rel_tol=1e-12)
+        assert math.isclose(subgradient(reg, x), direct, rel_tol=1e-12)
 
 
 class TestSumBounds:
