@@ -36,6 +36,17 @@ class NonFiniteError(RuntimeError):
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-d float64 array, optionally checking dimension."""
+    return as_vector_norm(x, dim)[0]
+
+
+def as_vector_norm(x, dim: int | None = None) -> tuple[np.ndarray, float]:
+    """as_vector(x, dim) and its norm, from one reduction.
+
+    A finite norm proves every entry finite; only a non-finite one (a NaN or
+    Inf entry, or a finite vector whose norm overflows) runs the entrywise
+    ensure_finite, which raises for the first and passes the second, whose
+    norm is then inf.
+    """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim == 0:
         v = v.reshape(1)
@@ -43,8 +54,10 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
     if dim is not None and v.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")
-    ensure_finite(v, "vector input")
-    return v
+    n = norm(v)
+    if not math.isfinite(n):
+        ensure_finite(v, "vector input")
+    return v, n
 
 
 def ensure_finite(x, context: str) -> None:
@@ -109,11 +122,12 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b))
 
 
-def clip_gradient(g_tilde: np.ndarray, h: float) -> np.ndarray:
-    """Rescale g_tilde to norm at most h, preserving direction.
+def clip_gradient(g_tilde: np.ndarray, h: float, g_norm: float) -> np.ndarray:
+    """Rescale g_tilde, whose norm is g_norm, to norm at most h, preserving direction.
 
-    An input of norm at most h, the zero vector included, is returned
-    itself, not a copy, so a caller can tell a pass from a clip by identity.
+    g_norm must be norm(g_tilde), which the caller already has. An input of
+    norm at most h, the zero vector included, is returned itself, not a
+    copy, so a caller can tell a pass from a clip by identity.
     When the scale h/n would underflow, or the norm n of a finite input
     overflows, the direction is normalised by the largest magnitude first,
     so the result still has norm h, not 0.
@@ -123,7 +137,7 @@ def clip_gradient(g_tilde: np.ndarray, h: float) -> np.ndarray:
     """
     if h <= 0:
         raise ValueError(f"clipping threshold must be positive, got {h}")
-    n = norm(g_tilde)
+    n = g_norm
     if n <= h:
         return g_tilde
     scale = h / n

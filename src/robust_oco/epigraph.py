@@ -128,6 +128,8 @@ def correction_direction(
     of the fed pair (g_clipped, a_t). An interior prediction is its own
     projection, so its displacement, and with it the correction, is zero.
     """
+    if proj is hat:  # weighted_project returns an interior point itself
+        return np.zeros_like(hat.w), 0.0
     dw = hat.w - proj.w
     dy = hat.y - proj.y
     dist2 = h * h * dot(dw, dw) + gamma * gamma * dy * dy
@@ -156,7 +158,7 @@ class EpigraphLearner(OnlineLearner):
         gamma: float,
         tau_G: float,
         c: float,
-        p: float | None = None,
+        p: float,
         alpha: float = 1.0,
     ):
         if gamma <= 0:
@@ -168,8 +170,9 @@ class EpigraphLearner(OnlineLearner):
         self.learner_w = MirrorDescentLearner(
             dim, epsilon, initial_hint=2.0 * tau_G, c=c, p=p, alpha=alpha
         )
+        # c = 0 disables the scalar side's penalty, so its exponent is never read
         self.learner_y = MirrorDescentLearner(
-            1, epsilon, initial_hint=1.5 * gamma, c=0.0, p=p, alpha=1.0
+            1, epsilon, initial_hint=1.5 * gamma, c=0.0, p=1.0, alpha=1.0
         )
         self.h = tau_G
         self._project()

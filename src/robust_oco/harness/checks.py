@@ -68,8 +68,9 @@ def check_filter_lemma(streams: int = 1000, seed: int = 2024) -> CheckReport:
             else:
                 g_tilde = g
             h_t = f.h
-            out, h_next, _ = f.step(g_tilde)
-            trace.append((norm(g_tilde), norm(out), h_t, h_next))
+            g_norm = norm(g_tilde)
+            out, h_next, _ = f.step(g_tilde, g_norm)
+            trace.append((g_norm, norm(out), h_t, h_next))
         ok, violated = check_filter_properties(trace, tau_G=tau_G, k=k, G=G)
         if not ok:
             failures += 1

@@ -46,6 +46,9 @@ def trace_columns(dim: int) -> list[str]:
     )
 
 
+_INT_COLUMNS = ("t", "corrupted")
+
+
 def _fmt(x) -> str:
     if type(x) is float:  # nearly every trace value
         return format(x, ".17g")
@@ -62,10 +65,19 @@ class ExperimentTrace:
 
     def write(self, trace_path: Path, summary_path: Path) -> None:
         trace_path.parent.mkdir(parents=True, exist_ok=True)
+        # one % per row where every value has its column's usual type (int
+        # for t and corrupted, float elsewhere), with the bytes _fmt gives
+        # such a value; any other row is formatted value by value with _fmt
+        is_int = [c in _INT_COLUMNS for c in self.columns]
+        usual = tuple(int if i else float for i in is_int)
+        line = ",".join("%d" if i else "%.17g" for i in is_int) + "\r\n"
         with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            writer.writerows([_fmt(x) for x in row] for row in self.rows)
+            csv.writer(fh).writerow(self.columns)
+            fh.writelines(
+                line % tuple(row) if tuple(map(type, row)) == usual
+                else ",".join(map(_fmt, row)) + "\r\n"
+                for row in self.rows
+            )
         with open(summary_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(list(self.summary.keys()))
@@ -97,14 +109,17 @@ class KTPlayer(KTBettor):
         self.decomposition = DecompositionLedger(comparator=comparator)
 
     def round(self, g_tilde, g_true=None, loss_gap=None) -> RoundRecord:
+        w = self.w  # the played scalar; its norm is |w|
         # w - u broadcasts over a comparator of another dimension; the
         # ledger rejects it by shape
         self.regret.update(
             self.predict() - self.regret.comparator, g_true, g_tilde, loss_gap
         )
         self.observe(g_tilde, 1.0)
+        g_tilde_norm = norm(g_tilde)
         return RoundRecord(
-            g_clipped_norm=norm(g_tilde), h=0.0, z=0.0, alpha_t=0.0, beta_t=0.0,
+            w_norm=abs(w), g_norm=norm(g_true), g_tilde_norm=g_tilde_norm,
+            g_clipped_norm=g_tilde_norm, h=0.0, z=0.0, alpha_t=0.0, beta_t=0.0,
         )
 
 
@@ -142,10 +157,10 @@ def run_experiment(
             loss_gap = adversary.loss_gap(w, comparator)
             corrupted = budget.update(g_true, g_tilde)
             rec = player.round(g_tilde, g_true=g_true, loss_gap=loss_gap)
-            point = w.tolist() if dim <= 3 else [norm(w)]
+            point = w.tolist() if dim <= 3 else [rec.w_norm]
             rows.append(
                 [t] + point + [
-                    norm(g_true), norm(g_tilde), rec.g_clipped_norm,
+                    rec.g_norm, rec.g_tilde_norm, rec.g_clipped_norm,
                     rec.h, rec.z, rec.alpha_t, rec.beta_t,
                     int(corrupted),
                     regret.true_regret_linear, regret.observed_regret_linear,

@@ -19,10 +19,8 @@ import sys
 
 import numpy as np
 
-from .core import OnlineLearner, as_vector, ensure_finite, norm
+from .core import OnlineLearner, as_vector_norm, ensure_finite, norm
 from .regularizer import HuberRegularizer
-
-DEFAULT_POWER = math.log(1e6)  # fallback exponent when no horizon is declared
 
 _SOLVE_RTOL = 1e-9
 _SOLVE_UTOL = 1e-10  # bound on the estimated error in log radius
@@ -211,7 +209,8 @@ class MirrorDescentLearner(OnlineLearner):
         epsilon: float,
         initial_hint: float,
         c: float = 0.0,
-        p: float | None = None,
+        *,
+        p: float,
         alpha: float = 1.0,
     ):
         if epsilon <= 0:
@@ -220,9 +219,7 @@ class MirrorDescentLearner(OnlineLearner):
             raise ValueError("initial hint must be positive")
         self.dim = dim
         self.epsilon = epsilon
-        self.reg = HuberRegularizer(
-            c=c, p=p if p is not None else DEFAULT_POWER, alpha=alpha
-        )
+        self.reg = HuberRegularizer(c=c, p=p, alpha=alpha)
         self.w = np.zeros(dim)
         self.mirror_grad = np.zeros(dim)  # mirror-map gradient at w
         self.h = initial_hint
@@ -252,10 +249,9 @@ class MirrorDescentLearner(OnlineLearner):
         return self.w
 
     def observe(self, gradient: np.ndarray, hint: float) -> None:
-        g = as_vector(gradient, self.dim)
         # from the exact norm: no overflow warning, and g_norm * g_norm is
         # bit-identical to the squared entry at d = 1
-        g_norm = norm(g)
+        g, g_norm = as_vector_norm(gradient, self.dim)
         g2 = g_norm * g_norm
         if g2 > (self.h * self.h) * (1.0 + 1e-9) + 1e-300:
             raise ValueError(

@@ -18,7 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RegretLedger, as_vector, clip_gradient, dot, ensure_finite, norm
+from .core import (
+    RegretLedger, as_vector, as_vector_norm, clip_gradient, dot, ensure_finite, norm,
+)
 from .epigraph import EpigraphLearner, QuadWeights
 from .mirror_descent import MirrorDescentLearner
 from .regularizer import HuberRegularizer
@@ -75,6 +77,14 @@ class DecompositionLedger:
 
 
 class RoundRecord(NamedTuple):
+    """One round's scalars: the norms of its played iterate and gradients.
+
+    g_norm is None when the round was given no true gradient.
+    """
+
+    w_norm: float
+    g_norm: float | None
+    g_tilde_norm: float
     g_clipped_norm: float
     h: float
     z: float
@@ -137,6 +147,9 @@ class RobustProtocol:
             else as_vector(comparator, config.dim)
         )
         self._comparator_norm = norm(self.comparator)
+        # the norm of the iterate to play next, kept from the check after
+        # each round
+        self._w_norm = norm(self.learner.predict())
         self.regret = RegretLedger(comparator=self.comparator)
         self.decomposition = DecompositionLedger(comparator=self.comparator)
         self.t = 0
@@ -151,32 +164,40 @@ class RobustProtocol:
         regret ledger and the error/bias sides of the decomposition track the
         true-gradient quantities.
         """
-        g_tilde = as_vector(g_tilde, self.config.dim)
+        g_tilde, g_tilde_norm = as_vector_norm(g_tilde, self.config.dim)
         w = self.learner.predict()
-        w_norm = norm(w)
+        w_norm = self._w_norm
         self.t += 1
 
         if self.filter is not None:
             h_t = self.filter.h
-            g_clipped, h_next, filter_doubled = self.filter.step(g_tilde)
+            g_clipped, h_next, filter_doubled = self.filter.step(g_tilde, g_tilde_norm)
             z_next, tracker_doubled = self.tracker.step(w_norm)
             alpha_t, beta_t = self.weights.step(filter_doubled, tracker_doubled)
             a_t = alpha_t + beta_t
             self.learner.observe(g_clipped, h_next, a_t)
         else:
             h_t = self.G
-            g_clipped = clip_gradient(g_tilde, h_t)
+            g_clipped = clip_gradient(g_tilde, h_t, g_tilde_norm)
             z_next, alpha_t, beta_t, a_t = 0.0, 0.0, 0.0, 0.0
             self.learner.observe(g_clipped, h_t)
 
-        self._update_ledgers(w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap)
-        ensure_finite(self.learner.predict(), f"iterate after round {self.t}")
+        g_norm = self._update_ledgers(w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap)
+        # a finite norm proves the new iterate finite; it is next round's w_norm
+        w_next = self.learner.predict()
+        self._w_norm = norm(w_next)
+        if not math.isfinite(self._w_norm):
+            ensure_finite(w_next, f"iterate after round {self.t}")
         return RoundRecord(
-            g_clipped_norm=norm(g_clipped), h=h_t,
-            z=z_next, alpha_t=alpha_t, beta_t=beta_t,
+            w_norm=w_norm, g_norm=g_norm, g_tilde_norm=g_tilde_norm,
+            g_clipped_norm=g_tilde_norm if g_clipped is g_tilde else norm(g_clipped),
+            h=h_t, z=z_next, alpha_t=alpha_t, beta_t=beta_t,
         )
 
-    def _update_ledgers(self, w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap) -> None:
+    def _update_ledgers(
+        self, w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap
+    ) -> float | None:
+        """Account the round in the ledgers; return the norm of g_true, if given."""
         u_norm = self._comparator_norm
         self._ledger_reg.advance(w_norm)
         r_w = self._ledger_reg.evaluate(w_norm) + a_t * w_norm * w_norm
@@ -187,12 +208,14 @@ class RobustProtocol:
         d.composite_term += dot(g_clipped, diff) + r_w - r_u
         d.correction_term += r_w
         d.bias_reg_sum += r_u
-        if g_true is not None:
-            g_true = as_vector(g_true, self.config.dim)
-            dg = g_true - g_clipped
-            d.error_term += dot(dg, w)
-            d._bias_grad_accum += dg
-            self.regret.update(diff, g_true, g_tilde, loss_gap)
+        if g_true is None:
+            return None
+        g_true, g_norm = as_vector_norm(g_true, self.config.dim)
+        dg = g_true - g_clipped
+        d.error_term += dot(dg, w)
+        d._bias_grad_accum += dg
+        self.regret.update(diff, g_true, g_tilde, loss_gap)
+        return g_norm
 
     def decomposition_gap(self) -> float:
         """Relative gap between the ledger identity and the measured regret."""

@@ -45,13 +45,13 @@ class GradientFilter:
             raise ValueError("initial threshold tau_G must be positive")
         self.h = self.tau_G
 
-    def step(self, g_tilde: np.ndarray) -> tuple[np.ndarray, float, bool]:
-        """Process one observed gradient.
+    def step(self, g_tilde: np.ndarray, g_norm: float) -> tuple[np.ndarray, float, bool]:
+        """Process one observed gradient, whose norm is g_norm.
 
         Returns (clipped gradient, threshold for the next round, doubled flag).
         """
         h_t = self.h
-        clipped = clip_gradient(g_tilde, h_t)
+        clipped = clip_gradient(g_tilde, h_t, g_norm)
         if clipped is g_tilde:
             self.pass_rounds += 1
             return g_tilde, h_t, False

@@ -13,6 +13,7 @@ from robust_oco.core import (
     NonFiniteError,
     RegretLedger,
     as_vector,
+    as_vector_norm,
     clip_gradient,
     dot,
     ensure_finite,
@@ -23,6 +24,11 @@ from robust_oco.core import (
 GATE_DIMS = (1, 2, SMALL_DIM, SMALL_DIM + 1, 256)
 TINY = 2.0**-1074  # smallest subnormal
 ULP = 2.0**-53
+
+
+def clip(g, h):
+    """clip_gradient as its callers use it: with the norm of g."""
+    return clip_gradient(g, h, norm(g))
 
 
 def exact_norm(v) -> float:
@@ -48,20 +54,20 @@ MAGNITUDE_FAMILIES = {
 class TestClip:
     def test_within_threshold_unchanged(self):
         g = np.array([3.0, 4.0])
-        assert np.array_equal(clip_gradient(g, 5.0), g)
+        assert np.array_equal(clip(g, 5.0), g)
 
     def test_rescaled_to_threshold(self):
-        out = clip_gradient(np.array([3.0, 4.0]), 1.0)
+        out = clip(np.array([3.0, 4.0]), 1.0)
         assert np.allclose(out, [0.6, 0.8])
         assert math.isclose(norm(out), 1.0)
 
     def test_zero_vector_guard(self):
-        out = clip_gradient(np.array([0.0, 0.0]), 1.0)
+        out = clip(np.array([0.0, 0.0]), 1.0)
         assert np.array_equal(out, [0.0, 0.0])
 
     def test_requires_positive_threshold(self):
         with pytest.raises(ValueError):
-            clip_gradient(np.array([1.0]), 0.0)
+            clip(np.array([1.0]), 0.0)
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
@@ -69,8 +75,8 @@ class TestClip:
     )
     def test_idempotent(self, coords, h):
         g = np.asarray(coords)
-        once = clip_gradient(g, h)
-        twice = clip_gradient(once, h)
+        once = clip(g, h)
+        twice = clip(once, h)
         assert np.array_equal(once, twice)
 
     def test_contraction_toward_truth(self):
@@ -128,7 +134,7 @@ class TestNormOracle:
     def test_underflow_reproducers_exact(self):
         assert norm(np.array([1e-170])) == 1e-170
         assert norm(np.array([3e-162, 4e-162])) == 5e-162
-        out = clip_gradient(np.array([1e-170]), 1e-300)
+        out = clip(np.array([1e-170]), 1e-300)
         assert 0.0 < norm(out) <= 1e-300
 
     @pytest.mark.parametrize("d", GATE_DIMS)
@@ -147,6 +153,47 @@ class TestNormOracle:
             warnings.simplefilter("error")
             assert norm(np.full(d, 1.7e308)) == math.inf
             assert norm(np.zeros(d)) == 0.0
+
+
+class TestAsVectorNorm:
+    """The fused coercion: as_vector and norm from one reduction."""
+
+    @pytest.mark.parametrize("d", (1, SMALL_DIM, SMALL_DIM + 1, 256))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_as_vector_then_norm(self, d, data):
+        # finite floats of any size, plus log-uniform subnormal and
+        # near-overflow magnitudes
+        scaled = st.builds(
+            lambda e, sign: sign * 2.0**e,
+            st.floats(-1074, 1023.9), st.sampled_from([-1.0, 1.0]),
+        )
+        entries = st.one_of(st.floats(allow_nan=False, allow_infinity=False), scaled)
+        x = data.draw(st.lists(entries, min_size=d, max_size=d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, n = as_vector_norm(x, d)
+            ref = as_vector(x, d)
+            assert v.dtype == np.float64 and np.array_equal(v, ref)
+            assert n.hex() == norm(ref).hex()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("d", (1, SMALL_DIM, SMALL_DIM + 1, 256))
+    def test_non_finite_entry_raises(self, d, bad):
+        x = np.ones(d)
+        x[d // 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="non-finite value in vector input"):
+                as_vector_norm(x)
+
+    @pytest.mark.parametrize("d", (2, SMALL_DIM + 1))
+    def test_finite_norm_past_float_range_is_inf(self, d):
+        x = np.full(d, 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, n = as_vector_norm(x)
+        assert v is x and n == math.inf
 
 
 class TestDot:
@@ -206,7 +253,7 @@ class TestClipInvariant:
                                         min_size=d, max_size=d)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = clip_gradient(g, h)
+            out = clip(g, h)
             assert norm(out) <= h
         # direction is kept: no sign flips, zero entries stay zero
         assert np.all(np.sign(out) * np.sign(g) >= 0)
@@ -219,7 +266,7 @@ class TestClipInvariant:
     def test_extreme_ratio_still_reaches_threshold(self, g, h):
         # the scale h / ||g|| is not representable, yet the clipped vector is
         g = np.array(g)
-        out = clip_gradient(g, h)
+        out = clip(g, h)
         assert h * (1 - 4 * ULP) - TINY <= norm(out) <= h
         u = g / np.max(np.abs(g))
         assert np.allclose(out / h, u / norm(u))
@@ -233,9 +280,9 @@ class TestClipInvariant:
     def test_subnormal_result_terminates(self, g, h):
         # rescaling by h / n leaves these subnormal entries where they are;
         # the clip must still finish within h and stay idempotent
-        out = clip_gradient(np.array(g), h)
+        out = clip(np.array(g), h)
         assert norm(out) <= h
-        assert np.array_equal(clip_gradient(out, h), out)
+        assert np.array_equal(clip(out, h), out)
 
 
 class TestCorruptionLedger:

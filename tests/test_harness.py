@@ -6,7 +6,8 @@ import pytest
 
 from robust_oco import mirror_descent
 
-from robust_oco.adversaries import AdversarySpec
+from robust_oco.adversaries import AdversarySpec, make_adversary
+from robust_oco.core import norm
 from robust_oco.harness.checks import CHECKS, run_check
 from robust_oco.harness.cli import main
 from robust_oco.harness.config import (
@@ -19,6 +20,8 @@ from robust_oco.harness.config import (
 from robust_oco.harness.runner import (
     ExperimentTrace,
     SweepConfig,
+    make_player,
+    resolve_comparator,
     run_experiment,
     run_sweep,
     trace_columns,
@@ -47,6 +50,17 @@ def reweight_config():
         adversary=AdversarySpec(kind="dro_reweight", T=60, k=4, seed=5),
         protocol=ProtocolConfig(mode="unknown_g_case1", T=60, k=8, tau_G=0.5),
         comparator=(0.5,),
+        seeds=(5,),
+    )
+
+
+def highdim_config():
+    """A d = 8 known_g reweighting cell: its trace has the w_norm column."""
+    return ExperimentConfig(
+        algorithm="known_g",
+        adversary=AdversarySpec(kind="dro_reweight", T=60, k=4, seed=5, dim=8),
+        protocol=ProtocolConfig(mode="known_g", T=60, k=8, G=1.0, dim=8),
+        comparator=(0.5, -0.25, 0.0, 1.0, -1.0, 0.25, 0.5, -0.5),
         seeds=(5,),
     )
 
@@ -151,8 +165,9 @@ class TestRunExperiment:
         [
             (figure_config(algorithm="kt_bettor"), 0, "golden_trace_kt_bettor.csv"),
             (reweight_config(), 5, "golden_trace_unknown_g_case1.csv"),
+            (highdim_config(), 5, "golden_trace_highdim.csv"),
         ],
-        ids=["kt_bettor", "unknown_g_case1"],
+        ids=["kt_bettor", "unknown_g_case1", "highdim"],
     )
     def test_golden_trace_of_other_players(self, tmp_path, config, seed, golden):
         assert_golden(tmp_path, config, seed, golden)
@@ -210,6 +225,51 @@ class TestRunExperiment:
         assert (tmp_path / "summary.csv").read_bytes() == (
             b"algorithm,T,x\r\nknown_g,3,0.5\r\n"
         )
+
+    def test_trace_rows_of_unusual_types_keep_their_bytes(self, tmp_path):
+        # the first row has the usual types (int t and corrupted, float
+        # elsewhere); the second has an int h, a bool flag and an int above
+        # 2**53 in a float column, which "%.17g" would round
+        columns = trace_columns(1)
+        rows = [
+            [1, 0.5, 0.25, 0.25, 0.25, 1.0, 0.0, 0.0, 0.0, 0, 0.1, -0.0],
+            [2, 0.5, 0.25, 0.25, 0.25, 1, 0.0, 0.0, 0.0, True, 2**53 + 1, math.nan],
+        ]
+        ExperimentTrace(columns, rows, {}).write(tmp_path / "t.csv", tmp_path / "s.csv")
+        assert (tmp_path / "t.csv").read_bytes() == (
+            ",".join(columns).encode() + b"\r\n"
+            b"1,0.5,0.25,0.25,0.25,1,0,0,0,0,0.10000000000000001,-0\r\n"
+            b"2,0.5,0.25,0.25,0.25,1,0,0,0,1,9007199254740993,nan\r\n"
+        )
+
+    @pytest.mark.parametrize(
+        "algorithm, dim",
+        [("kt_bettor", 1), ("known_g", 1), ("known_g", 20),
+         ("unknown_g_case1", 20), ("unknown_g_case2", 3)],
+    )
+    def test_round_record_norms_are_the_rounds_vector_norms(self, algorithm, dim):
+        # the trace takes these norms from the record instead of computing them
+        if algorithm == "kt_bettor":
+            config = figure_config(algorithm="kt_bettor", T=30, k=3, start=5)
+        else:
+            config = ExperimentConfig(
+                algorithm=algorithm,
+                adversary=AdversarySpec(kind="dro_reweight", T=40, k=4, seed=1, dim=dim),
+                protocol=ProtocolConfig(
+                    mode=algorithm, T=40, k=8, tau_G=0.25, dim=dim,
+                    G=1.0 if algorithm == "known_g" else None,
+                ),
+                comparator=(0.5,) * dim,
+            )
+        adversary = make_adversary(config.adversary, seed=1)
+        player = make_player(config, resolve_comparator(config, adversary))
+        for t in range(1, config.adversary.T + 1):
+            w = player.predict()
+            g_true, g_tilde = adversary.round(t, w)
+            rec = player.round(g_tilde, g_true=g_true)
+            assert (rec.w_norm, rec.g_norm, rec.g_tilde_norm) == (
+                norm(w), norm(g_true), norm(g_tilde)
+            )
 
     def test_schema_stability(self):
         assert trace_columns(1) == [

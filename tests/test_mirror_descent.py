@@ -242,16 +242,16 @@ def _mp_link_root(theta, V, h, a, reg, x0):
 
 class TestMirrorDescentLearner:
     def test_first_prediction_is_origin(self):
-        md = MirrorDescentLearner(3, epsilon=1.0, initial_hint=1.0)
+        md = MirrorDescentLearner(3, epsilon=1.0, initial_hint=1.0, p=1.0)
         assert np.array_equal(md.predict(), np.zeros(3))
 
     def test_zero_gradient_keeps_origin(self):
-        md = MirrorDescentLearner(2, epsilon=1.0, initial_hint=1.0)
+        md = MirrorDescentLearner(2, epsilon=1.0, initial_hint=1.0, p=1.0)
         md.observe(np.zeros(2), 1.0)
         assert np.array_equal(md.predict(), np.zeros(2))
 
     def test_predict_is_idempotent(self):
-        md = MirrorDescentLearner(1, epsilon=1.0, initial_hint=1.0)
+        md = MirrorDescentLearner(1, epsilon=1.0, initial_hint=1.0, p=1.0)
         md.observe(np.array([0.5]), 1.0)
         a, b = md.predict(), md.predict()
         assert np.array_equal(a, b)
@@ -273,12 +273,12 @@ class TestMirrorDescentLearner:
             assert np.array_equal(md1.predict(), md2.predict())
 
     def test_rejects_oversized_gradient(self):
-        md = MirrorDescentLearner(1, 1.0, 1.0)
+        md = MirrorDescentLearner(1, 1.0, 1.0, p=1.0)
         with pytest.raises(ValueError):
             md.observe(np.array([1.5]), 1.0)
 
     def test_near_overflow_gradient_rejected_without_warning(self):
-        md = MirrorDescentLearner(1, epsilon=1.0, initial_hint=1.0)
+        md = MirrorDescentLearner(1, epsilon=1.0, initial_hint=1.0, p=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="exceeds the promised hint"):
@@ -289,12 +289,12 @@ class TestMirrorDescentLearner:
         # the wealth scale epsilon / (sqrt(B) ln(B)^2) underflows to 0 and
         # the link takes log(a): a clean error, not a math domain error
         with pytest.raises(ValueError, match="wealth scale underflows"):
-            MirrorDescentLearner(1, epsilon=5e-324, initial_hint=1.0)
+            MirrorDescentLearner(1, epsilon=5e-324, initial_hint=1.0, p=1.0)
 
     def test_wealth_scale_underflow_after_growth_leaves_state_unchanged(self):
         # a = 1e-322 / 30.7 still rounds to one subnormal at B = 16, but
         # not at B = 32 after the first round
-        md = MirrorDescentLearner(1, epsilon=1e-322, initial_hint=1.0)
+        md = MirrorDescentLearner(1, epsilon=1e-322, initial_hint=1.0, p=1.0)
         assert md.a == 5e-324
         fields = ("t", "N", "B", "C", "h", "V", "a")
         before = [getattr(md, f) for f in fields]
@@ -304,7 +304,7 @@ class TestMirrorDescentLearner:
         assert np.array_equal(md.predict(), [0.0])
 
     def test_rejects_decreasing_hints(self):
-        md = MirrorDescentLearner(1, 1.0, 2.0)
+        md = MirrorDescentLearner(1, 1.0, 2.0, p=1.0)
         with pytest.raises(ValueError):
             md.observe(np.array([0.5]), 1.0)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from robust_oco.core import NonFiniteError
 from robust_oco.epigraph import EpigraphPoint, weighted_project
-from robust_oco.mirror_descent import MirrorDescentLearner, SolverError
+from robust_oco.mirror_descent import SolverError
 from robust_oco.protocol import ProtocolConfig, RobustProtocol
 
 # how each layer names itself in the errors it raises
@@ -95,10 +95,6 @@ class TestPresets:
             with pytest.raises(ValueError):
                 RobustProtocol(ProtocolConfig(mode=mode, T=100, k=5, G=1.0))
 
-    def test_streaming_power_default(self):
-        # a learner built without a horizon falls back to p = ln(1e6)
-        learner = MirrorDescentLearner(1, epsilon=1.0, initial_hint=1.0, c=1.0)
-        assert math.isclose(learner.reg.p, math.log(1e6))
 
 
 class _PoisonedBound:
@@ -178,6 +174,24 @@ class TestProtocolRound:
         protocol = RobustProtocol(cfg)
         with pytest.raises(Exception):
             protocol.round(np.array([math.nan]))
+
+    def test_non_finite_iterate_after_round_names_the_round(self):
+        # the end-of-round norm is the protocol's own finiteness check: an
+        # iterate its learner let through still stops the run, naming the round
+        cfg = ProtocolConfig(mode="known_g", T=10, k=1, G=1.0, dim=2)
+        protocol = RobustProtocol(cfg)
+        rec = protocol.round(np.array([0.5, 0.5]))
+        assert rec.g_norm is None  # no true gradient given
+        learner = protocol.learner
+        observe = learner.observe
+
+        def observe_then_poison(gradient, hint):
+            observe(gradient, hint)
+            learner.w = np.array([math.nan, 0.0])
+
+        learner.observe = observe_then_poison
+        with pytest.raises(NonFiniteError, match="non-finite value in iterate after round 2"):
+            protocol.round(np.array([0.5, 0.5]))
 
 
     def test_constant_stream_completes_past_the_projection_collapse(self):

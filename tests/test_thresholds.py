@@ -8,12 +8,17 @@ from robust_oco.thresholds import (
 )
 
 
+def step(f, n):
+    """Feed the filter the 1-d gradient [n], whose norm is n >= 0."""
+    return f.step(np.array([n]), n)
+
+
 def feed_norms(f, norms):
     """Run 1-d gradients of the given norms through a filter, recording a trace."""
     out_norms, h_per_round, trace = [], [], []
     for n in norms:
         h_t = f.h
-        out, h_next, doubled = f.step(np.array([float(n)]))
+        out, h_next, doubled = step(f, float(n))
         out_norms.append(abs(float(out[0])))
         h_per_round.append(h_t)
         trace.append((float(n), abs(float(out[0])), h_t, h_next))
@@ -30,7 +35,7 @@ class TestGradientFilter:
 
     def test_zero_lag_doubles_immediately(self):
         f = GradientFilter(k=0, tau_G=1.0)
-        out, h_next, doubled = f.step(np.array([4.0]))
+        out, h_next, doubled = step(f, 4.0)
         assert abs(float(out[0])) == 1.0
         assert h_next == 2.0
         assert doubled
@@ -43,16 +48,16 @@ class TestGradientFilter:
 
     def test_tie_counts_as_pass(self):
         f = GradientFilter(k=0, tau_G=1.0)
-        out, h_next, doubled = f.step(np.array([1.0]))
+        out, h_next, doubled = step(f, 1.0)
         assert h_next == 1.0 and not doubled
         assert f.pass_rounds == 1
 
     def test_doubling_needs_exactly_lag_plus_one_exceedances(self):
         f = GradientFilter(k=3, tau_G=1.0)
         for i in range(3):
-            _, _, doubled = f.step(np.array([2.0]))
+            _, _, doubled = step(f, 2.0)
             assert not doubled
-        _, h_next, doubled = f.step(np.array([2.0]))
+        _, h_next, doubled = step(f, 2.0)
         assert doubled and h_next == 2.0
         assert f.n == 0  # counter resets
 
@@ -60,13 +65,13 @@ class TestGradientFilter:
         rng = np.random.default_rng(4)
         f = GradientFilter(k=2, tau_G=0.3)
         for n in rng.lognormal(0, 2, 300):
-            f.step(np.array([float(n)]))
+            step(f, float(n))
         assert f.h == 0.3 * 2.0**f.doublings
 
     def test_constant_memory(self):
         f = GradientFilter(k=5, tau_G=1.0)
         for n in np.random.default_rng(1).lognormal(0, 2, 2000):
-            f.step(np.array([float(n)]))
+            step(f, float(n))
         assert not any(
             isinstance(v, (list, dict, set, np.ndarray)) for v in vars(f).values()
         )
