@@ -182,11 +182,12 @@ class CorruptionLedger:
         """Account one round; return True when it was corrupted (g_tilde != g_true).
 
         Equality is entrywise float equality (-0.0 equals 0.0, NaN equals
-        nothing); small vectors compare as Python lists.
+        nothing) of equal shapes, as np.array_equal; small vectors compare
+        as Python lists.
         """
         if (
             g_true.tolist() == g_tilde.tolist() if g_true.size <= SMALL_DIM
-            else np.array_equal(g_true, g_tilde)
+            else g_true.shape == g_tilde.shape and bool((g_true == g_tilde).all())
         ):
             return False
         dev = norm(g_true - g_tilde)
@@ -218,8 +219,11 @@ class RegretLedger:
         g_true: np.ndarray,
         g_observed: np.ndarray,
         loss_gap: float | None = None,
-    ) -> None:
-        """Account one round; diff is the played point minus the comparator."""
+    ) -> float:
+        """Account one round; diff is the played point minus the comparator.
+
+        Returns the observed increment dot(g_observed, diff).
+        """
         shape = self.comparator.shape
         if diff.shape != shape or g_true.shape != shape or g_observed.shape != shape:
             raise ValueError(
@@ -228,7 +232,8 @@ class RegretLedger:
             )
         # a non-finite increment makes its total non-finite too
         true_total = self.true_regret_linear + dot(g_true, diff)
-        observed_total = self.observed_regret_linear + dot(g_observed, diff)
+        observed = dot(g_observed, diff)
+        observed_total = self.observed_regret_linear + observed
         if not (math.isfinite(true_total) and math.isfinite(observed_total)):
             raise NonFiniteError(
                 f"non-finite value in regret ledger: true {true_total}, "
@@ -238,6 +243,7 @@ class RegretLedger:
         self.observed_regret_linear = observed_total
         if loss_gap is not None:
             self.loss_regret += float(loss_gap)
+        return observed
 
 
 class OnlineLearner(ABC):

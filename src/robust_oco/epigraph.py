@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import OnlineLearner, as_vector, dot, norm
+from .core import NonFiniteError, OnlineLearner, as_vector, dot
 from .mirror_descent import MirrorDescentLearner, SolverError
 
 _PROJ_RTOL = 1e-12
@@ -23,8 +24,7 @@ _PROJ_MAX_ITER = 300
 _PROJ_COLLAPSE = 4e-16  # relative bracket width of a few ulps
 
 
-@dataclass(frozen=True)
-class EpigraphPoint:
+class EpigraphPoint(NamedTuple):
     w: np.ndarray
     y: float
 
@@ -61,11 +61,14 @@ class QuadWeights:
         return alpha_t, beta_t
 
 
-def weighted_project(point: EpigraphPoint, h: float, gamma: float) -> EpigraphPoint:
+def weighted_project(
+    point: EpigraphPoint, h: float, gamma: float, w_norm: float
+) -> EpigraphPoint:
     """Minimize h^2||w - w_hat||^2 + gamma^2(y - y_hat)^2 over y >= ||w||^2.
 
-    Interior points are returned unchanged. Boundary solutions lie along the
-    input direction at radius s, the unique nonnegative root of
+    w_norm must be norm(point.w), which the caller already has. Interior
+    points are returned unchanged, as the same object. Boundary solutions
+    lie along the input direction at radius s, the unique nonnegative root of
     s*(h^2 + 2 gamma^2 (s^2 - y_hat)) = h^2 ||w_hat||; the root is found by
     bisection (the cubic is below the target before the crossing and above it
     after, even when it dips negative first). The bisection stops when the
@@ -76,20 +79,22 @@ def weighted_project(point: EpigraphPoint, h: float, gamma: float) -> EpigraphPo
     """
     if h <= 0 or gamma <= 0:
         raise ValueError("projection weights must be positive")
-    nw = norm(point.w)
-    if point.y >= nw * nw:
+    if point.y >= w_norm * w_norm:
         return point
-    if nw == 0.0:
+    if w_norm == 0.0:
         return EpigraphPoint(np.zeros_like(point.w), 0.0)
 
-    target = h * h * nw
+    h2 = h * h
+    target = h2 * w_norm
     y_hat = point.y
     two_g2 = 2.0 * gamma * gamma
 
     def residual(s: float) -> float:
-        return s * (h * h + two_g2 * (s * s - y_hat)) - target
+        # kept nested: the solver count pass (perfbench/layers.py) counts
+        # the calls of this code object as the projection's evaluations
+        return s * (h2 + two_g2 * (s * s - y_hat)) - target
 
-    lo, hi = 0.0, max(nw, math.sqrt(max(y_hat, 0.0))) + 1.0
+    lo, hi = 0.0, max(w_norm, math.sqrt(max(y_hat, 0.0))) + 1.0
     tol = _PROJ_RTOL * max(1.0, target)
     s = hi
     for _ in range(_PROJ_MAX_ITER):
@@ -106,7 +111,7 @@ def weighted_project(point: EpigraphPoint, h: float, gamma: float) -> EpigraphPo
             f"epigraph projection did not converge for {point} (h={h}, gamma={gamma})"
         )
 
-    w = (s / nw) * point.w
+    w = (s / w_norm) * point.w
     # clamp: feasibility holds exactly; np.vdot, not core.dot, because
     # callers check feasibility against the BLAS sum of squares (w @ w)
     y = max(s * s, float(np.vdot(w, w)))
@@ -126,10 +131,9 @@ def correction_direction(
     The direction is the weighted displacement (h^2 dw, gamma^2 dy) normalized
     to unit dual form ||.||^2/h^2 + (.)^2/gamma^2 = 1, scaled by the dual form
     of the fed pair (g_clipped, a_t). An interior prediction is its own
-    projection, so its displacement, and with it the correction, is zero.
+    projection, so its displacement, and with it the correction, is zero
+    (EpigraphLearner.observe does not call this for one).
     """
-    if proj is hat:  # weighted_project returns an interior point itself
-        return np.zeros_like(hat.w), 0.0
     dw = hat.w - proj.w
     dy = hat.y - proj.y
     dist2 = h * h * dot(dw, dw) + gamma * gamma * dy * dy
@@ -182,22 +186,41 @@ class EpigraphLearner(OnlineLearner):
         self._hat = EpigraphPoint(
             self.learner_w.predict(), float(self.learner_y.predict()[0])
         )
-        self._played = weighted_project(self._hat, self.h, self.gamma)
+        self._played = weighted_project(
+            self._hat, self.h, self.gamma, self.learner_w.w_norm
+        )
 
     def predict(self) -> np.ndarray:
         return self._played.w
 
     def observe(self, gradient: np.ndarray, hint: float, a_t: float = 0.0) -> None:
-        """Consume one round; a_t is its quadratic penalty weight, at most gamma."""
-        g = as_vector(gradient, self.dim)
+        """Consume one round; a_t is its quadratic penalty weight, at most gamma.
+
+        An interior prediction is its own projection, so its correction is
+        zero and is not built: the sub-learners get 0.5 * (g + 0.0) and
+        0.5 * (a_t + 0.0), the bits the zero correction gave. The added 0.0
+        turns a -0.0 entry into 0.0, which learner_w's dual update can tell
+        apart where its mirror-map gradient holds -0.0 (a zero mirror part
+        times a negative dual entry). learner_w coerces and checks the
+        gradient; a non-finite one is reported as given, not halved.
+        """
         if a_t > self.gamma * (1.0 + 1e-12):
             raise ValueError(f"penalty weight {a_t} exceeds gamma {self.gamma}")
-        delta_w, delta_y = correction_direction(
-            self._hat, self._played, self.h, self.gamma, g, a_t
-        )
-        self.learner_w.observe(0.5 * (g + delta_w), 2.0 * hint)
-        self.learner_y.observe(
-            np.array([0.5 * (a_t + delta_y)]), 1.5 * self.gamma
-        )
+        if self._played is self._hat:
+            g_w = np.add(gradient, 0.0)
+            g_w *= 0.5
+            try:
+                self.learner_w.observe(g_w, 2.0 * hint)
+            except NonFiniteError:
+                as_vector(gradient, self.dim)  # raises for the caller's vector
+                raise
+            self.learner_y.observe([0.5 * (a_t + 0.0)], 1.5 * self.gamma)
+        else:
+            g = as_vector(gradient, self.dim)
+            delta_w, delta_y = correction_direction(
+                self._hat, self._played, self.h, self.gamma, g, a_t
+            )
+            self.learner_w.observe(0.5 * (g + delta_w), 2.0 * hint)
+            self.learner_y.observe([0.5 * (a_t + delta_y)], 1.5 * self.gamma)
         self.h = hint
         self._project()

@@ -186,7 +186,7 @@ def check_epigraph_feasibility(samples: int = 1000, seed: int = 2028) -> CheckRe
         h = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
         gamma = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
         point = EpigraphPoint(w_hat, y_hat)
-        proj = weighted_project(point, h, gamma)
+        proj = weighted_project(point, h, gamma, norm(w_hat))
         nw2 = float(np.dot(proj.w, proj.w))
         if proj.y < nw2:
             failures += 1

@@ -1,7 +1,8 @@
 """Command-line entry point: run experiments, sweeps, and verification checks.
 
-Exit codes: 0 on success, 1 when a verification check fails or a run aborts,
-2 on usage errors (argparse's native convention).
+Exit codes: 0 on success, 1 when a verification check fails or a run aborts
+after it has started ("run failed: ..."), 2 on usage and config errors
+(argparse's native convention).
 """
 
 from __future__ import annotations
@@ -97,8 +98,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if not hasattr(exc, "aborted_at_round"):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
     except RuntimeError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

@@ -167,8 +167,11 @@ def run_experiment(
                 ]
             )
     except (NonFiniteError, SolverError, ValueError) as exc:
-        # same type, so callers and the benchmark still classify the failure
-        raise type(exc)(f"run aborted at round {len(rows) + 1}: {exc}") from exc
+        # same type, so callers and the benchmark still classify the failure;
+        # aborted_at_round tells a run abort from a config error
+        aborted = type(exc)(f"run aborted at round {len(rows) + 1}: {exc}")
+        aborted.aborted_at_round = len(rows) + 1
+        raise aborted from exc
     wall = time.perf_counter() - started
 
     summary = {

@@ -221,6 +221,7 @@ class MirrorDescentLearner(OnlineLearner):
         self.epsilon = epsilon
         self.reg = HuberRegularizer(c=c, p=p, alpha=alpha)
         self.w = np.zeros(dim)
+        self.w_norm = 0.0  # norm(self.w), kept from the check in observe
         self.mirror_grad = np.zeros(dim)  # mirror-map gradient at w
         self.h = initial_hint
         self.C = 0.0
@@ -280,16 +281,20 @@ class MirrorDescentLearner(OnlineLearner):
 
         if theta_norm == 0.0:
             w_next = mirror_grad = np.zeros(self.dim)
-            radius = 0.0
+            radius = w_norm = 0.0
         else:
             radius, mirror = link_inverse_solve(
                 theta_norm, self.V, self.h, self.a, self.reg
             )
             w_next = (radius / theta_norm) * theta
             mirror_grad = (mirror / theta_norm) * theta
+            # as for theta: a finite norm proves the iterate finite
+            w_norm = norm(w_next)
+            if not math.isfinite(w_norm):
+                ensure_finite(w_next, "mirror descent iterate")
 
-        ensure_finite(w_next, "mirror descent iterate")
         self.w = w_next
+        self.w_norm = w_norm
         self.mirror_grad = mirror_grad
         self.reg.advance(radius)
         self.t += 1

@@ -205,16 +205,21 @@ class RobustProtocol:
 
         d = self.decomposition
         diff = w - self.comparator
-        d.composite_term += dot(g_clipped, diff) + r_w - r_u
+        if g_true is None:
+            g_norm = None
+            composite = dot(g_clipped, diff)
+        else:
+            g_true, g_norm = as_vector_norm(g_true, self.config.dim)
+            observed = self.regret.update(diff, g_true, g_tilde, loss_gap)
+            # a pass round fed the learner g_tilde itself, so the regret
+            # ledger's observed increment is the composite term's product
+            composite = observed if g_clipped is g_tilde else dot(g_clipped, diff)
+            dg = g_true - g_clipped
+            d.error_term += dot(dg, w)
+            d._bias_grad_accum += dg
+        d.composite_term += composite + r_w - r_u
         d.correction_term += r_w
         d.bias_reg_sum += r_u
-        if g_true is None:
-            return None
-        g_true, g_norm = as_vector_norm(g_true, self.config.dim)
-        dg = g_true - g_clipped
-        d.error_term += dot(dg, w)
-        d._bias_grad_accum += dg
-        self.regret.update(diff, g_true, g_tilde, loss_gap)
         return g_norm
 
     def decomposition_gap(self) -> float:

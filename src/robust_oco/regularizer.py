@@ -41,10 +41,13 @@ class HuberRegularizer:
         self.log_S = self.p * math.log(self.alpha)
 
     def advance(self, w_next_norm: float) -> None:
-        """Fold the next iterate norm into S and remember it for sigma."""
+        """Fold the next iterate norm into S and remember it for sigma.
+
+        With c = 0 the fold is skipped: no formula reads log_S then.
+        """
         if not math.isfinite(w_next_norm) or w_next_norm < 0:
             raise ValueError(f"invalid iterate norm {w_next_norm}")
-        if w_next_norm > 0.0:
+        if w_next_norm > 0.0 and self.c != 0.0:
             self.log_S = _logaddexp(self.log_S, self.p * math.log(w_next_norm))
         self.last_iterate_norm = w_next_norm
         self.t += 1

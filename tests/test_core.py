@@ -363,6 +363,20 @@ class TestRegretLedger:
         led.update(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         assert led.true_regret_linear == 0.0
 
+    @pytest.mark.parametrize("d", GATE_DIMS)
+    def test_update_returns_the_observed_increment(self, d):
+        rng = np.random.default_rng(d)
+        led = RegretLedger(comparator=rng.standard_normal(d))
+        for _ in range(100):
+            diff, g, g_obs = (
+                rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3) for _ in range(3)
+            )
+            g_obs[rng.uniform(size=d) < 0.3] = -0.0
+            expected = dot(g_obs, diff)
+            got = led.update(diff, g, g_obs)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
     def test_dimension_mismatch_is_error(self):
         led = RegretLedger(comparator=np.array([0.0]))
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from robust_oco.core import norm
+from robust_oco.core import NonFiniteError, as_vector, norm
 from robust_oco.epigraph import (
     EpigraphLearner,
     EpigraphPoint,
@@ -18,11 +18,11 @@ from robust_oco.mirror_descent import SolverError
 class TestWeightedProject:
     def test_interior_point_unchanged(self):
         pt = EpigraphPoint(np.array([0.0]), 1.0)
-        assert weighted_project(pt, h=2.0, gamma=0.5) is pt
+        assert weighted_project(pt, 2.0, 0.5, norm(pt.w)) is pt
 
     def test_zero_direction_below_floor(self):
         pt = EpigraphPoint(np.array([0.0, 0.0]), -3.0)
-        out = weighted_project(pt, h=1.0, gamma=7.0)
+        out = weighted_project(pt, 1.0, 7.0, norm(pt.w))
         assert np.array_equal(out.w, [0.0, 0.0])
         assert out.y == 0.0
 
@@ -30,7 +30,7 @@ class TestWeightedProject:
         # minimizing (s-2)^2 + (s^2)^2 puts the radius at the real root of
         # 2s^3 + s - 2; cross-check against an independent polynomial solver
         pt = EpigraphPoint(np.array([2.0]), 0.0)
-        out = weighted_project(pt, h=1.0, gamma=1.0)
+        out = weighted_project(pt, 1.0, 1.0, norm(pt.w))
         s = float(out.w[0])
         roots = np.roots([2.0, 0.0, 1.0, -2.0])
         oracle = float(roots[np.isclose(roots.imag, 0)].real[0])
@@ -46,7 +46,7 @@ class TestWeightedProject:
             pt = EpigraphPoint(rng.standard_normal(dim) * 3, float(rng.standard_normal() * 3))
             h = float(np.exp(rng.uniform(-2, 2)))
             gamma = float(np.exp(rng.uniform(-2, 2)))
-            out = weighted_project(pt, h, gamma)
+            out = weighted_project(pt, h, gamma, norm(pt.w))
             assert out.y >= float(out.w @ out.w)
             if pt.y < float(pt.w @ pt.w) and norm(pt.w) > 0:
                 s = norm(out.w)
@@ -58,7 +58,7 @@ class TestWeightedProject:
         rng = np.random.default_rng(17)
         for _ in range(200):
             pt = EpigraphPoint(rng.standard_normal(2) * 4, float(rng.uniform(-5, 1)))
-            out = weighted_project(pt, 1.3, 0.6)
+            out = weighted_project(pt, 1.3, 0.6, norm(pt.w))
             assert norm(out.w) <= norm(pt.w) + 1e-12
 
 
@@ -67,7 +67,8 @@ class TestWeightedProject:
         # about 3e-12 here) never meets the 1e-12 * target stop rule, so the
         # bisection must stop on the collapsed bracket instead of aborting
         w_hat, y_hat, h, gamma = 2.0338438752003833, 4.020070730557359, 1.0, 31.0
-        out = weighted_project(EpigraphPoint(np.array([w_hat]), y_hat), h, gamma)
+        pt = EpigraphPoint(np.array([w_hat]), y_hat)
+        out = weighted_project(pt, h, gamma, norm(pt.w))
         with mpmath.workdps(50):
             g2, nw, y = 2 * mpmath.mpf(gamma) ** 2, mpmath.mpf(w_hat), mpmath.mpf(y_hat)
             roots = mpmath.polyroots([g2, 0, h * h - g2 * y, -h * h * nw], extraprec=200)
@@ -78,7 +79,7 @@ class TestWeightedProject:
     def test_failure_names_the_weights(self):
         pt = EpigraphPoint(np.array([math.nan]), 0.0)
         with pytest.raises(SolverError, match=r"h=2\.0, gamma=3\.0"):
-            weighted_project(pt, 2.0, 3.0)
+            weighted_project(pt, 2.0, 3.0, norm(pt.w))
 
 
 class TestCorrectionDirection:
@@ -96,7 +97,7 @@ class TestCorrectionDirection:
                 continue
             h = float(np.exp(rng.uniform(-1, 1)))
             gamma = float(np.exp(rng.uniform(-1, 1)))
-            proj = weighted_project(hat, h, gamma)
+            proj = weighted_project(hat, h, gamma, norm(hat.w))
             # scale with unit fed pair: direction alone has unit dual form
             g = np.zeros(dim)
             dw, dy = correction_direction(hat, proj, h, gamma, g, gamma)
@@ -113,7 +114,7 @@ class TestCorrectionDirection:
             if hat.y >= float(hat.w @ hat.w):
                 continue
             h, gamma = 1.4, 0.8
-            proj = weighted_project(hat, h, gamma)
+            proj = weighted_project(hat, h, gamma, norm(hat.w))
             g = rng.standard_normal(2)
             g *= h / norm(g)
             dw, dy = correction_direction(hat, proj, h, gamma, g, gamma)
@@ -156,6 +157,39 @@ class TestQuadWeights:
             assert a + b <= qw.gamma
 
 
+class AlwaysCorrected(EpigraphLearner):
+    """The epigraph round without the interior shortcut: every round builds
+    the correction (zero for an interior prediction) and adds it, and the
+    projection takes a fresh norm of the lifted iterate."""
+
+    def _project(self):
+        self._hat = EpigraphPoint(
+            self.learner_w.predict(), float(self.learner_y.predict()[0])
+        )
+        self._played = weighted_project(
+            self._hat, self.h, self.gamma, norm(self._hat.w)
+        )
+
+    def observe(self, gradient, hint, a_t=0.0):
+        g = as_vector(gradient, self.dim)
+        delta_w, delta_y = correction_direction(
+            self._hat, self._played, self.h, self.gamma, g, a_t
+        )
+        self.learner_w.observe(0.5 * (g + delta_w), 2.0 * hint)
+        self.learner_y.observe(np.array([0.5 * (a_t + delta_y)]), 1.5 * self.gamma)
+        self.h = hint
+        self._project()
+
+
+def learner_bits(learner):
+    """Every float of an epigraph learner's state, as bytes."""
+    parts = [learner._played.w, [learner._played.y, learner.h]]
+    for md in (learner.learner_w, learner.learner_y):
+        parts += [md.w, md.mirror_grad,
+                  [md.w_norm, md.h, md.C, md.N, md.B, md.V, md.a, md.reg.log_S]]
+    return b"".join(np.asarray(x, dtype=np.float64).tobytes() for x in parts)
+
+
 class TestEpigraphLearner:
     def make(self, dim=1, gamma=1.0, tau_G=1.0, c=1.0, T=1000):
         return EpigraphLearner(
@@ -189,7 +223,7 @@ class TestEpigraphLearner:
             hat = EpigraphPoint(
                 learner.learner_w.predict(), float(learner.learner_y.predict()[0])
             )
-            pt = weighted_project(hat, learner.h, learner.gamma)
+            pt = weighted_project(hat, learner.h, learner.gamma, norm(hat.w))
             assert np.array_equal(pt.w, learner.predict())
             assert pt.y >= float(pt.w @ pt.w)
             learner.observe(np.array([rng.uniform(-1, 1)]), 1.0)
@@ -202,13 +236,54 @@ class TestEpigraphLearner:
             hat = EpigraphPoint(
                 learner.learner_w.predict(), float(learner.learner_y.predict()[0])
             )
-            proj = weighted_project(hat, learner.h, gamma)
+            proj = weighted_project(hat, learner.h, gamma, norm(hat.w))
             g = np.array([rng.uniform(-1, 1)])
             a_t = float(rng.uniform(0, gamma))
             dw, dy = correction_direction(hat, proj, learner.h, gamma, g, a_t)
             assert norm(0.5 * (g + dw)) <= 1.5 * learner.h * (1 + 1e-12)
             assert abs(0.5 * (a_t + dy)) <= 1.5 * gamma * (1 + 1e-12)
             learner.observe(g, 1.0, a_t)
+
+    @pytest.mark.parametrize(
+        "dim, p", [(1, math.log(500)), (3, math.log(500)), (17, math.log(500)), (2, 1.0)],
+        ids=["d1", "d3", "d17", "d2_p1"],
+    )
+    def test_matches_the_always_corrected_round_bit_for_bit(self, dim, p):
+        # gradients and weights carry signed zeros; at p = 1 the penalty
+        # absorbs small dual norms, the solve's mirror part is 0 and
+        # 0 * theta leaves -0.0 entries in learner_w's mirror-map gradient,
+        # where 0.5 * g without the added 0.0 would flip the sign of a zero
+        rng = np.random.default_rng(dim)
+        kw = dict(epsilon=1.0, gamma=2.0, tau_G=1.0, c=1.0, p=p, alpha=1.0)
+        fast, ref = EpigraphLearner(dim, **kw), AlwaysCorrected(dim, **kw)
+        interior = 0
+        for t in range(500):
+            g = np.where(rng.uniform(size=dim) < 0.4, 0.0, rng.standard_normal(dim))
+            g = np.copysign(g, rng.choice([-1.0, 1.0], size=dim))
+            if norm(g) > fast.h:
+                g *= fast.h * rng.uniform() / norm(g)
+            # mostly a zero weight (of either sign), which keeps the
+            # prediction inside the set in about half the rounds
+            a_t = float(rng.uniform(0.0, 2.0)) if t % 25 == 0 else [0.0, -0.0][t % 2]
+            hint = fast.h * (2.0 if rng.uniform() < 0.02 else 1.0)
+            interior += fast._played is fast._hat
+            fast.observe(g, hint, a_t)
+            ref.observe(g.copy(), hint, a_t)
+            assert learner_bits(fast) == learner_bits(ref), t
+        assert 100 < interior < 400
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_gradient_reported_as_given(self, bad):
+        learner = self.make(dim=2)
+        assert learner._played is learner._hat  # the origin is interior
+        g = np.array([bad, 0.75])
+        with pytest.raises(NonFiniteError) as info:
+            learner.observe(g, 1.0)
+        with pytest.raises(NonFiniteError) as direct:
+            as_vector(g, 2)
+        assert "vector input" in str(info.value)
+        assert str(info.value) == str(direct.value)
+        assert learner.learner_w.t == 0 and learner.learner_y.t == 0
 
     def test_penalty_weight_above_gamma_rejected(self):
         learner = self.make(gamma=1.0)

@@ -65,6 +65,31 @@ def highdim_config():
     )
 
 
+def case2_config():
+    """An unknown_g_case2 sign-flip cell: it projects on the boundary and inside."""
+    return ExperimentConfig(
+        algorithm="unknown_g_case2",
+        adversary=AdversarySpec(kind="sign_flip_window", T=300, k=5, window_start=225),
+        protocol=ProtocolConfig(mode="unknown_g_case2", T=300, k=5, tau_G=0.5),
+        comparator=(1.0,),
+        seeds=(0,),
+    )
+
+
+def epigraph_d3_config():
+    """A d = 3 unknown_g_case1 cell whose gradients carry -0.0 entries.
+
+    Its trace prints the iterate's entries, so it shows the sign of a zero.
+    """
+    return ExperimentConfig(
+        algorithm="unknown_g_case1",
+        adversary=AdversarySpec(kind="lb_theorem2", T=64, k=8, seed=3, dim=3),
+        protocol=ProtocolConfig(mode="unknown_g_case1", T=64, k=8, dim=3),
+        comparator="adversary",
+        seeds=(3,),
+    )
+
+
 def kt_reweight_config():
     """The KT baseline on a reweighted stream whose observed gradients exceed 1."""
     return ExperimentConfig(
@@ -166,8 +191,11 @@ class TestRunExperiment:
             (figure_config(algorithm="kt_bettor"), 0, "golden_trace_kt_bettor.csv"),
             (reweight_config(), 5, "golden_trace_unknown_g_case1.csv"),
             (highdim_config(), 5, "golden_trace_highdim.csv"),
+            (case2_config(), 0, "golden_trace_unknown_g_case2.csv"),
+            (epigraph_d3_config(), 3, "golden_trace_epigraph_d3.csv"),
         ],
-        ids=["kt_bettor", "unknown_g_case1", "highdim"],
+        ids=["kt_bettor", "unknown_g_case1", "highdim", "unknown_g_case2",
+             "epigraph_d3"],
     )
     def test_golden_trace_of_other_players(self, tmp_path, config, seed, golden):
         assert_golden(tmp_path, config, seed, golden)
@@ -203,6 +231,7 @@ class TestRunExperiment:
             ValueError, match=r"run aborted at round 15: KT bettor requires \|g\| <= 1"
         ) as info:
             run_experiment(kt_reweight_config(), seed=0)
+        assert type(info.value) is ValueError and info.value.aborted_at_round == 15
         assert isinstance(info.value.__cause__, ValueError)
         assert str(info.value.__cause__).startswith("KT bettor requires")
 
@@ -358,6 +387,28 @@ class TestCLI:
                      "--out", str(tmp_path / "out")])
         assert code == 0
         assert (tmp_path / "out" / "trace_known_g_sign_flip_window_seed7.csv").exists()
+
+    def test_run_abort_exits_1(self, tmp_path, capsys):
+        # the reweighted stream's 15th gradient breaks the KT bettor's
+        # contract after the run has started: a run failure, not a usage error
+        path = tmp_path / "kt.ini"
+        path.write_text(to_ini(kt_reweight_config()))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "run failed: run aborted at round 15: KT bettor requires |g| <= 1"
+        ), err
+
+    def test_config_error_before_round_1_exits_2(self, tmp_path, capsys):
+        # a ValueError run_experiment raises before its first round is still
+        # a config error
+        cfg = reweight_config()
+        cfg.comparator = "adversary"  # a reweighted iid stream constructs none
+        path = tmp_path / "exp.ini"
+        path.write_text(to_ini(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: adversary kind 'dro_reweight' constructs no"), err
 
     def test_sweep_subcommand(self, tmp_path):
         path = tmp_path / "sweep.ini"

@@ -340,6 +340,36 @@ class TestMirrorDescentLearner:
         assert np.array_equal(md.mirror_grad, mirror_grad, equal_nan=True)
         assert np.array_equal(md.w, w)
 
+    @pytest.mark.parametrize("d", [1, 16, 17, 256])
+    def test_kept_iterate_norm_is_the_norm_of_the_iterate(self, d):
+        rng = np.random.default_rng(d)
+        md = MirrorDescentLearner(d, epsilon=1.0, initial_hint=1.0, c=2.0,
+                                  p=math.log(100))
+        assert md.w_norm == norm(md.predict()) == 0.0
+        for t in range(60):
+            if t == 1:
+                # theta = mirror_grad - g = 0: the zero-dual branch, from a
+                # nonzero iterate
+                g = md.mirror_grad.copy()
+            else:
+                g = rng.standard_normal(d)
+                g *= rng.uniform(0.0, 1.0) / norm(g)
+            md.observe(g, 1.0)
+            assert md.w_norm == norm(md.predict())
+            assert (md.w_norm == 0.0) is (t == 1)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_iterate_names_the_learner(self, monkeypatch, radius):
+        # the iterate is checked through its norm; a radius that leaves float
+        # range still raises the entrywise check's message
+        monkeypatch.setattr(
+            mirror_descent, "link_inverse_solve", lambda theta, *args: (radius, theta)
+        )
+        md = MirrorDescentLearner(2, epsilon=1.0, initial_hint=1.0, c=1.0, p=3.0)
+        with pytest.raises(NonFiniteError, match="mirror descent iterate"):
+            md.observe(np.array([0.3, -0.4]), 1.0)
+        assert np.array_equal(md.predict(), np.zeros(2)) and md.w_norm == 0.0
+
     def test_penalty_caps_exponential_growth(self):
         # same stream with the composite penalty active: the run completes
         # and the iterate stays far below float range

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_oco.core import NonFiniteError
+from robust_oco.core import NonFiniteError, norm
 from robust_oco.epigraph import EpigraphPoint, weighted_project
 from robust_oco.mirror_descent import SolverError
 from robust_oco.protocol import ProtocolConfig, RobustProtocol
@@ -207,7 +207,7 @@ class TestProtocolRound:
         hat = EpigraphPoint(
             learner.learner_w.predict(), float(learner.learner_y.predict()[0])
         )
-        point = weighted_project(hat, learner.h, learner.gamma)
+        point = weighted_project(hat, learner.h, learner.gamma, norm(hat.w))
         assert np.array_equal(point.w, protocol.predict())
         assert protocol.t == 4900
         assert point.y >= float(point.w @ point.w) and point.w[0] > 0

@@ -53,6 +53,23 @@ class TestAdvance:
             prev = S(reg)
 
 
+    @pytest.mark.parametrize("c", [0.0, 1.0], ids=["c0", "c1"])
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf], ids=["nan", "neg", "inf"])
+    def test_invalid_norm_rejected(self, c, bad):
+        # c = 0 skips the log-space fold, not the input check
+        reg = make_state(c=c)
+        with pytest.raises(ValueError, match="invalid iterate norm"):
+            reg.advance(bad)
+        assert reg.t == 0 and reg.last_iterate_norm == 0.0
+
+    def test_disabled_penalty_reads_zero_after_advances(self):
+        reg = make_state(c=0.0, p=3.0, norms=[0.5, 2.0, 1e300])
+        assert reg.t == 3 and reg.last_iterate_norm == 1e300
+        assert reg.evaluate(4.0) == 0.0
+        assert reg.radial_subgradient_log(math.log(4.0)) == (0.0, 0.0)
+        assert reg.radial_subgradient_inverse(0.5) == math.inf
+
+
 class TestEvaluate:
     def test_zero_point(self):
         reg = make_state(c=3.0, p=4.0, alpha=0.7, norms=[1.0, 2.0])
