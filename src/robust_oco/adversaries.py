@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OnlineLearner, as_vector
+from .core import OnlineLearner, as_vector, check_positive
 
 ADVERSARY_KINDS = (
     "sign_flip_window",
@@ -242,8 +242,7 @@ class KTBettor(OnlineLearner):
     """
 
     def __init__(self, epsilon: float = 1.0):
-        if epsilon <= 0:
-            raise ValueError("initial wealth must be positive")
+        check_positive("initial wealth epsilon", epsilon)
         self.epsilon = epsilon
         self.sum_neg_grad = 0.0
         self.reward = 0.0

@@ -60,6 +60,12 @@ def as_vector_norm(x, dim: int | None = None) -> tuple[np.ndarray, float]:
     return v, n
 
 
+def check_positive(name: str, value: float) -> None:
+    """Raise ValueError naming the setting unless 0 < value < inf (NaN fails)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def ensure_finite(x, context: str) -> None:
     """Abort with a diagnostic if any entry of x is NaN or Inf.
 
@@ -183,14 +189,27 @@ class CorruptionLedger:
 
         Equality is entrywise float equality (-0.0 equals 0.0, NaN equals
         nothing) of equal shapes, as np.array_equal; small vectors compare
-        as Python lists.
+        as Python lists. Above SMALL_DIM a finite inner product of the pair
+        proves every entry of both finite and every difference within float
+        range; the deviation then decides it, zero exactly when the entries
+        are equal, and the pair is subtracted once. Any other pair (an Inf
+        or NaN entry, or a product past float range) is compared entrywise
+        first, so equal infinities never reach inf - inf, which warns.
         """
-        if (
-            g_true.tolist() == g_tilde.tolist() if g_true.size <= SMALL_DIM
-            else g_true.shape == g_tilde.shape and bool((g_true == g_tilde).all())
+        if g_true.size <= SMALL_DIM:
+            if g_true.tolist() == g_tilde.tolist():
+                return False
+            dev = norm(g_true - g_tilde)
+        elif g_true.shape == g_tilde.shape and math.isfinite(
+            float(np.vdot(g_true, g_tilde))
         ):
-            return False
-        dev = norm(g_true - g_tilde)
+            dev = norm(g_true - g_tilde)
+            if dev == 0.0:
+                return False
+        else:
+            if g_true.shape == g_tilde.shape and bool((g_true == g_tilde).all()):
+                return False
+            dev = norm(g_true - g_tilde)
         self.count_corrupted += 1
         if dev >= self.lipschitz_G:
             self.big_rounds += 1

@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NonFiniteError, OnlineLearner, as_vector, dot
-from .mirror_descent import MirrorDescentLearner, SolverError
+from .core import NonFiniteError, OnlineLearner, as_vector, check_positive, dot
+from .mirror_descent import MirrorDescentLearner, ScalarMirrorDescent, SolverError
 
 _PROJ_RTOL = 1e-12
 _PROJ_MAX_ITER = 300
@@ -149,10 +149,11 @@ def correction_direction(
 class EpigraphLearner(OnlineLearner):
     """Composite learner pairing a vector and a scalar sub-learner on the lift.
 
-    The scalar side reuses the mirror descent learner with its Huber penalty
-    disabled and a constant hint of 1.5*gamma, which is exactly the magnitude
-    bound of the corrected scalar feedback. The vector side receives hints of
-    twice the clipping threshold for the same reason.
+    The vector side is the mirror descent learner, fed hints of twice the
+    clipping threshold: the magnitude bound of its corrected feedback. The
+    scalar side is the same update with the Huber penalty disabled, in
+    Python floats (ScalarMirrorDescent), under a constant hint of 1.5*gamma,
+    exactly the magnitude bound of the corrected scalar feedback.
     """
 
     def __init__(
@@ -165,27 +166,20 @@ class EpigraphLearner(OnlineLearner):
         p: float,
         alpha: float = 1.0,
     ):
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if tau_G <= 0:
-            raise ValueError("initial threshold tau_G must be positive")
+        check_positive("gamma", gamma)
+        check_positive("initial threshold tau_G", tau_G)
         self.dim = dim
         self.gamma = gamma
         self.learner_w = MirrorDescentLearner(
             dim, epsilon, initial_hint=2.0 * tau_G, c=c, p=p, alpha=alpha
         )
-        # c = 0 disables the scalar side's penalty, so its exponent is never read
-        self.learner_y = MirrorDescentLearner(
-            1, epsilon, initial_hint=1.5 * gamma, c=0.0, p=1.0, alpha=1.0
-        )
+        self.learner_y = ScalarMirrorDescent(epsilon, initial_hint=1.5 * gamma)
         self.h = tau_G
         self._project()
 
     def _project(self) -> None:
         """Lift the sub-learners' predictions and project them onto the set."""
-        self._hat = EpigraphPoint(
-            self.learner_w.predict(), float(self.learner_y.predict()[0])
-        )
+        self._hat = EpigraphPoint(self.learner_w.predict(), self.learner_y.w)
         self._played = weighted_project(
             self._hat, self.h, self.gamma, self.learner_w.w_norm
         )
@@ -194,7 +188,7 @@ class EpigraphLearner(OnlineLearner):
         return self._played.w
 
     def observe(self, gradient: np.ndarray, hint: float, a_t: float = 0.0) -> None:
-        """Consume one round; a_t is its quadratic penalty weight, at most gamma.
+        """Consume one round; a_t is its quadratic penalty weight, in [0, gamma].
 
         An interior prediction is its own projection, so its correction is
         zero and is not built: the sub-learners get 0.5 * (g + 0.0) and
@@ -202,10 +196,11 @@ class EpigraphLearner(OnlineLearner):
         turns a -0.0 entry into 0.0, which learner_w's dual update can tell
         apart where its mirror-map gradient holds -0.0 (a zero mirror part
         times a negative dual entry). learner_w coerces and checks the
-        gradient; a non-finite one is reported as given, not halved.
+        gradient; a non-finite one is reported as given, not halved. Every
+        check on the round's input runs before either sub-learner moves.
         """
-        if a_t > self.gamma * (1.0 + 1e-12):
-            raise ValueError(f"penalty weight {a_t} exceeds gamma {self.gamma}")
+        if not 0.0 <= a_t <= self.gamma * (1.0 + 1e-12):
+            raise ValueError(f"penalty weight {a_t} outside [0, gamma {self.gamma}]")
         if self._played is self._hat:
             g_w = np.add(gradient, 0.0)
             g_w *= 0.5
@@ -214,13 +209,13 @@ class EpigraphLearner(OnlineLearner):
             except NonFiniteError:
                 as_vector(gradient, self.dim)  # raises for the caller's vector
                 raise
-            self.learner_y.observe([0.5 * (a_t + 0.0)], 1.5 * self.gamma)
+            self.learner_y.observe(0.5 * (a_t + 0.0), 1.5 * self.gamma)
         else:
             g = as_vector(gradient, self.dim)
             delta_w, delta_y = correction_direction(
                 self._hat, self._played, self.h, self.gamma, g, a_t
             )
             self.learner_w.observe(0.5 * (g + delta_w), 2.0 * hint)
-            self.learner_y.observe([0.5 * (a_t + delta_y)], 1.5 * self.gamma)
+            self.learner_y.observe(0.5 * (a_t + delta_y), 1.5 * self.gamma)
         self.h = hint
         self._project()

@@ -10,6 +10,9 @@ keeps the iteration count bounded even when the bracket spans hundreds of
 orders of magnitude (parameter-free iterates are exponential in the dual
 norm). The solve also returns the mirror part of the link at its root, which
 the dual update reuses as the next round's mirror-map gradient.
+
+ScalarMirrorDescent is the same update for one coordinate with the penalty
+off, in Python floats: the epigraph learner's scalar side.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .core import OnlineLearner, as_vector_norm, ensure_finite, norm
+from .core import OnlineLearner, as_vector_norm, check_positive, ensure_finite, norm
 from .regularizer import HuberRegularizer
 
 _SOLVE_RTOL = 1e-9
@@ -194,35 +197,18 @@ def link_inverse_solve(
     )
 
 
-class MirrorDescentLearner(OnlineLearner):
-    """Hint-driven unconstrained learner with built-in composite Huber penalty.
+class _HintBudget:
+    """The scalar state both mirror descent learners share: hint and budget.
 
-    Plays the origin first. Each observe() call consumes a gradient whose
-    norm is at most the current hint, plus the (nondecreasing) hint for the
-    next round. Setting c = 0 disables the penalty and leaves the plain
-    parameter-free mirror descent update.
+    The hint h bounds the next gradient's norm; C sums the squared gradient
+    norms, N the same squares over the hint in force, and B adds 4N each
+    round; V = h^2 + C and the wealth scale a (from B) enter the link.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        epsilon: float,
-        initial_hint: float,
-        c: float = 0.0,
-        *,
-        p: float,
-        alpha: float = 1.0,
-    ):
-        if epsilon <= 0:
-            raise ValueError("wealth scale epsilon must be positive")
-        if initial_hint <= 0:
-            raise ValueError("initial hint must be positive")
-        self.dim = dim
+    def __init__(self, epsilon: float, initial_hint: float):
+        check_positive("wealth scale epsilon", epsilon)
+        check_positive("initial hint", initial_hint)
         self.epsilon = epsilon
-        self.reg = HuberRegularizer(c=c, p=p, alpha=alpha)
-        self.w = np.zeros(dim)
-        self.w_norm = 0.0  # norm(self.w), kept from the check in observe
-        self.mirror_grad = np.zeros(dim)  # mirror-map gradient at w
         self.h = initial_hint
         self.C = 0.0
         self.N = 4.0
@@ -246,31 +232,22 @@ class MirrorDescentLearner(OnlineLearner):
             )
         return a
 
-    def predict(self) -> np.ndarray:
-        return self.w
+    def _advance(self, g_norm: float, hint: float) -> None:
+        """Check the round's gradient norm and next hint, then fold them in.
 
-    def observe(self, gradient: np.ndarray, hint: float) -> None:
-        # from the exact norm: no overflow warning, and g_norm * g_norm is
-        # bit-identical to the squared entry at d = 1
-        g, g_norm = as_vector_norm(gradient, self.dim)
+        Every check, the wealth scale's included, runs before any state
+        moves. The dual-magnitude budget B folds in the pre-update N.
+        """
+        # g_norm * g_norm is bit-identical to the squared entry at d = 1
         g2 = g_norm * g_norm
         if g2 > (self.h * self.h) * (1.0 + 1e-9) + 1e-300:
             raise ValueError(
                 f"gradient norm {g_norm} exceeds the promised hint {self.h}"
             )
+        if not math.isfinite(hint):
+            raise ValueError(f"hint must be finite, got {hint}")
         if hint < self.h:
             raise ValueError(f"hints must be nondecreasing: {hint} < {self.h}")
-
-        theta = self.mirror_grad - g
-        # a NaN or Inf entry makes the norm NaN or Inf, so the entrywise
-        # check only runs when it is going to fail
-        theta_norm = norm(theta)
-        if not math.isfinite(theta_norm):
-            ensure_finite(theta, "dual accumulator")
-
-        # scalar bookkeeping: the dual-magnitude budget B folds in the
-        # pre-update normalized sum N; the wealth scale is checked first so a
-        # failure leaves the state unchanged
         B = self.B + 4.0 * self.N
         self.a = self._wealth_scale(B)
         self.B = B
@@ -278,6 +255,58 @@ class MirrorDescentLearner(OnlineLearner):
         self.C += g2
         self.h = hint
         self.V = self.h * self.h + self.C
+
+
+class MirrorDescentLearner(_HintBudget, OnlineLearner):
+    """Hint-driven unconstrained learner with built-in composite Huber penalty.
+
+    Plays the origin first. Each observe() call consumes a gradient whose
+    norm is at most the current hint, plus the (nondecreasing) hint for the
+    next round. Setting c = 0 disables the penalty and leaves the plain
+    parameter-free mirror descent update.
+    """
+
+    def __init__(
+        self,
+        dim: int,
+        epsilon: float,
+        initial_hint: float,
+        c: float = 0.0,
+        *,
+        p: float,
+        alpha: float = 1.0,
+    ):
+        super().__init__(epsilon, initial_hint)
+        self.dim = dim
+        self.reg = HuberRegularizer(c=c, p=p, alpha=alpha)
+        self.w = np.zeros(dim)
+        self.w_norm = 0.0  # norm(self.w), kept from the check in observe
+        self.mirror_grad = np.zeros(dim)  # mirror-map gradient at w
+
+    def predict(self) -> np.ndarray:
+        return self.w
+
+    def observe(
+        self, gradient: np.ndarray, hint: float, g_norm: float | None = None
+    ) -> None:
+        """Consume one gradient and the next round's hint.
+
+        A caller that already holds the gradient as a finite float64 vector
+        of this dimension passes its norm() as g_norm, and the coercion is
+        skipped.
+        """
+        if g_norm is None:
+            # from the exact norm: no overflow warning
+            g, g_norm = as_vector_norm(gradient, self.dim)
+        else:
+            g = gradient
+        theta = self.mirror_grad - g
+        # a NaN or Inf entry makes the norm NaN or Inf, so the entrywise
+        # check only runs when it is going to fail
+        theta_norm = norm(theta)
+        if not math.isfinite(theta_norm):
+            ensure_finite(theta, "dual accumulator")
+        self._advance(g_norm, hint)
 
         if theta_norm == 0.0:
             w_next = mirror_grad = np.zeros(self.dim)
@@ -297,4 +326,50 @@ class MirrorDescentLearner(OnlineLearner):
         self.w_norm = w_norm
         self.mirror_grad = mirror_grad
         self.reg.advance(radius)
+        self.t += 1
+
+
+class ScalarMirrorDescent(_HintBudget):
+    """The one-dimensional learner with the penalty disabled, in Python floats.
+
+    Bit for bit MirrorDescentLearner(1, epsilon, initial_hint, c=0, p=1),
+    with w, w_norm and mirror_grad held as floats and observe() taking a
+    float gradient; it raises the same errors with the same messages. The
+    link still inverts through link_inverse_solve, whose c = 0 branch is
+    the closed form.
+    """
+
+    def __init__(self, epsilon: float, initial_hint: float):
+        super().__init__(epsilon, initial_hint)
+        # c = 0: the solve reads nothing else, and nothing advances it
+        self.reg = HuberRegularizer(c=0.0, p=1.0, alpha=1.0)
+        self.w = self.w_norm = self.mirror_grad = 0.0
+
+    def observe(self, g: float, hint: float) -> None:
+        # abs is the norm of a 1-vector; the entrywise checks build one only
+        # to raise the vector learner's message
+        g_norm = abs(g)
+        if not math.isfinite(g_norm):
+            ensure_finite(np.array([g]), "vector input")
+        theta = self.mirror_grad - g
+        theta_norm = abs(theta)
+        if not math.isfinite(theta_norm):
+            ensure_finite(np.array([theta]), "dual accumulator")
+        self._advance(g_norm, hint)
+
+        if theta_norm == 0.0:
+            w = w_norm = mirror_grad = 0.0
+        else:
+            radius, mirror = link_inverse_solve(
+                theta_norm, self.V, self.h, self.a, self.reg
+            )
+            w = (radius / theta_norm) * theta
+            mirror_grad = (mirror / theta_norm) * theta
+            w_norm = abs(w)
+            if not math.isfinite(w_norm):
+                ensure_finite(np.array([w]), "mirror descent iterate")
+
+        self.w = w
+        self.w_norm = w_norm
+        self.mirror_grad = mirror_grad
         self.t += 1

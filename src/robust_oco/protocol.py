@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    RegretLedger, as_vector, as_vector_norm, clip_gradient, dot, ensure_finite, norm,
+    RegretLedger, as_vector, as_vector_norm, check_positive, clip_gradient, dot,
+    ensure_finite, norm,
 )
 from .epigraph import EpigraphLearner, QuadWeights
 from .mirror_descent import MirrorDescentLearner
@@ -101,14 +102,16 @@ class RobustProtocol:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         if config.T < 3:
             raise ValueError("horizon T must be at least 3")
-        if epsilon <= 0 or k < 0 or config.dim < 1:
-            raise ValueError("epsilon must be positive, k nonnegative and dim at least 1")
+        check_positive("epsilon", epsilon)
+        if k < 0 or config.dim < 1:
+            raise ValueError("k must be nonnegative and dim at least 1")
         self.config = config
         self.G = config.G  # None in the unknown-bound modes
         p = math.log(config.T)
         if mode == "known_g":
-            if self.G is None or self.G <= 0:
-                raise ValueError("known_g mode requires a positive G")
+            if self.G is None:
+                raise ValueError("known_g mode requires the gradient bound G")
+            check_positive("G", self.G)
             if k == 0:
                 c, alpha = 0.0, 1.0  # penalty disabled; offset unused
             else:
@@ -123,8 +126,7 @@ class RobustProtocol:
             tau_G = config.tau_G
             if self.G is not None:
                 raise ValueError(f"{mode} must not be given the gradient bound G")
-            if tau_G <= 0:
-                raise ValueError("tau_G must be positive")
+            check_positive("tau_G", tau_G)
             if mode == "unknown_g_case1":
                 if k < 1:
                     raise ValueError("unknown_g_case1 needs k >= 1 (its presets divide by k)")
@@ -172,6 +174,7 @@ class RobustProtocol:
         if self.filter is not None:
             h_t = self.filter.h
             g_clipped, h_next, filter_doubled = self.filter.step(g_tilde, g_tilde_norm)
+            g_clipped_norm = g_tilde_norm if g_clipped is g_tilde else norm(g_clipped)
             z_next, tracker_doubled = self.tracker.step(w_norm)
             alpha_t, beta_t = self.weights.step(filter_doubled, tracker_doubled)
             a_t = alpha_t + beta_t
@@ -179,8 +182,10 @@ class RobustProtocol:
         else:
             h_t = self.G
             g_clipped = clip_gradient(g_tilde, h_t, g_tilde_norm)
+            g_clipped_norm = g_tilde_norm if g_clipped is g_tilde else norm(g_clipped)
             z_next, alpha_t, beta_t, a_t = 0.0, 0.0, 0.0, 0.0
-            self.learner.observe(g_clipped, h_t)
+            # g_clipped is already a checked float64 vector: no second coercion
+            self.learner.observe(g_clipped, h_t, g_clipped_norm)
 
         g_norm = self._update_ledgers(w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap)
         # a finite norm proves the new iterate finite; it is next round's w_norm
@@ -190,7 +195,7 @@ class RobustProtocol:
             ensure_finite(w_next, f"iterate after round {self.t}")
         return RoundRecord(
             w_norm=w_norm, g_norm=g_norm, g_tilde_norm=g_tilde_norm,
-            g_clipped_norm=g_tilde_norm if g_clipped is g_tilde else norm(g_clipped),
+            g_clipped_norm=g_clipped_norm,
             h=h_t, z=z_next, alpha_t=alpha_t, beta_t=beta_t,
         )
 

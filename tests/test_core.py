@@ -346,6 +346,66 @@ class TestCorruptionLedger:
             assert led.update(g, gt) is (not np.array_equal(g, gt))
 
 
+@st.composite
+def ledger_pairs(draw, d):
+    """(g_true, g_tilde): a copy of g_true with signs of zeros flipped, then
+    a few entries nudged by an ulp or redrawn, or none (an equal pair).
+
+    Entries are signed zeros, subnormals (whose differences underflow) and
+    moderate floats, plus, as drawn per example, near-overflow values,
+    infinities and NaN.
+    """
+    huge, inf, nan = (draw(st.booleans()) for _ in range(3))
+    pool = [0.0, -0.0, TINY, -TINY, 2.0**-1022, 1.5, -1.5]
+    pool += [1.7e308, -1.7e308] * huge + [math.inf, -math.inf] * inf + [math.nan] * nan
+    bound = None if huge else 1e100
+    entries = st.one_of(st.sampled_from(pool), st.floats(
+        min_value=None if huge else -bound, max_value=bound,
+        allow_nan=False, allow_infinity=False,
+    ))
+    g_true = np.array(draw(st.lists(entries, min_size=d, max_size=d)))
+    g_tilde = np.where(g_true == 0.0, -g_true, g_true)
+    for i in draw(st.lists(st.integers(0, d - 1), max_size=3)):
+        if draw(st.booleans()):
+            g_tilde[i] = np.nextafter(g_tilde[i], draw(st.sampled_from([0.0, math.inf])))
+        else:
+            g_tilde[i] = draw(entries)
+    return g_true, g_tilde
+
+
+class TestCorruptionLedgerDefinition:
+    @pytest.mark.parametrize("d", [SMALL_DIM + 1, 256])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_array_equal_and_the_deviation(self, d, data):
+        g_true, g_tilde = data.draw(ledger_pairs(d))
+        equal = np.array_equal(g_true, g_tilde)
+        led = CorruptionLedger(lipschitz_G=1.0)
+        if equal:
+            # an equal pair is never subtracted: equal infinities do not warn
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert led.update(g_true, g_tilde) is False
+            assert (led.count_corrupted, led.big_rounds, led.deviation_sum) == (0, 0, 0.0)
+            return
+        # an unequal pair with equal infinities warns in inf - inf, as the
+        # deviation below does
+        with np.errstate(invalid="ignore", over="ignore"):
+            dev = norm(g_true - g_tilde)
+            assert led.update(g_true, g_tilde) is True
+        assert led.count_corrupted == 1
+        assert led.big_rounds == int(dev >= 1.0)
+        assert repr(led.deviation_sum) == repr(0.0 + min(dev, 1.0))
+
+    @pytest.mark.parametrize("d", [SMALL_DIM + 1, 256])
+    def test_subnormal_difference_is_a_corruption(self, d):
+        g = np.full(d, TINY)
+        g[0] = 0.0
+        led = CorruptionLedger(lipschitz_G=1.0)
+        assert led.update(g, np.where(g == TINY, 2 * TINY, -0.0)) is True
+        assert led.deviation_sum == norm(np.full(d - 1, TINY)) > 0.0
+
+
 class TestRegretLedger:
     def test_direct_inner_product(self):
         led = RegretLedger(comparator=np.array([0.0]))

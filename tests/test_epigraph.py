@@ -164,7 +164,7 @@ class AlwaysCorrected(EpigraphLearner):
 
     def _project(self):
         self._hat = EpigraphPoint(
-            self.learner_w.predict(), float(self.learner_y.predict()[0])
+            self.learner_w.predict(), self.learner_y.w
         )
         self._played = weighted_project(
             self._hat, self.h, self.gamma, norm(self._hat.w)
@@ -176,7 +176,7 @@ class AlwaysCorrected(EpigraphLearner):
             self._hat, self._played, self.h, self.gamma, g, a_t
         )
         self.learner_w.observe(0.5 * (g + delta_w), 2.0 * hint)
-        self.learner_y.observe(np.array([0.5 * (a_t + delta_y)]), 1.5 * self.gamma)
+        self.learner_y.observe(0.5 * (a_t + delta_y), 1.5 * self.gamma)
         self.h = hint
         self._project()
 
@@ -221,7 +221,7 @@ class TestEpigraphLearner:
         learner = self.make(T=10_000)
         for t in range(10_000):
             hat = EpigraphPoint(
-                learner.learner_w.predict(), float(learner.learner_y.predict()[0])
+                learner.learner_w.predict(), learner.learner_y.w
             )
             pt = weighted_project(hat, learner.h, learner.gamma, norm(hat.w))
             assert np.array_equal(pt.w, learner.predict())
@@ -234,7 +234,7 @@ class TestEpigraphLearner:
         learner = self.make(gamma=gamma)
         for t in range(500):
             hat = EpigraphPoint(
-                learner.learner_w.predict(), float(learner.learner_y.predict()[0])
+                learner.learner_w.predict(), learner.learner_y.w
             )
             proj = weighted_project(hat, learner.h, gamma, norm(hat.w))
             g = np.array([rng.uniform(-1, 1)])
@@ -289,6 +289,42 @@ class TestEpigraphLearner:
         learner = self.make(gamma=1.0)
         with pytest.raises(ValueError):
             learner.observe(np.zeros(1), 1.0, 0.8 + 0.4)
+
+    @pytest.mark.parametrize(
+        "a_t", [math.nan, math.inf, -0.25, 2.5], ids=["nan", "inf", "negative", "above"]
+    )
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_rejected_penalty_weight_moves_no_state(self, dim, a_t):
+        rng = np.random.default_rng(dim)
+        learner = self.make(dim=dim, gamma=2.0)
+        for _ in range(40):
+            learner.observe(rng.uniform(-1.0, 1.0, dim) / math.sqrt(dim), 1.0,
+                            float(rng.uniform(0.0, 2.0)))
+        before = learner_bits(learner)
+        rounds = (learner.learner_w.t, learner.learner_y.t, learner.learner_w.reg.t)
+        with pytest.raises(ValueError, match=r"penalty weight .* outside \[0, gamma 2\.0\]"):
+            learner.observe(np.full(dim, 0.1), 1.0, a_t)
+        assert learner_bits(learner) == before
+        assert (learner.learner_w.t, learner.learner_y.t, learner.learner_w.reg.t) == rounds
+
+    @pytest.mark.parametrize("hint", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_hint_moves_no_state(self, hint):
+        learner = self.make(dim=2)
+        learner.observe(np.array([0.5, -0.5]), 1.0, 0.5)
+        before = learner_bits(learner)
+        with pytest.raises(ValueError, match="hint must be finite"):
+            learner.observe(np.array([0.1, 0.2]), hint, 0.5)
+        assert learner_bits(learner) == before
+        assert learner.learner_w.t == learner.learner_y.t == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("field, name", [("gamma", "gamma"),
+                                             ("tau_G", "initial threshold tau_G")])
+    def test_constructor_rejects_non_positive_or_non_finite(self, field, name, bad):
+        kw = dict(epsilon=1.0, gamma=1.0, tau_G=1.0, c=1.0, p=2.0)
+        kw[field] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            EpigraphLearner(2, **kw)
 
     def test_composite_regret_envelope(self):
         # composite regret on uncorrupted streams, normalized by

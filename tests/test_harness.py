@@ -1,3 +1,4 @@
+import configparser
 import math
 from pathlib import Path
 
@@ -409,6 +410,32 @@ class TestCLI:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: adversary kind 'dro_reweight' constructs no"), err
+
+    @pytest.mark.parametrize("algorithm, key, value, name", [
+        ("known_g", "G", "nan", "G"),
+        ("known_g", "epsilon", "nan", "epsilon"),
+        ("unknown_g_case2", "tau_G", "inf", "tau_G"),
+        ("kt_bettor", "epsilon", "nan", "initial wealth epsilon"),
+    ])
+    def test_non_finite_setting_exits_2_naming_it(self, tmp_path, capsys,
+                                                   algorithm, key, value, name):
+        # figure1.ini with one [protocol] value replaced: a config error
+        # before round 1, not an abort later or (tau_G = inf) a run that
+        # stays at the origin
+        parser = configparser.ConfigParser()
+        parser.optionxform = str
+        parser.read_string((CONFIGS / "figure1.ini").read_text())
+        parser["experiment"]["algorithm"] = algorithm
+        if algorithm.startswith("unknown_g"):
+            parser["protocol"]["mode"] = algorithm
+            parser["protocol"]["G"] = "none"
+        parser["protocol"][key] = value
+        path = tmp_path / "exp.ini"
+        with open(path, "w") as fh:
+            parser.write(fh)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be positive and finite, got {value}"), err
 
     def test_sweep_subcommand(self, tmp_path):
         path = tmp_path / "sweep.ini"

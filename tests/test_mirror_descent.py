@@ -14,6 +14,7 @@ from robust_oco import mirror_descent
 from robust_oco.core import NonFiniteError, norm
 from robust_oco.mirror_descent import (
     MirrorDescentLearner,
+    ScalarMirrorDescent,
     SolverError,
     _mirror_part_inverse,
     link_inverse_solve,
@@ -378,6 +379,148 @@ class TestMirrorDescentLearner:
         for _ in range(20_000):
             md.observe(np.array([-1.0]), 1.0)
         assert np.isfinite(md.predict()).all()
+
+    def test_given_gradient_norm_skips_the_coercion_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        coerced = MirrorDescentLearner(17, 1.0, 1.0, c=2.0, p=math.log(300))
+        given_norm = MirrorDescentLearner(17, 1.0, 1.0, c=2.0, p=math.log(300))
+        for _ in range(300):
+            g = rng.standard_normal(17)
+            g *= rng.uniform(0.0, 1.0) / norm(g)
+            coerced.observe(g, 1.0)
+            given_norm.observe(g, 1.0, norm(g))
+            assert state_bits(coerced) == state_bits(given_norm)
+
+    @pytest.mark.parametrize("hint", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_hint_rejected_before_any_state_moves(self, hint):
+        rng = np.random.default_rng(5)
+        md = MirrorDescentLearner(3, epsilon=1.0, initial_hint=1.0, c=1.0, p=3.0)
+        for _ in range(20):
+            md.observe(rng.uniform(-0.5, 0.5, 3), 1.0)
+        before = state_bits(md)
+        with pytest.raises(ValueError, match=f"hint must be finite, got {hint}"):
+            md.observe(np.array([0.3, -0.2, 0.1]), hint)
+        assert state_bits(md) == before
+
+
+def shared_bits(md) -> bytes:
+    """The state floats both mirror descent learners keep, as bytes, and the round."""
+    values = [md.w, md.mirror_grad, md.w_norm, md.h, md.C, md.N, md.B, md.V, md.a]
+    return b"".join(
+        np.asarray(v, dtype=np.float64).tobytes() for v in values
+    ) + md.t.to_bytes(8, "little")
+
+
+def state_bits(md) -> bytes:
+    """Every state float of a mirror descent learner, as bytes, and its round."""
+    if isinstance(md, ScalarMirrorDescent):
+        return shared_bits(md)
+    reg = md.reg
+    return shared_bits(md) + np.array(
+        [reg.log_S, reg.last_iterate_norm, reg.t], dtype=np.float64
+    ).tobytes()
+
+
+def scalar_pair(epsilon=0.7, hint=1.5):
+    """The float learner and the 1-d vector learner it reproduces."""
+    return (
+        ScalarMirrorDescent(epsilon, hint),
+        MirrorDescentLearner(1, epsilon, hint, c=0.0, p=1.0),
+    )
+
+
+def raised(observe, *args):
+    with pytest.raises(Exception) as info:
+        observe(*args)
+    return type(info.value), str(info.value)
+
+
+class TestScalarMirrorDescent:
+    def test_matches_the_vector_learner_bit_for_bit(self):
+        # signed zeros, exact zero duals (g equal to the mirror-map gradient,
+        # from the origin and from a nonzero iterate) and doubling hints
+        rng = np.random.default_rng(15)
+        fast, ref = scalar_pair()
+        zero_duals = nonzero_before_zero = 0
+        for t in range(2500):
+            u = rng.uniform()
+            if u < 0.15:
+                # walk the dual back to exactly zero (at c = 0 the
+                # mirror-map gradient is the dual accumulator)
+                g = math.copysign(min(abs(fast.mirror_grad), fast.h), fast.mirror_grad)
+            elif u < 0.2:
+                g = [0.0, -0.0][t % 2]
+            else:
+                g = float(rng.uniform(-1.0, 1.0)) * fast.h
+            hint = 2.0 * fast.h if t % 250 == 249 else fast.h
+            if fast.mirror_grad - g == 0.0:
+                zero_duals += 1
+                nonzero_before_zero += fast.w != 0.0
+            fast.observe(g, hint)
+            ref.observe(np.array([g]), hint)
+            assert shared_bits(fast) == shared_bits(ref), t
+            assert type(fast.w) is float and type(fast.mirror_grad) is float
+        assert zero_duals > 50 and nonzero_before_zero > 50, zero_duals
+        assert fast.h == 1.5 * 2.0**10
+
+    @pytest.mark.parametrize(
+        "g, hint",
+        [(math.nan, 1.5), (math.inf, 1.5), (-math.inf, 1.5), (1.6, 1.5),
+         (-1e200, 1.5), (0.5, 1.0), (0.5, math.nan), (0.5, math.inf)],
+        ids=["nan", "inf", "-inf", "above_hint", "near_overflow",
+             "decreasing_hint", "nan_hint", "inf_hint"],
+    )
+    def test_rejects_what_the_vector_learner_rejects(self, g, hint):
+        fast, ref = scalar_pair()
+        fast.observe(-0.75, 1.5)
+        ref.observe(np.array([-0.75]), 1.5)
+        before = state_bits(fast)
+        assert raised(fast.observe, g, hint) == raised(ref.observe, np.array([g]), hint)
+        assert state_bits(fast) == before
+
+    @pytest.mark.parametrize("corrupt", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_dual_accumulator_raises_as_the_vector_learner(self, corrupt):
+        fast, ref = scalar_pair()
+        fast.mirror_grad, ref.mirror_grad = corrupt, np.array([corrupt])
+        before = state_bits(fast)
+        assert raised(fast.observe, 0.5, 1.5) == raised(ref.observe, np.array([0.5]), 1.5)
+        assert state_bits(fast) == before
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_iterate_raises_as_the_vector_learner(self, monkeypatch, radius):
+        monkeypatch.setattr(
+            mirror_descent, "link_inverse_solve", lambda theta, *args: (radius, theta)
+        )
+        fast, ref = scalar_pair()
+        assert raised(fast.observe, -0.5, 1.5) == raised(ref.observe, np.array([-0.5]), 1.5)
+        assert fast.w == fast.w_norm == 0.0 and fast.t == 0
+
+    def test_solves_through_the_closed_form(self, monkeypatch):
+        calls = []
+        solve = mirror_descent.link_inverse_solve
+
+        def counted(theta_norm, V, h, a, reg):
+            calls.append(reg.c)
+            return solve(theta_norm, V, h, a, reg)
+
+        monkeypatch.setattr(mirror_descent, "link_inverse_solve", counted)
+        fast = ScalarMirrorDescent(1.0, 1.5)
+        for g in (0.5, -0.25, 0.0):
+            fast.observe(g, 1.5)
+        assert calls == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("field", ["epsilon", "initial_hint"])
+@pytest.mark.parametrize("cls", ["vector", "scalar"])
+def test_constructor_rejects_non_positive_or_non_finite(cls, field, bad):
+    kw = {"epsilon": 1.0, "initial_hint": 1.0, field: bad}
+    name = "wealth scale epsilon" if field == "epsilon" else "initial hint"
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        if cls == "vector":
+            MirrorDescentLearner(2, p=1.0, **kw)
+        else:
+            ScalarMirrorDescent(**kw)
 
 
 def composite_regret(T, u, G, seed, epsilon=1.0, k=5, origin_adversarial=False):

@@ -90,6 +90,18 @@ class TestPresets:
         assert protocol.tracker.tau_D == 1.0
         assert math.isclose(reg.alpha, 1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("mode, field", [
+        ("known_g", "epsilon"), ("known_g", "G"),
+        ("unknown_g_case1", "epsilon"), ("unknown_g_case1", "tau_G"),
+        ("unknown_g_case2", "tau_G"),
+    ])
+    def test_setting_outside_the_positive_floats_names_itself(self, mode, field, bad):
+        kw = {"G": 1.0} if mode == "known_g" else {}
+        kw[field] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got"):
+            RobustProtocol(ProtocolConfig(mode=mode, T=100, k=2, **kw))
+
     def test_unknown_modes_refuse_the_bound(self):
         for mode in ("unknown_g_case1", "unknown_g_case2"):
             with pytest.raises(ValueError):
@@ -185,8 +197,8 @@ class TestProtocolRound:
         learner = protocol.learner
         observe = learner.observe
 
-        def observe_then_poison(gradient, hint):
-            observe(gradient, hint)
+        def observe_then_poison(gradient, hint, g_norm):
+            observe(gradient, hint, g_norm)
             learner.w = np.array([math.nan, 0.0])
 
         learner.observe = observe_then_poison
@@ -205,7 +217,7 @@ class TestProtocolRound:
             protocol.round(g)
         learner = protocol.learner
         hat = EpigraphPoint(
-            learner.learner_w.predict(), float(learner.learner_y.predict()[0])
+            learner.learner_w.predict(), learner.learner_y.w
         )
         point = weighted_project(hat, learner.h, learner.gamma, norm(hat.w))
         assert np.array_equal(point.w, protocol.predict())
