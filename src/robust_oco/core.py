@@ -24,7 +24,6 @@ import numpy as np
 
 
 SMALL_DIM = 16  # vectors up to this size skip numpy reductions
-_FLOAT64 = np.dtype(np.float64)
 # below this squared norm, np.vdot may have lost digits to underflow
 _SQUARED_NORM_FLOOR = 1e-280
 _FLOAT_MIN = sys.float_info.min  # smallest normal double
@@ -69,18 +68,11 @@ def check_positive(name: str, value: float) -> None:
 def ensure_finite(x, context: str) -> None:
     """Abort with a diagnostic if any entry of x is NaN or Inf.
 
-    A 1-d float64 vector passes as soon as its sum of squares is finite,
-    which proves every entry finite: math.hypot up to SMALL_DIM entries,
-    np.vdot (which never warns) above. A non-finite sum decides nothing (the
-    norm of a finite [1.7e308, 1.7e308] overflows), so it falls through to
-    the entrywise check, as does every other input.
+    Per-round callers run it only after a norm came out non-finite: a finite
+    norm already proves every entry finite, and a non-finite one decides
+    nothing (the norm of a finite [1.7e308, 1.7e308] overflows).
     """
     arr = np.asarray(x)
-    if arr.ndim == 1 and arr.dtype is _FLOAT64 and math.isfinite(
-        math.hypot(*arr.tolist()) if arr.size <= SMALL_DIM
-        else float(np.vdot(arr, arr))
-    ):
-        return
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite value in {context}: {arr!r}")
 
@@ -188,28 +180,31 @@ class CorruptionLedger:
         """Account one round; return True when it was corrupted (g_tilde != g_true).
 
         Equality is entrywise float equality (-0.0 equals 0.0, NaN equals
-        nothing) of equal shapes, as np.array_equal; small vectors compare
-        as Python lists. Above SMALL_DIM a finite inner product of the pair
-        proves every entry of both finite and every difference within float
-        range; the deviation then decides it, zero exactly when the entries
-        are equal, and the pair is subtracted once. Any other pair (an Inf
-        or NaN entry, or a product past float range) is compared entrywise
-        first, so equal infinities never reach inf - inf, which warns.
+        nothing) of equal 1-d shapes, as np.array_equal. The deviation is
+        the norm of the entrywise difference, where an equal entry, an equal
+        pair of infinities included, contributes 0; it is inf (a big round,
+        adding G) when an unequal entry is NaN or Inf or a difference
+        overflows. Above SMALL_DIM a finite inner product of the pair proves
+        every entry finite and every difference within float range, so the
+        pair is subtracted once and a zero deviation means equal. Any other
+        pair is compared, and its differences taken, in Python floats, which
+        never warn.
         """
-        if g_true.size <= SMALL_DIM:
-            if g_true.tolist() == g_tilde.tolist():
-                return False
-            dev = norm(g_true - g_tilde)
-        elif g_true.shape == g_tilde.shape and math.isfinite(
-            float(np.vdot(g_true, g_tilde))
+        if (
+            g_true.size > SMALL_DIM and g_true.shape == g_tilde.shape
+            and math.isfinite(float(np.vdot(g_true, g_tilde)))
         ):
             dev = norm(g_true - g_tilde)
             if dev == 0.0:
                 return False
         else:
-            if g_true.shape == g_tilde.shape and bool((g_true == g_tilde).all()):
+            true, tilde = g_true.tolist(), g_tilde.tolist()
+            if true == tilde:
                 return False
-            dev = norm(g_true - g_tilde)
+            diff = [x - y if x != y else 0.0 for x, y in zip(true, tilde, strict=True)]
+            dev = norm(np.array(diff))
+            if math.isnan(dev):  # a NaN entry, and no Inf difference
+                dev = math.inf
         self.count_corrupted += 1
         if dev >= self.lipschitz_G:
             self.big_rounds += 1

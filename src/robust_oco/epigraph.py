@@ -5,7 +5,10 @@ A d-dimensional learner and a scalar learner jointly predict a lifted point
 metric h^2||.||^2 + gamma^2(.)^2 makes the quadratic penalty a_t ||w||^2 act
 linearly through the y coordinate. An exterior prediction additionally incurs
 a gradient correction along the (weighted) projection direction, which keeps
-both sub-learners' feedback within their promised hint ranges.
+both sub-learners' feedback within their promised hint ranges. A round
+computes both sub-learners' updates and the projection of the new lifted
+point before either sub-learner commits, so a round that raises changes
+nothing.
 """
 
 from __future__ import annotations
@@ -175,14 +178,8 @@ class EpigraphLearner(OnlineLearner):
         )
         self.learner_y = ScalarMirrorDescent(epsilon, initial_hint=1.5 * gamma)
         self.h = tau_G
-        self._project()
-
-    def _project(self) -> None:
-        """Lift the sub-learners' predictions and project them onto the set."""
-        self._hat = EpigraphPoint(self.learner_w.predict(), self.learner_y.w)
-        self._played = weighted_project(
-            self._hat, self.h, self.gamma, self.learner_w.w_norm
-        )
+        self._hat = EpigraphPoint(self.learner_w.w, self.learner_y.w)
+        self._played = weighted_project(self._hat, tau_G, gamma, self.learner_w.w_norm)
 
     def predict(self) -> np.ndarray:
         return self._played.w
@@ -196,8 +193,8 @@ class EpigraphLearner(OnlineLearner):
         turns a -0.0 entry into 0.0, which learner_w's dual update can tell
         apart where its mirror-map gradient holds -0.0 (a zero mirror part
         times a negative dual entry). learner_w coerces and checks the
-        gradient; a non-finite one is reported as given, not halved. Every
-        check on the round's input runs before either sub-learner moves.
+        gradient; a non-finite one is reported as given, not halved. Nothing
+        commits until both updates and the projection have succeeded.
         """
         if not 0.0 <= a_t <= self.gamma * (1.0 + 1e-12):
             raise ValueError(f"penalty weight {a_t} outside [0, gamma {self.gamma}]")
@@ -205,17 +202,20 @@ class EpigraphLearner(OnlineLearner):
             g_w = np.add(gradient, 0.0)
             g_w *= 0.5
             try:
-                self.learner_w.observe(g_w, 2.0 * hint)
+                update_w = self.learner_w.update(g_w, 2.0 * hint)
             except NonFiniteError:
                 as_vector(gradient, self.dim)  # raises for the caller's vector
                 raise
-            self.learner_y.observe(0.5 * (a_t + 0.0), 1.5 * self.gamma)
+            delta_y = 0.0
         else:
             g = as_vector(gradient, self.dim)
             delta_w, delta_y = correction_direction(
                 self._hat, self._played, self.h, self.gamma, g, a_t
             )
-            self.learner_w.observe(0.5 * (g + delta_w), 2.0 * hint)
-            self.learner_y.observe(0.5 * (a_t + delta_y), 1.5 * self.gamma)
-        self.h = hint
-        self._project()
+            update_w = self.learner_w.update(0.5 * (g + delta_w), 2.0 * hint)
+        update_y = self.learner_y.update(0.5 * (a_t + delta_y), 1.5 * self.gamma)
+        hat = EpigraphPoint(update_w.w, update_y.w)
+        played = weighted_project(hat, hint, self.gamma, update_w.w_norm)
+        self.learner_w.commit(update_w)
+        self.learner_y.commit(update_y)
+        self.h, self._hat, self._played = hint, hat, played

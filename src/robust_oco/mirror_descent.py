@@ -11,14 +11,17 @@ orders of magnitude (parameter-free iterates are exponential in the dual
 norm). The solve also returns the mirror part of the link at its root, which
 the dual update reuses as the next round's mirror-map gradient.
 
-ScalarMirrorDescent is the same update for one coordinate with the penalty
-off, in Python floats: the epigraph learner's scalar side.
+One update, in _HintBudget, serves MirrorDescentLearner and
+ScalarMirrorDescent (one coordinate, penalty off, in Python floats: the
+epigraph learner's scalar side). It computes the whole new state before
+commit() assigns any of it, so an observe() that raises changes nothing.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,7 +36,11 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 
 class SolverError(RuntimeError):
-    """The monotone link inversion failed to converge; state is corrupt."""
+    """The link inversion or the epigraph projection found no usable root.
+
+    Either no representable radius solves it or the iteration did not
+    converge. Raised from observe(), it leaves the learner as it was.
+    """
 
 
 def link_terms(
@@ -197,12 +204,20 @@ def link_inverse_solve(
     )
 
 
+# one round's new learner state, computed before any of it is assigned; w
+# and mirror_grad are vectors or floats, radius is the solved iterate norm
+Update = namedtuple("Update", "w w_norm mirror_grad radius h C N B V a")
+
+
 class _HintBudget:
-    """The scalar state both mirror descent learners share: hint and budget.
+    """The mirror descent update both learners share, on vectors or on floats.
 
     The hint h bounds the next gradient's norm; C sums the squared gradient
     norms, N the same squares over the hint in force, and B adds 4N each
-    round; V = h^2 + C and the wealth scale a (from B) enter the link.
+    round; V = h^2 + C and the wealth scale a (from B) enter the link. A
+    round is update(), which runs every check and the solve on locals, then
+    commit(), which assigns the result. A subclass supplies _coerce (the
+    gradient in its own form, with its norm) and _norm.
     """
 
     def __init__(self, epsilon: float, initial_hint: float):
@@ -232,29 +247,61 @@ class _HintBudget:
             )
         return a
 
-    def _advance(self, g_norm: float, hint: float) -> None:
-        """Check the round's gradient norm and next hint, then fold them in.
+    def observe(self, gradient, hint: float, g_norm: float | None = None) -> None:
+        """Consume one gradient and the next round's hint: update, then commit."""
+        self.commit(self.update(gradient, hint, g_norm))
 
-        Every check, the wealth scale's included, runs before any state
-        moves. The dual-magnitude budget B folds in the pre-update N.
+    def update(self, gradient, hint: float, g_norm: float | None = None) -> Update:
+        """The round's new state, every check and the solve run, nothing assigned.
+
+        A caller that already holds the gradient in the learner's own form
+        (a finite float64 vector of its dimension, or a finite float) passes
+        its norm as g_norm, and the coercion is skipped. The gradient norm
+        must be within the hint in force, and the next hint finite and no
+        smaller; the dual-magnitude budget B folds in the pre-update N.
         """
+        if g_norm is None:
+            gradient, g_norm = self._coerce(gradient)
+        theta = self.mirror_grad - gradient
+        # a NaN or Inf entry makes the norm NaN or Inf, so the entrywise
+        # check only runs when it is going to fail
+        theta_norm = self._norm(theta)
+        if not math.isfinite(theta_norm):
+            ensure_finite(np.atleast_1d(theta), "dual accumulator")
+        h = self.h
         # g_norm * g_norm is bit-identical to the squared entry at d = 1
         g2 = g_norm * g_norm
-        if g2 > (self.h * self.h) * (1.0 + 1e-9) + 1e-300:
-            raise ValueError(
-                f"gradient norm {g_norm} exceeds the promised hint {self.h}"
-            )
+        if g2 > (h * h) * (1.0 + 1e-9) + 1e-300:
+            raise ValueError(f"gradient norm {g_norm} exceeds the promised hint {h}")
         if not math.isfinite(hint):
             raise ValueError(f"hint must be finite, got {hint}")
-        if hint < self.h:
-            raise ValueError(f"hints must be nondecreasing: {hint} < {self.h}")
+        if hint < h:
+            raise ValueError(f"hints must be nondecreasing: {hint} < {h}")
         B = self.B + 4.0 * self.N
-        self.a = self._wealth_scale(B)
-        self.B = B
-        self.N += g2 / (self.h * self.h)
-        self.C += g2
-        self.h = hint
-        self.V = self.h * self.h + self.C
+        a = self._wealth_scale(B)
+        N = self.N + g2 / (h * h)
+        C = self.C + g2
+        V = hint * hint + C
+
+        if theta_norm == 0.0:
+            # every entry of theta is a signed zero: abs gives the origin
+            w = mirror_grad = abs(theta)
+            radius = w_norm = 0.0
+        else:
+            radius, mirror = link_inverse_solve(theta_norm, V, hint, a, self.reg)
+            w = (radius / theta_norm) * theta
+            mirror_grad = (mirror / theta_norm) * theta
+            # as for theta: a finite norm proves the iterate finite
+            w_norm = self._norm(w)
+            if not math.isfinite(w_norm):
+                ensure_finite(np.atleast_1d(w), "mirror descent iterate")
+        return Update(w, w_norm, mirror_grad, radius, hint, C, N, B, V, a)
+
+    def commit(self, update: Update) -> None:
+        """Assign the state that update() computed."""
+        (self.w, self.w_norm, self.mirror_grad, _, self.h,
+         self.C, self.N, self.B, self.V, self.a) = update
+        self.t += 1
 
 
 class MirrorDescentLearner(_HintBudget, OnlineLearner):
@@ -280,53 +327,24 @@ class MirrorDescentLearner(_HintBudget, OnlineLearner):
         self.dim = dim
         self.reg = HuberRegularizer(c=c, p=p, alpha=alpha)
         self.w = np.zeros(dim)
-        self.w_norm = 0.0  # norm(self.w), kept from the check in observe
+        self.w_norm = 0.0  # norm(self.w), kept from the check in update
         self.mirror_grad = np.zeros(dim)  # mirror-map gradient at w
 
     def predict(self) -> np.ndarray:
         return self.w
 
-    def observe(
-        self, gradient: np.ndarray, hint: float, g_norm: float | None = None
-    ) -> None:
-        """Consume one gradient and the next round's hint.
+    def _coerce(self, gradient) -> tuple[np.ndarray, float]:
+        # from the exact norm: no overflow warning
+        return as_vector_norm(gradient, self.dim)
 
-        A caller that already holds the gradient as a finite float64 vector
-        of this dimension passes its norm() as g_norm, and the coercion is
-        skipped.
-        """
-        if g_norm is None:
-            # from the exact norm: no overflow warning
-            g, g_norm = as_vector_norm(gradient, self.dim)
-        else:
-            g = gradient
-        theta = self.mirror_grad - g
-        # a NaN or Inf entry makes the norm NaN or Inf, so the entrywise
-        # check only runs when it is going to fail
-        theta_norm = norm(theta)
-        if not math.isfinite(theta_norm):
-            ensure_finite(theta, "dual accumulator")
-        self._advance(g_norm, hint)
+    def _norm(self, v: np.ndarray) -> float:
+        # looked up per call: the span tracer (perfbench/layers.py) rebinds it
+        return norm(v)
 
-        if theta_norm == 0.0:
-            w_next = mirror_grad = np.zeros(self.dim)
-            radius = w_norm = 0.0
-        else:
-            radius, mirror = link_inverse_solve(
-                theta_norm, self.V, self.h, self.a, self.reg
-            )
-            w_next = (radius / theta_norm) * theta
-            mirror_grad = (mirror / theta_norm) * theta
-            # as for theta: a finite norm proves the iterate finite
-            w_norm = norm(w_next)
-            if not math.isfinite(w_norm):
-                ensure_finite(w_next, "mirror descent iterate")
-
-        self.w = w_next
-        self.w_norm = w_norm
-        self.mirror_grad = mirror_grad
-        self.reg.advance(radius)
-        self.t += 1
+    def commit(self, update: Update) -> None:
+        """Assign the new state and fold the new radius into the penalty."""
+        self.reg.advance(update.radius)
+        super().commit(update)
 
 
 class ScalarMirrorDescent(_HintBudget):
@@ -334,9 +352,8 @@ class ScalarMirrorDescent(_HintBudget):
 
     Bit for bit MirrorDescentLearner(1, epsilon, initial_hint, c=0, p=1),
     with w, w_norm and mirror_grad held as floats and observe() taking a
-    float gradient; it raises the same errors with the same messages. The
-    link still inverts through link_inverse_solve, whose c = 0 branch is
-    the closed form.
+    float gradient. The link inverts through link_inverse_solve's c = 0
+    closed form.
     """
 
     def __init__(self, epsilon: float, initial_hint: float):
@@ -345,31 +362,13 @@ class ScalarMirrorDescent(_HintBudget):
         self.reg = HuberRegularizer(c=0.0, p=1.0, alpha=1.0)
         self.w = self.w_norm = self.mirror_grad = 0.0
 
-    def observe(self, g: float, hint: float) -> None:
-        # abs is the norm of a 1-vector; the entrywise checks build one only
-        # to raise the vector learner's message
+    def _coerce(self, g: float) -> tuple[float, float]:
+        # the check builds a vector only to raise the vector learner's message
         g_norm = abs(g)
         if not math.isfinite(g_norm):
             ensure_finite(np.array([g]), "vector input")
-        theta = self.mirror_grad - g
-        theta_norm = abs(theta)
-        if not math.isfinite(theta_norm):
-            ensure_finite(np.array([theta]), "dual accumulator")
-        self._advance(g_norm, hint)
+        return g, g_norm
 
-        if theta_norm == 0.0:
-            w = w_norm = mirror_grad = 0.0
-        else:
-            radius, mirror = link_inverse_solve(
-                theta_norm, self.V, self.h, self.a, self.reg
-            )
-            w = (radius / theta_norm) * theta
-            mirror_grad = (mirror / theta_norm) * theta
-            w_norm = abs(w)
-            if not math.isfinite(w_norm):
-                ensure_finite(np.array([w]), "mirror descent iterate")
-
-        self.w = w
-        self.w_norm = w_norm
-        self.mirror_grad = mirror_grad
-        self.t += 1
+    def _norm(self, x: float) -> float:
+        # the norm of a 1-vector
+        return abs(x)

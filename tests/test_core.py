@@ -367,35 +367,75 @@ def ledger_pairs(draw, d):
     g_tilde = np.where(g_true == 0.0, -g_true, g_true)
     for i in draw(st.lists(st.integers(0, d - 1), max_size=3)):
         if draw(st.booleans()):
-            g_tilde[i] = np.nextafter(g_tilde[i], draw(st.sampled_from([0.0, math.inf])))
+            # math.nextafter: the step from the largest double to inf does
+            # not warn, as numpy's overflow does
+            toward = draw(st.sampled_from([0.0, math.inf]))
+            g_tilde[i] = math.nextafter(g_tilde[i], toward)
         else:
             g_tilde[i] = draw(entries)
     return g_true, g_tilde
 
 
+def rule_deviation(g_true, g_tilde) -> float:
+    """The ledger's documented deviation of an unequal pair, from the rule.
+
+    Equal entries contribute 0; an unequal NaN or Inf entry, or a difference
+    past float range, makes it inf.
+    """
+    unequal = g_true != g_tilde
+    a, b = g_true[unequal], g_tilde[unequal]
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return math.inf
+    diff = np.zeros(g_true.shape)
+    # Python float subtraction: an overflow is inf, without a warning
+    diff[unequal] = [x - y for x, y in zip(a.tolist(), b.tolist())]
+    return norm(diff)
+
+
 class TestCorruptionLedgerDefinition:
-    @pytest.mark.parametrize("d", [SMALL_DIM + 1, 256])
+    @pytest.mark.parametrize("d", [2, SMALL_DIM + 1, 256])
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_array_equal_and_the_deviation(self, d, data):
         g_true, g_tilde = data.draw(ledger_pairs(d))
-        equal = np.array_equal(g_true, g_tilde)
         led = CorruptionLedger(lipschitz_G=1.0)
-        if equal:
-            # an equal pair is never subtracted: equal infinities do not warn
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert led.update(g_true, g_tilde) is False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            corrupted = led.update(g_true, g_tilde)
+        if np.array_equal(g_true, g_tilde):
+            assert corrupted is False
             assert (led.count_corrupted, led.big_rounds, led.deviation_sum) == (0, 0, 0.0)
             return
-        # an unequal pair with equal infinities warns in inf - inf, as the
-        # deviation below does
-        with np.errstate(invalid="ignore", over="ignore"):
-            dev = norm(g_true - g_tilde)
-            assert led.update(g_true, g_tilde) is True
+        dev = rule_deviation(g_true, g_tilde)
+        assert corrupted is True
         assert led.count_corrupted == 1
         assert led.big_rounds == int(dev >= 1.0)
         assert repr(led.deviation_sum) == repr(0.0 + min(dev, 1.0))
+
+    @pytest.mark.parametrize("d", [2, SMALL_DIM + 1])
+    def test_equal_infinities_of_an_unequal_pair_contribute_zero(self, d):
+        g_true = np.ones(d)
+        g_true[0] = math.inf
+        g_tilde = g_true.copy()
+        g_tilde[1] = 2.0
+        led = CorruptionLedger(lipschitz_G=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert led.update(g_true, g_tilde) is True
+        assert (led.count_corrupted, led.big_rounds, led.deviation_sum) == (1, 0, 1.0)
+
+    @pytest.mark.parametrize("d", [2, SMALL_DIM + 1])
+    def test_overflowing_or_non_finite_difference_is_a_big_round(self, d):
+        nan, inf = np.ones(d), np.ones(d)
+        nan[-1], inf[-1] = math.nan, -math.inf
+        pairs = [(np.full(d, 1.7e308), np.full(d, -1.7e308)), (nan, nan.copy()),
+                 (inf, np.ones(d)), (inf, nan)]
+        led = CorruptionLedger(lipschitz_G=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g_true, g_tilde in pairs:
+                assert led.update(g_true, g_tilde) is True
+        assert (led.count_corrupted, led.big_rounds, led.deviation_sum) == (4, 4, 8.0)
 
     @pytest.mark.parametrize("d", [SMALL_DIM + 1, 256])
     def test_subnormal_difference_is_a_corruption(self, d):

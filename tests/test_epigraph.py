@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from robust_oco import epigraph, mirror_descent
 from robust_oco.core import NonFiniteError, as_vector, norm
 from robust_oco.epigraph import (
     EpigraphLearner,
@@ -182,11 +183,14 @@ class AlwaysCorrected(EpigraphLearner):
 
 
 def learner_bits(learner):
-    """Every float of an epigraph learner's state, as bytes."""
-    parts = [learner._played.w, [learner._played.y, learner.h]]
+    """Every float of an epigraph learner's state, and its rounds, as bytes."""
+    parts = [learner._hat.w, learner._played.w,
+             [learner._hat.y, learner._played.y, learner.h]]
     for md in (learner.learner_w, learner.learner_y):
+        reg = md.reg
         parts += [md.w, md.mirror_grad,
-                  [md.w_norm, md.h, md.C, md.N, md.B, md.V, md.a, md.reg.log_S]]
+                  [md.w_norm, md.h, md.C, md.N, md.B, md.V, md.a, md.t,
+                   reg.log_S, reg.last_iterate_norm, reg.t]]
     return b"".join(np.asarray(x, dtype=np.float64).tobytes() for x in parts)
 
 
@@ -316,6 +320,40 @@ class TestEpigraphLearner:
             learner.observe(np.array([0.1, 0.2]), hint, 0.5)
         assert learner_bits(learner) == before
         assert learner.learner_w.t == learner.learner_y.t == 1
+
+    @pytest.mark.parametrize("interior", [True, False], ids=["interior", "corrected"])
+    @pytest.mark.parametrize("failing", ["scalar_solve", "projection"])
+    def test_failure_after_the_vector_solve_moves_no_state(
+        self, monkeypatch, failing, interior
+    ):
+        # learner_w's update has succeeded when learner_y's solve or the
+        # projection raises: neither sub-learner may have committed
+        rng = np.random.default_rng(3)
+        learner = self.make(dim=2, gamma=2.0)
+        while (learner._played is learner._hat) is not interior:
+            a_t = float(rng.uniform(0.0, 2.0))
+            learner.observe(rng.uniform(-0.7, 0.7, 2), 1.0, a_t)
+        before = learner_bits(learner)
+        hat, played = learner._hat, learner._played
+        solve, project = mirror_descent.link_inverse_solve, epigraph.weighted_project
+
+        def scalar_solve(theta_norm, V, h, a, reg):
+            if reg is learner.learner_y.reg:
+                raise SolverError("scalar solve failed")
+            return solve(theta_norm, V, h, a, reg)
+
+        def projection(*args):
+            project(*args)
+            raise SolverError("projection failed")
+
+        if failing == "scalar_solve":
+            monkeypatch.setattr(mirror_descent, "link_inverse_solve", scalar_solve)
+        else:
+            monkeypatch.setattr(epigraph, "weighted_project", projection)
+        with pytest.raises(SolverError, match="failed"):
+            learner.observe(np.array([0.6, -0.3]), 1.0, 0.5)
+        assert learner_bits(learner) == before
+        assert learner._hat is hat and learner._played is played
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("field, name", [("gamma", "gamma"),

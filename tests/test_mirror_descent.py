@@ -367,9 +367,10 @@ class TestMirrorDescentLearner:
             mirror_descent, "link_inverse_solve", lambda theta, *args: (radius, theta)
         )
         md = MirrorDescentLearner(2, epsilon=1.0, initial_hint=1.0, c=1.0, p=3.0)
+        before = state_bits(md)
         with pytest.raises(NonFiniteError, match="mirror descent iterate"):
             md.observe(np.array([0.3, -0.4]), 1.0)
-        assert np.array_equal(md.predict(), np.zeros(2)) and md.w_norm == 0.0
+        assert state_bits(md) == before
 
     def test_penalty_caps_exponential_growth(self):
         # same stream with the composite penalty active: the run completes
@@ -492,8 +493,23 @@ class TestScalarMirrorDescent:
             mirror_descent, "link_inverse_solve", lambda theta, *args: (radius, theta)
         )
         fast, ref = scalar_pair()
+        before = state_bits(fast), state_bits(ref)
         assert raised(fast.observe, -0.5, 1.5) == raised(ref.observe, np.array([-0.5]), 1.5)
-        assert fast.w == fast.w_norm == 0.0 and fast.t == 0
+        assert (state_bits(fast), state_bits(ref)) == before
+
+    @pytest.mark.parametrize("scalar", [False, True], ids=["vector", "scalar"])
+    def test_float_range_exit_leaves_state_unchanged(self, scalar):
+        # a constant gradient with the penalty off drives the iterate past
+        # float range at round 25,525; the failed solve moves no state
+        fast, ref = scalar_pair(epsilon=1.0, hint=1.0)
+        md, g = (fast, -1.0) if scalar else (ref, np.array([-1.0]))
+        for _ in range(25_524):
+            md.observe(g, 1.0)
+        before = state_bits(md)
+        message = "no representable radius reaches dual norm 25525.0"
+        with pytest.raises(SolverError, match=message):
+            md.observe(g, 1.0)
+        assert state_bits(md) == before
 
     def test_solves_through_the_closed_form(self, monkeypatch):
         calls = []
