@@ -10,19 +10,17 @@ from .adversaries import (
     AdversarySpec,
     KTBettor,
     make_adversary,
-    random_sign_expectation,
 )
 from .core import (
     CorruptionLedger,
     NonFiniteError,
-    OnlineLearner,
     RegretLedger,
     clip_gradient,
 )
 from .epigraph import EpigraphLearner, EpigraphPoint, QuadWeights, weighted_project
 from .mirror_descent import MirrorDescentLearner, link_inverse_solve
 from .protocol import DecompositionLedger, ProtocolConfig, RobustProtocol
-from .regularizer import HuberRegularizer, check_sum_bounds
+from .regularizer import HuberRegularizer
 from .thresholds import GradientFilter, MagnitudeTracker
 
 __all__ = [
@@ -37,16 +35,13 @@ __all__ = [
     "MagnitudeTracker",
     "MirrorDescentLearner",
     "NonFiniteError",
-    "OnlineLearner",
     "ProtocolConfig",
     "QuadWeights",
     "RegretLedger",
     "RobustProtocol",
-    "check_sum_bounds",
     "clip_gradient",
     "link_inverse_solve",
     "make_adversary",
-    "random_sign_expectation",
     "weighted_project",
 ]
 

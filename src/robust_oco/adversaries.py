@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OnlineLearner, as_vector, check_positive
+from .core import as_vector, check_positive
 
 ADVERSARY_KINDS = (
     "sign_flip_window",
@@ -45,6 +45,10 @@ class AdversarySpec:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         if self.T < 1 or self.k < 0 or self.dim < 1:
             raise ValueError("T must be >= 1, k nonnegative and dim at least 1")
+        check_positive("G", self.G)
+        check_positive("epsilon", self.epsilon)
+        if not math.isfinite(self.D):
+            raise ValueError(f"D must be finite, got {self.D}")
 
 
 class Adversary(ABC):
@@ -197,22 +201,6 @@ class DROReweightAdversary(Adversary):
         return self._base.loss_gap(w, u)
 
 
-def random_sign_expectation(T: int) -> float:
-    """Exact E|sum of T fair signs| by exhaustive enumeration of all 2^T sequences.
-
-    Equals the expectation of the aligned sum sign(S) * S; refuses T > 20
-    where enumeration stops being exact-and-cheap.
-    """
-    if not (1 <= T <= 20):
-        raise ValueError("exhaustive enumeration supports 1 <= T <= 20 only")
-    codes = np.arange(1 << T, dtype=np.uint32)
-    ones = np.zeros(1 << T, dtype=np.int64)
-    for b in range(T):
-        ones += (codes >> b) & 1
-    total = int(np.abs(2 * ones - T).sum())
-    return total / float(1 << T)
-
-
 def make_adversary(spec: AdversarySpec, seed: int | None = None) -> Adversary:
     """Instantiate the stream described by spec, optionally overriding its seed."""
     s = spec.seed if seed is None else seed
@@ -233,7 +221,7 @@ def make_adversary(spec: AdversarySpec, seed: int | None = None) -> Adversary:
     raise ValueError(f"unknown adversary kind {spec.kind!r}")
 
 
-class KTBettor(OnlineLearner):
+class KTBettor:
     """Classical wealth-based parameter-free learner (the fragile baseline).
 
     Bets a fraction of accumulated wealth proportional to the sign average of

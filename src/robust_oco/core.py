@@ -1,4 +1,4 @@
-"""Shared domain types: gradient clipping, ledgers, and the online-learner contract.
+"""Shared domain types: vector kernels, gradient clipping, and the ledgers.
 
 Everything downstream trades in plain float64 numpy arrays ("vectors") under
 the Euclidean norm. Corruption experiments intentionally drive exponential
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,22 +258,3 @@ class RegretLedger:
             self.loss_regret += float(loss_gap)
         return observed
 
-
-class OnlineLearner(ABC):
-    """predict/observe state machine shared by every learner in this package.
-
-    predict() is deterministic given the observe history and safe to call
-    repeatedly; the first prediction is always the origin. The returned array
-    may be the learner's own iterate, not a copy: observe() replaces the
-    iterate with a new array and never writes into the old one, and callers
-    must not write into it either. observe() consumes one (gradient, hint)
-    pair, where the hint is the magnitude bound the caller promises for the
-    next round's gradient. There is no reset: a fresh run builds a fresh
-    learner.
-    """
-
-    @abstractmethod
-    def predict(self) -> np.ndarray: ...
-
-    @abstractmethod
-    def observe(self, gradient: np.ndarray, hint: float) -> None: ...

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NonFiniteError, OnlineLearner, as_vector, check_positive, dot
+from .core import NonFiniteError, as_vector, check_positive, dot
 from .mirror_descent import MirrorDescentLearner, ScalarMirrorDescent, SolverError
 
 _PROJ_RTOL = 1e-12
@@ -149,7 +149,7 @@ def correction_direction(
     return delta_w, delta_y
 
 
-class EpigraphLearner(OnlineLearner):
+class EpigraphLearner:
     """Composite learner pairing a vector and a scalar sub-learner on the lift.
 
     The vector side is the mirror descent learner, fed hints of twice the
@@ -182,6 +182,7 @@ class EpigraphLearner(OnlineLearner):
         self._played = weighted_project(self._hat, tau_G, gamma, self.learner_w.w_norm)
 
     def predict(self) -> np.ndarray:
+        """The played iterate itself, not a copy; observe() replaces it, never writes into it."""
         return self._played.w
 
     def observe(self, gradient: np.ndarray, hint: float, a_t: float = 0.0) -> None:

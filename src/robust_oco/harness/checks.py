@@ -4,6 +4,12 @@ Every check returns a CheckReport with one verdict line per property, and the
 CLI maps the overall outcome to its exit code. The suites are deliberately
 oracle-flavored: brute-force summation, exhaustive enumeration, Monte Carlo
 with explicit standard errors, and round-trip inversions.
+
+The oracles that no round ever runs live here, beside the suites that call
+them: the replays of a recorded filter or tracker run against its lemma
+(check_filter_properties, check_tracker_properties), the literal penalty-sum
+envelope (check_sum_bounds), and the exact random-sign enumeration behind
+the Theorem-2 floor (random_sign_expectation).
 """
 
 from __future__ import annotations
@@ -13,18 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adversaries import ADVERSARY_KINDS, AdversarySpec, make_adversary, random_sign_expectation
+from ..adversaries import ADVERSARY_KINDS, AdversarySpec, make_adversary
 from ..core import norm
 from ..epigraph import EpigraphPoint, weighted_project
 from ..mirror_descent import link_inverse_solve, link_value
 from ..protocol import ProtocolConfig, RobustProtocol
-from ..regularizer import HuberRegularizer, check_sum_bounds
-from ..thresholds import (
-    GradientFilter,
-    MagnitudeTracker,
-    check_filter_properties,
-    check_tracker_properties,
-)
+from ..regularizer import HuberRegularizer, _logaddexp
+from ..thresholds import GradientFilter, MagnitudeTracker
 from .config import ExperimentConfig
 from .runner import run_experiment
 
@@ -39,6 +40,49 @@ class CheckReport:
         self.lines.append(f"[{'ok' if ok else 'FAIL'}] {text}")
         if not ok:
             self.passed = False
+
+
+def check_filter_properties(
+    trace,
+    tau_G: float,
+    k: int,
+    G: float,
+) -> tuple[bool, str | None]:
+    """Validate a recorded GradientFilter run against its guarantees.
+
+    trace rows are (input_norm, output_norm, h_t, h_next). Assumes the
+    replayed stream satisfied the big-round budget k at gradient bound G;
+    without that precondition the guarantees simply need not hold.
+
+    Checks:
+      (1) thresholds are nondecreasing and start at tau_G,
+      (2) every output norm is at most the round's threshold,
+      (3) the final threshold is at most max(tau_G, 4G),
+      (4) clipped rounds number at most (k+1)*max(ceil(log2(8G/tau_G)), 1).
+    """
+    if not trace:
+        return True, None
+    prev_next = None
+    clip_rounds = 0
+    for input_norm, output_norm, h_t, h_next in trace:
+        if prev_next is not None and h_t != prev_next:
+            return False, "threshold_continuity"
+        if h_next < h_t:
+            return False, "threshold_nondecreasing"
+        if output_norm > h_t * (1.0 + 1e-12):
+            return False, "output_within_threshold"
+        if input_norm > h_t:
+            clip_rounds += 1
+        prev_next = h_next
+    if trace[0][2] != tau_G:
+        return False, "initial_threshold"
+    final_h = trace[-1][3]
+    if final_h > max(tau_G, 4.0 * G) * (1.0 + 1e-12):
+        return False, "final_threshold_cap"
+    cap = (k + 1) * max(math.ceil(math.log2(8.0 * G / tau_G)), 1)
+    if clip_rounds > cap:
+        return False, "clip_round_budget"
+    return True, None
 
 
 def check_filter_lemma(streams: int = 1000, seed: int = 2024) -> CheckReport:
@@ -79,6 +123,56 @@ def check_filter_lemma(streams: int = 1000, seed: int = 2024) -> CheckReport:
     return report
 
 
+def check_tracker_properties(trace, tau_D: float) -> tuple[bool, str | None]:
+    """Validate a recorded MagnitudeTracker run against its guarantees.
+
+    trace rows are (w_norm, z_t, z_next, doubled). Epochs are reconstructed
+    from the doubled flags; every round must land in exactly one epoch.
+
+    Checks:
+      (1) the number of epochs is at most max(0, log2(2*max||w||/tau_D)),
+      (2) within epoch 0 the norms stay at or below tau_D,
+      (3) within epoch n >= 1 the norms stay at or below twice the norm at
+          the epoch's opening round,
+      (4) the final threshold is at most max(tau_D, 2*max||w||) and every
+          update is either a hold or a doubling to 2*||w_t||.
+    """
+    if not trace:
+        return True, None
+    max_norm = max(row[0] for row in trace)
+    doubles = sum(1 for row in trace if row[3])
+    if max_norm > 0:
+        bound = max(0.0, math.log2(2.0 * max_norm / tau_D))
+        if doubles > bound + 1e-12:
+            return False, "epoch_count_bound"
+    elif doubles != 0:
+        return False, "epoch_count_bound"
+
+    epoch_open_norm = None  # None while still in epoch 0
+    prev_next = None
+    for w_norm, z_t, z_next, doubled in trace:
+        if prev_next is not None and z_t != prev_next:
+            return False, "threshold_continuity"
+        if doubled:
+            if z_next != 2.0 * w_norm:
+                return False, "doubling_value"
+            epoch_open_norm = w_norm
+        else:
+            if z_next != z_t:
+                return False, "hold_value"
+            if epoch_open_norm is None:
+                if w_norm > tau_D:
+                    return False, "epoch0_norm_bound"
+            elif w_norm > 2.0 * epoch_open_norm:
+                return False, "epoch_norm_bound"
+        prev_next = z_next
+    if trace[0][1] != tau_D:
+        return False, "initial_threshold"
+    if trace[-1][2] > max(tau_D, 2.0 * max_norm):
+        return False, "final_threshold_cap"
+    return True, None
+
+
 def check_tracker_lemma(streams: int = 1000, seed: int = 2025) -> CheckReport:
     """Arbitrary iterate traces through the magnitude tracker."""
     report = CheckReport("tracker_lemma", True)
@@ -108,6 +202,46 @@ def check_tracker_lemma(streams: int = 1000, seed: int = 2025) -> CheckReport:
             report.line(False, f"trace violated {violated} (tau_D={tau_D:.3g})")
     report.line(failures == 0, f"{streams - failures}/{streams} random traces satisfied all tracker properties")
     return report
+
+
+def check_sum_bounds(
+    iterate_norms,
+    comparator_norm: float,
+    c: float,
+    alpha: float,
+    T: int | None = None,
+) -> tuple[bool, bool]:
+    """Literal-summation check of the penalty-sum envelope at p = ln T.
+
+    Returns (lower_ok, upper_ok):
+      lower_ok:  sum_t f_t(w_t) >= c * (max_t ||w_t|| - alpha)
+      upper_ok:  sum_t f_t(u)   <= 3 c ln(T) ||u|| [ln(1 + (||u||/alpha)^p) + 2]
+    """
+    trace = list(iterate_norms)
+    if T is None:
+        T = len(trace)
+    if T < 3:
+        raise ValueError("the envelope is stated for horizons T >= 3")
+    p = math.log(T)
+    reg = HuberRegularizer(c=c, p=p, alpha=alpha)
+    sum_at_iterates = 0.0
+    sum_at_comparator = 0.0
+    for w_norm in trace:
+        reg.advance(w_norm)
+        sum_at_iterates += reg.evaluate(w_norm)
+        sum_at_comparator += reg.evaluate(comparator_norm)
+
+    max_norm = max(trace) if trace else 0.0
+    lower_ok = sum_at_iterates >= c * (max_norm - alpha)
+
+    u = comparator_norm
+    if u == 0.0:
+        log_term = 0.0
+    else:
+        log_term = _logaddexp(0.0, p * math.log(u / alpha))  # log(1 + (u/alpha)^p)
+    upper = 3.0 * c * p * u * (log_term + 2.0)
+    upper_ok = sum_at_comparator <= upper
+    return lower_ok, upper_ok
 
 
 def check_regularizer_sums(traces: int = 1000, seed: int = 2026) -> CheckReport:
@@ -211,6 +345,22 @@ def check_epigraph_feasibility(samples: int = 1000, seed: int = 2028) -> CheckRe
         f"(worst {worst_resid:.2e})",
     )
     return report
+
+
+def random_sign_expectation(T: int) -> float:
+    """Exact E|sum of T fair signs| by exhaustive enumeration of all 2^T sequences.
+
+    Equals the expectation of the aligned sum sign(S) * S; refuses T > 20
+    where enumeration stops being exact-and-cheap.
+    """
+    if not (1 <= T <= 20):
+        raise ValueError("exhaustive enumeration supports 1 <= T <= 20 only")
+    codes = np.arange(1 << T, dtype=np.uint32)
+    ones = np.zeros(1 << T, dtype=np.int64)
+    for b in range(T):
+        ones += (codes >> b) & 1
+    total = int(np.abs(2 * ones - T).sum())
+    return total / float(1 << T)
 
 
 def check_random_seq() -> CheckReport:

@@ -25,7 +25,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import OnlineLearner, as_vector_norm, check_positive, ensure_finite, norm
+from .core import as_vector_norm, check_positive, ensure_finite, norm
 from .regularizer import HuberRegularizer
 
 _SOLVE_RTOL = 1e-9
@@ -304,7 +304,7 @@ class _HintBudget:
         self.t += 1
 
 
-class MirrorDescentLearner(_HintBudget, OnlineLearner):
+class MirrorDescentLearner(_HintBudget):
     """Hint-driven unconstrained learner with built-in composite Huber penalty.
 
     Plays the origin first. Each observe() call consumes a gradient whose
@@ -331,6 +331,7 @@ class MirrorDescentLearner(_HintBudget, OnlineLearner):
         self.mirror_grad = np.zeros(dim)  # mirror-map gradient at w
 
     def predict(self) -> np.ndarray:
+        """The iterate itself, not a copy; observe() replaces it, never writes into it."""
         return self.w
 
     def _coerce(self, gradient) -> tuple[np.ndarray, float]:

@@ -157,6 +157,12 @@ class RobustProtocol:
         self.t = 0
 
     def predict(self) -> np.ndarray:
+        """The iterate to play this round; the origin before the first round.
+
+        It is the learner's own iterate, not a copy: a round replaces the
+        iterate with a new array and never writes into the old one, and
+        callers must not write into it either.
+        """
         return self.learner.predict()
 
     def round(self, g_tilde, g_true=None, loss_gap=None) -> RoundRecord:
@@ -167,6 +173,10 @@ class RobustProtocol:
         true-gradient quantities.
         """
         g_tilde, g_tilde_norm = as_vector_norm(g_tilde, self.config.dim)
+        # coerced before any state moves: a non-finite g_true changes nothing
+        g_norm = None
+        if g_true is not None:
+            g_true, g_norm = as_vector_norm(g_true, self.config.dim)
         w = self.learner.predict()
         w_norm = self._w_norm
         self.t += 1
@@ -187,7 +197,7 @@ class RobustProtocol:
             # g_clipped is already a checked float64 vector: no second coercion
             self.learner.observe(g_clipped, h_t, g_clipped_norm)
 
-        g_norm = self._update_ledgers(w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap)
+        self._update_ledgers(w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap)
         # a finite norm proves the new iterate finite; it is next round's w_norm
         w_next = self.learner.predict()
         self._w_norm = norm(w_next)
@@ -201,8 +211,8 @@ class RobustProtocol:
 
     def _update_ledgers(
         self, w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap
-    ) -> float | None:
-        """Account the round in the ledgers; return the norm of g_true, if given."""
+    ) -> None:
+        """Account the round in the ledgers; g_true, if given, is a checked vector."""
         u_norm = self._comparator_norm
         self._ledger_reg.advance(w_norm)
         r_w = self._ledger_reg.evaluate(w_norm) + a_t * w_norm * w_norm
@@ -211,10 +221,8 @@ class RobustProtocol:
         d = self.decomposition
         diff = w - self.comparator
         if g_true is None:
-            g_norm = None
             composite = dot(g_clipped, diff)
         else:
-            g_true, g_norm = as_vector_norm(g_true, self.config.dim)
             observed = self.regret.update(diff, g_true, g_tilde, loss_gap)
             # a pass round fed the learner g_tilde itself, so the regret
             # ledger's observed increment is the composite term's product
@@ -225,7 +233,6 @@ class RobustProtocol:
         d.composite_term += composite + r_w - r_u
         d.correction_term += r_w
         d.bias_reg_sum += r_u
-        return g_norm
 
     def decomposition_gap(self) -> float:
         """Relative gap between the ledger identity and the measured regret."""

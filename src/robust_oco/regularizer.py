@@ -14,6 +14,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+from .core import check_positive
+
 _FLOAT_MIN = sys.float_info.min  # smallest normal double
 
 
@@ -32,12 +34,12 @@ class HuberRegularizer:
     t: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("scale c must be nonnegative")
-        if self.p < 1:
-            raise ValueError("power p must be at least 1")
-        if self.alpha <= 0:
-            raise ValueError("offset alpha must be positive")
+        # written so that NaN fails every comparison
+        if not 0.0 <= self.c < math.inf:
+            raise ValueError(f"scale c must be nonnegative and finite, got {self.c}")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError(f"power p must be at least 1 and finite, got {self.p}")
+        check_positive("offset alpha", self.alpha)
         self.log_S = self.p * math.log(self.alpha)
 
     def advance(self, w_next_norm: float) -> None:
@@ -111,42 +113,3 @@ def _logaddexp(a: float, b: float) -> float:
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
 
-
-def check_sum_bounds(
-    iterate_norms,
-    comparator_norm: float,
-    c: float,
-    alpha: float,
-    T: int | None = None,
-) -> tuple[bool, bool]:
-    """Literal-summation check of the penalty-sum envelope at p = ln T.
-
-    Returns (lower_ok, upper_ok):
-      lower_ok:  sum_t f_t(w_t) >= c * (max_t ||w_t|| - alpha)
-      upper_ok:  sum_t f_t(u)   <= 3 c ln(T) ||u|| [ln(1 + (||u||/alpha)^p) + 2]
-    """
-    trace = list(iterate_norms)
-    if T is None:
-        T = len(trace)
-    if T < 3:
-        raise ValueError("the envelope is stated for horizons T >= 3")
-    p = math.log(T)
-    reg = HuberRegularizer(c=c, p=p, alpha=alpha)
-    sum_at_iterates = 0.0
-    sum_at_comparator = 0.0
-    for w_norm in trace:
-        reg.advance(w_norm)
-        sum_at_iterates += reg.evaluate(w_norm)
-        sum_at_comparator += reg.evaluate(comparator_norm)
-
-    max_norm = max(trace) if trace else 0.0
-    lower_ok = sum_at_iterates >= c * (max_norm - alpha)
-
-    u = comparator_norm
-    if u == 0.0:
-        log_term = 0.0
-    else:
-        log_term = _logaddexp(0.0, p * math.log(u / alpha))  # log(1 + (u/alpha)^p)
-    upper = 3.0 * c * p * u * (log_term + 2.0)
-    upper_ok = sum_at_comparator <= upper
-    return lower_ok, upper_ok

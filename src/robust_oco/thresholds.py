@@ -7,8 +7,8 @@ maintains a doubling estimate of the running iterate magnitude, whose
 doubling rounds define the epochs used by the attenuated quadratic weights.
 
 Both automata use constant space: no per-round sets are materialized. The
-property checkers reconstruct epoch structure from externally recorded
-traces instead.
+property checkers in harness.checks reconstruct epoch structure from
+externally recorded traces instead.
 """
 
 from __future__ import annotations
@@ -93,95 +93,3 @@ class MagnitudeTracker:
             return self.z, True
         return self.z, False
 
-
-def check_filter_properties(
-    trace,
-    tau_G: float,
-    k: int,
-    G: float,
-) -> tuple[bool, str | None]:
-    """Validate a recorded GradientFilter run against its guarantees.
-
-    trace rows are (input_norm, output_norm, h_t, h_next). Assumes the
-    replayed stream satisfied the big-round budget k at gradient bound G;
-    without that precondition the guarantees simply need not hold.
-
-    Checks:
-      (1) thresholds are nondecreasing and start at tau_G,
-      (2) every output norm is at most the round's threshold,
-      (3) the final threshold is at most max(tau_G, 4G),
-      (4) clipped rounds number at most (k+1)*max(ceil(log2(8G/tau_G)), 1).
-    """
-    if not trace:
-        return True, None
-    prev_next = None
-    clip_rounds = 0
-    for input_norm, output_norm, h_t, h_next in trace:
-        if prev_next is not None and h_t != prev_next:
-            return False, "threshold_continuity"
-        if h_next < h_t:
-            return False, "threshold_nondecreasing"
-        if output_norm > h_t * (1.0 + 1e-12):
-            return False, "output_within_threshold"
-        if input_norm > h_t:
-            clip_rounds += 1
-        prev_next = h_next
-    if trace[0][2] != tau_G:
-        return False, "initial_threshold"
-    final_h = trace[-1][3]
-    if final_h > max(tau_G, 4.0 * G) * (1.0 + 1e-12):
-        return False, "final_threshold_cap"
-    cap = (k + 1) * max(math.ceil(math.log2(8.0 * G / tau_G)), 1)
-    if clip_rounds > cap:
-        return False, "clip_round_budget"
-    return True, None
-
-
-def check_tracker_properties(trace, tau_D: float) -> tuple[bool, str | None]:
-    """Validate a recorded MagnitudeTracker run against its guarantees.
-
-    trace rows are (w_norm, z_t, z_next, doubled). Epochs are reconstructed
-    from the doubled flags; every round must land in exactly one epoch.
-
-    Checks:
-      (1) the number of epochs is at most max(0, log2(2*max||w||/tau_D)),
-      (2) within epoch 0 the norms stay at or below tau_D,
-      (3) within epoch n >= 1 the norms stay at or below twice the norm at
-          the epoch's opening round,
-      (4) the final threshold is at most max(tau_D, 2*max||w||) and every
-          update is either a hold or a doubling to 2*||w_t||.
-    """
-    if not trace:
-        return True, None
-    max_norm = max(row[0] for row in trace)
-    doubles = sum(1 for row in trace if row[3])
-    if max_norm > 0:
-        bound = max(0.0, math.log2(2.0 * max_norm / tau_D))
-        if doubles > bound + 1e-12:
-            return False, "epoch_count_bound"
-    elif doubles != 0:
-        return False, "epoch_count_bound"
-
-    epoch_open_norm = None  # None while still in epoch 0
-    prev_next = None
-    for w_norm, z_t, z_next, doubled in trace:
-        if prev_next is not None and z_t != prev_next:
-            return False, "threshold_continuity"
-        if doubled:
-            if z_next != 2.0 * w_norm:
-                return False, "doubling_value"
-            epoch_open_norm = w_norm
-        else:
-            if z_next != z_t:
-                return False, "hold_value"
-            if epoch_open_norm is None:
-                if w_norm > tau_D:
-                    return False, "epoch0_norm_bound"
-            elif w_norm > 2.0 * epoch_open_norm:
-                return False, "epoch_norm_bound"
-        prev_next = z_next
-    if trace[0][1] != tau_D:
-        return False, "initial_threshold"
-    if trace[-1][2] > max(tau_D, 2.0 * max_norm):
-        return False, "final_threshold_cap"
-    return True, None

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from robust_oco.adversaries import AdversarySpec, random_sign_expectation
+from robust_oco.adversaries import AdversarySpec
 from robust_oco.harness.checks import (
     check_decomposition_identity,
     check_epigraph_feasibility,
@@ -21,6 +21,7 @@ from robust_oco.harness.checks import (
     check_origin_safety,
     check_regularizer_sums,
     check_tracker_lemma,
+    random_sign_expectation,
 )
 from robust_oco.harness.config import ExperimentConfig
 from robust_oco.harness.runner import SweepConfig, run_experiment, run_sweep

@@ -12,9 +12,9 @@ from robust_oco.adversaries import (
     LBTheorem2Adversary,
     SignFlipAdversary,
     make_adversary,
-    random_sign_expectation,
 )
 from robust_oco.core import CorruptionLedger, norm
+from robust_oco.harness.checks import random_sign_expectation
 
 
 def replay_budget(adversary, T, dim=1, w_source=None):

@@ -411,17 +411,28 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: adversary kind 'dro_reweight' constructs no"), err
 
-    @pytest.mark.parametrize("algorithm, key, value, name", [
-        ("known_g", "G", "nan", "G"),
-        ("known_g", "epsilon", "nan", "epsilon"),
-        ("unknown_g_case2", "tau_G", "inf", "tau_G"),
-        ("kt_bettor", "epsilon", "nan", "initial wealth epsilon"),
+    @pytest.mark.parametrize("section, algorithm, key, value, stem", [
+        ("protocol", "known_g", "G", "nan", "G must be positive and finite"),
+        ("protocol", "known_g", "epsilon", "nan", "epsilon must be positive and finite"),
+        ("protocol", "unknown_g_case2", "tau_G", "inf", "tau_G must be positive and finite"),
+        ("protocol", "kt_bettor", "epsilon", "nan",
+         "initial wealth epsilon must be positive and finite"),
+        ("adversary", "unknown_g_case1", "G", "nan", "G must be positive and finite"),
+        ("adversary", "unknown_g_case1", "G", "inf", "G must be positive and finite"),
+        ("adversary", "unknown_g_case1", "G", "-1.0", "G must be positive and finite"),
+        ("adversary", "known_g", "D", "nan", "D must be finite"),
+        ("adversary", "known_g", "D", "inf", "D must be finite"),
+        ("adversary", "known_g", "epsilon", "nan", "epsilon must be positive and finite"),
     ])
     def test_non_finite_setting_exits_2_naming_it(self, tmp_path, capsys,
-                                                   algorithm, key, value, name):
-        # figure1.ini with one [protocol] value replaced: a config error
-        # before round 1, not an abort later or (tau_G = inf) a run that
-        # stays at the origin
+                                                   section, algorithm, key, value, stem):
+        # figure1.ini with one value replaced: a config error before round 1,
+        # whatever the stream. It used to be an abort later, a run that
+        # stays at the origin (tau_G = inf), or, for the [adversary] keys
+        # under the streams that read them, an abort at round 1 (dro_reweight,
+        # G = nan or inf), a message naming the corruption ledger's
+        # lipschitz_G (G = -1), or a NaN or Inf comparator (lb_theorem2's D,
+        # lb_origin's epsilon)
         parser = configparser.ConfigParser()
         parser.optionxform = str
         parser.read_string((CONFIGS / "figure1.ini").read_text())
@@ -429,13 +440,13 @@ class TestCLI:
         if algorithm.startswith("unknown_g"):
             parser["protocol"]["mode"] = algorithm
             parser["protocol"]["G"] = "none"
-        parser["protocol"][key] = value
+        parser[section][key] = value
         path = tmp_path / "exp.ini"
         with open(path, "w") as fh:
             parser.write(fh)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {name} must be positive and finite, got {value}"), err
+        assert err.startswith(f"error: {stem}, got {value}"), err
 
     def test_sweep_subcommand(self, tmp_path):
         path = tmp_path / "sweep.ini"

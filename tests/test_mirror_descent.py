@@ -539,6 +539,22 @@ def test_constructor_rejects_non_positive_or_non_finite(cls, field, bad):
             ScalarMirrorDescent(**kw)
 
 
+@pytest.mark.parametrize("setting, stem", [
+    ({"p": math.nan}, "power p must be at least 1"),
+    ({"p": math.inf}, "power p must be at least 1"),
+    ({"alpha": math.inf}, "offset alpha must be positive"),
+    ({"c": math.inf}, "scale c must be nonnegative"),
+    ({"c": math.nan}, "scale c must be nonnegative"),
+])
+def test_constructor_rejects_non_finite_penalty_setting(setting, stem):
+    # each used to construct: p = nan, alpha = inf and c = inf then ran
+    # silently (the iterate stuck at 0, or log_S NaN or inf), c = nan and
+    # p = inf ended in an unrelated SolverError from the link inversion
+    kw = {"c": 1.0, "p": 2.0, "alpha": 1.0, **setting}
+    with pytest.raises(ValueError, match=f"^{stem}"):
+        MirrorDescentLearner(1, 1.0, 1.0, **kw)
+
+
 def composite_regret(T, u, G, seed, epsilon=1.0, k=5, origin_adversarial=False):
     """Run the learner on a bounded stream, returning its composite regret."""
     rng = np.random.default_rng(seed)

@@ -38,6 +38,20 @@ def hostile_gradient(rng, kind: str, dim: int) -> np.ndarray:
     return g
 
 
+def state_bits(obj) -> bytes:
+    """Every number and array of obj's state, its parts' included, as bytes."""
+    parts = vars(obj).values() if hasattr(obj, "__dict__") else obj
+    out = []
+    for v in parts:
+        if isinstance(v, (int, float)):
+            out.append(np.float64(v).tobytes())
+        elif isinstance(v, np.ndarray):
+            out.append(v.tobytes())
+        elif isinstance(v, tuple) or type(v).__module__.startswith("robust_oco"):
+            out.append(state_bits(v))
+    return b"".join(out)
+
+
 def _penalty(protocol):
     """The learner's Huber penalty, whose c, p and alpha the presets set."""
     if protocol.filter is None:
@@ -205,6 +219,20 @@ class TestProtocolRound:
         with pytest.raises(NonFiniteError, match="non-finite value in iterate after round 2"):
             protocol.round(np.array([0.5, 0.5]))
 
+
+    @pytest.mark.parametrize("mode", ["known_g", "unknown_g_case1"])
+    def test_non_finite_true_gradient_moves_no_state(self, mode):
+        # g_true used to be coerced in the ledger update, after the learner
+        # had committed: protocol.t, the learner's t, the ledger penalty's t
+        # and the filter's pass_rounds went 1 -> 2, and _w_norm went stale
+        cfg = ProtocolConfig(mode=mode, T=10, k=1, G=1.0 if mode == "known_g" else None)
+        protocol = RobustProtocol(cfg, comparator=np.array([0.5]))
+        protocol.round(np.array([-0.5]), g_true=np.array([-0.5]))
+        before = state_bits(protocol)
+        with pytest.raises(NonFiniteError, match="vector input"):
+            protocol.round([-0.5], g_true=[math.nan])
+        assert state_bits(protocol) == before
+        assert protocol.t == 1
 
     def test_constant_stream_completes_past_the_projection_collapse(self):
         # a constant -1 stream pushes case2's iterate out to where the

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_oco.regularizer import HuberRegularizer, check_sum_bounds
+from robust_oco.harness.checks import check_sum_bounds
+from robust_oco.regularizer import HuberRegularizer
 
 
 def make_state(c=1.0, p=2.0, alpha=1.0, norms=()):

@@ -1,11 +1,7 @@
 import numpy as np
 
-from robust_oco.thresholds import (
-    GradientFilter,
-    MagnitudeTracker,
-    check_filter_properties,
-    check_tracker_properties,
-)
+from robust_oco.harness.checks import check_filter_properties, check_tracker_properties
+from robust_oco.thresholds import GradientFilter, MagnitudeTracker
 
 
 def step(f, n):
