@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector, check_positive
+from .core import FLOAT, check_positive
 
 ADVERSARY_KINDS = (
     "sign_flip_window",
@@ -241,13 +241,22 @@ class KTBettor:
         return np.array([self.w])
 
     def observe(self, gradient, hint: float = 1.0) -> None:
-        g = float(as_vector(gradient, 1)[0])
-        if abs(g) > 1.0 + 1e-12:
+        """Consume one gradient: update, then commit."""
+        self.commit(self.update(gradient))
+
+    def update(self, gradient) -> tuple[float, float, int, float]:
+        """The round's (reward, sum_neg_grad, t, w), every check run, nothing assigned."""
+        g, g_abs = FLOAT.coerce(gradient, 1)
+        if g_abs > 1.0 + 1e-12:
             raise ValueError(f"KT bettor requires |g| <= 1, got {g}")
-        self.reward += -g * self.w
-        self.sum_neg_grad += -g
-        self.t += 1
-        wealth = self.epsilon + self.reward
+        reward = self.reward + -g * self.w
+        sum_neg_grad = self.sum_neg_grad + -g
+        t = self.t + 1
+        wealth = self.epsilon + reward
         if wealth <= 0.0:
-            raise RuntimeError(f"KT wealth went nonpositive ({wealth}) at t={self.t}")
-        self.w = self.sum_neg_grad / (self.t + 1) * wealth
+            raise RuntimeError(f"KT wealth went nonpositive ({wealth}) at t={t}")
+        return reward, sum_neg_grad, t, sum_neg_grad / (t + 1) * wealth
+
+    def commit(self, state: tuple[float, float, int, float]) -> None:
+        """Assign the state that update() computed."""
+        self.reward, self.sum_neg_grad, self.t, self.w = state

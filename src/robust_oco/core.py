@@ -7,9 +7,17 @@ than silently propagated.
 
 The per-round vector kernels (norm, inner product, finiteness check, ledger
 equality) never warn, on subnormal and near-overflow input alike. Vectors of
-at most SMALL_DIM entries, which covers every scalar (d = 1) learner, never
-enter a numpy reduction: a Python-level pass over ``tolist()`` costs a
-fraction of one numpy dispatch at that size.
+at most SMALL_DIM entries never enter a numpy reduction: a Python-level pass
+over ``tolist()`` costs a fraction of one numpy dispatch at that size.
+
+Inside the package a d = 1 vector is a Python float, not a 1-entry array:
+kernels(dim) is the one place that picks the representation, FLOAT or
+ARRAY, each with the same coerce, norm, dot and clip. The float kernels
+give the bits the 1-entry array gave, so a learner, the filter's clip and
+the protocol's ledgers run one code path on either. Arrays remain where the
+package meets its caller: gradients are coerced from them once per round,
+predict() returns one, and the runner, the adversaries and CorruptionLedger
+see arrays only.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +46,18 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return as_vector_norm(x, dim)[0]
 
 
+def _checked_array(x, dim: int | None) -> np.ndarray:
+    """x as a 1-d float64 array of dim entries (any size when dim is None)."""
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim == 0:
+        v = v.reshape(1)
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
+    if dim is not None and v.size != dim:
+        raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")
+    return v
+
+
 def as_vector_norm(x, dim: int | None = None) -> tuple[np.ndarray, float]:
     """as_vector(x, dim) and its norm, from one reduction.
 
@@ -45,13 +66,7 @@ def as_vector_norm(x, dim: int | None = None) -> tuple[np.ndarray, float]:
     ensure_finite, which raises for the first and passes the second, whose
     norm is then inf.
     """
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim == 0:
-        v = v.reshape(1)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    if dim is not None and v.size != dim:
-        raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")
+    v = _checked_array(x, dim)
     n = norm(v)
     if not math.isfinite(n):
         ensure_finite(v, "vector input")
@@ -134,15 +149,25 @@ def clip_gradient(g_tilde: np.ndarray, h: float, g_norm: float) -> np.ndarray:
     """
     if h <= 0:
         raise ValueError(f"clipping threshold must be positive, got {h}")
-    n = g_norm
-    if n <= h:
+    if g_norm <= h:
         return g_tilde
+    return _rescale(
+        g_tilde, h, g_norm, norm, lambda v: float(np.max(np.abs(v))), np.nextafter
+    )
+
+
+def _rescale(g, h: float, n: float, norm, max_abs, nextafter):
+    """clip_gradient's rescaling of g, of norm n > h, in either representation.
+
+    norm, max_abs and nextafter are the representation's own: for a float
+    they are abs, abs and math.nextafter, the bits the 1-entry array gave.
+    """
     scale = h / n
     if scale < _FLOAT_MIN:
-        u = g_tilde / float(np.max(np.abs(g_tilde)))
+        u = g / max_abs(g)
         out = u * (h / norm(u))
     else:
-        out = g_tilde * scale
+        out = g * scale
     n = norm(out)
     while n > h:
         out_next = out * (h / n)
@@ -150,10 +175,80 @@ def clip_gradient(g_tilde: np.ndarray, h: float, g_norm: float) -> np.ndarray:
         if n_next >= n:
             # subnormal entries can round back to themselves: step each one
             # toward zero instead, so the loop always terminates
-            out_next = np.nextafter(out, 0.0)
+            out_next = nextafter(out, 0.0)
             n_next = norm(out_next)
         out, n = out_next, n_next
     return out
+
+
+def _coerce_float(x, dim: int) -> tuple[float, float]:
+    """x as a float, with its norm; anything but a float passes as_vector_norm's checks."""
+    if type(x) is not float:
+        x = _checked_array(x, dim).item()
+    n = abs(x)
+    if not math.isfinite(n):
+        # the vector the array coercion would have reported
+        ensure_finite(np.array([x]), "vector input")
+    return x, n
+
+
+def _clip_float(g: float, h: float, g_norm: float) -> float:
+    if h <= 0:
+        raise ValueError(f"clipping threshold must be positive, got {h}")
+    if g_norm <= h:
+        return g
+    return _rescale(g, h, g_norm, abs, abs, math.nextafter)
+
+
+# The per-round kernels of one representation. squared_norm is the BLAS sum
+# of squares a caller's v @ v gives; same_shape(u, a, b, c) checks that a
+# round's vectors match the comparator u; array(v) is v as the caller's
+# float64 array.
+Kernels = namedtuple(
+    "Kernels", "coerce zeros norm dot squared_norm clip same_shape array"
+)
+
+# float64 arrays: the form above d = 1, and of any array a caller hands a
+# ledger; norm and clip look the module functions up per call, so a tracer
+# that rebinds them here sees every call
+ARRAY = Kernels(
+    coerce=as_vector_norm,
+    zeros=np.zeros,
+    norm=lambda v: norm(v),
+    dot=dot,
+    squared_norm=lambda v: float(np.vdot(v, v)),
+    clip=lambda g, h, g_norm: clip_gradient(g, h, g_norm),
+    same_shape=lambda u, a, b, c: a.shape == u.shape == b.shape == c.shape,
+    array=lambda v: v,
+)
+
+# Python floats, the d = 1 representation, with the bits the 1-entry array
+# gave: hypot of one entry is abs, sum() from int 0 turned a -0.0 product
+# into 0.0 as adding 0.0 does, np.vdot of one entry is x * x, and the clip
+# steps with math.nextafter; array(x) builds a new 1-entry array
+FLOAT = Kernels(
+    coerce=_coerce_float,
+    zeros=lambda dim: 0.0,
+    norm=abs,
+    dot=lambda a, b: a * b + 0.0,
+    squared_norm=lambda x: x * x,
+    clip=_clip_float,
+    same_shape=lambda u, a, b, c: True,
+    array=lambda x: np.array([x]),
+)
+
+
+def kernels(dim: int) -> Kernels:
+    """The representation of a dim-vector inside the package: the one choice of it.
+
+    A 1-vector is a float (FLOAT), anything longer a float64 array (ARRAY).
+    """
+    return FLOAT if dim == 1 else ARRAY
+
+
+def kernels_of(v) -> Kernels:
+    """The kernels of a vector already in one of the two forms: FLOAT for a float."""
+    return FLOAT if type(v) is float else ARRAY
 
 
 @dataclass
@@ -219,33 +314,38 @@ class RegretLedger:
     corrupted ones. loss_regret sums the per-round loss gaps of a loss
     oracle, and stays 0.0 without one. A round whose regret totals would
     leave float range raises NonFiniteError and leaves every total unchanged.
+    The comparator and every vector of a round share one representation: a
+    float (the protocol's d = 1 form) or float64 arrays of equal shape.
     """
 
-    comparator: np.ndarray
+    comparator: np.ndarray | float
     true_regret_linear: float = 0.0
     observed_regret_linear: float = 0.0
     loss_regret: float = 0.0
 
+    def __post_init__(self):
+        self._kernels = kernels_of(self.comparator)
+
     def update(
         self,
-        diff: np.ndarray,
-        g_true: np.ndarray,
-        g_observed: np.ndarray,
+        diff: np.ndarray | float,
+        g_true: np.ndarray | float,
+        g_observed: np.ndarray | float,
         loss_gap: float | None = None,
     ) -> float:
         """Account one round; diff is the played point minus the comparator.
 
         Returns the observed increment dot(g_observed, diff).
         """
-        shape = self.comparator.shape
-        if diff.shape != shape or g_true.shape != shape or g_observed.shape != shape:
+        k = self._kernels
+        if not k.same_shape(self.comparator, diff, g_true, g_observed):
             raise ValueError(
                 f"dimension mismatch: w - u {diff.shape}, g {g_true.shape}, "
-                f"g_obs {g_observed.shape}, comparator {shape}"
+                f"g_obs {g_observed.shape}, comparator {self.comparator.shape}"
             )
         # a non-finite increment makes its total non-finite too
-        true_total = self.true_regret_linear + dot(g_true, diff)
-        observed = dot(g_observed, diff)
+        true_total = self.true_regret_linear + k.dot(g_true, diff)
+        observed = k.dot(g_observed, diff)
         observed_total = self.observed_regret_linear + observed
         if not (math.isfinite(true_total) and math.isfinite(observed_total)):
             raise NonFiniteError(

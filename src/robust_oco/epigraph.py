@@ -8,7 +8,9 @@ a gradient correction along the (weighted) projection direction, which keeps
 both sub-learners' feedback within their promised hint ranges. A round
 computes both sub-learners' updates and the projection of the new lifted
 point before either sub-learner commits, so a round that raises changes
-nothing.
+nothing. At d = 1 the lifted point, the correction and the projection are
+Python floats throughout, as the vector sub-learner's iterate is; predict()
+builds the caller's array from the played float.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NonFiniteError, as_vector, check_positive, dot
-from .mirror_descent import MirrorDescentLearner, ScalarMirrorDescent, SolverError
+from .core import ARRAY, NonFiniteError, check_positive
+from .mirror_descent import MirrorDescentLearner, SolverError
 
 _PROJ_RTOL = 1e-12
 _PROJ_MAX_ITER = 300
@@ -28,7 +30,7 @@ _PROJ_COLLAPSE = 4e-16  # relative bracket width of a few ulps
 
 
 class EpigraphPoint(NamedTuple):
-    w: np.ndarray
+    w: np.ndarray | float  # a float in the d = 1 representation
     y: float
 
 
@@ -55,21 +57,30 @@ class QuadWeights:
         return self.gamma_alpha + self.gamma_beta
 
     def step(self, filter_doubled: bool, tracker_doubled: bool) -> tuple[float, float]:
+        """The round's weights (alpha_t, beta_t); nothing is assigned.
+
+        commit(tracker_doubled) then counts the tracker doubling, which
+        beta_t already includes.
+        """
         alpha_t = self.gamma_alpha if filter_doubled else 0.0
         if tracker_doubled:
-            self.beta_denominator += 1
-            beta_t = self.gamma_beta / self.beta_denominator
+            beta_t = self.gamma_beta / (self.beta_denominator + 1)
         else:
             beta_t = 0.0
         return alpha_t, beta_t
 
+    def commit(self, tracker_doubled: bool) -> None:
+        if tracker_doubled:
+            self.beta_denominator += 1
+
 
 def weighted_project(
-    point: EpigraphPoint, h: float, gamma: float, w_norm: float
+    point: EpigraphPoint, h: float, gamma: float, w_norm: float, kernels=ARRAY
 ) -> EpigraphPoint:
     """Minimize h^2||w - w_hat||^2 + gamma^2(y - y_hat)^2 over y >= ||w||^2.
 
-    w_norm must be norm(point.w), which the caller already has. Interior
+    w_norm must be norm(point.w), which the caller already has, and kernels
+    those of point.w's representation (core.FLOAT for a float). Interior
     points are returned unchanged, as the same object. Boundary solutions
     lie along the input direction at radius s, the unique nonnegative root of
     s*(h^2 + 2 gamma^2 (s^2 - y_hat)) = h^2 ||w_hat||; the root is found by
@@ -85,7 +96,8 @@ def weighted_project(
     if point.y >= w_norm * w_norm:
         return point
     if w_norm == 0.0:
-        return EpigraphPoint(np.zeros_like(point.w), 0.0)
+        # every entry of point.w is a signed zero: abs gives the origin
+        return EpigraphPoint(abs(point.w), 0.0)
 
     h2 = h * h
     target = h2 * w_norm
@@ -115,9 +127,9 @@ def weighted_project(
         )
 
     w = (s / w_norm) * point.w
-    # clamp: feasibility holds exactly; np.vdot, not core.dot, because
-    # callers check feasibility against the BLAS sum of squares (w @ w)
-    y = max(s * s, float(np.vdot(w, w)))
+    # clamp: feasibility holds exactly; the BLAS sum of squares, not
+    # core.dot, because callers check feasibility against w @ w
+    y = max(s * s, kernels.squared_norm(w))
     return EpigraphPoint(w, y)
 
 
@@ -126,23 +138,25 @@ def correction_direction(
     proj: EpigraphPoint,
     h: float,
     gamma: float,
-    g_clipped: np.ndarray,
+    g_clipped: np.ndarray | float,
     a_t: float,
-) -> tuple[np.ndarray, float]:
+    kernels=ARRAY,
+) -> tuple[np.ndarray | float, float]:
     """Feedback correction steering an exterior prediction back toward the set.
 
     The direction is the weighted displacement (h^2 dw, gamma^2 dy) normalized
     to unit dual form ||.||^2/h^2 + (.)^2/gamma^2 = 1, scaled by the dual form
     of the fed pair (g_clipped, a_t). An interior prediction is its own
     projection, so its displacement, and with it the correction, is zero
-    (EpigraphLearner.observe does not call this for one).
+    (EpigraphLearner.observe does not call this for one). kernels are those
+    of the vectors' representation, as for weighted_project.
     """
     dw = hat.w - proj.w
     dy = hat.y - proj.y
-    dist2 = h * h * dot(dw, dw) + gamma * gamma * dy * dy
+    dist2 = h * h * kernels.dot(dw, dw) + gamma * gamma * dy * dy
     if dist2 == 0.0:
-        return np.zeros_like(hat.w), 0.0
-    scale = dot(g_clipped, g_clipped) / (h * h) + (a_t * a_t) / (gamma * gamma)
+        return kernels.zeros(np.size(hat.w)), 0.0
+    scale = kernels.dot(g_clipped, g_clipped) / (h * h) + (a_t * a_t) / (gamma * gamma)
     root = math.sqrt(dist2)
     delta_w = (scale * h * h / root) * dw
     delta_y = scale * gamma * gamma * dy / root
@@ -154,8 +168,8 @@ class EpigraphLearner:
 
     The vector side is the mirror descent learner, fed hints of twice the
     clipping threshold: the magnitude bound of its corrected feedback. The
-    scalar side is the same update with the Huber penalty disabled, in
-    Python floats (ScalarMirrorDescent), under a constant hint of 1.5*gamma,
+    scalar side is the same learner at d = 1 with the Huber penalty
+    disabled, so in Python floats, under a constant hint of 1.5*gamma,
     exactly the magnitude bound of the corrected scalar feedback.
     """
 
@@ -176,47 +190,61 @@ class EpigraphLearner:
         self.learner_w = MirrorDescentLearner(
             dim, epsilon, initial_hint=2.0 * tau_G, c=c, p=p, alpha=alpha
         )
-        self.learner_y = ScalarMirrorDescent(epsilon, initial_hint=1.5 * gamma)
+        self.learner_y = MirrorDescentLearner(1, epsilon, 1.5 * gamma, c=0.0, p=1.0)
+        self.kernels = self.learner_w.kernels
         self.h = tau_G
         self._hat = EpigraphPoint(self.learner_w.w, self.learner_y.w)
-        self._played = weighted_project(self._hat, tau_G, gamma, self.learner_w.w_norm)
+        self._played = weighted_project(
+            self._hat, tau_G, gamma, self.learner_w.w_norm, self.kernels
+        )
 
-    def predict(self) -> np.ndarray:
-        """The played iterate itself, not a copy; observe() replaces it, never writes into it."""
+    @property
+    def w(self) -> np.ndarray | float:
+        """The played iterate in the learner's form (a float at d = 1)."""
         return self._played.w
 
-    def observe(self, gradient: np.ndarray, hint: float, a_t: float = 0.0) -> None:
+    def predict(self) -> np.ndarray:
+        """The played iterate as a float64 array: above d = 1 itself, not a copy.
+
+        observe() replaces it, never writes into it; at d = 1 each call
+        builds a new 1-entry array from the float.
+        """
+        return self.kernels.array(self._played.w)
+
+    def observe(self, gradient, hint: float, a_t: float = 0.0) -> None:
         """Consume one round; a_t is its quadratic penalty weight, in [0, gamma].
 
-        An interior prediction is its own projection, so its correction is
-        zero and is not built: the sub-learners get 0.5 * (g + 0.0) and
-        0.5 * (a_t + 0.0), the bits the zero correction gave. The added 0.0
-        turns a -0.0 entry into 0.0, which learner_w's dual update can tell
-        apart where its mirror-map gradient holds -0.0 (a zero mirror part
-        times a negative dual entry). learner_w coerces and checks the
-        gradient; a non-finite one is reported as given, not halved. Nothing
-        commits until both updates and the projection have succeeded.
+        The gradient is a float64 array, or a float at d = 1. An interior
+        prediction is its own projection, so its correction is zero and is
+        not built: the sub-learners get 0.5 * (g + 0.0) and 0.5 * (a_t + 0.0),
+        the bits the zero correction gave. The added 0.0 turns a -0.0 entry
+        into 0.0, which learner_w's dual update can tell apart where its
+        mirror-map gradient holds -0.0 (a zero mirror part times a negative
+        dual entry). learner_w coerces and checks the gradient; a non-finite
+        one is reported as given, not halved. Nothing commits until both
+        updates and the projection have succeeded.
         """
         if not 0.0 <= a_t <= self.gamma * (1.0 + 1e-12):
             raise ValueError(f"penalty weight {a_t} outside [0, gamma {self.gamma}]")
+        k = self.kernels
         if self._played is self._hat:
-            g_w = np.add(gradient, 0.0)
-            g_w *= 0.5
+            g_w = gradient + 0.0
+            g_w *= 0.5  # in place on an array
             try:
                 update_w = self.learner_w.update(g_w, 2.0 * hint)
             except NonFiniteError:
-                as_vector(gradient, self.dim)  # raises for the caller's vector
+                k.coerce(gradient, self.dim)  # raises for the caller's vector
                 raise
             delta_y = 0.0
         else:
-            g = as_vector(gradient, self.dim)
+            g = k.coerce(gradient, self.dim)[0]
             delta_w, delta_y = correction_direction(
-                self._hat, self._played, self.h, self.gamma, g, a_t
+                self._hat, self._played, self.h, self.gamma, g, a_t, k
             )
             update_w = self.learner_w.update(0.5 * (g + delta_w), 2.0 * hint)
         update_y = self.learner_y.update(0.5 * (a_t + delta_y), 1.5 * self.gamma)
         hat = EpigraphPoint(update_w.w, update_y.w)
-        played = weighted_project(hat, hint, self.gamma, update_w.w_norm)
+        played = weighted_project(hat, hint, self.gamma, update_w.w_norm, k)
         self.learner_w.commit(update_w)
         self.learner_y.commit(update_y)
         self.h, self._hat, self._played = hint, hat, played

@@ -113,7 +113,8 @@ def check_filter_lemma(streams: int = 1000, seed: int = 2024) -> CheckReport:
                 g_tilde = g
             h_t = f.h
             g_norm = norm(g_tilde)
-            out, h_next, _ = f.step(g_tilde, g_norm)
+            out, h_next, doubled = f.step(g_tilde, g_norm)
+            f.commit(out is not g_tilde, doubled)
             trace.append((g_norm, norm(out), h_t, h_next))
         ok, violated = check_filter_properties(trace, tau_G=tau_G, k=k, G=G)
         if not ok:
@@ -195,6 +196,7 @@ def check_tracker_lemma(streams: int = 1000, seed: int = 2025) -> CheckReport:
         for w_norm in norms:
             z_t = tracker.z
             z_next, doubled = tracker.step(float(w_norm))
+            tracker.commit(z_next, doubled)
             trace.append((float(w_norm), z_t, z_next, doubled))
         ok, violated = check_tracker_properties(trace, tau_D=tau_D)
         if not ok:

@@ -100,7 +100,9 @@ class KTPlayer(KTBettor):
     """The KT bettor under the protocol's round contract (g_true required).
 
     It sees the observed gradient unclipped and has no regularizer, so its
-    decomposition ledger is never updated and the four terms stay 0.0.
+    decomposition ledger is never updated and the four terms stay 0.0. A
+    round runs the bettor's checks, then the regret ledger's update, and
+    moves the bettor last: a round that raises changes neither.
     """
 
     def __init__(self, epsilon: float, comparator: np.ndarray):
@@ -110,12 +112,13 @@ class KTPlayer(KTBettor):
 
     def round(self, g_tilde, g_true=None, loss_gap=None) -> RoundRecord:
         w = self.w  # the played scalar; its norm is |w|
+        state = self.update(g_tilde)
         # w - u broadcasts over a comparator of another dimension; the
         # ledger rejects it by shape
         self.regret.update(
             self.predict() - self.regret.comparator, g_true, g_tilde, loss_gap
         )
-        self.observe(g_tilde, 1.0)
+        self.commit(state)
         g_tilde_norm = norm(g_tilde)
         return RoundRecord(
             w_norm=abs(w), g_norm=norm(g_true), g_tilde_norm=g_tilde_norm,

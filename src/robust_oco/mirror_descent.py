@@ -11,9 +11,12 @@ orders of magnitude (parameter-free iterates are exponential in the dual
 norm). The solve also returns the mirror part of the link at its root, which
 the dual update reuses as the next round's mirror-map gradient.
 
-One update, in _HintBudget, serves MirrorDescentLearner and
-ScalarMirrorDescent (one coordinate, penalty off, in Python floats: the
-epigraph learner's scalar side). It computes the whole new state before
+One update serves every dimension: at d = 1 the iterate, the dual
+accumulator and the mirror-map gradient are Python floats, above that
+float64 arrays (core.kernels picks the form from dim), and the same
+subtraction, scaling and norm run on either, with the bits the 1-entry
+array gave. The epigraph learner's scalar side is this learner at d = 1
+with the penalty off. The update computes the whole new state before
 commit() assigns any of it, so an observe() that raises changes nothing.
 """
 
@@ -25,7 +28,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import as_vector_norm, check_positive, ensure_finite, norm
+from .core import check_positive, ensure_finite, kernels
 from .regularizer import HuberRegularizer
 
 _SOLVE_RTOL = 1e-9
@@ -205,22 +208,40 @@ def link_inverse_solve(
 
 
 # one round's new learner state, computed before any of it is assigned; w
-# and mirror_grad are vectors or floats, radius is the solved iterate norm
+# and mirror_grad are in the learner's form, radius is the solved iterate norm
 Update = namedtuple("Update", "w w_norm mirror_grad radius h C N B V a")
 
 
-class _HintBudget:
-    """The mirror descent update both learners share, on vectors or on floats.
+class MirrorDescentLearner:
+    """Hint-driven unconstrained learner with built-in composite Huber penalty.
+
+    Plays the origin first. Each observe() call consumes a gradient whose
+    norm is at most the current hint, plus the (nondecreasing) hint for the
+    next round. Setting c = 0 disables the penalty and leaves the plain
+    parameter-free mirror descent update.
 
     The hint h bounds the next gradient's norm; C sums the squared gradient
     norms, N the same squares over the hint in force, and B adds 4N each
     round; V = h^2 + C and the wealth scale a (from B) enter the link. A
     round is update(), which runs every check and the solve on locals, then
-    commit(), which assigns the result. A subclass supplies _coerce (the
-    gradient in its own form, with its norm) and _norm.
+    commit(), which assigns the result.
+
+    w and mirror_grad are held in the form core.kernels(dim) picks: floats
+    at d = 1, float64 arrays above. At d = 1 this is bit for bit the learner
+    on 1-entry arrays, and predict() builds the caller's array from the
+    float.
     """
 
-    def __init__(self, epsilon: float, initial_hint: float):
+    def __init__(
+        self,
+        dim: int,
+        epsilon: float,
+        initial_hint: float,
+        c: float = 0.0,
+        *,
+        p: float,
+        alpha: float = 1.0,
+    ):
         check_positive("wealth scale epsilon", epsilon)
         check_positive("initial hint", initial_hint)
         self.epsilon = epsilon
@@ -231,6 +252,20 @@ class _HintBudget:
         self.V = self.h * self.h + self.C
         self.a = self._wealth_scale(self.B)
         self.t = 0
+        self.dim = dim
+        self.kernels = kernels(dim)
+        self.reg = HuberRegularizer(c=c, p=p, alpha=alpha)
+        self.w = self.kernels.zeros(dim)
+        self.w_norm = 0.0  # norm(self.w), kept from the check in update
+        self.mirror_grad = self.kernels.zeros(dim)  # mirror-map gradient at w
+
+    def predict(self) -> np.ndarray:
+        """The iterate as a float64 array: above d = 1 the iterate itself, not a copy.
+
+        observe() replaces the iterate, never writes into it; at d = 1 each
+        call builds a new 1-entry array from the float.
+        """
+        return self.kernels.array(self.w)
 
     def _wealth_scale(self, B: float) -> float:
         """The scale a = epsilon / (sqrt(B) ln(B)^2) inside the mirror map's log.
@@ -255,17 +290,19 @@ class _HintBudget:
         """The round's new state, every check and the solve run, nothing assigned.
 
         A caller that already holds the gradient in the learner's own form
-        (a finite float64 vector of its dimension, or a finite float) passes
-        its norm as g_norm, and the coercion is skipped. The gradient norm
-        must be within the hint in force, and the next hint finite and no
-        smaller; the dual-magnitude budget B folds in the pre-update N.
+        (a finite float at d = 1, a finite float64 vector of its dimension
+        above) passes its norm as g_norm, and the coercion is skipped. The
+        gradient norm must be within the hint in force, and the next hint
+        finite and no smaller; the dual-magnitude budget B folds in the
+        pre-update N.
         """
+        k = self.kernels
         if g_norm is None:
-            gradient, g_norm = self._coerce(gradient)
+            gradient, g_norm = k.coerce(gradient, self.dim)
         theta = self.mirror_grad - gradient
         # a NaN or Inf entry makes the norm NaN or Inf, so the entrywise
         # check only runs when it is going to fail
-        theta_norm = self._norm(theta)
+        theta_norm = k.norm(theta)
         if not math.isfinite(theta_norm):
             ensure_finite(np.atleast_1d(theta), "dual accumulator")
         h = self.h
@@ -292,84 +329,14 @@ class _HintBudget:
             w = (radius / theta_norm) * theta
             mirror_grad = (mirror / theta_norm) * theta
             # as for theta: a finite norm proves the iterate finite
-            w_norm = self._norm(w)
+            w_norm = k.norm(w)
             if not math.isfinite(w_norm):
                 ensure_finite(np.atleast_1d(w), "mirror descent iterate")
         return Update(w, w_norm, mirror_grad, radius, hint, C, N, B, V, a)
 
     def commit(self, update: Update) -> None:
-        """Assign the state that update() computed."""
+        """Assign the state that update() computed and fold the new radius into the penalty."""
+        self.reg.advance(update.radius)
         (self.w, self.w_norm, self.mirror_grad, _, self.h,
          self.C, self.N, self.B, self.V, self.a) = update
         self.t += 1
-
-
-class MirrorDescentLearner(_HintBudget):
-    """Hint-driven unconstrained learner with built-in composite Huber penalty.
-
-    Plays the origin first. Each observe() call consumes a gradient whose
-    norm is at most the current hint, plus the (nondecreasing) hint for the
-    next round. Setting c = 0 disables the penalty and leaves the plain
-    parameter-free mirror descent update.
-    """
-
-    def __init__(
-        self,
-        dim: int,
-        epsilon: float,
-        initial_hint: float,
-        c: float = 0.0,
-        *,
-        p: float,
-        alpha: float = 1.0,
-    ):
-        super().__init__(epsilon, initial_hint)
-        self.dim = dim
-        self.reg = HuberRegularizer(c=c, p=p, alpha=alpha)
-        self.w = np.zeros(dim)
-        self.w_norm = 0.0  # norm(self.w), kept from the check in update
-        self.mirror_grad = np.zeros(dim)  # mirror-map gradient at w
-
-    def predict(self) -> np.ndarray:
-        """The iterate itself, not a copy; observe() replaces it, never writes into it."""
-        return self.w
-
-    def _coerce(self, gradient) -> tuple[np.ndarray, float]:
-        # from the exact norm: no overflow warning
-        return as_vector_norm(gradient, self.dim)
-
-    def _norm(self, v: np.ndarray) -> float:
-        # looked up per call: the span tracer (perfbench/layers.py) rebinds it
-        return norm(v)
-
-    def commit(self, update: Update) -> None:
-        """Assign the new state and fold the new radius into the penalty."""
-        self.reg.advance(update.radius)
-        super().commit(update)
-
-
-class ScalarMirrorDescent(_HintBudget):
-    """The one-dimensional learner with the penalty disabled, in Python floats.
-
-    Bit for bit MirrorDescentLearner(1, epsilon, initial_hint, c=0, p=1),
-    with w, w_norm and mirror_grad held as floats and observe() taking a
-    float gradient. The link inverts through link_inverse_solve's c = 0
-    closed form.
-    """
-
-    def __init__(self, epsilon: float, initial_hint: float):
-        super().__init__(epsilon, initial_hint)
-        # c = 0: the solve reads nothing else, and nothing advances it
-        self.reg = HuberRegularizer(c=0.0, p=1.0, alpha=1.0)
-        self.w = self.w_norm = self.mirror_grad = 0.0
-
-    def _coerce(self, g: float) -> tuple[float, float]:
-        # the check builds a vector only to raise the vector learner's message
-        g_norm = abs(g)
-        if not math.isfinite(g_norm):
-            ensure_finite(np.array([g]), "vector input")
-        return g, g_norm
-
-    def _norm(self, x: float) -> float:
-        # the norm of a 1-vector
-        return abs(x)

@@ -8,6 +8,11 @@ epigraph stack when no bound is known. The protocol validates its config,
 refuses the gradient bound in the unknown-bound modes, and applies the
 standard parameter presets of both wirings as it builds its parts, among
 them the penalty exponent p = ln T.
+
+Vectors meet the protocol as float64 arrays: round() coerces each gradient
+once into the learner's form (core.kernels(dim): a float at d = 1), and
+predict() returns an array. Everything between, the clip, the learner and
+the ledgers, runs on that form.
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    RegretLedger, as_vector, as_vector_norm, check_positive, clip_gradient, dot,
-    ensure_finite, norm,
+    RegretLedger, as_vector, check_positive, ensure_finite, kernels, kernels_of,
 )
 from .epigraph import EpigraphLearner, QuadWeights
 from .mirror_descent import MirrorDescentLearner
@@ -53,18 +57,19 @@ class DecompositionLedger:
 
     error - correction + bias + composite reproduces the true regret as an
     algebraic identity for any regularizer sequence, so the per-round gap is
-    a pure float-rounding diagnostic.
+    a pure float-rounding diagnostic. The comparator, and with it the
+    gradient accumulator, is a float in the protocol's d = 1 form.
     """
 
-    comparator: np.ndarray
+    comparator: np.ndarray | float
     error_term: float = 0.0
     correction_term: float = 0.0
     composite_term: float = 0.0
     bias_reg_sum: float = 0.0
-    _bias_grad_accum: np.ndarray = field(init=False)
+    _bias_grad_accum: np.ndarray | float = field(init=False)
 
     def __post_init__(self):
-        self._bias_grad_accum = np.zeros_like(self.comparator)
+        self._bias_grad_accum = kernels_of(self.comparator).zeros(np.size(self.comparator))
 
     @property
     def bias_term(self) -> float:
@@ -144,65 +149,73 @@ class RobustProtocol:
             )
         # ledger-side penalty state over the *played* iterates
         self._ledger_reg = HuberRegularizer(c=c, p=p, alpha=alpha)
-        self.comparator = (
-            np.zeros(config.dim) if comparator is None
-            else as_vector(comparator, config.dim)
-        )
-        self._comparator_norm = norm(self.comparator)
-        # the norm of the iterate to play next, kept from the check after
-        # each round
-        self._w_norm = norm(self.learner.predict())
+        self.kernels = k = kernels(config.dim)
+        u = np.zeros(config.dim) if comparator is None else as_vector(comparator, config.dim)
+        self.comparator, self._comparator_norm = k.coerce(u, config.dim)
+        # the iterate to play next, in the learner's form, and its norm, kept
+        # from the check after each round
+        self._w = self.learner.w
+        self._w_norm = k.norm(self._w)
         self.regret = RegretLedger(comparator=self.comparator)
         self.decomposition = DecompositionLedger(comparator=self.comparator)
         self.t = 0
 
     def predict(self) -> np.ndarray:
-        """The iterate to play this round; the origin before the first round.
+        """The iterate to play this round, as a float64 array; the origin before the first round.
 
-        It is the learner's own iterate, not a copy: a round replaces the
-        iterate with a new array and never writes into the old one, and
-        callers must not write into it either.
+        Above d = 1 it is the learner's own iterate, not a copy: a round
+        replaces the iterate with a new array and never writes into the old
+        one, and callers must not write into it either. At d = 1 each call
+        builds a new 1-entry array from the learner's float.
         """
-        return self.learner.predict()
+        return self.kernels.array(self._w)
 
     def round(self, g_tilde, g_true=None, loss_gap=None) -> RoundRecord:
         """Play one round against the observed gradient.
 
         g_true and loss_gap are simulation-only oracles: when given, the
         regret ledger and the error/bias sides of the decomposition track the
-        true-gradient quantities.
+        true-gradient quantities. Both gradients are coerced before any state
+        moves, and the filter, tracker and weights steps are computed as
+        values and committed, with the round count, only once the learner
+        has committed: a round whose learner raises changes nothing.
         """
-        g_tilde, g_tilde_norm = as_vector_norm(g_tilde, self.config.dim)
-        # coerced before any state moves: a non-finite g_true changes nothing
+        k, dim = self.kernels, self.config.dim
+        g_tilde, g_tilde_norm = k.coerce(g_tilde, dim)
         g_norm = None
         if g_true is not None:
-            g_true, g_norm = as_vector_norm(g_true, self.config.dim)
-        w = self.learner.predict()
-        w_norm = self._w_norm
-        self.t += 1
+            g_true, g_norm = k.coerce(g_true, dim)
+        w, w_norm = self._w, self._w_norm
 
         if self.filter is not None:
             h_t = self.filter.h
-            g_clipped, h_next, filter_doubled = self.filter.step(g_tilde, g_tilde_norm)
-            g_clipped_norm = g_tilde_norm if g_clipped is g_tilde else norm(g_clipped)
+            g_clipped, h_next, filter_doubled = self.filter.step(
+                g_tilde, g_tilde_norm, k.clip
+            )
+            g_clipped_norm = g_tilde_norm if g_clipped is g_tilde else k.norm(g_clipped)
             z_next, tracker_doubled = self.tracker.step(w_norm)
             alpha_t, beta_t = self.weights.step(filter_doubled, tracker_doubled)
             a_t = alpha_t + beta_t
             self.learner.observe(g_clipped, h_next, a_t)
+            self.filter.commit(g_clipped is not g_tilde, filter_doubled)
+            self.tracker.commit(z_next, tracker_doubled)
+            self.weights.commit(tracker_doubled)
         else:
             h_t = self.G
-            g_clipped = clip_gradient(g_tilde, h_t, g_tilde_norm)
-            g_clipped_norm = g_tilde_norm if g_clipped is g_tilde else norm(g_clipped)
+            g_clipped = k.clip(g_tilde, h_t, g_tilde_norm)
+            g_clipped_norm = g_tilde_norm if g_clipped is g_tilde else k.norm(g_clipped)
             z_next, alpha_t, beta_t, a_t = 0.0, 0.0, 0.0, 0.0
-            # g_clipped is already a checked float64 vector: no second coercion
+            # g_clipped is already in the learner's checked form: no second coercion
             self.learner.observe(g_clipped, h_t, g_clipped_norm)
+        self.t += 1
 
         self._update_ledgers(w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap)
         # a finite norm proves the new iterate finite; it is next round's w_norm
-        w_next = self.learner.predict()
-        self._w_norm = norm(w_next)
+        w_next = self.learner.w
+        self._w_norm = k.norm(w_next)
         if not math.isfinite(self._w_norm):
-            ensure_finite(w_next, f"iterate after round {self.t}")
+            ensure_finite(np.atleast_1d(w_next), f"iterate after round {self.t}")
+        self._w = w_next
         return RoundRecord(
             w_norm=w_norm, g_norm=g_norm, g_tilde_norm=g_tilde_norm,
             g_clipped_norm=g_clipped_norm,
@@ -212,7 +225,8 @@ class RobustProtocol:
     def _update_ledgers(
         self, w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap
     ) -> None:
-        """Account the round in the ledgers; g_true, if given, is a checked vector."""
+        """Account the round in the ledgers; every vector is in the learner's form."""
+        dot = self.kernels.dot
         u_norm = self._comparator_norm
         self._ledger_reg.advance(w_norm)
         r_w = self._ledger_reg.evaluate(w_norm) + a_t * w_norm * w_norm

@@ -8,7 +8,9 @@ doubling rounds define the epochs used by the attenuated quadratic weights.
 
 Both automata use constant space: no per-round sets are materialized. The
 property checkers in harness.checks reconstruct epoch structure from
-externally recorded traces instead.
+externally recorded traces instead. A round is step(), which computes the
+automaton's outputs and assigns nothing, then commit(), which moves its
+state: a caller whose own round fails between the two leaves it as it was.
 """
 
 from __future__ import annotations
@@ -45,25 +47,36 @@ class GradientFilter:
             raise ValueError("initial threshold tau_G must be positive")
         self.h = self.tau_G
 
-    def step(self, g_tilde: np.ndarray, g_norm: float) -> tuple[np.ndarray, float, bool]:
-        """Process one observed gradient, whose norm is g_norm.
+    def step(
+        self, g_tilde: np.ndarray, g_norm: float, clip=clip_gradient
+    ) -> tuple[np.ndarray, float, bool]:
+        """Clip one observed gradient, whose norm is g_norm; nothing is assigned.
 
-        Returns (clipped gradient, threshold for the next round, doubled flag).
+        Returns (clipped gradient, threshold for the next round, doubled
+        flag); a pass returns g_tilde itself. clip is the clipping kernel of
+        the gradient's representation (core.FLOAT.clip for a float).
+        commit(clipped is not g_tilde, doubled) then counts the round.
         """
         h_t = self.h
-        clipped = clip_gradient(g_tilde, h_t, g_norm)
+        clipped = clip(g_tilde, h_t, g_norm)
         if clipped is g_tilde:
-            self.pass_rounds += 1
             return g_tilde, h_t, False
+        if self.n == self.k:  # this clip is the (k+1)-th since the last doubling
+            return clipped, 2.0 * h_t, True
+        return clipped, h_t, False
+
+    def commit(self, clipped: bool, doubled: bool) -> None:
+        """Count the round step() processed: a pass, a clip, or a doubling clip."""
+        if not clipped:
+            self.pass_rounds += 1
+            return
         self.clip_rounds += 1
-        self.n += 1
-        doubled = False
-        if self.n == self.k + 1:
-            self.h = 2.0 * h_t
+        if doubled:
+            self.h = 2.0 * self.h
             self.n = 0
             self.doublings += 1
-            doubled = True
-        return clipped, self.h, doubled
+        else:
+            self.n += 1
 
 
 @dataclass
@@ -84,12 +97,17 @@ class MagnitudeTracker:
 
         Doubling requires a strict exceedance; the new threshold is twice the
         triggering norm, so it is always either the old value or 2*||w_t||.
+        Nothing is assigned: commit(*step(w_norm)) moves the tracker.
         """
         if not math.isfinite(w_norm) or w_norm < 0:
             raise ValueError(f"invalid iterate norm {w_norm}")
         if w_norm > self.z:
-            self.z = 2.0 * w_norm
-            self.epoch_index += 1
-            return self.z, True
+            return 2.0 * w_norm, True
         return self.z, False
+
+    def commit(self, z_next: float, doubled: bool) -> None:
+        """Take the threshold step() returned, opening an epoch when it doubled."""
+        self.z = z_next
+        if doubled:
+            self.epoch_index += 1
 

@@ -291,3 +291,14 @@ class TestKTBettor:
             g = np.array([math.copysign(1.0, w[0]) if w[0] != 0 else 1.0])
             kt.observe(g)
             assert kt.epsilon + kt.reward > 0
+
+    def test_nonpositive_wealth_moves_no_state(self):
+        # reward, sum_neg_grad and t used to move before the wealth check
+        # raised; a bet past the wealth is planted to reach that check
+        kt = KTBettor(1.0)
+        kt.observe(np.array([-0.5]))
+        kt.w = 10.0
+        before = (kt.reward, kt.sum_neg_grad, kt.t, kt.w)
+        with pytest.raises(RuntimeError, match="KT wealth went nonpositive"):
+            kt.observe(np.array([1.0]))
+        assert (kt.reward, kt.sum_neg_grad, kt.t, kt.w) == before

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_oco.core import (
+    ARRAY,
+    FLOAT,
     SMALL_DIM,
     CorruptionLedger,
     NonFiniteError,
@@ -17,6 +19,8 @@ from robust_oco.core import (
     clip_gradient,
     dot,
     ensure_finite,
+    kernels,
+    kernels_of,
     norm,
 )
 
@@ -580,3 +584,61 @@ class TestFiniteness:
         v = np.array([1.0, -2.0, 3.0])
         assert as_vector(v) is v
         assert as_vector(v, dim=3) is v
+
+
+class TestFloatKernels:
+    """The d = 1 representation against the 1-entry and zero-padded arrays."""
+
+    def draws(self, n=300_000, seed=18):
+        rng = np.random.default_rng(seed)
+        mags = np.exp2(rng.uniform(-1074, 1023.9, n))
+        mags[: n // 3] = np.exp2(rng.uniform(-8, 8, n // 3))
+        return (mags * rng.choice([-1.0, 1.0], n)).tolist()
+
+    def test_padded_norm_and_inner_product(self):
+        # a d = 2 vector with a zero second entry reduces as the float does
+        xs, ys = self.draws(), self.draws(seed=19)
+        assert all(math.hypot(x, 0.0) == abs(x) for x in xs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all(
+                np.vdot([x, 0.0], [y, 0.0]) == x * y for x, y in zip(xs, ys)
+            )
+
+    def test_kernels_pick_the_form_from_dim(self):
+        assert kernels(1) is FLOAT and kernels(2) is kernels(256) is ARRAY
+        assert kernels_of(0.5) is FLOAT and kernels_of(np.zeros(1)) is ARRAY
+
+    @pytest.mark.parametrize("family", sorted(MAGNITUDE_FAMILIES))
+    def test_norm_dot_clip_match_the_one_entry_array(self, family):
+        rng = np.random.default_rng(len(family))
+        lo, hi = MAGNITUDE_FAMILIES[family]
+        for _ in range(400):
+            a, b = (float(log_uniform_vector(rng, 1, lo, hi)[0]) for _ in range(2))
+            va, vb = np.array([a]), np.array([b])
+            assert FLOAT.norm(a).hex() == norm(va).hex()
+            assert FLOAT.dot(a, b).hex() == dot(va, vb).hex()
+            assert FLOAT.squared_norm(a).hex() == float(np.vdot(va, va)).hex()
+            h = abs(b) if b != 0.0 else 1.0
+            out = FLOAT.clip(a, h, abs(a))
+            ref = clip_gradient(va, h, norm(va))
+            assert type(out) is float and out.hex() == float(ref[0]).hex()
+            assert (out is a) is (ref is va)
+
+    def test_signed_zero_product_is_positive_zero(self):
+        # sum() from int 0 turned -0.0 into 0.0; the float dot adds 0.0
+        assert math.copysign(1.0, FLOAT.dot(-0.0, 1.0)) == 1.0
+        assert math.copysign(1.0, dot(np.array([-0.0]), np.array([1.0]))) == 1.0
+
+    @pytest.mark.parametrize("x", [[math.nan], [math.inf], 0.5, [1.0, 2.0], [[1.0]]],
+                             ids=["nan", "inf", "scalar", "two_entries", "two_d"])
+    def test_coerce_checks_as_as_vector_norm(self, x):
+        try:
+            expected = as_vector_norm(x, 1)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as info:
+                FLOAT.coerce(x, 1)
+            assert str(info.value) == str(exc)
+        else:
+            g, n = FLOAT.coerce(x, 1)
+            assert type(g) is float and (g, n) == (float(expected[0][0]), expected[1])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from robust_oco import epigraph, mirror_descent
-from robust_oco.core import NonFiniteError, as_vector, norm
+from robust_oco.core import ARRAY, NonFiniteError, as_vector, norm
 from robust_oco.epigraph import (
     EpigraphLearner,
     EpigraphPoint,
@@ -127,33 +127,45 @@ class TestCorrectionDirection:
         print(f"\nsqrt(2)-factor exceedances: {sqrt2_failures}/300")
 
 
+def weigh(qw, filter_doubled, tracker_doubled):
+    """The round's weights, with the round committed."""
+    weights = qw.step(filter_doubled, tracker_doubled)
+    qw.commit(tracker_doubled)
+    return weights
+
+
 class TestQuadWeights:
     def test_no_doublings_no_weights(self):
         qw = QuadWeights(gamma_alpha=2.0, gamma_beta=6.0)
-        assert qw.step(False, False) == (0.0, 0.0)
+        assert weigh(qw, False, False) == (0.0, 0.0)
 
     def test_first_tracker_doubling_halves_beta(self):
         qw = QuadWeights(gamma_alpha=2.0, gamma_beta=6.0)
-        alpha_t, beta_t = qw.step(False, True)
+        alpha_t, beta_t = weigh(qw, False, True)
         assert alpha_t == 0.0 and beta_t == 3.0
+
+    def test_step_assigns_nothing(self):
+        qw = QuadWeights(gamma_alpha=2.0, gamma_beta=6.0)
+        assert qw.step(False, True) == qw.step(False, True) == (0.0, 3.0)
+        assert qw.beta_denominator == 1
 
     def test_filter_doubling_full_alpha_regardless_of_history(self):
         qw = QuadWeights(gamma_alpha=2.0, gamma_beta=6.0)
         for _ in range(5):
-            qw.step(False, True)
-        alpha_t, _ = qw.step(True, False)
+            weigh(qw, False, True)
+        alpha_t, _ = weigh(qw, True, False)
         assert alpha_t == 2.0
 
     def test_beta_attenuates(self):
         qw = QuadWeights(gamma_alpha=0.0, gamma_beta=12.0)
-        betas = [qw.step(False, True)[1] for _ in range(4)]
+        betas = [weigh(qw, False, True)[1] for _ in range(4)]
         assert betas == [6.0, 4.0, 3.0, 2.4]
 
     def test_weight_ceilings(self):
         rng = np.random.default_rng(3)
         qw = QuadWeights(gamma_alpha=1.5, gamma_beta=4.0)
         for _ in range(200):
-            a, b = qw.step(bool(rng.integers(2)), bool(rng.integers(2)))
+            a, b = weigh(qw, bool(rng.integers(2)), bool(rng.integers(2)))
             assert 0 <= a <= 1.5 and 0 <= b <= 4.0
             assert a + b <= qw.gamma
 
@@ -161,7 +173,16 @@ class TestQuadWeights:
 class AlwaysCorrected(EpigraphLearner):
     """The epigraph round without the interior shortcut: every round builds
     the correction (zero for an interior prediction) and adds it, and the
-    projection takes a fresh norm of the lifted iterate."""
+    projection takes a fresh norm of the lifted iterate. The vector side and
+    the lifted point are float64 arrays at every dimension, d = 1 included,
+    where the learner itself runs on floats."""
+
+    def __init__(self, dim, **kw):
+        super().__init__(dim, **kw)
+        md = self.learner_w
+        md.kernels = self.kernels = ARRAY
+        md.w, md.mirror_grad = np.zeros(dim), np.zeros(dim)
+        self._project()
 
     def _project(self):
         self._hat = EpigraphPoint(

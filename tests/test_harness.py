@@ -20,6 +20,7 @@ from robust_oco.harness.config import (
 )
 from robust_oco.harness.runner import (
     ExperimentTrace,
+    KTPlayer,
     SweepConfig,
     make_player,
     resolve_comparator,
@@ -235,6 +236,18 @@ class TestRunExperiment:
         assert type(info.value) is ValueError and info.value.aborted_at_round == 15
         assert isinstance(info.value.__cause__, ValueError)
         assert str(info.value.__cause__).startswith("KT bettor requires")
+
+    def test_kt_rejected_gradient_leaves_the_ledger(self):
+        # the regret ledger used to be updated before the bettor's checks:
+        # true regret 0.5 -> 0.875 and observed 0.5 -> 2.0 with t still 1
+        player = KTPlayer(1.0, np.array([1.0]))
+        player.round(np.array([-0.5]), g_true=np.array([-0.5]))
+        ledger = player.regret
+        before = (ledger.true_regret_linear, ledger.observed_regret_linear, player.t, player.w)
+        with pytest.raises(ValueError, match=r"KT bettor requires \|g\| <= 1"):
+            player.round(np.array([-2.0]), g_true=np.array([-0.5]))
+        after = (ledger.true_regret_linear, ledger.observed_regret_linear, player.t, player.w)
+        assert after == before == (0.5, 0.5, 1, 0.25)
 
     def test_kt_comparator_of_another_dimension_rejected(self):
         cfg = figure_config(algorithm="kt_bettor")

@@ -11,10 +11,9 @@ import pytest
 
 import robust_oco
 from robust_oco import mirror_descent
-from robust_oco.core import NonFiniteError, norm
+from robust_oco.core import ARRAY, NonFiniteError, norm
 from robust_oco.mirror_descent import (
     MirrorDescentLearner,
-    ScalarMirrorDescent,
     SolverError,
     _mirror_part_inverse,
     link_inverse_solve,
@@ -351,7 +350,7 @@ class TestMirrorDescentLearner:
             if t == 1:
                 # theta = mirror_grad - g = 0: the zero-dual branch, from a
                 # nonzero iterate
-                g = md.mirror_grad.copy()
+                g = np.atleast_1d(md.mirror_grad).copy()
             else:
                 g = rng.standard_normal(d)
                 g *= rng.uniform(0.0, 1.0) / norm(g)
@@ -414,19 +413,24 @@ def shared_bits(md) -> bytes:
 
 def state_bits(md) -> bytes:
     """Every state float of a mirror descent learner, as bytes, and its round."""
-    if isinstance(md, ScalarMirrorDescent):
-        return shared_bits(md)
     reg = md.reg
     return shared_bits(md) + np.array(
         [reg.log_S, reg.last_iterate_norm, reg.t], dtype=np.float64
     ).tobytes()
 
 
-def scalar_pair(epsilon=0.7, hint=1.5):
-    """The float learner and the 1-d vector learner it reproduces."""
+def on_arrays(md):
+    """A fresh d = 1 learner switched to 1-entry float64 arrays, the form it used to run on."""
+    md.kernels = ARRAY
+    md.w, md.mirror_grad = np.zeros(1), np.zeros(1)
+    return md
+
+
+def scalar_pair(epsilon=0.7, hint=1.5, c=0.0, p=1.0):
+    """The d = 1 learner on floats and the same learner on 1-entry arrays."""
     return (
-        ScalarMirrorDescent(epsilon, hint),
-        MirrorDescentLearner(1, epsilon, hint, c=0.0, p=1.0),
+        MirrorDescentLearner(1, epsilon, hint, c=c, p=p),
+        on_arrays(MirrorDescentLearner(1, epsilon, hint, c=c, p=p)),
     )
 
 
@@ -436,18 +440,22 @@ def raised(observe, *args):
     return type(info.value), str(info.value)
 
 
-class TestScalarMirrorDescent:
-    def test_matches_the_vector_learner_bit_for_bit(self):
+class TestFloatRepresentation:
+    """The d = 1 learner on Python floats against the same learner on 1-entry arrays."""
+
+    @pytest.mark.parametrize("c, p", [(0.0, 1.0), (2.0, math.log(2500))],
+                             ids=["penalty_off", "penalty_p_ln_T"])
+    def test_matches_the_vector_learner_bit_for_bit(self, c, p):
         # signed zeros, exact zero duals (g equal to the mirror-map gradient,
         # from the origin and from a nonzero iterate) and doubling hints
         rng = np.random.default_rng(15)
-        fast, ref = scalar_pair()
+        fast, ref = scalar_pair(c=c, p=p)
         zero_duals = nonzero_before_zero = 0
         for t in range(2500):
             u = rng.uniform()
             if u < 0.15:
-                # walk the dual back to exactly zero (at c = 0 the
-                # mirror-map gradient is the dual accumulator)
+                # walk the dual back to exactly zero: theta = mirror_grad - g
+                # vanishes once |mirror_grad| is within the hint
                 g = math.copysign(min(abs(fast.mirror_grad), fast.h), fast.mirror_grad)
             elif u < 0.2:
                 g = [0.0, -0.0][t % 2]
@@ -459,8 +467,9 @@ class TestScalarMirrorDescent:
                 nonzero_before_zero += fast.w != 0.0
             fast.observe(g, hint)
             ref.observe(np.array([g]), hint)
-            assert shared_bits(fast) == shared_bits(ref), t
+            assert state_bits(fast) == state_bits(ref), t
             assert type(fast.w) is float and type(fast.mirror_grad) is float
+            assert fast.predict().tobytes() == ref.predict().tobytes()
         assert zero_duals > 50 and nonzero_before_zero > 50, zero_duals
         assert fast.h == 1.5 * 2.0**10
 
@@ -520,7 +529,7 @@ class TestScalarMirrorDescent:
             return solve(theta_norm, V, h, a, reg)
 
         monkeypatch.setattr(mirror_descent, "link_inverse_solve", counted)
-        fast = ScalarMirrorDescent(1.0, 1.5)
+        fast = MirrorDescentLearner(1, 1.0, 1.5, c=0.0, p=1.0)
         for g in (0.5, -0.25, 0.0):
             fast.observe(g, 1.5)
         assert calls == [0.0, 0.0, 0.0]
@@ -533,10 +542,7 @@ def test_constructor_rejects_non_positive_or_non_finite(cls, field, bad):
     kw = {"epsilon": 1.0, "initial_hint": 1.0, field: bad}
     name = "wealth scale epsilon" if field == "epsilon" else "initial hint"
     with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
-        if cls == "vector":
-            MirrorDescentLearner(2, p=1.0, **kw)
-        else:
-            ScalarMirrorDescent(**kw)
+        MirrorDescentLearner(2 if cls == "vector" else 1, p=1.0, **kw)
 
 
 @pytest.mark.parametrize("setting, stem", [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robust_oco import mirror_descent
 from robust_oco.core import NonFiniteError, norm
 from robust_oco.epigraph import EpigraphPoint, weighted_project
 from robust_oco.mirror_descent import SolverError
@@ -328,3 +329,97 @@ class TestStochasticOptimizationEndToEnd:
         gap = abs(np.mean(iterates, axis=0)[0] - target)
         assert gap <= 0.05
 
+
+
+class TestFailedRoundMovesNothing:
+    def test_raising_learner_leaves_the_automata_and_the_round_count(self, monkeypatch):
+        # the filter, the tracker and the weights used to step, and the round
+        # to be counted, before learner.observe: a solve that raised left
+        # them one round ahead (clip_rounds 3 -> 4, protocol.t 4 -> 5, with
+        # learner_w.t still 4)
+        cfg = ProtocolConfig(mode="unknown_g_case1", T=100, k=2, tau_G=0.25)
+        protocol = RobustProtocol(cfg, comparator=np.array([1.0]))
+        solve = mirror_descent.link_inverse_solve
+
+        def solve_until_round_five(*args):
+            if protocol.learner.learner_w.t == 4:
+                raise SolverError("planted at round 5")
+            return solve(*args)
+
+        monkeypatch.setattr(mirror_descent, "link_inverse_solve", solve_until_round_five)
+        # two passes, then clips; the fifth round's clip is the third since
+        # the last doubling, so it would double the threshold
+        stream = [0.1, -0.1, 1.0, -1.0, 1.0]
+        for g in stream[:4]:
+            protocol.round(np.array([g]), g_true=np.array([g]))
+        parts = (protocol.filter, protocol.tracker, protocol.weights)
+        before = [state_bits(part) for part in parts], protocol.t, state_bits(protocol)
+        with pytest.raises(SolverError, match="planted at round 5"):
+            protocol.round(np.array([stream[4]]), g_true=np.array([stream[4]]))
+        after = [state_bits(part) for part in parts], protocol.t, state_bits(protocol)
+        assert after == before
+        assert protocol.t == protocol.learner.learner_w.t == 4
+        assert (protocol.filter.clip_rounds, protocol.filter.n) == (2, 2)
+
+
+def _record_bits(rec) -> list[bytes]:
+    return [np.float64(x).tobytes() for x in rec]
+
+
+def _run_pair(mode, stream, T=300, k=3):
+    """The same stream at d = 1 (floats inside) and zero-padded at d = 2 (arrays)."""
+    protocols = [
+        RobustProtocol(
+            ProtocolConfig(mode=mode, T=T, k=k, G=1.0 if mode == "known_g" else None,
+                           tau_G=0.5, dim=dim),
+            comparator=np.array([1.0, 0.0][:dim]),
+        )
+        for dim in (1, 2)
+    ]
+    for t in range(1, T + 1):
+        w1, w2 = (p.predict() for p in protocols)
+        assert w1.dtype == w2.dtype == np.float64 and w1.shape == (1,)
+        assert w1[0].tobytes() == w2[0].tobytes() and w2[1] == 0.0, t
+        g_true, g_tilde = stream(t, float(w1[0]))
+        recs = [
+            p.round(np.array([g_tilde, 0.0][:dim]), g_true=np.array([g_true, 0.0][:dim]))
+            for dim, p in zip((1, 2), protocols)
+        ]
+        assert _record_bits(recs[0]) == _record_bits(recs[1]), t
+    return protocols
+
+
+def _sign_flip(t, w):
+    g = 1.0 if w > 1.0 else -1.0
+    return g, (-g if 40 <= t < 60 else g)
+
+
+def _hidden_zeros(t, w, signs=np.random.default_rng(4).choice([-1.0, 1.0], 300)):
+    g = float(signs[t - 1])
+    return g, (0.0 if t <= 8 or t % 17 == 0 else g)
+
+
+def _clipping(t, w, draws=np.random.default_rng(5).uniform(-1.0, 1.0, 300)):
+    g = float(draws[t - 1])
+    return g, (30.0 * g if t % 7 == 0 else g)
+
+
+class TestFloatPathMatchesArrayPath:
+    """d = 1 runs on floats; padded with a zero coordinate it runs on arrays."""
+
+    @pytest.mark.parametrize("stream", [_sign_flip, _hidden_zeros, _clipping],
+                             ids=["sign_flip", "hidden_zeros", "clipping"])
+    @pytest.mark.parametrize("mode", ["known_g", "unknown_g_case1", "unknown_g_case2"])
+    def test_every_record_and_total_bit_for_bit(self, mode, stream):
+        one, two = _run_pair(mode, stream)
+        totals = [
+            [p.regret.true_regret_linear, p.regret.observed_regret_linear,
+             p.decomposition.error_term, p.decomposition.correction_term,
+             p.decomposition.bias_term, p.decomposition.composite_term]
+            for p in (one, two)
+        ]
+        assert _record_bits(totals[0]) == _record_bits(totals[1])
+        assert type(one.learner.w) is float and type(two.learner.w) is np.ndarray
+        if one.filter is not None:
+            # the stream reached the paths that differ by representation
+            assert one.filter.clip_rounds > 0

@@ -5,8 +5,18 @@ from robust_oco.thresholds import GradientFilter, MagnitudeTracker
 
 
 def step(f, n):
-    """Feed the filter the 1-d gradient [n], whose norm is n >= 0."""
-    return f.step(np.array([n]), n)
+    """Feed the filter the 1-d gradient [n], whose norm is n >= 0, and commit the round."""
+    g = np.array([n])
+    out, h_next, doubled = f.step(g, n)
+    f.commit(out is not g, doubled)
+    return out, h_next, doubled
+
+
+def track(tr, n):
+    """Feed the tracker one iterate norm and commit the round."""
+    z_next, doubled = tr.step(n)
+    tr.commit(z_next, doubled)
+    return z_next, doubled
 
 
 def feed_norms(f, norms):
@@ -106,12 +116,23 @@ class TestFilterPropertyChecker:
         assert ok in (True, False)
 
 
+def test_step_assigns_nothing():
+    # a round whose learner raises after the steps must leave both automata
+    # as they were; only commit() moves them
+    f, tr = GradientFilter(k=0, tau_G=1.0), MagnitudeTracker(tau_D=1.0)
+    g = np.array([3.0])
+    assert f.step(g, 3.0)[1:] == f.step(g, 3.0)[1:] == (2.0, True)
+    assert tr.step(5.0) == tr.step(5.0) == (10.0, True)
+    assert (f.h, f.n, f.clip_rounds, f.doublings) == (1.0, 0, 0, 0)
+    assert (tr.z, tr.epoch_index) == (1.0, 0)
+
+
 class TestMagnitudeTracker:
     def test_hand_trace(self):
         tr = MagnitudeTracker(tau_D=1.0)
         zs, flags = [], []
         for n in [0.5, 1.5, 2.0, 5.0]:
-            z, doubled = tr.step(n)
+            z, doubled = track(tr, n)
             zs.append(z)
             flags.append(doubled)
         assert zs == [1.0, 3.0, 3.0, 10.0]
@@ -121,13 +142,13 @@ class TestMagnitudeTracker:
     def test_all_below_initial_guess(self):
         tr = MagnitudeTracker(tau_D=2.0)
         for n in [0.1, 1.9, 0.0, 2.0]:
-            z, doubled = tr.step(n)
+            z, doubled = track(tr, n)
             assert z == 2.0 and not doubled
         assert tr.epoch_index == 0
 
     def test_boundary_is_strict(self):
         tr = MagnitudeTracker(tau_D=1.0)
-        z, doubled = tr.step(1.0)
+        z, doubled = track(tr, 1.0)
         assert z == 1.0 and not doubled
 
     def test_update_values_are_hold_or_double(self):
@@ -135,7 +156,7 @@ class TestMagnitudeTracker:
         tr = MagnitudeTracker(tau_D=0.5)
         for n in rng.lognormal(0, 1.5, 500):
             z_before = tr.z
-            z, doubled = tr.step(float(n))
+            z, doubled = track(tr, float(n))
             assert z == z_before or z == 2.0 * float(n)
 
 
@@ -145,7 +166,7 @@ class TestTrackerPropertyChecker:
         trace = []
         for n in norms:
             z_t = tr.z
-            z_next, doubled = tr.step(float(n))
+            z_next, doubled = track(tr, float(n))
             trace.append((float(n), z_t, z_next, doubled))
         return trace, tr
 

@@ -3,13 +3,15 @@
     python3 tools/cell_digest.py [--root CHECKOUT]
 
 Runs every cell of the reference table in ``perfbench/cells.py`` (the three
-workloads' 4,228 cells) through ``run_experiment`` and prints the
-cell count and the sha256 of ``repr((rows, summary))`` over all cells, with
-the summary's ``wall_time_s`` left out. A change meant to leave the output
-bits alone must print the same digest as its parent: run it in both
-checkouts, or point ``--root`` at the other one. It imports the package from
-``CHECKOUT/src`` and the cells from ``CHECKOUT/perfbench``, and writes
-nothing.
+workloads' 4,228 cells) through ``run_experiment``. For each workload it
+prints the workload's name, its cell count and the sha256 of
+``repr((rows, summary))`` over its cells, with the summary's ``wall_time_s``
+left out; the last line is the cell count and the same sha256 over all
+cells. A change meant to leave the output bits alone must print the same
+lines as its parent: run it in both checkouts, or point ``--root`` at the
+other one. Where the total differs, the workload lines show which workload
+moved. It imports the package from ``CHECKOUT/src`` and the cells from
+``CHECKOUT/perfbench``, and writes nothing.
 """
 
 from __future__ import annotations
@@ -41,11 +43,17 @@ def main(argv: list[str] | None = None) -> int:
     digest = hashlib.sha256()
     count = 0
     for workload in cells.WORKLOADS:
+        workload_digest = hashlib.sha256()
+        workload_count = 0
         for cell in cells.reference_cells(workload):
             trace = run_experiment(cell.config, seed=cell.seed)
             summary = {k: v for k, v in trace.summary.items() if k != "wall_time_s"}
-            digest.update(repr((trace.rows, summary)).encode())
-            count += 1
+            record = repr((trace.rows, summary)).encode()
+            digest.update(record)
+            workload_digest.update(record)
+            workload_count += 1
+        print(f"{workload} {workload_count} cells {workload_digest.hexdigest()}", flush=True)
+        count += workload_count
     print(f"{count} cells {digest.hexdigest()}")
     return 0
 
