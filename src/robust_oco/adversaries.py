@@ -240,7 +240,7 @@ class KTBettor:
     def predict(self) -> np.ndarray:
         return np.array([self.w])
 
-    def observe(self, gradient, hint: float = 1.0) -> None:
+    def observe(self, gradient) -> None:
         """Consume one gradient: update, then commit."""
         self.commit(self.update(gradient))
 

@@ -9,19 +9,19 @@ both sub-learners' feedback within their promised hint ranges. A round
 computes both sub-learners' updates and the projection of the new lifted
 point before either sub-learner commits, so a round that raises changes
 nothing. At d = 1 the lifted point, the correction and the projection are
-Python floats throughout, as the vector sub-learner's iterate is; predict()
-builds the caller's array from the played float.
+Python floats, as the vector sub-learner's iterate is, and each function
+reads the form from its input; predict() builds the caller's array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import ARRAY, NonFiniteError, check_positive
+from .core import NonFiniteError, check_positive, kernels_of
 from .mirror_descent import MirrorDescentLearner, SolverError
 
 _PROJ_RTOL = 1e-12
@@ -40,13 +40,12 @@ class QuadWeights:
 
     The clipping-threshold weight fires at full strength gamma_alpha on every
     filter doubling; the magnitude weight gamma_beta is attenuated by the
-    running count of tracker doublings (including the current round's), so
-    its total stays logarithmic in the iterate growth.
+    tracker's count of doublings (including the current round's), so its
+    total stays logarithmic in the iterate growth.
     """
 
     gamma_alpha: float
     gamma_beta: float
-    beta_denominator: int = field(init=False, default=1)
 
     def __post_init__(self):
         if self.gamma_alpha < 0 or self.gamma_beta < 0:
@@ -56,32 +55,27 @@ class QuadWeights:
     def gamma(self) -> float:
         return self.gamma_alpha + self.gamma_beta
 
-    def step(self, filter_doubled: bool, tracker_doubled: bool) -> tuple[float, float]:
-        """The round's weights (alpha_t, beta_t); nothing is assigned.
+    def step(
+        self, filter_doubled: bool, tracker_doubled: bool, epochs: int
+    ) -> tuple[float, float]:
+        """The round's weights (alpha_t, beta_t).
 
-        commit(tracker_doubled) then counts the tracker doubling, which
-        beta_t already includes.
+        epochs is the tracker's epoch_index before this round's commit; a
+        doubling round's beta_t counts that doubling too.
         """
         alpha_t = self.gamma_alpha if filter_doubled else 0.0
-        if tracker_doubled:
-            beta_t = self.gamma_beta / (self.beta_denominator + 1)
-        else:
-            beta_t = 0.0
+        beta_t = self.gamma_beta / (epochs + 2) if tracker_doubled else 0.0
         return alpha_t, beta_t
-
-    def commit(self, tracker_doubled: bool) -> None:
-        if tracker_doubled:
-            self.beta_denominator += 1
 
 
 def weighted_project(
-    point: EpigraphPoint, h: float, gamma: float, w_norm: float, kernels=ARRAY
+    point: EpigraphPoint, h: float, gamma: float, w_norm: float
 ) -> EpigraphPoint:
     """Minimize h^2||w - w_hat||^2 + gamma^2(y - y_hat)^2 over y >= ||w||^2.
 
-    w_norm must be norm(point.w), which the caller already has, and kernels
-    those of point.w's representation (core.FLOAT for a float). Interior
-    points are returned unchanged, as the same object. Boundary solutions
+    w_norm must be norm(point.w), which the caller already has; point.w is
+    a float64 array or, in the d = 1 form, a float. Interior points are
+    returned unchanged, as the same object. Boundary solutions
     lie along the input direction at radius s, the unique nonnegative root of
     s*(h^2 + 2 gamma^2 (s^2 - y_hat)) = h^2 ||w_hat||; the root is found by
     bisection (the cubic is below the target before the crossing and above it
@@ -129,7 +123,7 @@ def weighted_project(
     w = (s / w_norm) * point.w
     # clamp: feasibility holds exactly; the BLAS sum of squares, not
     # core.dot, because callers check feasibility against w @ w
-    y = max(s * s, kernels.squared_norm(w))
+    y = max(s * s, kernels_of(w).squared_norm(w))
     return EpigraphPoint(w, y)
 
 
@@ -140,7 +134,6 @@ def correction_direction(
     gamma: float,
     g_clipped: np.ndarray | float,
     a_t: float,
-    kernels=ARRAY,
 ) -> tuple[np.ndarray | float, float]:
     """Feedback correction steering an exterior prediction back toward the set.
 
@@ -148,9 +141,10 @@ def correction_direction(
     to unit dual form ||.||^2/h^2 + (.)^2/gamma^2 = 1, scaled by the dual form
     of the fed pair (g_clipped, a_t). An interior prediction is its own
     projection, so its displacement, and with it the correction, is zero
-    (EpigraphLearner.observe does not call this for one). kernels are those
-    of the vectors' representation, as for weighted_project.
+    (EpigraphLearner.observe does not call this for one). The vectors are
+    float64 arrays or, in the d = 1 form, floats, as for weighted_project.
     """
+    kernels = kernels_of(hat.w)
     dw = hat.w - proj.w
     dy = hat.y - proj.y
     dist2 = h * h * kernels.dot(dw, dw) + gamma * gamma * dy * dy
@@ -194,9 +188,7 @@ class EpigraphLearner:
         self.kernels = self.learner_w.kernels
         self.h = tau_G
         self._hat = EpigraphPoint(self.learner_w.w, self.learner_y.w)
-        self._played = weighted_project(
-            self._hat, tau_G, gamma, self.learner_w.w_norm, self.kernels
-        )
+        self._played = weighted_project(self._hat, tau_G, gamma, self.learner_w.w_norm)
 
     @property
     def w(self) -> np.ndarray | float:
@@ -239,12 +231,12 @@ class EpigraphLearner:
         else:
             g = k.coerce(gradient, self.dim)[0]
             delta_w, delta_y = correction_direction(
-                self._hat, self._played, self.h, self.gamma, g, a_t, k
+                self._hat, self._played, self.h, self.gamma, g, a_t
             )
             update_w = self.learner_w.update(0.5 * (g + delta_w), 2.0 * hint)
         update_y = self.learner_y.update(0.5 * (a_t + delta_y), 1.5 * self.gamma)
         hat = EpigraphPoint(update_w.w, update_y.w)
-        played = weighted_project(hat, hint, self.gamma, update_w.w_norm, k)
+        played = weighted_project(hat, hint, self.gamma, update_w.w_norm)
         self.learner_w.commit(update_w)
         self.learner_y.commit(update_y)
         self.h, self._hat, self._played = hint, hat, played

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..adversaries import ADVERSARY_KINDS, AdversarySpec, make_adversary
-from ..core import norm
+from ..core import clip_gradient, norm
 from ..epigraph import EpigraphPoint, weighted_project
 from ..mirror_descent import link_inverse_solve, link_value
 from ..protocol import ProtocolConfig, RobustProtocol
@@ -113,7 +113,8 @@ def check_filter_lemma(streams: int = 1000, seed: int = 2024) -> CheckReport:
                 g_tilde = g
             h_t = f.h
             g_norm = norm(g_tilde)
-            out, h_next, doubled = f.step(g_tilde, g_norm)
+            out = clip_gradient(g_tilde, h_t, g_norm)
+            h_next, doubled = f.step(out is not g_tilde)
             f.commit(out is not g_tilde, doubled)
             trace.append((g_norm, norm(out), h_t, h_next))
         ok, violated = check_filter_properties(trace, tau_G=tau_G, k=k, G=G)

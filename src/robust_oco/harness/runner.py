@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..adversaries import AdversarySpec, KTBettor, make_adversary
-from ..core import CorruptionLedger, NonFiniteError, RegretLedger, norm
+from ..core import FLOAT, CorruptionLedger, NonFiniteError, RegretLedger
 from ..mirror_descent import SolverError
 from ..protocol import DecompositionLedger, ProtocolConfig, RobustProtocol, RoundRecord
 from .config import COMPARATOR_FROM_ADVERSARY, ExperimentConfig, SweepConfig, protocol_mode
@@ -100,28 +100,28 @@ class KTPlayer(KTBettor):
     """The KT bettor under the protocol's round contract (g_true required).
 
     It sees the observed gradient unclipped and has no regularizer, so its
-    decomposition ledger is never updated and the four terms stay 0.0. A
-    round runs the bettor's checks, then the regret ledger's update, and
-    moves the bettor last: a round that raises changes neither.
+    decomposition ledger is never updated and the four terms stay 0.0. It
+    runs on floats: the comparator is coerced once, when built, and a round
+    coerces its gradients, runs the bettor's checks, then the regret
+    ledger's update, and moves the bettor last: a round that raises changes
+    neither.
     """
 
     def __init__(self, epsilon: float, comparator: np.ndarray):
         super().__init__(epsilon)
-        self.regret = RegretLedger(comparator=comparator)
-        self.decomposition = DecompositionLedger(comparator=comparator)
+        u = FLOAT.coerce(comparator, 1)[0]
+        self.regret = RegretLedger(comparator=u)
+        self.decomposition = DecompositionLedger(comparator=u)
 
     def round(self, g_tilde, g_true=None, loss_gap=None) -> RoundRecord:
         w = self.w  # the played scalar; its norm is |w|
+        g_tilde, g_tilde_norm = FLOAT.coerce(g_tilde, 1)
+        g_true, g_norm = FLOAT.coerce(g_true, 1)
         state = self.update(g_tilde)
-        # w - u broadcasts over a comparator of another dimension; the
-        # ledger rejects it by shape
-        self.regret.update(
-            self.predict() - self.regret.comparator, g_true, g_tilde, loss_gap
-        )
+        self.regret.update(w - self.regret.comparator, g_true, g_tilde, loss_gap)
         self.commit(state)
-        g_tilde_norm = norm(g_tilde)
         return RoundRecord(
-            w_norm=abs(w), g_norm=norm(g_true), g_tilde_norm=g_tilde_norm,
+            w_norm=abs(w), g_norm=g_norm, g_tilde_norm=g_tilde_norm,
             g_clipped_norm=g_tilde_norm, h=0.0, z=0.0, alpha_t=0.0, beta_t=0.0,
         )
 

@@ -336,7 +336,8 @@ class MirrorDescentLearner:
 
     def commit(self, update: Update) -> None:
         """Assign the state that update() computed and fold the new radius into the penalty."""
-        self.reg.advance(update.radius)
+        if self.reg.c != 0.0:  # a penalty-free link never reads the penalty state
+            self.reg.advance(update.radius)
         (self.w, self.w_norm, self.mirror_grad, _, self.h,
          self.C, self.N, self.B, self.V, self.a) = update
         self.t += 1

@@ -4,7 +4,8 @@ A single round clips the observed gradient at the current threshold, feeds it
 to the configured base learner, and updates the regret / decomposition
 ledgers. Two wirings exist: a constant threshold equal to a known gradient
 bound with the mirror descent learner, and the adaptive filter + tracker +
-epigraph stack when no bound is known. The protocol validates its config,
+epigraph stack when no bound is known; there the filter counts the clips
+and the weights read the tracker's epochs. The protocol validates its config,
 refuses the gradient bound in the unknown-bound modes, and applies the
 standard parameter presets of both wirings as it builds its parts, among
 them the penalty exponent p = ln T.
@@ -176,9 +177,9 @@ class RobustProtocol:
         g_true and loss_gap are simulation-only oracles: when given, the
         regret ledger and the error/bias sides of the decomposition track the
         true-gradient quantities. Both gradients are coerced before any state
-        moves, and the filter, tracker and weights steps are computed as
-        values and committed, with the round count, only once the learner
-        has committed: a round whose learner raises changes nothing.
+        moves, and g_tilde is clipped once, at G or at the filter's
+        threshold. The automata commit, with the round count, only once the
+        learner has committed: a round whose learner raises changes nothing.
         """
         k, dim = self.kernels, self.config.dim
         g_tilde, g_tilde_norm = k.coerce(g_tilde, dim)
@@ -186,27 +187,25 @@ class RobustProtocol:
         if g_true is not None:
             g_true, g_norm = k.coerce(g_true, dim)
         w, w_norm = self._w, self._w_norm
+        h_t = self.G if self.filter is None else self.filter.h
+        g_clipped = k.clip(g_tilde, h_t, g_tilde_norm)
+        clipped = g_clipped is not g_tilde
+        g_clipped_norm = k.norm(g_clipped) if clipped else g_tilde_norm
 
-        if self.filter is not None:
-            h_t = self.filter.h
-            g_clipped, h_next, filter_doubled = self.filter.step(
-                g_tilde, g_tilde_norm, k.clip
-            )
-            g_clipped_norm = g_tilde_norm if g_clipped is g_tilde else k.norm(g_clipped)
-            z_next, tracker_doubled = self.tracker.step(w_norm)
-            alpha_t, beta_t = self.weights.step(filter_doubled, tracker_doubled)
-            a_t = alpha_t + beta_t
-            self.learner.observe(g_clipped, h_next, a_t)
-            self.filter.commit(g_clipped is not g_tilde, filter_doubled)
-            self.tracker.commit(z_next, tracker_doubled)
-            self.weights.commit(tracker_doubled)
-        else:
-            h_t = self.G
-            g_clipped = k.clip(g_tilde, h_t, g_tilde_norm)
-            g_clipped_norm = g_tilde_norm if g_clipped is g_tilde else k.norm(g_clipped)
+        if self.filter is None:
             z_next, alpha_t, beta_t, a_t = 0.0, 0.0, 0.0, 0.0
             # g_clipped is already in the learner's checked form: no second coercion
             self.learner.observe(g_clipped, h_t, g_clipped_norm)
+        else:
+            h_next, filter_doubled = self.filter.step(clipped)
+            z_next, tracker_doubled = self.tracker.step(w_norm)
+            alpha_t, beta_t = self.weights.step(
+                filter_doubled, tracker_doubled, self.tracker.epoch_index
+            )
+            a_t = alpha_t + beta_t
+            self.learner.observe(g_clipped, h_next, a_t)
+            self.filter.commit(clipped, filter_doubled)
+            self.tracker.commit(z_next, tracker_doubled)
         self.t += 1
 
         self._update_ledgers(w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap)

@@ -2,9 +2,9 @@
 
 GradientFilter maintains a clipping threshold that doubles only after k+1
 observed exceedances, so a budget of k wildly corrupted gradients can never
-force the threshold above 4x the true gradient bound. MagnitudeTracker
-maintains a doubling estimate of the running iterate magnitude, whose
-doubling rounds define the epochs used by the attenuated quadratic weights.
+force the threshold above 4x the true gradient bound; the caller clips, and
+the filter counts the clips. MagnitudeTracker maintains a doubling estimate
+of the running iterate magnitude, whose epoch_index the weights read.
 
 Both automata use constant space: no per-round sets are materialized. The
 property checkers in harness.checks reconstruct epoch structure from
@@ -18,18 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import clip_gradient
-
 
 @dataclass
 class GradientFilter:
-    """k-lag adaptive thresholding and clipping automaton.
+    """k-lag adaptive thresholding automaton over the caller's clips.
 
     The exceedance counter resets on every doubling, and the doubling trigger
-    is the (k+1)-th exceedance since the last doubling. A tie (input norm
-    exactly at the threshold) counts as a pass.
+    is the (k+1)-th clip at h since the last doubling. A tie (input norm
+    exactly at the threshold) is passed by the clip, so it counts as a pass.
     """
 
     k: int
@@ -47,23 +43,14 @@ class GradientFilter:
             raise ValueError("initial threshold tau_G must be positive")
         self.h = self.tau_G
 
-    def step(
-        self, g_tilde: np.ndarray, g_norm: float, clip=clip_gradient
-    ) -> tuple[np.ndarray, float, bool]:
-        """Clip one observed gradient, whose norm is g_norm; nothing is assigned.
+    def step(self, clipped: bool) -> tuple[float, bool]:
+        """(threshold for the next round, doubled flag) of a clip or a pass at h.
 
-        Returns (clipped gradient, threshold for the next round, doubled
-        flag); a pass returns g_tilde itself. clip is the clipping kernel of
-        the gradient's representation (core.FLOAT.clip for a float).
-        commit(clipped is not g_tilde, doubled) then counts the round.
+        Nothing is assigned: commit(clipped, doubled) then counts the round.
         """
-        h_t = self.h
-        clipped = clip(g_tilde, h_t, g_norm)
-        if clipped is g_tilde:
-            return g_tilde, h_t, False
-        if self.n == self.k:  # this clip is the (k+1)-th since the last doubling
-            return clipped, 2.0 * h_t, True
-        return clipped, h_t, False
+        if clipped and self.n == self.k:
+            return 2.0 * self.h, True
+        return self.h, False
 
     def commit(self, clipped: bool, doubled: bool) -> None:
         """Count the round step() processed: a pass, a clip, or a doubling clip."""

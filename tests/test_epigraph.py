@@ -127,47 +127,54 @@ class TestCorrectionDirection:
         print(f"\nsqrt(2)-factor exceedances: {sqrt2_failures}/300")
 
 
-def weigh(qw, filter_doubled, tracker_doubled):
-    """The round's weights, with the round committed."""
-    weights = qw.step(filter_doubled, tracker_doubled)
-    qw.commit(tracker_doubled)
-    return weights
+class Weigh:
+    """QuadWeights beside the epoch count a magnitude tracker would keep."""
+
+    def __init__(self, gamma_alpha, gamma_beta):
+        self.qw = QuadWeights(gamma_alpha=gamma_alpha, gamma_beta=gamma_beta)
+        self.epochs = 0
+
+    def __call__(self, filter_doubled, tracker_doubled):
+        """The round's weights, with its tracker doubling counted."""
+        weights = self.qw.step(filter_doubled, tracker_doubled, self.epochs)
+        self.epochs += tracker_doubled
+        return weights
 
 
 class TestQuadWeights:
     def test_no_doublings_no_weights(self):
-        qw = QuadWeights(gamma_alpha=2.0, gamma_beta=6.0)
-        assert weigh(qw, False, False) == (0.0, 0.0)
+        weigh = Weigh(gamma_alpha=2.0, gamma_beta=6.0)
+        assert weigh(False, False) == (0.0, 0.0)
 
     def test_first_tracker_doubling_halves_beta(self):
-        qw = QuadWeights(gamma_alpha=2.0, gamma_beta=6.0)
-        alpha_t, beta_t = weigh(qw, False, True)
+        weigh = Weigh(gamma_alpha=2.0, gamma_beta=6.0)
+        alpha_t, beta_t = weigh(False, True)
         assert alpha_t == 0.0 and beta_t == 3.0
 
     def test_step_assigns_nothing(self):
         qw = QuadWeights(gamma_alpha=2.0, gamma_beta=6.0)
-        assert qw.step(False, True) == qw.step(False, True) == (0.0, 3.0)
-        assert qw.beta_denominator == 1
+        assert qw.step(False, True, 0) == qw.step(False, True, 0) == (0.0, 3.0)
+        assert vars(qw) == {"gamma_alpha": 2.0, "gamma_beta": 6.0}
 
     def test_filter_doubling_full_alpha_regardless_of_history(self):
-        qw = QuadWeights(gamma_alpha=2.0, gamma_beta=6.0)
+        weigh = Weigh(gamma_alpha=2.0, gamma_beta=6.0)
         for _ in range(5):
-            weigh(qw, False, True)
-        alpha_t, _ = weigh(qw, True, False)
+            weigh(False, True)
+        alpha_t, _ = weigh(True, False)
         assert alpha_t == 2.0
 
     def test_beta_attenuates(self):
-        qw = QuadWeights(gamma_alpha=0.0, gamma_beta=12.0)
-        betas = [weigh(qw, False, True)[1] for _ in range(4)]
+        weigh = Weigh(gamma_alpha=0.0, gamma_beta=12.0)
+        betas = [weigh(False, True)[1] for _ in range(4)]
         assert betas == [6.0, 4.0, 3.0, 2.4]
 
     def test_weight_ceilings(self):
         rng = np.random.default_rng(3)
-        qw = QuadWeights(gamma_alpha=1.5, gamma_beta=4.0)
+        weigh = Weigh(gamma_alpha=1.5, gamma_beta=4.0)
         for _ in range(200):
-            a, b = weigh(qw, bool(rng.integers(2)), bool(rng.integers(2)))
+            a, b = weigh(bool(rng.integers(2)), bool(rng.integers(2)))
             assert 0 <= a <= 1.5 and 0 <= b <= 4.0
-            assert a + b <= qw.gamma
+            assert a + b <= weigh.qw.gamma
 
 
 class AlwaysCorrected(EpigraphLearner):

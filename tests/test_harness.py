@@ -249,11 +249,19 @@ class TestRunExperiment:
         after = (ledger.true_regret_linear, ledger.observed_regret_linear, player.t, player.w)
         assert after == before == (0.5, 0.5, 1, 0.25)
 
-    def test_kt_comparator_of_another_dimension_rejected(self):
+    def test_kt_comparator_of_another_dimension_rejected(self, tmp_path, capsys):
+        # rejected when the player is built, as RobustProtocol rejects one:
+        # a config error (exit 2), not a run abort
         cfg = figure_config(algorithm="kt_bettor")
         cfg.comparator = (1.0, 2.0)
-        with pytest.raises(ValueError, match="run aborted at round 1: dimension mismatch"):
+        with pytest.raises(ValueError, match="^dimension mismatch: expected 1, got 2") as info:
             run_experiment(cfg, seed=0)
+        assert not hasattr(info.value, "aborted_at_round")
+        path = tmp_path / "kt.ini"
+        path.write_text(to_ini(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dimension mismatch: expected 1, got 2"), err
 
     def test_trace_bytes_of_each_value_type(self, tmp_path):
         trace = ExperimentTrace(

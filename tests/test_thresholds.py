@@ -1,13 +1,25 @@
-import numpy as np
+import math
+from dataclasses import astuple
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from robust_oco.core import clip_gradient
+from robust_oco.epigraph import QuadWeights
 from robust_oco.harness.checks import check_filter_properties, check_tracker_properties
 from robust_oco.thresholds import GradientFilter, MagnitudeTracker
 
 
 def step(f, n):
-    """Feed the filter the 1-d gradient [n], whose norm is n >= 0, and commit the round."""
+    """Clip the 1-d gradient [n], whose norm is n >= 0, at the filter's threshold.
+
+    The filter counts the clip and commits the round; returns the clipped
+    gradient with the filter's (threshold for the next round, doubled flag).
+    """
     g = np.array([n])
-    out, h_next, doubled = f.step(g, n)
+    out = clip_gradient(g, f.h, n)
+    h_next, doubled = f.step(out is not g)
     f.commit(out is not g, doubled)
     return out, h_next, doubled
 
@@ -120,8 +132,7 @@ def test_step_assigns_nothing():
     # a round whose learner raises after the steps must leave both automata
     # as they were; only commit() moves them
     f, tr = GradientFilter(k=0, tau_G=1.0), MagnitudeTracker(tau_D=1.0)
-    g = np.array([3.0])
-    assert f.step(g, 3.0)[1:] == f.step(g, 3.0)[1:] == (2.0, True)
+    assert f.step(True) == f.step(True) == (2.0, True)
     assert tr.step(5.0) == tr.step(5.0) == (10.0, True)
     assert (f.h, f.n, f.clip_rounds, f.doublings) == (1.0, 0, 0, 0)
     assert (tr.z, tr.epoch_index) == (1.0, 0)
@@ -205,3 +216,87 @@ class TestTrackerPropertyChecker:
         assert epoch == sum(1 for r in trace if r[3])
         ok, violated = check_tracker_properties(trace, tau_D=0.7)
         assert ok, violated
+
+
+class ReferenceAutomata:
+    """The three automata as one object whose round moves its state in place.
+
+    The filter clips the gradient itself, and the weights keep their own
+    copy of the tracker's epoch count (beta_denominator, one more than the
+    count of tracker doublings).
+    """
+
+    def __init__(self, k, tau_G, tau_D, gamma_alpha, gamma_beta):
+        self.k, self.h, self.n = k, tau_G, 0
+        self.z = tau_D
+        self.gamma_alpha, self.gamma_beta = gamma_alpha, gamma_beta
+        self.beta_denominator = 1
+
+    def round(self, g_tilde, g_norm, w_norm):
+        """(clipped gradient, h_next, filter doubled, z_next, tracker doubled, alpha_t, beta_t)."""
+        out = clip_gradient(g_tilde, self.h, g_norm)
+        filter_doubled = False
+        if out is not g_tilde:
+            if self.n == self.k:
+                self.h, self.n, filter_doubled = 2.0 * self.h, 0, True
+            else:
+                self.n += 1
+        tracker_doubled = w_norm > self.z
+        if tracker_doubled:
+            self.z = 2.0 * w_norm
+        alpha_t = self.gamma_alpha if filter_doubled else 0.0
+        beta_t = 0.0
+        if tracker_doubled:
+            beta_t = self.gamma_beta / (self.beta_denominator + 1)
+            self.beta_denominator += 1
+        return out, self.h, filter_doubled, self.z, tracker_doubled, alpha_t, beta_t
+
+
+def state_bytes(*automata):
+    """Every state field of the automata, as the bytes of float64 values."""
+    return np.array(
+        [v for a in automata for v in astuple(a)], dtype=np.float64
+    ).tobytes()
+
+
+positive = st.floats(1e-3, 1e3, allow_nan=False)
+# a norm drawn freely, or tied with the current threshold, or one ulp above it
+norm_draw = st.tuples(st.sampled_from(["free", "tie", "above"]), st.floats(0.0, 1e4))
+
+
+def pick(draw, threshold):
+    mode, x = draw
+    if mode == "tie":
+        return threshold
+    return math.nextafter(threshold, math.inf) if mode == "above" else x
+
+
+@given(
+    k=st.integers(0, 4), tau_G=positive, tau_D=positive,
+    gamma_alpha=st.floats(0.0, 10.0), gamma_beta=st.floats(0.0, 20.0),
+    rounds=st.lists(st.tuples(norm_draw, norm_draw), min_size=1, max_size=60),
+)
+@settings(max_examples=150, deadline=None)
+def test_automata_match_the_in_place_reference(
+    k, tau_G, tau_D, gamma_alpha, gamma_beta, rounds
+):
+    f, tr = GradientFilter(k=k, tau_G=tau_G), MagnitudeTracker(tau_D=tau_D)
+    qw = QuadWeights(gamma_alpha, gamma_beta)
+    ref = ReferenceAutomata(k, tau_G, tau_D, gamma_alpha, gamma_beta)
+    for g_draw, w_draw in rounds:
+        g_norm, w_norm = pick(g_draw, f.h), pick(w_draw, tr.z)
+        g = np.array([g_norm])
+        expected = ref.round(g, g_norm, w_norm)
+        out = clip_gradient(g, f.h, g_norm)
+        before = state_bytes(f, tr, qw)
+        h_next, filter_doubled = f.step(out is not g)
+        z_next, tracker_doubled = tr.step(w_norm)
+        alpha_t, beta_t = qw.step(filter_doubled, tracker_doubled, tr.epoch_index)
+        assert state_bytes(f, tr, qw) == before
+        got = (out, h_next, filter_doubled, z_next, tracker_doubled, alpha_t, beta_t)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert np.array(got[1:]).tobytes() == np.array(expected[1:]).tobytes()
+        f.commit(out is not g, filter_doubled)
+        tr.commit(z_next, tracker_doubled)
+        assert (f.h, f.n, tr.z) == (ref.h, ref.n, ref.z)
+        assert tr.epoch_index + 1 == ref.beta_denominator
