@@ -28,7 +28,11 @@ ADVERSARY_KINDS = (
 
 @dataclass
 class AdversarySpec:
-    """Declarative description of a gradient stream, serializable by the harness."""
+    """Declarative description of a gradient stream, serializable by the harness.
+
+    No run or sweep reads seed: the runner passes its own, [experiment] seeds
+    or --seed, to make_adversary.
+    """
 
     kind: str
     T: int
@@ -226,7 +230,8 @@ class KTBettor:
 
     Bets a fraction of accumulated wealth proportional to the sign average of
     past gradients. Requires |g| <= 1; the wealth stays positive under that
-    contract and going nonpositive is treated as a hard error.
+    contract and going nonpositive is treated as a hard error. It runs on
+    floats: update() takes an admitted float, and its player builds arrays.
     """
 
     def __init__(self, epsilon: float = 1.0):
@@ -237,16 +242,12 @@ class KTBettor:
         self.t = 0
         self.w = 0.0
 
-    def predict(self) -> np.ndarray:
-        return np.array([self.w])
-
     def observe(self, gradient) -> None:
-        """Consume one gradient: update, then commit."""
-        self.commit(self.update(gradient))
+        """Consume one gradient: admit it as a float, update, then commit."""
+        self.commit(self.update(*FLOAT.coerce(gradient, 1)))
 
-    def update(self, gradient) -> tuple[float, float, int, float]:
-        """The round's (reward, sum_neg_grad, t, w), every check run, nothing assigned."""
-        g, g_abs = FLOAT.coerce(gradient, 1)
+    def update(self, g: float, g_abs: float) -> tuple[float, float, int, float]:
+        """The round's (reward, sum_neg_grad, t, w) from a finite g; nothing assigned."""
         if g_abs > 1.0 + 1e-12:
             raise ValueError(f"KT bettor requires |g| <= 1, got {g}")
         reward = self.reward + -g * self.w

@@ -16,8 +16,8 @@ ARRAY, each with the same coerce, norm, dot and clip. The float kernels
 give the bits the 1-entry array gave, so a learner, the filter's clip and
 the protocol's ledgers run one code path on either. Arrays remain where the
 package meets its caller: gradients are coerced from them once per round,
-predict() returns one, and the runner, the adversaries and CorruptionLedger
-see arrays only.
+a player's predict() builds one, and the runner, the adversaries and
+CorruptionLedger see arrays only.
 """
 
 from __future__ import annotations
@@ -64,11 +64,13 @@ def as_vector_norm(x, dim: int | None = None) -> tuple[np.ndarray, float]:
     A finite norm proves every entry finite; only a non-finite one (a NaN or
     Inf entry, or a finite vector whose norm overflows) runs the entrywise
     ensure_finite, which raises for the first and passes the second, whose
-    norm is then inf.
+    norm is then inf. None (numpy reads it as NaN) is a missing vector.
     """
     v = _checked_array(x, dim)
     n = norm(v)
     if not math.isfinite(n):
+        if x is None:
+            raise ValueError("missing vector input: got None")
         ensure_finite(v, "vector input")
     return v, n
 
@@ -100,23 +102,17 @@ def norm(v: np.ndarray) -> float:
     pass, take np.vdot: unlike np.dot, np.inner and @, it does not warn on
     overflow, at the same cost. Its square root is used when the squared
     norm s is finite and above 1e-280, where underflowed squares shift s by
-    at most d * 2**-1074; otherwise the vector is first rescaled by its
-    largest magnitude. Either way the relative error is at most
-    (d/2 + 2) * 2**-53, plus one subnormal unit when the norm is subnormal.
-    A NaN or Inf entry gives NaN or Inf, and a finite vector whose norm
-    exceeds the float range gives Inf.
+    at most d * 2**-1074; otherwise they take math.hypot too. Either way the
+    relative error is at most (d/2 + 2) * 2**-53, plus one subnormal unit
+    when the norm is subnormal. A NaN or Inf entry gives NaN or Inf, and a
+    finite vector whose norm exceeds the float range gives Inf, also when
+    it does so by less than an ulp.
     """
-    if v.size <= SMALL_DIM:
-        return math.hypot(*v.tolist())
-    s = float(np.vdot(v, v))
-    if math.isfinite(s) and s > _SQUARED_NORM_FLOOR:
-        return math.sqrt(s)
-    # overflowed, underflowed, or NaN: rescale by the largest magnitude first
-    m = float(np.max(np.abs(v)))
-    if not math.isfinite(m) or m == 0.0:
-        return m
-    u = v / m
-    return m * math.sqrt(float(np.vdot(u, u)))
+    if v.size > SMALL_DIM:
+        s = float(np.vdot(v, v))
+        if math.isfinite(s) and s > _SQUARED_NORM_FLOOR:
+            return math.sqrt(s)
+    return math.hypot(*v.tolist())
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -183,13 +179,11 @@ def _rescale(g, h: float, n: float, norm, max_abs, nextafter):
 
 def _coerce_float(x, dim: int) -> tuple[float, float]:
     """x as a float, with its norm; anything but a float passes as_vector_norm's checks."""
-    if type(x) is not float:
-        x = _checked_array(x, dim).item()
-    n = abs(x)
+    v = x if type(x) is float else _checked_array(x, dim).item()
+    n = abs(v)
     if not math.isfinite(n):
-        # the vector the array coercion would have reported
-        ensure_finite(np.array([x]), "vector input")
-    return x, n
+        as_vector_norm(x, dim)  # raises as the array coercion does
+    return v, n
 
 
 def _clip_float(g: float, h: float, g_norm: float) -> float:

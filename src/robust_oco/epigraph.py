@@ -10,7 +10,8 @@ computes both sub-learners' updates and the projection of the new lifted
 point before either sub-learner commits, so a round that raises changes
 nothing. At d = 1 the lifted point, the correction and the projection are
 Python floats, as the vector sub-learner's iterate is, and each function
-reads the form from its input; predict() builds the caller's array.
+reads the form from its input. The learner holds the played iterate as its
+attribute w and builds no array: the protocol builds the caller's.
 """
 
 from __future__ import annotations
@@ -179,29 +180,16 @@ class EpigraphLearner:
     ):
         check_positive("gamma", gamma)
         check_positive("initial threshold tau_G", tau_G)
-        self.dim = dim
         self.gamma = gamma
         self.learner_w = MirrorDescentLearner(
             dim, epsilon, initial_hint=2.0 * tau_G, c=c, p=p, alpha=alpha
         )
         self.learner_y = MirrorDescentLearner(1, epsilon, 1.5 * gamma, c=0.0, p=1.0)
-        self.kernels = self.learner_w.kernels
         self.h = tau_G
         self._hat = EpigraphPoint(self.learner_w.w, self.learner_y.w)
         self._played = weighted_project(self._hat, tau_G, gamma, self.learner_w.w_norm)
-
-    @property
-    def w(self) -> np.ndarray | float:
-        """The played iterate in the learner's form (a float at d = 1)."""
-        return self._played.w
-
-    def predict(self) -> np.ndarray:
-        """The played iterate as a float64 array: above d = 1 itself, not a copy.
-
-        observe() replaces it, never writes into it; at d = 1 each call
-        builds a new 1-entry array from the float.
-        """
-        return self.kernels.array(self._played.w)
+        # the played iterate in the learner's form (a float at d = 1)
+        self.w = self._played.w
 
     def observe(self, gradient, hint: float, a_t: float = 0.0) -> None:
         """Consume one round; a_t is its quadratic penalty weight, in [0, gamma].
@@ -218,18 +206,18 @@ class EpigraphLearner:
         """
         if not 0.0 <= a_t <= self.gamma * (1.0 + 1e-12):
             raise ValueError(f"penalty weight {a_t} outside [0, gamma {self.gamma}]")
-        k = self.kernels
+        k, dim = self.learner_w.kernels, self.learner_w.dim
         if self._played is self._hat:
             g_w = gradient + 0.0
             g_w *= 0.5  # in place on an array
             try:
                 update_w = self.learner_w.update(g_w, 2.0 * hint)
             except NonFiniteError:
-                k.coerce(gradient, self.dim)  # raises for the caller's vector
+                k.coerce(gradient, dim)  # raises for the caller's vector
                 raise
             delta_y = 0.0
         else:
-            g = k.coerce(gradient, self.dim)[0]
+            g = k.coerce(gradient, dim)[0]
             delta_w, delta_y = correction_direction(
                 self._hat, self._played, self.h, self.gamma, g, a_t
             )
@@ -239,4 +227,4 @@ class EpigraphLearner:
         played = weighted_project(hat, hint, self.gamma, update_w.w_norm)
         self.learner_w.commit(update_w)
         self.learner_y.commit(update_y)
-        self.h, self._hat, self._played = hint, hat, played
+        self.h, self._hat, self._played, self.w = hint, hat, played, played.w

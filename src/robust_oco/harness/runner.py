@@ -104,7 +104,7 @@ class KTPlayer(KTBettor):
     runs on floats: the comparator is coerced once, when built, and a round
     coerces its gradients, runs the bettor's checks, then the regret
     ledger's update, and moves the bettor last: a round that raises changes
-    neither.
+    neither. predict() builds the caller's 1-entry array from the float.
     """
 
     def __init__(self, epsilon: float, comparator: np.ndarray):
@@ -113,11 +113,14 @@ class KTPlayer(KTBettor):
         self.regret = RegretLedger(comparator=u)
         self.decomposition = DecompositionLedger(comparator=u)
 
-    def round(self, g_tilde, g_true=None, loss_gap=None) -> RoundRecord:
+    def predict(self) -> np.ndarray:
+        return np.array([self.w])
+
+    def round(self, g_tilde, g_true, loss_gap=None) -> RoundRecord:
         w = self.w  # the played scalar; its norm is |w|
         g_tilde, g_tilde_norm = FLOAT.coerce(g_tilde, 1)
         g_true, g_norm = FLOAT.coerce(g_true, 1)
-        state = self.update(g_tilde)
+        state = self.update(g_tilde, g_tilde_norm)
         self.regret.update(w - self.regret.comparator, g_true, g_tilde, loss_gap)
         self.commit(state)
         return RoundRecord(

@@ -18,6 +18,8 @@ subtraction, scaling and norm run on either, with the bits the 1-entry
 array gave. The epigraph learner's scalar side is this learner at d = 1
 with the penalty off. The update computes the whole new state before
 commit() assigns any of it, so an observe() that raises changes nothing.
+The learner holds its iterate w and builds no array; update() derives the
+link's V and wealth scale a from the hint, C and B instead of storing them.
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ def link_inverse_solve(
 
 # one round's new learner state, computed before any of it is assigned; w
 # and mirror_grad are in the learner's form, radius is the solved iterate norm
-Update = namedtuple("Update", "w w_norm mirror_grad radius h C N B V a")
+Update = namedtuple("Update", "w w_norm mirror_grad radius h C N B")
 
 
 class MirrorDescentLearner:
@@ -222,14 +224,13 @@ class MirrorDescentLearner:
 
     The hint h bounds the next gradient's norm; C sums the squared gradient
     norms, N the same squares over the hint in force, and B adds 4N each
-    round; V = h^2 + C and the wealth scale a (from B) enter the link. A
-    round is update(), which runs every check and the solve on locals, then
-    commit(), which assigns the result.
+    round; update() derives the link's V = hint^2 + C and wealth scale a
+    (from B). A round is update(), which runs every check and the solve on
+    locals, then commit(), which assigns the result.
 
     w and mirror_grad are held in the form core.kernels(dim) picks: floats
-    at d = 1, float64 arrays above. At d = 1 this is bit for bit the learner
-    on 1-entry arrays, and predict() builds the caller's array from the
-    float.
+    at d = 1, float64 arrays above, bit for bit the learner on 1-entry
+    arrays at d = 1. Its player builds the caller's array.
     """
 
     def __init__(
@@ -249,8 +250,7 @@ class MirrorDescentLearner:
         self.C = 0.0
         self.N = 4.0
         self.B = 16.0  # 4 * N at initialization
-        self.V = self.h * self.h + self.C
-        self.a = self._wealth_scale(self.B)
+        self._wealth_scale(self.B)  # rejects a subnormal epsilon here
         self.t = 0
         self.dim = dim
         self.kernels = kernels(dim)
@@ -258,14 +258,6 @@ class MirrorDescentLearner:
         self.w = self.kernels.zeros(dim)
         self.w_norm = 0.0  # norm(self.w), kept from the check in update
         self.mirror_grad = self.kernels.zeros(dim)  # mirror-map gradient at w
-
-    def predict(self) -> np.ndarray:
-        """The iterate as a float64 array: above d = 1 the iterate itself, not a copy.
-
-        observe() replaces the iterate, never writes into it; at d = 1 each
-        call builds a new 1-entry array from the float.
-        """
-        return self.kernels.array(self.w)
 
     def _wealth_scale(self, B: float) -> float:
         """The scale a = epsilon / (sqrt(B) ln(B)^2) inside the mirror map's log.
@@ -332,12 +324,12 @@ class MirrorDescentLearner:
             w_norm = k.norm(w)
             if not math.isfinite(w_norm):
                 ensure_finite(np.atleast_1d(w), "mirror descent iterate")
-        return Update(w, w_norm, mirror_grad, radius, hint, C, N, B, V, a)
+        return Update(w, w_norm, mirror_grad, radius, hint, C, N, B)
 
     def commit(self, update: Update) -> None:
         """Assign the state that update() computed and fold the new radius into the penalty."""
         if self.reg.c != 0.0:  # a penalty-free link never reads the penalty state
             self.reg.advance(update.radius)
-        (self.w, self.w_norm, self.mirror_grad, _, self.h,
-         self.C, self.N, self.B, self.V, self.a) = update
+        (self.w, self.w_norm, self.mirror_grad, _,
+         self.h, self.C, self.N, self.B) = update
         self.t += 1

@@ -153,10 +153,8 @@ class RobustProtocol:
         self.kernels = k = kernels(config.dim)
         u = np.zeros(config.dim) if comparator is None else as_vector(comparator, config.dim)
         self.comparator, self._comparator_norm = k.coerce(u, config.dim)
-        # the iterate to play next, in the learner's form, and its norm, kept
-        # from the check after each round
-        self._w = self.learner.w
-        self._w_norm = k.norm(self._w)
+        # the norm of the learner's iterate, kept from the check after each round
+        self._w_norm = k.norm(self.learner.w)
         self.regret = RegretLedger(comparator=self.comparator)
         self.decomposition = DecompositionLedger(comparator=self.comparator)
         self.t = 0
@@ -169,7 +167,7 @@ class RobustProtocol:
         one, and callers must not write into it either. At d = 1 each call
         builds a new 1-entry array from the learner's float.
         """
-        return self.kernels.array(self._w)
+        return self.kernels.array(self.learner.w)
 
     def round(self, g_tilde, g_true=None, loss_gap=None) -> RoundRecord:
         """Play one round against the observed gradient.
@@ -186,7 +184,7 @@ class RobustProtocol:
         g_norm = None
         if g_true is not None:
             g_true, g_norm = k.coerce(g_true, dim)
-        w, w_norm = self._w, self._w_norm
+        w, w_norm = self.learner.w, self._w_norm
         h_t = self.G if self.filter is None else self.filter.h
         g_clipped = k.clip(g_tilde, h_t, g_tilde_norm)
         clipped = g_clipped is not g_tilde
@@ -210,11 +208,9 @@ class RobustProtocol:
 
         self._update_ledgers(w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap)
         # a finite norm proves the new iterate finite; it is next round's w_norm
-        w_next = self.learner.w
-        self._w_norm = k.norm(w_next)
+        self._w_norm = k.norm(self.learner.w)
         if not math.isfinite(self._w_norm):
-            ensure_finite(np.atleast_1d(w_next), f"iterate after round {self.t}")
-        self._w = w_next
+            ensure_finite(np.atleast_1d(self.learner.w), f"iterate after round {self.t}")
         return RoundRecord(
             w_norm=w_norm, g_norm=g_norm, g_tilde_norm=g_tilde_norm,
             g_clipped_norm=g_clipped_norm,

@@ -243,19 +243,19 @@ class TestLowerBoundFloorAcrossLearners:
 
 class TestKTBettor:
     def test_first_prediction_zero(self):
-        assert KTBettor(1.0).predict()[0] == 0.0
+        assert KTBettor(1.0).w == 0.0
 
     def test_hand_traced_update(self):
         kt = KTBettor(1.0)
         kt.observe(np.array([-1.0]))
-        assert kt.predict()[0] == 0.5
+        assert kt.w == 0.5
 
     def test_monotone_growth_under_constant_gradient(self):
         kt = KTBettor(1.0)
         prev = 0.0
         for t in range(1, 40):
             kt.observe(np.array([-1.0]))
-            cur = float(kt.predict()[0])
+            cur = kt.w
             if t >= 2:
                 assert cur > prev
             prev = cur
@@ -275,7 +275,7 @@ class TestKTBettor:
         sum_neg, reward, w_exact = Fraction(0), Fraction(0), Fraction(0)
         kt = KTBettor(1.0)
         for t in range(1, 401):
-            w_float = float(kt.predict()[0])
+            w_float = kt.w
             assert abs(w_float - float(w_exact)) <= 1e-12 * max(1.0, abs(float(w_exact)))
             g = one if w_exact > 1 else -one
             kt.observe(np.array([float(g)]))
@@ -287,8 +287,8 @@ class TestKTBettor:
         rng = np.random.default_rng(21)
         kt = KTBettor(0.5)
         for _ in range(5000):
-            w = kt.predict()
-            g = np.array([math.copysign(1.0, w[0]) if w[0] != 0 else 1.0])
+            w = kt.w
+            g = np.array([math.copysign(1.0, w) if w != 0 else 1.0])
             kt.observe(g)
             assert kt.epsilon + kt.reward > 0
 

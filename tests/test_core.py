@@ -141,6 +141,15 @@ class TestNormOracle:
         out = clip(np.array([1e-170]), 1e-300)
         assert 0.0 < norm(out) <= 1e-300
 
+    def test_past_float_range_by_less_than_an_ulp_is_inf(self):
+        # the exact norm passes the overflow threshold by a relative 1.5e-33;
+        # rescaling by the largest magnitude, m * sqrt(vdot(u, u)), rounded
+        # it to the largest double
+        v = np.zeros(SMALL_DIM + 1)
+        v[-2:] = 1.8941775056029057e300, 1.7976931348623157e308
+        assert exact_norm(v) == math.inf
+        assert norm(v) == math.inf
+
     @pytest.mark.parametrize("d", GATE_DIMS)
     def test_non_finite_entries(self, d):
         for bad in (math.nan, math.inf, -math.inf):
@@ -513,6 +522,14 @@ class TestFiniteness:
         with pytest.raises(ValueError):
             as_vector([1.0, 2.0], dim=3)
 
+    @pytest.mark.parametrize("coerce", [as_vector, lambda x: FLOAT.coerce(x, 1)],
+                             ids=["as_vector", "float_coerce"])
+    def test_missing_vector_named(self, coerce):
+        # numpy reads None as NaN: it was reported as "non-finite value in
+        # vector input: array([nan])"
+        with pytest.raises(ValueError, match="^missing vector input: got None$"):
+            coerce(None)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("shape", ["entry", "scalar"])
     @pytest.mark.parametrize(
@@ -630,8 +647,8 @@ class TestFloatKernels:
         assert math.copysign(1.0, FLOAT.dot(-0.0, 1.0)) == 1.0
         assert math.copysign(1.0, dot(np.array([-0.0]), np.array([1.0]))) == 1.0
 
-    @pytest.mark.parametrize("x", [[math.nan], [math.inf], 0.5, [1.0, 2.0], [[1.0]]],
-                             ids=["nan", "inf", "scalar", "two_entries", "two_d"])
+    @pytest.mark.parametrize("x", [[math.nan], [math.inf], 0.5, [1.0, 2.0], [[1.0]], None],
+                             ids=["nan", "inf", "scalar", "two_entries", "two_d", "none"])
     def test_coerce_checks_as_as_vector_norm(self, x):
         try:
             expected = as_vector_norm(x, 1)

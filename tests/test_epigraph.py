@@ -187,20 +187,19 @@ class AlwaysCorrected(EpigraphLearner):
     def __init__(self, dim, **kw):
         super().__init__(dim, **kw)
         md = self.learner_w
-        md.kernels = self.kernels = ARRAY
+        md.kernels = ARRAY
         md.w, md.mirror_grad = np.zeros(dim), np.zeros(dim)
         self._project()
 
     def _project(self):
-        self._hat = EpigraphPoint(
-            self.learner_w.predict(), self.learner_y.w
-        )
+        self._hat = EpigraphPoint(self.learner_w.w, self.learner_y.w)
         self._played = weighted_project(
             self._hat, self.h, self.gamma, norm(self._hat.w)
         )
+        self.w = self._played.w
 
     def observe(self, gradient, hint, a_t=0.0):
-        g = as_vector(gradient, self.dim)
+        g = as_vector(gradient, self.learner_w.dim)
         delta_w, delta_y = correction_direction(
             self._hat, self._played, self.h, self.gamma, g, a_t
         )
@@ -217,7 +216,7 @@ def learner_bits(learner):
     for md in (learner.learner_w, learner.learner_y):
         reg = md.reg
         parts += [md.w, md.mirror_grad,
-                  [md.w_norm, md.h, md.C, md.N, md.B, md.V, md.a, md.t,
+                  [md.w_norm, md.h, md.C, md.N, md.B, md.t,
                    reg.log_S, reg.last_iterate_norm, reg.t]]
     return b"".join(np.asarray(x, dtype=np.float64).tobytes() for x in parts)
 
@@ -231,13 +230,13 @@ class TestEpigraphLearner:
 
     def test_first_prediction_origin(self):
         learner = self.make(dim=3)
-        assert np.array_equal(learner.predict(), np.zeros(3))
+        assert np.array_equal(np.atleast_1d(learner.w), np.zeros(3))
 
     def test_zero_gradients_zero_weights_stay_at_origin(self):
         learner = self.make()
         for _ in range(30):
             learner.observe(np.zeros(1), 1.0)
-            assert np.array_equal(learner.predict(), np.zeros(1))
+            assert np.array_equal(np.atleast_1d(learner.w), np.zeros(1))
 
     def test_determinism(self):
         rng = np.random.default_rng(41)
@@ -246,17 +245,17 @@ class TestEpigraphLearner:
         for g in gs:
             l1.observe(np.array([g]), 1.0)
             l2.observe(np.array([g]), 1.0)
-            assert np.array_equal(l1.predict(), l2.predict())
+            assert np.array_equal(np.atleast_1d(l1.w), np.atleast_1d(l2.w))
 
     def test_played_points_feasible_over_long_run(self):
         rng = np.random.default_rng(47)
         learner = self.make(T=10_000)
         for t in range(10_000):
             hat = EpigraphPoint(
-                learner.learner_w.predict(), learner.learner_y.w
+                np.atleast_1d(learner.learner_w.w), learner.learner_y.w
             )
             pt = weighted_project(hat, learner.h, learner.gamma, norm(hat.w))
-            assert np.array_equal(pt.w, learner.predict())
+            assert np.array_equal(pt.w, np.atleast_1d(learner.w))
             assert pt.y >= float(pt.w @ pt.w)
             learner.observe(np.array([rng.uniform(-1, 1)]), 1.0)
 
@@ -266,7 +265,7 @@ class TestEpigraphLearner:
         learner = self.make(gamma=gamma)
         for t in range(500):
             hat = EpigraphPoint(
-                learner.learner_w.predict(), learner.learner_y.w
+                np.atleast_1d(learner.learner_w.w), learner.learner_y.w
             )
             proj = weighted_project(hat, learner.h, gamma, norm(hat.w))
             g = np.array([rng.uniform(-1, 1)])
@@ -420,7 +419,7 @@ class TestEpigraphLearner:
         learner = self.make(T=40)
         cap = 0.5 * 2.0**40
         for t in range(40):
-            w = learner.predict()
+            w = np.atleast_1d(learner.w)
             g = np.array([1.0 if w[0] <= 0 else -1.0])
             learner.observe(g, 1.0)
-            assert norm(learner.predict()) <= cap
+            assert norm(np.atleast_1d(learner.w)) <= cap

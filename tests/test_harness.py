@@ -249,6 +249,18 @@ class TestRunExperiment:
         after = (ledger.true_regret_linear, ledger.observed_regret_linear, player.t, player.w)
         assert after == before == (0.5, 0.5, 1, 0.25)
 
+    def test_kt_round_without_true_gradient_names_it(self):
+        # g_true defaulted to None, which the coercion reported as
+        # "non-finite value in vector input: array([nan])"
+        player = KTPlayer(1.0, np.array([1.0]))
+        player.round(np.array([-0.5]), g_true=np.array([-0.5]))
+        ledger = player.regret
+        before = (ledger.true_regret_linear, ledger.observed_regret_linear, player.t, player.w)
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'g_true'"):
+            player.round(np.array([0.5]))
+        after = (ledger.true_regret_linear, ledger.observed_regret_linear, player.t, player.w)
+        assert after == before == (0.5, 0.5, 1, 0.25)
+
     def test_kt_comparator_of_another_dimension_rejected(self, tmp_path, capsys):
         # rejected when the player is built, as RobustProtocol rejects one:
         # a config error (exit 2), not a run abort

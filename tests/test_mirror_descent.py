@@ -243,24 +243,18 @@ def _mp_link_root(theta, V, h, a, reg, x0):
 class TestMirrorDescentLearner:
     def test_first_prediction_is_origin(self):
         md = MirrorDescentLearner(3, epsilon=1.0, initial_hint=1.0, p=1.0)
-        assert np.array_equal(md.predict(), np.zeros(3))
+        assert np.array_equal(np.atleast_1d(md.w), np.zeros(3))
 
     def test_zero_gradient_keeps_origin(self):
         md = MirrorDescentLearner(2, epsilon=1.0, initial_hint=1.0, p=1.0)
         md.observe(np.zeros(2), 1.0)
-        assert np.array_equal(md.predict(), np.zeros(2))
-
-    def test_predict_is_idempotent(self):
-        md = MirrorDescentLearner(1, epsilon=1.0, initial_hint=1.0, p=1.0)
-        md.observe(np.array([0.5]), 1.0)
-        a, b = md.predict(), md.predict()
-        assert np.array_equal(a, b)
+        assert np.array_equal(np.atleast_1d(md.w), np.zeros(2))
 
     def test_iterates_oppose_constant_gradient(self):
         md = MirrorDescentLearner(1, epsilon=1.0, initial_hint=1.0, c=0.0, p=math.log(10))
         for _ in range(10):
             md.observe(np.array([1.0]), 1.0)
-            assert md.predict()[0] <= 0.0
+            assert np.atleast_1d(md.w)[0] <= 0.0
 
     def test_determinism_across_instances(self):
         rng = np.random.default_rng(6)
@@ -270,7 +264,7 @@ class TestMirrorDescentLearner:
         for g in gs:
             md1.observe(np.array([g]), 1.0)
             md2.observe(np.array([g]), 1.0)
-            assert np.array_equal(md1.predict(), md2.predict())
+            assert np.array_equal(np.atleast_1d(md1.w), np.atleast_1d(md2.w))
 
     def test_rejects_oversized_gradient(self):
         md = MirrorDescentLearner(1, 1.0, 1.0, p=1.0)
@@ -295,13 +289,13 @@ class TestMirrorDescentLearner:
         # a = 1e-322 / 30.7 still rounds to one subnormal at B = 16, but
         # not at B = 32 after the first round
         md = MirrorDescentLearner(1, epsilon=1e-322, initial_hint=1.0, p=1.0)
-        assert md.a == 5e-324
-        fields = ("t", "N", "B", "C", "h", "V", "a")
+        assert md._wealth_scale(md.B) == 5e-324
+        fields = ("t", "N", "B", "C", "h")
         before = [getattr(md, f) for f in fields]
         with pytest.raises(ValueError, match="wealth scale underflows"):
             md.observe(np.array([-1.0]), 1.0)
         assert [getattr(md, f) for f in fields] == before
-        assert np.array_equal(md.predict(), [0.0])
+        assert np.array_equal(np.atleast_1d(md.w), [0.0])
 
     def test_rejects_decreasing_hints(self):
         md = MirrorDescentLearner(1, 1.0, 2.0, p=1.0)
@@ -318,9 +312,9 @@ class TestMirrorDescentLearner:
             try:
                 md.observe(np.array([-1.0]), 1.0)
             except SolverError:
-                assert norm(md.predict()) > 1e250  # died of genuine overflow
+                assert norm(np.atleast_1d(md.w)) > 1e250  # died of genuine overflow
                 break
-            assert np.isfinite(md.predict()).all()
+            assert np.isfinite(np.atleast_1d(md.w)).all()
 
     @pytest.mark.parametrize("corrupt", [math.nan, math.inf], ids=["nan_entry", "inf_entry"])
     def test_non_finite_dual_accumulator_leaves_state_unchanged(self, corrupt):
@@ -331,7 +325,7 @@ class TestMirrorDescentLearner:
         md.observe(np.array([0.3, -0.4]), 1.0)
         md.observe(np.array([0.1, 0.2]), 1.5)
         md.mirror_grad = np.array([corrupt, -2.0])
-        fields = ("t", "N", "B", "C", "h", "V", "a")
+        fields = ("t", "N", "B", "C", "h")
         before = [getattr(md, f) for f in fields] + [md.reg.log_S]
         mirror_grad, w = md.mirror_grad.copy(), md.w.copy()
         with pytest.raises(NonFiniteError, match="dual accumulator"):
@@ -345,7 +339,7 @@ class TestMirrorDescentLearner:
         rng = np.random.default_rng(d)
         md = MirrorDescentLearner(d, epsilon=1.0, initial_hint=1.0, c=2.0,
                                   p=math.log(100))
-        assert md.w_norm == norm(md.predict()) == 0.0
+        assert md.w_norm == norm(np.atleast_1d(md.w)) == 0.0
         for t in range(60):
             if t == 1:
                 # theta = mirror_grad - g = 0: the zero-dual branch, from a
@@ -355,7 +349,7 @@ class TestMirrorDescentLearner:
                 g = rng.standard_normal(d)
                 g *= rng.uniform(0.0, 1.0) / norm(g)
             md.observe(g, 1.0)
-            assert md.w_norm == norm(md.predict())
+            assert md.w_norm == norm(np.atleast_1d(md.w))
             assert (md.w_norm == 0.0) is (t == 1)
 
     @pytest.mark.parametrize("radius", [math.inf, math.nan], ids=["inf", "nan"])
@@ -378,7 +372,7 @@ class TestMirrorDescentLearner:
                                   p=math.log(20_000), alpha=0.5)
         for _ in range(20_000):
             md.observe(np.array([-1.0]), 1.0)
-        assert np.isfinite(md.predict()).all()
+        assert np.isfinite(np.atleast_1d(md.w)).all()
 
     def test_given_gradient_norm_skips_the_coercion_bit_for_bit(self):
         rng = np.random.default_rng(21)
@@ -405,7 +399,7 @@ class TestMirrorDescentLearner:
 
 def shared_bits(md) -> bytes:
     """The state floats both mirror descent learners keep, as bytes, and the round."""
-    values = [md.w, md.mirror_grad, md.w_norm, md.h, md.C, md.N, md.B, md.V, md.a]
+    values = [md.w, md.mirror_grad, md.w_norm, md.h, md.C, md.N, md.B]
     return b"".join(
         np.asarray(v, dtype=np.float64).tobytes() for v in values
     ) + md.t.to_bytes(8, "little")
@@ -469,7 +463,7 @@ class TestFloatRepresentation:
             ref.observe(np.array([g]), hint)
             assert state_bits(fast) == state_bits(ref), t
             assert type(fast.w) is float and type(fast.mirror_grad) is float
-            assert fast.predict().tobytes() == ref.predict().tobytes()
+            assert np.atleast_1d(fast.w).tobytes() == np.atleast_1d(ref.w).tobytes()
         assert zero_duals > 50 and nonzero_before_zero > 50, zero_duals
         assert fast.h == 1.5 * 2.0**10
 
@@ -570,7 +564,7 @@ def composite_regret(T, u, G, seed, epsilon=1.0, k=5, origin_adversarial=False):
     reg = HuberRegularizer(c=c, p=p, alpha=alpha)
     total = 0.0
     for _ in range(T):
-        w = md.predict()
+        w = np.atleast_1d(md.w)
         if origin_adversarial:
             g = np.array([G if w[0] > 0 else -G])
         else:

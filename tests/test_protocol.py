@@ -3,14 +3,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robust_oco import mirror_descent
 from robust_oco.core import NonFiniteError, norm
-from robust_oco.epigraph import EpigraphPoint, weighted_project
-from robust_oco.mirror_descent import SolverError
-from robust_oco.protocol import ProtocolConfig, RobustProtocol
+from robust_oco.epigraph import EpigraphLearner, EpigraphPoint, weighted_project
+from robust_oco.harness.runner import KTPlayer
+from robust_oco.mirror_descent import MirrorDescentLearner, SolverError
+from robust_oco.protocol import MODES, ProtocolConfig, RobustProtocol
 
 # how each layer names itself in the errors it raises
 LAYER_MESSAGE = re.compile(
@@ -246,7 +247,7 @@ class TestProtocolRound:
             protocol.round(g)
         learner = protocol.learner
         hat = EpigraphPoint(
-            learner.learner_w.predict(), learner.learner_y.w
+            np.atleast_1d(learner.learner_w.w), learner.learner_y.w
         )
         point = weighted_project(hat, learner.h, learner.gamma, norm(hat.w))
         assert np.array_equal(point.w, protocol.predict())
@@ -360,6 +361,134 @@ class TestFailedRoundMovesNothing:
         assert after == before
         assert protocol.t == protocol.learner.learner_w.t == 4
         assert (protocol.filter.clip_rounds, protocol.filter.n) == (2, 2)
+
+
+def _drawn_vector(data, dim: int, bound: float) -> np.ndarray:
+    """A drawn vector of norm at most bound."""
+    v = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    return v * (bound / max(norm(v), 1.0))
+
+
+def _poisoned(v: np.ndarray, value: float) -> np.ndarray:
+    v = v.copy()
+    v[-1] = value
+    return v
+
+
+def _rejected(call, *args, **kwargs) -> None:
+    with pytest.raises((ValueError, TypeError, RuntimeError)):
+        call(*args, **kwargs)
+
+
+ROUNDS = st.integers(0, 12)
+
+
+class TestRaiseMovesNothing:
+    """Each layer, driven through drawn valid rounds, then given one input it
+    rejects: every state float, the round counts included, is byte-identical
+    after the raise."""
+
+    @given(data=st.data(), dim=st.sampled_from([1, 3]), c=st.sampled_from([0.0, 2.0]),
+           rounds=ROUNDS,
+           reject=st.sampled_from(["nan", "inf", "above_hint", "decreasing_hint",
+                                   "nan_hint", "inf_hint"]))
+    @settings(max_examples=40, deadline=None)
+    def test_mirror_descent_learner(self, data, dim, c, rounds, reject):
+        md = MirrorDescentLearner(dim, 1.0, 1.0, c=c, p=math.log(100))
+        for _ in range(rounds):
+            hint = md.h * data.draw(st.sampled_from([1.0, 2.0]))
+            md.observe(_drawn_vector(data, dim, md.h), hint)
+        g, hint = _drawn_vector(data, dim, md.h), md.h
+        if reject in ("nan", "inf"):
+            g = _poisoned(g, math.nan if reject == "nan" else -math.inf)
+        elif reject == "above_hint":
+            g = np.full(dim, 2.0 * md.h)
+        else:
+            hint = {"decreasing_hint": 0.5 * hint, "nan_hint": math.nan,
+                    "inf_hint": math.inf}[reject]
+        before = state_bits(md)
+        _rejected(md.observe, g, hint)
+        assert state_bits(md) == before
+        assert md.t == rounds
+
+    @given(data=st.data(), dim=st.sampled_from([1, 3]), rounds=ROUNDS,
+           reject=st.sampled_from(["nan", "inf", "above_hint", "decreasing_hint",
+                                   "nan_hint", "a_t_above_gamma"]))
+    @settings(max_examples=40, deadline=None)
+    def test_epigraph_learner(self, data, dim, rounds, reject):
+        gamma = 2.0
+        learner = EpigraphLearner(dim, 1.0, gamma, 0.5, c=1.0, p=math.log(100))
+        for _ in range(rounds):
+            hint = learner.h * data.draw(st.sampled_from([1.0, 2.0]))
+            a_t = data.draw(st.sampled_from([0.0, 0.5 * gamma, gamma]))
+            learner.observe(_drawn_vector(data, dim, learner.h), hint, a_t)
+        g, hint, a_t = _drawn_vector(data, dim, learner.h), learner.h, 0.0
+        if reject in ("nan", "inf"):
+            g = _poisoned(g, math.nan if reject == "nan" else math.inf)
+        elif reject == "above_hint":
+            # an interior prediction feeds its vector side half the gradient,
+            # under twice the threshold: past 4h it is above that hint
+            assume(learner._played is learner._hat)
+            g = np.full(dim, 5.0 * learner.h)
+        elif reject == "a_t_above_gamma":
+            a_t = 1.5 * gamma
+        else:
+            hint = 0.5 * hint if reject == "decreasing_hint" else math.nan
+        before = state_bits(learner)
+        _rejected(learner.observe, g, hint, a_t)
+        assert state_bits(learner) == before
+        assert learner.learner_w.t == learner.learner_y.t == rounds
+
+    @given(data=st.data(), mode=st.sampled_from(MODES), dim=st.sampled_from([1, 3]),
+           rounds=ROUNDS,
+           reject=st.sampled_from(["nan", "inf", "nan_g_true", "inf_g_true"]))
+    @settings(max_examples=40, deadline=None)
+    def test_protocol(self, data, mode, dim, rounds, reject):
+        cfg = ProtocolConfig(mode=mode, T=100, k=2, dim=dim, tau_G=0.5,
+                             G=1.0 if mode == "known_g" else None)
+        protocol = RobustProtocol(cfg, comparator=np.full(dim, 0.5))
+        for _ in range(rounds):
+            # observed gradients up to 3: the filter clips and doubles
+            g_tilde = _drawn_vector(data, dim, 3.0)
+            g_true = data.draw(st.sampled_from([g_tilde, _drawn_vector(data, dim, 1.0)]))
+            loss_gap = data.draw(st.none() | st.floats(-1.0, 1.0))
+            protocol.round(g_tilde, g_true=g_true, loss_gap=loss_gap)
+        g_tilde, g_true = _drawn_vector(data, dim, 3.0), _drawn_vector(data, dim, 1.0)
+        bad = math.nan if reject.startswith("nan") else -math.inf
+        if reject.endswith("g_true"):
+            g_true = _poisoned(g_true, bad)
+        else:
+            g_tilde = _poisoned(g_tilde, bad)
+        before = state_bits(protocol)
+        _rejected(protocol.round, g_tilde, g_true=g_true)
+        assert state_bits(protocol) == before
+        assert protocol.t == rounds
+
+    @given(data=st.data(), rounds=ROUNDS,
+           reject=st.sampled_from(["above_bound", "nan", "nan_g_true", "inf_g_true",
+                                   "missing_g_true"]))
+    @settings(max_examples=40, deadline=None)
+    def test_kt_player(self, data, rounds, reject):
+        player = KTPlayer(1.0, np.array([0.5]))
+        unit = st.floats(-1.0, 1.0)
+        for _ in range(rounds):
+            g_tilde = data.draw(unit)
+            g_true = data.draw(st.sampled_from([g_tilde, data.draw(unit)]))
+            player.round(np.array([g_tilde]), g_true=np.array([g_true]))
+        g_tilde, g_true = np.array([data.draw(unit)]), np.array([data.draw(unit)])
+        if reject == "above_bound":
+            g_tilde = np.array([math.copysign(1.5, g_tilde[0])])
+        elif reject == "nan":
+            g_tilde = np.array([math.nan])
+        elif reject != "missing_g_true":
+            g_true = np.array([math.nan if reject == "nan_g_true" else math.inf])
+        before = state_bits(player)
+        if reject == "missing_g_true":
+            _rejected(player.round, g_tilde)
+        else:
+            _rejected(player.round, g_tilde, g_true=g_true)
+        assert state_bits(player) == before
+        assert player.t == rounds
 
 
 def _record_bits(rec) -> list[bytes]:
