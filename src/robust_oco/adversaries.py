@@ -66,9 +66,9 @@ class Adversary(ABC):
     def round(self, t: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (g_true, g_observed) for round t (1-indexed)."""
 
-    def loss_gap(self, w: np.ndarray, u: np.ndarray) -> float | None:
-        """Per-round loss difference l(w) - l(u) when a loss oracle exists."""
-        return None
+    def loss_gap(self, w: np.ndarray, u: np.ndarray) -> float:
+        """Per-round loss difference l(w) - l(u); 0.0 for a stream without a loss."""
+        return 0.0
 
 
 class SignFlipAdversary(Adversary):
@@ -80,7 +80,6 @@ class SignFlipAdversary(Adversary):
     def __init__(self, T: int, k: int, window_start: int):
         if k > 0 and not (1 <= window_start and window_start + k - 1 <= T):
             raise ValueError("corruption window must fit inside the horizon")
-        self.T = T
         self.k = k
         self.window_start = window_start
         self.comparator = np.array([1.0])
@@ -209,6 +208,8 @@ def make_adversary(spec: AdversarySpec, seed: int | None = None) -> Adversary:
     """Instantiate the stream described by spec, optionally overriding its seed."""
     s = spec.seed if seed is None else seed
     if spec.kind == "sign_flip_window":
+        if spec.D != 1.0:  # the stream is |w - 1|; D would be silently ignored
+            raise ValueError(f"sign_flip_window is centred at 1: D must be 1, got {spec.D}")
         return SignFlipAdversary(spec.T, spec.k, spec.window_start)
     if spec.kind == "lb_theorem2":
         return LBTheorem2Adversary(spec.T, spec.k, spec.D, s, spec.dim)

@@ -46,10 +46,12 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return as_vector_norm(x, dim)[0]
 
 
-def _checked_array(x, dim: int | None) -> np.ndarray:
-    """x as a 1-d float64 array of dim entries (any size when dim is None)."""
+def as_array(x, dim: int | None = None) -> np.ndarray:
+    """x as an unreduced 1-d float64 array of dim entries (any size if dim is None)."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim == 0:
+        if x is None:  # numpy reads None as a NaN scalar
+            raise ValueError("missing vector input: got None")
         v = v.reshape(1)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
@@ -64,13 +66,11 @@ def as_vector_norm(x, dim: int | None = None) -> tuple[np.ndarray, float]:
     A finite norm proves every entry finite; only a non-finite one (a NaN or
     Inf entry, or a finite vector whose norm overflows) runs the entrywise
     ensure_finite, which raises for the first and passes the second, whose
-    norm is then inf. None (numpy reads it as NaN) is a missing vector.
+    norm is then inf.
     """
-    v = _checked_array(x, dim)
+    v = as_array(x, dim)
     n = norm(v)
     if not math.isfinite(n):
-        if x is None:
-            raise ValueError("missing vector input: got None")
         ensure_finite(v, "vector input")
     return v, n
 
@@ -179,7 +179,7 @@ def _rescale(g, h: float, n: float, norm, max_abs, nextafter):
 
 def _coerce_float(x, dim: int) -> tuple[float, float]:
     """x as a float, with its norm; anything but a float passes as_vector_norm's checks."""
-    v = x if type(x) is float else _checked_array(x, dim).item()
+    v = x if type(x) is float else as_array(x, dim).item()
     n = abs(v)
     if not math.isfinite(n):
         as_vector_norm(x, dim)  # raises as the array coercion does
@@ -305,9 +305,8 @@ class RegretLedger:
     """Cumulative linearized regret against a fixed comparator.
 
     true_regret_linear uses the true gradients, observed_regret_linear the
-    corrupted ones. loss_regret sums the per-round loss gaps of a loss
-    oracle, and stays 0.0 without one. A round whose regret totals would
-    leave float range raises NonFiniteError and leaves every total unchanged.
+    corrupted ones. A round whose regret totals would leave float range
+    raises NonFiniteError and leaves both totals unchanged.
     The comparator and every vector of a round share one representation: a
     float (the protocol's d = 1 form) or float64 arrays of equal shape.
     """
@@ -315,7 +314,6 @@ class RegretLedger:
     comparator: np.ndarray | float
     true_regret_linear: float = 0.0
     observed_regret_linear: float = 0.0
-    loss_regret: float = 0.0
 
     def __post_init__(self):
         self._kernels = kernels_of(self.comparator)
@@ -325,7 +323,6 @@ class RegretLedger:
         diff: np.ndarray | float,
         g_true: np.ndarray | float,
         g_observed: np.ndarray | float,
-        loss_gap: float | None = None,
     ) -> float:
         """Account one round; diff is the played point minus the comparator.
 
@@ -348,7 +345,5 @@ class RegretLedger:
             )
         self.true_regret_linear = true_total
         self.observed_regret_linear = observed_total
-        if loss_gap is not None:
-            self.loss_regret += float(loss_gap)
         return observed
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NonFiniteError, check_positive, kernels_of
+from .core import NonFiniteError, as_array, check_positive, kernels_of
 from .mirror_descent import MirrorDescentLearner, SolverError
 
 _PROJ_RTOL = 1e-12
@@ -184,7 +184,7 @@ class EpigraphLearner:
         self.learner_w = MirrorDescentLearner(
             dim, epsilon, initial_hint=2.0 * tau_G, c=c, p=p, alpha=alpha
         )
-        self.learner_y = MirrorDescentLearner(1, epsilon, 1.5 * gamma, c=0.0, p=1.0)
+        self.learner_y = MirrorDescentLearner(1, epsilon, 1.5 * gamma, c=0.0, p=p)
         self.h = tau_G
         self._hat = EpigraphPoint(self.learner_w.w, self.learner_y.w)
         self._played = weighted_project(self._hat, tau_G, gamma, self.learner_w.w_norm)
@@ -194,21 +194,25 @@ class EpigraphLearner:
     def observe(self, gradient, hint: float, a_t: float = 0.0) -> None:
         """Consume one round; a_t is its quadratic penalty weight, in [0, gamma].
 
-        The gradient is a float64 array, or a float at d = 1. An interior
-        prediction is its own projection, so its correction is zero and is
-        not built: the sub-learners get 0.5 * (g + 0.0) and 0.5 * (a_t + 0.0),
-        the bits the zero correction gave. The added 0.0 turns a -0.0 entry
-        into 0.0, which learner_w's dual update can tell apart where its
-        mirror-map gradient holds -0.0 (a zero mirror part times a negative
-        dual entry). learner_w coerces and checks the gradient; a non-finite
-        one is reported as given, not halved. Nothing commits until both
-        updates and the projection have succeeded.
+        The gradient is a float64 array (a float at d = 1), a list or a tuple.
+        An interior prediction is its own projection, so its correction is
+        zero and is not built: the sub-learners get 0.5 * (g + 0.0) and
+        0.5 * (a_t + 0.0), the bits the zero correction gave. The added 0.0
+        turns a -0.0 entry into 0.0, which learner_w's dual update can tell
+        apart where its mirror-map gradient holds -0.0 (a zero mirror part
+        times a negative dual entry). learner_w coerces and checks the
+        gradient; a non-finite one is reported as given, not halved, and None
+        as missing. Nothing commits until both updates and the projection
+        have succeeded.
         """
         if not 0.0 <= a_t <= self.gamma * (1.0 + 1e-12):
             raise ValueError(f"penalty weight {a_t} outside [0, gamma {self.gamma}]")
         k, dim = self.learner_w.kernels, self.learner_w.dim
         if self._played is self._hat:
-            g_w = gradient + 0.0
+            try:
+                g_w = gradient + 0.0
+            except TypeError:  # a list, a tuple or None; learner_w reduces it
+                g_w = as_array(gradient, dim) + 0.0
             g_w *= 0.5  # in place on an array
             try:
                 update_w = self.learner_w.update(g_w, 2.0 * hint)

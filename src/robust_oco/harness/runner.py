@@ -24,26 +24,11 @@ from .config import COMPARATOR_FROM_ADVERSARY, ExperimentConfig, SweepConfig, pr
 
 
 def trace_columns(dim: int) -> list[str]:
-    if dim <= 3:
-        point_cols = [f"w{i + 1}" for i in range(dim)]
-    else:
-        point_cols = ["w_norm"]
-    return (
-        ["t"]
-        + point_cols
-        + [
-            "g_norm",
-            "g_tilde_norm",
-            "g_clipped_norm",
-            "h",
-            "z",
-            "alpha",
-            "beta",
-            "corrupted",
-            "true_regret",
-            "observed_regret",
-        ]
-    )
+    point = [f"w{i + 1}" for i in range(dim)] if dim <= 3 else ["w_norm"]
+    return [
+        "t", *point, *RoundRecord._fields[1:],
+        "corrupted", "true_regret", "observed_regret",
+    ]
 
 
 _INT_COLUMNS = ("t", "corrupted")
@@ -116,16 +101,16 @@ class KTPlayer(KTBettor):
     def predict(self) -> np.ndarray:
         return np.array([self.w])
 
-    def round(self, g_tilde, g_true, loss_gap=None) -> RoundRecord:
+    def round(self, g_tilde, g_true) -> RoundRecord:
         w = self.w  # the played scalar; its norm is |w|
         g_tilde, g_tilde_norm = FLOAT.coerce(g_tilde, 1)
         g_true, g_norm = FLOAT.coerce(g_true, 1)
         state = self.update(g_tilde, g_tilde_norm)
-        self.regret.update(w - self.regret.comparator, g_true, g_tilde, loss_gap)
+        self.regret.update(w - self.regret.comparator, g_true, g_tilde)
         self.commit(state)
         return RoundRecord(
             w_norm=abs(w), g_norm=g_norm, g_tilde_norm=g_tilde_norm,
-            g_clipped_norm=g_tilde_norm, h=0.0, z=0.0, alpha_t=0.0, beta_t=0.0,
+            g_clipped_norm=g_tilde_norm, h=0.0, z=0.0, alpha=0.0, beta=0.0,
         )
 
 
@@ -155,23 +140,20 @@ def run_experiment(
 
     columns = trace_columns(dim)
     rows: list[list] = []
+    loss_regret = 0.0  # the adversary's loss oracle, summed here
     started = time.perf_counter()
     try:
         for t in range(1, T + 1):
             w = player.predict()
             g_true, g_tilde = adversary.round(t, w)
-            loss_gap = adversary.loss_gap(w, comparator)
             corrupted = budget.update(g_true, g_tilde)
-            rec = player.round(g_tilde, g_true=g_true, loss_gap=loss_gap)
+            rec = player.round(g_tilde, g_true=g_true)
+            loss_regret += adversary.loss_gap(w, comparator)
             point = w.tolist() if dim <= 3 else [rec.w_norm]
-            rows.append(
-                [t] + point + [
-                    rec.g_norm, rec.g_tilde_norm, rec.g_clipped_norm,
-                    rec.h, rec.z, rec.alpha_t, rec.beta_t,
-                    int(corrupted),
-                    regret.true_regret_linear, regret.observed_regret_linear,
-                ]
-            )
+            rows.append([
+                t, *point, *rec[1:], int(corrupted),
+                regret.true_regret_linear, regret.observed_regret_linear,
+            ])
     except (NonFiniteError, SolverError, ValueError) as exc:
         # same type, so callers and the benchmark still classify the failure;
         # aborted_at_round tells a run abort from a config error
@@ -189,7 +171,7 @@ def run_experiment(
         "seed": seed,
         "final_true_regret": regret.true_regret_linear,
         "final_observed_regret": regret.observed_regret_linear,
-        "loss_regret": regret.loss_regret,
+        "loss_regret": loss_regret,
         "error_term": player.decomposition.error_term,
         "correction_term": player.decomposition.correction_term,
         "bias_term": player.decomposition.bias_term,

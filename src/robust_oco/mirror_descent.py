@@ -112,16 +112,18 @@ def link_inverse_solve(
     """Solve L(x) = theta_norm for the unique nonnegative radius x.
 
     Returns x and the link's mirror part at x, which the learner reuses. The
-    residual is driven below 1e-9 * max(1, theta_norm). With the penalty
-    disabled the link is the mirror part alone and inverts in closed form;
-    otherwise the bracket comes from inverting each summand separately
-    (_bracket_end): either summand at the full target bounds the root from
-    above, and the smaller summand inverse at half the target bounds it from
-    below. Newton steps on log L(u) - log theta in u = log x start from the
-    upper end; a step that leaves the bracket is replaced by the bracket
-    midpoint, and an upper end that rounding left short of the root moves up.
-    The lower end is computed only when the first evaluation, at the upper
-    end, fails the slope test: most solves converge there and never read it.
+    residual is driven below 1e-9 * max(1, theta_norm). At p > 1 the link
+    tends to 0 at the origin: no positive theta_norm is absorbed there. With
+    the penalty disabled the link is the mirror part alone and inverts in
+    closed form; otherwise the bracket comes from inverting each summand
+    separately (_bracket_end): either summand at the full target bounds the
+    root from above, and the smaller summand inverse at half the target
+    bounds it from below. Newton steps on log L(u) - log theta in u = log x
+    start from the upper end; a step that leaves the bracket is replaced by
+    the bracket midpoint, and an upper end that rounding left short of the
+    root moves up. The lower end is computed only when the first evaluation,
+    at the upper end, fails the slope test: most solves converge there and
+    never read it.
     """
     if theta_norm < 0:
         raise ValueError("dual norm must be nonnegative")
@@ -133,11 +135,6 @@ def link_inverse_solve(
         if not math.isfinite(x):
             raise _out_of_range(theta_norm, V, h, a)
         return x, theta_norm
-
-    # subgradient absorption at the origin: only possible at p = 1 where the
-    # penalty slope jumps to c immediately
-    if reg.p == 1.0 and theta_norm <= reg.c:
-        return 0.0, 0.0
 
     hi = _bracket_end(theta_norm, V, h, a, reg)
     floor = 0.0  # a known lower bound on the root

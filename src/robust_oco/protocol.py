@@ -86,7 +86,8 @@ class DecompositionLedger:
 class RoundRecord(NamedTuple):
     """One round's scalars: the norms of its played iterate and gradients.
 
-    g_norm is None when the round was given no true gradient.
+    g_norm is None when the round was given no true gradient. The fields
+    after w_norm name the trace's per-round columns.
     """
 
     w_norm: float
@@ -95,8 +96,8 @@ class RoundRecord(NamedTuple):
     g_clipped_norm: float
     h: float
     z: float
-    alpha_t: float
-    beta_t: float
+    alpha: float
+    beta: float
 
 
 class RobustProtocol:
@@ -169,15 +170,15 @@ class RobustProtocol:
         """
         return self.kernels.array(self.learner.w)
 
-    def round(self, g_tilde, g_true=None, loss_gap=None) -> RoundRecord:
+    def round(self, g_tilde, g_true=None) -> RoundRecord:
         """Play one round against the observed gradient.
 
-        g_true and loss_gap are simulation-only oracles: when given, the
-        regret ledger and the error/bias sides of the decomposition track the
-        true-gradient quantities. Both gradients are coerced before any state
-        moves, and g_tilde is clipped once, at G or at the filter's
-        threshold. The automata commit, with the round count, only once the
-        learner has committed: a round whose learner raises changes nothing.
+        g_true is a simulation-only oracle: when given, the regret ledger and
+        the error/bias sides of the decomposition track the true-gradient
+        quantities. Both gradients are coerced before any state moves, and
+        g_tilde is clipped once, at G or at the filter's threshold. The
+        automata commit, with the round count, only once the learner has
+        committed: a round whose learner raises changes nothing.
         """
         k, dim = self.kernels, self.config.dim
         g_tilde, g_tilde_norm = k.coerce(g_tilde, dim)
@@ -206,7 +207,7 @@ class RobustProtocol:
             self.tracker.commit(z_next, tracker_doubled)
         self.t += 1
 
-        self._update_ledgers(w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap)
+        self._update_ledgers(w, w_norm, g_tilde, g_clipped, a_t, g_true)
         # a finite norm proves the new iterate finite; it is next round's w_norm
         self._w_norm = k.norm(self.learner.w)
         if not math.isfinite(self._w_norm):
@@ -214,12 +215,10 @@ class RobustProtocol:
         return RoundRecord(
             w_norm=w_norm, g_norm=g_norm, g_tilde_norm=g_tilde_norm,
             g_clipped_norm=g_clipped_norm,
-            h=h_t, z=z_next, alpha_t=alpha_t, beta_t=beta_t,
+            h=h_t, z=z_next, alpha=alpha_t, beta=beta_t,
         )
 
-    def _update_ledgers(
-        self, w, w_norm, g_tilde, g_clipped, a_t, g_true, loss_gap
-    ) -> None:
+    def _update_ledgers(self, w, w_norm, g_tilde, g_clipped, a_t, g_true) -> None:
         """Account the round in the ledgers; every vector is in the learner's form."""
         dot = self.kernels.dot
         u_norm = self._comparator_norm
@@ -232,7 +231,7 @@ class RobustProtocol:
         if g_true is None:
             composite = dot(g_clipped, diff)
         else:
-            observed = self.regret.update(diff, g_true, g_tilde, loss_gap)
+            observed = self.regret.update(diff, g_true, g_tilde)
             # a pass round fed the learner g_tilde itself, so the regret
             # ledger's observed increment is the composite term's product
             composite = observed if g_clipped is g_tilde else dot(g_clipped, diff)

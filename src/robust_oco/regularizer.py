@@ -3,9 +3,9 @@
 The per-round penalty is c * sigma_t(w) / S_t^(1-1/p), where sigma_t grows
 like ||w||^p below the most recent iterate norm and linearly above it, and
 S_t accumulates alpha^p plus the p-th powers of all iterate norms so far.
-The exponent is typically p = ln(T), so p-th powers are handled in log space
-throughout: direct pow() underflows for small bases and overflows for large
-ones long before the quantities of interest leave float range.
+Its one regime is p > 1 (the protocol's p = ln T, T >= 3); p-th powers are
+handled in log space throughout: direct pow() underflows for small bases and
+overflows for large ones long before the quantities leave float range.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class HuberRegularizer:
         # written so that NaN fails every comparison
         if not 0.0 <= self.c < math.inf:
             raise ValueError(f"scale c must be nonnegative and finite, got {self.c}")
-        if not 1.0 <= self.p < math.inf:
-            raise ValueError(f"power p must be at least 1 and finite, got {self.p}")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError(f"power p must be above 1 and finite, got {self.p}")
         check_positive("offset alpha", self.alpha)
         self.log_S = self.p * math.log(self.alpha)
 
@@ -58,17 +58,15 @@ class HuberRegularizer:
         """Penalty value at a point of the given norm, at the current round."""
         if self.t < 1:
             raise ValueError("evaluate requires at least one advance")
-        if self.c == 0.0 or w_norm == 0.0:
-            return 0.0
         c, p, wt = self.c, self.p, self.last_iterate_norm
+        # past a knot at wt = 0 the linear branch's slope is 0^(p-1) = 0
+        if c == 0.0 or w_norm == 0.0 or wt == 0.0:
+            return 0.0
         log_denom = (1.0 - 1.0 / p) * self.log_S
         if w_norm <= wt:
             return c * math.exp(p * math.log(w_norm) - log_denom)
         # linear branch: slope continuation from the knot at ||w_t||
         lin = p * w_norm - (p - 1.0) * wt
-        if wt == 0.0:
-            knot = 1.0 if p == 1.0 else 0.0  # 0^(p-1) convention
-            return c * lin * knot * math.exp(-log_denom)
         return c * lin * math.exp((p - 1.0) * math.log(wt) - log_denom)
 
     def radial_subgradient_log(self, log_x: float) -> tuple[float, float]:
@@ -97,9 +95,7 @@ class HuberRegularizer:
         q = y / cp
         # a subnormal y can underflow the ratio; take its log in two parts
         log_q = math.log(q) if q >= _FLOAT_MIN else math.log(y) - math.log(cp)
-        log_r = (p / (p - 1.0)) * log_q if p > 1.0 else -math.inf
-        if log_r == -math.inf:
-            return 0.0
+        log_r = (p / (p - 1.0)) * log_q
         # x^p = S * r / (1 - r) with r = (y/cp)^(p/(p-1))
         log_xp = self.log_S + log_r - math.log1p(-math.exp(log_r))
         return math.exp(log_xp / p)

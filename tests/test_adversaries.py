@@ -57,6 +57,15 @@ class TestSignFlip:
         w, u = np.array([3.0]), np.array([1.0])
         assert adv.loss_gap(w, u) == abs(3.0 - 1.0) - 0.0
 
+    @pytest.mark.parametrize("D", [-3.0, 0.0, 100.0])
+    def test_offset_other_than_one_rejected(self, D):
+        # the stream is |w - 1|: [adversary] D used to be silently ignored
+        spec = AdversarySpec(kind="sign_flip_window", T=12, k=3, window_start=5, D=D)
+        with pytest.raises(ValueError, match="^sign_flip_window is centred at 1: D must be 1"):
+            make_adversary(spec)
+        spec.D = 1.0
+        assert np.array_equal(make_adversary(spec).comparator, [1.0])
+
 
 class TestLBTheorem2:
     def test_exactly_k_corrupted(self):

@@ -495,19 +495,6 @@ class TestRegretLedger:
         with pytest.raises(ValueError):
             led.update(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
-    def test_loss_regret_below_linear_regret_on_absolute_loss(self):
-        # convexity: l(w) - l(u) <= <g, w - u> for subgradients of |w - c|
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            u = np.array([rng.uniform(-3, 3)])
-            led = RegretLedger(comparator=u)
-            for _ in range(50):
-                w = np.array([rng.uniform(-5, 5)])
-                g = np.array([1.0 if w[0] > 1.0 else -1.0])
-                gap = abs(w[0] - 1.0) - abs(u[0] - 1.0)
-                led.update(w - u, g, g, loss_gap=gap)
-            assert led.loss_regret <= led.true_regret_linear + 1e-9
-
 
 class TestFiniteness:
     def test_nan_rejected(self):
@@ -522,11 +509,16 @@ class TestFiniteness:
         with pytest.raises(ValueError):
             as_vector([1.0, 2.0], dim=3)
 
-    @pytest.mark.parametrize("coerce", [as_vector, lambda x: FLOAT.coerce(x, 1)],
-                             ids=["as_vector", "float_coerce"])
+    @pytest.mark.parametrize(
+        "coerce",
+        [as_vector, lambda x: FLOAT.coerce(x, 1), lambda x: as_vector(x, 3),
+         lambda x: as_vector_norm(x, 3)],
+        ids=["as_vector", "float_coerce", "as_vector_d3", "as_vector_norm_d3"],
+    )
     def test_missing_vector_named(self, coerce):
         # numpy reads None as NaN: it was reported as "non-finite value in
-        # vector input: array([nan])"
+        # vector input: array([nan])", and with a dimension above 1 as
+        # "dimension mismatch: expected 3, got 1"
         with pytest.raises(ValueError, match="^missing vector input: got None$"):
             coerce(None)
 

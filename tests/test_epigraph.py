@@ -276,16 +276,17 @@ class TestEpigraphLearner:
             learner.observe(g, 1.0, a_t)
 
     @pytest.mark.parametrize(
-        "dim, p", [(1, math.log(500)), (3, math.log(500)), (17, math.log(500)), (2, 1.0)],
-        ids=["d1", "d3", "d17", "d2_p1"],
+        "dim, tiny", [(1, 0), (3, 0), (17, 0), (2, 100)],
+        ids=["d1", "d3", "d17", "d2_underflow"],
     )
-    def test_matches_the_always_corrected_round_bit_for_bit(self, dim, p):
-        # gradients and weights carry signed zeros; at p = 1 the penalty
-        # absorbs small dual norms, the solve's mirror part is 0 and
-        # 0 * theta leaves -0.0 entries in learner_w's mirror-map gradient,
-        # where 0.5 * g without the added 0.0 would flip the sign of a zero
+    def test_matches_the_always_corrected_round_bit_for_bit(self, dim, tiny):
+        # gradients and weights carry signed zeros; in the first `tiny`
+        # rounds the gradients are scaled by 1e-170, so the solve's root
+        # underflows, its mirror part is 0 and 0 * theta leaves -0.0 entries
+        # in learner_w's mirror-map gradient, where 0.5 * g without the
+        # added 0.0 would flip the sign of a zero
         rng = np.random.default_rng(dim)
-        kw = dict(epsilon=1.0, gamma=2.0, tau_G=1.0, c=1.0, p=p, alpha=1.0)
+        kw = dict(epsilon=1.0, gamma=2.0, tau_G=1.0, c=1.0, p=math.log(500), alpha=1.0)
         fast, ref = EpigraphLearner(dim, **kw), AlwaysCorrected(dim, **kw)
         interior = 0
         for t in range(500):
@@ -296,6 +297,9 @@ class TestEpigraphLearner:
             # mostly a zero weight (of either sign), which keeps the
             # prediction inside the set in about half the rounds
             a_t = float(rng.uniform(0.0, 2.0)) if t % 25 == 0 else [0.0, -0.0][t % 2]
+            if t < tiny:
+                g *= 1e-170
+                a_t = [0.0, -0.0][t % 2]
             hint = fast.h * (2.0 if rng.uniform() < 0.02 else 1.0)
             interior += fast._played is fast._hat
             fast.observe(g, hint, a_t)
@@ -315,6 +319,28 @@ class TestEpigraphLearner:
         assert "vector input" in str(info.value)
         assert str(info.value) == str(direct.value)
         assert learner.learner_w.t == 0 and learner.learner_y.t == 0
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_sequence_gradient_taken_as_the_vector_learner_takes_it(self, dim, kind):
+        # the interior round added 0.0 to the gradient before any coercion,
+        # so a list or a tuple raised TypeError
+        fast, ref = self.make(dim=dim), self.make(dim=dim)
+        assert fast._played is fast._hat  # the origin is interior
+        for g in ([0.5, -0.0, -0.25], [-0.75, 0.25, 0.0], [0.0, -0.0, 0.5]):
+            fast.observe(kind(g[:dim]), 1.0)
+            ref.observe(g[0] if dim == 1 else np.array(g[:dim]), 1.0)
+            assert learner_bits(fast) == learner_bits(ref)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_missing_gradient_named(self, dim):
+        # the interior round raised TypeError for None
+        learner = self.make(dim=dim)
+        assert learner._played is learner._hat
+        before = learner_bits(learner)
+        with pytest.raises(ValueError, match="^missing vector input: got None$"):
+            learner.observe(None, 1.0)
+        assert learner_bits(learner) == before
 
     def test_penalty_weight_above_gamma_rejected(self):
         learner = self.make(gamma=1.0)

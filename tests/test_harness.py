@@ -12,8 +12,10 @@ from robust_oco.core import norm
 from robust_oco.harness.checks import CHECKS, run_check
 from robust_oco.harness.cli import main
 from robust_oco.harness.config import (
+    ALGORITHMS,
     ExperimentConfig,
     from_ini,
+    protocol_mode,
     sweep_from_ini,
     sweep_to_ini,
     to_ini,
@@ -35,12 +37,15 @@ DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).parent.parent / "configs"
 
 
-def figure_config(algorithm="known_g", T=12, k=3, start=5):
+def figure_config(algorithm="known_g", T=12, k=3, start=5, comparator=(1.0,)):
+    """A sign-flip cell for any player: the stream |w - 1| with k flipped rounds."""
+    mode = protocol_mode(algorithm)
     return ExperimentConfig(
         algorithm=algorithm,
         adversary=AdversarySpec(kind="sign_flip_window", T=T, k=k, window_start=start),
-        protocol=ProtocolConfig(mode="known_g", T=T, epsilon=1.0, k=k, G=1.0),
-        comparator=(1.0,),
+        protocol=ProtocolConfig(mode=mode, T=T, epsilon=1.0, k=k,
+                                G=1.0 if mode == "known_g" else None),
+        comparator=comparator,
         seeds=(0,),
     )
 
@@ -346,6 +351,32 @@ class TestRunExperiment:
         trace = run_experiment(figure_config(T=40, k=5, start=10), seed=0)
         assert trace.summary["count_corrupted"] == 5
         assert trace.summary["big_rounds"] == 5  # sign flips deviate by 2 >= G
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_loss_regret_below_linear_regret_on_absolute_loss(self, algorithm):
+        # convexity: l(w) - l(u) <= <g, w - u> for subgradients of |w - 1|
+        rng = np.random.default_rng(3)
+        for _ in range(12):
+            u = float(rng.uniform(-3, 3))
+            config = figure_config(algorithm, T=50, k=5, start=int(rng.integers(1, 46)),
+                                   comparator=(u,))
+            summary = run_experiment(config, seed=0).summary
+            assert summary["loss_regret"] <= summary["final_true_regret"] + 1e-9
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_loss_regret_sums_the_loss_oracle_left_to_right(self, algorithm):
+        config = figure_config(algorithm, T=80, k=6, start=20, comparator=(1.5,))
+        trace = run_experiment(config, seed=0)
+        adversary = make_adversary(config.adversary, seed=0)
+        u = np.array([1.5])
+        total = 0.0
+        for row in trace.rows:  # the played point is the w1 column
+            total += float(adversary.loss_gap(np.array([row[1]]), u))
+        assert np.float64(trace.summary["loss_regret"]).tobytes() == np.float64(total).tobytes()
+        assert total != 0.0
+
+    def test_loss_regret_is_zero_without_a_loss_oracle(self):
+        assert run_experiment(reweight_config(), seed=5).summary["loss_regret"] == 0.0
 
     def test_kt_baseline_runs(self):
         trace = run_experiment(figure_config(algorithm="kt_bettor", T=50, k=0), seed=0)

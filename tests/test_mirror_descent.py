@@ -242,11 +242,11 @@ def _mp_link_root(theta, V, h, a, reg, x0):
 
 class TestMirrorDescentLearner:
     def test_first_prediction_is_origin(self):
-        md = MirrorDescentLearner(3, epsilon=1.0, initial_hint=1.0, p=1.0)
+        md = MirrorDescentLearner(3, epsilon=1.0, initial_hint=1.0, p=2.0)
         assert np.array_equal(np.atleast_1d(md.w), np.zeros(3))
 
     def test_zero_gradient_keeps_origin(self):
-        md = MirrorDescentLearner(2, epsilon=1.0, initial_hint=1.0, p=1.0)
+        md = MirrorDescentLearner(2, epsilon=1.0, initial_hint=1.0, p=2.0)
         md.observe(np.zeros(2), 1.0)
         assert np.array_equal(np.atleast_1d(md.w), np.zeros(2))
 
@@ -267,12 +267,12 @@ class TestMirrorDescentLearner:
             assert np.array_equal(np.atleast_1d(md1.w), np.atleast_1d(md2.w))
 
     def test_rejects_oversized_gradient(self):
-        md = MirrorDescentLearner(1, 1.0, 1.0, p=1.0)
+        md = MirrorDescentLearner(1, 1.0, 1.0, p=2.0)
         with pytest.raises(ValueError):
             md.observe(np.array([1.5]), 1.0)
 
     def test_near_overflow_gradient_rejected_without_warning(self):
-        md = MirrorDescentLearner(1, epsilon=1.0, initial_hint=1.0, p=1.0)
+        md = MirrorDescentLearner(1, epsilon=1.0, initial_hint=1.0, p=2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="exceeds the promised hint"):
@@ -283,12 +283,12 @@ class TestMirrorDescentLearner:
         # the wealth scale epsilon / (sqrt(B) ln(B)^2) underflows to 0 and
         # the link takes log(a): a clean error, not a math domain error
         with pytest.raises(ValueError, match="wealth scale underflows"):
-            MirrorDescentLearner(1, epsilon=5e-324, initial_hint=1.0, p=1.0)
+            MirrorDescentLearner(1, epsilon=5e-324, initial_hint=1.0, p=2.0)
 
     def test_wealth_scale_underflow_after_growth_leaves_state_unchanged(self):
         # a = 1e-322 / 30.7 still rounds to one subnormal at B = 16, but
         # not at B = 32 after the first round
-        md = MirrorDescentLearner(1, epsilon=1e-322, initial_hint=1.0, p=1.0)
+        md = MirrorDescentLearner(1, epsilon=1e-322, initial_hint=1.0, p=2.0)
         assert md._wealth_scale(md.B) == 5e-324
         fields = ("t", "N", "B", "C", "h")
         before = [getattr(md, f) for f in fields]
@@ -298,7 +298,7 @@ class TestMirrorDescentLearner:
         assert np.array_equal(np.atleast_1d(md.w), [0.0])
 
     def test_rejects_decreasing_hints(self):
-        md = MirrorDescentLearner(1, 1.0, 2.0, p=1.0)
+        md = MirrorDescentLearner(1, 1.0, 2.0, p=2.0)
         with pytest.raises(ValueError):
             md.observe(np.array([0.5]), 1.0)
 
@@ -420,7 +420,7 @@ def on_arrays(md):
     return md
 
 
-def scalar_pair(epsilon=0.7, hint=1.5, c=0.0, p=1.0):
+def scalar_pair(epsilon=0.7, hint=1.5, c=0.0, p=2.0):
     """The d = 1 learner on floats and the same learner on 1-entry arrays."""
     return (
         MirrorDescentLearner(1, epsilon, hint, c=c, p=p),
@@ -437,7 +437,7 @@ def raised(observe, *args):
 class TestFloatRepresentation:
     """The d = 1 learner on Python floats against the same learner on 1-entry arrays."""
 
-    @pytest.mark.parametrize("c, p", [(0.0, 1.0), (2.0, math.log(2500))],
+    @pytest.mark.parametrize("c, p", [(0.0, 2.0), (2.0, math.log(2500))],
                              ids=["penalty_off", "penalty_p_ln_T"])
     def test_matches_the_vector_learner_bit_for_bit(self, c, p):
         # signed zeros, exact zero duals (g equal to the mirror-map gradient,
@@ -523,7 +523,7 @@ class TestFloatRepresentation:
             return solve(theta_norm, V, h, a, reg)
 
         monkeypatch.setattr(mirror_descent, "link_inverse_solve", counted)
-        fast = MirrorDescentLearner(1, 1.0, 1.5, c=0.0, p=1.0)
+        fast = MirrorDescentLearner(1, 1.0, 1.5, c=0.0, p=2.0)
         for g in (0.5, -0.25, 0.0):
             fast.observe(g, 1.5)
         assert calls == [0.0, 0.0, 0.0]
@@ -536,12 +536,12 @@ def test_constructor_rejects_non_positive_or_non_finite(cls, field, bad):
     kw = {"epsilon": 1.0, "initial_hint": 1.0, field: bad}
     name = "wealth scale epsilon" if field == "epsilon" else "initial hint"
     with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
-        MirrorDescentLearner(2 if cls == "vector" else 1, p=1.0, **kw)
+        MirrorDescentLearner(2 if cls == "vector" else 1, p=2.0, **kw)
 
 
 @pytest.mark.parametrize("setting, stem", [
-    ({"p": math.nan}, "power p must be at least 1"),
-    ({"p": math.inf}, "power p must be at least 1"),
+    ({"p": math.nan}, "power p must be above 1"),
+    ({"p": math.inf}, "power p must be above 1"),
     ({"alpha": math.inf}, "offset alpha must be positive"),
     ({"c": math.inf}, "scale c must be nonnegative"),
     ({"c": math.nan}, "scale c must be nonnegative"),
