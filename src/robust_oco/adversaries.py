@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import FLOAT, check_positive
 
+Vector = np.ndarray | float  # a dim-vector in the package's form: a float at dim = 1
 ADVERSARY_KINDS = (
     "sign_flip_window",
     "lb_theorem2",
@@ -63,10 +64,10 @@ class Adversary(ABC):
     lipschitz_bound: float = 1.0
 
     @abstractmethod
-    def round(self, t: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (g_true, g_observed) for round t (1-indexed)."""
+    def round(self, t: int, w: Vector) -> tuple[Vector, Vector]:
+        """Return (g_true, g_observed) for round t (1-indexed), in the form of w."""
 
-    def loss_gap(self, w: np.ndarray, u: np.ndarray) -> float:
+    def loss_gap(self, w: Vector, u: Vector) -> float:
         """Per-round loss difference l(w) - l(u); 0.0 for a stream without a loss."""
         return 0.0
 
@@ -87,12 +88,12 @@ class SignFlipAdversary(Adversary):
         self.lipschitz_bound = 1.0
 
     def round(self, t, w):
-        g = np.array([1.0 if float(w[0]) > 1.0 else -1.0])
+        g = 1.0 if w > 1.0 else -1.0
         corrupted = self.k > 0 and self.window_start <= t < self.window_start + self.k
         return g, (-g if corrupted else g)
 
     def loss_gap(self, w, u):
-        return abs(float(w[0]) - 1.0) - abs(float(u[0]) - 1.0)
+        return abs(w - 1.0) - abs(u - 1.0)
 
 
 class IIDRandomAdversary(Adversary):
@@ -106,7 +107,7 @@ class IIDRandomAdversary(Adversary):
         radii = G * rng.uniform(0.0, 1.0, size=(T, 1))
         directions /= norms  # in place: no second (T, dim) array at large d
         directions *= radii
-        self._g = directions
+        self._g = _stream(directions)
         self.budget = 0
         self.lipschitz_bound = G
 
@@ -133,9 +134,10 @@ class LBTheorem2Adversary(Adversary):
         z = np.concatenate([np.full(k, tail_sign), z_tail.astype(np.float64)])
         q = np.zeros(dim)
         q[0] = 1.0
-        self._g = z[:, None] * q[None, :]
-        self._g_tilde = self._g.copy()
-        self._g_tilde[:k] = 0.0
+        g = z[:, None] * q[None, :]
+        g_tilde = g.copy()
+        g_tilde[:k] = 0.0
+        self._g, self._g_tilde = _stream(g), _stream(g_tilde)
         self.comparator = -D * tail_sign * q
         self.budget = k
         self.lipschitz_bound = 1.0
@@ -162,9 +164,10 @@ class LBOriginAdversary(Adversary):
             raise ValueError("budget k cannot exceed the horizon")
         e1 = np.zeros(dim)
         e1[0] = 1.0
-        self._g_tilde = np.tile(e1, (T, 1))
-        self._g = self._g_tilde.copy()
-        self._g[T - k:] -= e1  # unit comparator direction equals e1
+        g_tilde = np.tile(e1, (T, 1))
+        g = g_tilde.copy()
+        g[T - k:] -= e1  # unit comparator direction equals e1
+        self._g, self._g_tilde = _stream(g), _stream(g_tilde)
         self.comparator = 2.0 * epsilon * math.exp(T) * e1
         self.budget = k
         self.lipschitz_bound = 1.0
@@ -191,6 +194,7 @@ class DROReweightAdversary(Adversary):
             weights[:] = 1.0 / T - k / (T * (T - k))
             weights[boosted] = 2.0 / T
         self.weights = weights
+        self._scale = (weights * T).tolist()  # p_t / q_t, one float per round
         self._base = base
         self.budget = 2 * k
         self.lipschitz_bound = base.lipschitz_bound
@@ -198,10 +202,15 @@ class DROReweightAdversary(Adversary):
 
     def round(self, t, w):
         g, _ = self._base.round(t, w)
-        return g, (self.weights[t - 1] * len(self.weights)) * g
+        return g, self._scale[t - 1] * g
 
     def loss_gap(self, w, u):
         return self._base.loss_gap(w, u)
+
+
+def _stream(g: np.ndarray) -> np.ndarray | list[float]:
+    """A (T, dim) stream in the package's form: at dim = 1 its column's floats, bit for bit."""
+    return g[:, 0].tolist() if g.shape[1] == 1 else g
 
 
 def make_adversary(spec: AdversarySpec, seed: int | None = None) -> Adversary:
@@ -210,6 +219,8 @@ def make_adversary(spec: AdversarySpec, seed: int | None = None) -> Adversary:
     if spec.kind == "sign_flip_window":
         if spec.D != 1.0:  # the stream is |w - 1|; D would be silently ignored
             raise ValueError(f"sign_flip_window is centred at 1: D must be 1, got {spec.D}")
+        if spec.dim != 1:
+            raise ValueError(f"sign_flip_window is one-dimensional: got dim {spec.dim}")
         return SignFlipAdversary(spec.T, spec.k, spec.window_start)
     if spec.kind == "lb_theorem2":
         return LBTheorem2Adversary(spec.T, spec.k, spec.D, s, spec.dim)

@@ -14,10 +14,10 @@ Inside the package a d = 1 vector is a Python float, not a 1-entry array:
 kernels(dim) is the one place that picks the representation, FLOAT or
 ARRAY, each with the same coerce, norm, dot and clip. The float kernels
 give the bits the 1-entry array gave, so a learner, the filter's clip and
-the protocol's ledgers run one code path on either. Arrays remain where the
-package meets its caller: gradients are coerced from them once per round,
-a player's predict() builds one, and the runner, the adversaries and
-CorruptionLedger see arrays only.
+the protocol's ledgers run one code path on either, and so do the run
+loop, the adversaries and CorruptionLedger. Arrays remain where the package
+meets an outside caller: a player's round() coerces them once, and its
+predict() builds one.
 """
 
 from __future__ import annotations
@@ -196,11 +196,8 @@ def _clip_float(g: float, h: float, g_norm: float) -> float:
 
 # The per-round kernels of one representation. squared_norm is the BLAS sum
 # of squares a caller's v @ v gives; same_shape(u, a, b, c) checks that a
-# round's vectors match the comparator u; array(v) is v as the caller's
-# float64 array.
-Kernels = namedtuple(
-    "Kernels", "coerce zeros norm dot squared_norm clip same_shape array"
-)
+# round's vectors match the comparator u.
+Kernels = namedtuple("Kernels", "coerce zeros norm dot squared_norm clip same_shape")
 
 # float64 arrays: the form above d = 1, and of any array a caller hands a
 # ledger; norm and clip look the module functions up per call, so a tracer
@@ -213,13 +210,12 @@ ARRAY = Kernels(
     squared_norm=lambda v: float(np.vdot(v, v)),
     clip=lambda g, h, g_norm: clip_gradient(g, h, g_norm),
     same_shape=lambda u, a, b, c: a.shape == u.shape == b.shape == c.shape,
-    array=lambda v: v,
 )
 
 # Python floats, the d = 1 representation, with the bits the 1-entry array
 # gave: hypot of one entry is abs, sum() from int 0 turned a -0.0 product
 # into 0.0 as adding 0.0 does, np.vdot of one entry is x * x, and the clip
-# steps with math.nextafter; array(x) builds a new 1-entry array
+# steps with math.nextafter
 FLOAT = Kernels(
     coerce=_coerce_float,
     zeros=lambda dim: 0.0,
@@ -228,7 +224,6 @@ FLOAT = Kernels(
     squared_norm=lambda x: x * x,
     clip=_clip_float,
     same_shape=lambda u, a, b, c: True,
-    array=lambda x: np.array([x]),
 )
 
 
@@ -264,21 +259,26 @@ class CorruptionLedger:
         if self.lipschitz_G <= 0:
             raise ValueError("lipschitz_G must be positive")
 
-    def update(self, g_true: np.ndarray, g_tilde: np.ndarray) -> bool:
+    def update(self, g_true: np.ndarray | float, g_tilde: np.ndarray | float) -> bool:
         """Account one round; return True when it was corrupted (g_tilde != g_true).
 
         Equality is entrywise float equality (-0.0 equals 0.0, NaN equals
-        nothing) of equal 1-d shapes, as np.array_equal. The deviation is
-        the norm of the entrywise difference, where an equal entry, an equal
-        pair of infinities included, contributes 0; it is inf (a big round,
-        adding G) when an unequal entry is NaN or Inf or a difference
-        overflows. Above SMALL_DIM a finite inner product of the pair proves
-        every entry finite and every difference within float range, so the
-        pair is subtracted once and a zero deviation means equal. Any other
-        pair is compared, and its differences taken, in Python floats, which
-        never warn.
+        nothing) of equal 1-d shapes, as np.array_equal; a float pair is a
+        pair of 1-entry arrays. The deviation is the norm of the entrywise
+        difference, where an equal entry, an equal pair of infinities
+        included, contributes 0; it is inf (a big round, adding G) when an
+        unequal entry is NaN or Inf or a difference overflows. Above
+        SMALL_DIM a finite inner product of the pair proves every entry
+        finite and every difference within float range, so the pair is
+        subtracted once and a zero deviation means equal. Any other pair is
+        compared, and its differences taken, in Python floats, which never
+        warn.
         """
-        if (
+        if type(g_true) is float:
+            if g_true == g_tilde:
+                return False
+            dev = abs(g_true - g_tilde)
+        elif (
             g_true.size > SMALL_DIM and g_true.shape == g_tilde.shape
             and math.isfinite(float(np.vdot(g_true, g_tilde)))
         ):
@@ -291,8 +291,8 @@ class CorruptionLedger:
                 return False
             diff = [x - y if x != y else 0.0 for x, y in zip(true, tilde, strict=True)]
             dev = norm(np.array(diff))
-            if math.isnan(dev):  # a NaN entry, and no Inf difference
-                dev = math.inf
+        if math.isnan(dev):  # a NaN entry, and no Inf difference
+            dev = math.inf
         self.count_corrupted += 1
         if dev >= self.lipschitz_G:
             self.big_rounds += 1

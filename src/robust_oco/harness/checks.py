@@ -470,8 +470,7 @@ def check_decomposition_identity(configs: int = 50, seed: int = 99) -> CheckRepo
         protocol = RobustProtocol(proto, comparator=comparator)
         gap = 0.0
         for t in range(1, T + 1):
-            w = protocol.predict()
-            g, g_tilde = adversary.round(t, w)
+            g, g_tilde = adversary.round(t, protocol.w)
             protocol.round(g_tilde, g_true=g)
             gap = max(gap, protocol.decomposition_gap())
         worst = max(worst, gap)

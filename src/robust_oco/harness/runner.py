@@ -89,7 +89,7 @@ class KTPlayer(KTBettor):
     runs on floats: the comparator is coerced once, when built, and a round
     coerces its gradients, runs the bettor's checks, then the regret
     ledger's update, and moves the bettor last: a round that raises changes
-    neither. predict() builds the caller's 1-entry array from the float.
+    neither. predict() builds the caller's 1-entry array from the float w.
     """
 
     def __init__(self, epsilon: float, comparator: np.ndarray):
@@ -115,7 +115,7 @@ class KTPlayer(KTBettor):
 
 
 def make_player(config: ExperimentConfig, comparator: np.ndarray):
-    """The configured algorithm, as a player with predict() and round()."""
+    """The configured algorithm, as a player with w, predict() and round()."""
     if config.algorithm == "kt_bettor":
         if config.adversary.dim != 1:
             raise ValueError("the KT baseline is one-dimensional")
@@ -137,6 +137,7 @@ def run_experiment(
     budget = CorruptionLedger(lipschitz_G=adversary.lipschitz_bound)
     player = make_player(config, comparator)
     regret = player.regret
+    u = regret.comparator  # the comparator in the player's form
 
     columns = trace_columns(dim)
     rows: list[list] = []
@@ -144,12 +145,12 @@ def run_experiment(
     started = time.perf_counter()
     try:
         for t in range(1, T + 1):
-            w = player.predict()
+            w = player.w
             g_true, g_tilde = adversary.round(t, w)
             corrupted = budget.update(g_true, g_tilde)
             rec = player.round(g_tilde, g_true=g_true)
-            loss_regret += adversary.loss_gap(w, comparator)
-            point = w.tolist() if dim <= 3 else [rec.w_norm]
+            loss_regret += adversary.loss_gap(w, u)
+            point = [w] if dim == 1 else w.tolist() if dim <= 3 else [rec.w_norm]
             rows.append([
                 t, *point, *rec[1:], int(corrupted),
                 regret.true_regret_linear, regret.observed_regret_linear,

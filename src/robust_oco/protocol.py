@@ -10,10 +10,10 @@ refuses the gradient bound in the unknown-bound modes, and applies the
 standard parameter presets of both wirings as it builds its parts, among
 them the penalty exponent p = ln T.
 
-Vectors meet the protocol as float64 arrays: round() coerces each gradient
-once into the learner's form (core.kernels(dim): a float at d = 1), and
-predict() returns an array. Everything between, the clip, the learner and
-the ledgers, runs on that form.
+The protocol runs on the learner's form (core.kernels(dim): a float at
+d = 1): the clip, the learner and the ledgers, and w, the played point
+that the runner reads. An outside caller meets float64 arrays: round()
+coerces each gradient once into that form, and predict() returns an array.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    RegretLedger, as_vector, check_positive, ensure_finite, kernels, kernels_of,
+    NonFiniteError, RegretLedger, as_vector, check_positive, ensure_finite, kernels,
+    kernels_of,
 )
 from .epigraph import EpigraphLearner, QuadWeights
 from .mirror_descent import MirrorDescentLearner
@@ -68,6 +69,8 @@ class DecompositionLedger:
     composite_term: float = 0.0
     bias_reg_sum: float = 0.0
     _bias_grad_accum: np.ndarray | float = field(init=False)
+    # the rounds' |g_true| + |g_clipped|, summed: a bound on each accumulator entry
+    _bias_grad_bound: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         self._bias_grad_accum = kernels_of(self.comparator).zeros(np.size(self.comparator))
@@ -160,6 +163,11 @@ class RobustProtocol:
         self.decomposition = DecompositionLedger(comparator=self.comparator)
         self.t = 0
 
+    @property
+    def w(self) -> np.ndarray | float:
+        """The iterate to play this round in the learner's form: a float at d = 1."""
+        return self.learner.w
+
     def predict(self) -> np.ndarray:
         """The iterate to play this round, as a float64 array; the origin before the first round.
 
@@ -168,7 +176,7 @@ class RobustProtocol:
         one, and callers must not write into it either. At d = 1 each call
         builds a new 1-entry array from the learner's float.
         """
-        return self.kernels.array(self.learner.w)
+        return np.atleast_1d(self.learner.w)
 
     def round(self, g_tilde, g_true=None) -> RoundRecord:
         """Play one round against the observed gradient.
@@ -207,7 +215,8 @@ class RobustProtocol:
             self.tracker.commit(z_next, tracker_doubled)
         self.t += 1
 
-        self._update_ledgers(w, w_norm, g_tilde, g_clipped, a_t, g_true)
+        self._update_ledgers(w, w_norm, g_tilde, g_clipped, a_t, g_true, g_norm,
+                             g_clipped_norm)
         # a finite norm proves the new iterate finite; it is next round's w_norm
         self._w_norm = k.norm(self.learner.w)
         if not math.isfinite(self._w_norm):
@@ -218,15 +227,34 @@ class RobustProtocol:
             h=h_t, z=z_next, alpha=alpha_t, beta=beta_t,
         )
 
-    def _update_ledgers(self, w, w_norm, g_tilde, g_clipped, a_t, g_true) -> None:
-        """Account the round in the ledgers; every vector is in the learner's form."""
+    def _update_ledgers(
+        self, w, w_norm, g_tilde, g_clipped, a_t, g_true, g_norm, g_clipped_norm
+    ) -> None:
+        """Account the round in the ledgers; every vector is in the learner's form.
+
+        A decomposition total past float range raises before any ledger moves.
+        """
         dot = self.kernels.dot
+        d = self.decomposition
+        if g_true is not None:
+            # the norms that built the accumulator bound each entry of dg and
+            # of the new accumulator: far inside float range, no sum overflows
+            bound = d._bias_grad_bound + g_norm + g_clipped_norm
+            if bound < 2.0**1023:
+                dg = g_true - g_clipped
+                accum = d._bias_grad_accum + dg
+            else:  # an array's sums may overflow here, which must not warn
+                with np.errstate(over="ignore"):
+                    dg = g_true - g_clipped
+                    accum = d._bias_grad_accum + dg
+            error = d.error_term + dot(dg, w)
+            if not (math.isfinite(error) and (bound < 2.0**1023 or np.isfinite(accum).all())):
+                raise NonFiniteError("non-finite value in decomposition ledger")
         u_norm = self._comparator_norm
         self._ledger_reg.advance(w_norm)
         r_w = self._ledger_reg.evaluate(w_norm) + a_t * w_norm * w_norm
         r_u = self._ledger_reg.evaluate(u_norm) + a_t * u_norm * u_norm
 
-        d = self.decomposition
         diff = w - self.comparator
         if g_true is None:
             composite = dot(g_clipped, diff)
@@ -235,9 +263,7 @@ class RobustProtocol:
             # a pass round fed the learner g_tilde itself, so the regret
             # ledger's observed increment is the composite term's product
             composite = observed if g_clipped is g_tilde else dot(g_clipped, diff)
-            dg = g_true - g_clipped
-            d.error_term += dot(dg, w)
-            d._bias_grad_accum += dg
+            d.error_term, d._bias_grad_accum, d._bias_grad_bound = error, accum, bound
         d.composite_term += composite + r_w - r_u
         d.correction_term += r_w
         d.bias_reg_sum += r_u

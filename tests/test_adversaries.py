@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from robust_oco.adversaries import (
+    ADVERSARY_KINDS,
     AdversarySpec,
     DROReweightAdversary,
     IIDRandomAdversary,
@@ -20,7 +21,7 @@ from robust_oco.harness.checks import random_sign_expectation
 def replay_budget(adversary, T, dim=1, w_source=None):
     led = CorruptionLedger(lipschitz_G=adversary.lipschitz_bound)
     count = 0
-    w = np.zeros(dim)
+    w = 0.0 if dim == 1 else np.zeros(dim)  # a d = 1 stream trades floats
     for t in range(1, T + 1):
         g, g_tilde = adversary.round(t, w)
         led.update(g, g_tilde)
@@ -30,32 +31,41 @@ def replay_budget(adversary, T, dim=1, w_source=None):
     return led, count
 
 
+@pytest.mark.parametrize("kind", ADVERSARY_KINDS)
+def test_a_d1_stream_trades_floats(kind):
+    # the run loop passes the played float and gets the gradients as floats
+    adversary = make_adversary(AdversarySpec(kind=kind, T=20, k=4, window_start=5), seed=2)
+    for t in range(1, 21):
+        pair = adversary.round(t, 0.5)
+        assert (type(pair[0]), type(pair[1])) == (float, float)
+    assert type(adversary.loss_gap(0.5, 1.0)) is float
+
+
 class TestSignFlip:
     def test_exact_window(self):
         adv = SignFlipAdversary(T=400, k=20, window_start=300)
         corrupted = []
         for t in range(1, 401):
-            g, g_tilde = adv.round(t, np.array([0.5]))
-            if not np.array_equal(g, g_tilde):
+            g, g_tilde = adv.round(t, 0.5)
+            if g != g_tilde:
                 corrupted.append(t)
-            assert norm(g_tilde) == 1.0
+            assert abs(g_tilde) == 1.0
         assert corrupted == list(range(300, 320))
 
     def test_zero_budget_streams_identical(self):
         adv = SignFlipAdversary(T=50, k=0, window_start=10)
         for t in range(1, 51):
-            g, g_tilde = adv.round(t, np.array([2.0]))
-            assert np.array_equal(g, g_tilde)
+            g, g_tilde = adv.round(t, 2.0)
+            assert g == g_tilde
 
     def test_subgradient_convention_at_kink(self):
         adv = SignFlipAdversary(T=10, k=0, window_start=1)
-        g, _ = adv.round(1, np.array([1.0]))
-        assert g[0] == -1.0
+        g, _ = adv.round(1, 1.0)
+        assert g == -1.0
 
     def test_loss_gap_matches_absolute_loss(self):
         adv = SignFlipAdversary(T=10, k=0, window_start=1)
-        w, u = np.array([3.0]), np.array([1.0])
-        assert adv.loss_gap(w, u) == abs(3.0 - 1.0) - 0.0
+        assert adv.loss_gap(3.0, 1.0) == abs(3.0 - 1.0) - 0.0
 
     @pytest.mark.parametrize("D", [-3.0, 0.0, 100.0])
     def test_offset_other_than_one_rejected(self, D):
@@ -65,6 +75,12 @@ class TestSignFlip:
             make_adversary(spec)
         spec.D = 1.0
         assert np.array_equal(make_adversary(spec).comparator, [1.0])
+
+    def test_dimension_other_than_one_rejected(self):
+        # the float stream used to reach its first round, which failed there
+        spec = AdversarySpec(kind="sign_flip_window", T=12, k=3, window_start=5, dim=3)
+        with pytest.raises(ValueError, match="^sign_flip_window is one-dimensional: got dim 3"):
+            make_adversary(spec)
 
 
 class TestLBTheorem2:
@@ -77,9 +93,9 @@ class TestLBTheorem2:
         for seed in range(20):
             adv = LBTheorem2Adversary(T=32, k=5, D=2.5, seed=seed)
             for t in range(1, 6):
-                g, g_tilde = adv.round(t, np.zeros(1))
-                assert np.array_equal(g_tilde, np.zeros(1))
-                assert math.isclose(float(g @ adv.comparator), -2.5)
+                g, g_tilde = adv.round(t, 0.0)
+                assert g_tilde == 0.0
+                assert math.isclose(float(g * adv.comparator[0]), -2.5)
 
     def test_monte_carlo_mean_matches_enumeration_oracle(self):
         # seed-mean of sum_t <g_t, -u*> should approach D*(k + E|S_{T-k}|)
@@ -88,7 +104,7 @@ class TestLBTheorem2:
         for s in range(seeds):
             adv = LBTheorem2Adversary(T=T, k=k, D=D, seed=s)
             total += sum(
-                -float(adv.round(t, np.zeros(1))[0] @ adv.comparator)
+                -float(adv.round(t, 0.0)[0] * adv.comparator[0])
                 for t in range(1, T + 1)
             )
         mc_mean = total / seeds
@@ -134,15 +150,15 @@ class TestLBOrigin:
     def test_zero_budget_identical(self):
         adv = LBOriginAdversary(T=10, k=0, epsilon=1.0)
         for t in range(1, 11):
-            g, g_tilde = adv.round(t, np.zeros(1))
-            assert np.array_equal(g, g_tilde)
+            g, g_tilde = adv.round(t, 0.0)
+            assert g == g_tilde
 
     def test_corrupted_round_gradient_vanishes(self):
         adv = LBOriginAdversary(T=10, k=3, epsilon=1.0)
         for t in (8, 9, 10):
-            g, g_tilde = adv.round(t, np.zeros(1))
-            assert norm(g) == 0.0
-            assert np.array_equal(g_tilde, [1.0])
+            g, g_tilde = adv.round(t, 0.0)
+            assert abs(g) == 0.0
+            assert g_tilde == 1.0
 
     def test_comparator_magnitude(self):
         adv = LBOriginAdversary(T=5, k=1, epsilon=1.0)
@@ -164,7 +180,8 @@ class TestIIDRandom:
             norms[norms == 0.0] = 1.0
             radii = 2.0 * rng.uniform(0.0, 1.0, size=(50, 1))
             expected = directions / norms * radii
-            assert np.array_equal(adv._g, expected)
+            # at dim = 1 the stream is kept as the column's floats
+            assert np.array_equal(np.reshape(adv._g, (50, dim)), expected)
 
 
 class TestDROReweight:
@@ -172,7 +189,7 @@ class TestDROReweight:
         base = IIDRandomAdversary(T=40, G=1.0, seed=5)
         adv = DROReweightAdversary(T=40, k=0, seed=5, base=base)
         for t in range(1, 41):
-            g, g_tilde = adv.round(t, np.zeros(1))
+            g, g_tilde = adv.round(t, 0.0)
             assert np.allclose(g, g_tilde)
 
     def test_total_variation_budget_exact(self):
@@ -216,7 +233,7 @@ class TestBudgetReplay:
             led, _ = replay_budget(
                 adv, spec.T,
                 dim=spec.dim,
-                w_source=lambda t, g: np.array([0.5]),
+                w_source=lambda t, g: 0.5,
             )
             assert led.big_rounds <= adv.budget
             assert led.deviation_sum / adv.lipschitz_bound <= adv.budget + 1e-9

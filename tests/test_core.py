@@ -405,7 +405,33 @@ def rule_deviation(g_true, g_tilde) -> float:
     return norm(diff)
 
 
+# the d = 1 pair's hostile entries, beside any float st.floats() draws
+FLOAT_PAIR_POOL = [0.0, -0.0, math.nan, math.inf, -math.inf, TINY, -TINY,
+                   2.0**-1022, 1.7e308, -1.7e308, 1.5]
+float_entries = st.one_of(st.sampled_from(FLOAT_PAIR_POOL), st.floats())
+
+
 class TestCorruptionLedgerDefinition:
+    @given(data=st.data(), G=st.sampled_from([TINY, 1.0, 3.0, 1.7e308]))
+    @settings(max_examples=300, deadline=None)
+    def test_float_pair_follows_the_one_entry_array_rule(self, data, G):
+        # the d = 1 run loop hands the ledger floats: each pair must count
+        # as the same pair of 1-entry arrays does, to the bit
+        g_true = data.draw(float_entries)
+        g_tilde = data.draw(st.one_of(
+            st.just(g_true), st.just(-g_true), float_entries,
+            st.sampled_from([math.nextafter(g_true, 0.0), math.nextafter(g_true, math.inf)]),
+        ))
+        of_floats, of_arrays = CorruptionLedger(lipschitz_G=G), CorruptionLedger(lipschitz_G=G)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            corrupted = of_floats.update(g_true, g_tilde)
+            assert corrupted is of_arrays.update(np.array([g_true]), np.array([g_tilde]))
+        assert (of_floats.count_corrupted, of_floats.big_rounds) == (
+            of_arrays.count_corrupted, of_arrays.big_rounds
+        )
+        assert repr(of_floats.deviation_sum) == repr(of_arrays.deviation_sum)
+
     @pytest.mark.parametrize("d", [2, SMALL_DIM + 1, 256])
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from robust_oco import mirror_descent
+from robust_oco.harness import runner
 
-from robust_oco.adversaries import AdversarySpec, make_adversary
-from robust_oco.core import norm
+from robust_oco.adversaries import (
+    ADVERSARY_KINDS, AdversarySpec, SignFlipAdversary, make_adversary,
+)
+from robust_oco.core import CorruptionLedger, NonFiniteError, kernels
 from robust_oco.harness.checks import CHECKS, run_check
 from robust_oco.harness.cli import main
 from robust_oco.harness.config import (
@@ -31,7 +34,7 @@ from robust_oco.harness.runner import (
     trace_columns,
 )
 from robust_oco.mirror_descent import SolverError
-from robust_oco.protocol import ProtocolConfig
+from robust_oco.protocol import ProtocolConfig, RobustProtocol
 
 DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -105,6 +108,53 @@ def kt_reweight_config():
         protocol=ProtocolConfig(mode="known_g", T=200, k=20),
         comparator=(1.0,),
     )
+
+
+def d1_config(kind, algorithm):
+    """A d = 1 cell of any kind for any player, KT included: |g~| <= 1.
+
+    The reweighted stream's observed gradients stay within twice G = 0.5.
+    """
+    mode = protocol_mode(algorithm)
+    T = 20 if kind == "lb_origin" else 60  # lb_origin's horizon cap is 30
+    spec = AdversarySpec(kind=kind, T=T, k=4, window_start=30, G=0.5)
+    return ExperimentConfig(
+        algorithm=algorithm, adversary=spec,
+        protocol=ProtocolConfig(mode=mode, T=T, k=8, tau_G=0.25,
+                                G=1.0 if mode == "known_g" else None),
+        comparator=(0.5,) if kind in ("iid_random", "dro_reweight") else "adversary",
+    )
+
+
+def array_loop(config, seed):
+    """run_experiment's d = 1 rows and summary from an outside caller's loop.
+
+    A fresh player is driven through predict() and 1-entry arrays built
+    from the adversary's floats; the summary leaves out the wall time.
+    """
+    adversary = make_adversary(config.adversary, seed=seed)
+    comparator = resolve_comparator(config, adversary)
+    player = make_player(config, comparator)
+    budget = CorruptionLedger(lipschitz_G=adversary.lipschitz_bound)
+    regret, d = player.regret, player.decomposition
+    rows, loss_regret = [], 0.0
+    for t in range(1, config.adversary.T + 1):
+        w = player.predict()
+        g_true, g_tilde = (np.array([g]) for g in adversary.round(t, float(w[0])))
+        corrupted = budget.update(g_true, g_tilde)
+        rec = player.round(g_tilde, g_true=g_true)
+        loss_regret += adversary.loss_gap(float(w[0]), float(comparator[0]))
+        rows.append([t, *w.tolist(), *rec[1:], int(corrupted),
+                     regret.true_regret_linear, regret.observed_regret_linear])
+    summary = {
+        "final_true_regret": regret.true_regret_linear,
+        "final_observed_regret": regret.observed_regret_linear,
+        "loss_regret": loss_regret, "error_term": d.error_term,
+        "correction_term": d.correction_term, "bias_term": d.bias_term,
+        "composite_term": d.composite_term, "count_corrupted": budget.count_corrupted,
+        "big_rounds": budget.big_rounds, "deviation_sum": budget.deviation_sum,
+    }
+    return rows, summary
 
 
 def assert_golden(tmp_path, config, seed, golden):
@@ -331,12 +381,13 @@ class TestRunExperiment:
             )
         adversary = make_adversary(config.adversary, seed=1)
         player = make_player(config, resolve_comparator(config, adversary))
+        vector_norm = kernels(dim).norm  # abs for the d = 1 floats
         for t in range(1, config.adversary.T + 1):
-            w = player.predict()
+            w = player.w
             g_true, g_tilde = adversary.round(t, w)
             rec = player.round(g_tilde, g_true=g_true)
             assert (rec.w_norm, rec.g_norm, rec.g_tilde_norm) == (
-                norm(w), norm(g_true), norm(g_tilde)
+                vector_norm(w), vector_norm(g_true), vector_norm(g_tilde)
             )
 
     def test_schema_stability(self):
@@ -368,10 +419,9 @@ class TestRunExperiment:
         config = figure_config(algorithm, T=80, k=6, start=20, comparator=(1.5,))
         trace = run_experiment(config, seed=0)
         adversary = make_adversary(config.adversary, seed=0)
-        u = np.array([1.5])
         total = 0.0
         for row in trace.rows:  # the played point is the w1 column
-            total += float(adversary.loss_gap(np.array([row[1]]), u))
+            total += adversary.loss_gap(row[1], 1.5)
         assert np.float64(trace.summary["loss_regret"]).tobytes() == np.float64(total).tobytes()
         assert total != 0.0
 
@@ -398,6 +448,58 @@ class TestRunExperiment:
                 regret = run_experiment(cfg, seed=seed).summary["final_true_regret"]
                 envelope = pinned_C * math.sqrt(T) * (1 + math.log(1 + T)) ** 2
                 assert regret <= envelope
+
+
+class TestFloatRunLoop:
+    """At d = 1 the run loop trades Python floats, not 1-entry arrays."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("kind", ADVERSARY_KINDS)  # every kind runs at d = 1
+    def test_rows_and_summary_match_the_array_loop_bit_for_bit(self, kind, algorithm):
+        config = d1_config(kind, algorithm)
+        trace = run_experiment(config, seed=3)
+        rows, summary = array_loop(config, seed=3)
+        assert repr(trace.rows) == repr(rows)
+        assert repr({key: trace.summary[key] for key in summary}) == repr(summary)
+
+    @pytest.mark.parametrize(
+        "algorithm, dim",
+        [(algorithm, 1) for algorithm in ALGORITHMS]
+        + [(algorithm, 3) for algorithm in ALGORITHMS if algorithm != "kt_bettor"],
+    )
+    def test_loop_never_calls_predict(self, monkeypatch, algorithm, dim):
+        # predict() is where a player builds the outside caller's array
+        def refuse(self):
+            raise AssertionError("the run loop called predict()")
+
+        monkeypatch.setattr(RobustProtocol, "predict", refuse)
+        monkeypatch.setattr(KTPlayer, "predict", refuse)
+        mode = protocol_mode(algorithm)
+        config = ExperimentConfig(
+            algorithm=algorithm,
+            adversary=AdversarySpec(kind="dro_reweight", T=40, k=4, seed=1, dim=dim, G=0.5),
+            protocol=ProtocolConfig(mode=mode, T=40, k=8, tau_G=0.25, dim=dim,
+                                    G=1.0 if mode == "known_g" else None),
+            comparator=(0.5,) * dim,
+        )
+        assert len(run_experiment(config, seed=1).rows) == 40
+
+    def test_overflowing_decomposition_ledger_aborts_the_run(self, monkeypatch):
+        # the protocol's overflowing bias accumulator, met in a run: round 2
+        # of g~ = -1 against g = 1.5e308
+        class Overflowing(SignFlipAdversary):
+            def round(self, t, w):
+                return 1.5e308, -1.0
+
+        monkeypatch.setattr(
+            runner, "make_adversary", lambda spec, seed=None: Overflowing(spec.T, 0, 1)
+        )
+        with pytest.raises(
+            NonFiniteError,
+            match="^run aborted at round 2: non-finite value in decomposition ledger",
+        ) as info:
+            run_experiment(figure_config(T=100, k=2, comparator=(0.0,)), seed=0)
+        assert info.value.aborted_at_round == 2
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -309,6 +310,34 @@ class TestHostileInputContract:
         with pytest.raises(NonFiniteError, match="regret ledger"):
             protocol.round(sign * np.full(2, 1.7e308), g_true=g_true)
         assert (ledger.true_regret_linear, ledger.observed_regret_linear) == before
+
+    @pytest.mark.parametrize("dim, u", [(1, 0.0), (1, 1e-3), (3, 0.0)])
+    def test_overflowing_bias_accumulator_raises_before_any_ledger_moves(self, dim, u):
+        # two rounds of g~ = -1 against g = 1.5e308 overflow the bias
+        # gradient accumulator: at d = 1 bias_term and decomposition_gap()
+        # used to read NaN (u = 0) or -inf and inf (u = 1e-3) without a
+        # raise, and at d = 3 the in-place sum warned of the overflow
+        cfg = ProtocolConfig(mode="known_g", T=100, k=2, G=1.0, dim=dim)
+        protocol = RobustProtocol(cfg, comparator=np.full(dim, u))
+        g_tilde, g_true = np.zeros(dim), np.zeros(dim)
+        g_tilde[0], g_true[0] = -1.0, 1.5e308
+        protocol.round(g_tilde, g_true=g_true)
+        ledger, d = protocol.regret, protocol.decomposition
+
+        def totals():
+            return repr((ledger.true_regret_linear, ledger.observed_regret_linear,
+                         d.error_term, d.correction_term, d.composite_term,
+                         d.bias_reg_sum, d.bias_term))
+
+        before = totals()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                NonFiniteError, match="^non-finite value in decomposition ledger"
+            ):
+                protocol.round(g_tilde, g_true=g_true)
+        assert totals() == before
+        assert math.isfinite(d.bias_term) and math.isfinite(protocol.decomposition_gap())
 
 
 class TestStochasticOptimizationEndToEnd:
