@@ -323,11 +323,8 @@ class RegretLedger:
         diff: np.ndarray | float,
         g_true: np.ndarray | float,
         g_observed: np.ndarray | float,
-    ) -> float:
-        """Account one round; diff is the played point minus the comparator.
-
-        Returns the observed increment dot(g_observed, diff).
-        """
+    ) -> None:
+        """Account one round; diff is the played point minus the comparator."""
         k = self._kernels
         if not k.same_shape(self.comparator, diff, g_true, g_observed):
             raise ValueError(
@@ -336,8 +333,7 @@ class RegretLedger:
             )
         # a non-finite increment makes its total non-finite too
         true_total = self.true_regret_linear + k.dot(g_true, diff)
-        observed = k.dot(g_observed, diff)
-        observed_total = self.observed_regret_linear + observed
+        observed_total = self.observed_regret_linear + k.dot(g_observed, diff)
         if not (math.isfinite(true_total) and math.isfinite(observed_total)):
             raise NonFiniteError(
                 f"non-finite value in regret ledger: true {true_total}, "
@@ -345,5 +341,4 @@ class RegretLedger:
             )
         self.true_regret_linear = true_total
         self.observed_regret_linear = observed_total
-        return observed
 

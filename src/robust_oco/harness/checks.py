@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..adversaries import ADVERSARY_KINDS, AdversarySpec, make_adversary
-from ..core import clip_gradient, norm
+from ..core import RegretLedger, clip_gradient, norm
 from ..epigraph import EpigraphPoint, weighted_project
 from ..mirror_descent import link_inverse_solve, link_value
 from ..protocol import ProtocolConfig, RobustProtocol
@@ -468,11 +468,15 @@ def check_decomposition_identity(configs: int = 50, seed: int = 99) -> CheckRepo
         )
         comparator = rng.standard_normal(dim) * 2.0
         protocol = RobustProtocol(proto, comparator=comparator)
+        # the measured regret, kept as the runner keeps it
+        regret = RegretLedger(comparator=protocol.comparator)
         gap = 0.0
         for t in range(1, T + 1):
-            g, g_tilde = adversary.round(t, protocol.w)
+            w = protocol.w
+            g, g_tilde = adversary.round(t, w)
             protocol.round(g_tilde, g_true=g)
-            gap = max(gap, protocol.decomposition_gap())
+            regret.update(w - regret.comparator, g, g_tilde)
+            gap = max(gap, protocol.decomposition.gap(regret.true_regret_linear))
         worst = max(worst, gap)
         if gap > 1e-6:
             failures += 1

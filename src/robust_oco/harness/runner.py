@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from ..adversaries import AdversarySpec, KTBettor, make_adversary
-from ..core import FLOAT, CorruptionLedger, NonFiniteError, RegretLedger
+from ..core import FLOAT, CorruptionLedger, NonFiniteError, RegretLedger, kernels
 from ..mirror_descent import SolverError
-from ..protocol import DecompositionLedger, ProtocolConfig, RobustProtocol, RoundRecord
+from ..protocol import ProtocolConfig, RobustProtocol, RoundRecord
 from .config import COMPARATOR_FROM_ADVERSARY, ExperimentConfig, SweepConfig, protocol_mode
 
 
@@ -84,19 +84,15 @@ def resolve_comparator(config: ExperimentConfig, adversary) -> np.ndarray:
 class KTPlayer(KTBettor):
     """The KT bettor under the protocol's round contract (g_true required).
 
-    It sees the observed gradient unclipped and has no regularizer, so its
-    decomposition ledger is never updated and the four terms stay 0.0. It
-    runs on floats: the comparator is coerced once, when built, and a round
-    coerces its gradients, runs the bettor's checks, then the regret
-    ledger's update, and moves the bettor last: a round that raises changes
-    neither. predict() builds the caller's 1-entry array from the float w.
+    It sees the observed gradient unclipped and has no regularizer, so it
+    has no regret split (decomposition is None) and keeps no ledger: the
+    runner keeps its score. It runs on floats: a round coerces both
+    gradients, runs the bettor's checks, then moves the bettor, so a round
+    that raises changes nothing. predict() builds the caller's 1-entry
+    array from the float w.
     """
 
-    def __init__(self, epsilon: float, comparator: np.ndarray):
-        super().__init__(epsilon)
-        u = FLOAT.coerce(comparator, 1)[0]
-        self.regret = RegretLedger(comparator=u)
-        self.decomposition = DecompositionLedger(comparator=u)
+    decomposition = None
 
     def predict(self) -> np.ndarray:
         return np.array([self.w])
@@ -105,9 +101,7 @@ class KTPlayer(KTBettor):
         w = self.w  # the played scalar; its norm is |w|
         g_tilde, g_tilde_norm = FLOAT.coerce(g_tilde, 1)
         g_true, g_norm = FLOAT.coerce(g_true, 1)
-        state = self.update(g_tilde, g_tilde_norm)
-        self.regret.update(w - self.regret.comparator, g_true, g_tilde)
-        self.commit(state)
+        self.commit(self.update(g_tilde, g_tilde_norm))
         return RoundRecord(
             w_norm=abs(w), g_norm=g_norm, g_tilde_norm=g_tilde_norm,
             g_clipped_norm=g_tilde_norm, h=0.0, z=0.0, alpha=0.0, beta=0.0,
@@ -115,11 +109,11 @@ class KTPlayer(KTBettor):
 
 
 def make_player(config: ExperimentConfig, comparator: np.ndarray):
-    """The configured algorithm, as a player with w, predict() and round()."""
+    """The configured algorithm, as a player with w, predict(), round() and decomposition."""
     if config.algorithm == "kt_bettor":
         if config.adversary.dim != 1:
             raise ValueError("the KT baseline is one-dimensional")
-        return KTPlayer(config.protocol.epsilon, comparator)
+        return KTPlayer(config.protocol.epsilon)
     return RobustProtocol(config.protocol, comparator=comparator)
 
 
@@ -136,8 +130,8 @@ def run_experiment(
     T = config.adversary.T
     budget = CorruptionLedger(lipschitz_G=adversary.lipschitz_bound)
     player = make_player(config, comparator)
-    regret = player.regret
-    u = regret.comparator  # the comparator in the player's form
+    u = kernels(dim).coerce(comparator, dim)[0]  # the comparator in the player's form
+    regret = RegretLedger(comparator=u)  # the score, kept here for every player
 
     columns = trace_columns(dim)
     rows: list[list] = []
@@ -149,6 +143,7 @@ def run_experiment(
             g_true, g_tilde = adversary.round(t, w)
             corrupted = budget.update(g_true, g_tilde)
             rec = player.round(g_tilde, g_true=g_true)
+            regret.update(w - u, g_true, g_tilde)
             loss_regret += adversary.loss_gap(w, u)
             point = [w] if dim == 1 else w.tolist() if dim <= 3 else [rec.w_norm]
             rows.append([
@@ -163,6 +158,7 @@ def run_experiment(
         raise aborted from exc
     wall = time.perf_counter() - started
 
+    d = player.decomposition  # None for KT, whose four terms read 0.0
     summary = {
         "algorithm": config.algorithm,
         "adversary": config.adversary.kind,
@@ -173,10 +169,8 @@ def run_experiment(
         "final_true_regret": regret.true_regret_linear,
         "final_observed_regret": regret.observed_regret_linear,
         "loss_regret": loss_regret,
-        "error_term": player.decomposition.error_term,
-        "correction_term": player.decomposition.correction_term,
-        "bias_term": player.decomposition.bias_term,
-        "composite_term": player.decomposition.composite_term,
+        **{name: 0.0 if d is None else getattr(d, name) for name in (
+            "error_term", "correction_term", "bias_term", "composite_term")},
         "count_corrupted": budget.count_corrupted,
         "big_rounds": budget.big_rounds,
         "deviation_sum": budget.deviation_sum,

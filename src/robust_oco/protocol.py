@@ -1,8 +1,9 @@
 """The general corrupted-feedback protocol: clip, regularize, delegate, account.
 
 A single round clips the observed gradient at the current threshold, feeds it
-to the configured base learner, and updates the regret / decomposition
-ledgers. Two wirings exist: a constant threshold equal to a known gradient
+to the configured base learner, and accounts the round in the decomposition
+ledger; the regret score is the caller's (the runner keeps it for every
+player). Two wirings exist: a constant threshold equal to a known gradient
 bound with the mirror descent learner, and the adaptive filter + tracker +
 epigraph stack when no bound is known; there the filter counts the clips
 and the weights read the tracker's epochs. The protocol validates its config,
@@ -11,7 +12,7 @@ standard parameter presets of both wirings as it builds its parts, among
 them the penalty exponent p = ln T.
 
 The protocol runs on the learner's form (core.kernels(dim): a float at
-d = 1): the clip, the learner and the ledgers, and w, the played point
+d = 1): the clip, the learner and the ledger, and w, the played point
 that the runner reads. An outside caller meets float64 arrays: round()
 coerces each gradient once into that form, and predict() returns an array.
 """
@@ -25,8 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    NonFiniteError, RegretLedger, as_vector, check_positive, ensure_finite, kernels,
-    kernels_of,
+    NonFiniteError, as_vector, check_positive, ensure_finite, kernels, kernels_of,
 )
 from .epigraph import EpigraphLearner, QuadWeights
 from .mirror_descent import MirrorDescentLearner
@@ -58,9 +58,11 @@ class DecompositionLedger:
     """Exact four-way split of the true linear regret.
 
     error - correction + bias + composite reproduces the true regret as an
-    algebraic identity for any regularizer sequence, so the per-round gap is
-    a pure float-rounding diagnostic. The comparator, and with it the
-    gradient accumulator, is a float in the protocol's d = 1 form.
+    algebraic identity for any regularizer sequence, so gap() is a pure
+    float-rounding diagnostic. The comparator, and with it the gradient
+    accumulator, is a float in the protocol's d = 1 form. A round with a
+    true gradient is step() on locals, which raises before anything moves,
+    then commit().
     """
 
     comparator: np.ndarray | float
@@ -73,17 +75,45 @@ class DecompositionLedger:
     _bias_grad_bound: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        self._bias_grad_accum = kernels_of(self.comparator).zeros(np.size(self.comparator))
+        k = kernels_of(self.comparator)
+        self._dot = k.dot
+        self._bias_grad_accum = k.zeros(np.size(self.comparator))
 
     @property
     def bias_term(self) -> float:
         return float(np.vdot(self._bias_grad_accum, -self.comparator)) + self.bias_reg_sum
 
-    def reconstructed_regret(self) -> float:
-        return (
-            self.error_term - self.correction_term
-            + self.bias_term + self.composite_term
-        )
+    def step(self, w, g_true, g_clipped, g_norm: float, g_clipped_norm: float) -> tuple:
+        """The round's (error term, bias accumulator, bound), nothing assigned;
+        a total past float range raises NonFiniteError."""
+        # the norms that built the accumulator bound each entry of dg and
+        # of the new accumulator: far inside float range, no sum overflows
+        bound = self._bias_grad_bound + g_norm + g_clipped_norm
+        if bound < 2.0**1023:
+            dg = g_true - g_clipped
+            accum = self._bias_grad_accum + dg
+        else:  # an array's sums may overflow here, which must not warn
+            with np.errstate(over="ignore"):
+                dg = g_true - g_clipped
+                accum = self._bias_grad_accum + dg
+        error = self.error_term + self._dot(dg, w)
+        if not (math.isfinite(error) and (bound < 2.0**1023 or np.isfinite(accum).all())):
+            raise NonFiniteError("non-finite value in decomposition ledger")
+        return error, accum, bound
+
+    def commit(self, step: tuple | None, composite: float, r_w: float, r_u: float) -> None:
+        """Assign a round: step()'s result (None without a true gradient),
+        the product <g_clipped, w - u>, and the penalty at w and at u."""
+        if step is not None:
+            self.error_term, self._bias_grad_accum, self._bias_grad_bound = step
+        self.composite_term += composite + r_w - r_u
+        self.correction_term += r_w
+        self.bias_reg_sum += r_u
+
+    def gap(self, true_regret: float) -> float:
+        """Relative gap between the split's sum and the measured true regret."""
+        split = self.error_term - self.correction_term + self.bias_term + self.composite_term
+        return abs(split - true_regret) / max(1.0, abs(true_regret))
 
 
 class RoundRecord(NamedTuple):
@@ -159,7 +189,6 @@ class RobustProtocol:
         self.comparator, self._comparator_norm = k.coerce(u, config.dim)
         # the norm of the learner's iterate, kept from the check after each round
         self._w_norm = k.norm(self.learner.w)
-        self.regret = RegretLedger(comparator=self.comparator)
         self.decomposition = DecompositionLedger(comparator=self.comparator)
         self.t = 0
 
@@ -181,12 +210,13 @@ class RobustProtocol:
     def round(self, g_tilde, g_true=None) -> RoundRecord:
         """Play one round against the observed gradient.
 
-        g_true is a simulation-only oracle: when given, the regret ledger and
-        the error/bias sides of the decomposition track the true-gradient
-        quantities. Both gradients are coerced before any state moves, and
-        g_tilde is clipped once, at G or at the filter's threshold. The
-        automata commit, with the round count, only once the learner has
-        committed: a round whose learner raises changes nothing.
+        g_true is a simulation-only oracle: when given, the error and bias
+        sides of the decomposition track the true-gradient quantities; no
+        learner reads it. Both gradients are coerced, and the decomposition
+        ledger's step taken, before any state moves, and g_tilde is clipped
+        once, at G or at the filter's threshold. The automata commit, with
+        the round count and the ledgers, only once the learner has
+        committed: a round that raises changes nothing.
         """
         k, dim = self.kernels, self.config.dim
         g_tilde, g_tilde_norm = k.coerce(g_tilde, dim)
@@ -198,6 +228,9 @@ class RobustProtocol:
         g_clipped = k.clip(g_tilde, h_t, g_tilde_norm)
         clipped = g_clipped is not g_tilde
         g_clipped_norm = k.norm(g_clipped) if clipped else g_tilde_norm
+        d = self.decomposition
+        step = None if g_true is None else d.step(w, g_true, g_clipped, g_norm, g_clipped_norm)
+        composite = k.dot(g_clipped, w - self.comparator)
 
         if self.filter is None:
             z_next, alpha_t, beta_t, a_t = 0.0, 0.0, 0.0, 0.0
@@ -215,8 +248,7 @@ class RobustProtocol:
             self.tracker.commit(z_next, tracker_doubled)
         self.t += 1
 
-        self._update_ledgers(w, w_norm, g_tilde, g_clipped, a_t, g_true, g_norm,
-                             g_clipped_norm)
+        self._update_ledgers(w_norm, a_t, step, composite)
         # a finite norm proves the new iterate finite; it is next round's w_norm
         self._w_norm = k.norm(self.learner.w)
         if not math.isfinite(self._w_norm):
@@ -227,51 +259,16 @@ class RobustProtocol:
             h=h_t, z=z_next, alpha=alpha_t, beta=beta_t,
         )
 
-    def _update_ledgers(
-        self, w, w_norm, g_tilde, g_clipped, a_t, g_true, g_norm, g_clipped_norm
-    ) -> None:
-        """Account the round in the ledgers; every vector is in the learner's form.
+    def _update_ledgers(self, w_norm, a_t, step, composite) -> None:
+        """Commit the round's ledger penalty and decomposition, after the learner.
 
-        A decomposition total past float range raises before any ledger moves.
+        step (None without a true gradient) and composite, <g_clipped, w - u>,
+        were taken before the learner moved. Only the penalty's advance can
+        raise: on a played norm past float range, which the iterate check
+        lets through for a finite iterate.
         """
-        dot = self.kernels.dot
-        d = self.decomposition
-        if g_true is not None:
-            # the norms that built the accumulator bound each entry of dg and
-            # of the new accumulator: far inside float range, no sum overflows
-            bound = d._bias_grad_bound + g_norm + g_clipped_norm
-            if bound < 2.0**1023:
-                dg = g_true - g_clipped
-                accum = d._bias_grad_accum + dg
-            else:  # an array's sums may overflow here, which must not warn
-                with np.errstate(over="ignore"):
-                    dg = g_true - g_clipped
-                    accum = d._bias_grad_accum + dg
-            error = d.error_term + dot(dg, w)
-            if not (math.isfinite(error) and (bound < 2.0**1023 or np.isfinite(accum).all())):
-                raise NonFiniteError("non-finite value in decomposition ledger")
         u_norm = self._comparator_norm
         self._ledger_reg.advance(w_norm)
         r_w = self._ledger_reg.evaluate(w_norm) + a_t * w_norm * w_norm
         r_u = self._ledger_reg.evaluate(u_norm) + a_t * u_norm * u_norm
-
-        diff = w - self.comparator
-        if g_true is None:
-            composite = dot(g_clipped, diff)
-        else:
-            observed = self.regret.update(diff, g_true, g_tilde)
-            # a pass round fed the learner g_tilde itself, so the regret
-            # ledger's observed increment is the composite term's product
-            composite = observed if g_clipped is g_tilde else dot(g_clipped, diff)
-            d.error_term, d._bias_grad_accum, d._bias_grad_bound = error, accum, bound
-        d.composite_term += composite + r_w - r_u
-        d.correction_term += r_w
-        d.bias_reg_sum += r_u
-
-    def decomposition_gap(self) -> float:
-        """Relative gap between the ledger identity and the measured regret."""
-        target = self.regret.true_regret_linear
-        return abs(self.decomposition.reconstructed_regret() - target) / max(
-            1.0, abs(target)
-        )
-
+        self.decomposition.commit(step, composite, r_w, r_u)

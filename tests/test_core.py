@@ -503,7 +503,7 @@ class TestRegretLedger:
         assert led.true_regret_linear == 0.0
 
     @pytest.mark.parametrize("d", GATE_DIMS)
-    def test_update_returns_the_observed_increment(self, d):
+    def test_update_adds_the_observed_increment(self, d):
         rng = np.random.default_rng(d)
         led = RegretLedger(comparator=rng.standard_normal(d))
         for _ in range(100):
@@ -511,8 +511,9 @@ class TestRegretLedger:
                 rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3) for _ in range(3)
             )
             g_obs[rng.uniform(size=d) < 0.3] = -0.0
-            expected = dot(g_obs, diff)
-            got = led.update(diff, g, g_obs)
+            expected = led.observed_regret_linear + dot(g_obs, diff)
+            led.update(diff, g, g_obs)
+            got = led.observed_regret_linear
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 

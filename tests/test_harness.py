@@ -9,9 +9,9 @@ from robust_oco import mirror_descent
 from robust_oco.harness import runner
 
 from robust_oco.adversaries import (
-    ADVERSARY_KINDS, AdversarySpec, SignFlipAdversary, make_adversary,
+    ADVERSARY_KINDS, Adversary, AdversarySpec, SignFlipAdversary, make_adversary,
 )
-from robust_oco.core import CorruptionLedger, NonFiniteError, kernels
+from robust_oco.core import CorruptionLedger, NonFiniteError, RegretLedger, kernels
 from robust_oco.harness.checks import CHECKS, run_check
 from robust_oco.harness.cli import main
 from robust_oco.harness.config import (
@@ -130,28 +130,34 @@ def array_loop(config, seed):
     """run_experiment's d = 1 rows and summary from an outside caller's loop.
 
     A fresh player is driven through predict() and 1-entry arrays built
-    from the adversary's floats; the summary leaves out the wall time.
+    from the adversary's floats, and the caller keeps the regret score on
+    those arrays; the summary leaves out the wall time. KT has no
+    decomposition: its four terms are 0.0.
     """
     adversary = make_adversary(config.adversary, seed=seed)
     comparator = resolve_comparator(config, adversary)
     player = make_player(config, comparator)
     budget = CorruptionLedger(lipschitz_G=adversary.lipschitz_bound)
-    regret, d = player.regret, player.decomposition
+    regret = RegretLedger(comparator=comparator)
     rows, loss_regret = [], 0.0
     for t in range(1, config.adversary.T + 1):
         w = player.predict()
         g_true, g_tilde = (np.array([g]) for g in adversary.round(t, float(w[0])))
         corrupted = budget.update(g_true, g_tilde)
         rec = player.round(g_tilde, g_true=g_true)
+        regret.update(w - comparator, g_true, g_tilde)
         loss_regret += adversary.loss_gap(float(w[0]), float(comparator[0]))
         rows.append([t, *w.tolist(), *rec[1:], int(corrupted),
                      regret.true_regret_linear, regret.observed_regret_linear])
+    d = player.decomposition
+    split = (0.0,) * 4 if d is None else (
+        d.error_term, d.correction_term, d.bias_term, d.composite_term)
     summary = {
         "final_true_regret": regret.true_regret_linear,
         "final_observed_regret": regret.observed_regret_linear,
-        "loss_regret": loss_regret, "error_term": d.error_term,
-        "correction_term": d.correction_term, "bias_term": d.bias_term,
-        "composite_term": d.composite_term, "count_corrupted": budget.count_corrupted,
+        "loss_regret": loss_regret, "error_term": split[0],
+        "correction_term": split[1], "bias_term": split[2],
+        "composite_term": split[3], "count_corrupted": budget.count_corrupted,
         "big_rounds": budget.big_rounds, "deviation_sum": budget.deviation_sum,
     }
     return rows, summary
@@ -293,11 +299,13 @@ class TestRunExperiment:
         assert str(info.value.__cause__).startswith("KT bettor requires")
 
     def test_kt_rejected_gradient_leaves_the_ledger(self):
-        # the regret ledger used to be updated before the bettor's checks:
-        # true regret 0.5 -> 0.875 and observed 0.5 -> 2.0 with t still 1
-        player = KTPlayer(1.0, np.array([1.0]))
+        # the player's own regret ledger used to be updated before the
+        # bettor's checks: true regret 0.5 -> 0.875 and observed 0.5 -> 2.0
+        # with t still 1; the caller's ledger, updated after the round as
+        # the runner does, sees no round that raised
+        player, ledger = KTPlayer(1.0), RegretLedger(comparator=1.0)
         player.round(np.array([-0.5]), g_true=np.array([-0.5]))
-        ledger = player.regret
+        ledger.update(0.0 - 1.0, -0.5, -0.5)
         before = (ledger.true_regret_linear, ledger.observed_regret_linear, player.t, player.w)
         with pytest.raises(ValueError, match=r"KT bettor requires \|g\| <= 1"):
             player.round(np.array([-2.0]), g_true=np.array([-0.5]))
@@ -307,14 +315,67 @@ class TestRunExperiment:
     def test_kt_round_without_true_gradient_names_it(self):
         # g_true defaulted to None, which the coercion reported as
         # "non-finite value in vector input: array([nan])"
-        player = KTPlayer(1.0, np.array([1.0]))
+        player, ledger = KTPlayer(1.0), RegretLedger(comparator=1.0)
         player.round(np.array([-0.5]), g_true=np.array([-0.5]))
-        ledger = player.regret
+        ledger.update(0.0 - 1.0, -0.5, -0.5)
         before = (ledger.true_regret_linear, ledger.observed_regret_linear, player.t, player.w)
         with pytest.raises(TypeError, match="missing 1 required positional argument: 'g_true'"):
             player.round(np.array([0.5]))
         after = (ledger.true_regret_linear, ledger.observed_regret_linear, player.t, player.w)
         assert after == before == (0.5, 0.5, 1, 0.25)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_observed_regret_aborts_the_run(self, monkeypatch, sign):
+        # <g~, w - u> overflows for a finite near-overflow observed gradient:
+        # the observed regret used to go to -inf and then NaN while the
+        # round succeeded. The runner's ledger raises at round 2 and keeps
+        # the totals of round 1: <g, 0 - u> = -0.5 for both
+        class NearOverflow(Adversary):
+            def round(self, t, w):
+                g_true = np.array([0.5, -0.25])
+                return g_true, g_true if t == 1 else sign * np.full(2, 1.7e308)
+
+        ledgers = []
+
+        class KeptLedger(RegretLedger):
+            def __post_init__(self):
+                super().__post_init__()
+                ledgers.append(self)
+
+        monkeypatch.setattr(runner, "make_adversary", lambda spec, seed=None: NearOverflow())
+        monkeypatch.setattr(runner, "RegretLedger", KeptLedger)
+        config = ExperimentConfig(
+            algorithm="known_g",
+            adversary=AdversarySpec(kind="iid_random", T=10, dim=2),
+            protocol=ProtocolConfig(mode="known_g", T=10, k=1, G=1.0, dim=2),
+            comparator=(2.0, 2.0),
+        )
+        with pytest.raises(
+            NonFiniteError, match="^run aborted at round 2: non-finite value in regret ledger"
+        ) as info:
+            run_experiment(config, seed=0)
+        assert info.value.aborted_at_round == 2
+        (ledger,) = ledgers
+        assert (ledger.true_regret_linear, ledger.observed_regret_linear) == (-0.5, -0.5)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_far_comparator_aborts_every_player(self, algorithm):
+        # the regret against u = 1e308 leaves float range at round 7 of
+        # this uncorrupted stream, for every player alike: the runner keeps
+        # the score, and the abort names the round and the ledger
+        mode = protocol_mode(algorithm)
+        config = ExperimentConfig(
+            algorithm=algorithm,
+            adversary=AdversarySpec(kind="iid_random", T=20),
+            protocol=ProtocolConfig(mode=mode, T=20, k=2,
+                                    G=1.0 if mode == "known_g" else None),
+            comparator=(1e308,),
+        )
+        with pytest.raises(
+            NonFiniteError, match="^run aborted at round 7: non-finite value in regret ledger"
+        ) as info:
+            run_experiment(config, seed=0)
+        assert info.value.aborted_at_round == 7
 
     def test_kt_comparator_of_another_dimension_rejected(self, tmp_path, capsys):
         # rejected when the player is built, as RobustProtocol rejects one:

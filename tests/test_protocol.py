@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robust_oco import mirror_descent
-from robust_oco.core import NonFiniteError, norm
+from robust_oco.core import NonFiniteError, RegretLedger, norm
 from robust_oco.epigraph import EpigraphLearner, EpigraphPoint, weighted_project
 from robust_oco.harness.runner import KTPlayer
 from robust_oco.mirror_descent import MirrorDescentLearner, SolverError
@@ -53,6 +53,18 @@ def state_bits(obj) -> bytes:
         elif isinstance(v, tuple) or type(v).__module__.startswith("robust_oco"):
             out.append(state_bits(v))
     return b"".join(out)
+
+
+def play(protocol, regret, g_tilde, g_true):
+    """protocol.round, then the caller's regret ledger, as the runner keeps it.
+
+    regret is a RegretLedger on protocol.comparator; it is updated in the
+    protocol's form, with the played point and the coerced gradients.
+    """
+    w, coerce, dim = protocol.w, protocol.kernels.coerce, protocol.config.dim
+    rec = protocol.round(g_tilde, g_true=g_true)
+    regret.update(w - regret.comparator, coerce(g_true, dim)[0], coerce(g_tilde, dim)[0])
+    return rec
 
 
 def _penalty(protocol):
@@ -176,14 +188,14 @@ class TestProtocolRound:
     def test_decomposition_identity_long_corrupted_run(self):
         cfg = ProtocolConfig(mode="known_g", T=1000, k=10, G=1.0)
         protocol = RobustProtocol(cfg, comparator=[2.0])
+        regret = RegretLedger(comparator=protocol.comparator)
         rng = np.random.default_rng(10)
         corrupt = set(rng.choice(1000, size=10, replace=False))
         for t in range(1000):
-            w = protocol.predict()
             g = np.array([rng.uniform(-1, 1)])
             g_tilde = np.array([rng.uniform(-40, 40)]) if t in corrupt else g
-            protocol.round(g_tilde, g_true=g)
-            assert protocol.decomposition_gap() <= 1e-6
+            play(protocol, regret, g_tilde, g)
+            assert protocol.decomposition.gap(regret.true_regret_linear) <= 1e-6
 
     def test_unknown_mode_tracks_thresholds_in_records(self):
         cfg = ProtocolConfig(mode="unknown_g_case2", T=100, k=2, tau_G=0.25)
@@ -279,11 +291,12 @@ class TestHostileInputContract:
             mode=mode, T=T, k=k, dim=dim, G=G if mode == "known_g" else None
         )
         protocol = RobustProtocol(cfg, comparator=np.full(dim, 0.5))
+        regret = RegretLedger(comparator=protocol.comparator)
         assert _penalty(protocol).p == math.log(T)
         for kind in kinds:
             g_true = rng.uniform(-1.0, 1.0, dim) * (min(G, 1.0) / math.sqrt(dim))
             try:
-                rec = protocol.round(hostile_gradient(rng, kind, dim), g_true=g_true)
+                rec = play(protocol, regret, hostile_gradient(rng, kind, dim), g_true)
             except (NonFiniteError, SolverError, ValueError) as exc:
                 assert LAYER_MESSAGE.search(str(exc)), exc
                 if kind in ("nan", "inf"):
@@ -293,51 +306,45 @@ class TestHostileInputContract:
             assert kind not in ("nan", "inf")
             assert np.isfinite(protocol.predict()).all()
             assert rec.g_clipped_norm <= rec.h
-            assert math.isfinite(protocol.regret.true_regret_linear)
-            assert math.isfinite(protocol.regret.observed_regret_linear)
+            assert math.isfinite(regret.true_regret_linear)
+            assert math.isfinite(regret.observed_regret_linear)
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_overflowing_observed_regret_raises_and_keeps_the_totals(self, sign):
-        # <g, w - u> overflows for a finite near-overflow observed gradient:
-        # the observed regret used to go to -inf and then NaN while the
-        # round succeeded
-        cfg = ProtocolConfig(mode="known_g", T=10, k=1, G=1.0, dim=2)
-        protocol = RobustProtocol(cfg, comparator=np.full(2, 2.0))
-        g_true = np.array([0.5, -0.25])
-        protocol.round(g_true, g_true=g_true)
-        ledger = protocol.regret
-        before = (ledger.true_regret_linear, ledger.observed_regret_linear)
-        with pytest.raises(NonFiniteError, match="regret ledger"):
-            protocol.round(sign * np.full(2, 1.7e308), g_true=g_true)
-        assert (ledger.true_regret_linear, ledger.observed_regret_linear) == before
-
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("dim, u", [(1, 0.0), (1, 1e-3), (3, 0.0)])
-    def test_overflowing_bias_accumulator_raises_before_any_ledger_moves(self, dim, u):
-        # two rounds of g~ = -1 against g = 1.5e308 overflow the bias
-        # gradient accumulator: at d = 1 bias_term and decomposition_gap()
-        # used to read NaN (u = 0) or -inf and inf (u = 1e-3) without a
-        # raise, and at d = 3 the in-place sum warned of the overflow
-        cfg = ProtocolConfig(mode="known_g", T=100, k=2, G=1.0, dim=dim)
+    def test_overflowing_bias_accumulator_raises_before_any_ledger_moves(self, mode, dim, u):
+        # 30 clean rounds of g~ = g = -1, then g~ = -1 against g = 1.7e308:
+        # round 32 overflows the bias gradient accumulator. Without its
+        # check, at d = 1 bias_term and the gap read NaN (u = 0) or -inf and
+        # inf (u = 1e-3) without a raise, and at d = 3 the in-place sum
+        # warned of the overflow. The check used to run after the learner:
+        # the raise left the learner, the automata and t (31 -> 32) moved
+        cfg = ProtocolConfig(mode=mode, T=100, k=2, dim=dim,
+                             G=1.0 if mode == "known_g" else None)
         protocol = RobustProtocol(cfg, comparator=np.full(dim, u))
+        regret = RegretLedger(comparator=protocol.comparator)
         g_tilde, g_true = np.zeros(dim), np.zeros(dim)
-        g_tilde[0], g_true[0] = -1.0, 1.5e308
-        protocol.round(g_tilde, g_true=g_true)
-        ledger, d = protocol.regret, protocol.decomposition
+        g_tilde[0], g_true[0] = -1.0, 1.7e308
+        for _ in range(30):
+            play(protocol, regret, g_tilde, g_tilde)
+        play(protocol, regret, g_tilde, g_true)
+        d = protocol.decomposition
 
         def totals():
-            return repr((ledger.true_regret_linear, ledger.observed_regret_linear,
+            return repr((regret.true_regret_linear, regret.observed_regret_linear,
                          d.error_term, d.correction_term, d.composite_term,
                          d.bias_reg_sum, d.bias_term))
 
-        before = totals()
+        before = totals(), state_bits(protocol)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(
                 NonFiniteError, match="^non-finite value in decomposition ledger"
             ):
                 protocol.round(g_tilde, g_true=g_true)
-        assert totals() == before
-        assert math.isfinite(d.bias_term) and math.isfinite(protocol.decomposition_gap())
+        assert (totals(), state_bits(protocol)) == before
+        assert protocol.t == 31
+        assert math.isfinite(d.bias_term)
+        assert math.isfinite(d.gap(regret.true_regret_linear))
 
 
 class TestStochasticOptimizationEndToEnd:
@@ -497,7 +504,7 @@ class TestRaiseMovesNothing:
                                    "missing_g_true"]))
     @settings(max_examples=40, deadline=None)
     def test_kt_player(self, data, rounds, reject):
-        player = KTPlayer(1.0, np.array([0.5]))
+        player = KTPlayer(1.0)
         unit = st.floats(-1.0, 1.0)
         for _ in range(rounds):
             g_tilde = data.draw(unit)
@@ -524,7 +531,10 @@ def _record_bits(rec) -> list[bytes]:
 
 
 def _run_pair(mode, stream, T=300, k=3):
-    """The same stream at d = 1 (floats inside) and zero-padded at d = 2 (arrays)."""
+    """The same stream at d = 1 (floats inside) and zero-padded at d = 2 (arrays).
+
+    Each protocol comes with its caller's regret ledger.
+    """
     protocols = [
         RobustProtocol(
             ProtocolConfig(mode=mode, T=T, k=k, G=1.0 if mode == "known_g" else None,
@@ -533,17 +543,18 @@ def _run_pair(mode, stream, T=300, k=3):
         )
         for dim in (1, 2)
     ]
+    regrets = [RegretLedger(comparator=p.comparator) for p in protocols]
     for t in range(1, T + 1):
         w1, w2 = (p.predict() for p in protocols)
         assert w1.dtype == w2.dtype == np.float64 and w1.shape == (1,)
         assert w1[0].tobytes() == w2[0].tobytes() and w2[1] == 0.0, t
         g_true, g_tilde = stream(t, float(w1[0]))
         recs = [
-            p.round(np.array([g_tilde, 0.0][:dim]), g_true=np.array([g_true, 0.0][:dim]))
-            for dim, p in zip((1, 2), protocols)
+            play(p, regret, np.array([g_tilde, 0.0][:dim]), np.array([g_true, 0.0][:dim]))
+            for dim, p, regret in zip((1, 2), protocols, regrets)
         ]
         assert _record_bits(recs[0]) == _record_bits(recs[1]), t
-    return protocols
+    return list(zip(protocols, regrets))
 
 
 def _sign_flip(t, w):
@@ -568,12 +579,12 @@ class TestFloatPathMatchesArrayPath:
                              ids=["sign_flip", "hidden_zeros", "clipping"])
     @pytest.mark.parametrize("mode", ["known_g", "unknown_g_case1", "unknown_g_case2"])
     def test_every_record_and_total_bit_for_bit(self, mode, stream):
-        one, two = _run_pair(mode, stream)
+        (one, _), (two, _) = pairs = _run_pair(mode, stream)
         totals = [
-            [p.regret.true_regret_linear, p.regret.observed_regret_linear,
+            [regret.true_regret_linear, regret.observed_regret_linear,
              p.decomposition.error_term, p.decomposition.correction_term,
              p.decomposition.bias_term, p.decomposition.composite_term]
-            for p in (one, two)
+            for p, regret in pairs
         ]
         assert _record_bits(totals[0]) == _record_bits(totals[1])
         assert type(one.learner.w) is float and type(two.learner.w) is np.ndarray
