@@ -10,8 +10,8 @@ computes both sub-learners' updates and the projection of the new lifted
 point before either sub-learner commits, so a round that raises changes
 nothing. At d = 1 the lifted point, the correction and the projection are
 Python floats, as the vector sub-learner's iterate is, and each function
-reads the form from its input. The learner holds the played iterate as its
-attribute w and builds no array: the protocol builds the caller's.
+reads the form from its input. The learner holds the played iterate w and
+its norm w_norm, and builds no array: the protocol builds the caller's.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NonFiniteError, as_array, check_positive, kernels_of
+from .core import NonFiniteError, as_array, check_positive, ensure_finite, kernels_of
 from .mirror_descent import MirrorDescentLearner, SolverError
 
 _PROJ_RTOL = 1e-12
@@ -188,8 +188,8 @@ class EpigraphLearner:
         self.h = tau_G
         self._hat = EpigraphPoint(self.learner_w.w, self.learner_y.w)
         self._played = weighted_project(self._hat, tau_G, gamma, self.learner_w.w_norm)
-        # the played iterate in the learner's form (a float at d = 1)
-        self.w = self._played.w
+        # the played iterate in the learner's form (a float at d = 1), and its norm
+        self.w, self.w_norm = self._played.w, self.learner_w.w_norm
 
     def observe(self, gradient, hint: float, a_t: float = 0.0) -> None:
         """Consume one round; a_t is its quadratic penalty weight, in [0, gamma].
@@ -202,8 +202,8 @@ class EpigraphLearner:
         apart where its mirror-map gradient holds -0.0 (a zero mirror part
         times a negative dual entry). learner_w coerces and checks the
         gradient; a non-finite one is reported as given, not halved, and None
-        as missing. Nothing commits until both updates and the projection
-        have succeeded.
+        as missing. Nothing commits until both updates, the projection and
+        the check of the played point's norm have succeeded.
         """
         if not 0.0 <= a_t <= self.gamma * (1.0 + 1e-12):
             raise ValueError(f"penalty weight {a_t} outside [0, gamma {self.gamma}]")
@@ -229,6 +229,10 @@ class EpigraphLearner:
         update_y = self.learner_y.update(0.5 * (a_t + delta_y), 1.5 * self.gamma)
         hat = EpigraphPoint(update_w.w, update_y.w)
         played = weighted_project(hat, hint, self.gamma, update_w.w_norm)
+        w_norm = update_w.w_norm if played is hat else k.norm(played.w)
+        if not math.isfinite(w_norm):  # NaN only: a projected point stays far inside float range
+            ensure_finite(np.atleast_1d(played.w), "epigraph iterate")
         self.learner_w.commit(update_w)
         self.learner_y.commit(update_y)
-        self.h, self._hat, self._played, self.w = hint, hat, played, played.w
+        self.h, self._hat, self._played = hint, hat, played
+        self.w, self.w_norm = played.w, w_norm

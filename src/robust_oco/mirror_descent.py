@@ -321,6 +321,7 @@ class MirrorDescentLearner:
             w_norm = k.norm(w)
             if not math.isfinite(w_norm):
                 ensure_finite(np.atleast_1d(w), "mirror descent iterate")
+                raise _out_of_range(theta_norm, V, hint, a)
         return Update(w, w_norm, mirror_grad, radius, hint, C, N, B)
 
     def commit(self, update: Update) -> None:

@@ -3,13 +3,14 @@
 A single round clips the observed gradient at the current threshold, feeds it
 to the configured base learner, and accounts the round in the decomposition
 ledger; the regret score is the caller's (the runner keeps it for every
-player). Two wirings exist: a constant threshold equal to a known gradient
-bound with the mirror descent learner, and the adaptive filter + tracker +
-epigraph stack when no bound is known; there the filter counts the clips
-and the weights read the tracker's epochs. The protocol validates its config,
-refuses the gradient bound in the unknown-bound modes, and applies the
-standard parameter presets of both wirings as it builds its parts, among
-them the penalty exponent p = ln T.
+player). The protocol keeps no bookkeeping of its own: the learner keeps the
+played iterate and its norm, the ledger the split's penalty and sums. Two
+wirings exist: a constant threshold equal to a known gradient bound with the
+mirror descent learner, and the adaptive filter + tracker + epigraph stack
+when no bound is known; there the filter counts the clips and the weights
+read the tracker's epochs. The protocol validates its config, refuses the
+gradient bound in the unknown-bound modes, and applies both wirings'
+parameter presets as it builds its parts, among them p = ln T.
 
 The protocol runs on the learner's form (core.kernels(dim): a float at
 d = 1): the clip, the learner and the ledger, and w, the played point
@@ -25,9 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    NonFiniteError, as_vector, check_positive, ensure_finite, kernels, kernels_of,
-)
+from .core import NonFiniteError, as_vector, check_positive, kernels, kernels_of
 from .epigraph import EpigraphLearner, QuadWeights
 from .mirror_descent import MirrorDescentLearner
 from .regularizer import HuberRegularizer
@@ -55,17 +54,20 @@ class ProtocolConfig:
 
 @dataclass
 class DecompositionLedger:
-    """Exact four-way split of the true linear regret.
+    """Exact four-way split of the true linear regret, with the split's penalty.
 
     error - correction + bias + composite reproduces the true regret as an
     algebraic identity for any regularizer sequence, so gap() is a pure
-    float-rounding diagnostic. The comparator, and with it the gradient
-    accumulator, is a float in the protocol's d = 1 form. A round with a
-    true gradient is step() on locals, which raises before anything moves,
-    then commit().
+    float-rounding diagnostic. penalty, the mode's HuberRegularizer, is
+    advanced with the norm of the iterate the coming round plays: by the
+    builder with the first, then by each commit(). The comparator and the
+    gradient accumulator are floats in the protocol's d = 1 form. A round is
+    step() on locals, which raises before anything moves, then commit(),
+    which cannot raise on a finite norm.
     """
 
     comparator: np.ndarray | float
+    penalty: HuberRegularizer
     error_term: float = 0.0
     correction_term: float = 0.0
     composite_term: float = 0.0
@@ -77,38 +79,48 @@ class DecompositionLedger:
     def __post_init__(self):
         k = kernels_of(self.comparator)
         self._dot = k.dot
+        self._u_norm = k.norm(self.comparator)
         self._bias_grad_accum = k.zeros(np.size(self.comparator))
 
     @property
     def bias_term(self) -> float:
         return float(np.vdot(self._bias_grad_accum, -self.comparator)) + self.bias_reg_sum
 
-    def step(self, w, g_true, g_clipped, g_norm: float, g_clipped_norm: float) -> tuple:
-        """The round's (error term, bias accumulator, bound), nothing assigned;
-        a total past float range raises NonFiniteError."""
-        # the norms that built the accumulator bound each entry of dg and
-        # of the new accumulator: far inside float range, no sum overflows
-        bound = self._bias_grad_bound + g_norm + g_clipped_norm
-        if bound < 2.0**1023:
-            dg = g_true - g_clipped
-            accum = self._bias_grad_accum + dg
-        else:  # an array's sums may overflow here, which must not warn
-            with np.errstate(over="ignore"):
+    def step(self, w, w_norm, g_clipped, g_clipped_norm, a_t, g_true=None, g_norm=None) -> tuple:
+        """The round's totals at the played w (norm w_norm) and penalty weight
+        a_t, nothing assigned; one past float range raises NonFiniteError."""
+        error, accum, bound = self.error_term, self._bias_grad_accum, self._bias_grad_bound
+        if g_true is not None:
+            # the norms that built the accumulator bound each entry of dg and
+            # of the new accumulator: far inside float range, no sum overflows
+            bound = bound + g_norm + g_clipped_norm
+            if bound < 2.0**1023:
                 dg = g_true - g_clipped
-                accum = self._bias_grad_accum + dg
-        error = self.error_term + self._dot(dg, w)
-        if not (math.isfinite(error) and (bound < 2.0**1023 or np.isfinite(accum).all())):
+                accum = accum + dg
+            else:  # an array's sums may overflow here, which must not warn
+                with np.errstate(over="ignore"):
+                    dg = g_true - g_clipped
+                    accum = accum + dg
+            error += self._dot(dg, w)
+        u_norm = self._u_norm
+        try:
+            r_w = self.penalty.evaluate(w_norm) + a_t * w_norm * w_norm
+            r_u = self.penalty.evaluate(u_norm) + a_t * u_norm * u_norm
+        except OverflowError as exc:  # the penalty's exp past float range
+            raise NonFiniteError("non-finite value in decomposition ledger") from exc
+        composite = self.composite_term + (self._dot(g_clipped, w - self.comparator) + r_w - r_u)
+        correction = self.correction_term + r_w
+        bias_reg = self.bias_reg_sum + r_u
+        if not (math.isfinite(error) and math.isfinite(composite) and math.isfinite(correction)
+                and math.isfinite(bias_reg) and (bound < 2.0**1023 or np.isfinite(accum).all())):
             raise NonFiniteError("non-finite value in decomposition ledger")
-        return error, accum, bound
+        return error, accum, bound, composite, correction, bias_reg
 
-    def commit(self, step: tuple | None, composite: float, r_w: float, r_u: float) -> None:
-        """Assign a round: step()'s result (None without a true gradient),
-        the product <g_clipped, w - u>, and the penalty at w and at u."""
-        if step is not None:
-            self.error_term, self._bias_grad_accum, self._bias_grad_bound = step
-        self.composite_term += composite + r_w - r_u
-        self.correction_term += r_w
-        self.bias_reg_sum += r_u
+    def commit(self, step: tuple, w_next_norm: float) -> None:
+        """Assign step()'s round; advance the penalty to the next played norm, checked finite."""
+        (self.error_term, self._bias_grad_accum, self._bias_grad_bound,
+         self.composite_term, self.correction_term, self.bias_reg_sum) = step
+        self.penalty.advance(w_next_norm)
 
     def gap(self, true_regret: float) -> float:
         """Relative gap between the split's sum and the measured true regret."""
@@ -182,14 +194,12 @@ class RobustProtocol:
             self.learner = EpigraphLearner(
                 config.dim, epsilon, self.weights.gamma, tau_G, c, p, alpha,
             )
-        # ledger-side penalty state over the *played* iterates
-        self._ledger_reg = HuberRegularizer(c=c, p=p, alpha=alpha)
         self.kernels = k = kernels(config.dim)
         u = np.zeros(config.dim) if comparator is None else as_vector(comparator, config.dim)
-        self.comparator, self._comparator_norm = k.coerce(u, config.dim)
-        # the norm of the learner's iterate, kept from the check after each round
-        self._w_norm = k.norm(self.learner.w)
-        self.decomposition = DecompositionLedger(comparator=self.comparator)
+        self.comparator = k.coerce(u, config.dim)[0]
+        penalty = HuberRegularizer(c=c, p=p, alpha=alpha)
+        penalty.advance(self.learner.w_norm)
+        self.decomposition = DecompositionLedger(self.comparator, penalty)
         self.t = 0
 
     @property
@@ -212,28 +222,26 @@ class RobustProtocol:
 
         g_true is a simulation-only oracle: when given, the error and bias
         sides of the decomposition track the true-gradient quantities; no
-        learner reads it. Both gradients are coerced, and the decomposition
-        ledger's step taken, before any state moves, and g_tilde is clipped
-        once, at G or at the filter's threshold. The automata commit, with
-        the round count and the ledgers, only once the learner has
-        committed: a round that raises changes nothing.
+        learner reads it. Both gradients are coerced, and g_tilde clipped
+        once, at G or at the filter's threshold. Every step before the
+        learner's commit assigns nothing, and no commit after it can raise:
+        a round that raises changes nothing.
         """
         k, dim = self.kernels, self.config.dim
         g_tilde, g_tilde_norm = k.coerce(g_tilde, dim)
         g_norm = None
         if g_true is not None:
             g_true, g_norm = k.coerce(g_true, dim)
-        w, w_norm = self.learner.w, self._w_norm
+        w, w_norm = self.learner.w, self.learner.w_norm
         h_t = self.G if self.filter is None else self.filter.h
         g_clipped = k.clip(g_tilde, h_t, g_tilde_norm)
         clipped = g_clipped is not g_tilde
         g_clipped_norm = k.norm(g_clipped) if clipped else g_tilde_norm
         d = self.decomposition
-        step = None if g_true is None else d.step(w, g_true, g_clipped, g_norm, g_clipped_norm)
-        composite = k.dot(g_clipped, w - self.comparator)
 
         if self.filter is None:
             z_next, alpha_t, beta_t, a_t = 0.0, 0.0, 0.0, 0.0
+            step = d.step(w, w_norm, g_clipped, g_clipped_norm, a_t, g_true, g_norm)
             # g_clipped is already in the learner's checked form: no second coercion
             self.learner.observe(g_clipped, h_t, g_clipped_norm)
         else:
@@ -243,32 +251,18 @@ class RobustProtocol:
                 filter_doubled, tracker_doubled, self.tracker.epoch_index
             )
             a_t = alpha_t + beta_t
+            step = d.step(w, w_norm, g_clipped, g_clipped_norm, a_t, g_true, g_norm)
             self.learner.observe(g_clipped, h_next, a_t)
             self.filter.commit(clipped, filter_doubled)
             self.tracker.commit(z_next, tracker_doubled)
         self.t += 1
-
-        self._update_ledgers(w_norm, a_t, step, composite)
-        # a finite norm proves the new iterate finite; it is next round's w_norm
-        self._w_norm = k.norm(self.learner.w)
-        if not math.isfinite(self._w_norm):
-            ensure_finite(np.atleast_1d(self.learner.w), f"iterate after round {self.t}")
+        self._update_ledgers(step)
         return RoundRecord(
             w_norm=w_norm, g_norm=g_norm, g_tilde_norm=g_tilde_norm,
             g_clipped_norm=g_clipped_norm,
             h=h_t, z=z_next, alpha=alpha_t, beta=beta_t,
         )
 
-    def _update_ledgers(self, w_norm, a_t, step, composite) -> None:
-        """Commit the round's ledger penalty and decomposition, after the learner.
-
-        step (None without a true gradient) and composite, <g_clipped, w - u>,
-        were taken before the learner moved. Only the penalty's advance can
-        raise: on a played norm past float range, which the iterate check
-        lets through for a finite iterate.
-        """
-        u_norm = self._comparator_norm
-        self._ledger_reg.advance(w_norm)
-        r_w = self._ledger_reg.evaluate(w_norm) + a_t * w_norm * w_norm
-        r_u = self._ledger_reg.evaluate(u_norm) + a_t * u_norm * u_norm
-        self.decomposition.commit(step, composite, r_w, r_u)
+    def _update_ledgers(self, step: tuple) -> None:
+        """Commit the round's decomposition with the norm the next round plays."""
+        self.decomposition.commit(step, self.learner.w_norm)

@@ -374,6 +374,24 @@ class TestEpigraphLearner:
         assert learner_bits(learner) == before
         assert learner.learner_w.t == learner.learner_y.t == 1
 
+    @pytest.mark.parametrize("d", [1, 3, 17])
+    def test_kept_iterate_norm_is_the_norm_of_the_iterate(self, d):
+        # interior rounds keep the vector side's norm, boundary rounds take
+        # the projected point's; the protocol reads this norm as the played one
+        rng = np.random.default_rng(d)
+        learner = self.make(dim=d, gamma=2.0, tau_G=0.5, T=100)
+        assert learner.w_norm == norm(np.atleast_1d(learner.w)) == 0.0
+        h, boundary = 0.5, 0
+        for t in range(60):
+            g = rng.standard_normal(d)
+            g *= rng.uniform(0.0, 1.0) * h / norm(g)
+            h *= 2.0 if t % 7 == 3 else 1.0
+            a_t = float(rng.uniform(0.0, 2.0)) if t % 5 == 0 else 0.0
+            learner.observe(g if d > 1 else float(g[0]), h, a_t)
+            assert learner.w_norm == norm(np.atleast_1d(learner.w)), t
+            boundary += learner._played is not learner._hat
+        assert 10 <= boundary <= 50  # both kinds of round, several times
+
     @pytest.mark.parametrize("interior", [True, False], ids=["interior", "corrected"])
     @pytest.mark.parametrize("failing", ["scalar_solve", "projection"])
     def test_failure_after_the_vector_solve_moves_no_state(

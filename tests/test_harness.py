@@ -360,9 +360,11 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_far_comparator_aborts_every_player(self, algorithm):
-        # the regret against u = 1e308 leaves float range at round 7 of
-        # this uncorrupted stream, for every player alike: the runner keeps
-        # the score, and the abort names the round and the ledger
+        # the regret against u = 1e308 leaves float range at round 7 of this
+        # uncorrupted stream, and the runner keeps the score for every
+        # player. A protocol player's split leaves it first: its penalty
+        # term at u overflows at round 2, where the split used to read inf
+        # and -inf while the run went on. Each abort names its round and ledger
         mode = protocol_mode(algorithm)
         config = ExperimentConfig(
             algorithm=algorithm,
@@ -371,11 +373,31 @@ class TestRunExperiment:
                                     G=1.0 if mode == "known_g" else None),
             comparator=(1e308,),
         )
+        t, ledger = (7, "regret") if algorithm == "kt_bettor" else (2, "decomposition")
         with pytest.raises(
-            NonFiniteError, match="^run aborted at round 7: non-finite value in regret ledger"
+            NonFiniteError, match=f"^run aborted at round {t}: non-finite value in {ledger} ledger"
         ) as info:
             run_experiment(config, seed=0)
-        assert info.value.aborted_at_round == 7
+        assert info.value.aborted_at_round == t
+
+    @pytest.mark.parametrize("algorithm", ["unknown_g_case1", "unknown_g_case2"])
+    def test_far_comparator_split_aborts_at_the_filter_doubling(self, algorithm):
+        # at u = 1e160 the regret stays in float range, but a_t * |u|^2
+        # overflows at round 3, where the filter first doubles and a_t turns
+        # on: the run used to complete with bias_term = inf, composite_term
+        # = -inf and a NaN split
+        config = ExperimentConfig(
+            algorithm=algorithm,
+            adversary=AdversarySpec(kind="sign_flip_window", T=400, k=0),
+            protocol=ProtocolConfig(mode=algorithm, T=400, k=2, tau_G=0.5),
+            comparator=(1e160,),
+        )
+        with pytest.raises(
+            NonFiniteError,
+            match="^run aborted at round 3: non-finite value in decomposition ledger$",
+        ) as info:
+            run_experiment(config, seed=0)
+        assert info.value.aborted_at_round == 3
 
     def test_kt_comparator_of_another_dimension_rejected(self, tmp_path, capsys):
         # rejected when the player is built, as RobustProtocol rejects one:

@@ -352,17 +352,27 @@ class TestMirrorDescentLearner:
             assert md.w_norm == norm(np.atleast_1d(md.w))
             assert (md.w_norm == 0.0) is (t == 1)
 
-    @pytest.mark.parametrize("radius", [math.inf, math.nan], ids=["inf", "nan"])
-    def test_non_finite_iterate_names_the_learner(self, monkeypatch, radius):
+    @pytest.mark.parametrize("radius, gradient, error, message", [
+        (math.inf, [0.3, -0.4], NonFiniteError, "mirror descent iterate"),
+        (math.nan, [0.3, -0.4], NonFiniteError, "mirror descent iterate"),
+        (sys.float_info.max, [-1.5 / math.sqrt(26)] * 26, SolverError,
+         "no representable radius"),
+    ], ids=["inf", "nan", "overflowing_norm"])
+    def test_non_finite_iterate_names_the_learner(
+        self, monkeypatch, radius, gradient, error, message
+    ):
         # the iterate is checked through its norm; a radius that leaves float
-        # range still raises the entrywise check's message
+        # range still raises the entrywise check's message. The largest
+        # double along a dual norm of 1.5 at d = 26 gives finite entries
+        # whose norm overflows: the entrywise check passes them, and the
+        # learner raises its float-range SolverError
         monkeypatch.setattr(
             mirror_descent, "link_inverse_solve", lambda theta, *args: (radius, theta)
         )
-        md = MirrorDescentLearner(2, epsilon=1.0, initial_hint=1.0, c=1.0, p=3.0)
+        md = MirrorDescentLearner(len(gradient), epsilon=1.0, initial_hint=2.0, c=1.0, p=3.0)
         before = state_bits(md)
-        with pytest.raises(NonFiniteError, match="mirror descent iterate"):
-            md.observe(np.array([0.3, -0.4]), 1.0)
+        with pytest.raises(error, match=message):
+            md.observe(np.array(gradient), 2.0)
         assert state_bits(md) == before
 
     def test_penalty_caps_exponential_growth(self):

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from robust_oco import mirror_descent
+from robust_oco import epigraph, mirror_descent
 from robust_oco.core import NonFiniteError, RegretLedger, norm
 from robust_oco.epigraph import EpigraphLearner, EpigraphPoint, weighted_project
 from robust_oco.harness.runner import KTPlayer
@@ -16,7 +17,7 @@ from robust_oco.protocol import MODES, ProtocolConfig, RobustProtocol
 
 # how each layer names itself in the errors it raises
 LAYER_MESSAGE = re.compile(
-    "vector input|dual accumulator|mirror descent iterate|iterate after round"
+    "vector input|dual accumulator|mirror descent iterate|epigraph iterate"
     "|link inversion|no representable radius|epigraph projection|wealth scale"
     "|regret ledger"
 )
@@ -216,24 +217,32 @@ class TestProtocolRound:
         with pytest.raises(Exception):
             protocol.round(np.array([math.nan]))
 
-    def test_non_finite_iterate_after_round_names_the_round(self):
-        # the end-of-round norm is the protocol's own finiteness check: an
-        # iterate its learner let through still stops the run, naming the round
-        cfg = ProtocolConfig(mode="known_g", T=10, k=1, G=1.0, dim=2)
-        protocol = RobustProtocol(cfg)
-        rec = protocol.round(np.array([0.5, 0.5]))
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("mode", ["unknown_g_case1", "unknown_g_case2"])
+    def test_non_finite_projected_iterate_moves_no_state(self, monkeypatch, mode, dim):
+        # the protocol used to check the learner's iterate only after the
+        # round had committed, naming the round: a NaN projection left the
+        # learner, the automata and t (0 -> 1) moved. The epigraph learner
+        # now checks its played point's norm before either sub-learner
+        # commits. Round 1 projects on the boundary in both modes
+        protocol = RobustProtocol(ProtocolConfig(mode=mode, T=10, k=1, dim=dim))
+        g = np.full(dim, -1.0 / math.sqrt(dim))
+        project = epigraph.weighted_project
+
+        def nan_on_the_boundary(point, h, gamma, w_norm):
+            out = project(point, h, gamma, w_norm)
+            return out if out is point else EpigraphPoint(out.w * math.nan, out.y)
+
+        monkeypatch.setattr(epigraph, "weighted_project", nan_on_the_boundary)
+        before = state_bits(protocol)
+        with pytest.raises(NonFiniteError, match="^non-finite value in epigraph iterate"):
+            protocol.round(g, g_true=g)
+        assert state_bits(protocol) == before
+        assert protocol.t == 0
+        monkeypatch.undo()
+        rec = protocol.round(g)
         assert rec.g_norm is None  # no true gradient given
-        learner = protocol.learner
-        observe = learner.observe
-
-        def observe_then_poison(gradient, hint, g_norm):
-            observe(gradient, hint, g_norm)
-            learner.w = np.array([math.nan, 0.0])
-
-        learner.observe = observe_then_poison
-        with pytest.raises(NonFiniteError, match="non-finite value in iterate after round 2"):
-            protocol.round(np.array([0.5, 0.5]))
-
+        assert protocol.t == 1 and np.isfinite(protocol.predict()).all()
 
     @pytest.mark.parametrize("mode", ["known_g", "unknown_g_case1"])
     def test_non_finite_true_gradient_moves_no_state(self, mode):
@@ -397,6 +406,56 @@ class TestFailedRoundMovesNothing:
         assert after == before
         assert protocol.t == protocol.learner.learner_w.t == 4
         assert (protocol.filter.clip_rounds, protocol.filter.n) == (2, 2)
+
+    # a link solve that returns the largest double, in the learner whose
+    # penalty is on, at d = 26: the new iterate's norm leaves float range.
+    # One round of g = -0.5/sqrt(26) * 1 first: in known_g the iterate's
+    # entries stayed finite, so the learner and the end-of-round check let
+    # it through, and the next round's ledger penalty raised ValueError
+    # ("invalid iterate norm inf") at round 3 with t gone 1 -> 3. Three
+    # rounds of 0.9 * a unit vector first: known_g played a norm just below
+    # the largest double, and the ledger penalty's exp raised an untyped
+    # OverflowError at round 5 with t gone 3 -> 5; the epigraph modes
+    # committed a NaN projection at round 4 and raised after it
+    @pytest.mark.parametrize("mode, stream, accepted, error, message, t", [
+        ("known_g", "uniform", 0, SolverError, "no representable radius", 1),
+        ("unknown_g_case1", "uniform", 0, NonFiniteError, "mirror descent iterate", 1),
+        ("unknown_g_case2", "uniform", 0, NonFiniteError, "mirror descent iterate", 1),
+        ("known_g", "random", 1, NonFiniteError, "decomposition ledger$", 4),
+        ("unknown_g_case1", "random", 0, SolverError, "no representable radius", 3),
+        ("unknown_g_case2", "random", 0, SolverError, "no representable radius", 3),
+    ])
+    def test_iterate_norm_past_float_range_moves_nothing(
+        self, monkeypatch, mode, stream, accepted, error, message, t
+    ):
+        cfg = ProtocolConfig(mode=mode, T=100, k=2, dim=26,
+                             G=1.0 if mode == "known_g" else None)
+        protocol = RobustProtocol(cfg)
+        if stream == "uniform":
+            g, clean = np.full(26, -0.5 / math.sqrt(26)), 1
+        else:
+            g, clean = np.random.default_rng(1).standard_normal(26), 3
+            g *= 0.9 / norm(g)
+        for _ in range(clean):
+            protocol.round(g, g_true=g)
+        solve = mirror_descent.link_inverse_solve
+
+        def largest_radius(theta_norm, V, h, a, reg):
+            if reg.c == 0.0:
+                return solve(theta_norm, V, h, a, reg)
+            return sys.float_info.max, theta_norm
+
+        monkeypatch.setattr(mirror_descent, "link_inverse_solve", largest_radius)
+        for _ in range(accepted):
+            protocol.round(g, g_true=g)
+        before = state_bits(protocol)
+        with pytest.raises(error, match=message) as info:
+            protocol.round(g, g_true=g)
+        assert state_bits(protocol) == before
+        assert protocol.t == t
+        if message == "decomposition ledger$":
+            # the played norm is finite, and the penalty at it overflows
+            assert isinstance(info.value.__cause__, OverflowError)
 
 
 def _drawn_vector(data, dim: int, bound: float) -> np.ndarray:
