@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FLOAT, check_positive
+from .protocol import RoundRecord
 
 Vector = np.ndarray | float  # a dim-vector in the package's form: a float at dim = 1
 ADVERSARY_KINDS = (
@@ -242,9 +243,17 @@ class KTBettor:
 
     Bets a fraction of accumulated wealth proportional to the sign average of
     past gradients. Requires |g| <= 1; the wealth stays positive under that
-    contract and going nonpositive is treated as a hard error. It runs on
-    floats: update() takes an admitted float, and its player builds arrays.
+    contract and going nonpositive is treated as a hard error.
+
+    It is also a player under the protocol's round contract (g_true
+    required). It sees the observed gradient unclipped and has no
+    regularizer, so it has no regret split (decomposition is None) and
+    keeps no ledger: the runner keeps its score. It runs on floats:
+    update() takes an admitted float, and predict() builds the caller's
+    1-entry array from the float w.
     """
+
+    decomposition = None
 
     def __init__(self, epsilon: float = 1.0):
         check_positive("initial wealth epsilon", epsilon)
@@ -273,3 +282,17 @@ class KTBettor:
     def commit(self, state: tuple[float, float, int, float]) -> None:
         """Assign the state that update() computed."""
         self.reward, self.sum_neg_grad, self.t, self.w = state
+
+    def predict(self) -> np.ndarray:
+        return np.array([self.w])
+
+    def round(self, g_tilde, g_true) -> RoundRecord:
+        """One round: both gradients are coerced before observe() moves anything."""
+        w = self.w  # the played scalar; its norm is |w|
+        g_tilde, g_tilde_norm = FLOAT.coerce(g_tilde, 1)
+        g_true, g_norm = FLOAT.coerce(g_true, 1)
+        self.observe(g_tilde)
+        return RoundRecord(
+            w_norm=abs(w), g_norm=g_norm, g_tilde_norm=g_tilde_norm,
+            g_clipped_norm=g_tilde_norm, h=0.0, z=0.0, alpha=0.0, beta=0.0,
+        )

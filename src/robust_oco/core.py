@@ -6,9 +6,9 @@ blow-ups, so any NaN/Inf is treated as a fatal state-corruption signal rather
 than silently propagated.
 
 The per-round vector kernels (norm, inner product, finiteness check, ledger
-equality) never warn, on subnormal and near-overflow input alike. Vectors of
-at most SMALL_DIM entries never enter a numpy reduction: a Python-level pass
-over ``tolist()`` costs a fraction of one numpy dispatch at that size.
+equality) never warn, on subnormal and near-overflow input alike. norm and
+dot skip numpy reductions up to SMALL_DIM entries: a Python-level pass over
+``tolist()`` costs a fraction of one numpy dispatch at that size.
 
 Inside the package a d = 1 vector is a Python float, not a 1-entry array:
 kernels(dim) is the one place that picks the representation, FLOAT or
@@ -267,19 +267,18 @@ class CorruptionLedger:
         pair of 1-entry arrays. The deviation is the norm of the entrywise
         difference, where an equal entry, an equal pair of infinities
         included, contributes 0; it is inf (a big round, adding G) when an
-        unequal entry is NaN or Inf or a difference overflows. Above
-        SMALL_DIM a finite inner product of the pair proves every entry
-        finite and every difference within float range, so the pair is
-        subtracted once and a zero deviation means equal. Any other pair is
-        compared, and its differences taken, in Python floats, which never
-        warn.
+        unequal entry is NaN or Inf or a difference overflows. A finite
+        inner product of a pair of equal shapes proves every entry finite
+        and every difference within float range, so the pair is subtracted
+        once and a zero deviation means equal. Any other pair is compared,
+        and its differences taken, in Python floats, which never warn.
         """
         if type(g_true) is float:
             if g_true == g_tilde:
                 return False
             dev = abs(g_true - g_tilde)
         elif (
-            g_true.size > SMALL_DIM and g_true.shape == g_tilde.shape
+            g_true.shape == g_tilde.shape
             and math.isfinite(float(np.vdot(g_true, g_tilde)))
         ):
             dev = norm(g_true - g_tilde)

@@ -38,7 +38,7 @@ def _cmd_sweep(args) -> int:
     rows = run_sweep(sweep, out_path=out)
     for row in rows:
         print(
-            f"{row['algorithm']} k={row['k']} T={row['T']} seed={row['seed']}: "
+            f"{row['algorithm']} k={row['k']} T={row['T']}: "
             f"corrupted {row['regret_corrupted']:.6g} / clean "
             f"{row['regret_uncorrupted']:.6g} = ratio {row['ratio']:.4g}"
         )

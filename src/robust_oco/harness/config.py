@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import MISSING, dataclass, fields
 
 from ..adversaries import AdversarySpec
@@ -65,6 +66,9 @@ class ExperimentConfig:
                 )
         else:
             self.comparator = tuple(float(x) for x in self.comparator)
+            for x in self.comparator:
+                if not math.isfinite(x):
+                    raise ValueError(f"[experiment] comparator must be finite, got {x}")
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("at least one seed is required")
@@ -76,7 +80,6 @@ class SweepConfig:
 
     ks: tuple[int, ...] = (20, 30, 40, 50, 60, 70)
     algorithms: tuple[str, ...] = ("kt_bettor", "known_g")
-    seeds: tuple[int, ...] = (0,)
     epsilon: float = 1.0
     G: float = 1.0
     tau_G: float = 1.0

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..adversaries import AdversarySpec, KTBettor, make_adversary
-from ..core import FLOAT, CorruptionLedger, NonFiniteError, RegretLedger, kernels
+from ..core import CorruptionLedger, NonFiniteError, RegretLedger, kernels
 from ..mirror_descent import SolverError
 from ..protocol import ProtocolConfig, RobustProtocol, RoundRecord
 from .config import COMPARATOR_FROM_ADVERSARY, ExperimentConfig, SweepConfig, protocol_mode
@@ -81,39 +81,12 @@ def resolve_comparator(config: ExperimentConfig, adversary) -> np.ndarray:
     return np.asarray(config.comparator, dtype=np.float64)
 
 
-class KTPlayer(KTBettor):
-    """The KT bettor under the protocol's round contract (g_true required).
-
-    It sees the observed gradient unclipped and has no regularizer, so it
-    has no regret split (decomposition is None) and keeps no ledger: the
-    runner keeps its score. It runs on floats: a round coerces both
-    gradients, runs the bettor's checks, then moves the bettor, so a round
-    that raises changes nothing. predict() builds the caller's 1-entry
-    array from the float w.
-    """
-
-    decomposition = None
-
-    def predict(self) -> np.ndarray:
-        return np.array([self.w])
-
-    def round(self, g_tilde, g_true) -> RoundRecord:
-        w = self.w  # the played scalar; its norm is |w|
-        g_tilde, g_tilde_norm = FLOAT.coerce(g_tilde, 1)
-        g_true, g_norm = FLOAT.coerce(g_true, 1)
-        self.commit(self.update(g_tilde, g_tilde_norm))
-        return RoundRecord(
-            w_norm=abs(w), g_norm=g_norm, g_tilde_norm=g_tilde_norm,
-            g_clipped_norm=g_tilde_norm, h=0.0, z=0.0, alpha=0.0, beta=0.0,
-        )
-
-
 def make_player(config: ExperimentConfig, comparator: np.ndarray):
     """The configured algorithm, as a player with w, predict(), round() and decomposition."""
     if config.algorithm == "kt_bettor":
         if config.adversary.dim != 1:
             raise ValueError("the KT baseline is one-dimensional")
-        return KTPlayer(config.protocol.epsilon)
+        return KTBettor(config.protocol.epsilon)
     return RobustProtocol(config.protocol, comparator=comparator)
 
 
@@ -185,7 +158,7 @@ def run_experiment(
 
 
 SWEEP_COLUMNS = [
-    "algorithm", "k", "T", "seed",
+    "algorithm", "k", "T",
     "regret_corrupted", "regret_uncorrupted", "ratio",
 ]
 
@@ -205,24 +178,19 @@ def _sweep_cell_config(sweep: SweepConfig, algorithm: str, k: int,
     )
     return ExperimentConfig(
         algorithm=algorithm, adversary=adversary, protocol=protocol,
-        comparator=(1.0,), seeds=(0,), output_path=sweep.output_path,
+        comparator=(1.0,), output_path=sweep.output_path,
     )
 
 
-def _run_sweep_cell(sweep: SweepConfig, algorithm: str, k: int, seed: int) -> dict:
-    corrupted = run_experiment(
-        _sweep_cell_config(sweep, algorithm, k, corrupted=True), seed=seed
-    )
-    clean = run_experiment(
-        _sweep_cell_config(sweep, algorithm, k, corrupted=False), seed=seed
-    )
+def _run_sweep_cell(sweep: SweepConfig, algorithm: str, k: int) -> dict:
+    corrupted = run_experiment(_sweep_cell_config(sweep, algorithm, k, corrupted=True))
+    clean = run_experiment(_sweep_cell_config(sweep, algorithm, k, corrupted=False))
     r_cor = corrupted.summary["final_true_regret"]
     r_clean = clean.summary["final_true_regret"]
     return {
         "algorithm": algorithm,
         "k": k,
         "T": k * k,
-        "seed": seed,
         "regret_corrupted": r_cor,
         "regret_uncorrupted": r_clean,
         "ratio": r_cor / r_clean if r_clean != 0.0 else math.inf,
@@ -230,12 +198,11 @@ def _run_sweep_cell(sweep: SweepConfig, algorithm: str, k: int, seed: int) -> di
 
 
 def run_sweep(sweep: SweepConfig, out_path: str | Path | None = None) -> list[dict]:
-    """Run the grid; rows come in grid order (algorithm, then k, then seed)."""
+    """Run the grid; rows come in grid order (algorithm, then k)."""
     rows = [
-        _run_sweep_cell(sweep, algorithm, k, seed)
+        _run_sweep_cell(sweep, algorithm, k)
         for algorithm in sweep.algorithms
         for k in sweep.ks
-        for seed in sweep.seeds
     ]
     if out_path is not None:
         path = Path(out_path)

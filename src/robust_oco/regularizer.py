@@ -11,12 +11,9 @@ overflows for large ones long before the quantities leave float range.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
-from .core import check_positive
-
-_FLOAT_MIN = sys.float_info.min  # smallest normal double
+from .core import _FLOAT_MIN, check_positive
 
 
 @dataclass

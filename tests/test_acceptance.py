@@ -133,7 +133,7 @@ class TestCriterion2CorruptionScalingSweep:
     def test_normalized_regret_bounded_across_grid(self):
         started = time.perf_counter()
         rows = run_sweep(SweepConfig(ks=(20, 30, 40, 50, 60, 70),
-                                     algorithms=("known_g",), seeds=(0,)))
+                                     algorithms=("known_g",)))
         elapsed = time.perf_counter() - started
         normalized = []
         for row in rows:
@@ -261,7 +261,7 @@ class TestCriterion10UnknownBoundBlindness:
         started = time.perf_counter()
         rows = run_sweep(
             SweepConfig(ks=(20, 30, 40, 50, 60, 70),
-                        algorithms=("unknown_g_case1",), seeds=(0,), tau_G=0.5)
+                        algorithms=("unknown_g_case1",), tau_G=0.5)
         )
         elapsed = time.perf_counter() - started
         normalized = []

@@ -16,6 +16,7 @@ from robust_oco.adversaries import (
 )
 from robust_oco.core import CorruptionLedger, norm
 from robust_oco.harness.checks import random_sign_expectation
+from snapshot import state_bits
 
 
 def replay_budget(adversary, T, dim=1, w_source=None):
@@ -324,7 +325,7 @@ class TestKTBettor:
         kt = KTBettor(1.0)
         kt.observe(np.array([-0.5]))
         kt.w = 10.0
-        before = (kt.reward, kt.sum_neg_grad, kt.t, kt.w)
+        before = state_bits(kt)
         with pytest.raises(RuntimeError, match="KT wealth went nonpositive"):
             kt.observe(np.array([1.0]))
-        assert (kt.reward, kt.sum_neg_grad, kt.t, kt.w) == before
+        assert state_bits(kt) == before

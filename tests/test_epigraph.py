@@ -14,6 +14,7 @@ from robust_oco.epigraph import (
     weighted_project,
 )
 from robust_oco.mirror_descent import SolverError
+from snapshot import state_bits
 
 
 class TestWeightedProject:
@@ -330,17 +331,17 @@ class TestEpigraphLearner:
         for g in ([0.5, -0.0, -0.25], [-0.75, 0.25, 0.0], [0.0, -0.0, 0.5]):
             fast.observe(kind(g[:dim]), 1.0)
             ref.observe(g[0] if dim == 1 else np.array(g[:dim]), 1.0)
-            assert learner_bits(fast) == learner_bits(ref)
+            assert state_bits(fast) == state_bits(ref)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_missing_gradient_named(self, dim):
         # the interior round raised TypeError for None
         learner = self.make(dim=dim)
         assert learner._played is learner._hat
-        before = learner_bits(learner)
+        before = state_bits(learner)
         with pytest.raises(ValueError, match="^missing vector input: got None$"):
             learner.observe(None, 1.0)
-        assert learner_bits(learner) == before
+        assert state_bits(learner) == before
 
     def test_penalty_weight_above_gamma_rejected(self):
         learner = self.make(gamma=1.0)
@@ -357,21 +358,21 @@ class TestEpigraphLearner:
         for _ in range(40):
             learner.observe(rng.uniform(-1.0, 1.0, dim) / math.sqrt(dim), 1.0,
                             float(rng.uniform(0.0, 2.0)))
-        before = learner_bits(learner)
+        before = state_bits(learner)
         rounds = (learner.learner_w.t, learner.learner_y.t, learner.learner_w.reg.t)
         with pytest.raises(ValueError, match=r"penalty weight .* outside \[0, gamma 2\.0\]"):
             learner.observe(np.full(dim, 0.1), 1.0, a_t)
-        assert learner_bits(learner) == before
+        assert state_bits(learner) == before
         assert (learner.learner_w.t, learner.learner_y.t, learner.learner_w.reg.t) == rounds
 
     @pytest.mark.parametrize("hint", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_hint_moves_no_state(self, hint):
         learner = self.make(dim=2)
         learner.observe(np.array([0.5, -0.5]), 1.0, 0.5)
-        before = learner_bits(learner)
+        before = state_bits(learner)
         with pytest.raises(ValueError, match="hint must be finite"):
             learner.observe(np.array([0.1, 0.2]), hint, 0.5)
-        assert learner_bits(learner) == before
+        assert state_bits(learner) == before
         assert learner.learner_w.t == learner.learner_y.t == 1
 
     @pytest.mark.parametrize("d", [1, 3, 17])
@@ -404,7 +405,7 @@ class TestEpigraphLearner:
         while (learner._played is learner._hat) is not interior:
             a_t = float(rng.uniform(0.0, 2.0))
             learner.observe(rng.uniform(-0.7, 0.7, 2), 1.0, a_t)
-        before = learner_bits(learner)
+        before = state_bits(learner)
         hat, played = learner._hat, learner._played
         solve, project = mirror_descent.link_inverse_solve, epigraph.weighted_project
 
@@ -423,7 +424,7 @@ class TestEpigraphLearner:
             monkeypatch.setattr(epigraph, "weighted_project", projection)
         with pytest.raises(SolverError, match="failed"):
             learner.observe(np.array([0.6, -0.3]), 1.0, 0.5)
-        assert learner_bits(learner) == before
+        assert state_bits(learner) == before
         assert learner._hat is hat and learner._played is played
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])

@@ -9,7 +9,7 @@ from robust_oco import mirror_descent
 from robust_oco.harness import runner
 
 from robust_oco.adversaries import (
-    ADVERSARY_KINDS, Adversary, AdversarySpec, SignFlipAdversary, make_adversary,
+    ADVERSARY_KINDS, Adversary, AdversarySpec, KTBettor, SignFlipAdversary, make_adversary,
 )
 from robust_oco.core import CorruptionLedger, NonFiniteError, RegretLedger, kernels
 from robust_oco.harness.checks import CHECKS, run_check
@@ -25,7 +25,6 @@ from robust_oco.harness.config import (
 )
 from robust_oco.harness.runner import (
     ExperimentTrace,
-    KTPlayer,
     SweepConfig,
     make_player,
     resolve_comparator,
@@ -35,6 +34,7 @@ from robust_oco.harness.runner import (
 )
 from robust_oco.mirror_descent import SolverError
 from robust_oco.protocol import ProtocolConfig, RobustProtocol
+from snapshot import state_bits
 
 DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -206,7 +206,7 @@ class TestConfigRoundTrip:
     def test_sweep_identity_on_full_config(self):
         sweep = SweepConfig(
             ks=(3, 5, 8), algorithms=("known_g", "unknown_g_case2"),
-            seeds=(2, 7), epsilon=0.1 + 0.2, G=2.5, tau_G=0.125,
+            epsilon=0.1 + 0.2, G=2.5, tau_G=0.125,
             window_frac=0.5, output_path="results/sweep",
         )
         assert sweep_from_ini(sweep_to_ini(sweep)) == sweep
@@ -303,26 +303,28 @@ class TestRunExperiment:
         # bettor's checks: true regret 0.5 -> 0.875 and observed 0.5 -> 2.0
         # with t still 1; the caller's ledger, updated after the round as
         # the runner does, sees no round that raised
-        player, ledger = KTPlayer(1.0), RegretLedger(comparator=1.0)
+        player, ledger = KTBettor(1.0), RegretLedger(comparator=1.0)
         player.round(np.array([-0.5]), g_true=np.array([-0.5]))
         ledger.update(0.0 - 1.0, -0.5, -0.5)
-        before = (ledger.true_regret_linear, ledger.observed_regret_linear, player.t, player.w)
+        before = state_bits(ledger), state_bits(player)
         with pytest.raises(ValueError, match=r"KT bettor requires \|g\| <= 1"):
             player.round(np.array([-2.0]), g_true=np.array([-0.5]))
+        assert (state_bits(ledger), state_bits(player)) == before
         after = (ledger.true_regret_linear, ledger.observed_regret_linear, player.t, player.w)
-        assert after == before == (0.5, 0.5, 1, 0.25)
+        assert after == (0.5, 0.5, 1, 0.25)
 
     def test_kt_round_without_true_gradient_names_it(self):
         # g_true defaulted to None, which the coercion reported as
         # "non-finite value in vector input: array([nan])"
-        player, ledger = KTPlayer(1.0), RegretLedger(comparator=1.0)
+        player, ledger = KTBettor(1.0), RegretLedger(comparator=1.0)
         player.round(np.array([-0.5]), g_true=np.array([-0.5]))
         ledger.update(0.0 - 1.0, -0.5, -0.5)
-        before = (ledger.true_regret_linear, ledger.observed_regret_linear, player.t, player.w)
+        before = state_bits(ledger), state_bits(player)
         with pytest.raises(TypeError, match="missing 1 required positional argument: 'g_true'"):
             player.round(np.array([0.5]))
+        assert (state_bits(ledger), state_bits(player)) == before
         after = (ledger.true_regret_linear, ledger.observed_regret_linear, player.t, player.w)
-        assert after == before == (0.5, 0.5, 1, 0.25)
+        assert after == (0.5, 0.5, 1, 0.25)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflowing_observed_regret_aborts_the_run(self, monkeypatch, sign):
@@ -556,7 +558,7 @@ class TestFloatRunLoop:
             raise AssertionError("the run loop called predict()")
 
         monkeypatch.setattr(RobustProtocol, "predict", refuse)
-        monkeypatch.setattr(KTPlayer, "predict", refuse)
+        monkeypatch.setattr(KTBettor, "predict", refuse)
         mode = protocol_mode(algorithm)
         config = ExperimentConfig(
             algorithm=algorithm,
@@ -587,14 +589,14 @@ class TestFloatRunLoop:
 
 class TestSweep:
     def test_row_count_and_order(self):
-        sweep = SweepConfig(ks=(4, 5), algorithms=("kt_bettor", "known_g"), seeds=(0, 1, 2))
+        sweep = SweepConfig(ks=(4, 5), algorithms=("kt_bettor", "known_g"))
         rows = run_sweep(sweep)
-        assert len(rows) == 2 * 2 * 3
-        keys = [(r["algorithm"], r["k"], r["seed"]) for r in rows]
+        assert len(rows) == 2 * 2
+        keys = [(r["algorithm"], r["k"]) for r in rows]
         assert keys == sorted(keys, key=lambda x: (x[0] != "kt_bettor", x))
 
     def test_ratio_column(self):
-        rows = run_sweep(SweepConfig(ks=(5,), algorithms=("known_g",), seeds=(0,)))
+        rows = run_sweep(SweepConfig(ks=(5,), algorithms=("known_g",)))
         row = rows[0]
         assert row["T"] == 25
         assert math.isclose(
@@ -672,6 +674,10 @@ class TestCLI:
         ("adversary", "known_g", "D", "nan", "D must be finite"),
         ("adversary", "known_g", "D", "inf", "D must be finite"),
         ("adversary", "known_g", "epsilon", "nan", "epsilon must be positive and finite"),
+        ("experiment", "kt_bettor", "comparator", "nan", "[experiment] comparator must be finite"),
+        ("experiment", "kt_bettor", "comparator", "inf", "[experiment] comparator must be finite"),
+        ("experiment", "known_g", "comparator", "nan", "[experiment] comparator must be finite"),
+        ("experiment", "known_g", "comparator", "inf", "[experiment] comparator must be finite"),
     ])
     def test_non_finite_setting_exits_2_naming_it(self, tmp_path, capsys,
                                                    section, algorithm, key, value, stem):
@@ -681,7 +687,9 @@ class TestCLI:
         # under the streams that read them, an abort at round 1 (dro_reweight,
         # G = nan or inf), a message naming the corruption ledger's
         # lipschitz_G (G = -1), or a NaN or Inf comparator (lb_theorem2's D,
-        # lb_origin's epsilon)
+        # lb_origin's epsilon). A NaN or Inf [experiment] comparator was a
+        # run failure before round 1, exit 1 ("non-finite value in vector
+        # input"), where a comparator of the wrong size is a config error
         parser = configparser.ConfigParser()
         parser.optionxform = str
         parser.read_string((CONFIGS / "figure1.ini").read_text())
@@ -700,7 +708,7 @@ class TestCLI:
     def test_sweep_subcommand(self, tmp_path):
         path = tmp_path / "sweep.ini"
         path.write_text(
-            "[sweep]\nks = 4 5\nalgorithms = known_g\nseeds = 0\n"
+            "[sweep]\nks = 4 5\nalgorithms = known_g\n"
         )
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--config", str(path), "--out", str(out)])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from robust_oco import core, mirror_descent
-from robust_oco.adversaries import AdversarySpec
+from robust_oco.adversaries import AdversarySpec, KTBettor
 from robust_oco.core import NonFiniteError
 from robust_oco.harness.config import ExperimentConfig
 from robust_oco.harness.runner import run_experiment
@@ -75,3 +75,31 @@ def test_span_counts_equal_code_object_calls(mode):
     totals = recorder.totals()
     assert {name: totals.get(name, (0,))[0] for name in KERNELS} == calls
     assert all(calls.values()), calls
+
+
+def test_kt_round_opens_one_observe_span():
+    # the KT round is the bettor's observe(): a round that moved the bettor
+    # another way left adversaries.kt_observe at 0 spans
+    recorder = span_recorder()
+    observe = KTBettor.observe.__code__  # the method's own, before the tracer wraps it
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is observe:
+            calls += 1
+
+    config = ExperimentConfig(
+        algorithm="kt_bettor",
+        adversary=AdversarySpec(kind="sign_flip_window", T=50, k=5, window_start=20),
+        protocol=ProtocolConfig(mode="known_g", T=50, k=5),
+        comparator=(1.0,),
+    )
+    with recorder.installed():
+        sys.setprofile(hook)
+        try:
+            trace = run_experiment(config)
+        finally:
+            sys.setprofile(None)
+    spans = recorder.totals().get("adversaries.kt_observe", (0,))[0]
+    assert spans == len(trace.rows) == calls == 50

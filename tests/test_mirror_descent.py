@@ -21,6 +21,7 @@ from robust_oco.mirror_descent import (
     link_value,
 )
 from robust_oco.regularizer import HuberRegularizer
+from snapshot import state_bits
 
 
 def random_state(rng, allow_zero_scale=True):
@@ -290,11 +291,10 @@ class TestMirrorDescentLearner:
         # not at B = 32 after the first round
         md = MirrorDescentLearner(1, epsilon=1e-322, initial_hint=1.0, p=2.0)
         assert md._wealth_scale(md.B) == 5e-324
-        fields = ("t", "N", "B", "C", "h")
-        before = [getattr(md, f) for f in fields]
+        before = state_bits(md)
         with pytest.raises(ValueError, match="wealth scale underflows"):
             md.observe(np.array([-1.0]), 1.0)
-        assert [getattr(md, f) for f in fields] == before
+        assert state_bits(md) == before
         assert np.array_equal(np.atleast_1d(md.w), [0.0])
 
     def test_rejects_decreasing_hints(self):
@@ -325,14 +325,10 @@ class TestMirrorDescentLearner:
         md.observe(np.array([0.3, -0.4]), 1.0)
         md.observe(np.array([0.1, 0.2]), 1.5)
         md.mirror_grad = np.array([corrupt, -2.0])
-        fields = ("t", "N", "B", "C", "h")
-        before = [getattr(md, f) for f in fields] + [md.reg.log_S]
-        mirror_grad, w = md.mirror_grad.copy(), md.w.copy()
+        before = state_bits(md)
         with pytest.raises(NonFiniteError, match="dual accumulator"):
             md.observe(np.array([0.5, 0.5]), 2.0)
-        assert [getattr(md, f) for f in fields] + [md.reg.log_S] == before
-        assert np.array_equal(md.mirror_grad, mirror_grad, equal_nan=True)
-        assert np.array_equal(md.w, w)
+        assert state_bits(md) == before
 
     @pytest.mark.parametrize("d", [1, 16, 17, 256])
     def test_kept_iterate_norm_is_the_norm_of_the_iterate(self, d):
@@ -408,19 +404,14 @@ class TestMirrorDescentLearner:
 
 
 def shared_bits(md) -> bytes:
-    """The state floats both mirror descent learners keep, as bytes, and the round."""
-    values = [md.w, md.mirror_grad, md.w_norm, md.h, md.C, md.N, md.B]
+    """The state both forms of a mirror descent learner keep, as bytes: its
+    floats and 1-entry arrays alike, its round and its penalty's state."""
+    reg = md.reg
+    values = [md.w, md.mirror_grad, md.w_norm, md.h, md.C, md.N, md.B,
+              reg.log_S, reg.last_iterate_norm, reg.t]
     return b"".join(
         np.asarray(v, dtype=np.float64).tobytes() for v in values
     ) + md.t.to_bytes(8, "little")
-
-
-def state_bits(md) -> bytes:
-    """Every state float of a mirror descent learner, as bytes, and its round."""
-    reg = md.reg
-    return shared_bits(md) + np.array(
-        [reg.log_S, reg.last_iterate_norm, reg.t], dtype=np.float64
-    ).tobytes()
 
 
 def on_arrays(md):
@@ -471,7 +462,7 @@ class TestFloatRepresentation:
                 nonzero_before_zero += fast.w != 0.0
             fast.observe(g, hint)
             ref.observe(np.array([g]), hint)
-            assert state_bits(fast) == state_bits(ref), t
+            assert shared_bits(fast) == shared_bits(ref), t
             assert type(fast.w) is float and type(fast.mirror_grad) is float
             assert np.atleast_1d(fast.w).tobytes() == np.atleast_1d(ref.w).tobytes()
         assert zero_duals > 50 and nonzero_before_zero > 50, zero_duals

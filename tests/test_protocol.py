@@ -9,11 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robust_oco import epigraph, mirror_descent
+from robust_oco.adversaries import KTBettor
 from robust_oco.core import NonFiniteError, RegretLedger, norm
 from robust_oco.epigraph import EpigraphLearner, EpigraphPoint, weighted_project
-from robust_oco.harness.runner import KTPlayer
 from robust_oco.mirror_descent import MirrorDescentLearner, SolverError
 from robust_oco.protocol import MODES, ProtocolConfig, RobustProtocol
+from snapshot import state_bits
 
 # how each layer names itself in the errors it raises
 LAYER_MESSAGE = re.compile(
@@ -40,20 +41,6 @@ def hostile_gradient(rng, kind: str, dim: int) -> np.ndarray:
     elif kind == "inf":
         g[rng.integers(dim)] = rng.choice([-math.inf, math.inf])
     return g
-
-
-def state_bits(obj) -> bytes:
-    """Every number and array of obj's state, its parts' included, as bytes."""
-    parts = vars(obj).values() if hasattr(obj, "__dict__") else obj
-    out = []
-    for v in parts:
-        if isinstance(v, (int, float)):
-            out.append(np.float64(v).tobytes())
-        elif isinstance(v, np.ndarray):
-            out.append(v.tobytes())
-        elif isinstance(v, tuple) or type(v).__module__.startswith("robust_oco"):
-            out.append(state_bits(v))
-    return b"".join(out)
 
 
 def play(protocol, regret, g_tilde, g_true):
@@ -563,7 +550,7 @@ class TestRaiseMovesNothing:
                                    "missing_g_true"]))
     @settings(max_examples=40, deadline=None)
     def test_kt_player(self, data, rounds, reject):
-        player = KTPlayer(1.0)
+        player = KTBettor(1.0)
         unit = st.floats(-1.0, 1.0)
         for _ in range(rounds):
             g_tilde = data.draw(unit)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,6 +8,7 @@ from robust_oco.core import clip_gradient
 from robust_oco.epigraph import QuadWeights
 from robust_oco.harness.checks import check_filter_properties, check_tracker_properties
 from robust_oco.thresholds import GradientFilter, MagnitudeTracker
+from snapshot import state_bits
 
 
 def step(f, n):
@@ -252,13 +252,6 @@ class ReferenceAutomata:
         return out, self.h, filter_doubled, self.z, tracker_doubled, alpha_t, beta_t
 
 
-def state_bytes(*automata):
-    """Every state field of the automata, as the bytes of float64 values."""
-    return np.array(
-        [v for a in automata for v in astuple(a)], dtype=np.float64
-    ).tobytes()
-
-
 positive = st.floats(1e-3, 1e3, allow_nan=False)
 # a norm drawn freely, or tied with the current threshold, or one ulp above it
 norm_draw = st.tuples(st.sampled_from(["free", "tie", "above"]), st.floats(0.0, 1e4))
@@ -288,11 +281,11 @@ def test_automata_match_the_in_place_reference(
         g = np.array([g_norm])
         expected = ref.round(g, g_norm, w_norm)
         out = clip_gradient(g, f.h, g_norm)
-        before = state_bytes(f, tr, qw)
+        before = state_bits((f, tr, qw))
         h_next, filter_doubled = f.step(out is not g)
         z_next, tracker_doubled = tr.step(w_norm)
         alpha_t, beta_t = qw.step(filter_doubled, tracker_doubled, tr.epoch_index)
-        assert state_bytes(f, tr, qw) == before
+        assert state_bits((f, tr, qw)) == before
         got = (out, h_next, filter_doubled, z_next, tracker_doubled, alpha_t, beta_t)
         assert got[0].tobytes() == expected[0].tobytes()
         assert np.array(got[1:]).tobytes() == np.array(expected[1:]).tobytes()
