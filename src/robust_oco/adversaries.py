@@ -248,9 +248,8 @@ class KTBettor:
     It is also a player under the protocol's round contract (g_true
     required). It sees the observed gradient unclipped and has no
     regularizer, so it has no regret split (decomposition is None) and
-    keeps no ledger: the runner keeps its score. It runs on floats:
-    update() takes an admitted float, and predict() builds the caller's
-    1-entry array from the float w.
+    keeps no ledger: the runner keeps its score. It runs on floats: w is
+    a float, and update() takes an admitted float.
     """
 
     decomposition = None
@@ -282,9 +281,6 @@ class KTBettor:
     def commit(self, state: tuple[float, float, int, float]) -> None:
         """Assign the state that update() computed."""
         self.reward, self.sum_neg_grad, self.t, self.w = state
-
-    def predict(self) -> np.ndarray:
-        return np.array([self.w])
 
     def round(self, g_tilde, g_true) -> RoundRecord:
         """One round: both gradients are coerced before observe() moves anything."""

@@ -1,23 +1,19 @@
 """Shared domain types: vector kernels, gradient clipping, and the ledgers.
 
-Everything downstream trades in plain float64 numpy arrays ("vectors") under
-the Euclidean norm. Corruption experiments intentionally drive exponential
-blow-ups, so any NaN/Inf is treated as a fatal state-corruption signal rather
-than silently propagated.
+Vectors are measured in the Euclidean norm. Corruption experiments
+intentionally drive exponential blow-ups, so any NaN/Inf is treated as a
+fatal state-corruption signal rather than silently propagated.
 
 The per-round vector kernels (norm, inner product, finiteness check, ledger
 equality) never warn, on subnormal and near-overflow input alike. norm and
 dot skip numpy reductions up to SMALL_DIM entries: a Python-level pass over
 ``tolist()`` costs a fraction of one numpy dispatch at that size.
 
-Inside the package a d = 1 vector is a Python float, not a 1-entry array:
-kernels(dim) is the one place that picks the representation, FLOAT or
-ARRAY, each with the same coerce, norm, dot and clip. The float kernels
-give the bits the 1-entry array gave, so a learner, the filter's clip and
-the protocol's ledgers run one code path on either, and so do the run
-loop, the adversaries and CorruptionLedger. Arrays remain where the package
-meets an outside caller: a player's round() coerces them once, and its
-predict() builds one.
+Inside the package a d = 1 vector is a Python float and a longer one a
+float64 array: kernels(dim) is the one place that picks the form, FLOAT or
+ARRAY, each with the same coerce, norm, dot and clip, and the float kernels
+give the bits the 1-entry array gave. The learners, the protocol, the run
+loop, the adversaries and the ledgers run one code path on either form.
 """
 
 from __future__ import annotations
@@ -47,10 +43,13 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 
 def as_array(x, dim: int | None = None) -> np.ndarray:
-    """x as an unreduced 1-d float64 array of dim entries (any size if dim is None)."""
+    """x as an unreduced 1-d float64 array of dim entries (any size if dim is None).
+
+    None, which numpy reads as a NaN scalar, is a ValueError that says so.
+    """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim == 0:
-        if x is None:  # numpy reads None as a NaN scalar
+        if x is None:
             raise ValueError("missing vector input: got None")
         v = v.reshape(1)
     if v.ndim != 1 or v.size < 1:
@@ -76,7 +75,7 @@ def as_vector_norm(x, dim: int | None = None) -> tuple[np.ndarray, float]:
 
 
 def check_positive(name: str, value: float) -> None:
-    """Raise ValueError naming the setting unless 0 < value < inf (NaN fails)."""
+    """Every positive setting's test: raise ValueError naming it unless 0 < value < inf."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
@@ -307,7 +306,9 @@ class RegretLedger:
     corrupted ones. A round whose regret totals would leave float range
     raises NonFiniteError and leaves both totals unchanged.
     The comparator and every vector of a round share one representation: a
-    float (the protocol's d = 1 form) or float64 arrays of equal shape.
+    float (the protocol's d = 1 form) or float64 arrays of equal shape. A
+    round in another form raises ValueError naming each form, before either
+    total moves.
     """
 
     comparator: np.ndarray | float
@@ -325,15 +326,21 @@ class RegretLedger:
     ) -> None:
         """Account one round; diff is the played point minus the comparator."""
         k = self._kernels
-        if not k.same_shape(self.comparator, diff, g_true, g_observed):
-            raise ValueError(
-                f"dimension mismatch: w - u {diff.shape}, g {g_true.shape}, "
-                f"g_obs {g_observed.shape}, comparator {self.comparator.shape}"
-            )
-        # a non-finite increment makes its total non-finite too
-        true_total = self.true_regret_linear + k.dot(g_true, diff)
-        observed_total = self.observed_regret_linear + k.dot(g_observed, diff)
-        if not (math.isfinite(true_total) and math.isfinite(observed_total)):
+        try:  # a round in the wrong form fails here, at no cost to a good round
+            same = k.same_shape(self.comparator, diff, g_true, g_observed)
+            if same:
+                # a non-finite increment makes its total non-finite too
+                true_total = self.true_regret_linear + k.dot(g_true, diff)
+                observed_total = self.observed_regret_linear + k.dot(g_observed, diff)
+                finite = math.isfinite(true_total) and math.isfinite(observed_total)
+        except (AttributeError, TypeError):
+            same = False
+        if not same:
+            forms = (f"{type(x).__name__} {np.shape(x)}"
+                     for x in (self.comparator, diff, g_true, g_observed))
+            raise ValueError("regret ledger round in the wrong form: comparator {}, "
+                             "w - u {}, g {}, g_obs {}".format(*forms))
+        if not finite:
             raise NonFiniteError(
                 f"non-finite value in regret ledger: true {true_total}, "
                 f"observed {observed_total}"

@@ -5,13 +5,10 @@ A d-dimensional learner and a scalar learner jointly predict a lifted point
 metric h^2||.||^2 + gamma^2(.)^2 makes the quadratic penalty a_t ||w||^2 act
 linearly through the y coordinate. An exterior prediction additionally incurs
 a gradient correction along the (weighted) projection direction, which keeps
-both sub-learners' feedback within their promised hint ranges. A round
-computes both sub-learners' updates and the projection of the new lifted
-point before either sub-learner commits, so a round that raises changes
-nothing. At d = 1 the lifted point, the correction and the projection are
-Python floats, as the vector sub-learner's iterate is, and each function
-reads the form from its input. The learner holds the played iterate w and
-its norm w_norm, and builds no array: the protocol builds the caller's.
+both sub-learners' feedback within their promised hint ranges. At d = 1
+the lifted point, the correction and the projection are Python floats, as
+the vector sub-learner's iterate is, and each function reads the form from
+its input.
 """
 
 from __future__ import annotations
@@ -49,8 +46,8 @@ class QuadWeights:
     gamma_beta: float
 
     def __post_init__(self):
-        if self.gamma_alpha < 0 or self.gamma_beta < 0:
-            raise ValueError("penalty weights must be nonnegative")
+        if not (0.0 <= self.gamma_alpha < math.inf and 0.0 <= self.gamma_beta < math.inf):
+            raise ValueError(f"penalty weights must be nonnegative and finite, got {self}")
 
     @property
     def gamma(self) -> float:

@@ -82,7 +82,7 @@ def resolve_comparator(config: ExperimentConfig, adversary) -> np.ndarray:
 
 
 def make_player(config: ExperimentConfig, comparator: np.ndarray):
-    """The configured algorithm, as a player with w, predict(), round() and decomposition."""
+    """The configured algorithm, as a player with w, round() and decomposition."""
     if config.algorithm == "kt_bettor":
         if config.adversary.dim != 1:
             raise ValueError("the KT baseline is one-dimensional")
@@ -163,47 +163,57 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_cell_config(sweep: SweepConfig, algorithm: str, k: int,
-                       corrupted: bool) -> ExperimentConfig:
+def _sweep_cell_configs(sweep: SweepConfig, algorithm: str, k: int) -> list[ExperimentConfig]:
+    """The cell's corrupted and clean configs, each checked by building its stream and player.
+
+    A k or window_frac that either rejects raises ValueError naming both [sweep] keys.
+    """
     T = k * k
-    window_start = int(sweep.window_frac * T)
-    adversary = AdversarySpec(
-        kind="sign_flip_window", T=T, k=k if corrupted else 0,
-        window_start=window_start, dim=1,
-    )
     mode = protocol_mode(algorithm)
-    protocol = ProtocolConfig(
-        mode=mode, T=T, epsilon=sweep.epsilon, k=k,
-        G=sweep.G if mode == "known_g" else None, tau_G=sweep.tau_G,
-    )
-    return ExperimentConfig(
-        algorithm=algorithm, adversary=adversary, protocol=protocol,
-        comparator=(1.0,), output_path=sweep.output_path,
-    )
-
-
-def _run_sweep_cell(sweep: SweepConfig, algorithm: str, k: int) -> dict:
-    corrupted = run_experiment(_sweep_cell_config(sweep, algorithm, k, corrupted=True))
-    clean = run_experiment(_sweep_cell_config(sweep, algorithm, k, corrupted=False))
-    r_cor = corrupted.summary["final_true_regret"]
-    r_clean = clean.summary["final_true_regret"]
-    return {
-        "algorithm": algorithm,
-        "k": k,
-        "T": k * k,
-        "regret_corrupted": r_cor,
-        "regret_uncorrupted": r_clean,
-        "ratio": r_cor / r_clean if r_clean != 0.0 else math.inf,
-    }
+    configs = []
+    for budget in (k, 0):
+        try:
+            adversary = AdversarySpec(
+                kind="sign_flip_window", T=T, k=budget,
+                window_start=int(sweep.window_frac * T), dim=1,
+            )
+            protocol = ProtocolConfig(
+                mode=mode, T=T, epsilon=sweep.epsilon, k=k,
+                G=sweep.G if mode == "known_g" else None, tau_G=sweep.tau_G,
+            )
+            config = ExperimentConfig(
+                algorithm=algorithm, adversary=adversary, protocol=protocol,
+                comparator=(1.0,), output_path=sweep.output_path,
+            )
+            make_player(config, resolve_comparator(config, make_adversary(adversary)))
+        except (ValueError, OverflowError) as exc:  # int() of an infinite window_frac * T
+            raise ValueError(f"[sweep] ks = {k} with window_frac = {sweep.window_frac}: {exc}")
+        configs.append(config)
+    return configs
 
 
 def run_sweep(sweep: SweepConfig, out_path: str | Path | None = None) -> list[dict]:
-    """Run the grid; rows come in grid order (algorithm, then k)."""
-    rows = [
-        _run_sweep_cell(sweep, algorithm, k)
+    """Run the grid; rows come in grid order (algorithm, then k).
+
+    Every cell is checked before the first one runs, so a bad [sweep] ks or
+    window_frac discards no finished cell.
+    """
+    grid = [
+        (algorithm, k, _sweep_cell_configs(sweep, algorithm, k))
         for algorithm in sweep.algorithms
         for k in sweep.ks
     ]
+    rows = []
+    for algorithm, k, configs in grid:
+        r_cor, r_clean = (run_experiment(c).summary["final_true_regret"] for c in configs)
+        rows.append({
+            "algorithm": algorithm,
+            "k": k,
+            "T": k * k,
+            "regret_corrupted": r_cor,
+            "regret_uncorrupted": r_clean,
+            "ratio": r_cor / r_clean if r_clean != 0.0 else math.inf,
+        })
     if out_path is not None:
         path = Path(out_path)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -18,8 +18,6 @@ subtraction, scaling and norm run on either, with the bits the 1-entry
 array gave. The epigraph learner's scalar side is this learner at d = 1
 with the penalty off. The update computes the whole new state before
 commit() assigns any of it, so an observe() that raises changes nothing.
-The learner holds its iterate w and builds no array; update() derives the
-link's V and wealth scale a from the hint, C and B instead of storing them.
 """
 
 from __future__ import annotations
@@ -227,7 +225,7 @@ class MirrorDescentLearner:
 
     w and mirror_grad are held in the form core.kernels(dim) picks: floats
     at d = 1, float64 arrays above, bit for bit the learner on 1-entry
-    arrays at d = 1. Its player builds the caller's array.
+    arrays at d = 1.
     """
 
     def __init__(

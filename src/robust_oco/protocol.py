@@ -8,14 +8,11 @@ played iterate and its norm, the ledger the split's penalty and sums. Two
 wirings exist: a constant threshold equal to a known gradient bound with the
 mirror descent learner, and the adaptive filter + tracker + epigraph stack
 when no bound is known; there the filter counts the clips and the weights
-read the tracker's epochs. The protocol validates its config, refuses the
-gradient bound in the unknown-bound modes, and applies both wirings'
-parameter presets as it builds its parts, among them p = ln T.
+read the tracker's epochs.
 
-The protocol runs on the learner's form (core.kernels(dim): a float at
-d = 1): the clip, the learner and the ledger, and w, the played point
-that the runner reads. An outside caller meets float64 arrays: round()
-coerces each gradient once into that form, and predict() returns an array.
+It runs on the learner's form (core.kernels(dim): a float at d = 1), and so
+does w, the played point; round() coerces each gradient (an array, a list
+or a float) once into that form.
 """
 
 from __future__ import annotations
@@ -204,18 +201,12 @@ class RobustProtocol:
 
     @property
     def w(self) -> np.ndarray | float:
-        """The iterate to play this round in the learner's form: a float at d = 1."""
-        return self.learner.w
+        """The iterate to play this round in the learner's form: a float at d = 1.
 
-    def predict(self) -> np.ndarray:
-        """The iterate to play this round, as a float64 array; the origin before the first round.
-
-        Above d = 1 it is the learner's own iterate, not a copy: a round
-        replaces the iterate with a new array and never writes into the old
-        one, and callers must not write into it either. At d = 1 each call
-        builds a new 1-entry array from the learner's float.
+        Above d = 1 it is the learner's own array: a round replaces it and
+        never writes into it, and callers must not write into it either.
         """
-        return np.atleast_1d(self.learner.w)
+        return self.learner.w
 
     def round(self, g_tilde, g_true=None) -> RoundRecord:
         """Play one round against the observed gradient.

@@ -21,6 +21,7 @@ class HuberRegularizer:
     """Running state (S_t, previous iterate norm) of the composite penalty.
 
     S is kept as log_S only: a sum of p-th powers soon leaves float range.
+    c lies in [0, inf), p in (1, inf) and alpha in (0, inf); NaN fails each.
     """
 
     c: float
@@ -31,7 +32,6 @@ class HuberRegularizer:
     t: int = field(init=False, default=0)
 
     def __post_init__(self):
-        # written so that NaN fails every comparison
         if not 0.0 <= self.c < math.inf:
             raise ValueError(f"scale c must be nonnegative and finite, got {self.c}")
         if not 1.0 < self.p < math.inf:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .core import check_positive
+
 
 @dataclass
 class GradientFilter:
@@ -39,8 +41,7 @@ class GradientFilter:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("corruption budget k must be nonnegative")
-        if self.tau_G <= 0:
-            raise ValueError("initial threshold tau_G must be positive")
+        check_positive("initial threshold tau_G", self.tau_G)
         self.h = self.tau_G
 
     def step(self, clipped: bool) -> tuple[float, bool]:
@@ -75,8 +76,7 @@ class MagnitudeTracker:
     epoch_index: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if self.tau_D <= 0:
-            raise ValueError("initial magnitude guess tau_D must be positive")
+        check_positive("initial magnitude guess tau_D", self.tau_D)
         self.z = self.tau_D
 
     def step(self, w_norm: float) -> tuple[float, bool]:

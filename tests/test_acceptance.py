@@ -250,7 +250,7 @@ class TestCriterion10UnknownBoundBlindness:
         )
         protocol.config.G = _PoisonedBound()
         for t in range(1, 301):
-            w = protocol.predict()
+            w = np.atleast_1d(protocol.w)
             g = np.array([1.0 if w[0] > 1 else -1.0])
             protocol.round(g * (25.0 if t % 71 == 0 else 1.0), g_true=g)
         ok = protocol.t == 300

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -23,6 +24,7 @@ from robust_oco.core import (
     kernels_of,
     norm,
 )
+from snapshot import state_bits
 
 # both sides of the small-vector gate
 GATE_DIMS = (1, 2, SMALL_DIM, SMALL_DIM + 1, 256)
@@ -521,6 +523,29 @@ class TestRegretLedger:
         led = RegretLedger(comparator=np.array([0.0]))
         with pytest.raises(ValueError):
             led.update(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("comparator, round_, given", [
+        # floats or lists against an array comparator raised AttributeError
+        (np.array([1.0]), (0.5, 1.0, 1.0), "w - u float (), g float (), g_obs float ()"),
+        (np.array([1.0]), ([0.5], [1.0], [1.0]), "w - u list (1,), g list (1,), g_obs list (1,)"),
+        # an array against a float comparator raised TypeError (a 1-entry one
+        # too, where numpy no longer converts it to a float)
+        (1.0, (np.array([0.5, 0.5]), 1.0, 1.0), "w - u ndarray (2,), g float (), g_obs float ()"),
+        (1.0, (0.5, np.array([1.0, 1.0]), 1.0), "g ndarray (2,), g_obs float ()"),
+        (1.0, (0.5, 1.0, [1.0]), "g_obs list (1,)"),
+    ])
+    def test_round_in_the_wrong_form_is_a_value_error(self, comparator, round_, given):
+        led = RegretLedger(comparator=comparator)
+        good = (0.25, 1.0, -1.0) if type(comparator) is float else (
+            np.array([0.25]), np.array([1.0]), np.array([-1.0]))
+        led.update(*good)
+        before = state_bits(led)
+        expected = "float ()" if type(comparator) is float else "ndarray (1,)"
+        with pytest.raises(ValueError, match=f"^regret ledger round in the wrong form: "
+                                             f"comparator {re.escape(expected)}, "
+                                             f".*{re.escape(given)}$"):
+            led.update(*round_)
+        assert state_bits(led) == before
 
 
 class TestFiniteness:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -168,6 +169,16 @@ class TestQuadWeights:
         weigh = Weigh(gamma_alpha=0.0, gamma_beta=12.0)
         betas = [weigh(False, True)[1] for _ in range(4)]
         assert betas == [6.0, 4.0, 3.0, 2.4]
+
+    @pytest.mark.parametrize("gamma_alpha, gamma_beta", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-1.0, 1.0),
+    ])
+    def test_weight_outside_zero_to_inf_is_rejected(self, gamma_alpha, gamma_beta):
+        # NaN and inf passed the old `< 0` test; 0 stays valid (case2 at k = 0)
+        weights = f"QuadWeights(gamma_alpha={gamma_alpha}, gamma_beta={gamma_beta})"
+        with pytest.raises(ValueError, match="^penalty weights must be nonnegative and finite, "
+                                             f"got {re.escape(weights)}$"):
+            QuadWeights(gamma_alpha, gamma_beta)
 
     def test_weight_ceilings(self):
         rng = np.random.default_rng(3)

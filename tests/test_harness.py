@@ -1,5 +1,6 @@
 import configparser
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from robust_oco.harness.runner import (
     trace_columns,
 )
 from robust_oco.mirror_descent import SolverError
-from robust_oco.protocol import ProtocolConfig, RobustProtocol
+from robust_oco.protocol import ProtocolConfig
 from snapshot import state_bits
 
 DATA = Path(__file__).parent / "data"
@@ -129,10 +130,10 @@ def d1_config(kind, algorithm):
 def array_loop(config, seed):
     """run_experiment's d = 1 rows and summary from an outside caller's loop.
 
-    A fresh player is driven through predict() and 1-entry arrays built
-    from the adversary's floats, and the caller keeps the regret score on
-    those arrays; the summary leaves out the wall time. KT has no
-    decomposition: its four terms are 0.0.
+    A fresh player's w is read as a 1-entry array, the player is driven
+    with 1-entry arrays built from the adversary's floats, and the caller
+    keeps the regret score on those arrays; the summary leaves out the wall
+    time. KT has no decomposition: its four terms are 0.0.
     """
     adversary = make_adversary(config.adversary, seed=seed)
     comparator = resolve_comparator(config, adversary)
@@ -141,7 +142,7 @@ def array_loop(config, seed):
     regret = RegretLedger(comparator=comparator)
     rows, loss_regret = [], 0.0
     for t in range(1, config.adversary.T + 1):
-        w = player.predict()
+        w = np.atleast_1d(player.w)
         g_true, g_tilde = (np.array([g]) for g in adversary.round(t, float(w[0])))
         corrupted = budget.update(g_true, g_tilde)
         rec = player.round(g_tilde, g_true=g_true)
@@ -547,28 +548,6 @@ class TestFloatRunLoop:
         assert repr(trace.rows) == repr(rows)
         assert repr({key: trace.summary[key] for key in summary}) == repr(summary)
 
-    @pytest.mark.parametrize(
-        "algorithm, dim",
-        [(algorithm, 1) for algorithm in ALGORITHMS]
-        + [(algorithm, 3) for algorithm in ALGORITHMS if algorithm != "kt_bettor"],
-    )
-    def test_loop_never_calls_predict(self, monkeypatch, algorithm, dim):
-        # predict() is where a player builds the outside caller's array
-        def refuse(self):
-            raise AssertionError("the run loop called predict()")
-
-        monkeypatch.setattr(RobustProtocol, "predict", refuse)
-        monkeypatch.setattr(KTBettor, "predict", refuse)
-        mode = protocol_mode(algorithm)
-        config = ExperimentConfig(
-            algorithm=algorithm,
-            adversary=AdversarySpec(kind="dro_reweight", T=40, k=4, seed=1, dim=dim, G=0.5),
-            protocol=ProtocolConfig(mode=mode, T=40, k=8, tau_G=0.25, dim=dim,
-                                    G=1.0 if mode == "known_g" else None),
-            comparator=(0.5,) * dim,
-        )
-        assert len(run_experiment(config, seed=1).rows) == 40
-
     def test_overflowing_decomposition_ledger_aborts_the_run(self, monkeypatch):
         # the protocol's overflowing bias accumulator, met in a run: round 2
         # of g~ = -1 against g = 1.5e308
@@ -602,6 +581,21 @@ class TestSweep:
         assert math.isclose(
             row["ratio"], row["regret_corrupted"] / row["regret_uncorrupted"]
         )
+
+    @pytest.mark.parametrize("ks, window_frac, named", [
+        ((20, 1), 0.75, "[sweep] ks = 1 with window_frac = 0.75: corruption window"),
+        ((0,), 0.75, "[sweep] ks = 0 with window_frac = 0.75: T must be >= 1"),
+        ((4,), math.nan, "[sweep] ks = 4 with window_frac = nan: cannot convert"),
+        ((4,), math.inf, "[sweep] ks = 4 with window_frac = inf: cannot convert"),
+        ((4,), 1.0, "[sweep] ks = 4 with window_frac = 1.0: corruption window"),
+    ])
+    def test_bad_cell_raises_before_any_cell_runs(self, monkeypatch, ks, window_frac, named):
+        # ks = 20 1 ran every k = 20 cell, then failed naming no key
+        ran = []
+        monkeypatch.setattr(runner, "run_experiment", lambda config: ran.append(config))
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
+            run_sweep(SweepConfig(ks=ks, window_frac=window_frac))
+        assert ran == []
 
 
 class TestChecksRegistry:
@@ -751,11 +745,16 @@ class TestCLI:
              ("[protocol] dim", "[adversary] dim")),
             ("run", lambda text: text.replace("tau_G = 1.0\n", "tau_G = 1.0\np = 2.0\n"),
              ("[protocol]", "'p'")),
+            ("sweep", lambda text: text.replace("ks = 4", "ks = 4 1"),
+             ("[sweep] ks = 1", "window_frac = 0.75")),
+            ("sweep", lambda text: text + "window_frac = nan\n",
+             ("[sweep] ks = 4", "window_frac = nan")),
         ],
         ids=["missing_T", "misspelled_window_start", "misspelled_section",
              "misspelled_workers", "misspelled_algorithm",
              "misspelled_experiment_algorithm", "protocol_T_disagrees",
-             "protocol_mode_disagrees", "protocol_dim_disagrees", "protocol_p"],
+             "protocol_mode_disagrees", "protocol_dim_disagrees", "protocol_p",
+             "sweep_k_too_small", "sweep_window_frac_nan"],
     )
     def test_bad_key_is_usage_error_naming_it(self, tmp_path, capsys, command,
                                               edit, named):

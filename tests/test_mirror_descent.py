@@ -133,7 +133,7 @@ class TestLinkInverse:
             "from robust_oco import ProtocolConfig, RobustProtocol\n"
             "p = RobustProtocol(ProtocolConfig(mode='known_g', T=3, k=1, G=1.0))\n"
             "p.round(np.array([1e-40]))\n"
-            "assert not p.predict().any()\n"
+            "assert p.w == 0.0\n"
         )
         src = str(Path(robust_oco.__file__).resolve().parents[1])
         env = dict(os.environ)

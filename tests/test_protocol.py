@@ -148,7 +148,7 @@ class TestUnknownModesAreBlindToTheBound:
         protocol.G = _PoisonedBound()
         rng = np.random.default_rng(0)
         for t in range(1, 201):
-            w = protocol.predict()
+            w = np.atleast_1d(protocol.w)
             g = np.array([1.0 if w[0] > 1 else -1.0])
             g_tilde = g * 30.0 if t % 67 == 0 else g
             protocol.round(g_tilde, g_true=g)
@@ -229,7 +229,7 @@ class TestProtocolRound:
         monkeypatch.undo()
         rec = protocol.round(g)
         assert rec.g_norm is None  # no true gradient given
-        assert protocol.t == 1 and np.isfinite(protocol.predict()).all()
+        assert protocol.t == 1 and np.isfinite(protocol.w).all()
 
     @pytest.mark.parametrize("mode", ["known_g", "unknown_g_case1"])
     def test_non_finite_true_gradient_moves_no_state(self, mode):
@@ -259,7 +259,7 @@ class TestProtocolRound:
             np.atleast_1d(learner.learner_w.w), learner.learner_y.w
         )
         point = weighted_project(hat, learner.h, learner.gamma, norm(hat.w))
-        assert np.array_equal(point.w, protocol.predict())
+        assert np.array_equal(point.w, np.atleast_1d(protocol.w))
         assert protocol.t == 4900
         assert point.y >= float(point.w @ point.w) and point.w[0] > 0
 
@@ -300,7 +300,7 @@ class TestHostileInputContract:
                     assert "vector input" in str(exc)
                 return
             assert kind not in ("nan", "inf")
-            assert np.isfinite(protocol.predict()).all()
+            assert np.isfinite(protocol.w).all()
             assert rec.g_clipped_norm <= rec.h
             assert math.isfinite(regret.true_regret_linear)
             assert math.isfinite(regret.observed_regret_linear)
@@ -355,7 +355,7 @@ class TestStochasticOptimizationEndToEnd:
         corrupt = set(rng.choice(T, size=k, replace=False))
         iterates = []
         for t in range(T):
-            w = protocol.predict()
+            w = np.atleast_1d(protocol.w)
             iterates.append(w)
             g = np.array([1.0 if w[0] > target else -1.0])
             protocol.round(-g if t in corrupt else g, g_true=g)
@@ -591,7 +591,7 @@ def _run_pair(mode, stream, T=300, k=3):
     ]
     regrets = [RegretLedger(comparator=p.comparator) for p in protocols]
     for t in range(1, T + 1):
-        w1, w2 = (p.predict() for p in protocols)
+        w1, w2 = (np.atleast_1d(p.w) for p in protocols)
         assert w1.dtype == w2.dtype == np.float64 and w1.shape == (1,)
         assert w1[0].tobytes() == w2[0].tobytes() and w2[1] == 0.0, t
         g_true, g_tilde = stream(t, float(w1[0]))

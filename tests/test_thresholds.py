@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -136,6 +137,18 @@ def test_step_assigns_nothing():
     assert tr.step(5.0) == tr.step(5.0) == (10.0, True)
     assert (f.h, f.n, f.clip_rounds, f.doublings) == (1.0, 0, 0, 0)
     assert (tr.z, tr.epoch_index) == (1.0, 0)
+
+
+# NaN and inf passed the old `<= 0` tests: GradientFilter(tau_G=nan) built
+# with h = nan and MagnitudeTracker(tau_D=inf) with z = inf
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("build, name", [
+    (lambda v: GradientFilter(k=1, tau_G=v), "initial threshold tau_G"),
+    (lambda v: MagnitudeTracker(tau_D=v), "initial magnitude guess tau_D"),
+])
+def test_setting_outside_zero_to_inf_is_rejected(build, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+        build(value)
 
 
 class TestMagnitudeTracker:
