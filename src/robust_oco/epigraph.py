@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NonFiniteError, as_array, check_positive, ensure_finite, kernels_of
+from .core import check_positive, ensure_finite, kernels_of
 from .mirror_descent import MirrorDescentLearner, SolverError
 
 _PROJ_RTOL = 1e-12
@@ -188,41 +188,30 @@ class EpigraphLearner:
         # the played iterate in the learner's form (a float at d = 1), and its norm
         self.w, self.w_norm = self._played.w, self.learner_w.w_norm
 
-    def observe(self, gradient, hint: float, a_t: float = 0.0) -> None:
+    def observe(self, gradient, hint: float, a_t: float = 0.0, g_norm: float | None = None) -> None:
         """Consume one round; a_t is its quadratic penalty weight, in [0, gamma].
 
-        The gradient is a float64 array (a float at d = 1), a list or a tuple.
+        The gradient is a float64 array (a float at d = 1), a list or a tuple,
+        coerced on entry unless its norm is passed as g_norm, which promises it
+        finite and in the learner's form, as for MirrorDescentLearner.update.
         An interior prediction is its own projection, so its correction is
-        zero and is not built: the sub-learners get 0.5 * (g + 0.0) and
-        0.5 * (a_t + 0.0), the bits the zero correction gave. The added 0.0
-        turns a -0.0 entry into 0.0, which learner_w's dual update can tell
-        apart where its mirror-map gradient holds -0.0 (a zero mirror part
-        times a negative dual entry). learner_w coerces and checks the
-        gradient; a non-finite one is reported as given, not halved, and None
-        as missing. Nothing commits until both updates, the projection and
-        the check of the played point's norm have succeeded.
+        zero and is not built; adding its 0.0 still turns a -0.0 entry into
+        0.0, which learner_w's dual update can tell apart where its mirror-map
+        gradient holds -0.0 (a zero mirror part times a negative dual entry).
+        Nothing commits until both updates, the projection and the check of
+        the played point's norm have succeeded.
         """
         if not 0.0 <= a_t <= self.gamma * (1.0 + 1e-12):
             raise ValueError(f"penalty weight {a_t} outside [0, gamma {self.gamma}]")
-        k, dim = self.learner_w.kernels, self.learner_w.dim
-        if self._played is self._hat:
-            try:
-                g_w = gradient + 0.0
-            except TypeError:  # a list, a tuple or None; learner_w reduces it
-                g_w = as_array(gradient, dim) + 0.0
-            g_w *= 0.5  # in place on an array
-            try:
-                update_w = self.learner_w.update(g_w, 2.0 * hint)
-            except NonFiniteError:
-                k.coerce(gradient, dim)  # raises for the caller's vector
-                raise
-            delta_y = 0.0
-        else:
-            g = k.coerce(gradient, dim)[0]
+        k = self.learner_w.kernels
+        if g_norm is None:
+            gradient = k.coerce(gradient, self.learner_w.dim)[0]
+        delta_w = delta_y = 0.0
+        if self._played is not self._hat:
             delta_w, delta_y = correction_direction(
-                self._hat, self._played, self.h, self.gamma, g, a_t
+                self._hat, self._played, self.h, self.gamma, gradient, a_t
             )
-            update_w = self.learner_w.update(0.5 * (g + delta_w), 2.0 * hint)
+        update_w = self.learner_w.update(0.5 * (gradient + delta_w), 2.0 * hint)
         update_y = self.learner_y.update(0.5 * (a_t + delta_y), 1.5 * self.gamma)
         hat = EpigraphPoint(update_w.w, update_y.w)
         played = weighted_project(hat, hint, self.gamma, update_w.w_norm)

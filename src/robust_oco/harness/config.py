@@ -14,15 +14,19 @@ import math
 from dataclasses import MISSING, dataclass, fields
 
 from ..adversaries import AdversarySpec
+from ..core import check_positive
 from ..protocol import MODES, ProtocolConfig
 
 ALGORITHMS = ("kt_bettor",) + MODES
 
 COMPARATOR_FROM_ADVERSARY = "adversary"
 
+# the ProtocolConfig fields no [protocol] key sets: from_ini derives, to_ini skips them
+DERIVED_PROTOCOL_FIELDS = ("mode", "T", "dim")
+
 
 def protocol_mode(algorithm: str) -> str:
-    """The [protocol] mode of algorithm; the KT baseline reads only epsilon from it."""
+    """The ProtocolConfig mode of algorithm; the KT baseline reads only epsilon from it."""
     return "known_g" if algorithm == "kt_bettor" else algorithm
 
 
@@ -94,6 +98,11 @@ class SweepConfig:
                     f"[sweep] algorithms: unknown algorithm {algorithm!r}; "
                     f"expected one of {ALGORITHMS}"
                 )
+        for key in ("ks", "algorithms"):
+            if not getattr(self, key):
+                raise ValueError(f"[sweep] {key} is empty, so the sweep has no cell")
+        for key in ("epsilon", "G", "tau_G"):
+            check_positive(f"[sweep] {key}", getattr(self, key))
 
 
 # INI value parsers keyed by field annotation, which fields() reports as source
@@ -122,7 +131,8 @@ def _format(v) -> str:
 
 
 def _ini_fields(cls) -> list:
-    return [f for f in fields(cls) if f.type in _PARSERS]
+    derived = DERIVED_PROTOCOL_FIELDS if cls is ProtocolConfig else ()
+    return [f for f in fields(cls) if f.type in _PARSERS and f.name not in derived]
 
 
 def section_to_dataclass(cls, parser, section: str, **fallbacks):
@@ -169,7 +179,7 @@ def _write(**sections) -> str:
     parser = configparser.ConfigParser()
     parser.optionxform = str
     for name, obj in sections.items():
-        parser[name] = {f.name: _format(getattr(obj, f.name)) for f in _ini_fields(obj)}
+        parser[name] = {f.name: _format(getattr(obj, f.name)) for f in _ini_fields(type(obj))}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -227,13 +227,13 @@ class RobustProtocol:
         h_t = self.G if self.filter is None else self.filter.h
         g_clipped = k.clip(g_tilde, h_t, g_tilde_norm)
         clipped = g_clipped is not g_tilde
+        # given g_clipped's norm, the learner does not coerce the checked gradient again
         g_clipped_norm = k.norm(g_clipped) if clipped else g_tilde_norm
         d = self.decomposition
 
         if self.filter is None:
             z_next, alpha_t, beta_t, a_t = 0.0, 0.0, 0.0, 0.0
             step = d.step(w, w_norm, g_clipped, g_clipped_norm, a_t, g_true, g_norm)
-            # g_clipped is already in the learner's checked form: no second coercion
             self.learner.observe(g_clipped, h_t, g_clipped_norm)
         else:
             h_next, filter_doubled = self.filter.step(clipped)
@@ -243,7 +243,7 @@ class RobustProtocol:
             )
             a_t = alpha_t + beta_t
             step = d.step(w, w_norm, g_clipped, g_clipped_norm, a_t, g_true, g_norm)
-            self.learner.observe(g_clipped, h_next, a_t)
+            self.learner.observe(g_clipped, h_next, a_t, g_clipped_norm)
             self.filter.commit(clipped, filter_doubled)
             self.tracker.commit(z_next, tracker_doubled)
         self.t += 1

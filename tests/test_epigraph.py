@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from robust_oco import epigraph, mirror_descent
-from robust_oco.core import ARRAY, NonFiniteError, as_vector, norm
+from robust_oco.core import ARRAY, NonFiniteError, as_vector, kernels, norm
 from robust_oco.epigraph import (
     EpigraphLearner,
     EpigraphPoint,
@@ -318,6 +318,27 @@ class TestEpigraphLearner:
             ref.observe(g.copy(), hint, a_t)
             assert learner_bits(fast) == learner_bits(ref), t
         assert 100 < interior < 400
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_given_norm_skips_only_the_coercion(self, dim):
+        # the protocol passes its checked gradient, in the learner's form,
+        # with its norm; the round without the norm coerces it on entry
+        rng = np.random.default_rng(dim)
+        given, coerced = self.make(dim=dim, gamma=2.0), self.make(dim=dim, gamma=2.0)
+        k = kernels(dim)
+        interior = 0
+        for t in range(300):
+            g = rng.standard_normal(dim)
+            if norm(g) > given.h:
+                g *= given.h * rng.uniform() / norm(g)
+            a_t = float(rng.uniform(0.0, 2.0)) if t % 25 == 0 else 0.0
+            hint = given.h * (2.0 if rng.uniform() < 0.02 else 1.0)
+            interior += given._played is given._hat
+            g_form, g_norm = k.coerce(g, dim)
+            given.observe(g_form, hint, a_t, g_norm)
+            coerced.observe(g.copy(), hint, a_t)
+            assert state_bits(given) == state_bits(coerced), t
+        assert 50 < interior < 250
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_gradient_reported_as_given(self, bad):

@@ -229,6 +229,23 @@ class TestConfigRoundTrip:
         # every shipped config spells out every key, in field order
         assert dump(config) == text
 
+    @pytest.mark.parametrize("key, value, source, needed", [
+        ("mode", "unknown_g_case2", "[experiment] algorithm", "'known_g'"),
+        ("T", 50, "[adversary] T", "12"),
+        ("dim", 2, "[adversary] dim", "1"),
+    ])
+    def test_hand_built_protocol_must_agree(self, key, value, source, needed):
+        # the INI reader derives these fields; a library caller's
+        # ProtocolConfig is checked against the same sources
+        cfg = figure_config()
+        setattr(cfg.protocol, key, value)
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(algorithm=cfg.algorithm, adversary=cfg.adversary,
+                             protocol=cfg.protocol)
+        assert str(info.value) == (
+            f"[protocol] {key} = {value!r} disagrees with {source}, which needs {needed}"
+        )
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(
@@ -689,7 +706,6 @@ class TestCLI:
         parser.read_string((CONFIGS / "figure1.ini").read_text())
         parser["experiment"]["algorithm"] = algorithm
         if algorithm.startswith("unknown_g"):
-            parser["protocol"]["mode"] = algorithm
             parser["protocol"]["G"] = "none"
         parser[section][key] = value
         path = tmp_path / "exp.ini"
@@ -736,25 +752,36 @@ class TestCLI:
              ("[sweep]", "'knwon_g'")),
             ("run", lambda text: text.replace("algorithm = known_g", "algorithm = knwon_g"),
              ("[experiment] algorithm", "'knwon_g'")),
-            ("run", lambda text: text.replace("[protocol]\nmode = known_g\nT = 12\n",
-                                              "[protocol]\nmode = known_g\nT = 50\n"),
-             ("[protocol] T", "50")),
-            ("run", lambda text: text.replace("mode = known_g", "mode = unknown_g_case2"),
-             ("[protocol] mode", "'unknown_g_case2'")),
-            ("run", lambda text: text.replace("tau_G = 1.0\ndim = 1", "tau_G = 1.0\ndim = 2"),
-             ("[protocol] dim", "[adversary] dim")),
+            # mode, T and dim are derived, so restating them is an error even
+            # when the value agrees
+            ("run", lambda text: text.replace("[protocol]\n", "[protocol]\nT = 12\n"),
+             ("[protocol] has unknown key 'T'; expected: epsilon, k, G, tau_G",)),
+            ("run", lambda text: text.replace("[protocol]\n", "[protocol]\nmode = known_g\n"),
+             ("[protocol] has unknown key 'mode'; expected: epsilon, k, G, tau_G",)),
+            ("run", lambda text: text.replace("[protocol]\n", "[protocol]\ndim = 1\n"),
+             ("[protocol] has unknown key 'dim'; expected: epsilon, k, G, tau_G",)),
             ("run", lambda text: text.replace("tau_G = 1.0\n", "tau_G = 1.0\np = 2.0\n"),
              ("[protocol]", "'p'")),
             ("sweep", lambda text: text.replace("ks = 4", "ks = 4 1"),
              ("[sweep] ks = 1", "window_frac = 0.75")),
             ("sweep", lambda text: text + "window_frac = nan\n",
              ("[sweep] ks = 4", "window_frac = nan")),
+            ("sweep", lambda text: text.replace("ks = 4", "ks ="), ("[sweep] ks is empty",)),
+            ("sweep", lambda text: text + "algorithms =\n", ("[sweep] algorithms is empty",)),
+            ("sweep", lambda text: text + "epsilon = 0\n",
+             ("[sweep] epsilon must be positive and finite, got 0.0",)),
+            ("sweep", lambda text: text + "G = nan\n",
+             ("[sweep] G must be positive and finite, got nan",)),
+            ("sweep", lambda text: text + "tau_G = -1\n",
+             ("[sweep] tau_G must be positive and finite, got -1.0",)),
         ],
         ids=["missing_T", "misspelled_window_start", "misspelled_section",
              "misspelled_workers", "misspelled_algorithm",
-             "misspelled_experiment_algorithm", "protocol_T_disagrees",
-             "protocol_mode_disagrees", "protocol_dim_disagrees", "protocol_p",
-             "sweep_k_too_small", "sweep_window_frac_nan"],
+             "misspelled_experiment_algorithm", "protocol_T_restated",
+             "protocol_mode_restated", "protocol_dim_restated", "protocol_p",
+             "sweep_k_too_small", "sweep_window_frac_nan", "sweep_ks_empty",
+             "sweep_algorithms_empty", "sweep_epsilon_zero", "sweep_G_nan",
+             "sweep_tau_G_negative"],
     )
     def test_bad_key_is_usage_error_naming_it(self, tmp_path, capsys, command,
                                               edit, named):

@@ -1,8 +1,14 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start runs as written, and its key lists are the reader's."""
 
 import math
 import re
 from pathlib import Path
+
+import pytest
+
+from robust_oco.harness import config
+from robust_oco.harness.config import SweepConfig
+from robust_oco.protocol import ProtocolConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +28,12 @@ def test_library_quick_start_runs():
     assert namespace["protocol"].t == 1000
     assert type(namespace["w"]) is float  # the iterate is read as w, a float at d = 1
     assert math.isfinite(namespace["regret"].observed_regret_linear)
+
+
+@pytest.mark.parametrize("section, cls", [("protocol", ProtocolConfig), ("sweep", SweepConfig)])
+def test_listed_keys_are_the_keys_the_reader_accepts(section, cls):
+    # the README's sentence "The `[section]` keys are `a`, `b` and `c`."
+    text = " ".join(README.read_text().split())
+    sentence = re.search(rf"The `\[{section}\]` keys are (.*?)[.;]", text).group(1)
+    listed = re.findall(r"`(\w+)`", sentence)
+    assert listed == [f.name for f in config._ini_fields(cls)]
