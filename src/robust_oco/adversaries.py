@@ -234,6 +234,8 @@ def make_adversary(spec: AdversarySpec, seed: int | None = None) -> Adversary:
         base = IIDRandomAdversary(spec.T, spec.G, base_stream, spec.dim)
         return DROReweightAdversary(spec.T, spec.k, weight_stream, base)
     if spec.kind == "iid_random":
+        if spec.k != 0:  # the stream corrupts nothing; k would be silently ignored
+            raise ValueError(f"iid_random is uncorrupted: k must be 0, got {spec.k}")
         return IIDRandomAdversary(spec.T, spec.G, s, spec.dim)
     raise ValueError(f"unknown adversary kind {spec.kind!r}")
 
@@ -262,9 +264,14 @@ class KTBettor:
         self.t = 0
         self.w = 0.0
 
-    def observe(self, gradient) -> None:
-        """Consume one gradient: admit it as a float, update, then commit."""
-        self.commit(self.update(*FLOAT.coerce(gradient, 1)))
+    def observe(self, gradient, g_norm: float | None = None) -> None:
+        """Consume one gradient: admit it as a float unless its norm is given, update, commit.
+
+        A caller that passes g_norm promises a finite float, as for MirrorDescentLearner.update.
+        """
+        if g_norm is None:
+            gradient, g_norm = FLOAT.coerce(gradient, 1)
+        self.commit(self.update(gradient, g_norm))
 
     def update(self, g: float, g_abs: float) -> tuple[float, float, int, float]:
         """The round's (reward, sum_neg_grad, t, w) from a finite g; nothing assigned."""
@@ -287,7 +294,7 @@ class KTBettor:
         w = self.w  # the played scalar; its norm is |w|
         g_tilde, g_tilde_norm = FLOAT.coerce(g_tilde, 1)
         g_true, g_norm = FLOAT.coerce(g_true, 1)
-        self.observe(g_tilde)
+        self.observe(g_tilde, g_tilde_norm)
         return RoundRecord(
             w_norm=abs(w), g_norm=g_norm, g_tilde_norm=g_tilde_norm,
             g_clipped_norm=g_tilde_norm, h=0.0, z=0.0, alpha=0.0, beta=0.0,

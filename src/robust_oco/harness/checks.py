@@ -33,13 +33,22 @@ from .runner import run_experiment
 @dataclass
 class CheckReport:
     name: str
-    passed: bool
     lines: list[str] = field(default_factory=list)
 
     def line(self, ok: bool, text: str) -> None:
         self.lines.append(f"[{'ok' if ok else 'FAIL'}] {text}")
-        if not ok:
-            self.passed = False
+
+    @property
+    def failures(self) -> int:
+        return sum(line.startswith("[FAIL]") for line in self.lines)
+
+    @property
+    def passed(self) -> bool:
+        return self.failures == 0
+
+    def tally(self, cases: int, text: str) -> None:
+        """The closing line: how many of the cases logged no FAIL line."""
+        self.line(self.passed, f"{cases - self.failures}/{cases} {text}")
 
 
 def check_filter_properties(
@@ -85,11 +94,11 @@ def check_filter_properties(
     return True, None
 
 
-def check_filter_lemma(streams: int = 1000, seed: int = 2024) -> CheckReport:
+def check_filter_lemma() -> CheckReport:
     """Budget-respecting random streams through the clipping filter."""
-    report = CheckReport("filter_lemma", True)
-    rng = np.random.default_rng(seed)
-    failures = 0
+    report = CheckReport("filter_lemma")
+    rng = np.random.default_rng(2024)
+    streams = 1000
     for _ in range(streams):
         T = int(rng.integers(30, 300))
         k = int(rng.integers(0, 6))
@@ -119,9 +128,8 @@ def check_filter_lemma(streams: int = 1000, seed: int = 2024) -> CheckReport:
             trace.append((g_norm, norm(out), h_t, h_next))
         ok, violated = check_filter_properties(trace, tau_G=tau_G, k=k, G=G)
         if not ok:
-            failures += 1
             report.line(False, f"stream violated {violated} (k={k}, G={G:.3g}, tau={tau_G:.3g})")
-    report.line(failures == 0, f"{streams - failures}/{streams} random streams satisfied all four filter properties")
+    report.tally(streams, "random streams satisfied all four filter properties")
     return report
 
 
@@ -175,11 +183,11 @@ def check_tracker_properties(trace, tau_D: float) -> tuple[bool, str | None]:
     return True, None
 
 
-def check_tracker_lemma(streams: int = 1000, seed: int = 2025) -> CheckReport:
+def check_tracker_lemma() -> CheckReport:
     """Arbitrary iterate traces through the magnitude tracker."""
-    report = CheckReport("tracker_lemma", True)
-    rng = np.random.default_rng(seed)
-    failures = 0
+    report = CheckReport("tracker_lemma")
+    rng = np.random.default_rng(2025)
+    streams = 1000
     for _ in range(streams):
         T = int(rng.integers(20, 400))
         tau_D = float(rng.uniform(0.05, 5.0))
@@ -201,9 +209,8 @@ def check_tracker_lemma(streams: int = 1000, seed: int = 2025) -> CheckReport:
             trace.append((float(w_norm), z_t, z_next, doubled))
         ok, violated = check_tracker_properties(trace, tau_D=tau_D)
         if not ok:
-            failures += 1
             report.line(False, f"trace violated {violated} (tau_D={tau_D:.3g})")
-    report.line(failures == 0, f"{streams - failures}/{streams} random traces satisfied all tracker properties")
+    report.tally(streams, "random traces satisfied all tracker properties")
     return report
 
 
@@ -212,7 +219,7 @@ def check_sum_bounds(
     comparator_norm: float,
     c: float,
     alpha: float,
-    T: int | None = None,
+    T: int,
 ) -> tuple[bool, bool]:
     """Literal-summation check of the penalty-sum envelope at p = ln T.
 
@@ -221,8 +228,6 @@ def check_sum_bounds(
       upper_ok:  sum_t f_t(u)   <= 3 c ln(T) ||u|| [ln(1 + (||u||/alpha)^p) + 2]
     """
     trace = list(iterate_norms)
-    if T is None:
-        T = len(trace)
     if T < 3:
         raise ValueError("the envelope is stated for horizons T >= 3")
     p = math.log(T)
@@ -247,11 +252,11 @@ def check_sum_bounds(
     return lower_ok, upper_ok
 
 
-def check_regularizer_sums(traces: int = 1000, seed: int = 2026) -> CheckReport:
+def check_regularizer_sums() -> CheckReport:
     """Literal-summation envelope of the Huber penalty at p = ln T."""
-    report = CheckReport("regularizer_sums", True)
-    rng = np.random.default_rng(seed)
-    failures = 0
+    report = CheckReport("regularizer_sums")
+    rng = np.random.default_rng(2026)
+    traces = 1000
     horizons = (10, 100, 1000)
     for i in range(traces):
         T = horizons[i % len(horizons)]
@@ -268,22 +273,21 @@ def check_regularizer_sums(traces: int = 1000, seed: int = 2026) -> CheckReport:
             norms[rng.integers(0, T)] = rng.uniform(0.0, 100.0)
         lower_ok, upper_ok = check_sum_bounds(norms.tolist(), u, c=c, alpha=alpha, T=T)
         if not (lower_ok and upper_ok):
-            failures += 1
             report.line(
                 False,
                 f"envelope failed (lower={lower_ok}, upper={upper_ok}) "
                 f"T={T} c={c:.3g} alpha={alpha:.3g} u={u:.3g}",
             )
-    report.line(failures == 0, f"{traces - failures}/{traces} random traces satisfied both penalty-sum bounds")
+    report.tally(traces, "random traces satisfied both penalty-sum bounds")
     return report
 
 
-def check_md_inversion(samples: int = 1000, seed: int = 2027) -> CheckReport:
+def check_md_inversion() -> CheckReport:
     """Round-trip of the monotone link through its safeguarded Newton inverse."""
-    report = CheckReport("md_inversion", True)
-    rng = np.random.default_rng(seed)
+    report = CheckReport("md_inversion")
+    rng = np.random.default_rng(2027)
+    samples = 1000
     worst = 0.0
-    failures = 0
     for _ in range(samples):
         h = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
         V = h * h * float(rng.uniform(1.0, 50.0))
@@ -300,21 +304,17 @@ def check_md_inversion(samples: int = 1000, seed: int = 2027) -> CheckReport:
         rel = abs(x_back - x0) / max(x0, 1e-300)
         worst = max(worst, rel)
         if rel > 1e-8:
-            failures += 1
             report.line(False, f"round-trip error {rel:.2e} at x0={x0:.6g} (V={V:.3g}, h={h:.3g})")
-    report.line(
-        failures == 0,
-        f"{samples - failures}/{samples} round-trips through the Newton inverse "
-        f"within 1e-8 relative (worst {worst:.2e})",
-    )
+    report.tally(samples, "round-trips through the Newton inverse within 1e-8 relative "
+                 f"(worst {worst:.2e})")
     return report
 
 
-def check_epigraph_feasibility(samples: int = 1000, seed: int = 2028) -> CheckReport:
+def check_epigraph_feasibility() -> CheckReport:
     """Weighted projection feasibility and stationarity residuals."""
-    report = CheckReport("epigraph_feasibility", True)
-    rng = np.random.default_rng(seed)
-    failures = 0
+    report = CheckReport("epigraph_feasibility")
+    rng = np.random.default_rng(2028)
+    samples = 1000
     worst_resid = 0.0
     for _ in range(samples):
         dim = int(rng.integers(1, 6))
@@ -326,12 +326,10 @@ def check_epigraph_feasibility(samples: int = 1000, seed: int = 2028) -> CheckRe
         proj = weighted_project(point, h, gamma, norm(w_hat))
         nw2 = float(np.dot(proj.w, proj.w))
         if proj.y < nw2:
-            failures += 1
             report.line(False, f"infeasible projection: y={proj.y} < ||w||^2={nw2}")
             continue
         if y_hat >= float(np.dot(w_hat, w_hat)):
             if proj is not point:
-                failures += 1
                 report.line(False, "interior point was moved by projection")
             continue
         s = norm(proj.w)
@@ -340,13 +338,8 @@ def check_epigraph_feasibility(samples: int = 1000, seed: int = 2028) -> CheckRe
         rel = resid / max(1.0, target)
         worst_resid = max(worst_resid, rel)
         if rel > 1e-9:
-            failures += 1
             report.line(False, f"stationarity residual {rel:.2e} (h={h:.3g}, gamma={gamma:.3g})")
-    report.line(
-        failures == 0,
-        f"{samples - failures}/{samples} projections feasible with residual <= 1e-9 "
-        f"(worst {worst_resid:.2e})",
-    )
+    report.tally(samples, f"projections feasible with residual <= 1e-9 (worst {worst_resid:.2e})")
     return report
 
 
@@ -368,7 +361,7 @@ def random_sign_expectation(T: int) -> float:
 
 def check_random_seq() -> CheckReport:
     """Exact enumeration of the aligned random-sign sum against its floor."""
-    report = CheckReport("random_seq", True)
+    report = CheckReport("random_seq")
     for T in range(1, 21):
         value = random_sign_expectation(T)
         floor = math.sqrt(T / 16.0)
@@ -378,19 +371,18 @@ def check_random_seq() -> CheckReport:
     return report
 
 
-def check_lb_theorem2_floor(seeds: int = 2000) -> CheckReport:
+def check_lb_theorem2_floor() -> CheckReport:
     """Monte Carlo regret floor for the matched lower-bound stream."""
-    report = CheckReport("lb_theorem2_floor", True)
-    T, k, D = 64, 8, 1.0
+    report = CheckReport("lb_theorem2_floor")
+    T, k, D, seeds = 64, 8, 1.0, 2000
+    cfg = ExperimentConfig(
+        algorithm="known_g",
+        adversary=AdversarySpec(kind="lb_theorem2", T=T, k=k, D=D),
+        protocol=ProtocolConfig(mode="known_g", T=T, k=k, G=1.0),
+        comparator="adversary",
+    )
     regrets = np.empty(seeds)
     for s in range(seeds):
-        spec = AdversarySpec(kind="lb_theorem2", T=T, k=k, D=D, seed=s, dim=1)
-        cfg = ExperimentConfig(
-            algorithm="known_g",
-            adversary=spec,
-            protocol=ProtocolConfig(mode="known_g", T=T, k=k, G=1.0),
-            comparator="adversary",
-        )
         regrets[s] = run_experiment(cfg, seed=s).summary["final_true_regret"]
     mean = float(regrets.mean())
     se = float(regrets.std(ddof=1) / math.sqrt(seeds))
@@ -404,24 +396,22 @@ def check_lb_theorem2_floor(seeds: int = 2000) -> CheckReport:
     return report
 
 
-def check_origin_safety(T: int = 1000, ks=(0, 10, 100), seed: int = 7) -> CheckReport:
+def check_origin_safety() -> CheckReport:
     """Regret at the origin stays constant-order for every adversary at every budget.
 
     The exponential-comparator stream caps its own horizon at 30 by
-    construction, so it is checked there; all other kinds run the full T.
+    construction, so it is checked there; all other kinds run T = 1000.
+    The uncorrupted iid stream takes no budget, so it runs at k = 0 only.
     """
-    report = CheckReport("origin_safety", True)
-    epsilon, G = 1.0, 1.0
+    report = CheckReport("origin_safety")
+    T, epsilon, G, seed = 1000, 1.0, 1.0, 7
     for kind in ADVERSARY_KINDS:
-        for k in ks:
+        for k in (0,) if kind == "iid_random" else (0, 10, 100):
             T_eff = min(T, 30) if kind == "lb_origin" else T
-            k_eff = min(k, T_eff) if kind == "lb_origin" else k
-            window = max(1, int(0.75 * T_eff))
-            if kind == "sign_flip_window" and window + k_eff - 1 > T_eff:
-                window = max(1, T_eff - k_eff + 1)
+            k_eff = min(k, T_eff)
             spec = AdversarySpec(
-                kind=kind, T=T_eff, k=k_eff, window_start=window,
-                seed=seed, dim=1, G=G, epsilon=epsilon,
+                kind=kind, T=T_eff, k=k_eff, window_start=int(0.75 * T_eff),
+                G=G, epsilon=epsilon,
             )
             adversary = make_adversary(spec)
             cfg = ExperimentConfig(
@@ -443,23 +433,24 @@ def check_origin_safety(T: int = 1000, ks=(0, 10, 100), seed: int = 7) -> CheckR
     return report
 
 
-def check_decomposition_identity(configs: int = 50, seed: int = 99) -> CheckReport:
+def check_decomposition_identity() -> CheckReport:
     """The four-way regret split reproduces the measured regret on random runs."""
-    report = CheckReport("decomposition_identity", True)
-    rng = np.random.default_rng(seed)
+    report = CheckReport("decomposition_identity")
+    rng = np.random.default_rng(99)
+    configs = 50
     worst = 0.0
-    failures = 0
     for i in range(configs):
         T = int(rng.integers(20, 150))
         k = int(rng.integers(1, 8))
         dim = int(rng.integers(1, 4))
         mode = ("known_g", "unknown_g_case1", "unknown_g_case2")[i % 3]
         kind = ("dro_reweight", "lb_theorem2", "iid_random")[int(rng.integers(0, 3))]
+        stream_seed = int(rng.integers(0, 1 << 30))
         spec = AdversarySpec(
-            kind=kind, T=T, k=min(k, (T - 1) // 2), seed=int(rng.integers(0, 1 << 30)),
+            kind=kind, T=T, k=0 if kind == "iid_random" else min(k, (T - 1) // 2),
             dim=dim, G=float(rng.uniform(0.5, 3.0)),
         )
-        adversary = make_adversary(spec)
+        adversary = make_adversary(spec, seed=stream_seed)
         proto = ProtocolConfig(
             mode=mode, T=T, epsilon=float(rng.uniform(0.5, 2.0)),
             k=max(adversary.budget, 1),
@@ -479,13 +470,9 @@ def check_decomposition_identity(configs: int = 50, seed: int = 99) -> CheckRepo
             gap = max(gap, protocol.decomposition.gap(regret.true_regret_linear))
         worst = max(worst, gap)
         if gap > 1e-6:
-            failures += 1
             report.line(False, f"config {i} ({mode}, {kind}): per-round gap {gap:.2e}")
-    report.line(
-        failures == 0,
-        f"{configs - failures}/{configs} random configs satisfied the identity "
-        f"within 1e-6 (worst gap {worst:.2e})",
-    )
+    report.tally(configs, "random configs satisfied the identity within 1e-6 "
+                 f"(worst gap {worst:.2e})")
     return report
 
 

@@ -14,7 +14,7 @@ from robust_oco.adversaries import (
     SignFlipAdversary,
     make_adversary,
 )
-from robust_oco.core import CorruptionLedger, norm
+from robust_oco.core import FLOAT, CorruptionLedger, NonFiniteError, norm
 from robust_oco.harness.checks import random_sign_expectation
 from snapshot import state_bits
 
@@ -35,7 +35,8 @@ def replay_budget(adversary, T, dim=1, w_source=None):
 @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
 def test_a_d1_stream_trades_floats(kind):
     # the run loop passes the played float and gets the gradients as floats
-    adversary = make_adversary(AdversarySpec(kind=kind, T=20, k=4, window_start=5), seed=2)
+    k = 0 if kind == "iid_random" else 4  # the iid stream takes no budget
+    adversary = make_adversary(AdversarySpec(kind=kind, T=20, k=k, window_start=5), seed=2)
     for t in range(1, 21):
         pair = adversary.round(t, 0.5)
         assert (type(pair[0]), type(pair[1])) == (float, float)
@@ -184,6 +185,15 @@ class TestIIDRandom:
             # at dim = 1 the stream is kept as the column's floats
             assert np.array_equal(np.reshape(adv._g, (50, dim)), expected)
 
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_budget_other_than_zero_rejected(self, k):
+        # the stream corrupts nothing: [adversary] k used to be silently ignored
+        spec = AdversarySpec(kind="iid_random", T=20, k=k)
+        with pytest.raises(ValueError, match=f"^iid_random is uncorrupted: k must be 0, got {k}$"):
+            make_adversary(spec)
+        spec.k = 0
+        assert make_adversary(spec).budget == 0
+
 
 class TestDROReweight:
     def test_zero_budget_is_identity(self):
@@ -318,6 +328,32 @@ class TestKTBettor:
             g = np.array([math.copysign(1.0, w) if w != 0 else 1.0])
             kt.observe(g)
             assert kt.epsilon + kt.reward > 0
+
+    def test_given_norm_skips_only_the_coercion(self):
+        # round() passes its coerced observed gradient with its norm; the
+        # observe without the norm coerces the gradient itself
+        rng = np.random.default_rng(5)
+        given, coerced = KTBettor(1.0), KTBettor(1.0)
+        for t in range(300):
+            g = float(rng.choice([-1.0, 1.0, rng.uniform(-1.0, 1.0)]))
+            given.observe(*FLOAT.coerce(g, 1))
+            coerced.observe(np.array([g]))
+            assert state_bits(given) == state_bits(coerced), t
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [(math.nan, NonFiniteError, "non-finite value in vector input"),
+         (None, ValueError, "missing vector input: got None"),
+         ([0.5, 0.5], ValueError, "dimension mismatch: expected 1, got 2")],
+        ids=["nan", "none", "list"],
+    )
+    def test_observe_without_norm_rejects(self, bad, error, message):
+        kt = KTBettor(1.0)
+        kt.observe(-0.5)
+        before = state_bits(kt)
+        with pytest.raises(error, match=message):
+            kt.observe(bad)
+        assert state_bits(kt) == before
 
     def test_nonpositive_wealth_moves_no_state(self):
         # reward, sum_neg_grad and t used to move before the wealth check

@@ -118,7 +118,8 @@ def d1_config(kind, algorithm):
     """
     mode = protocol_mode(algorithm)
     T = 20 if kind == "lb_origin" else 60  # lb_origin's horizon cap is 30
-    spec = AdversarySpec(kind=kind, T=T, k=4, window_start=30, G=0.5)
+    k = 0 if kind == "iid_random" else 4  # the iid stream takes no budget
+    spec = AdversarySpec(kind=kind, T=T, k=k, window_start=30, G=0.5)
     return ExperimentConfig(
         algorithm=algorithm, adversary=spec,
         protocol=ProtocolConfig(mode=mode, T=T, k=8, tau_G=0.25,
@@ -762,6 +763,8 @@ class TestCLI:
              ("[protocol] has unknown key 'dim'; expected: epsilon, k, G, tau_G",)),
             ("run", lambda text: text.replace("tau_G = 1.0\n", "tau_G = 1.0\np = 2.0\n"),
              ("[protocol]", "'p'")),
+            ("run", lambda text: text.replace("sign_flip_window", "iid_random"),
+             ("iid_random is uncorrupted: k must be 0, got 3",)),
             ("sweep", lambda text: text.replace("ks = 4", "ks = 4 1"),
              ("[sweep] ks = 1", "window_frac = 0.75")),
             ("sweep", lambda text: text + "window_frac = nan\n",
@@ -779,6 +782,7 @@ class TestCLI:
              "misspelled_workers", "misspelled_algorithm",
              "misspelled_experiment_algorithm", "protocol_T_restated",
              "protocol_mode_restated", "protocol_dim_restated", "protocol_p",
+             "iid_random_budget",
              "sweep_k_too_small", "sweep_window_frac_nan", "sweep_ks_empty",
              "sweep_algorithms_empty", "sweep_epsilon_zero", "sweep_G_nan",
              "sweep_tau_G_negative"],

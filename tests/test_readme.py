@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from robust_oco.adversaries import AdversarySpec
 from robust_oco.harness import config
-from robust_oco.harness.config import SweepConfig
+from robust_oco.harness.config import ExperimentConfig, SweepConfig
 from robust_oco.protocol import ProtocolConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -30,7 +31,10 @@ def test_library_quick_start_runs():
     assert math.isfinite(namespace["regret"].observed_regret_linear)
 
 
-@pytest.mark.parametrize("section, cls", [("protocol", ProtocolConfig), ("sweep", SweepConfig)])
+@pytest.mark.parametrize("section, cls", [
+    ("experiment", ExperimentConfig), ("adversary", AdversarySpec),
+    ("protocol", ProtocolConfig), ("sweep", SweepConfig),
+])
 def test_listed_keys_are_the_keys_the_reader_accepts(section, cls):
     # the README's sentence "The `[section]` keys are `a`, `b` and `c`."
     text = " ".join(README.read_text().split())

@@ -118,15 +118,29 @@ class TestFilterPropertyChecker:
         assert f.h <= max(tau, 4.0 * G)
 
     def test_budget_violation_may_break_properties(self):
-        # 2k huge rounds declared as budget k: the guarantee's precondition
-        # fails, and the checker is allowed to report a violation
+        # 10(k + 1) huge rounds declared as budget k: the guarantee's
+        # precondition fails, and the threshold doubles past max(tau, 4G)
         G, k = 1.0, 1
         f = GradientFilter(k=k, tau_G=G / 8.0)
         norms = [10.0 * G] * (10 * (k + 1)) + [0.5 * G] * 20
         _, _, trace = feed_norms(f, norms)
         ok, violated = check_filter_properties(trace, tau_G=G / 8.0, k=k, G=G)
-        # not asserted either way; the run simply documents the outcome
-        assert ok in (True, False)
+        assert (ok, violated) == (False, "final_threshold_cap")
+
+    # hand-built (input_norm, output_norm, h_t, h_next) rows at tau_G = G = 1
+    # and k = 0, each breaking one property: the cap on the final threshold
+    # is 4 and the clip budget 3 rounds
+    @pytest.mark.parametrize("trace, violated", [
+        ([(0.5, 0.5, 1.0, 1.0), (0.5, 0.5, 2.0, 2.0)], "threshold_continuity"),
+        ([(0.5, 0.5, 1.0, 1.0), (0.5, 0.5, 1.0, 0.5)], "threshold_nondecreasing"),
+        ([(2.0, 2.0, 1.0, 1.0)], "output_within_threshold"),
+        ([(0.5, 0.5, 2.0, 2.0)], "initial_threshold"),
+        ([(0.5, 0.5, 1.0, 8.0)], "final_threshold_cap"),
+        ([(2.0, 1.0, 1.0, 1.0)] * 4, "clip_round_budget"),
+    ], ids=["threshold_continuity", "threshold_nondecreasing", "output_within_threshold",
+            "initial_threshold", "final_threshold_cap", "clip_round_budget"])
+    def test_each_property_can_reject(self, trace, violated):
+        assert check_filter_properties(trace, tau_G=1.0, k=0, G=1.0) == (False, violated)
 
 
 def test_step_assigns_nothing():
@@ -229,6 +243,24 @@ class TestTrackerPropertyChecker:
         assert epoch == sum(1 for r in trace if r[3])
         ok, violated = check_tracker_properties(trace, tau_D=0.7)
         assert ok, violated
+
+    # hand-built (w_norm, z_t, z_next, doubled) rows at tau_D = 1, each
+    # breaking one property; the final threshold's cap is not among them,
+    # since z only holds or becomes 2 ||w_t||, which the cap admits
+    @pytest.mark.parametrize("trace, violated", [
+        ([(1.5, 1.0, 3.0, True), (1.5, 3.0, 3.0, True)], "epoch_count_bound"),
+        ([(0.0, 1.0, 0.0, True)], "epoch_count_bound"),
+        ([(0.5, 1.0, 1.0, False), (0.5, 0.5, 0.5, False)], "threshold_continuity"),
+        ([(1.5, 1.0, 2.5, True)], "doubling_value"),
+        ([(0.5, 1.0, 0.75, False)], "hold_value"),
+        ([(1.5, 1.0, 1.0, False)], "epoch0_norm_bound"),
+        ([(1.5, 1.0, 3.0, True), (3.5, 3.0, 3.0, False)], "epoch_norm_bound"),
+        ([(0.5, 0.75, 0.75, False)], "initial_threshold"),
+    ], ids=["epoch_count_bound", "epoch_count_bound_at_zero_norms",
+            "threshold_continuity", "doubling_value", "hold_value",
+            "epoch0_norm_bound", "epoch_norm_bound", "initial_threshold"])
+    def test_each_property_can_reject(self, trace, violated):
+        assert check_tracker_properties(trace, tau_D=1.0) == (False, violated)
 
 
 class ReferenceAutomata:

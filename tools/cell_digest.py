@@ -1,4 +1,4 @@
-"""Digest of every benchmark reference cell's and shipped config's output, for bit identity.
+"""Digest of every benchmark reference cell's, shipped config's and verify suite's output.
 
     python3 tools/cell_digest.py [--root CHECKOUT]
 
@@ -7,14 +7,16 @@ workloads' 4,228 cells) through ``run_experiment``. For each workload it
 prints the workload's name, its cell count and the sha256 of
 ``repr((rows, summary))`` over its cells, with the summary's ``wall_time_s``
 left out; then the cell count and the same sha256 over all cells. The
-last line, ``configs <runs> runs <sha256>``, digests every run of the
-checkout's own ``configs/*.ini`` in file-name order: each seed of an
-experiment config (its rows and summary, as for a cell) and each row of a
-sweep config. A change meant to leave the output bits alone must print the
-same lines as its parent: run it in both checkouts, or point ``--root`` at
-the other one. Where the total differs, the workload lines show which
-workload moved. It imports the package from ``CHECKOUT/src`` and the cells
-from ``CHECKOUT/perfbench``, reads ``CHECKOUT/configs``, and writes nothing.
+line ``configs <runs> runs <sha256>`` digests every run of the checkout's
+own ``configs/*.ini`` in file-name order: each seed of an experiment
+config (its rows and summary, as for a cell) and each row of a sweep
+config. The last line, ``verify <n> suites <sha256>``, digests each
+verification suite's name, verdict and lines, in ``CHECKS`` order. A
+change meant to leave the output bits alone must print the same lines as
+its parent: run it in both checkouts, or point ``--root`` at the other
+one. Where the total differs, the workload lines show which workload
+moved. It imports the package from ``CHECKOUT/src`` and the cells from
+``CHECKOUT/perfbench``, reads ``CHECKOUT/configs``, and writes nothing.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ def main(argv: list[str] | None = None) -> int:
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import cells
+    from robust_oco.harness.checks import CHECKS
     from robust_oco.harness.config import from_ini, sweep_from_ini
     from robust_oco.harness.runner import run_experiment, run_sweep
 
@@ -74,7 +77,13 @@ def main(argv: list[str] | None = None) -> int:
         for run_record in records:
             configs_digest.update(run_record)
         runs += len(records)
-    print(f"configs {runs} runs {configs_digest.hexdigest()}")
+    print(f"configs {runs} runs {configs_digest.hexdigest()}", flush=True)
+
+    suites_digest = hashlib.sha256()
+    for check in CHECKS.values():
+        report = check()
+        suites_digest.update(repr((report.name, report.passed, report.lines)).encode())
+    print(f"verify {len(CHECKS)} suites {suites_digest.hexdigest()}")
     return 0
 
 
