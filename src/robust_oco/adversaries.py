@@ -2,9 +2,9 @@
 
 Interactive adversaries receive the played iterate before emitting the round's
 (true, observed) gradient pair; the lower-bound constructions are oblivious
-and pre-materialized. Every generator declares the corruption budget its
-stream satisfies and the gradient bound it respects, so the harness can
-configure protocols without peeking at generator internals.
+and pre-materialized. A stream's AdversarySpec declares the corruption budget
+the stream satisfies, so the harness configures protocols without building
+it; each generator declares the gradient bound it respects.
 """
 
 from __future__ import annotations
@@ -56,12 +56,16 @@ class AdversarySpec:
         if not math.isfinite(self.D):
             raise ValueError(f"D must be finite, got {self.D}")
 
+    @property
+    def budget(self) -> int:
+        """The stream's corruption budget: reweighting k rounds deviates by up to 2k."""
+        return 2 * self.k if self.kind == "dro_reweight" else self.k
+
 
 class Adversary(ABC):
     """One corrupted gradient stream: true/observed pairs plus metadata."""
 
     comparator: np.ndarray | None = None
-    budget: int = 0  # corruption budget the emitted stream satisfies
     lipschitz_bound: float = 1.0
 
     @abstractmethod
@@ -82,16 +86,12 @@ class SignFlipAdversary(Adversary):
     def __init__(self, T: int, k: int, window_start: int):
         if k > 0 and not (1 <= window_start and window_start + k - 1 <= T):
             raise ValueError("corruption window must fit inside the horizon")
-        self.k = k
-        self.window_start = window_start
+        self.flipped = range(window_start, window_start + k)
         self.comparator = np.array([1.0])
-        self.budget = k
-        self.lipschitz_bound = 1.0
 
     def round(self, t, w):
         g = 1.0 if w > 1.0 else -1.0
-        corrupted = self.k > 0 and self.window_start <= t < self.window_start + self.k
-        return g, (-g if corrupted else g)
+        return g, (-g if t in self.flipped else g)
 
     def loss_gap(self, w, u):
         return abs(w - 1.0) - abs(u - 1.0)
@@ -109,7 +109,6 @@ class IIDRandomAdversary(Adversary):
         directions /= norms  # in place: no second (T, dim) array at large d
         directions *= radii
         self._g = _stream(directions)
-        self.budget = 0
         self.lipschitz_bound = G
 
     def round(self, t, w):
@@ -140,8 +139,6 @@ class LBTheorem2Adversary(Adversary):
         g_tilde[:k] = 0.0
         self._g, self._g_tilde = _stream(g), _stream(g_tilde)
         self.comparator = -D * tail_sign * q
-        self.budget = k
-        self.lipschitz_bound = 1.0
 
     def round(self, t, w):
         return self._g[t - 1], self._g_tilde[t - 1]
@@ -170,25 +167,27 @@ class LBOriginAdversary(Adversary):
         g[T - k:] -= e1  # unit comparator direction equals e1
         self._g, self._g_tilde = _stream(g), _stream(g_tilde)
         self.comparator = 2.0 * epsilon * math.exp(T) * e1
-        self.budget = k
-        self.lipschitz_bound = 1.0
 
     def round(self, t, w):
         return self._g[t - 1], self._g_tilde[t - 1]
 
 
-class DROReweightAdversary(Adversary):
-    """Importance-reweighting corruption: observed gradients are (p_t/q_t) g_t.
+class DROReweightAdversary(IIDRandomAdversary):
+    """The iid stream with importance-reweighting corruption: observed gradients are (p_t/q_t) g_t.
 
     The weight vector boosts k random coordinates to 2/T and shaves the rest,
     keeping total variation to uniform exactly k/T; the normalized deviation
     budget of the emitted stream is then at most 2k.
     """
 
-    def __init__(self, T: int, k: int, seed, base: Adversary):
+    def __init__(self, T: int, k: int, G: float, seed, dim: int = 1):
         if T < 2 * k:
             raise ValueError("reweighting construction needs T >= 2k")
-        rng = np.random.default_rng(seed)
+        # one splittable root stream: independent child streams for the
+        # gradients and the reweighting draw
+        gradient_stream, weight_stream = np.random.default_rng(seed).spawn(2)
+        super().__init__(T, G, gradient_stream, dim)
+        rng = np.random.default_rng(weight_stream)
         weights = np.full(T, 1.0 / T)
         if k > 0:
             boosted = rng.choice(T, size=k, replace=False)
@@ -196,17 +195,10 @@ class DROReweightAdversary(Adversary):
             weights[boosted] = 2.0 / T
         self.weights = weights
         self._scale = (weights * T).tolist()  # p_t / q_t, one float per round
-        self._base = base
-        self.budget = 2 * k
-        self.lipschitz_bound = base.lipschitz_bound
-        self.comparator = base.comparator
 
     def round(self, t, w):
-        g, _ = self._base.round(t, w)
+        g = self._g[t - 1]
         return g, self._scale[t - 1] * g
-
-    def loss_gap(self, w, u):
-        return self._base.loss_gap(w, u)
 
 
 def _stream(g: np.ndarray) -> np.ndarray | list[float]:
@@ -228,11 +220,7 @@ def make_adversary(spec: AdversarySpec, seed: int | None = None) -> Adversary:
     if spec.kind == "lb_origin":
         return LBOriginAdversary(spec.T, spec.k, spec.epsilon, spec.dim)
     if spec.kind == "dro_reweight":
-        # one splittable root stream per experiment: independent child
-        # streams for the base gradients and the reweighting draw
-        base_stream, weight_stream = np.random.default_rng(s).spawn(2)
-        base = IIDRandomAdversary(spec.T, spec.G, base_stream, spec.dim)
-        return DROReweightAdversary(spec.T, spec.k, weight_stream, base)
+        return DROReweightAdversary(spec.T, spec.k, spec.G, s, spec.dim)
     if spec.kind == "iid_random":
         if spec.k != 0:  # the stream corrupts nothing; k would be silently ignored
             raise ValueError(f"iid_random is uncorrupted: k must be 0, got {spec.k}")

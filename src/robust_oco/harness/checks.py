@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adversaries import ADVERSARY_KINDS, AdversarySpec, make_adversary
+from ..adversaries import ADVERSARY_KINDS, AdversarySpec, LBOriginAdversary, make_adversary
 from ..core import RegretLedger, clip_gradient, norm
 from ..epigraph import EpigraphPoint, weighted_project
 from ..mirror_descent import link_inverse_solve, link_value
@@ -399,27 +399,27 @@ def check_lb_theorem2_floor() -> CheckReport:
 def check_origin_safety() -> CheckReport:
     """Regret at the origin stays constant-order for every adversary at every budget.
 
-    The exponential-comparator stream caps its own horizon at 30 by
-    construction, so it is checked there; all other kinds run T = 1000.
+    The exponential-comparator stream caps its own horizon at
+    LBOriginAdversary.MAX_T by construction, so it is checked there; all
+    other kinds run T = 1000.
     The uncorrupted iid stream takes no budget, so it runs at k = 0 only.
     """
     report = CheckReport("origin_safety")
     T, epsilon, G, seed = 1000, 1.0, 1.0, 7
     for kind in ADVERSARY_KINDS:
         for k in (0,) if kind == "iid_random" else (0, 10, 100):
-            T_eff = min(T, 30) if kind == "lb_origin" else T
+            T_eff = min(T, LBOriginAdversary.MAX_T) if kind == "lb_origin" else T
             k_eff = min(k, T_eff)
             spec = AdversarySpec(
                 kind=kind, T=T_eff, k=k_eff, window_start=int(0.75 * T_eff),
                 G=G, epsilon=epsilon,
             )
-            adversary = make_adversary(spec)
             cfg = ExperimentConfig(
                 algorithm="known_g",
                 adversary=spec,
                 protocol=ProtocolConfig(
                     mode="known_g", T=T_eff, epsilon=epsilon,
-                    k=adversary.budget, G=G,
+                    k=spec.budget, G=G,
                 ),
                 comparator=(0.0,),
             )
@@ -453,7 +453,7 @@ def check_decomposition_identity() -> CheckReport:
         adversary = make_adversary(spec, seed=stream_seed)
         proto = ProtocolConfig(
             mode=mode, T=T, epsilon=float(rng.uniform(0.5, 2.0)),
-            k=max(adversary.budget, 1),
+            k=max(spec.budget, 1),
             G=adversary.lipschitz_bound if mode == "known_g" else None,
             tau_G=float(rng.uniform(0.2, 2.0)), dim=dim,
         )

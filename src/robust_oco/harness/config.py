@@ -195,7 +195,7 @@ def from_ini(text: str) -> ExperimentConfig:
     algorithm = parser.get("experiment", "algorithm", fallback="").strip()
     protocol = section_to_dataclass(
         ProtocolConfig, parser, "protocol", mode=protocol_mode(algorithm),
-        T=adversary.T, k=adversary.k, dim=adversary.dim,
+        T=adversary.T, k=adversary.budget, dim=adversary.dim,
     )
     return section_to_dataclass(
         ExperimentConfig, parser, "experiment",

@@ -43,6 +43,17 @@ def test_a_d1_stream_trades_floats(kind):
     assert type(adversary.loss_gap(0.5, 1.0)) is float
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: AdversarySpec(kind="sign_flip", T=10), "unknown adversary kind 'sign_flip'"),
+    (lambda: LBTheorem2Adversary(T=8, k=8, D=1.0, seed=0),
+     "budget k must be smaller than the horizon"),
+    (lambda: LBOriginAdversary(T=8, k=9, epsilon=1.0), "budget k cannot exceed the horizon"),
+], ids=["unknown_kind", "lb_theorem2_budget", "lb_origin_budget"])
+def test_out_of_range_stream_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 class TestSignFlip:
     def test_exact_window(self):
         adv = SignFlipAdversary(T=400, k=20, window_start=300)
@@ -192,42 +203,53 @@ class TestIIDRandom:
         with pytest.raises(ValueError, match=f"^iid_random is uncorrupted: k must be 0, got {k}$"):
             make_adversary(spec)
         spec.k = 0
-        assert make_adversary(spec).budget == 0
+        assert spec.budget == 0
+        make_adversary(spec)
 
 
 class TestDROReweight:
     def test_zero_budget_is_identity(self):
-        base = IIDRandomAdversary(T=40, G=1.0, seed=5)
-        adv = DROReweightAdversary(T=40, k=0, seed=5, base=base)
+        adv = DROReweightAdversary(T=40, k=0, G=1.0, seed=5)
         for t in range(1, 41):
             g, g_tilde = adv.round(t, 0.0)
             assert np.allclose(g, g_tilde)
 
     def test_total_variation_budget_exact(self):
         for seed in range(30):
-            base = IIDRandomAdversary(T=100, G=2.0, seed=seed)
-            adv = DROReweightAdversary(T=100, k=7, seed=seed, base=base)
+            adv = DROReweightAdversary(T=100, k=7, G=2.0, seed=seed)
             tv = 0.5 * float(np.abs(adv.weights - 1.0 / 100).sum())
             assert math.isclose(tv, 7 / 100, rel_tol=1e-12)
 
     def test_weights_form_a_distribution(self):
-        base = IIDRandomAdversary(T=64, G=1.0, seed=2)
-        adv = DROReweightAdversary(T=64, k=10, seed=2, base=base)
+        adv = DROReweightAdversary(T=64, k=10, G=1.0, seed=2)
         assert math.isclose(adv.weights.sum(), 1.0, rel_tol=1e-12)
         assert np.all(adv.weights >= 0)
 
     def test_deviation_budget(self):
         G = 1.5
-        base = IIDRandomAdversary(T=200, G=G, seed=9)
-        adv = DROReweightAdversary(T=200, k=11, seed=9, base=base)
+        adv = DROReweightAdversary(T=200, k=11, G=G, seed=9)
         led, _ = replay_budget(adv, 200)
         assert led.deviation_sum / G <= 2 * 11 + 1e-9
-        assert adv.budget == 22
+        assert AdversarySpec(kind="dro_reweight", T=200, k=11, G=G).budget == 22
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_is_the_iid_stream_reweighted(self, dim):
+        # the root seed's first child draws the iid gradients, its second the weights
+        adv = make_adversary(AdversarySpec(kind="dro_reweight", T=30, k=4, G=1.5, dim=dim), seed=6)
+        gradient_stream, _ = np.random.default_rng(6).spawn(2)
+        iid = IIDRandomAdversary(T=30, G=1.5, seed=gradient_stream, dim=dim)
+        assert "loss_gap" not in vars(DROReweightAdversary)
+        assert adv.lipschitz_bound == 1.5 and adv.comparator is None
+        w = 0.0 if dim == 1 else np.zeros(dim)
+        for t in range(1, 31):
+            g, g_tilde = adv.round(t, w)
+            g_iid, _ = iid.round(t, w)
+            assert np.array_equal(g, g_iid)
+            assert np.array_equal(g_tilde, 30 * adv.weights[t - 1] * g_iid)
 
     def test_needs_room_for_reweighting(self):
-        base = IIDRandomAdversary(T=10, G=1.0, seed=1)
-        with pytest.raises(ValueError):
-            DROReweightAdversary(T=10, k=6, seed=1, base=base)
+        with pytest.raises(ValueError, match="^reweighting construction needs T >= 2k$"):
+            DROReweightAdversary(T=10, k=6, G=1.0, seed=1)
 
 
 class TestBudgetReplay:
@@ -246,8 +268,10 @@ class TestBudgetReplay:
                 dim=spec.dim,
                 w_source=lambda t, g: 0.5,
             )
-            assert led.big_rounds <= adv.budget
-            assert led.deviation_sum / adv.lipschitz_bound <= adv.budget + 1e-9
+            assert led.big_rounds <= spec.budget
+            assert led.deviation_sum / adv.lipschitz_bound <= spec.budget + 1e-9
+            assert not hasattr(adv, "budget")  # the spec is its only statement
+        assert [spec.budget for spec in specs] == [9, 8, 5, 20, 0]
 
 
 class TestLowerBoundFloorAcrossLearners:

@@ -71,9 +71,13 @@ class TestClip:
         out = clip(np.array([0.0, 0.0]), 1.0)
         assert np.array_equal(out, [0.0, 0.0])
 
-    def test_requires_positive_threshold(self):
-        with pytest.raises(ValueError):
-            clip(np.array([1.0]), 0.0)
+    @pytest.mark.parametrize("g, clip_of", [
+        (np.array([1.0]), clip_gradient), (1.0, FLOAT.clip),
+    ], ids=["array", "float"])
+    @pytest.mark.parametrize("h", [0.0, -1.0])
+    def test_requires_positive_threshold(self, g, clip_of, h):
+        with pytest.raises(ValueError, match=f"^clipping threshold must be positive, got {h}$"):
+            clip_of(g, h, 1.0)
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
@@ -301,6 +305,11 @@ class TestClipInvariant:
 
 
 class TestCorruptionLedger:
+    @pytest.mark.parametrize("G", [0.0, -1.0])
+    def test_nonpositive_bound_rejected(self, G):
+        with pytest.raises(ValueError, match="^lipschitz_G must be positive$"):
+            CorruptionLedger(lipschitz_G=G)
+
     def test_uncorrupted_round_changes_nothing(self):
         led = CorruptionLedger(lipschitz_G=1.0)
         assert led.update(np.array([0.3]), np.array([0.3])) is False

@@ -19,6 +19,12 @@ from snapshot import state_bits
 
 
 class TestWeightedProject:
+    @pytest.mark.parametrize("h, gamma", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    def test_nonpositive_weights_rejected(self, h, gamma):
+        pt = EpigraphPoint(np.array([2.0]), 0.0)
+        with pytest.raises(ValueError, match="^projection weights must be positive$"):
+            weighted_project(pt, h, gamma, 2.0)
+
     def test_interior_point_unchanged(self):
         pt = EpigraphPoint(np.array([0.0]), 1.0)
         assert weighted_project(pt, 2.0, 0.5, norm(pt.w)) is pt

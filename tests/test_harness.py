@@ -255,6 +255,27 @@ class TestConfigRoundTrip:
                 protocol=ProtocolConfig(mode="known_g", T=10, G=1.0),
             )
 
+    def test_comparator_string_other_than_adversary_rejected(self):
+        # the INI reader parses any other text as coordinates, so only a
+        # library caller can pass one
+        cfg = figure_config()
+        with pytest.raises(ValueError, match="^comparator must be coordinates or 'adversary'$"):
+            ExperimentConfig(algorithm=cfg.algorithm, adversary=cfg.adversary,
+                             protocol=cfg.protocol, comparator="adversry")
+
+    @pytest.mark.parametrize("kind, k, budget", [
+        ("dro_reweight", 25, 50), ("sign_flip_window", 20, 20),
+    ])
+    def test_protocol_budget_defaults_to_the_streams(self, kind, k, budget):
+        # reweighting k rounds deviates by up to 2k, so the protocol needs 2k
+        text = (CONFIGS / "reweight_unknown_bound.ini").read_text()
+        text = text.replace("k = 50\n", "").replace("dro_reweight", kind)
+        text = text.replace("k = 25\n", f"k = {k}\n")
+        text = text.replace("window_start = 1", "window_start = 300")
+        config = from_ini(text)
+        assert (config.adversary.kind, config.adversary.k) == (kind, k)
+        assert config.protocol.k == budget
+
 
 class TestRunExperiment:
     def test_record_count_and_summary_consistency(self):
@@ -796,4 +817,43 @@ class TestCLI:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert all(fragment in err for fragment in named), err
+        assert not (tmp_path / "out").exists()
+
+    def test_runtime_abort_exits_1(self, tmp_path, capsys):
+        # a far comparator overflows the decomposition ledger after the run
+        # has started: a NonFiniteError, which is a RuntimeError
+        cfg = ExperimentConfig(
+            algorithm="unknown_g_case1",
+            adversary=AdversarySpec(kind="sign_flip_window", T=400, k=0, window_start=300),
+            protocol=ProtocolConfig(mode="unknown_g_case1", T=400, k=2, tau_G=0.5),
+            comparator=(1e160,),
+        )
+        path = tmp_path / "far.ini"
+        path.write_text(to_ini(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "run failed: run aborted at round 3: non-finite value in decomposition ledger"
+        ), err
+
+    @pytest.mark.parametrize("edit, prefix", [
+        (lambda text: text.replace("T = 12\n", "T = ten\n"),
+         "error: [adversary] T: invalid literal for int() with base 10: 'ten'\n"),
+        (lambda text: "k = 1\n" + text, "error: File contains no section headers."),
+        (lambda text: text.replace("[adversary]\n", "[adversary]\ngarbage\n"),
+         "error: Source contains parsing errors"),
+        (lambda text: text.replace("seeds = 0", "seeds ="),
+         "error: at least one seed is required\n"),
+        (lambda text: text.replace("algorithm = known_g", "algorithm = kt_bettor")
+         .replace("sign_flip_window", "lb_theorem2").replace("dim = 1", "dim = 3")
+         .replace("comparator = 1.0", "comparator = adversary"),
+         "error: the KT baseline is one-dimensional\n"),
+    ], ids=["unparsable_value", "no_section_header", "malformed_line", "empty_seeds",
+            "kt_bettor_dim_3"])
+    def test_config_error_exits_2_with_its_message(self, tmp_path, capsys, edit, prefix):
+        path = tmp_path / "bad.ini"
+        path.write_text(edit(to_ini(figure_config())))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix), err
         assert not (tmp_path / "out").exists()

@@ -211,6 +211,28 @@ class TestLinkInverse:
         assert seen == [theta, 0.5 * theta][:calls]
         assert abs(link_value(x, 4.0, 2.0, 1.0, reg) - theta) <= 1e-9 * theta
 
+    def test_infinite_bracket_expands_by_doubling(self, monkeypatch):
+        # theta is past both summands' float-range inverses, so the upper end
+        # starts at the mirror part's inverse at theta - c*p and doubles once
+        reg = HuberRegularizer(c=5.0, p=2.0, alpha=1.0)
+        reg.advance(1.0)
+        V = h = 1.0
+        a = 1e-300
+        theta = 3.0 * V / h + 3.0 * 709.0 * h + 0.1 * reg.c * reg.p  # 2131
+        calls = []
+        monkeypatch.setattr(mirror_descent, "link_value",
+                            lambda x, *rest: calls.append(x) or link_value(x, *rest))
+        x, _ = link_inverse_solve(theta, V, h, a, reg)
+        assert len(calls) == 2 and calls[1] == 2.0 * calls[0]
+        with mpmath.workdps(50):
+            root = _mp_link_root(theta, V, h, a, reg, x)
+        assert float(abs(x - root) / root) <= 1e-12
+
+    def test_negative_dual_norm_rejected(self):
+        reg = HuberRegularizer(c=1.0, p=2.0, alpha=1.0)
+        with pytest.raises(ValueError, match="^dual norm must be nonnegative$"):
+            link_inverse_solve(-1.0, 1.0, 1.0, 1.0, reg)
+
     def test_strictly_increasing_link(self):
         rng = np.random.default_rng(101)
         for _ in range(100):

@@ -119,6 +119,18 @@ class TestPresets:
         with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got"):
             RobustProtocol(ProtocolConfig(mode=mode, T=100, k=2, **kw))
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"mode": "sgd", "T": 100}, f"unknown mode 'sgd'; expected one of {MODES}"),
+        ({"mode": "known_g", "T": 2, "G": 1.0}, "horizon T must be at least 3"),
+        ({"mode": "known_g", "T": 100, "G": 1.0, "k": -1},
+         "k must be nonnegative and dim at least 1"),
+        ({"mode": "known_g", "T": 100, "G": 1.0, "dim": 0},
+         "k must be nonnegative and dim at least 1"),
+    ], ids=["mode", "T", "k", "dim"])
+    def test_setting_out_of_range_rejected(self, settings, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RobustProtocol(ProtocolConfig(**settings))
+
     def test_unknown_modes_refuse_the_bound(self):
         for mode in ("unknown_g_case1", "unknown_g_case2"):
             with pytest.raises(ValueError):

@@ -103,6 +103,10 @@ class TestEvaluate:
         assert math.isclose(above, at, rel_tol=1e-6)
         assert math.isclose(at, 1.5 * wt**3.0 / S(reg) ** (1 - 1 / 3.0), rel_tol=1e-12)
 
+    def test_negative_subgradient_norm_rejected(self):
+        with pytest.raises(ValueError, match="^subgradient norm must be nonnegative$"):
+            make_state().radial_subgradient_inverse(-1.0)
+
     def test_requires_one_advance(self):
         reg = make_state()
         with pytest.raises(ValueError):

@@ -165,6 +165,18 @@ def test_setting_outside_zero_to_inf_is_rejected(build, name, value):
         build(value)
 
 
+def test_negative_budget_rejected():
+    with pytest.raises(ValueError, match="^corruption budget k must be nonnegative$"):
+        GradientFilter(k=-1, tau_G=1.0)
+
+
+@pytest.mark.parametrize("w_norm", [math.nan, math.inf, -1.0])
+def test_tracker_rejects_an_invalid_norm(w_norm):
+    tr = MagnitudeTracker(tau_D=1.0)
+    with pytest.raises(ValueError, match=f"^invalid iterate norm {w_norm}$"):
+        tr.step(w_norm)
+
+
 class TestMagnitudeTracker:
     def test_hand_trace(self):
         tr = MagnitudeTracker(tau_D=1.0)
