@@ -283,7 +283,6 @@ class KTBettor:
         g_tilde, g_tilde_norm = FLOAT.coerce(g_tilde, 1)
         g_true, g_norm = FLOAT.coerce(g_true, 1)
         self.observe(g_tilde, g_tilde_norm)
-        return RoundRecord(
-            w_norm=abs(w), g_norm=g_norm, g_tilde_norm=g_tilde_norm,
-            g_clipped_norm=g_tilde_norm, h=0.0, z=0.0, alpha=0.0, beta=0.0,
-        )
+        return tuple.__new__(RoundRecord, (
+            abs(w), g_norm, g_tilde_norm, g_tilde_norm, 0.0, 0.0, 0.0, 0.0,
+        ))

@@ -89,7 +89,7 @@ def weighted_project(
         return point
     if w_norm == 0.0:
         # every entry of point.w is a signed zero: abs gives the origin
-        return EpigraphPoint(abs(point.w), 0.0)
+        return tuple.__new__(EpigraphPoint, (abs(point.w), 0.0))
 
     h2 = h * h
     target = h2 * w_norm
@@ -122,7 +122,7 @@ def weighted_project(
     # clamp: feasibility holds exactly; the BLAS sum of squares, not
     # core.dot, because callers check feasibility against w @ w
     y = max(s * s, kernels_of(w).squared_norm(w))
-    return EpigraphPoint(w, y)
+    return tuple.__new__(EpigraphPoint, (w, y))
 
 
 def correction_direction(
@@ -183,7 +183,7 @@ class EpigraphLearner:
         )
         self.learner_y = MirrorDescentLearner(1, epsilon, 1.5 * gamma, c=0.0, p=p)
         self.h = tau_G
-        self._hat = EpigraphPoint(self.learner_w.w, self.learner_y.w)
+        self._hat = tuple.__new__(EpigraphPoint, (self.learner_w.w, self.learner_y.w))
         self._played = weighted_project(self._hat, tau_G, gamma, self.learner_w.w_norm)
         # the played iterate in the learner's form (a float at d = 1), and its norm
         self.w, self.w_norm = self._played.w, self.learner_w.w_norm
@@ -213,7 +213,7 @@ class EpigraphLearner:
             )
         update_w = self.learner_w.update(0.5 * (gradient + delta_w), 2.0 * hint)
         update_y = self.learner_y.update(0.5 * (a_t + delta_y), 1.5 * self.gamma)
-        hat = EpigraphPoint(update_w.w, update_y.w)
+        hat = tuple.__new__(EpigraphPoint, (update_w.w, update_y.w))
         played = weighted_project(hat, hint, self.gamma, update_w.w_norm)
         w_norm = update_w.w_norm if played is hat else k.norm(played.w)
         if not math.isfinite(w_norm):  # NaN only: a projected point stays far inside float range

@@ -205,7 +205,8 @@ def link_inverse_solve(
 
 
 # one round's new learner state, computed before any of it is assigned; w
-# and mirror_grad are in the learner's form, radius is the solved iterate norm
+# and mirror_grad are in the learner's form, radius is the solved iterate norm.
+# It, RoundRecord and EpigraphPoint are built by tuple.__new__, a C call, in field order
 Update = namedtuple("Update", "w w_norm mirror_grad radius h C N B")
 
 
@@ -320,7 +321,7 @@ class MirrorDescentLearner:
             if not math.isfinite(w_norm):
                 ensure_finite(np.atleast_1d(w), "mirror descent iterate")
                 raise _out_of_range(theta_norm, V, hint, a)
-        return Update(w, w_norm, mirror_grad, radius, hint, C, N, B)
+        return tuple.__new__(Update, (w, w_norm, mirror_grad, radius, hint, C, N, B))
 
     def commit(self, update: Update) -> None:
         """Assign the state that update() computed and fold the new radius into the penalty."""

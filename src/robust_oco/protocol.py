@@ -129,7 +129,8 @@ class RoundRecord(NamedTuple):
     """One round's scalars: the norms of its played iterate and gradients.
 
     g_norm is None when the round was given no true gradient. The fields
-    after w_norm name the trace's per-round columns.
+    after w_norm name the trace's per-round columns. A round builds it with
+    tuple.__new__ in field order; any other caller may use the keywords.
     """
 
     w_norm: float
@@ -248,11 +249,9 @@ class RobustProtocol:
             self.tracker.commit(z_next, tracker_doubled)
         self.t += 1
         self._update_ledgers(step)
-        return RoundRecord(
-            w_norm=w_norm, g_norm=g_norm, g_tilde_norm=g_tilde_norm,
-            g_clipped_norm=g_clipped_norm,
-            h=h_t, z=z_next, alpha=alpha_t, beta=beta_t,
-        )
+        return tuple.__new__(RoundRecord, (
+            w_norm, g_norm, g_tilde_norm, g_clipped_norm, h_t, z_next, alpha_t, beta_t,
+        ))
 
     def _update_ledgers(self, step: tuple) -> None:
         """Commit the round's decomposition with the norm the next round plays."""

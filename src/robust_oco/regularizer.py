@@ -38,6 +38,9 @@ class HuberRegularizer:
             raise ValueError(f"power p must be above 1 and finite, got {self.p}")
         check_positive("offset alpha", self.alpha)
         self.log_S = self.p * math.log(self.alpha)
+        # the formulas' constants log(c*p) (-inf at c = 0) and 1 - 1/p, computed once
+        self._log_cp = math.log(self.c * self.p) if self.c > 0.0 else -math.inf
+        self._denom_power = 1.0 - 1.0 / self.p
 
     def advance(self, w_next_norm: float) -> None:
         """Fold the next iterate norm into S and remember it for sigma.
@@ -59,7 +62,7 @@ class HuberRegularizer:
         # past a knot at wt = 0 the linear branch's slope is 0^(p-1) = 0
         if c == 0.0 or w_norm == 0.0 or wt == 0.0:
             return 0.0
-        log_denom = (1.0 - 1.0 / p) * self.log_S
+        log_denom = self._denom_power * self.log_S
         if w_norm <= wt:
             return c * math.exp(p * math.log(w_norm) - log_denom)
         # linear branch: slope continuation from the knot at ||w_t||
@@ -76,7 +79,7 @@ class HuberRegularizer:
             return 0.0, 0.0
         p, log_S = self.p, self.log_S
         ls = _logaddexp(log_S, p * log_x)  # log(S + x^p)
-        r = math.exp(math.log(self.c * p) + (p - 1.0) * log_x - (1.0 - 1.0 / p) * ls)
+        r = math.exp(self._log_cp + (p - 1.0) * log_x - self._denom_power * ls)
         return r, r * (p - 1.0) * math.exp(log_S - ls)
 
     def radial_subgradient_inverse(self, y: float) -> float:
@@ -99,10 +102,8 @@ class HuberRegularizer:
 
 
 def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
     hi, lo = (a, b) if a >= b else (b, a)
+    if lo == -math.inf:  # hi is the sum; with both -inf, lo - hi would be NaN
+        return hi
     return hi + math.log1p(math.exp(lo - hi))
 

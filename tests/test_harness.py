@@ -1,12 +1,13 @@
 import configparser
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from robust_oco import mirror_descent
+from robust_oco import epigraph, mirror_descent
 from robust_oco.harness import runner
 
 from robust_oco.adversaries import (
@@ -34,7 +35,7 @@ from robust_oco.harness.runner import (
     trace_columns,
 )
 from robust_oco.mirror_descent import SolverError
-from robust_oco.protocol import ProtocolConfig
+from robust_oco.protocol import MODES, ProtocolConfig, RoundRecord
 from snapshot import state_bits
 
 DATA = Path(__file__).parent / "data"
@@ -603,6 +604,57 @@ class TestFloatRunLoop:
         ) as info:
             run_experiment(figure_config(T=100, k=2, comparator=(0.0,)), seed=0)
         assert info.value.aborted_at_round == 2
+
+
+class TestRoundPathRecords:
+    """The package builds its records with tuple.__new__, never through the
+    namedtuples' Python-level __new__, and a round still returns a RoundRecord."""
+
+    RECORD_NEWS = {
+        cls.__new__.__code__: cls.__name__
+        for cls in (RoundRecord, mirror_descent.Update, epigraph.EpigraphPoint)
+    }
+    # weighted_project's nested residual runs only on a boundary projection
+    RESIDUAL = next(c for c in epigraph.weighted_project.__code__.co_consts
+                    if getattr(c, "co_name", None) == "residual")
+
+    def calls_in(self, config):
+        called = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.append(frame.f_code)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            trace = run_experiment(config, seed=3)
+        finally:
+            sys.setprofile(previous)
+        return trace, called
+
+    @pytest.mark.parametrize("dim, algorithm", [(1, a) for a in ALGORITHMS]
+                             + [(3, mode) for mode in MODES])
+    def test_no_call_enters_a_namedtuple_new(self, dim, algorithm):
+        if dim == 1:
+            config = d1_config("sign_flip_window", algorithm)
+        else:
+            known = algorithm == "known_g"
+            config = ExperimentConfig(
+                algorithm=algorithm,
+                adversary=AdversarySpec(kind="dro_reweight", T=60, k=4, seed=5, dim=3),
+                protocol=ProtocolConfig(mode=algorithm, T=60, k=8, tau_G=0.25, dim=3,
+                                        G=1.0 if known else None),
+                comparator=(0.5, -0.25, 1.0),
+            )
+        trace, called = self.calls_in(config)
+        assert [self.RECORD_NEWS[c] for c in called if c in self.RECORD_NEWS] == []
+        assert len(trace.rows) == config.adversary.T
+        if algorithm.startswith("unknown_g"):
+            assert self.RESIDUAL in called  # the projection's boundary return ran
+        g = 0.5 if dim == 1 else np.full(dim, 0.25)
+        record = make_player(config, np.zeros(dim)).round(g, g)
+        assert type(record) is RoundRecord and record.g_norm == record.g_tilde_norm
 
 
 class TestSweep:

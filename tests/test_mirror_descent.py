@@ -228,6 +228,68 @@ class TestLinkInverse:
             root = _mp_link_root(theta, V, h, a, reg, x)
         assert float(abs(x - root) / root) <= 1e-12
 
+    def test_subnormal_root_returns_on_the_collapsed_bracket(self):
+        # the root, 1e-318, is subnormal: neighbouring radii are 5e-324 apart,
+        # so no iterate's residual meets the Newton error bound, and the
+        # solve returns once the bracket in u has collapsed
+        reg = HuberRegularizer(c=1.0, p=2.0, alpha=1.0)
+        theta, V, h, a = 6e-9, 1.0, 1.0, 1e-300
+        x, mirror = link_inverse_solve(theta, V, h, a, reg)
+        at_x, penalty, slope = link_terms(math.log(x), x, V, h, a, reg)
+        resid = abs(at_x + penalty - theta)
+        assert resid <= 1e-9 and resid > mirror_descent._SOLVE_UTOL * slope
+        assert mirror == at_x
+        with mpmath.workdps(50):
+            root = _mp_link_root(theta, V, h, a, reg, x)
+            assert abs(x - root) <= mpmath.mpf(5e-324) / 2  # the double nearest the root
+
+    def test_link_steeper_than_the_log_radius_grid_does_not_converge(self):
+        # at p = 1e5 and u = log x near 709, adjacent doubles of u move the
+        # link by about 1e-8 of itself, more than the 1e-9 tolerance: no
+        # iterate meets it, and the solve raises after its last iteration
+        reg = HuberRegularizer(c=1e3, p=1e5, alpha=1e308)
+        theta, V, h, a = 1e7, 1.0, 1.0, 1.0
+
+        def resid(u):
+            mirror, penalty, _ = link_terms(u, math.exp(u), V, h, a, reg)
+            return mirror + penalty - theta
+
+        lo, hi = 700.0, 709.7
+        assert resid(lo) < 0.0 < resid(hi)
+        while math.nextafter(lo, math.inf) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if resid(mid) < 0.0 else (lo, mid)
+        assert resid(lo) < -1e-9 * theta and resid(hi) > 1e-9 * theta
+        with pytest.raises(SolverError, match="^link inversion did not converge"):
+            link_inverse_solve(theta, V, h, a, reg)
+
+    def test_lower_end_above_the_upper_end_restarts_at_the_smallest_radius(self, monkeypatch):
+        # with a = 1e-60, x/a leaves float range above x = 1.8e248, and there
+        # the link reads inf: the doubling keeps its start S^(1/p) = 1e250 as
+        # the upper end. The mirror part's inverse at theta/2 reads inf too,
+        # so the lower end is the penalty's inverse, which lies above 1e250
+        # and is replaced by the smallest positive radius: the step after
+        # the first, infinite, Newton evaluation is that bracket's midpoint.
+        # The root, near 1.009e250, is where the link reads inf: the solve
+        # fails loudly
+        reg = HuberRegularizer(c=40.0, p=100.0, alpha=1e250)
+        theta, V, h, a = 5000.0, 1.0, 1.0, 1e-60
+        assert link_value(1e250, V, h, a, reg) == math.inf
+        assert mirror_descent._bracket_end(0.5 * theta, V, h, a, reg) > 1e250
+        evaluated = []
+        monkeypatch.setattr(mirror_descent, "link_terms",
+                            lambda u, *rest: evaluated.append(u) or link_terms(u, *rest))
+        with pytest.raises(SolverError, match="^link inversion did not converge"):
+            link_inverse_solve(theta, V, h, a, reg)
+        # link_value's doubling test, the first Newton evaluation, the midpoint
+        u_hi = math.log(1e250)
+        assert evaluated[:3] == [u_hi, u_hi, 0.5 * (mirror_descent._LOG_TINY + u_hi)]
+
+    def test_link_is_zero_at_the_origin(self):
+        # both summands vanish at x = 0, where log x is not taken
+        reg = HuberRegularizer(c=1.0, p=2.0, alpha=1.0)
+        assert link_value(0.0, 4.0, 2.0, 1.0, reg) == 0.0
+
     def test_negative_dual_norm_rejected(self):
         reg = HuberRegularizer(c=1.0, p=2.0, alpha=1.0)
         with pytest.raises(ValueError, match="^dual norm must be nonnegative$"):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_oco.harness.checks import check_sum_bounds
-from robust_oco.regularizer import HuberRegularizer
+from robust_oco.regularizer import HuberRegularizer, _logaddexp
 
 
 def make_state(c=1.0, p=2.0, alpha=1.0, norms=()):
@@ -229,6 +229,91 @@ class TestAgainstNaiveFormulas:
         S = alpha**p + 0.5**p + 2.0**p
         direct = c * p * x ** (p - 1) / (S + x**p) ** (1 - 1 / p)
         assert math.isclose(subgradient(reg, x), direct, rel_tol=1e-12)
+
+
+def uncached_radial_subgradient_log(reg, log_x):
+    """radial_subgradient_log with log(c*p) and 1 - 1/p computed on the call."""
+    if reg.c == 0.0:
+        return 0.0, 0.0
+    p, log_S = reg.p, reg.log_S
+    ls = _logaddexp(log_S, p * log_x)
+    r = math.exp(math.log(reg.c * p) + (p - 1.0) * log_x - (1.0 - 1.0 / p) * ls)
+    return r, r * (p - 1.0) * math.exp(log_S - ls)
+
+
+def uncached_evaluate(reg, w_norm):
+    """evaluate with 1 - 1/p computed on the call."""
+    c, p, wt = reg.c, reg.p, reg.last_iterate_norm
+    if c == 0.0 or w_norm == 0.0 or wt == 0.0:
+        return 0.0
+    log_denom = (1.0 - 1.0 / p) * reg.log_S
+    if w_norm <= wt:
+        return c * math.exp(p * math.log(w_norm) - log_denom)
+    lin = p * w_norm - (p - 1.0) * wt
+    return c * lin * math.exp((p - 1.0) * math.log(wt) - log_denom)
+
+
+def outcome_bits(fn, *args):
+    """fn's floats as bytes, NaNs included, or the type of its OverflowError."""
+    try:
+        return np.array(fn(*args), dtype=np.float64).tobytes()
+    except OverflowError as exc:
+        return type(exc)
+
+
+class TestConstantsComputedOnce:
+    """The constructor computes log(c*p) and 1 - 1/p once; the formulas keep their bits."""
+
+    # c*p runs from the smallest subnormals (5e-324 * p) past the largest double
+    EDGE_C = (0.0, 5e-324, 1e-310, 1e-300, 1e300, 1.7976931348623157e308)
+
+    def samples(self, count=3000, seed=30):
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            if i % 3 == 0:
+                c = self.EDGE_C[i // 3 % len(self.EDGE_C)]
+            else:
+                c = float(10.0 ** rng.uniform(-320.0, 308.0))
+            p = 1.0 + float(10.0 ** rng.uniform(-9.0, 6.0))
+            alpha = float(10.0 ** rng.uniform(-300.0, 300.0))
+            norms = [0.0 if u < 0.1 else float(10.0 ** (300.0 * u - 150.0))
+                     for u in rng.uniform(size=int(rng.integers(1, 4)))]
+            yield make_state(c=c, p=p, alpha=alpha, norms=norms), rng
+
+    def test_radial_subgradient_keeps_the_bits_of_the_uncached_formula(self):
+        for reg, rng in self.samples():
+            for log_x in (-math.inf, *rng.uniform(-800.0, 800.0, size=4)):
+                assert outcome_bits(reg.radial_subgradient_log, log_x) == outcome_bits(
+                    uncached_radial_subgradient_log, reg, log_x), (reg, log_x)
+
+    def test_evaluate_keeps_the_bits_of_the_uncached_formula(self):
+        for reg, rng in self.samples():
+            for w in (0.0, reg.last_iterate_norm, *10.0 ** rng.uniform(-300.0, 300.0, size=3)):
+                assert outcome_bits(reg.evaluate, float(w)) == outcome_bits(
+                    uncached_evaluate, reg, float(w)), (reg, w)
+
+
+class TestLogAddExp:
+    """log(e^a + e^b); the one guard is for a smaller argument of -inf."""
+
+    @pytest.mark.parametrize("b", [-745.0, -1.0, -0.0, 0.0, 3.5, 709.0, math.inf])
+    def test_one_sided_minus_inf_is_the_other_argument(self, b):
+        for args in ((-math.inf, b), (b, -math.inf)):
+            got = _logaddexp(*args)
+            assert math.copysign(1.0, got) == math.copysign(1.0, b) and got == b
+            # the general formula gives the same value; only at b = -0.0
+            # does it differ, in the sign of the zero
+            assert got == b + math.log1p(math.exp(-math.inf - b))
+
+    def test_both_minus_inf_is_minus_inf(self):
+        assert _logaddexp(-math.inf, -math.inf) == -math.inf
+        # where the general formula gives NaN
+        assert math.isnan(-math.inf + math.log1p(math.exp(-math.inf - -math.inf)))
+
+    def test_finite_arguments_use_the_formula(self):
+        for a, b in ((0.0, 0.0), (-3.0, 2.0), (700.0, -700.0), (1e300, 1e300)):
+            hi, lo = max(a, b), min(a, b)
+            assert _logaddexp(a, b) == _logaddexp(b, a) == hi + math.log1p(math.exp(lo - hi))
 
 
 class TestSumBounds:

@@ -1,6 +1,6 @@
 """Python and C calls per round of one reference cell per player, for review.
 
-    python3 tools/call_count.py [--root CHECKOUT]
+    python3 tools/call_count.py [--root CHECKOUT] [--functions N]
 
 Runs the first reference cell of each player of every workload in
 ``perfbench/cells.py`` through ``run_experiment``, under ``sys.setprofile``,
@@ -12,6 +12,13 @@ adds or removes work on the round path. Run it in both checkouts, or point
 ``--root`` at the other one, to compare. It imports the package from
 ``CHECKOUT/src`` and the cells from ``CHECKOUT/perfbench``, and writes no
 trace.
+
+With ``--functions N`` each cell's line is followed by the N functions with
+the most calls per round, one indented ``file:function calls/round`` line
+each: the listing that shows where a new hotspot is. A Python function is
+named by its file and code name (a namedtuple's generated ``__new__`` reads
+``<string>:<lambda>``), a C function as ``<built-in>:`` and its qualified
+name.
 """
 
 from __future__ import annotations
@@ -24,32 +31,50 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import sys  # noqa: E402
+from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def calls_of(fn) -> int:
-    """The Python and C calls made while fn() runs."""
-    count = 0
+def calls_of(fn) -> Counter:
+    """The Python and C calls made while fn() runs, by code object or C function name.
+
+    A C function is keyed by its (module, qualified name), not by itself: a
+    bound method would keep its object alive.
+    """
+    calls = Counter()
 
     def profile(frame, event, arg):
-        nonlocal count
-        if event == "call" or event == "c_call":
-            count += 1
+        if event == "call":
+            calls[frame.f_code] += 1
+        elif event == "c_call":
+            calls[getattr(arg, "__module__", None), arg.__qualname__] += 1
 
     sys.setprofile(profile)
     try:
         fn()
     finally:
         sys.setprofile(None)
-    return count
+    return calls
+
+
+def label(called) -> str:
+    """``file:function`` for a code object, ``<built-in>:name`` for a C function's key."""
+    if hasattr(called, "co_filename"):
+        return f"{Path(called.co_filename).name}:{called.co_name}"
+    module, name = called
+    if module and module != "builtins":
+        name = f"{module}.{name}"
+    return f"<built-in>:{name}"
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="checkout to run (default: this one)")
+    parser.add_argument("--functions", type=int, default=0, metavar="N",
+                        help="also list each cell's N most-called functions")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -62,7 +87,14 @@ def main(argv: list[str] | None = None) -> int:
             first.setdefault(cell.player, cell)
         for player, cell in first.items():
             calls = calls_of(lambda: run_experiment(cell.config, seed=cell.seed))
-            print(f"{workload} {player} {calls / cell.rounds:.2f}", flush=True)
+            print(f"{workload} {player} {calls.total() / cell.rounds:.2f}", flush=True)
+            # the same function reached twice (two code objects of one name) is summed
+            by_label = Counter()
+            for called, n in calls.items():
+                by_label[label(called)] += n
+            top = sorted(by_label.items(), key=lambda item: (-item[1], item[0]))
+            for name, n in top[:args.functions]:
+                print(f"  {name} {n / cell.rounds:.2f}", flush=True)
     return 0
 
 
