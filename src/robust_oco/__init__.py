@@ -17,7 +17,7 @@ from .core import (
     RegretLedger,
     clip_gradient,
 )
-from .epigraph import EpigraphLearner, EpigraphPoint, QuadWeights, weighted_project
+from .epigraph import EpigraphLearner, EpigraphPoint, weighted_project
 from .mirror_descent import MirrorDescentLearner, link_inverse_solve
 from .protocol import DecompositionLedger, ProtocolConfig, RobustProtocol
 from .regularizer import HuberRegularizer
@@ -36,7 +36,6 @@ __all__ = [
     "MirrorDescentLearner",
     "NonFiniteError",
     "ProtocolConfig",
-    "QuadWeights",
     "RegretLedger",
     "RobustProtocol",
     "clip_gradient",

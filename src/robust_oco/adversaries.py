@@ -239,7 +239,7 @@ class KTBettor:
     required). It sees the observed gradient unclipped and has no
     regularizer, so it has no regret split (decomposition is None) and
     keeps no ledger: the runner keeps its score. It runs on floats: w is
-    a float, and update() takes an admitted float.
+    a float, and observe() admits each gradient as one.
     """
 
     decomposition = None
@@ -253,29 +253,24 @@ class KTBettor:
         self.w = 0.0
 
     def observe(self, gradient, g_norm: float | None = None) -> None:
-        """Consume one gradient: admit it as a float unless its norm is given, update, commit.
+        """Consume one gradient, admitted as a float unless its norm is given.
 
-        A caller that passes g_norm promises a finite float, as for MirrorDescentLearner.update.
+        A caller that passes g_norm promises a finite float, as for
+        MirrorDescentLearner.update. The round is computed on locals and
+        assigned last, so a raise moves nothing.
         """
         if g_norm is None:
             gradient, g_norm = FLOAT.coerce(gradient, 1)
-        self.commit(self.update(gradient, g_norm))
-
-    def update(self, g: float, g_abs: float) -> tuple[float, float, int, float]:
-        """The round's (reward, sum_neg_grad, t, w) from a finite g; nothing assigned."""
-        if g_abs > 1.0 + 1e-12:
-            raise ValueError(f"KT bettor requires |g| <= 1, got {g}")
-        reward = self.reward + -g * self.w
-        sum_neg_grad = self.sum_neg_grad + -g
+        if g_norm > 1.0 + 1e-12:
+            raise ValueError(f"KT bettor requires |g| <= 1, got {gradient}")
+        reward = self.reward + -gradient * self.w
+        sum_neg_grad = self.sum_neg_grad + -gradient
         t = self.t + 1
         wealth = self.epsilon + reward
         if wealth <= 0.0:
             raise RuntimeError(f"KT wealth went nonpositive ({wealth}) at t={t}")
-        return reward, sum_neg_grad, t, sum_neg_grad / (t + 1) * wealth
-
-    def commit(self, state: tuple[float, float, int, float]) -> None:
-        """Assign the state that update() computed."""
-        self.reward, self.sum_neg_grad, self.t, self.w = state
+        self.reward, self.sum_neg_grad, self.t = reward, sum_neg_grad, t
+        self.w = sum_neg_grad / (t + 1) * wealth
 
     def round(self, g_tilde, g_true) -> RoundRecord:
         """One round: both gradients are coerced before observe() moves anything."""

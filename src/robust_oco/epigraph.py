@@ -14,7 +14,6 @@ its input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,40 +29,6 @@ _PROJ_COLLAPSE = 4e-16  # relative bracket width of a few ulps
 class EpigraphPoint(NamedTuple):
     w: np.ndarray | float  # a float in the d = 1 representation
     y: float
-
-
-@dataclass
-class QuadWeights:
-    """Event-driven quadratic penalty weights.
-
-    The clipping-threshold weight fires at full strength gamma_alpha on every
-    filter doubling; the magnitude weight gamma_beta is attenuated by the
-    tracker's count of doublings (including the current round's), so its
-    total stays logarithmic in the iterate growth.
-    """
-
-    gamma_alpha: float
-    gamma_beta: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.gamma_alpha < math.inf and 0.0 <= self.gamma_beta < math.inf):
-            raise ValueError(f"penalty weights must be nonnegative and finite, got {self}")
-
-    @property
-    def gamma(self) -> float:
-        return self.gamma_alpha + self.gamma_beta
-
-    def step(
-        self, filter_doubled: bool, tracker_doubled: bool, epochs: int
-    ) -> tuple[float, float]:
-        """The round's weights (alpha_t, beta_t).
-
-        epochs is the tracker's epoch_index before this round's commit; a
-        doubling round's beta_t counts that doubling too.
-        """
-        alpha_t = self.gamma_alpha if filter_doubled else 0.0
-        beta_t = self.gamma_beta / (epochs + 2) if tracker_doubled else 0.0
-        return alpha_t, beta_t
 
 
 def weighted_project(

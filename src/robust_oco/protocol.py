@@ -7,8 +7,8 @@ player). The protocol keeps no bookkeeping of its own: the learner keeps the
 played iterate and its norm, the ledger the split's penalty and sums. Two
 wirings exist: a constant threshold equal to a known gradient bound with the
 mirror descent learner, and the adaptive filter + tracker + epigraph stack
-when no bound is known; there the filter counts the clips and the weights
-read the tracker's epochs.
+when no bound is known; there the filter counts the clips, and the
+quadratic penalty weights fire on the filter's and the tracker's doublings.
 
 It runs on the learner's form (core.kernels(dim): a float at d = 1), and so
 does w, the played point; round() coerces each gradient (an array, a list
@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import NonFiniteError, as_vector, check_positive, kernels, kernels_of
-from .epigraph import EpigraphLearner, QuadWeights
+from .epigraph import EpigraphLearner
 from .mirror_descent import MirrorDescentLearner
 from .regularizer import HuberRegularizer
 from .thresholds import GradientFilter, MagnitudeTracker
@@ -153,8 +153,11 @@ class RobustProtocol:
         if config.T < 3:
             raise ValueError("horizon T must be at least 3")
         check_positive("epsilon", epsilon)
-        if k < 0 or config.dim < 1:
-            raise ValueError("k must be nonnegative and dim at least 1")
+        # below 2**53 every integer is a float: the presets and weights stay exact and finite
+        if not (0 <= k < 2**53 and k == int(k)):
+            raise ValueError(f"k must be an integer in [0, 2**53), got {k!r}")
+        if config.dim < 1:
+            raise ValueError("dim must be at least 1")
         self.config = config
         self.G = config.G  # None in the unknown-bound modes
         p = math.log(config.T)
@@ -168,7 +171,6 @@ class RobustProtocol:
                 c, alpha = k * self.G, epsilon / k
             self.filter = None
             self.tracker = None
-            self.weights = None
             self.learner = MirrorDescentLearner(
                 config.dim, epsilon, initial_hint=self.G, c=c, p=p, alpha=alpha,
             )
@@ -181,16 +183,15 @@ class RobustProtocol:
                 if k < 1:
                     raise ValueError("unknown_g_case1 needs k >= 1 (its presets divide by k)")
                 c, tau_D = k * tau_G, epsilon / k
-                gamma_alpha, gamma_beta = 1.0, float(k)
+                self.gamma_alpha, self.gamma_beta = 1.0, float(k)
             else:
                 c, tau_D = tau_G, 1.0
-                gamma_alpha, gamma_beta = float(k) + 1.0, float(k) ** 2
+                self.gamma_alpha, self.gamma_beta = float(k) + 1.0, float(k) ** 2
             alpha = epsilon * tau_G / c
             self.filter = GradientFilter(k=k, tau_G=tau_G)
             self.tracker = MagnitudeTracker(tau_D=tau_D)
-            self.weights = QuadWeights(gamma_alpha, gamma_beta)
             self.learner = EpigraphLearner(
-                config.dim, epsilon, self.weights.gamma, tau_G, c, p, alpha,
+                config.dim, epsilon, self.gamma_alpha + self.gamma_beta, tau_G, c, p, alpha,
             )
         self.kernels = k = kernels(config.dim)
         u = np.zeros(config.dim) if comparator is None else as_vector(comparator, config.dim)
@@ -239,9 +240,10 @@ class RobustProtocol:
         else:
             h_next, filter_doubled = self.filter.step(clipped)
             z_next, tracker_doubled = self.tracker.step(w_norm)
-            alpha_t, beta_t = self.weights.step(
-                filter_doubled, tracker_doubled, self.tracker.epoch_index
-            )
+            # gamma_alpha on each filter doubling; gamma_beta over the tracker's
+            # doublings so far, this one included, so its sum stays logarithmic
+            alpha_t = self.gamma_alpha if filter_doubled else 0.0
+            beta_t = self.gamma_beta / (self.tracker.epoch_index + 2) if tracker_doubled else 0.0
             a_t = alpha_t + beta_t
             step = d.step(w, w_norm, g_clipped, g_clipped_norm, a_t, g_true, g_norm)
             self.learner.observe(g_clipped, h_next, a_t, g_clipped_norm)

@@ -4,7 +4,8 @@ GradientFilter maintains a clipping threshold that doubles only after k+1
 observed exceedances, so a budget of k wildly corrupted gradients can never
 force the threshold above 4x the true gradient bound; the caller clips, and
 the filter counts the clips. MagnitudeTracker maintains a doubling estimate
-of the running iterate magnitude, whose epoch_index the weights read.
+of the running iterate magnitude, whose epoch_index the protocol's penalty
+weights read.
 
 Both automata use constant space: no per-round sets are materialized. The
 property checkers in harness.checks reconstruct epoch structure from
@@ -39,8 +40,9 @@ class GradientFilter:
     doublings: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("corruption budget k must be nonnegative")
+        k = self.k
+        if not (0 <= k < 2**53 and k == int(k)):  # below 2**53 every integer is a float
+            raise ValueError(f"corruption budget k must be an integer in [0, 2**53), got {k!r}")
         check_positive("initial threshold tau_G", self.tau_G)
         self.h = self.tau_G
 

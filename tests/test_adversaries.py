@@ -54,6 +54,14 @@ def test_out_of_range_stream_rejected(build, message):
         build()
 
 
+def test_make_adversary_rejects_a_kind_set_after_the_spec_checked_it():
+    # the spec checks its kind when built; make_adversary checks it again
+    spec = AdversarySpec(kind="sign_flip_window", T=12, k=3, window_start=5)
+    spec.kind = "sign_flip"
+    with pytest.raises(ValueError, match="^unknown adversary kind 'sign_flip'$"):
+        make_adversary(spec)
+
+
 class TestSignFlip:
     def test_exact_window(self):
         adv = SignFlipAdversary(T=400, k=20, window_start=300)

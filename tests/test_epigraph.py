@@ -1,5 +1,4 @@
 import math
-import re
 
 import mpmath
 import numpy as np
@@ -10,7 +9,6 @@ from robust_oco.core import ARRAY, NonFiniteError, as_vector, kernels, norm
 from robust_oco.epigraph import (
     EpigraphLearner,
     EpigraphPoint,
-    QuadWeights,
     correction_direction,
     weighted_project,
 )
@@ -133,66 +131,6 @@ class TestCorrectionDirection:
                 sqrt2_failures += 1
         # record how often the stricter sqrt(2) factors would have failed
         print(f"\nsqrt(2)-factor exceedances: {sqrt2_failures}/300")
-
-
-class Weigh:
-    """QuadWeights beside the epoch count a magnitude tracker would keep."""
-
-    def __init__(self, gamma_alpha, gamma_beta):
-        self.qw = QuadWeights(gamma_alpha=gamma_alpha, gamma_beta=gamma_beta)
-        self.epochs = 0
-
-    def __call__(self, filter_doubled, tracker_doubled):
-        """The round's weights, with its tracker doubling counted."""
-        weights = self.qw.step(filter_doubled, tracker_doubled, self.epochs)
-        self.epochs += tracker_doubled
-        return weights
-
-
-class TestQuadWeights:
-    def test_no_doublings_no_weights(self):
-        weigh = Weigh(gamma_alpha=2.0, gamma_beta=6.0)
-        assert weigh(False, False) == (0.0, 0.0)
-
-    def test_first_tracker_doubling_halves_beta(self):
-        weigh = Weigh(gamma_alpha=2.0, gamma_beta=6.0)
-        alpha_t, beta_t = weigh(False, True)
-        assert alpha_t == 0.0 and beta_t == 3.0
-
-    def test_step_assigns_nothing(self):
-        qw = QuadWeights(gamma_alpha=2.0, gamma_beta=6.0)
-        assert qw.step(False, True, 0) == qw.step(False, True, 0) == (0.0, 3.0)
-        assert vars(qw) == {"gamma_alpha": 2.0, "gamma_beta": 6.0}
-
-    def test_filter_doubling_full_alpha_regardless_of_history(self):
-        weigh = Weigh(gamma_alpha=2.0, gamma_beta=6.0)
-        for _ in range(5):
-            weigh(False, True)
-        alpha_t, _ = weigh(True, False)
-        assert alpha_t == 2.0
-
-    def test_beta_attenuates(self):
-        weigh = Weigh(gamma_alpha=0.0, gamma_beta=12.0)
-        betas = [weigh(False, True)[1] for _ in range(4)]
-        assert betas == [6.0, 4.0, 3.0, 2.4]
-
-    @pytest.mark.parametrize("gamma_alpha, gamma_beta", [
-        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-1.0, 1.0),
-    ])
-    def test_weight_outside_zero_to_inf_is_rejected(self, gamma_alpha, gamma_beta):
-        # NaN and inf passed the old `< 0` test; 0 stays valid (case2 at k = 0)
-        weights = f"QuadWeights(gamma_alpha={gamma_alpha}, gamma_beta={gamma_beta})"
-        with pytest.raises(ValueError, match="^penalty weights must be nonnegative and finite, "
-                                             f"got {re.escape(weights)}$"):
-            QuadWeights(gamma_alpha, gamma_beta)
-
-    def test_weight_ceilings(self):
-        rng = np.random.default_rng(3)
-        weigh = Weigh(gamma_alpha=1.5, gamma_beta=4.0)
-        for _ in range(200):
-            a, b = weigh(bool(rng.integers(2)), bool(rng.integers(2)))
-            assert 0 <= a <= 1.5 and 0 <= b <= 4.0
-            assert a + b <= weigh.qw.gamma
 
 
 class AlwaysCorrected(EpigraphLearner):
@@ -490,10 +428,9 @@ class TestEpigraphLearner:
                     g = np.array([rng.uniform(-1, 1)])
                     protocol.round(g, g_true=g)
                 h_T = protocol.filter.h
-                weights = protocol.weights
                 denom = (
                     h_T + abs(u) * h_T * math.sqrt(T)
-                    + u * u * (weights.gamma_alpha * (k + 1) + weights.gamma_beta)
+                    + u * u * (protocol.gamma_alpha * (k + 1) + protocol.gamma_beta)
                 ) * (1 + math.log(1 + max(abs(u), 1) * T)) ** 2
                 assert protocol.decomposition.composite_term / denom <= 1.0
 

@@ -751,6 +751,10 @@ class TestCLI:
         ("protocol", "known_g", "G", "nan", "G must be positive and finite"),
         ("protocol", "known_g", "epsilon", "nan", "epsilon must be positive and finite"),
         ("protocol", "unknown_g_case2", "tau_G", "inf", "tau_G must be positive and finite"),
+        # a k of 401 digits has no float: the presets raised an untyped
+        # OverflowError, exit 1 with a traceback, in every mode
+        *[("protocol", algorithm, "k", "1" + "0" * 400, "k must be an integer in [0, 2**53)")
+          for algorithm in ("known_g", "unknown_g_case1", "unknown_g_case2")],
         ("protocol", "kt_bettor", "epsilon", "nan",
          "initial wealth epsilon must be positive and finite"),
         ("adversary", "unknown_g_case1", "G", "nan", "G must be positive and finite"),

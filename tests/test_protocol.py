@@ -87,9 +87,9 @@ class TestPresets:
         reg = _penalty(protocol)
         assert protocol.filter is not None
         assert reg.c == 30 * 0.5
-        assert protocol.weights.gamma_beta == 30.0
-        assert protocol.weights.gamma_alpha == 1.0
-        assert protocol.learner.gamma == protocol.weights.gamma
+        assert protocol.gamma_beta == 30.0
+        assert protocol.gamma_alpha == 1.0
+        assert protocol.learner.gamma == protocol.gamma_alpha + protocol.gamma_beta
         assert protocol.tracker.tau_D == 2.0 / 30
         assert math.isclose(reg.alpha, 2.0 * 0.5 / reg.c)
 
@@ -102,8 +102,8 @@ class TestPresets:
         protocol = RobustProtocol(cfg)
         reg = _penalty(protocol)
         assert reg.c == 0.7
-        assert protocol.weights.gamma_beta == 16.0
-        assert protocol.weights.gamma_alpha == 5.0
+        assert protocol.gamma_beta == 16.0
+        assert protocol.gamma_alpha == 5.0
         assert protocol.tracker.tau_D == 1.0
         assert math.isclose(reg.alpha, 1.5)
 
@@ -123,10 +123,22 @@ class TestPresets:
         ({"mode": "sgd", "T": 100}, f"unknown mode 'sgd'; expected one of {MODES}"),
         ({"mode": "known_g", "T": 2, "G": 1.0}, "horizon T must be at least 3"),
         ({"mode": "known_g", "T": 100, "G": 1.0, "k": -1},
-         "k must be nonnegative and dim at least 1"),
-        ({"mode": "known_g", "T": 100, "G": 1.0, "dim": 0},
-         "k must be nonnegative and dim at least 1"),
-    ], ids=["mode", "T", "k", "dim"])
+         "k must be an integer in [0, 2**53), got -1"),
+        # k = 2.5 ran, and its filter never doubled (the clip count n never
+        # equals it); 10**400 raised OverflowError from the presets
+        ({"mode": "unknown_g_case2", "T": 100, "k": 2.5},
+         "k must be an integer in [0, 2**53), got 2.5"),
+        ({"mode": "unknown_g_case1", "T": 100, "k": math.nan},
+         "k must be an integer in [0, 2**53), got nan"),
+        ({"mode": "known_g", "T": 100, "G": 1.0, "k": math.inf},
+         "k must be an integer in [0, 2**53), got inf"),
+        ({"mode": "unknown_g_case1", "T": 100, "k": 2**53},
+         f"k must be an integer in [0, 2**53), got {2**53}"),
+        ({"mode": "unknown_g_case2", "T": 100, "k": 10**400},
+         f"k must be an integer in [0, 2**53), got {10**400}"),
+        ({"mode": "known_g", "T": 100, "G": 1.0, "dim": 0}, "dim must be at least 1"),
+    ], ids=["mode", "T", "k", "k_fraction", "k_nan", "k_inf", "k_bound", "k_past_float_range",
+            "dim"])
     def test_setting_out_of_range_rejected(self, settings, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             RobustProtocol(ProtocolConfig(**settings))
@@ -136,6 +148,74 @@ class TestPresets:
             with pytest.raises(ValueError):
                 RobustProtocol(ProtocolConfig(mode=mode, T=100, k=5, G=1.0))
 
+
+def weighted_rounds(protocol, stream):
+    """Play the 1-d stream; yield each record with its filter and tracker doubled flags."""
+    for g in stream:
+        doublings, epochs = protocol.filter.doublings, protocol.tracker.epoch_index
+        rec = protocol.round(g, g_true=g)
+        yield rec, protocol.filter.doublings > doublings, protocol.tracker.epoch_index > epochs
+
+
+# at tau_G = 1 the clips double the threshold past 1e6 (20 doublings), then
+# the iterate outgrows the tracker's guess: in both unknown-bound modes at
+# k <= 12 the tracker doubles at least four times, in rounds without a clip
+GROWTH = [-1e6] * 700
+# then clips of the other sign: the filter doubles again after the tracker did
+SPIKES = [1e9] * 40
+
+
+class TestPenaltyWeights:
+    """The round's alpha is gamma_alpha on a filter doubling, its beta is
+    gamma_beta / (n + 1) on the tracker's n-th doubling, and both are 0
+    otherwise."""
+
+    @pytest.mark.parametrize("mode, k", [("unknown_g_case1", 3), ("unknown_g_case2", 2)])
+    def test_no_doublings_no_weights(self, mode, k):
+        protocol = RobustProtocol(ProtocolConfig(mode=mode, T=100, k=k))
+        flags = set()
+        for rec, filter_doubled, tracker_doubled in weighted_rounds(protocol, GROWTH + SPIKES):
+            flags.add((filter_doubled, tracker_doubled))
+            assert (rec.alpha > 0.0) is filter_doubled
+            assert (rec.beta > 0.0) is tracker_doubled
+        assert flags == {(False, False), (True, False), (False, True)}
+
+    def test_first_tracker_doubling_halves_beta(self):
+        protocol = RobustProtocol(ProtocolConfig(mode="unknown_g_case1", T=100, k=6))
+        for rec, _, tracker_doubled in weighted_rounds(protocol, GROWTH):
+            if tracker_doubled:
+                break
+            assert rec.beta == 0.0
+        assert protocol.tracker.epoch_index == 1
+        assert rec.beta == protocol.gamma_beta / 2 == 3.0
+
+    def test_filter_doubling_full_alpha_regardless_of_history(self):
+        # case2 at k = 1: gamma_alpha = 2
+        protocol = RobustProtocol(ProtocolConfig(mode="unknown_g_case2", T=100, k=1))
+        alphas = [(rec.alpha, protocol.tracker.epoch_index)
+                  for rec, filter_doubled, _ in weighted_rounds(protocol, GROWTH + SPIKES)
+                  if filter_doubled]
+        assert len(alphas) == protocol.filter.doublings
+        assert {alpha for alpha, _ in alphas} == {2.0}
+        assert alphas[0][1] == 0 and alphas[-1][1] >= 4
+
+    def test_beta_attenuates(self):
+        # case1 at k = 12: gamma_beta = 12, over 2, 3, 4, 5 epochs
+        protocol = RobustProtocol(ProtocolConfig(mode="unknown_g_case1", T=100, k=12))
+        betas = [rec.beta for rec, _, tracker_doubled in weighted_rounds(protocol, GROWTH)
+                 if tracker_doubled]
+        assert betas[:4] == [6.0, 4.0, 3.0, 2.4]
+
+    @pytest.mark.parametrize("mode, k", [("unknown_g_case1", 3), ("unknown_g_case2", 2)])
+    def test_weight_ceilings(self, mode, k):
+        protocol = RobustProtocol(ProtocolConfig(mode=mode, T=100, k=k))
+        rng = np.random.default_rng(3)
+        noise = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(0, 12, 200)
+        stream = GROWTH + SPIKES + list(noise)
+        for rec, _, _ in weighted_rounds(protocol, stream):
+            assert rec.alpha in (0.0, protocol.gamma_alpha)
+            assert 0.0 <= rec.beta <= protocol.gamma_beta / 2
+            assert rec.alpha + rec.beta <= protocol.learner.gamma
 
 
 class _PoisonedBound:
@@ -397,7 +477,7 @@ class TestFailedRoundMovesNothing:
         stream = [0.1, -0.1, 1.0, -1.0, 1.0]
         for g in stream[:4]:
             protocol.round(np.array([g]), g_true=np.array([g]))
-        parts = (protocol.filter, protocol.tracker, protocol.weights)
+        parts = (protocol.filter, protocol.tracker, (protocol.gamma_alpha, protocol.gamma_beta))
         before = [state_bits(part) for part in parts], protocol.t, state_bits(protocol)
         with pytest.raises(SolverError, match="planted at round 5"):
             protocol.round(np.array([stream[4]]), g_true=np.array([stream[4]]))

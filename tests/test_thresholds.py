@@ -1,13 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robust_oco.core import clip_gradient
-from robust_oco.epigraph import QuadWeights
 from robust_oco.harness.checks import check_filter_properties, check_tracker_properties
+from robust_oco.protocol import ProtocolConfig, RobustProtocol
 from robust_oco.thresholds import GradientFilter, MagnitudeTracker
 from snapshot import state_bits
 
@@ -165,9 +166,15 @@ def test_setting_outside_zero_to_inf_is_rejected(build, name, value):
         build(value)
 
 
-def test_negative_budget_rejected():
-    with pytest.raises(ValueError, match="^corruption budget k must be nonnegative$"):
-        GradientFilter(k=-1, tau_G=1.0)
+@pytest.mark.parametrize("k", [-1, 2.5, math.nan, math.inf, 10**400],
+                         ids=["negative", "fraction", "nan", "inf", "past_float_range"])
+def test_budget_outside_the_exact_integers_is_rejected(k):
+    # a fractional k never equals the clip count n, so the threshold never
+    # doubled; 10**400 has no float, and 2**53 bounds the exact ones
+    with pytest.raises(ValueError, match=re.escape(
+        f"corruption budget k must be an integer in [0, 2**53), got {k!r}"
+    ) + "$"):
+        GradientFilter(k=k, tau_G=1.0)
 
 
 @pytest.mark.parametrize("w_norm", [math.nan, math.inf, -1.0])
@@ -276,7 +283,8 @@ class TestTrackerPropertyChecker:
 
 
 class ReferenceAutomata:
-    """The three automata as one object whose round moves its state in place.
+    """The filter, the tracker and the penalty weights as one object whose
+    round moves its state in place.
 
     The filter clips the gradient itself, and the weights keep their own
     copy of the tracker's epoch count (beta_denominator, one more than the
@@ -322,31 +330,30 @@ def pick(draw, threshold):
 
 
 @given(
-    k=st.integers(0, 4), tau_G=positive, tau_D=positive,
-    gamma_alpha=st.floats(0.0, 10.0), gamma_beta=st.floats(0.0, 20.0),
-    rounds=st.lists(st.tuples(norm_draw, norm_draw), min_size=1, max_size=60),
+    mode=st.sampled_from(["unknown_g_case1", "unknown_g_case2"]),
+    k=st.integers(0, 4), tau_G=positive,
+    # mostly large: a case2 iterate then outgrows the tracker's fixed guess of 1
+    epsilon=st.floats(1e-3, 1e6),
+    rounds=st.lists(st.tuples(norm_draw, st.booleans()), min_size=1, max_size=60),
 )
 @settings(max_examples=150, deadline=None)
-def test_automata_match_the_in_place_reference(
-    k, tau_G, tau_D, gamma_alpha, gamma_beta, rounds
-):
-    f, tr = GradientFilter(k=k, tau_G=tau_G), MagnitudeTracker(tau_D=tau_D)
-    qw = QuadWeights(gamma_alpha, gamma_beta)
-    ref = ReferenceAutomata(k, tau_G, tau_D, gamma_alpha, gamma_beta)
-    for g_draw, w_draw in rounds:
-        g_norm, w_norm = pick(g_draw, f.h), pick(w_draw, tr.z)
-        g = np.array([g_norm])
-        expected = ref.round(g, g_norm, w_norm)
-        out = clip_gradient(g, f.h, g_norm)
-        before = state_bits((f, tr, qw))
-        h_next, filter_doubled = f.step(out is not g)
-        z_next, tracker_doubled = tr.step(w_norm)
-        alpha_t, beta_t = qw.step(filter_doubled, tracker_doubled, tr.epoch_index)
-        assert state_bits((f, tr, qw)) == before
-        got = (out, h_next, filter_doubled, z_next, tracker_doubled, alpha_t, beta_t)
-        assert got[0].tobytes() == expected[0].tobytes()
-        assert np.array(got[1:]).tobytes() == np.array(expected[1:]).tobytes()
-        f.commit(out is not g, filter_doubled)
-        tr.commit(z_next, tracker_doubled)
+def test_automata_match_the_in_place_reference(mode, k, tau_G, epsilon, rounds):
+    # the protocol's round steps its filter and tracker and reads its
+    # weights; the reference is fed the norm the protocol plays
+    assume(k >= 1 or mode == "unknown_g_case2")
+    protocol = RobustProtocol(
+        ProtocolConfig(mode=mode, T=100, epsilon=epsilon, k=k, tau_G=tau_G)
+    )
+    f, tr = protocol.filter, protocol.tracker
+    ref = ReferenceAutomata(k, tau_G, tr.tau_D, protocol.gamma_alpha, protocol.gamma_beta)
+    for g_draw, negative in rounds:
+        g_norm = pick(g_draw, f.h)
+        g = np.array([-g_norm if negative else g_norm])
+        expected = ref.round(g, g_norm, protocol.learner.w_norm)
+        doublings, epochs = f.doublings, tr.epoch_index
+        rec = protocol.round(g)
+        got = (f.h, f.doublings > doublings, rec.z, tr.epoch_index > epochs, rec.alpha, rec.beta)
+        assert rec.g_clipped_norm == abs(expected[0][0])
+        assert np.array(got).tobytes() == np.array(expected[1:]).tobytes()
         assert (f.h, f.n, tr.z) == (ref.h, ref.n, ref.z)
         assert tr.epoch_index + 1 == ref.beta_denominator

@@ -6,7 +6,9 @@ Runs the first reference cell of each player of every workload in
 ``perfbench/cells.py`` through ``run_experiment``, under ``sys.setprofile``,
 and prints one line per cell: the workload, the player and the calls per
 round, counting every Python call and every call into C over the whole run
-(set-up included) divided by its rounds. The count is exact and repeatable
+(the cell's set-up included) divided by its rounds. One uncounted warm-up
+cell runs first, so the process's one-time imports (the first run's
+``numpy.random``) land on no line. The count is exact and repeatable
 for a given Python and numpy, unlike a timing, so it shows a change that
 adds or removes work on the round path. Run it in both checkouts, or point
 ``--root`` at the other one, to compare. It imports the package from
@@ -81,6 +83,8 @@ def main(argv: list[str] | None = None) -> int:
     import cells
     from robust_oco.harness.runner import run_experiment
 
+    warm_up = cells.reference_cells(next(iter(cells.WORKLOADS)))[0]
+    run_experiment(warm_up.config, seed=warm_up.seed)
     for workload in cells.WORKLOADS:
         first = {}
         for cell in cells.reference_cells(workload):
