@@ -10,6 +10,7 @@ it; each generator declares the gradient bound it respects.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from .core import FLOAT, check_positive
 from .protocol import RoundRecord
 
 Vector = np.ndarray | float  # a dim-vector in the package's form: a float at dim = 1
+_NORM_BLOCK = 256  # rows of an iid draw squared at a time to take their norms
 ADVERSARY_KINDS = (
     "sign_flip_window",
     "lb_theorem2",
@@ -49,6 +51,14 @@ class AdversarySpec:
     def __post_init__(self):
         if self.kind not in ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
+        # a size that is not an integer (2.5, NaN, inf) would reach numpy or
+        # range() as a TypeError; an integral float such as 10.0 is kept as 10
+        for name in ("T", "k", "window_start", "dim"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                setattr(self, name, int(value))
         if self.T < 1 or self.k < 0 or self.dim < 1:
             raise ValueError("T must be >= 1, k nonnegative and dim at least 1")
         check_positive("G", self.G)
@@ -103,10 +113,20 @@ class IIDRandomAdversary(Adversary):
     def __init__(self, T: int, G: float, seed, dim: int = 1):
         rng = np.random.default_rng(seed)
         directions = rng.standard_normal((T, dim))
-        norms = np.linalg.norm(directions, axis=1, keepdims=True)
+        # row norms as np.linalg.norm takes them, sqrt(add.reduce(x * x,
+        # axis=1)), bit for bit, but squaring _NORM_BLOCK rows at a time:
+        # the draw, its normalisation and the kept stream are one (T, dim)
+        # array, and no temporary is larger than one block of it
+        norms = np.empty((T, 1))
+        squares = np.empty_like(directions[:_NORM_BLOCK])
+        for start in range(0, T, _NORM_BLOCK):
+            block = directions[start:start + _NORM_BLOCK]
+            rows = np.multiply(block, block, out=squares[:block.shape[0]])
+            np.add.reduce(rows, axis=1, keepdims=True, out=norms[start:start + _NORM_BLOCK])
+        np.sqrt(norms, out=norms)
         norms[norms == 0.0] = 1.0
         radii = G * rng.uniform(0.0, 1.0, size=(T, 1))
-        directions /= norms  # in place: no second (T, dim) array at large d
+        directions /= norms
         directions *= radii
         self._g = _stream(directions)
         self.lipschitz_bound = G

@@ -164,17 +164,21 @@ def link_inverse_solve(
     log_theta = math.log(theta_norm)
     u = u_hi = math.log(hi)
     u_lo = None  # set after the first evaluation, unless that one converges
+    x_prev = None
     for _ in range(_SOLVE_MAX_ITER):
         x = math.exp(u)
         mirror, penalty, slope = link_at(u, x)
         value = mirror + penalty
         resid = value - theta_norm
-        # converged when the residual is small and the root is pinned in u,
+        # converged when the residual is small and the root is pinned: in u,
         # by the Newton error estimate or by a bracket that has collapsed
-        # (the closed-form lower end is exact only in real arithmetic)
+        # (the closed-form lower end is exact only in real arithmetic), or
+        # in x, by an iterate that repeats the last one's radius (a subnormal
+        # root, where steps in u too small to move the bracket round to it)
         small = abs(resid) <= tol
-        if small and abs(resid) <= _SOLVE_UTOL * slope:
+        if small and (abs(resid) <= _SOLVE_UTOL * slope or x == x_prev):
             return x, mirror
+        x_prev = x
         if u_lo is None:
             # u_hi is still the initial upper end here
             lo = max(_bracket_end(0.5 * theta_norm, V, h, a, reg), floor)

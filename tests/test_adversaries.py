@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,33 @@ from robust_oco.adversaries import (
     LBOriginAdversary,
     LBTheorem2Adversary,
     SignFlipAdversary,
+    _NORM_BLOCK,
     make_adversary,
 )
 from robust_oco.core import FLOAT, CorruptionLedger, NonFiniteError, norm
 from robust_oco.harness.checks import random_sign_expectation
 from snapshot import state_bits
+
+
+# one row, a block of rows and either side of it, and the dro_highdim horizon
+STREAM_LENGTHS = [1, _NORM_BLOCK - 1, _NORM_BLOCK, _NORM_BLOCK + 1, 2000]
+
+
+def full_array_stream(T, G, seed, dim):
+    """The iid ball stream as a (T, dim) array, its row norms from np.linalg.norm over the draw."""
+    rng = np.random.default_rng(seed)
+    directions = rng.standard_normal((T, dim))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    radii = G * rng.uniform(0.0, 1.0, size=(T, 1))
+    directions /= norms
+    directions *= radii
+    return directions
+
+
+def stream_bytes(adversary) -> bytes:
+    """The bytes of an iid stream's true gradients, kept as floats at dim = 1."""
+    return np.asarray(adversary._g, dtype=np.float64).tobytes()
 
 
 def replay_budget(adversary, T, dim=1, w_source=None):
@@ -52,6 +75,30 @@ def test_a_d1_stream_trades_floats(kind):
 def test_out_of_range_stream_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("iid_random", "T", 10.5),
+    ("iid_random", "T", math.inf),
+    ("sign_flip_window", "k", 2.5),
+    ("sign_flip_window", "window_start", 1.5),
+    ("dro_reweight", "dim", 2.5),
+    ("dro_reweight", "k", math.nan),
+])
+def test_spec_rejects_a_size_that_is_not_an_integer(kind, field, value):
+    # unchecked, it reaches numpy or range() as a TypeError inside the stream builder
+    sizes = {"T": 12, "k": 0 if kind == "iid_random" else 2, "window_start": 5, "dim": 1}
+    sizes[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        AdversarySpec(kind=kind, **sizes)
+
+
+def test_spec_keeps_an_integral_float_size_as_an_int():
+    spec = AdversarySpec(kind="sign_flip_window", T=12.0, k=np.float64(3.0),
+                         window_start=5.0, dim=np.int64(1))
+    assert [(type(v), v) for v in (spec.T, spec.k, spec.window_start, spec.dim)] == [
+        (int, 12), (int, 3), (int, 5), (int, 1)]
+    make_adversary(spec)
 
 
 def test_make_adversary_rejects_a_kind_set_after_the_spec_checked_it():
@@ -204,6 +251,28 @@ class TestIIDRandom:
             # at dim = 1 the stream is kept as the column's floats
             assert np.array_equal(np.reshape(adv._g, (50, dim)), expected)
 
+    @pytest.mark.parametrize("dim", [1, 3, 256])
+    @pytest.mark.parametrize("T", STREAM_LENGTHS)
+    def test_stream_bits_match_the_full_array_norm(self, T, dim):
+        # the row norms are taken a block of rows at a time; the oracle takes
+        # them over the whole draw with np.linalg.norm
+        for seed in (0, 1):
+            adv = IIDRandomAdversary(T, 1.5, seed, dim)
+            assert stream_bytes(adv) == full_array_stream(T, 1.5, seed, dim).tobytes()
+
+    def test_stream_build_keeps_one_full_size_array(self):
+        # np.linalg.norm over the whole draw would square it into a second
+        # (T, dim) array, 8.23 MB here; block by block, only the stream and one block
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            adv = IIDRandomAdversary(2000, 1.0, 0, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= adv._g.nbytes + 1e6
+
     @pytest.mark.parametrize("k", [1, 10])
     def test_budget_other_than_zero_rejected(self, k):
         # the stream corrupts nothing: [adversary] k used to be silently ignored
@@ -254,6 +323,14 @@ class TestDROReweight:
             g_iid, _ = iid.round(t, w)
             assert np.array_equal(g, g_iid)
             assert np.array_equal(g_tilde, 30 * adv.weights[t - 1] * g_iid)
+
+    @pytest.mark.parametrize("dim", [1, 3, 256])
+    @pytest.mark.parametrize("T", STREAM_LENGTHS)
+    def test_stream_bits_match_the_full_array_norm(self, T, dim):
+        for seed in (0, 1):
+            adv = DROReweightAdversary(T, T // 2, 1.5, seed, dim)
+            gradient_stream, _ = np.random.default_rng(seed).spawn(2)
+            assert stream_bytes(adv) == full_array_stream(T, 1.5, gradient_stream, dim).tobytes()
 
     def test_needs_room_for_reweighting(self):
         with pytest.raises(ValueError, match="^reweighting construction needs T >= 2k$"):

@@ -243,6 +243,36 @@ class TestLinkInverse:
             root = _mp_link_root(theta, V, h, a, reg, x)
             assert abs(x - root) <= mpmath.mpf(5e-324) / 2  # the double nearest the root
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_subnormal_root_returns_once_the_iterate_repeats(self, dim, monkeypatch):
+        # a case2 round on a 5.8e-160 gradient solves for a root near 3.5e-323:
+        # the upper end overshoots it, each Newton step from the lower end
+        # moves u by about 2.4e-4, too little to change exp(u) on the
+        # subnormal grid, so neither the Newton bound nor the bracket exit
+        # holds. The solve returns once the iterate repeats its radius
+        from robust_oco import ProtocolConfig, RobustProtocol
+
+        solves = []
+
+        def spy(*args):
+            solves.append((args, link_inverse_solve(*args)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(mirror_descent, "link_inverse_solve", spy)
+        g = np.zeros(dim)
+        g[-1] = 5.820092518061877e-160
+        protocol = RobustProtocol(
+            ProtocolConfig(mode="unknown_g_case2", T=100, k=3, dim=dim, tau_G=0.5),
+            comparator=np.full(dim, 0.5) if dim > 1 else 0.5,
+        )
+        protocol.round(g if dim > 1 else g[0], g_true=np.zeros(dim) if dim > 1 else 0.0)
+        (theta, V, h, a, reg), (x, _) = solves[-1]
+        assert 0.0 < x < 1e-320
+        assert np.array_equal(np.atleast_1d(protocol.w), -x * (g > 0.0))
+        with mpmath.workdps(50):
+            root = _mp_link_root(theta, V, h, a, reg, x)
+            assert abs(x - root) <= mpmath.mpf(5e-324)  # within one double
+
     def test_link_steeper_than_the_log_radius_grid_does_not_converge(self):
         # at p = 1e5 and u = log x near 709, adjacent doubles of u move the
         # link by about 1e-8 of itself, more than the 1e-9 tolerance: no
@@ -317,10 +347,15 @@ def _mp_link(u, V, h, a, reg):
 
 
 def _mp_link_root(theta, V, h, a, reg, x0):
-    """Root of the piecewise link L(x) = theta at the working mpmath precision."""
+    """Root of the piecewise link L(x) = theta at the working mpmath precision.
+
+    The root solves log L = log theta: a residual in L itself passes
+    findroot's absolute tolerance anywhere once theta is tiny.
+    """
     u0 = mpmath.log(mpmath.mpf(x0))
+    log_theta = mpmath.log(mpmath.mpf(theta))
     return mpmath.exp(mpmath.findroot(
-        lambda u: _mp_link(u, V, h, a, reg) - mpmath.mpf(theta), (u0 - 1, u0 + 1),
+        lambda u: mpmath.log(_mp_link(u, V, h, a, reg)) - log_theta, (u0 - 1, u0 + 1),
         solver="anderson",
     ))
 

@@ -1,17 +1,22 @@
-"""Python and C calls per round of one reference cell per player, for review.
+"""Python and C calls per round, and the allocation peak, of one reference cell per player.
 
     python3 tools/call_count.py [--root CHECKOUT] [--functions N]
 
 Runs the first reference cell of each player of every workload in
 ``perfbench/cells.py`` through ``run_experiment``, under ``sys.setprofile``,
-and prints one line per cell: the workload, the player and the calls per
+and prints one line per cell: the workload, the player, the calls per
 round, counting every Python call and every call into C over the whole run
-(the cell's set-up included) divided by its rounds. One uncounted warm-up
-cell runs first, so the process's one-time imports (the first run's
-``numpy.random``) land on no line. The count is exact and repeatable
-for a given Python and numpy, unlike a timing, so it shows a change that
-adds or removes work on the round path. Run it in both checkouts, or point
-``--root`` at the other one, to compare. It imports the package from
+(the cell's set-up included) divided by its rounds, and the cell's
+allocation peak in MB (10**6 bytes): tracemalloc's peak over a second run
+of the cell, set-up included, taken in a pass of its own so the tracer adds
+no calls to the count. One uncounted warm-up cell runs first, so the
+process's one-time imports (the first run's ``numpy.random``) land on no
+line. Both figures are exact and repeatable for a given Python and numpy,
+unlike a timing: the count shows a change that adds or removes work on the
+round path, the peak one that adds or removes a large temporary. The peak
+counts numpy's buffers and Python's objects, not the process's resident
+set, so it does not move with where the checkout sits. Run it in both
+checkouts, or point ``--root`` at the other one, to compare. It imports the package from
 ``CHECKOUT/src`` and the cells from ``CHECKOUT/perfbench``, and writes no
 trace.
 
@@ -33,6 +38,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import sys  # noqa: E402
+import tracemalloc  # noqa: E402
 from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -59,6 +65,16 @@ def calls_of(fn) -> Counter:
     finally:
         sys.setprofile(None)
     return calls
+
+
+def peak_of(fn) -> int:
+    """tracemalloc's peak, in bytes, of the memory allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def label(called) -> str:
@@ -91,7 +107,9 @@ def main(argv: list[str] | None = None) -> int:
             first.setdefault(cell.player, cell)
         for player, cell in first.items():
             calls = calls_of(lambda: run_experiment(cell.config, seed=cell.seed))
-            print(f"{workload} {player} {calls.total() / cell.rounds:.2f}", flush=True)
+            peak = peak_of(lambda: run_experiment(cell.config, seed=cell.seed))
+            print(f"{workload} {player} {calls.total() / cell.rounds:.2f} {peak / 1e6:.3f}",
+                  flush=True)
             # the same function reached twice (two code objects of one name) is summed
             by_label = Counter()
             for called, n in calls.items():
