@@ -2,9 +2,9 @@
 
 Interactive adversaries receive the played iterate before emitting the round's
 (true, observed) gradient pair; the lower-bound constructions are oblivious
-and pre-materialized. A stream's AdversarySpec declares the corruption budget
-the stream satisfies, so the harness configures protocols without building
-it; each generator declares the gradient bound it respects.
+and pre-materialized. A stream's AdversarySpec checks its kind's rules and
+declares the corruption budget the stream satisfies, so the harness configures
+protocols without building it; each generator declares its gradient bound.
 """
 
 from __future__ import annotations
@@ -30,12 +30,17 @@ ADVERSARY_KINDS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdversarySpec:
     """Declarative description of a gradient stream, serializable by the harness.
 
-    No run or sweep reads seed: the runner passes its own, [experiment] seeds
-    or --seed, to make_adversary.
+    No run or sweep reads seed: the runner passes its own seed to make_adversary.
+
+    Checked when built, then frozen: a known kind; integers T >= 1, k >= 0,
+    window_start and dim >= 1; positive finite G and epsilon; finite D. Per
+    kind: sign_flip_window needs D = 1, dim = 1 and its window inside T;
+    lb_theorem2 k < T; lb_origin T <= LBOriginAdversary.MAX_T, k <= T and a
+    finite comparator 2*epsilon*e^T; dro_reweight T >= 2k; iid_random k = 0.
     """
 
     kind: str
@@ -51,20 +56,38 @@ class AdversarySpec:
     def __post_init__(self):
         if self.kind not in ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
-        # a size that is not an integer (2.5, NaN, inf) would reach numpy or
-        # range() as a TypeError; an integral float such as 10.0 is kept as 10
+        # a size of 2.5, NaN or inf would reach numpy or range() as a TypeError
         for name in ("T", "k", "window_start", "dim"):
             value = getattr(self, name)
             if type(value) is not int:
                 if not (isinstance(value, numbers.Real) and float(value).is_integer()):
                     raise ValueError(f"{name} must be an integer, got {value!r}")
-                setattr(self, name, int(value))
+                object.__setattr__(self, name, int(value))
         if self.T < 1 or self.k < 0 or self.dim < 1:
             raise ValueError("T must be >= 1, k nonnegative and dim at least 1")
         check_positive("G", self.G)
         check_positive("epsilon", self.epsilon)
         if not math.isfinite(self.D):
             raise ValueError(f"D must be finite, got {self.D}")
+        kind, T, k = self.kind, self.T, self.k
+        if kind == "sign_flip_window" and self.D != 1.0:  # the stream is |w - 1|
+            raise ValueError(f"sign_flip_window is centred at 1: D must be 1, got {self.D}")
+        if kind == "sign_flip_window" and self.dim != 1:
+            raise ValueError(f"sign_flip_window is one-dimensional: got dim {self.dim}")
+        if kind == "sign_flip_window" and k > 0 and not 1 <= self.window_start <= T - k + 1:
+            raise ValueError("corruption window must fit inside the horizon")
+        if kind == "lb_theorem2" and k >= T:
+            raise ValueError("budget k must be smaller than the horizon")
+        if kind == "lb_origin" and T > LBOriginAdversary.MAX_T:
+            raise ValueError(f"horizon {T} exceeds the overflow guard {LBOriginAdversary.MAX_T}")
+        if kind == "lb_origin" and k > T:
+            raise ValueError("budget k cannot exceed the horizon")
+        if kind == "lb_origin" and math.isinf(2.0 * self.epsilon * math.exp(T)):
+            raise ValueError(f"epsilon {self.epsilon} overflows the comparator 2*epsilon*e^{T}")
+        if kind == "dro_reweight" and T < 2 * k:
+            raise ValueError("reweighting construction needs T >= 2k")
+        if kind == "iid_random" and k != 0:  # the stream corrupts nothing
+            raise ValueError(f"iid_random is uncorrupted: k must be 0, got {k}")
 
     @property
     def budget(self) -> int:
@@ -94,8 +117,6 @@ class SignFlipAdversary(Adversary):
     """
 
     def __init__(self, T: int, k: int, window_start: int):
-        if k > 0 and not (1 <= window_start and window_start + k - 1 <= T):
-            raise ValueError("corruption window must fit inside the horizon")
         self.flipped = range(window_start, window_start + k)
         self.comparator = np.array([1.0])
 
@@ -146,8 +167,6 @@ class LBTheorem2Adversary(Adversary):
     """
 
     def __init__(self, T: int, k: int, D: float, seed: int, dim: int = 1):
-        if k >= T:
-            raise ValueError("budget k must be smaller than the horizon")
         rng = np.random.default_rng(seed)
         z_tail = rng.integers(0, 2, size=T - k) * 2 - 1
         tail_sign = 1.0 if z_tail.sum() >= 0 else -1.0
@@ -169,17 +188,13 @@ class LBOriginAdversary(Adversary):
 
     The observed stream is the constant first basis vector; on the last k
     rounds the true gradient subtracts the unit comparator direction. The
-    comparator magnitude 2*epsilon*e^T overflows quickly, hence the hard
-    horizon cap.
+    comparator magnitude 2*epsilon*e^T overflows quickly, hence the spec's
+    hard horizon cap.
     """
 
     MAX_T = 30
 
     def __init__(self, T: int, k: int, epsilon: float, dim: int = 1):
-        if T > self.MAX_T:
-            raise ValueError(f"horizon {T} exceeds the overflow guard {self.MAX_T}")
-        if k > T:
-            raise ValueError("budget k cannot exceed the horizon")
         e1 = np.zeros(dim)
         e1[0] = 1.0
         g_tilde = np.tile(e1, (T, 1))
@@ -201,8 +216,6 @@ class DROReweightAdversary(IIDRandomAdversary):
     """
 
     def __init__(self, T: int, k: int, G: float, seed, dim: int = 1):
-        if T < 2 * k:
-            raise ValueError("reweighting construction needs T >= 2k")
         # one splittable root stream: independent child streams for the
         # gradients and the reweighting draw
         gradient_stream, weight_stream = np.random.default_rng(seed).spawn(2)
@@ -230,10 +243,6 @@ def make_adversary(spec: AdversarySpec, seed: int | None = None) -> Adversary:
     """Instantiate the stream described by spec, optionally overriding its seed."""
     s = spec.seed if seed is None else seed
     if spec.kind == "sign_flip_window":
-        if spec.D != 1.0:  # the stream is |w - 1|; D would be silently ignored
-            raise ValueError(f"sign_flip_window is centred at 1: D must be 1, got {spec.D}")
-        if spec.dim != 1:
-            raise ValueError(f"sign_flip_window is one-dimensional: got dim {spec.dim}")
         return SignFlipAdversary(spec.T, spec.k, spec.window_start)
     if spec.kind == "lb_theorem2":
         return LBTheorem2Adversary(spec.T, spec.k, spec.D, s, spec.dim)
@@ -241,11 +250,7 @@ def make_adversary(spec: AdversarySpec, seed: int | None = None) -> Adversary:
         return LBOriginAdversary(spec.T, spec.k, spec.epsilon, spec.dim)
     if spec.kind == "dro_reweight":
         return DROReweightAdversary(spec.T, spec.k, spec.G, s, spec.dim)
-    if spec.kind == "iid_random":
-        if spec.k != 0:  # the stream corrupts nothing; k would be silently ignored
-            raise ValueError(f"iid_random is uncorrupted: k must be 0, got {spec.k}")
-        return IIDRandomAdversary(spec.T, spec.G, s, spec.dim)
-    raise ValueError(f"unknown adversary kind {spec.kind!r}")
+    return IIDRandomAdversary(spec.T, spec.G, s, spec.dim)
 
 
 class KTBettor:

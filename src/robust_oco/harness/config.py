@@ -25,6 +25,11 @@ COMPARATOR_FROM_ADVERSARY = "adversary"
 DERIVED_PROTOCOL_FIELDS = ("mode", "T", "dim")
 
 
+def _check_algorithm(algorithm: str, key: str) -> None:
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"{key}: unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+
+
 def protocol_mode(algorithm: str) -> str:
     """The ProtocolConfig mode of algorithm; the KT baseline reads only epsilon from it."""
     return "known_g" if algorithm == "kt_bettor" else algorithm
@@ -34,9 +39,9 @@ def protocol_mode(algorithm: str) -> str:
 class ExperimentConfig:
     """One experiment: an algorithm, a gradient stream, and bookkeeping targets.
 
-    comparator is either an explicit coordinate tuple or the string
-    "adversary", meaning the stream's own constructed comparator. The protocol
-    must run protocol_mode(algorithm) at the stream's T and dim, or it raises.
+    comparator is coordinates or "adversary", the stream's own comparator.
+    Checked when built: a known algorithm (kt_bettor at dim 1), a protocol that
+    runs protocol_mode(algorithm) at the stream's T and dim, finite coordinates, a seed.
     """
 
     algorithm: str
@@ -47,11 +52,9 @@ class ExperimentConfig:
     output_path: str = "out"
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"[experiment] algorithm: unknown algorithm {self.algorithm!r}; "
-                f"expected one of {ALGORITHMS}"
-            )
+        _check_algorithm(self.algorithm, "[experiment] algorithm")
+        if self.algorithm == "kt_bettor" and self.adversary.dim != 1:
+            raise ValueError("the KT baseline is one-dimensional")
         for key, expected, source in (
             ("mode", protocol_mode(self.algorithm), "[experiment] algorithm"),
             ("T", self.adversary.T, "[adversary] T"),
@@ -93,11 +96,7 @@ class SweepConfig:
     def __post_init__(self):
         # checked before any cell runs, so a typo cannot discard finished cells
         for algorithm in self.algorithms:
-            if algorithm not in ALGORITHMS:
-                raise ValueError(
-                    f"[sweep] algorithms: unknown algorithm {algorithm!r}; "
-                    f"expected one of {ALGORITHMS}"
-                )
+            _check_algorithm(algorithm, "[sweep] algorithms")
         for key in ("ks", "algorithms"):
             if not getattr(self, key):
                 raise ValueError(f"[sweep] {key} is empty, so the sweep has no cell")

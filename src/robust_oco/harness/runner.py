@@ -42,6 +42,14 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _write_csv(path: Path, columns, rows) -> None:
+    """A header, then the rows: strings as they are, every other value through _fmt."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([v if isinstance(v, str) else _fmt(v) for v in row] for row in rows)
+
+
 @dataclass
 class ExperimentTrace:
     columns: list[str]
@@ -63,11 +71,7 @@ class ExperimentTrace:
                 else ",".join(map(_fmt, row)) + "\r\n"
                 for row in self.rows
             )
-        with open(summary_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(self.summary.keys()))
-            writer.writerow([_fmt(v) if not isinstance(v, str) else v
-                             for v in self.summary.values()])
+        _write_csv(summary_path, self.summary.keys(), [self.summary.values()])
 
 
 def resolve_comparator(config: ExperimentConfig, adversary) -> np.ndarray:
@@ -84,8 +88,6 @@ def resolve_comparator(config: ExperimentConfig, adversary) -> np.ndarray:
 def make_player(config: ExperimentConfig, comparator: np.ndarray):
     """The configured algorithm, as a player with w, round() and decomposition."""
     if config.algorithm == "kt_bettor":
-        if config.adversary.dim != 1:
-            raise ValueError("the KT baseline is one-dimensional")
         return KTBettor(config.protocol.epsilon)
     return RobustProtocol(config.protocol, comparator=comparator)
 
@@ -164,31 +166,30 @@ SWEEP_COLUMNS = [
 
 
 def _sweep_cell_configs(sweep: SweepConfig, algorithm: str, k: int) -> list[ExperimentConfig]:
-    """The cell's corrupted and clean configs, each checked by building its stream and player.
+    """The cell's corrupted and clean configs, checked as built and by building the cell's player.
 
-    A k or window_frac that either rejects raises ValueError naming both [sweep] keys.
+    No stream is built. A k or window_frac that any rejects raises ValueError naming both keys.
     """
     T = k * k
     mode = protocol_mode(algorithm)
-    configs = []
-    for budget in (k, 0):
-        try:
-            adversary = AdversarySpec(
-                kind="sign_flip_window", T=T, k=budget,
-                window_start=int(sweep.window_frac * T), dim=1,
+    try:
+        protocol = ProtocolConfig(
+            mode=mode, T=T, epsilon=sweep.epsilon, k=k,
+            G=sweep.G if mode == "known_g" else None, tau_G=sweep.tau_G,
+        )
+        configs = [
+            ExperimentConfig(
+                algorithm=algorithm, protocol=protocol, comparator=(1.0,),
+                output_path=sweep.output_path, adversary=AdversarySpec(
+                    kind="sign_flip_window", T=T, k=budget,
+                    window_start=int(sweep.window_frac * T),
+                ),
             )
-            protocol = ProtocolConfig(
-                mode=mode, T=T, epsilon=sweep.epsilon, k=k,
-                G=sweep.G if mode == "known_g" else None, tau_G=sweep.tau_G,
-            )
-            config = ExperimentConfig(
-                algorithm=algorithm, adversary=adversary, protocol=protocol,
-                comparator=(1.0,), output_path=sweep.output_path,
-            )
-            make_player(config, resolve_comparator(config, make_adversary(adversary)))
-        except (ValueError, OverflowError) as exc:  # int() of an infinite window_frac * T
-            raise ValueError(f"[sweep] ks = {k} with window_frac = {sweep.window_frac}: {exc}")
-        configs.append(config)
+            for budget in (k, 0)
+        ]
+        make_player(configs[0], configs[0].comparator)
+    except (ValueError, OverflowError) as exc:  # int() of an infinite window_frac * T
+        raise ValueError(f"[sweep] ks = {k} with window_frac = {sweep.window_frac}: {exc}")
     return configs
 
 
@@ -217,12 +218,5 @@ def run_sweep(sweep: SweepConfig, out_path: str | Path | None = None) -> list[di
     if out_path is not None:
         path = Path(out_path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_COLUMNS)
-            for row in rows:
-                writer.writerow(
-                    [row[c] if isinstance(row[c], str) else _fmt(row[c])
-                     for c in SWEEP_COLUMNS]
-                )
+        _write_csv(path, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))
     return rows

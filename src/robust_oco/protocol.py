@@ -34,10 +34,11 @@ MODES = ("known_g", "unknown_g_case1", "unknown_g_case2")
 
 @dataclass
 class ProtocolConfig:
-    """User-facing knobs; RobustProtocol validates them and applies the presets.
+    """User-facing knobs; RobustProtocol applies its mode's rules and presets.
 
-    In the unknown-bound modes G must stay None: those code paths may never
-    touch the true gradient bound, and the protocol refuses one.
+    Checked when built: positive finite epsilon, tau_G and G (if given), an
+    integer k in [0, 2**53), dim >= 1. The unknown-bound modes refuse a G:
+    their code paths may never touch the true gradient bound.
     """
 
     mode: str
@@ -47,6 +48,17 @@ class ProtocolConfig:
     G: float | None = None
     tau_G: float = 1.0
     dim: int = 1
+
+    def __post_init__(self):
+        check_positive("epsilon", self.epsilon)
+        # below 2**53 every integer is a float: the presets and weights stay exact and finite
+        if not (0 <= self.k < 2**53 and self.k == int(self.k)):
+            raise ValueError(f"k must be an integer in [0, 2**53), got {self.k!r}")
+        if self.dim < 1:
+            raise ValueError("dim must be at least 1")
+        check_positive("tau_G", self.tau_G)
+        if self.G is not None:
+            check_positive("G", self.G)
 
 
 @dataclass
@@ -152,19 +164,12 @@ class RobustProtocol:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         if config.T < 3:
             raise ValueError("horizon T must be at least 3")
-        check_positive("epsilon", epsilon)
-        # below 2**53 every integer is a float: the presets and weights stay exact and finite
-        if not (0 <= k < 2**53 and k == int(k)):
-            raise ValueError(f"k must be an integer in [0, 2**53), got {k!r}")
-        if config.dim < 1:
-            raise ValueError("dim must be at least 1")
         self.config = config
         self.G = config.G  # None in the unknown-bound modes
         p = math.log(config.T)
         if mode == "known_g":
             if self.G is None:
                 raise ValueError("known_g mode requires the gradient bound G")
-            check_positive("G", self.G)
             if k == 0:
                 c, alpha = 0.0, 1.0  # penalty disabled; offset unused
             else:
@@ -178,7 +183,6 @@ class RobustProtocol:
             tau_G = config.tau_G
             if self.G is not None:
                 raise ValueError(f"{mode} must not be given the gradient bound G")
-            check_positive("tau_G", tau_G)
             if mode == "unknown_g_case1":
                 if k < 1:
                     raise ValueError("unknown_g_case1 needs k >= 1 (its presets divide by k)")

@@ -1,8 +1,13 @@
+import dataclasses
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robust_oco.adversaries import (
     ADVERSARY_KINDS,
@@ -66,15 +71,27 @@ def test_a_d1_stream_trades_floats(kind):
     assert type(adversary.loss_gap(0.5, 1.0)) is float
 
 
-@pytest.mark.parametrize("build, message", [
-    (lambda: AdversarySpec(kind="sign_flip", T=10), "unknown adversary kind 'sign_flip'"),
-    (lambda: LBTheorem2Adversary(T=8, k=8, D=1.0, seed=0),
-     "budget k must be smaller than the horizon"),
-    (lambda: LBOriginAdversary(T=8, k=9, epsilon=1.0), "budget k cannot exceed the horizon"),
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "sign_flip", "T": 10}, "unknown adversary kind 'sign_flip'"),
+    ({"kind": "lb_theorem2", "T": 8, "k": 8}, "budget k must be smaller than the horizon"),
+    ({"kind": "lb_origin", "T": 8, "k": 9}, "budget k cannot exceed the horizon"),
 ], ids=["unknown_kind", "lb_theorem2_budget", "lb_origin_budget"])
-def test_out_of_range_stream_rejected(build, message):
+def test_out_of_range_stream_rejected(fields, message):
+    # the spec checks every rule of its kind; the stream constructors check nothing
     with pytest.raises(ValueError, match=f"^{message}$"):
-        build()
+        AdversarySpec(**fields)
+
+
+@pytest.mark.parametrize("T, k, window_start", [
+    (12, 3, 0), (12, 3, 11), (12, 12, 2), (1, 1, 0),
+])
+def test_sign_flip_window_must_fit_inside_the_horizon(T, k, window_start):
+    with pytest.raises(ValueError, match="^corruption window must fit inside the horizon$"):
+        AdversarySpec(kind="sign_flip_window", T=T, k=k, window_start=window_start)
+    # the widest window that fits, and any window_start with no corrupted round
+    widest = AdversarySpec(kind="sign_flip_window", T=T, k=k, window_start=T - k + 1)
+    assert make_adversary(widest).flipped == range(T - k + 1, T + 1)
+    make_adversary(AdversarySpec(kind="sign_flip_window", T=T, k=0, window_start=window_start))
 
 
 @pytest.mark.parametrize("kind, field, value", [
@@ -101,12 +118,57 @@ def test_spec_keeps_an_integral_float_size_as_an_int():
     make_adversary(spec)
 
 
-def test_make_adversary_rejects_a_kind_set_after_the_spec_checked_it():
-    # the spec checks its kind when built; make_adversary checks it again
+def test_spec_cannot_change_after_its_check():
+    # make_adversary and the stream constructors trust the checked spec
     spec = AdversarySpec(kind="sign_flip_window", T=12, k=3, window_start=5)
-    spec.kind = "sign_flip"
-    with pytest.raises(ValueError, match="^unknown adversary kind 'sign_flip'$"):
-        make_adversary(spec)
+    for field, value in (("kind", "sign_flip"), ("k", 13), ("D", 2.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, field, value)
+    assert (spec.kind, spec.k, spec.D) == ("sign_flip_window", 3, 1.0)
+
+
+# settings around each kind's rules: T and k within a few of each other,
+# T about lb_origin's horizon cap, epsilon about its comparator's overflow
+_NEAR_OVERFLOW = 1.7976931348623157e308 / (2.0 * math.exp(30))
+
+
+@st.composite
+def spec_fields(draw):
+    kind = draw(st.sampled_from(ADVERSARY_KINDS))
+    T = draw(st.integers(1, 34))
+    k = max(0, draw(st.sampled_from([0, T // 2, T])) + draw(st.integers(-2, 2)))
+    return dict(
+        kind=kind, T=T, k=k,
+        window_start=draw(st.integers(T - k - 2, T - k + 3)),
+        D=draw(st.sampled_from([1.0, -1.0, 0.0, 2.5])),
+        dim=draw(st.integers(1, 3)),
+        G=draw(st.sampled_from([1.0, 0.5, 1e300])),
+        epsilon=draw(st.one_of(
+            st.sampled_from([1.0, 1e-300, 8e294, 9e294]),
+            st.floats(0.5, 2.0).map(lambda x: x * _NEAR_OVERFLOW * math.exp(30 - T)),
+        )),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec_fields())
+def test_every_spec_that_constructs_builds_its_stream(fields):
+    try:
+        spec = AdversarySpec(**fields)
+    except ValueError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        adversary = make_adversary(spec, seed=0)
+    if adversary.comparator is not None:
+        assert np.isfinite(adversary.comparator).all()
+    # and the stream is the one the spec declares
+    if spec.kind == "sign_flip_window":
+        assert set(adversary.flipped) <= set(range(1, spec.T + 1))
+    if spec.kind == "dro_reweight":
+        assert (adversary.weights >= 0.0).all()
+    if spec.kind in ("lb_theorem2", "lb_origin"):
+        assert replay_budget(adversary, spec.T, spec.dim)[1] == spec.k
 
 
 class TestSignFlip:
@@ -138,17 +200,15 @@ class TestSignFlip:
     @pytest.mark.parametrize("D", [-3.0, 0.0, 100.0])
     def test_offset_other_than_one_rejected(self, D):
         # the stream is |w - 1|: [adversary] D used to be silently ignored
-        spec = AdversarySpec(kind="sign_flip_window", T=12, k=3, window_start=5, D=D)
         with pytest.raises(ValueError, match="^sign_flip_window is centred at 1: D must be 1"):
-            make_adversary(spec)
-        spec.D = 1.0
+            AdversarySpec(kind="sign_flip_window", T=12, k=3, window_start=5, D=D)
+        spec = AdversarySpec(kind="sign_flip_window", T=12, k=3, window_start=5, D=1.0)
         assert np.array_equal(make_adversary(spec).comparator, [1.0])
 
     def test_dimension_other_than_one_rejected(self):
         # the float stream used to reach its first round, which failed there
-        spec = AdversarySpec(kind="sign_flip_window", T=12, k=3, window_start=5, dim=3)
         with pytest.raises(ValueError, match="^sign_flip_window is one-dimensional: got dim 3"):
-            make_adversary(spec)
+            AdversarySpec(kind="sign_flip_window", T=12, k=3, window_start=5, dim=3)
 
 
 class TestLBTheorem2:
@@ -233,8 +293,28 @@ class TestLBOrigin:
         assert math.isclose(norm(adv.comparator), 2.0 * math.exp(5.0), rel_tol=1e-12)
 
     def test_horizon_guard(self):
-        with pytest.raises(ValueError):
-            LBOriginAdversary(T=31, k=0, epsilon=1.0)
+        with pytest.raises(ValueError, match="^horizon 31 exceeds the overflow guard 30$"):
+            AdversarySpec(kind="lb_origin", T=31)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_comparator_overflow_rejected(self, dim):
+        # epsilon = 1e300 left an inf comparator at d = 1 (a run failure,
+        # exit 1) and, with a RuntimeWarning, a NaN one at d = 3
+        for epsilon in (1e300, 9e294):
+            message = f"epsilon {epsilon} overflows the comparator 2*epsilon*e^30"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                AdversarySpec(kind="lb_origin", T=30, k=3, epsilon=epsilon, dim=dim)
+        adv = make_adversary(AdversarySpec(kind="lb_origin", T=30, k=3, epsilon=8e294, dim=dim))
+        assert np.isfinite(adv.comparator).all()
+        assert norm(adv.comparator) == 2.0 * 8e294 * math.exp(30)
+
+    @pytest.mark.parametrize("k", [0, 10, 30])
+    def test_origin_safety_streams_build_as_before(self, k):
+        # check_origin_safety's lb_origin cases: epsilon 1 at the horizon cap
+        adv = make_adversary(AdversarySpec(kind="lb_origin", T=30, k=k, window_start=22))
+        assert np.array_equal(adv.comparator, [2.0 * math.exp(30)])
+        assert [adv.round(t, 0.0) for t in range(1, 31)] == (
+            [(1.0, 1.0)] * (30 - k) + [(0.0, 1.0)] * k)
 
 
 class TestIIDRandom:
@@ -276,10 +356,9 @@ class TestIIDRandom:
     @pytest.mark.parametrize("k", [1, 10])
     def test_budget_other_than_zero_rejected(self, k):
         # the stream corrupts nothing: [adversary] k used to be silently ignored
-        spec = AdversarySpec(kind="iid_random", T=20, k=k)
         with pytest.raises(ValueError, match=f"^iid_random is uncorrupted: k must be 0, got {k}$"):
-            make_adversary(spec)
-        spec.k = 0
+            AdversarySpec(kind="iid_random", T=20, k=k)
+        spec = AdversarySpec(kind="iid_random", T=20, k=0)
         assert spec.budget == 0
         make_adversary(spec)
 
@@ -334,7 +413,9 @@ class TestDROReweight:
 
     def test_needs_room_for_reweighting(self):
         with pytest.raises(ValueError, match="^reweighting construction needs T >= 2k$"):
-            DROReweightAdversary(T=10, k=6, G=1.0, seed=1)
+            AdversarySpec(kind="dro_reweight", T=10, k=6)
+        weights = make_adversary(AdversarySpec(kind="dro_reweight", T=10, k=5)).weights
+        assert weights.sum() == pytest.approx(1.0)
 
 
 class TestBudgetReplay:

@@ -88,6 +88,21 @@ class TestWeightedProject:
         with pytest.raises(SolverError, match=r"h=2\.0, gamma=3\.0"):
             weighted_project(pt, 2.0, 3.0, norm(pt.w))
 
+    @pytest.mark.xfail(strict=True, raises=(NonFiniteError, RuntimeWarning), reason=(
+        "the bisection's stop rule is absolute for a target below 1: at the "
+        "target h^2||w_hat|| ~ 7e-322 its first midpoint, about 1e309 times "
+        "||w_hat||, passes, and s / ||w_hat|| overflows"))
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_tiny_target_projection_stays_inside_the_prediction(self, dim):
+        # d = 1 raises NonFiniteError (array([-inf])); d = 3 warns "invalid
+        # value encountered in multiply" in weighted_project
+        learner = EpigraphLearner(dim, 1.0, 2.0, 0.5, c=1.0, p=math.log(100))
+        g = np.zeros(dim)
+        g[-1] = 2.5994818525531546e-159
+        learner.observe(g[0] if dim == 1 else g, 0.5, 1.0)
+        assert np.isfinite(learner.w).all()
+        assert learner.w_norm <= norm(np.atleast_1d(learner._hat.w))
+
 
 class TestCorrectionDirection:
     def test_interior_zero(self):

@@ -460,14 +460,29 @@ class TestRunExperiment:
         trace = ExperimentTrace(
             columns=["a", "b", "c", "d", "e", "f"],
             rows=[[3, np.int64(-7), 0.1, np.float64(-2.5e-300), math.inf, math.nan]],
-            summary={"algorithm": "known_g", "T": 3, "x": 0.5},
+            summary={"algorithm": "known_g", "T": 3, "x": 0.1, "y": math.nan},
         )
         trace.write(tmp_path / "trace.csv", tmp_path / "summary.csv")
         assert (tmp_path / "trace.csv").read_bytes() == (
             b"a,b,c,d,e,f\r\n3,-7,0.10000000000000001,-2.5e-300,inf,nan\r\n"
         )
         assert (tmp_path / "summary.csv").read_bytes() == (
-            b"algorithm,T,x\r\nknown_g,3,0.5\r\n"
+            b"algorithm,T,x,y\r\nknown_g,3,0.10000000000000001,nan\r\n"
+        )
+
+    def test_sweep_csv_bytes(self, monkeypatch, tmp_path):
+        # each cell's regrets in grid order: corrupted, then clean
+        regrets = iter([0.1, 0.0, -2.5e-300, 3.0, 1.0, 2.0, -1.0, 0.5])
+        monkeypatch.setattr(runner, "run_experiment", lambda config: ExperimentTrace(
+            columns=[], rows=[], summary={"final_true_regret": next(regrets)}))
+        sweep = SweepConfig(ks=(4, 5), algorithms=("known_g", "kt_bettor"))
+        run_sweep(sweep, tmp_path / "sweep.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == (
+            b"algorithm,k,T,regret_corrupted,regret_uncorrupted,ratio\r\n"
+            b"known_g,4,16,0.10000000000000001,0,inf\r\n"
+            b"known_g,5,25,-2.5e-300,3,-8.3333333333333327e-301\r\n"
+            b"kt_bettor,4,16,1,2,0.5\r\n"
+            b"kt_bettor,5,25,-1,0.5,-2\r\n"
         )
 
     def test_trace_rows_of_unusual_types_keep_their_bytes(self, tmp_path):
@@ -755,8 +770,15 @@ class TestCLI:
         # OverflowError, exit 1 with a traceback, in every mode
         *[("protocol", algorithm, "k", "1" + "0" * 400, "k must be an integer in [0, 2**53)")
           for algorithm in ("known_g", "unknown_g_case1", "unknown_g_case2")],
-        ("protocol", "kt_bettor", "epsilon", "nan",
-         "initial wealth epsilon must be positive and finite"),
+        # the [protocol] section is checked as it is built, whichever player
+        # reads it: these ran with exit 0 under known_g and the KT baseline,
+        # and the KT baseline's epsilon was named by KTBettor, not by its key
+        ("protocol", "kt_bettor", "epsilon", "nan", "epsilon must be positive and finite"),
+        ("protocol", "known_g", "tau_G", "nan", "tau_G must be positive and finite"),
+        ("protocol", "known_g", "tau_G", "-1.0", "tau_G must be positive and finite"),
+        ("protocol", "kt_bettor", "tau_G", "nan", "tau_G must be positive and finite"),
+        ("protocol", "kt_bettor", "tau_G", "-1.0", "tau_G must be positive and finite"),
+        ("protocol", "kt_bettor", "G", "nan", "G must be positive and finite"),
         ("adversary", "unknown_g_case1", "G", "nan", "G must be positive and finite"),
         ("adversary", "unknown_g_case1", "G", "inf", "G must be positive and finite"),
         ("adversary", "unknown_g_case1", "G", "-1.0", "G must be positive and finite"),
@@ -792,6 +814,24 @@ class TestCLI:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {stem}, got {value}"), err
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_lb_origin_comparator_overflow_exits_2(self, tmp_path, capsys, dim):
+        # 2*epsilon*e^30 past float range: at d = 1 a run failure (exit 1,
+        # "non-finite value in vector input"), at d = 3 a RuntimeWarning and
+        # a NaN comparator
+        cfg = ExperimentConfig(
+            algorithm="known_g",
+            adversary=AdversarySpec(kind="lb_origin", T=30, k=3, dim=dim),
+            protocol=ProtocolConfig(mode="known_g", T=30, k=3, G=1.0, dim=dim),
+        )
+        text = to_ini(cfg).replace("epsilon = 1.0\n\n[protocol]", "epsilon = 1e300\n\n[protocol]")
+        path = tmp_path / "origin.ini"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: epsilon 1e+300 overflows the comparator 2*epsilon*e^30\n", err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_subcommand(self, tmp_path):
         path = tmp_path / "sweep.ini"

@@ -109,19 +109,29 @@ class TestPresets:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("mode, field", [
-        ("known_g", "epsilon"), ("known_g", "G"),
+        ("known_g", "epsilon"), ("known_g", "G"), ("known_g", "tau_G"),
         ("unknown_g_case1", "epsilon"), ("unknown_g_case1", "tau_G"),
         ("unknown_g_case2", "tau_G"),
     ])
     def test_setting_outside_the_positive_floats_names_itself(self, mode, field, bad):
+        # the config checks its ranges as it is built, in every mode: known_g
+        # reads no tau_G, and it ran with a NaN one
         kw = {"G": 1.0} if mode == "known_g" else {}
         kw[field] = bad
         with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got"):
-            RobustProtocol(ProtocolConfig(mode=mode, T=100, k=2, **kw))
+            ProtocolConfig(mode=mode, T=100, k=2, **kw)
 
     @pytest.mark.parametrize("settings, message", [
         ({"mode": "sgd", "T": 100}, f"unknown mode 'sgd'; expected one of {MODES}"),
         ({"mode": "known_g", "T": 2, "G": 1.0}, "horizon T must be at least 3"),
+        ({"mode": "known_g", "T": 100}, "known_g mode requires the gradient bound G"),
+    ], ids=["mode", "T", "known_g_G"])
+    def test_mode_rule_rejected_by_the_protocol(self, settings, message):
+        config = ProtocolConfig(**settings)  # in range: only the protocol knows its mode's rules
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RobustProtocol(config)
+
+    @pytest.mark.parametrize("settings, message", [
         ({"mode": "known_g", "T": 100, "G": 1.0, "k": -1},
          "k must be an integer in [0, 2**53), got -1"),
         # k = 2.5 ran, and its filter never doubled (the clip count n never
@@ -137,11 +147,10 @@ class TestPresets:
         ({"mode": "unknown_g_case2", "T": 100, "k": 10**400},
          f"k must be an integer in [0, 2**53), got {10**400}"),
         ({"mode": "known_g", "T": 100, "G": 1.0, "dim": 0}, "dim must be at least 1"),
-    ], ids=["mode", "T", "k", "k_fraction", "k_nan", "k_inf", "k_bound", "k_past_float_range",
-            "dim"])
+    ], ids=["k", "k_fraction", "k_nan", "k_inf", "k_bound", "k_past_float_range", "dim"])
     def test_setting_out_of_range_rejected(self, settings, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            RobustProtocol(ProtocolConfig(**settings))
+            ProtocolConfig(**settings)
 
     def test_unknown_modes_refuse_the_bound(self):
         for mode in ("unknown_g_case1", "unknown_g_case2"):
