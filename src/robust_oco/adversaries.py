@@ -94,6 +94,10 @@ class AdversarySpec:
         """The stream's corruption budget: reweighting k rounds deviates by up to 2k."""
         return 2 * self.k if self.kind == "dro_reweight" else self.k
 
+    @property
+    def constructs_comparator(self) -> bool:
+        return self.kind not in ("iid_random", "dro_reweight")  # the iid streams construct none
+
 
 class Adversary(ABC):
     """One corrupted gradient stream: true/observed pairs plus metadata."""
@@ -116,7 +120,7 @@ class SignFlipAdversary(Adversary):
     The subgradient at the kink w = 1 is fixed to -1 so runs are reproducible.
     """
 
-    def __init__(self, T: int, k: int, window_start: int):
+    def __init__(self, k: int, window_start: int):
         self.flipped = range(window_start, window_start + k)
         self.comparator = np.array([1.0])
 
@@ -171,8 +175,7 @@ class LBTheorem2Adversary(Adversary):
         z_tail = rng.integers(0, 2, size=T - k) * 2 - 1
         tail_sign = 1.0 if z_tail.sum() >= 0 else -1.0
         z = np.concatenate([np.full(k, tail_sign), z_tail.astype(np.float64)])
-        q = np.zeros(dim)
-        q[0] = 1.0
+        q = np.eye(1, dim)[0]
         g = z[:, None] * q[None, :]
         g_tilde = g.copy()
         g_tilde[:k] = 0.0
@@ -195,8 +198,7 @@ class LBOriginAdversary(Adversary):
     MAX_T = 30
 
     def __init__(self, T: int, k: int, epsilon: float, dim: int = 1):
-        e1 = np.zeros(dim)
-        e1[0] = 1.0
+        e1 = np.eye(1, dim)[0]
         g_tilde = np.tile(e1, (T, 1))
         g = g_tilde.copy()
         g[T - k:] -= e1  # unit comparator direction equals e1
@@ -243,7 +245,7 @@ def make_adversary(spec: AdversarySpec, seed: int | None = None) -> Adversary:
     """Instantiate the stream described by spec, optionally overriding its seed."""
     s = spec.seed if seed is None else seed
     if spec.kind == "sign_flip_window":
-        return SignFlipAdversary(spec.T, spec.k, spec.window_start)
+        return SignFlipAdversary(spec.k, spec.window_start)
     if spec.kind == "lb_theorem2":
         return LBTheorem2Adversary(spec.T, spec.k, spec.D, s, spec.dim)
     if spec.kind == "lb_origin":

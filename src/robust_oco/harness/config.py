@@ -39,9 +39,9 @@ def protocol_mode(algorithm: str) -> str:
 class ExperimentConfig:
     """One experiment: an algorithm, a gradient stream, and bookkeeping targets.
 
-    comparator is coordinates or "adversary", the stream's own comparator.
+    comparator is dim finite coordinates, or "adversary" for a stream that constructs one.
     Checked when built: a known algorithm (kt_bettor at dim 1), a protocol that
-    runs protocol_mode(algorithm) at the stream's T and dim, finite coordinates, a seed.
+    runs protocol_mode(algorithm) at the stream's T and dim, the comparator, a seed.
     """
 
     algorithm: str
@@ -71,11 +71,17 @@ class ExperimentConfig:
                 raise ValueError(
                     f"comparator must be coordinates or {COMPARATOR_FROM_ADVERSARY!r}"
                 )
+            if not self.adversary.constructs_comparator:
+                raise ValueError(f"adversary kind {self.adversary.kind!r} constructs no "
+                                 "comparator; set one explicitly")
         else:
             self.comparator = tuple(float(x) for x in self.comparator)
             for x in self.comparator:
                 if not math.isfinite(x):
                     raise ValueError(f"[experiment] comparator must be finite, got {x}")
+            if len(self.comparator) != self.adversary.dim:
+                raise ValueError(f"[experiment] comparator has {len(self.comparator)} "
+                                 f"coordinates, but [adversary] dim = {self.adversary.dim}")
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("at least one seed is required")

@@ -74,18 +74,7 @@ class ExperimentTrace:
         _write_csv(summary_path, self.summary.keys(), [self.summary.values()])
 
 
-def resolve_comparator(config: ExperimentConfig, adversary) -> np.ndarray:
-    if config.comparator == COMPARATOR_FROM_ADVERSARY:
-        if adversary.comparator is None:
-            raise ValueError(
-                f"adversary kind {config.adversary.kind!r} constructs no comparator; "
-                "set one explicitly"
-            )
-        return np.asarray(adversary.comparator, dtype=np.float64)
-    return np.asarray(config.comparator, dtype=np.float64)
-
-
-def make_player(config: ExperimentConfig, comparator: np.ndarray):
+def make_player(config: ExperimentConfig, comparator: np.ndarray | float):
     """The configured algorithm, as a player with w, round() and decomposition."""
     if config.algorithm == "kt_bettor":
         return KTBettor(config.protocol.epsilon)
@@ -100,12 +89,12 @@ def run_experiment(
     """Run one (config, seed) cell; optionally write trace and summary CSVs."""
     seed = config.seeds[0] if seed is None else seed
     adversary = make_adversary(config.adversary, seed=seed)
-    comparator = resolve_comparator(config, adversary)
     dim = config.adversary.dim
     T = config.adversary.T
+    from_stream = config.comparator == COMPARATOR_FROM_ADVERSARY  # ExperimentConfig checked both
+    u = kernels(dim).coerce(adversary.comparator if from_stream else config.comparator, dim)[0]
     budget = CorruptionLedger(lipschitz_G=adversary.lipschitz_bound)
-    player = make_player(config, comparator)
-    u = kernels(dim).coerce(comparator, dim)[0]  # the comparator in the player's form
+    player = make_player(config, u)
     regret = RegretLedger(comparator=u)  # the score, kept here for every player
 
     columns = trace_columns(dim)

@@ -59,6 +59,8 @@ def link_terms(
     subgradient.
     """
     F = math.log1p(x / a)
+    if F > _LOG_MAX:  # x/a past float range, where log1p(x/a) - F < a/x
+        F = u - math.log(a)
     sf = math.sqrt(F)
     sv = math.sqrt(V)
     xa = x / (a + x)
@@ -85,7 +87,10 @@ def _mirror_part_inverse(y: float, V: float, h: float, a: float) -> float:
         q = (y / 6.0) ** 2 / V
     else:
         q = (y - 3.0 * V / h) / (3.0 * h)
-    return a * math.expm1(q) if q < 709.0 else math.inf
+    if q < 709.0:
+        return a * math.expm1(q)
+    log_x = math.log(a) + q  # a*(e^q - 1) is e^(log a + q) to within e^-709
+    return math.exp(log_x) if log_x <= _LOG_MAX else math.inf
 
 
 def _bracket_end(y: float, V: float, h: float, a: float, reg: HuberRegularizer) -> float:
@@ -180,11 +185,8 @@ def link_inverse_solve(
             return x, mirror
         x_prev = x
         if u_lo is None:
-            # u_hi is still the initial upper end here
             lo = max(_bracket_end(0.5 * theta_norm, V, h, a, reg), floor)
             u_lo = math.log(lo) if lo > 0.0 else _LOG_TINY
-            if u_lo > u_hi:
-                u_lo = _LOG_TINY
         if small and u_hi - u_lo <= _SOLVE_UTOL:
             return x, mirror
         if resid < 0:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NonFiniteError, as_vector, check_positive, kernels, kernels_of
+from .core import NonFiniteError, check_positive, kernels, kernels_of
 from .epigraph import EpigraphLearner
 from .mirror_descent import MirrorDescentLearner
 from .regularizer import HuberRegularizer
@@ -198,7 +198,7 @@ class RobustProtocol:
                 config.dim, epsilon, self.gamma_alpha + self.gamma_beta, tau_G, c, p, alpha,
             )
         self.kernels = k = kernels(config.dim)
-        u = np.zeros(config.dim) if comparator is None else as_vector(comparator, config.dim)
+        u = k.zeros(config.dim) if comparator is None else comparator
         self.comparator = k.coerce(u, config.dim)[0]
         penalty = HuberRegularizer(c=c, p=p, alpha=alpha)
         penalty.advance(self.learner.w_norm)

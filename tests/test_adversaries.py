@@ -160,6 +160,8 @@ def test_every_spec_that_constructs_builds_its_stream(fields):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         adversary = make_adversary(spec, seed=0)
+    # the spec declares whether its stream constructs a comparator
+    assert (adversary.comparator is not None) == spec.constructs_comparator
     if adversary.comparator is not None:
         assert np.isfinite(adversary.comparator).all()
     # and the stream is the one the spec declares
@@ -173,7 +175,7 @@ def test_every_spec_that_constructs_builds_its_stream(fields):
 
 class TestSignFlip:
     def test_exact_window(self):
-        adv = SignFlipAdversary(T=400, k=20, window_start=300)
+        adv = SignFlipAdversary(k=20, window_start=300)
         corrupted = []
         for t in range(1, 401):
             g, g_tilde = adv.round(t, 0.5)
@@ -183,18 +185,18 @@ class TestSignFlip:
         assert corrupted == list(range(300, 320))
 
     def test_zero_budget_streams_identical(self):
-        adv = SignFlipAdversary(T=50, k=0, window_start=10)
+        adv = SignFlipAdversary(k=0, window_start=10)
         for t in range(1, 51):
             g, g_tilde = adv.round(t, 2.0)
             assert g == g_tilde
 
     def test_subgradient_convention_at_kink(self):
-        adv = SignFlipAdversary(T=10, k=0, window_start=1)
+        adv = SignFlipAdversary(k=0, window_start=1)
         g, _ = adv.round(1, 1.0)
         assert g == -1.0
 
     def test_loss_gap_matches_absolute_loss(self):
-        adv = SignFlipAdversary(T=10, k=0, window_start=1)
+        adv = SignFlipAdversary(k=0, window_start=1)
         assert adv.loss_gap(3.0, 1.0) == abs(3.0 - 1.0) - 0.0
 
     @pytest.mark.parametrize("D", [-3.0, 0.0, 100.0])

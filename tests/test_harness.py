@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robust_oco import epigraph, mirror_descent
+from robust_oco import core, epigraph, mirror_descent
 from robust_oco.harness import runner
 
 from robust_oco.adversaries import (
@@ -29,7 +29,6 @@ from robust_oco.harness.runner import (
     ExperimentTrace,
     SweepConfig,
     make_player,
-    resolve_comparator,
     run_experiment,
     run_sweep,
     trace_columns,
@@ -53,6 +52,33 @@ def figure_config(algorithm="known_g", T=12, k=3, start=5, comparator=(1.0,)):
         comparator=comparator,
         seeds=(0,),
     )
+
+
+def comparator_config(kind, dim, comparator):
+    """A T = 20 known_g cell of kind at dim against comparator, k = 4 where the stream takes one."""
+    k = 0 if kind == "iid_random" else 4
+    return ExperimentConfig(
+        algorithm="known_g",
+        adversary=AdversarySpec(kind=kind, T=20, k=k, dim=dim),
+        protocol=ProtocolConfig(mode="known_g", T=20, k=k, G=1.0, dim=dim),
+        comparator=comparator,
+    )
+
+
+# the comparator's rules, (kind, dim, comparator, message): each is a config
+# error raised as ExperimentConfig is built, before any stream is drawn. They
+# used to raise in run_experiment, after make_adversary had drawn the stream
+COMPARATOR_RULES = pytest.mark.parametrize("kind, dim, comparator, message", [
+    ("iid_random", 1, "adversary",
+     "adversary kind 'iid_random' constructs no comparator; set one explicitly"),
+    ("dro_reweight", 1, "adversary",
+     "adversary kind 'dro_reweight' constructs no comparator; set one explicitly"),
+    ("lb_theorem2", 1, (1.0, 2.0),
+     "[experiment] comparator has 2 coordinates, but [adversary] dim = 1"),
+    ("lb_theorem2", 3, (1.0, 2.0),
+     "[experiment] comparator has 2 coordinates, but [adversary] dim = 3"),
+], ids=["iid_random_adversary", "dro_reweight_adversary", "d1_two_coordinates",
+        "d3_two_coordinates"])
 
 
 def reweight_config():
@@ -138,7 +164,8 @@ def array_loop(config, seed):
     time. KT has no decomposition: its four terms are 0.0.
     """
     adversary = make_adversary(config.adversary, seed=seed)
-    comparator = resolve_comparator(config, adversary)
+    from_stream = config.comparator == "adversary"
+    comparator = np.asarray(adversary.comparator if from_stream else config.comparator)
     player = make_player(config, comparator)
     budget = CorruptionLedger(lipschitz_G=adversary.lipschitz_bound)
     regret = RegretLedger(comparator=comparator)
@@ -263,6 +290,11 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="^comparator must be coordinates or 'adversary'$"):
             ExperimentConfig(algorithm=cfg.algorithm, adversary=cfg.adversary,
                              protocol=cfg.protocol, comparator="adversry")
+
+    @COMPARATOR_RULES
+    def test_comparator_rule_raises_as_the_config_is_built(self, kind, dim, comparator, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            comparator_config(kind, dim, comparator)
 
     @pytest.mark.parametrize("kind, k, budget", [
         ("dro_reweight", 25, 50), ("sign_flip_window", 20, 20),
@@ -443,18 +475,72 @@ class TestRunExperiment:
         assert info.value.aborted_at_round == 3
 
     def test_kt_comparator_of_another_dimension_rejected(self, tmp_path, capsys):
-        # rejected when the player is built, as RobustProtocol rejects one:
-        # a config error (exit 2), not a run abort
-        cfg = figure_config(algorithm="kt_bettor")
-        cfg.comparator = (1.0, 2.0)
-        with pytest.raises(ValueError, match="^dimension mismatch: expected 1, got 2") as info:
-            run_experiment(cfg, seed=0)
-        assert not hasattr(info.value, "aborted_at_round")
+        # rejected as the config is built, as for every player: a config
+        # error (exit 2). It used to be found only once the player was built
+        message = "[experiment] comparator has 2 coordinates, but [adversary] dim = 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            figure_config(algorithm="kt_bettor", comparator=(1.0, 2.0))
         path = tmp_path / "kt.ini"
-        path.write_text(to_ini(cfg))
+        text = to_ini(figure_config(algorithm="kt_bettor"))
+        path.write_text(text.replace("comparator = 1.0\n", "comparator = 1.0 2.0\n"))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: dimension mismatch: expected 1, got 2"), err
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, dim", [("lb_theorem2", 3), ("lb_origin", 1),
+                                           ("sign_flip_window", 1)])
+    def test_stream_comparator_runs_as_its_coordinates(self, kind, dim):
+        # comparator = "adversary" takes the stream's own comparator
+        config = comparator_config(kind, dim, "adversary")
+        coordinates = np.atleast_1d(make_adversary(config.adversary, seed=2).comparator)
+        explicit = comparator_config(kind, dim, tuple(coordinates.tolist()))
+        assert explicit.comparator != "adversary"
+        ran, ran_explicit = run_experiment(config, seed=2), run_experiment(explicit, seed=2)
+        assert repr(ran.rows) == repr(ran_explicit.rows)
+        assert ran.summary["final_true_regret"] == ran_explicit.summary["final_true_regret"]
+
+    @pytest.mark.parametrize("algorithm, dim", [("kt_bettor", 1), ("known_g", 1),
+                                                ("unknown_g_case1", 3)])
+    def test_one_comparator_for_the_player_and_the_score(self, monkeypatch, algorithm, dim):
+        # run_experiment coerces the comparator once, to the player's form,
+        # and hands that one object to the player and to the regret ledger;
+        # a protocol's coercion of it returns it as it is, and nothing in the
+        # run calls as_vector
+        seen = {}
+
+        def player_of(config, u):
+            seen["player"], seen["u"] = make_player(config, u), u
+            return seen["player"]
+
+        def ledger_of(comparator):
+            seen["scored"] = comparator
+            return RegretLedger(comparator)
+
+        monkeypatch.setattr(runner, "make_player", player_of)
+        monkeypatch.setattr(runner, "RegretLedger", ledger_of)
+        mode = protocol_mode(algorithm)
+        config = ExperimentConfig(
+            algorithm=algorithm,
+            adversary=AdversarySpec(kind="lb_theorem2", T=20, k=4, dim=dim),
+            protocol=ProtocolConfig(mode=mode, T=20, k=4, dim=dim,
+                                    G=1.0 if mode == "known_g" else None),
+            comparator=(0.5,) * dim,
+        )
+        calls = []
+        as_vector_code = core.as_vector.__code__
+        sys.setprofile(lambda frame, event, arg: event == "call"
+                       and frame.f_code is as_vector_code and calls.append(frame))
+        try:
+            run_experiment(config, seed=0)
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        u = seen["u"]
+        assert u is seen["scored"] and type(u) is (float if dim == 1 else np.ndarray)
+        assert np.array_equal(np.atleast_1d(u), [0.5] * dim)
+        if algorithm != "kt_bettor":  # the KT baseline keeps no comparator
+            assert seen["player"].comparator is u
+            assert seen["player"].decomposition.comparator is u
 
     def test_trace_bytes_of_each_value_type(self, tmp_path):
         trace = ExperimentTrace(
@@ -521,7 +607,7 @@ class TestRunExperiment:
                 comparator=(0.5,) * dim,
             )
         adversary = make_adversary(config.adversary, seed=1)
-        player = make_player(config, resolve_comparator(config, adversary))
+        player = make_player(config, config.comparator)
         vector_norm = kernels(dim).norm  # abs for the d = 1 floats
         for t in range(1, config.adversary.T + 1):
             w = player.w
@@ -611,7 +697,7 @@ class TestFloatRunLoop:
                 return 1.5e308, -1.0
 
         monkeypatch.setattr(
-            runner, "make_adversary", lambda spec, seed=None: Overflowing(spec.T, 0, 1)
+            runner, "make_adversary", lambda spec, seed=None: Overflowing(0, 1)
         )
         with pytest.raises(
             NonFiniteError,
@@ -751,16 +837,21 @@ class TestCLI:
             "run failed: run aborted at round 15: KT bettor requires |g| <= 1"
         ), err
 
-    def test_config_error_before_round_1_exits_2(self, tmp_path, capsys):
-        # a ValueError run_experiment raises before its first round is still
-        # a config error
-        cfg = reweight_config()
-        cfg.comparator = "adversary"  # a reweighted iid stream constructs none
+    @COMPARATOR_RULES
+    def test_comparator_rule_exits_2(self, tmp_path, capsys, monkeypatch,
+                                     kind, dim, comparator, message):
+        # a config error: no stream is drawn and nothing is written
+        monkeypatch.setattr(runner, "make_adversary",
+                            lambda *args, **kwargs: pytest.fail("a stream was drawn"))
+        text = to_ini(comparator_config(kind, dim, (0.5,) * dim))
+        bad = comparator if isinstance(comparator, str) else " ".join(map(repr, comparator))
+        edited = text.replace("comparator = " + " ".join(["0.5"] * dim), "comparator = " + bad)
+        assert "comparator = " + bad + "\n" in edited
         path = tmp_path / "exp.ini"
-        path.write_text(to_ini(cfg))
+        path.write_text(edited)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: adversary kind 'dro_reweight' constructs no"), err
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, algorithm, key, value, stem", [
         ("protocol", "known_g", "G", "nan", "G must be positive and finite"),

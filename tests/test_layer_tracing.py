@@ -74,7 +74,9 @@ def test_span_counts_equal_code_object_calls(mode):
             sys.setprofile(None)
     totals = recorder.totals()
     assert {name: totals.get(name, (0,))[0] for name in KERNELS} == calls
-    assert all(calls.values()), calls
+    # the package no longer calls as_vector (the runner coerces the
+    # comparator with the player's kernels); every other kernel runs
+    assert calls.pop("core.as_vector") == 0 and all(calls.values()), calls
 
 
 def test_kt_round_opens_one_observe_span():

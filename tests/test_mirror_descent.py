@@ -212,13 +212,14 @@ class TestLinkInverse:
         assert abs(link_value(x, 4.0, 2.0, 1.0, reg) - theta) <= 1e-9 * theta
 
     def test_infinite_bracket_expands_by_doubling(self, monkeypatch):
-        # theta is past both summands' float-range inverses, so the upper end
-        # starts at the mirror part's inverse at theta - c*p and doubles once
-        reg = HuberRegularizer(c=5.0, p=2.0, alpha=1.0)
+        # theta is past both summands' float-range inverses (the mirror
+        # part's is e^q at q = 711.2), so the upper end starts at the mirror
+        # part's inverse at theta - c*p, 2.6e307, and doubles once: an alpha
+        # near that radius keeps the penalty there below 0.93 c*p
+        reg = HuberRegularizer(c=5.0, p=2.0, alpha=1e307)
         reg.advance(1.0)
-        V = h = 1.0
-        a = 1e-300
-        theta = 3.0 * V / h + 3.0 * 709.0 * h + 0.1 * reg.c * reg.p  # 2131
+        V = h = a = 1.0
+        theta = 3.0 * V / h + 3.0 * 709.5 * h + 0.5 * reg.c * reg.p  # 2136.5
         calls = []
         monkeypatch.setattr(mirror_descent, "link_value",
                             lambda x, *rest: calls.append(x) or link_value(x, *rest))
@@ -228,10 +229,28 @@ class TestLinkInverse:
             root = _mp_link_root(theta, V, h, a, reg, x)
         assert float(abs(x - root) / root) <= 1e-12
 
-    def test_subnormal_root_returns_on_the_collapsed_bracket(self):
+    def test_sampled_root_returns_on_the_collapsed_bracket(self):
+        # a sampled solve near 5.2e220 whose residual meets the tolerance but
+        # never the Newton error bound: it returns once its bracket in u has
+        # collapsed, within 4e-13 of the 50-digit root
+        reg = HuberRegularizer(c=133796778.08689891, p=18.062983282960843,
+                               alpha=1.514085707700108e+193)
+        reg.advance(6.5834103654405644e-282)
+        theta, V, h, a = (5126077153.844593, 196722340899667.9, 128741.55945776633,
+                          3.809417993434546e-230)
+        x, mirror = link_inverse_solve(theta, V, h, a, reg)
+        at_x, penalty, slope = link_terms(math.log(x), x, V, h, a, reg)
+        resid = abs(at_x + penalty - theta)
+        assert resid <= 1e-9 * theta and resid > mirror_descent._SOLVE_UTOL * slope
+        assert mirror == at_x
+        with mpmath.workdps(50):
+            root = _mp_link_root(theta, V, h, a, reg, x)
+        assert float(abs(x - root) / root) <= 1e-12
+
+    def test_subnormal_root_returns_on_a_repeated_radius(self):
         # the root, 1e-318, is subnormal: neighbouring radii are 5e-324 apart,
         # so no iterate's residual meets the Newton error bound, and the
-        # solve returns once the bracket in u has collapsed
+        # solve returns once an iterate repeats the last one's radius
         reg = HuberRegularizer(c=1.0, p=2.0, alpha=1.0)
         theta, V, h, a = 6e-9, 1.0, 1.0, 1e-300
         x, mirror = link_inverse_solve(theta, V, h, a, reg)
@@ -293,27 +312,41 @@ class TestLinkInverse:
         with pytest.raises(SolverError, match="^link inversion did not converge"):
             link_inverse_solve(theta, V, h, a, reg)
 
-    def test_lower_end_above_the_upper_end_restarts_at_the_smallest_radius(self, monkeypatch):
-        # with a = 1e-60, x/a leaves float range above x = 1.8e248, and there
-        # the link reads inf: the doubling keeps its start S^(1/p) = 1e250 as
-        # the upper end. The mirror part's inverse at theta/2 reads inf too,
-        # so the lower end is the penalty's inverse, which lies above 1e250
-        # and is replaced by the smallest positive radius: the step after
-        # the first, infinite, Newton evaluation is that bracket's midpoint.
-        # The root, near 1.009e250, is where the link reads inf: the solve
-        # fails loudly
-        reg = HuberRegularizer(c=40.0, p=100.0, alpha=1e250)
-        theta, V, h, a = 5000.0, 1.0, 1.0, 1e-60
-        assert link_value(1e250, V, h, a, reg) == math.inf
-        assert mirror_descent._bracket_end(0.5 * theta, V, h, a, reg) > 1e250
-        evaluated = []
-        monkeypatch.setattr(mirror_descent, "link_terms",
-                            lambda u, *rest: evaluated.append(u) or link_terms(u, *rest))
-        with pytest.raises(SolverError, match="^link inversion did not converge"):
-            link_inverse_solve(theta, V, h, a, reg)
-        # link_value's doubling test, the first Newton evaluation, the midpoint
-        u_hi = math.log(1e250)
-        assert evaluated[:3] == [u_hi, u_hi, 0.5 * (mirror_descent._LOG_TINY + u_hi)]
+    @pytest.mark.parametrize("theta, V, h, a, c, p, alpha", [
+        # with a = 1e-60, x/a leaves float range above x = 1.8e248; the root
+        # is near 1.009e250
+        (5000.0, 1.0, 1.0, 1e-60, 40.0, 100.0, 1e250),
+        # a sampled solve whose root, near 3.5745671e28, is 3e318 wealth scales
+        (2526.1595710141028, 6.120236230280743e-05, 0.0020223939465063754,
+         1.2082947959107499e-290, 8882868113633.084, 32.357089728429095, 8.050708176600356e+28),
+    ], ids=["root_1e250", "root_3.6e28"])
+    def test_root_where_x_over_a_leaves_float_range(self, theta, V, h, a, c, p, alpha):
+        # log1p(x/a) read inf there, and the mirror part's inverse inf for
+        # every q >= 709, so both solves raised "link inversion did not
+        # converge"; F is now log x - log a, the radius e^(log a + q)
+        reg = HuberRegularizer(c=c, p=p, alpha=alpha)
+        x, mirror = link_inverse_solve(theta, V, h, a, reg)
+        assert x / a == math.inf
+        assert mirror == link_terms(math.log(x), x, V, h, a, reg)[0]
+        with mpmath.workdps(50):
+            root = _mp_link_root(theta, V, h, a, reg, x)
+        assert float(abs(x - root) / root) <= 1e-9
+
+    @pytest.mark.parametrize("q", [709.0, 800.0, 1400.0, 1409.0])
+    def test_mirror_part_inverse_past_q_709(self, q):
+        # a * expm1(q) overflows at q = 709.8 for a = 1, but at a = 1e-300
+        # the radius is representable up to q = 1400.5; the constrained
+        # piece maps y = 3hq + 3V/h to q
+        a, V, h = 1e-300, 1.0, 1.0
+        x = _mirror_part_inverse(3.0 * h * q + 3.0 * V / h, V, h, a)
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(a) * mpmath.expm1(q)
+        if exact > sys.float_info.max:
+            assert x == math.inf
+        else:
+            assert float(abs(x - exact) / exact) <= 1e-12
+        # below q = 709 the bits are a * expm1(q)
+        assert _mirror_part_inverse(3.0 * 708.5 + 3.0, V, h, a) == a * math.expm1(708.5)
 
     def test_link_is_zero_at_the_origin(self):
         # both summands vanish at x = 0, where log x is not taken
@@ -623,13 +656,16 @@ class TestFloatRepresentation:
     @pytest.mark.parametrize("scalar", [False, True], ids=["vector", "scalar"])
     def test_float_range_exit_leaves_state_unchanged(self, scalar):
         # a constant gradient with the penalty off drives the iterate past
-        # float range at round 25,525; the failed solve moves no state
+        # float range at round 26,152, after an iterate of norm 1.789e308;
+        # the failed solve moves no state. It raised at round 25,525, after
+        # 5.03e300, while the closed form read inf for every q >= 709
         fast, ref = scalar_pair(epsilon=1.0, hint=1.0)
         md, g = (fast, -1.0) if scalar else (ref, np.array([-1.0]))
-        for _ in range(25_524):
+        for _ in range(26_151):
             md.observe(g, 1.0)
+        assert md.w_norm > 1.789e308
         before = state_bits(md)
-        message = "no representable radius reaches dual norm 25525.0"
+        message = "no representable radius reaches dual norm 26152.0"
         with pytest.raises(SolverError, match=message):
             md.observe(g, 1.0)
         assert state_bits(md) == before
