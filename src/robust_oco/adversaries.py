@@ -175,7 +175,8 @@ class LBTheorem2Adversary(Adversary):
         z_tail = rng.integers(0, 2, size=T - k) * 2 - 1
         tail_sign = 1.0 if z_tail.sum() >= 0 else -1.0
         z = np.concatenate([np.full(k, tail_sign), z_tail.astype(np.float64)])
-        q = np.eye(1, dim)[0]
+        q = np.zeros(dim)
+        q[0] = 1.0
         g = z[:, None] * q[None, :]
         g_tilde = g.copy()
         g_tilde[:k] = 0.0
@@ -198,7 +199,8 @@ class LBOriginAdversary(Adversary):
     MAX_T = 30
 
     def __init__(self, T: int, k: int, epsilon: float, dim: int = 1):
-        e1 = np.eye(1, dim)[0]
+        e1 = np.zeros(dim)
+        e1[0] = 1.0
         g_tilde = np.tile(e1, (T, 1))
         g = g_tilde.copy()
         g[T - k:] -= e1  # unit comparator direction equals e1

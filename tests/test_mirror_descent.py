@@ -21,6 +21,7 @@ from robust_oco.mirror_descent import (
     link_value,
 )
 from robust_oco.regularizer import HuberRegularizer
+from link_oracle import mp_link, mp_link_root
 from snapshot import state_bits
 
 
@@ -108,7 +109,7 @@ class TestLinkInverse:
         with mpmath.workdps(50):
             for V, h, a, reg, x0, theta in round_trip_samples():
                 got, _ = link_inverse_solve(theta, V, h, a, reg)
-                root = _mp_link_root(theta, V, h, a, reg, x0)
+                root = mp_link_root(theta, V, h, a, reg, x0)
                 worst = max(worst, float(abs(got - root) / root))
         assert worst <= 1e-8
 
@@ -120,7 +121,7 @@ class TestLinkInverse:
             for V, h, a, reg, x0, _ in round_trip_samples():
                 u = math.log(x0)
                 _, _, slope = link_terms(u, math.exp(u), V, h, a, reg)
-                exact = mpmath.diff(lambda v: _mp_link(v, V, h, a, reg), mpmath.mpf(u))
+                exact = mpmath.diff(lambda v: mp_link(v, V, h, a, reg), mpmath.mpf(u))
                 worst = max(worst, float(abs(slope - exact) / exact))
         assert worst <= 1e-12
 
@@ -226,7 +227,7 @@ class TestLinkInverse:
         x, _ = link_inverse_solve(theta, V, h, a, reg)
         assert len(calls) == 2 and calls[1] == 2.0 * calls[0]
         with mpmath.workdps(50):
-            root = _mp_link_root(theta, V, h, a, reg, x)
+            root = mp_link_root(theta, V, h, a, reg, x)
         assert float(abs(x - root) / root) <= 1e-12
 
     def test_sampled_root_returns_on_the_collapsed_bracket(self):
@@ -244,7 +245,7 @@ class TestLinkInverse:
         assert resid <= 1e-9 * theta and resid > mirror_descent._SOLVE_UTOL * slope
         assert mirror == at_x
         with mpmath.workdps(50):
-            root = _mp_link_root(theta, V, h, a, reg, x)
+            root = mp_link_root(theta, V, h, a, reg, x)
         assert float(abs(x - root) / root) <= 1e-12
 
     def test_subnormal_root_returns_on_a_repeated_radius(self):
@@ -259,7 +260,7 @@ class TestLinkInverse:
         assert resid <= 1e-9 and resid > mirror_descent._SOLVE_UTOL * slope
         assert mirror == at_x
         with mpmath.workdps(50):
-            root = _mp_link_root(theta, V, h, a, reg, x)
+            root = mp_link_root(theta, V, h, a, reg, x)
             assert abs(x - root) <= mpmath.mpf(5e-324) / 2  # the double nearest the root
 
     @pytest.mark.parametrize("dim", [1, 3])
@@ -289,7 +290,7 @@ class TestLinkInverse:
         assert 0.0 < x < 1e-320
         assert np.array_equal(np.atleast_1d(protocol.w), -x * (g > 0.0))
         with mpmath.workdps(50):
-            root = _mp_link_root(theta, V, h, a, reg, x)
+            root = mp_link_root(theta, V, h, a, reg, x)
             assert abs(x - root) <= mpmath.mpf(5e-324)  # within one double
 
     def test_link_steeper_than_the_log_radius_grid_does_not_converge(self):
@@ -329,7 +330,7 @@ class TestLinkInverse:
         assert x / a == math.inf
         assert mirror == link_terms(math.log(x), x, V, h, a, reg)[0]
         with mpmath.workdps(50):
-            root = _mp_link_root(theta, V, h, a, reg, x)
+            root = mp_link_root(theta, V, h, a, reg, x)
         assert float(abs(x - root) / root) <= 1e-9
 
     @pytest.mark.parametrize("q", [709.0, 800.0, 1400.0, 1409.0])
@@ -365,32 +366,6 @@ class TestLinkInverse:
             xs = np.exp(np.linspace(math.log(1e-6), math.log(1e4), 300))
             vals = [link_value(float(x), V, h, a, reg) for x in xs]
             assert all(b > a_ for a_, b in zip(vals, vals[1:]))
-
-
-def _mp_link(u, V, h, a, reg):
-    """The piecewise link at radius e^u, at the working mpmath precision."""
-    mpf = mpmath.mpf
-    V, h, a, c, p = mpf(V), mpf(h), mpf(a), mpf(reg.c), mpf(reg.p)
-    S = mpmath.exp(mpf(reg.log_S))
-    x_star = a * mpmath.expm1(V / (h * h))
-    x = mpmath.exp(u)
-    F = mpmath.log1p(x / a)
-    mirror = 6 * mpmath.sqrt(V * F) if x <= x_star else 3 * h * F + 3 * V / h
-    return mirror + c * p * x ** (p - 1) / (S + x ** p) ** (1 - 1 / p)
-
-
-def _mp_link_root(theta, V, h, a, reg, x0):
-    """Root of the piecewise link L(x) = theta at the working mpmath precision.
-
-    The root solves log L = log theta: a residual in L itself passes
-    findroot's absolute tolerance anywhere once theta is tiny.
-    """
-    u0 = mpmath.log(mpmath.mpf(x0))
-    log_theta = mpmath.log(mpmath.mpf(theta))
-    return mpmath.exp(mpmath.findroot(
-        lambda u: mpmath.log(_mp_link(u, V, h, a, reg)) - log_theta, (u0 - 1, u0 + 1),
-        solver="anderson",
-    ))
 
 
 class TestMirrorDescentLearner:

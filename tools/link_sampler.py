@@ -1,12 +1,13 @@
 """Sample the link inversion over wide parameter spans and tally how each solve ends.
 
-    python3 tools/link_sampler.py [--samples 300000] [--seed 0] [--oracle 2000] [--show 5]
+    python3 tools/link_sampler.py
 
-Draws every parameter with ``numpy.random.default_rng(seed)``: the wealth
-scale a = e^U(-700, 10), the dual norm theta = e^U(-745, 700), the hint
-h = e^U(-20, 20), V = h^2 e^U(0, 20), the penalty's c = e^U(-20, 40),
-p = 1 + e^U(-3, 5) and alpha = e^U(-700, 700), then 0 to 3 advances of the
-penalty with radii e^U(-700, 700). Each draw runs one ``link_inverse_solve``
+Draws every parameter of SAMPLES = 300,000 solves with
+``numpy.random.default_rng(0)``: the wealth scale a = e^U(-700, 10), the
+dual norm theta = e^U(-745, 700), the hint h = e^U(-20, 20),
+V = h^2 e^U(0, 20), the penalty's c = e^U(-20, 40), p = 1 + e^U(-3, 5)
+and alpha = e^U(-700, 700), then 0 to 3 advances of the penalty with radii
+e^U(-700, 700). Each draw runs one ``link_inverse_solve``
 under a tracer that records the lines of that function it executes.
 
 Prints how many solves left at each exit line (a return, or the line that
@@ -14,17 +15,16 @@ raised, with the error's first words), then every line of the function that
 fewer than 1% of the solves ran, with its count. Then every solve that
 raised is checked at 50 digits: a raise where the link reaches theta at a
 representable radius is a failure of the solve. They are counted, and the
-first ``--show`` are printed with their inputs and their 50-digit roots,
-found by bisection in log radius. The first ``--oracle`` solves that
-returned a positive radius are checked against that root too, and their
-worst relative error is printed. The default run takes under three
-minutes on one core (2m42s, Python 3.11). It imports the package from
-``src/`` beside this file and writes nothing.
+first SHOW = 5 are printed with their inputs and their 50-digit roots. The
+first ORACLE = 2,000 solves that returned a positive radius are checked
+against that root too, and their worst relative error is printed. The
+roots come from ``tests/link_oracle.py``, the oracle the solver's tests
+use. The run takes about a minute on one core (56 s, Python 3.11). It
+imports the package from ``src/`` beside this file and writes nothing.
 """
 
 from __future__ import annotations
 
-import argparse
 import collections
 import inspect
 import math
@@ -34,12 +34,14 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from link_oracle import mp_link, mp_link_root  # noqa: E402
 from robust_oco import mirror_descent  # noqa: E402
 from robust_oco.regularizer import HuberRegularizer  # noqa: E402
 
-FLOAT_MAX = sys.float_info.max
+SAMPLES, SEED, ORACLE, SHOW = 300_000, 0, 2000, 5
 
 
 def draw(rng):
@@ -58,50 +60,7 @@ def draw(rng):
     return theta, V, h, a, reg
 
 
-def mp_link(u, V, h, a, reg):
-    """The piecewise link at radius e^u, at the working mpmath precision."""
-    mpf = mpmath.mpf
-    V, h, a, c, p = mpf(V), mpf(h), mpf(a), mpf(reg.c), mpf(reg.p)
-    x = mpmath.exp(u)
-    F = mpmath.log1p(x / a)
-    mirror = 6 * mpmath.sqrt(V * F) if x <= a * mpmath.expm1(V / (h * h)) else 3 * h * F + 3 * V / h
-    if reg.c == 0.0:
-        return mirror
-    S = mpmath.exp(mpf(reg.log_S))
-    return mirror + c * p * x ** (p - 1) / (S + x ** p) ** (1 - 1 / p)
-
-
-def mp_root_is_representable(theta, V, h, a, reg) -> bool:
-    """Whether the link reaches theta at or below the largest double, at 50 digits."""
-    with mpmath.workdps(50):
-        return mp_link(mpmath.log(FLOAT_MAX), V, h, a, reg) >= theta
-
-
-def mp_root(theta, V, h, a, reg):
-    """The radius where the link reaches theta, by bisection in u = log x at 50 digits."""
-    with mpmath.workdps(50):
-        target = mpmath.mpf(theta)
-        lo, hi = mpmath.mpf(-1000), mpmath.log(FLOAT_MAX)
-        while mp_link(lo, V, h, a, reg) >= target:
-            lo *= 2
-        while mp_link(hi, V, h, a, reg) < target:
-            hi *= 2
-        for _ in range(240):
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if mp_link(mid, V, h, a, reg) < target else (lo, mid)
-        return mpmath.exp((lo + hi) / 2)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--samples", type=int, default=300_000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--oracle", type=int, default=2000,
-                        help="returned solves to check against the 50-digit root")
-    parser.add_argument("--show", type=int, default=5,
-                        help="raises with a representable root to print with their inputs")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     code = mirror_descent.link_inverse_solve.__code__
     source, first = inspect.getsourcelines(mirror_descent.link_inverse_solve)
     text = {first + i: line.strip() for i, line in enumerate(source)}
@@ -115,11 +74,11 @@ def main(argv=None) -> int:
     def tracer(frame, event, arg):
         return local if frame.f_code is code else None
 
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(SEED)
     exits, line_solves = collections.Counter(), collections.Counter()
     raised, returned = [], []
     solves = 0
-    while solves < args.samples:
+    while solves < SAMPLES:
         drawn = draw(rng)
         if drawn is None:
             continue
@@ -136,14 +95,14 @@ def main(argv=None) -> int:
         line_solves.update(set(ran))
         if error is None:
             exits[f"{ran[-1]}: {text[ran[-1]]}"] += 1
-            if x > 0.0 and len(returned) < args.oracle:
+            if x > 0.0 and len(returned) < ORACLE:
                 returned.append((drawn, x))
         else:
             words = " ".join(str(error).split(":")[0].split()[:6])
             exits[f"{ran[-1]}: {type(error).__name__}: {words}"] += 1
             raised.append((drawn, error))
 
-    print(f"{solves} solves, seed {args.seed}")
+    print(f"{solves} solves, seed {SEED}")
     for exit_line, count in sorted(exits.items(), key=lambda kv: int(kv[0].split(":")[0])):
         print(f"  exit {exit_line}: {count}")
     print("lines run by fewer than 1% of the solves:")
@@ -153,11 +112,14 @@ def main(argv=None) -> int:
 
     representable = 0
     for (theta, V, h, a, reg), error in raised:
-        if mp_root_is_representable(theta, V, h, a, reg):
+        with mpmath.workdps(50):  # does the link reach theta at or below the largest double?
+            reaches = mp_link(mpmath.log(sys.float_info.max), V, h, a, reg) >= theta
+        if reaches:
             representable += 1
-            if representable > args.show:
+            if representable > SHOW:
                 continue
-            root = mp_root(theta, V, h, a, reg)
+            with mpmath.workdps(50):
+                root = mp_link_root(theta, V, h, a, reg)
             print(f"  raise with a representable root {mpmath.nstr(root, 17)}: {error}; "
                   f"link_inverse_solve({theta!r}, {V!r}, {h!r}, {a!r}, "
                   f"HuberRegularizer(c={reg.c!r}, p={reg.p!r}, alpha={reg.alpha!r}), "
@@ -165,7 +127,8 @@ def main(argv=None) -> int:
     print(f"raises: {len(raised)}, with a representable root: {representable}")
     worst = 0.0
     for (theta, V, h, a, reg), x in returned:
-        root = mp_root(theta, V, h, a, reg)
+        with mpmath.workdps(50):
+            root = mp_link_root(theta, V, h, a, reg, x)
         if root >= sys.float_info.min:  # a subnormal root is pinned to the grid, not relatively
             worst = max(worst, float(abs(x - root) / root))
     print(f"returns checked: {len(returned)}, worst relative error {worst:.3g}")
