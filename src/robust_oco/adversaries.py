@@ -4,7 +4,7 @@ Interactive adversaries receive the played iterate before emitting the round's
 (true, observed) gradient pair; the lower-bound constructions are oblivious
 and pre-materialized. A stream's AdversarySpec checks its kind's rules and
 declares the corruption budget the stream satisfies, so the harness configures
-protocols without building it; each generator declares its gradient bound.
+protocols without building it; each kind's class in STREAMS declares its gradient bound.
 """
 
 from __future__ import annotations
@@ -21,13 +21,6 @@ from .protocol import RoundRecord
 
 Vector = np.ndarray | float  # a dim-vector in the package's form: a float at dim = 1
 _NORM_BLOCK = 256  # rows of an iid draw squared at a time to take their norms
-ADVERSARY_KINDS = (
-    "sign_flip_window",
-    "lb_theorem2",
-    "lb_origin",
-    "dro_reweight",
-    "iid_random",
-)
 
 
 @dataclass(frozen=True)
@@ -54,7 +47,7 @@ class AdversarySpec:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ADVERSARY_KINDS:
+        if self.kind not in STREAMS:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         # a size of 2.5, NaN or inf would reach numpy or range() as a TypeError
         for name in ("T", "k", "window_start", "dim"):
@@ -94,15 +87,12 @@ class AdversarySpec:
         """The stream's corruption budget: reweighting k rounds deviates by up to 2k."""
         return 2 * self.k if self.kind == "dro_reweight" else self.k
 
-    @property
-    def constructs_comparator(self) -> bool:
-        return self.kind not in ("iid_random", "dro_reweight")  # the iid streams construct none
-
 
 class Adversary(ABC):
-    """One corrupted gradient stream: true/observed pairs plus metadata."""
+    """One corrupted gradient stream, built as cls(spec, seed) from a checked spec of its kind."""
 
     comparator: np.ndarray | None = None
+    constructs_comparator = True  # False for a class whose streams leave comparator None
     lipschitz_bound: float = 1.0
 
     @abstractmethod
@@ -120,8 +110,8 @@ class SignFlipAdversary(Adversary):
     The subgradient at the kink w = 1 is fixed to -1 so runs are reproducible.
     """
 
-    def __init__(self, k: int, window_start: int):
-        self.flipped = range(window_start, window_start + k)
+    def __init__(self, spec: AdversarySpec, seed):
+        self.flipped = range(spec.window_start, spec.window_start + spec.k)
         self.comparator = np.array([1.0])
 
     def round(self, t, w):
@@ -135,9 +125,12 @@ class SignFlipAdversary(Adversary):
 class IIDRandomAdversary(Adversary):
     """Uncorrupted stream of random gradients drawn from the radius-G ball."""
 
-    def __init__(self, T: int, G: float, seed, dim: int = 1):
+    constructs_comparator = False
+
+    def __init__(self, spec: AdversarySpec, seed):
+        T, G = spec.T, spec.G
         rng = np.random.default_rng(seed)
-        directions = rng.standard_normal((T, dim))
+        directions = rng.standard_normal((T, spec.dim))
         # row norms as np.linalg.norm takes them, sqrt(add.reduce(x * x,
         # axis=1)), bit for bit, but squaring _NORM_BLOCK rows at a time:
         # the draw, its normalisation and the kept stream are one (T, dim)
@@ -170,18 +163,18 @@ class LBTheorem2Adversary(Adversary):
     Ties of the random-sign sum break toward +1.
     """
 
-    def __init__(self, T: int, k: int, D: float, seed: int, dim: int = 1):
+    def __init__(self, spec: AdversarySpec, seed):
         rng = np.random.default_rng(seed)
-        z_tail = rng.integers(0, 2, size=T - k) * 2 - 1
+        z_tail = rng.integers(0, 2, size=spec.T - spec.k) * 2 - 1
         tail_sign = 1.0 if z_tail.sum() >= 0 else -1.0
-        z = np.concatenate([np.full(k, tail_sign), z_tail.astype(np.float64)])
-        q = np.zeros(dim)
+        z = np.concatenate([np.full(spec.k, tail_sign), z_tail.astype(np.float64)])
+        q = np.zeros(spec.dim)
         q[0] = 1.0
         g = z[:, None] * q[None, :]
         g_tilde = g.copy()
-        g_tilde[:k] = 0.0
+        g_tilde[:spec.k] = 0.0
         self._g, self._g_tilde = _stream(g), _stream(g_tilde)
-        self.comparator = -D * tail_sign * q
+        self.comparator = -spec.D * tail_sign * q
 
     def round(self, t, w):
         return self._g[t - 1], self._g_tilde[t - 1]
@@ -198,14 +191,14 @@ class LBOriginAdversary(Adversary):
 
     MAX_T = 30
 
-    def __init__(self, T: int, k: int, epsilon: float, dim: int = 1):
-        e1 = np.zeros(dim)
+    def __init__(self, spec: AdversarySpec, seed):
+        e1 = np.zeros(spec.dim)
         e1[0] = 1.0
-        g_tilde = np.tile(e1, (T, 1))
+        g_tilde = np.tile(e1, (spec.T, 1))
         g = g_tilde.copy()
-        g[T - k:] -= e1  # unit comparator direction equals e1
+        g[spec.T - spec.k:] -= e1  # unit comparator direction equals e1
         self._g, self._g_tilde = _stream(g), _stream(g_tilde)
-        self.comparator = 2.0 * epsilon * math.exp(T) * e1
+        self.comparator = 2.0 * spec.epsilon * math.exp(spec.T) * e1
 
     def round(self, t, w):
         return self._g[t - 1], self._g_tilde[t - 1]
@@ -219,11 +212,12 @@ class DROReweightAdversary(IIDRandomAdversary):
     budget of the emitted stream is then at most 2k.
     """
 
-    def __init__(self, T: int, k: int, G: float, seed, dim: int = 1):
+    def __init__(self, spec: AdversarySpec, seed):
         # one splittable root stream: independent child streams for the
         # gradients and the reweighting draw
         gradient_stream, weight_stream = np.random.default_rng(seed).spawn(2)
-        super().__init__(T, G, gradient_stream, dim)
+        super().__init__(spec, gradient_stream)
+        T, k = spec.T, spec.k
         rng = np.random.default_rng(weight_stream)
         weights = np.full(T, 1.0 / T)
         if k > 0:
@@ -243,18 +237,19 @@ def _stream(g: np.ndarray) -> np.ndarray | list[float]:
     return g[:, 0].tolist() if g.shape[1] == 1 else g
 
 
+STREAMS: dict[str, type[Adversary]] = {
+    "sign_flip_window": SignFlipAdversary,
+    "lb_theorem2": LBTheorem2Adversary,
+    "lb_origin": LBOriginAdversary,
+    "dro_reweight": DROReweightAdversary,
+    "iid_random": IIDRandomAdversary,
+}
+ADVERSARY_KINDS = tuple(STREAMS)
+
+
 def make_adversary(spec: AdversarySpec, seed: int | None = None) -> Adversary:
     """Instantiate the stream described by spec, optionally overriding its seed."""
-    s = spec.seed if seed is None else seed
-    if spec.kind == "sign_flip_window":
-        return SignFlipAdversary(spec.k, spec.window_start)
-    if spec.kind == "lb_theorem2":
-        return LBTheorem2Adversary(spec.T, spec.k, spec.D, s, spec.dim)
-    if spec.kind == "lb_origin":
-        return LBOriginAdversary(spec.T, spec.k, spec.epsilon, spec.dim)
-    if spec.kind == "dro_reweight":
-        return DROReweightAdversary(spec.T, spec.k, spec.G, s, spec.dim)
-    return IIDRandomAdversary(spec.T, spec.G, s, spec.dim)
+    return STREAMS[spec.kind](spec, spec.seed if seed is None else seed)
 
 
 class KTBettor:

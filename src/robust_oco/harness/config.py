@@ -13,8 +13,7 @@ import io
 import math
 from dataclasses import MISSING, dataclass, fields
 
-from ..adversaries import AdversarySpec
-from ..core import check_positive
+from ..adversaries import STREAMS, AdversarySpec
 from ..protocol import MODES, ProtocolConfig
 
 ALGORITHMS = ("kt_bettor",) + MODES
@@ -71,7 +70,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"comparator must be coordinates or {COMPARATOR_FROM_ADVERSARY!r}"
                 )
-            if not self.adversary.constructs_comparator:
+            if not STREAMS[self.adversary.kind].constructs_comparator:
                 raise ValueError(f"adversary kind {self.adversary.kind!r} constructs no "
                                  "comparator; set one explicitly")
         else:
@@ -106,8 +105,6 @@ class SweepConfig:
         for key in ("ks", "algorithms"):
             if not getattr(self, key):
                 raise ValueError(f"[sweep] {key} is empty, so the sweep has no cell")
-        for key in ("epsilon", "G", "tau_G"):
-            check_positive(f"[sweep] {key}", getattr(self, key))
 
 
 # INI value parsers keyed by field annotation, which fields() reports as source

@@ -157,7 +157,7 @@ SWEEP_COLUMNS = [
 def _sweep_cell_configs(sweep: SweepConfig, algorithm: str, k: int) -> list[ExperimentConfig]:
     """The cell's corrupted and clean configs, checked as built and by building the cell's player.
 
-    No stream is built. A k or window_frac that any rejects raises ValueError naming both keys.
+    No stream is built. A ProtocolConfig error reads "[sweep] <message>"; any other names both keys.
     """
     T = k * k
     mode = protocol_mode(algorithm)
@@ -166,6 +166,9 @@ def _sweep_cell_configs(sweep: SweepConfig, algorithm: str, k: int) -> list[Expe
             mode=mode, T=T, epsilon=sweep.epsilon, k=k,
             G=sweep.G if mode == "known_g" else None, tau_G=sweep.tau_G,
         )
+    except ValueError as exc:
+        raise ValueError(f"[sweep] {exc}") from None
+    try:
         configs = [
             ExperimentConfig(
                 algorithm=algorithm, protocol=protocol, comparator=(1.0,),

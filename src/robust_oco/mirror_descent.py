@@ -114,19 +114,24 @@ def link_inverse_solve(
 ) -> tuple[float, float]:
     """Solve L(x) = theta_norm for the unique nonnegative radius x.
 
-    Returns x and the link's mirror part at x, which the learner reuses. The
-    residual is driven below 1e-9 * max(1, theta_norm). At p > 1 the link
-    tends to 0 at the origin: no positive theta_norm is absorbed there. With
-    the penalty disabled the link is the mirror part alone and inverts in
-    closed form; otherwise the bracket comes from inverting each summand
-    separately (_bracket_end): either summand at the full target bounds the
-    root from above, and the smaller summand inverse at half the target
-    bounds it from below. Newton steps on log L(u) - log theta in u = log x
-    start from the upper end; a step that leaves the bracket is replaced by
-    the bracket midpoint, and an upper end that rounding left short of the
-    root moves up. The lower end is computed only when the first evaluation,
-    at the upper end, fails the slope test: most solves converge there and
-    never read it.
+    Returns x and the link's mirror part at x, which the learner reuses. At
+    p > 1 the link tends to 0 at the origin: no positive theta_norm is
+    absorbed there. With the penalty disabled the link is the mirror part
+    alone and inverts in closed form; otherwise the bracket comes from
+    inverting each summand separately (_bracket_end): either summand at the
+    full target bounds the root from above, and the smaller summand inverse
+    at half the target bounds it from below. Newton steps on
+    log L(u) - log theta in u = log x start from the upper end; a step that
+    leaves the bracket is replaced by the bracket midpoint, and an upper end
+    that rounding left short of the root moves up. The lower end is computed
+    only when the first evaluation, at the upper end, fails the slope test:
+    most solves converge there and never read it. An iterate returns when its
+    residual is within 1e-9 * max(1, theta_norm) and the root is pinned: in
+    u, by the Newton error estimate or a bracket collapsed below 1e-10 (the
+    closed-form lower end is exact only in reals), or in x, by repeating the
+    last iterate's radius (a subnormal root). Once no step moves u, or after
+    200 iterations, a bracket closed to two neighbouring doubles in x returns
+    the one with the smaller |residual|, and any other bracket raises.
     """
     if theta_norm < 0:
         raise ValueError("dual norm must be nonnegative")
@@ -163,8 +168,6 @@ def link_inverse_solve(
         # the calls of this code object as the solve's link evaluations
         return link_terms(u, x, V, h, a, reg)
 
-    # Newton on log L(u) - log theta from the upper end; a step that leaves
-    # the bracket [u_lo, u_hi] is replaced by the bracket midpoint
     tol = _SOLVE_RTOL * max(1.0, theta_norm)
     log_theta = math.log(theta_norm)
     u = u_hi = math.log(hi)
@@ -175,11 +178,6 @@ def link_inverse_solve(
         mirror, penalty, slope = link_at(u, x)
         value = mirror + penalty
         resid = value - theta_norm
-        # converged when the residual is small and the root is pinned: in u,
-        # by the Newton error estimate or by a bracket that has collapsed
-        # (the closed-form lower end is exact only in real arithmetic), or
-        # in x, by an iterate that repeats the last one's radius (a subnormal
-        # root, where steps in u too small to move the bracket round to it)
         small = abs(resid) <= tol
         if small and (abs(resid) <= _SOLVE_UTOL * slope or x == x_prev):
             return x, mirror
@@ -204,7 +202,13 @@ def link_inverse_solve(
         u_next = u - (math.log(value) - log_theta) * value / slope if slope > 0.0 else u_hi
         if not u_lo < u_next < u_hi:
             u_next = 0.5 * (u_lo + u_hi)
+            if u_next == u and not small:  # the bracket has collapsed: no step moves u
+                break
         u = u_next
+    ends = (math.exp(u_lo), math.exp(u_hi))
+    if ends[1] <= math.nextafter(ends[0], math.inf):
+        x = min(ends, key=lambda y: abs(link_value(y, V, h, a, reg) - theta_norm))
+        return x, link_terms(math.log(x), x, V, h, a, reg)[0]
     raise SolverError(
         f"link inversion did not converge: theta={theta_norm}, V={V}, h={h}, a={a}"
     )

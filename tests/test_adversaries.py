@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import re
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from robust_oco.adversaries import (
     ADVERSARY_KINDS,
+    STREAMS,
     AdversarySpec,
     DROReweightAdversary,
     IIDRandomAdversary,
@@ -42,6 +44,12 @@ def full_array_stream(T, G, seed, dim):
     return directions
 
 
+def stream(cls, seed=0, **fields):
+    """The stream of class cls, built as make_adversary builds it: from a checked spec."""
+    kind = next(kind for kind, stream_class in STREAMS.items() if stream_class is cls)
+    return cls(AdversarySpec(kind=kind, **fields), seed)
+
+
 def stream_bytes(adversary) -> bytes:
     """The bytes of an iid stream's true gradients, kept as floats at dim = 1."""
     return np.asarray(adversary._g, dtype=np.float64).tobytes()
@@ -58,6 +66,17 @@ def replay_budget(adversary, T, dim=1, w_source=None):
         if w_source is not None:
             w = w_source(t, g)
     return led, count
+
+
+def test_every_kind_is_one_class_built_from_its_spec():
+    # make_adversary is one lookup in STREAMS, and every stream class takes (spec, seed)
+    assert ADVERSARY_KINDS == tuple(STREAMS)
+    for cls in STREAMS.values():
+        assert list(inspect.signature(cls).parameters) == ["spec", "seed"]
+    # a class, not the spec, says whether its stream constructs a comparator
+    assert not hasattr(AdversarySpec, "constructs_comparator")
+    assert [kind for kind, cls in STREAMS.items() if not cls.constructs_comparator] == [
+        "dro_reweight", "iid_random"]
 
 
 @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
@@ -160,8 +179,10 @@ def test_every_spec_that_constructs_builds_its_stream(fields):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         adversary = make_adversary(spec, seed=0)
-    # the spec declares whether its stream constructs a comparator
-    assert (adversary.comparator is not None) == spec.constructs_comparator
+    # the kind's class in STREAMS builds the stream and declares whether it
+    # constructs a comparator
+    assert type(adversary) is STREAMS[spec.kind]
+    assert (adversary.comparator is not None) == STREAMS[spec.kind].constructs_comparator
     if adversary.comparator is not None:
         assert np.isfinite(adversary.comparator).all()
     # and the stream is the one the spec declares
@@ -175,7 +196,7 @@ def test_every_spec_that_constructs_builds_its_stream(fields):
 
 class TestSignFlip:
     def test_exact_window(self):
-        adv = SignFlipAdversary(k=20, window_start=300)
+        adv = stream(SignFlipAdversary, T=400, k=20, window_start=300)
         corrupted = []
         for t in range(1, 401):
             g, g_tilde = adv.round(t, 0.5)
@@ -185,18 +206,18 @@ class TestSignFlip:
         assert corrupted == list(range(300, 320))
 
     def test_zero_budget_streams_identical(self):
-        adv = SignFlipAdversary(k=0, window_start=10)
+        adv = stream(SignFlipAdversary, T=50, k=0, window_start=10)
         for t in range(1, 51):
             g, g_tilde = adv.round(t, 2.0)
             assert g == g_tilde
 
     def test_subgradient_convention_at_kink(self):
-        adv = SignFlipAdversary(k=0, window_start=1)
+        adv = stream(SignFlipAdversary, T=1, k=0, window_start=1)
         g, _ = adv.round(1, 1.0)
         assert g == -1.0
 
     def test_loss_gap_matches_absolute_loss(self):
-        adv = SignFlipAdversary(k=0, window_start=1)
+        adv = stream(SignFlipAdversary, T=1, k=0, window_start=1)
         assert adv.loss_gap(3.0, 1.0) == abs(3.0 - 1.0) - 0.0
 
     @pytest.mark.parametrize("D", [-3.0, 0.0, 100.0])
@@ -215,13 +236,13 @@ class TestSignFlip:
 
 class TestLBTheorem2:
     def test_exactly_k_corrupted(self):
-        adv = LBTheorem2Adversary(T=64, k=8, D=1.0, seed=3, dim=2)
+        adv = stream(LBTheorem2Adversary, 3, T=64, k=8, D=1.0, dim=2)
         _, count = replay_budget(adv, 64, dim=2)
         assert count == 8
 
     def test_hidden_rounds_pay_full_price(self):
         for seed in range(20):
-            adv = LBTheorem2Adversary(T=32, k=5, D=2.5, seed=seed)
+            adv = stream(LBTheorem2Adversary, seed, T=32, k=5, D=2.5)
             for t in range(1, 6):
                 g, g_tilde = adv.round(t, 0.0)
                 assert g_tilde == 0.0
@@ -232,7 +253,7 @@ class TestLBTheorem2:
         T, k, D, seeds = 24, 4, 1.0, 4000
         total = 0.0
         for s in range(seeds):
-            adv = LBTheorem2Adversary(T=T, k=k, D=D, seed=s)
+            adv = stream(LBTheorem2Adversary, s, T=T, k=k, D=D)
             total += sum(
                 -float(adv.round(t, 0.0)[0] * adv.comparator[0])
                 for t in range(1, T + 1)
@@ -243,7 +264,7 @@ class TestLBTheorem2:
         assert abs(mc_mean - exact) <= se
 
     def test_norm_bounds(self):
-        adv = LBTheorem2Adversary(T=40, k=6, D=1.0, seed=11, dim=3)
+        adv = stream(LBTheorem2Adversary, 11, T=40, k=6, D=1.0, dim=3)
         for t in range(1, 41):
             g, g_tilde = adv.round(t, np.zeros(3))
             assert norm(g) <= 1.0 and norm(g_tilde) <= 1.0
@@ -278,20 +299,20 @@ class TestRandomSignExpectation:
 
 class TestLBOrigin:
     def test_zero_budget_identical(self):
-        adv = LBOriginAdversary(T=10, k=0, epsilon=1.0)
+        adv = stream(LBOriginAdversary, T=10, k=0, epsilon=1.0)
         for t in range(1, 11):
             g, g_tilde = adv.round(t, 0.0)
             assert g == g_tilde
 
     def test_corrupted_round_gradient_vanishes(self):
-        adv = LBOriginAdversary(T=10, k=3, epsilon=1.0)
+        adv = stream(LBOriginAdversary, T=10, k=3, epsilon=1.0)
         for t in (8, 9, 10):
             g, g_tilde = adv.round(t, 0.0)
             assert abs(g) == 0.0
             assert g_tilde == 1.0
 
     def test_comparator_magnitude(self):
-        adv = LBOriginAdversary(T=5, k=1, epsilon=1.0)
+        adv = stream(LBOriginAdversary, T=5, k=1, epsilon=1.0)
         assert math.isclose(norm(adv.comparator), 2.0 * math.exp(5.0), rel_tol=1e-12)
 
     def test_horizon_guard(self):
@@ -323,7 +344,7 @@ class TestIIDRandom:
     @pytest.mark.parametrize("dim", [1, 3, 256])
     def test_stream_matches_out_of_place_formula(self, dim):
         for seed in range(3):
-            adv = IIDRandomAdversary(T=50, G=2.0, seed=seed, dim=dim)
+            adv = stream(IIDRandomAdversary, seed, T=50, G=2.0, dim=dim)
             rng = np.random.default_rng(seed)
             directions = rng.standard_normal((50, dim))
             norms = np.linalg.norm(directions, axis=1, keepdims=True)
@@ -339,17 +360,18 @@ class TestIIDRandom:
         # the row norms are taken a block of rows at a time; the oracle takes
         # them over the whole draw with np.linalg.norm
         for seed in (0, 1):
-            adv = IIDRandomAdversary(T, 1.5, seed, dim)
+            adv = stream(IIDRandomAdversary, seed, T=T, G=1.5, dim=dim)
             assert stream_bytes(adv) == full_array_stream(T, 1.5, seed, dim).tobytes()
 
     def test_stream_build_keeps_one_full_size_array(self):
         # np.linalg.norm over the whole draw would square it into a second
         # (T, dim) array, 8.23 MB here; block by block, only the stream and one block
+        spec = AdversarySpec(kind="iid_random", T=2000, G=1.0, dim=256)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
-            adv = IIDRandomAdversary(2000, 1.0, 0, 256)
+            adv = IIDRandomAdversary(spec, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -367,25 +389,25 @@ class TestIIDRandom:
 
 class TestDROReweight:
     def test_zero_budget_is_identity(self):
-        adv = DROReweightAdversary(T=40, k=0, G=1.0, seed=5)
+        adv = stream(DROReweightAdversary, 5, T=40, k=0, G=1.0)
         for t in range(1, 41):
             g, g_tilde = adv.round(t, 0.0)
             assert np.allclose(g, g_tilde)
 
     def test_total_variation_budget_exact(self):
         for seed in range(30):
-            adv = DROReweightAdversary(T=100, k=7, G=2.0, seed=seed)
+            adv = stream(DROReweightAdversary, seed, T=100, k=7, G=2.0)
             tv = 0.5 * float(np.abs(adv.weights - 1.0 / 100).sum())
             assert math.isclose(tv, 7 / 100, rel_tol=1e-12)
 
     def test_weights_form_a_distribution(self):
-        adv = DROReweightAdversary(T=64, k=10, G=1.0, seed=2)
+        adv = stream(DROReweightAdversary, 2, T=64, k=10, G=1.0)
         assert math.isclose(adv.weights.sum(), 1.0, rel_tol=1e-12)
         assert np.all(adv.weights >= 0)
 
     def test_deviation_budget(self):
         G = 1.5
-        adv = DROReweightAdversary(T=200, k=11, G=G, seed=9)
+        adv = stream(DROReweightAdversary, 9, T=200, k=11, G=G)
         led, _ = replay_budget(adv, 200)
         assert led.deviation_sum / G <= 2 * 11 + 1e-9
         assert AdversarySpec(kind="dro_reweight", T=200, k=11, G=G).budget == 22
@@ -395,7 +417,7 @@ class TestDROReweight:
         # the root seed's first child draws the iid gradients, its second the weights
         adv = make_adversary(AdversarySpec(kind="dro_reweight", T=30, k=4, G=1.5, dim=dim), seed=6)
         gradient_stream, _ = np.random.default_rng(6).spawn(2)
-        iid = IIDRandomAdversary(T=30, G=1.5, seed=gradient_stream, dim=dim)
+        iid = stream(IIDRandomAdversary, gradient_stream, T=30, G=1.5, dim=dim)
         assert "loss_gap" not in vars(DROReweightAdversary)
         assert adv.lipschitz_bound == 1.5 and adv.comparator is None
         w = 0.0 if dim == 1 else np.zeros(dim)
@@ -409,7 +431,7 @@ class TestDROReweight:
     @pytest.mark.parametrize("T", STREAM_LENGTHS)
     def test_stream_bits_match_the_full_array_norm(self, T, dim):
         for seed in (0, 1):
-            adv = DROReweightAdversary(T, T // 2, 1.5, seed, dim)
+            adv = stream(DROReweightAdversary, seed, T=T, k=T // 2, G=1.5, dim=dim)
             gradient_stream, _ = np.random.default_rng(seed).spawn(2)
             assert stream_bytes(adv) == full_array_stream(T, 1.5, gradient_stream, dim).tobytes()
 
@@ -418,6 +440,16 @@ class TestDROReweight:
             AdversarySpec(kind="dro_reweight", T=10, k=6)
         weights = make_adversary(AdversarySpec(kind="dro_reweight", T=10, k=5)).weights
         assert weights.sum() == pytest.approx(1.0)
+
+    def test_no_stream_without_its_checked_spec(self):
+        # DROReweightAdversary(T=10, k=8, G=1.0, seed=0) took raw arguments no
+        # spec rule had seen, and its 2 unboosted rounds got the weight
+        # 1/T - k/(T(T - k)) = -0.3: observed gradients the true ones times -3.
+        # A stream is now built only from a spec, which refuses these settings
+        with pytest.raises(TypeError):
+            DROReweightAdversary(T=10, k=8, G=1.0, seed=0)
+        with pytest.raises(ValueError, match="^reweighting construction needs T >= 2k$"):
+            AdversarySpec(kind="dro_reweight", T=10, k=8, G=1.0)
 
 
 class TestBudgetReplay:

@@ -697,7 +697,7 @@ class TestFloatRunLoop:
                 return 1.5e308, -1.0
 
         monkeypatch.setattr(
-            runner, "make_adversary", lambda spec, seed=None: Overflowing(0, 1)
+            runner, "make_adversary", lambda spec, seed=None: Overflowing(spec, seed)
         )
         with pytest.raises(
             NonFiniteError,
@@ -788,6 +788,26 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
             run_sweep(SweepConfig(ks=ks, window_frac=window_frac))
         assert ran == []
+
+    @pytest.mark.parametrize("setting, named", [
+        ({"epsilon": 0.0}, "[sweep] epsilon must be positive and finite, got 0.0"),
+        ({"G": math.nan}, "[sweep] G must be positive and finite, got nan"),
+        ({"tau_G": -1.0}, "[sweep] tau_G must be positive and finite, got -1.0"),
+    ], ids=["epsilon", "G", "tau_G"])
+    def test_protocol_setting_raises_before_any_cell_runs(self, monkeypatch, setting, named):
+        # each cell's ProtocolConfig is the one check of these settings
+        sweep = SweepConfig(ks=(4, 5), **setting)
+        ran = []
+        monkeypatch.setattr(runner, "run_experiment", lambda config: ran.append(config))
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            run_sweep(sweep)
+        assert ran == []
+
+    def test_G_is_checked_only_where_a_cell_reads_it(self):
+        # SweepConfig used to refuse a NaN G for a sweep that never reads it
+        rows = run_sweep(SweepConfig(ks=(4,), algorithms=("unknown_g_case2",), G=math.nan))
+        assert rows == run_sweep(SweepConfig(ks=(4,), algorithms=("unknown_g_case2",)))
+        assert [(row["algorithm"], row["k"]) for row in rows] == [("unknown_g_case2", 4)]
 
 
 class TestChecksRegistry:

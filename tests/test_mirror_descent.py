@@ -293,10 +293,43 @@ class TestLinkInverse:
             root = mp_link_root(theta, V, h, a, reg, x)
             assert abs(x - root) <= mpmath.mpf(5e-324)  # within one double
 
-    def test_link_steeper_than_the_log_radius_grid_does_not_converge(self):
+    @pytest.mark.parametrize("theta, V, h, a, c, p, alpha, log_S", [
+        (1148.2550801639795, 3.0731043368909766e+17, 18032027.481079053, 1.2447334472658608e-304,
+         2.464111538706531e+16, 1.11527032780601, 1.3917243738533338e+234, 601.2817759593927),
+        (35.511318207676325, 7.898566846855617e+20, 20354158.33928757, 2.5725505326759642e-301,
+         0.003811924363662937, 16.858739551028663, 3.053760314156737e+98, 3823.0515267390483),
+        (6.883598345908578, 3.7933068384614973e+18, 9035836.180198992, 2.6037669629254523e-303,
+         1.1230494352678972e+16, 1.6104052510925058, 4.189159093800124e+205, 993.5009476955048),
+        (1.7141846836997763e-05, 7449512991244.575, 1167252.6638654827, 2.704322386700231e-299,
+         1816007575938.9165, 20.070955990467883, 5.2902397396069244e+66, 3083.631022626178),
+        (0.07036459787926394, 7.333225819164046e+17, 758825.2789491389, 1.5833826108981364e-300,
+         91465.98151798986, 1.0855361813518614, 5.8701365262336355e-09, 573.8991925805223),
+    ], ids=["root_1.48e-317", "root_1.14e-320", "root_9.04e-322", "root_2.96e-323",
+            "root_2.96e-322"])
+    def test_root_pinned_between_neighbouring_doubles(self, theta, V, h, a, c, p, alpha,
+                                                      log_S):
+        # five sampled solves (tools/link_sampler.py) with subnormal roots that
+        # raised "link inversion did not converge": one subnormal step of the
+        # radius moves the link by more than the tolerance, so no double meets
+        # it. Once the bracket has closed to two neighbouring doubles, the solve
+        # returns the one with the smaller |residual|
+        reg = HuberRegularizer(c=c, p=p, alpha=alpha)
+        reg.log_S = log_S  # the state the sampled advances left; the link reads no other
+        x, mirror = link_inverse_solve(theta, V, h, a, reg)
+        assert mirror == link_terms(math.log(x), x, V, h, a, reg)[0]
+        with mpmath.workdps(50):
+            root = mp_link_root(theta, V, h, a, reg, x)
+            assert math.nextafter(x, 0.0) <= root <= math.nextafter(x, math.inf)
+            other = math.nextafter(x, math.inf if root > x else 0.0)
+        resid = abs(link_value(x, V, h, a, reg) - theta)
+        assert resid <= abs(link_value(other, V, h, a, reg) - theta)
+
+    def test_link_steeper_than_the_log_radius_grid_does_not_converge(self, monkeypatch):
         # at p = 1e5 and u = log x near 709, adjacent doubles of u move the
         # link by about 1e-8 of itself, more than the 1e-9 tolerance: no
-        # iterate meets it, and the solve raises after its last iteration
+        # iterate meets it. The bracket collapses in u with hundreds of doubles
+        # of x inside it, and the solve raises as soon as no step moves u
+        # (it used to run all 200 iterations)
         reg = HuberRegularizer(c=1e3, p=1e5, alpha=1e308)
         theta, V, h, a = 1e7, 1.0, 1.0, 1.0
 
@@ -310,8 +343,12 @@ class TestLinkInverse:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if resid(mid) < 0.0 else (lo, mid)
         assert resid(lo) < -1e-9 * theta and resid(hi) > 1e-9 * theta
+        us = []
+        monkeypatch.setattr(mirror_descent, "link_terms",
+                            lambda u, *rest: us.append(u) or link_terms(u, *rest))
         with pytest.raises(SolverError, match="^link inversion did not converge"):
             link_inverse_solve(theta, V, h, a, reg)
+        assert len(us) < 20
 
     @pytest.mark.parametrize("theta, V, h, a, c, p, alpha", [
         # with a = 1e-60, x/a leaves float range above x = 1.8e248; the root

@@ -21,6 +21,9 @@ against that root too, and their worst relative error is printed. The
 roots come from ``tests/link_oracle.py``, the oracle the solver's tests
 use. The run takes about a minute on one core (56 s, Python 3.11). It
 imports the package from ``src/`` beside this file and writes nothing.
+
+Exits 1 if any raise has a representable root, or if the checked returns'
+worst relative error exceeds WORST = 1e-10; otherwise 0.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from link_oracle import mp_link, mp_link_root  # noqa: E402
 from robust_oco import mirror_descent  # noqa: E402
 from robust_oco.regularizer import HuberRegularizer  # noqa: E402
 
-SAMPLES, SEED, ORACLE, SHOW = 300_000, 0, 2000, 5
+SAMPLES, SEED, ORACLE, SHOW, WORST = 300_000, 0, 2000, 5, 1e-10
 
 
 def draw(rng):
@@ -132,7 +135,7 @@ def main() -> int:
         if root >= sys.float_info.min:  # a subnormal root is pinned to the grid, not relatively
             worst = max(worst, float(abs(x - root) / root))
     print(f"returns checked: {len(returned)}, worst relative error {worst:.3g}")
-    return 0
+    return 1 if representable or worst > WORST else 0
 
 
 if __name__ == "__main__":
