@@ -88,7 +88,7 @@ class ExperimentConfig:
 
 @dataclass
 class SweepConfig:
-    """Corruption-scaling grid: k values with horizon T = k^2 per cell."""
+    """Corruption-scaling grid: k values (integers in [1, 2**53)) with horizon T = k^2 per cell."""
 
     ks: tuple[int, ...] = (20, 30, 40, 50, 60, 70)
     algorithms: tuple[str, ...] = ("kt_bettor", "known_g")
@@ -102,6 +102,9 @@ class SweepConfig:
         # checked before any cell runs, so a typo cannot discard finished cells
         for algorithm in self.algorithms:
             _check_algorithm(algorithm, "[sweep] algorithms")
+        for k in self.ks:
+            if not (isinstance(k, int) and 1 <= k < 2**53):
+                raise ValueError(f"[sweep] ks must hold integers in [1, 2**53), got {k!r}")
         for key in ("ks", "algorithms"):
             if not getattr(self, key):
                 raise ValueError(f"[sweep] {key} is empty, so the sweep has no cell")

@@ -1,14 +1,14 @@
 """Experiment execution: single runs, corruption-scaling sweeps, CSV emission.
 
-Every run is deterministic given its config and seed; numbers are written
-with 17 significant digits so traces round-trip through text exactly. The
-trace CSV carries no timing, making repeated runs byte-identical; wall time
-lives in the summary only.
+Every run is deterministic given its config and seed. Traces, summaries and
+sweeps go through one CSV writer, which writes each number by its type: an
+integer as an integer, any other number at 17 significant digits, so values
+round-trip through text exactly. The trace CSV carries no timing, making
+repeated runs byte-identical; wall time lives in the summary only.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -31,23 +31,19 @@ def trace_columns(dim: int) -> list[str]:
     ]
 
 
-_INT_COLUMNS = ("t", "corrupted")
-
-
-def _fmt(x) -> str:
-    if type(x) is float:  # nearly every trace value
-        return format(x, ".17g")
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, columns, rows) -> None:
-    """A header, then the rows: strings as they are, every other value through _fmt."""
+    """A header line, then each row through one % line for its value types: a str
+    as is, any integer %d, anything else %.17g; rebuilt when the types change."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows([v if isinstance(v, str) else _fmt(v) for v in row] for row in rows)
+        fh.write(",".join(columns) + "\r\n")
+        types = None  # the previous row's, whose % line is kept
+        for row in rows:
+            if tuple(map(type, row)) != types:
+                types = tuple(map(type, row))
+                line = ",".join("%s" if t is str else "%d" if issubclass(t, (int, np.integer))
+                                else "%.17g" for t in types) + "\r\n"
+            fh.write(line % tuple(row))
 
 
 @dataclass
@@ -57,20 +53,7 @@ class ExperimentTrace:
     summary: dict
 
     def write(self, trace_path: Path, summary_path: Path) -> None:
-        trace_path.parent.mkdir(parents=True, exist_ok=True)
-        # one % per row where every value has its column's usual type (int
-        # for t and corrupted, float elsewhere), with the bytes _fmt gives
-        # such a value; any other row is formatted value by value with _fmt
-        is_int = [c in _INT_COLUMNS for c in self.columns]
-        usual = tuple(int if i else float for i in is_int)
-        line = ",".join("%d" if i else "%.17g" for i in is_int) + "\r\n"
-        with open(trace_path, "w", newline="") as fh:
-            csv.writer(fh).writerow(self.columns)
-            fh.writelines(
-                line % tuple(row) if tuple(map(type, row)) == usual
-                else ",".join(map(_fmt, row)) + "\r\n"
-                for row in self.rows
-            )
+        _write_csv(trace_path, self.columns, self.rows)
         _write_csv(summary_path, self.summary.keys(), [self.summary.values()])
 
 
@@ -208,7 +191,5 @@ def run_sweep(sweep: SweepConfig, out_path: str | Path | None = None) -> list[di
             "ratio": r_cor / r_clean if r_clean != 0.0 else math.inf,
         })
     if out_path is not None:
-        path = Path(out_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_csv(path, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))
+        _write_csv(Path(out_path), SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))
     return rows

@@ -543,17 +543,24 @@ class TestRunExperiment:
             assert seen["player"].decomposition.comparator is u
 
     def test_trace_bytes_of_each_value_type(self, tmp_path):
+        # one number rule for both files: an int above 2**53 (which "%.17g"
+        # would round), a bool and a float32 read the same in each
+        unusual = {"big": 2**53 + 1, "flag": True, "single": np.float32(0.1)}
         trace = ExperimentTrace(
-            columns=["a", "b", "c", "d", "e", "f"],
-            rows=[[3, np.int64(-7), 0.1, np.float64(-2.5e-300), math.inf, math.nan]],
-            summary={"algorithm": "known_g", "T": 3, "x": 0.1, "y": math.nan},
+            columns=["a", "b", "c", "d", "e", "f", *unusual],
+            rows=[[3, np.int64(-7), 0.1, np.float64(-2.5e-300), math.inf, math.nan,
+                   *unusual.values()]],
+            summary={"algorithm": "known_g", "T": 3, "x": 0.1, "y": math.nan, **unusual},
         )
         trace.write(tmp_path / "trace.csv", tmp_path / "summary.csv")
+        unusual_bytes = b"9007199254740993,1,0.10000000149011612\r\n"
         assert (tmp_path / "trace.csv").read_bytes() == (
-            b"a,b,c,d,e,f\r\n3,-7,0.10000000000000001,-2.5e-300,inf,nan\r\n"
+            b"a,b,c,d,e,f,big,flag,single\r\n3,-7,0.10000000000000001,-2.5e-300,inf,nan,"
+            + unusual_bytes
         )
         assert (tmp_path / "summary.csv").read_bytes() == (
-            b"algorithm,T,x,y\r\nknown_g,3,0.10000000000000001,nan\r\n"
+            b"algorithm,T,x,y,big,flag,single\r\nknown_g,3,0.10000000000000001,nan,"
+            + unusual_bytes
         )
 
     def test_sweep_csv_bytes(self, monkeypatch, tmp_path):
@@ -776,13 +783,18 @@ class TestSweep:
 
     @pytest.mark.parametrize("ks, window_frac, named", [
         ((20, 1), 0.75, "[sweep] ks = 1 with window_frac = 0.75: corruption window"),
-        ((0,), 0.75, "[sweep] ks = 0 with window_frac = 0.75: T must be >= 1"),
+        ((0,), 0.75, "[sweep] ks must hold integers in [1, 2**53), got 0"),
         ((4,), math.nan, "[sweep] ks = 4 with window_frac = nan: cannot convert"),
         ((4,), math.inf, "[sweep] ks = 4 with window_frac = inf: cannot convert"),
         ((4,), 1.0, "[sweep] ks = 4 with window_frac = 1.0: corruption window"),
+        ((20, -1), 0.75, "[sweep] ks must hold integers in [1, 2**53), got -1"),
+        ((2.5,), 0.75, "[sweep] ks must hold integers in [1, 2**53), got 2.5"),
+        ((2**53,), 0.75, "[sweep] ks must hold integers in [1, 2**53), got 9007199254740992"),
     ])
     def test_bad_cell_raises_before_any_cell_runs(self, monkeypatch, ks, window_frac, named):
-        # ks = 20 1 ran every k = 20 cell, then failed naming no key
+        # ks = 20 1 ran every k = 20 cell, then failed naming no key; a ks
+        # entry that is not an integer in [1, 2**53) read the protocol's k or
+        # the stream's T (ks = 0), and is now refused as SweepConfig is built
         ran = []
         monkeypatch.setattr(runner, "run_experiment", lambda config: ran.append(config))
         with pytest.raises(ValueError, match=f"^{re.escape(named)}"):

@@ -324,6 +324,23 @@ class TestLinkInverse:
         resid = abs(link_value(x, V, h, a, reg) - theta)
         assert resid <= abs(link_value(other, V, h, a, reg) - theta)
 
+    @pytest.mark.xfail(strict=True, reason="link_terms takes log1p(x / a) of a subnormal "
+                       "quotient, which holds about 9 significant bits")
+    def test_subnormal_return_within_one_double_of_its_root(self):
+        # the worst of tools/link_sampler.py's subnormal returns: the solve
+        # returns 1.12627e-319, 15 doubles above the 50-digit root
+        # 1.1255118715026011e-319. At that radius x / a is about 2.1e-321,
+        # rounded to the subnormal grid, and the float link reads 5.7e-4
+        # (relative) below the exact one
+        reg = HuberRegularizer(c=3.921766281519324e-09, p=15.528912539763363,
+                               alpha=2.2758144236121477e+193)
+        theta, V, h, a = (4.397663020908031e-152, 2.5215960734826616e+16, 21867960.973380487,
+                          52.83043724638845)
+        x, _ = link_inverse_solve(theta, V, h, a, reg)
+        with mpmath.workdps(50):
+            root = mp_link_root(theta, V, h, a, reg, x)
+            assert abs(x - root) <= mpmath.mpf(math.ulp(0.0))  # within one double
+
     def test_link_steeper_than_the_log_radius_grid_does_not_converge(self, monkeypatch):
         # at p = 1e5 and u = log x near 709, adjacent doubles of u move the
         # link by about 1e-8 of itself, more than the 1e-9 tolerance: no

@@ -17,13 +17,18 @@ raised is checked at 50 digits: a raise where the link reaches theta at a
 representable radius is a failure of the solve. They are counted, and the
 first SHOW = 5 are printed with their inputs and their 50-digit roots. The
 first ORACLE = 2,000 solves that returned a positive radius are checked
-against that root too, and their worst relative error is printed. The
-roots come from ``tests/link_oracle.py``, the oracle the solver's tests
-use. The run takes about a minute on one core (56 s, Python 3.11). It
-imports the package from ``src/`` beside this file and writes nothing.
+against that root too, and their worst relative error is printed. Then
+every positive return below the smallest normal double (a subnormal
+radius, 3,368 of them) is checked against its root: how many lie farther
+than max(WORST * root, one double) from it, by which exit line they left,
+and the worst relative error among those. The roots come from
+``tests/link_oracle.py``, the oracle the solver's tests use. The run takes
+just over a minute on one core (71 s, Python 3.11). It imports the package
+from ``src/`` beside this file and writes nothing.
 
-Exits 1 if any raise has a representable root, or if the checked returns'
-worst relative error exceeds WORST = 1e-10; otherwise 0.
+Exits 1 if any raise has a representable root, or if the first ORACLE
+returns' worst relative error exceeds WORST = 1e-10; otherwise 0. The
+subnormal tally is printed only, not gated.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ def main() -> int:
 
     rng = np.random.default_rng(SEED)
     exits, line_solves = collections.Counter(), collections.Counter()
-    raised, returned = [], []
+    raised, returned, subnormal = [], [], []
     solves = 0
     while solves < SAMPLES:
         drawn = draw(rng)
@@ -100,6 +105,8 @@ def main() -> int:
             exits[f"{ran[-1]}: {text[ran[-1]]}"] += 1
             if x > 0.0 and len(returned) < ORACLE:
                 returned.append((drawn, x))
+            if 0.0 < x < sys.float_info.min:
+                subnormal.append((drawn, x, ran[-1]))
         else:
             words = " ".join(str(error).split(":")[0].split()[:6])
             exits[f"{ran[-1]}: {type(error).__name__}: {words}"] += 1
@@ -135,6 +142,21 @@ def main() -> int:
         if root >= sys.float_info.min:  # a subnormal root is pinned to the grid, not relatively
             worst = max(worst, float(abs(x - root) / root))
     print(f"returns checked: {len(returned)}, worst relative error {worst:.3g}")
+
+    # below one double of the root a relative error says nothing (a root of
+    # 2.5e-324 returns 5e-324), so the worst is taken over the far returns
+    far, worst_far = collections.Counter(), 0.0
+    for (theta, V, h, a, reg), x, exit_line in subnormal:
+        with mpmath.workdps(50):
+            root = mp_link_root(theta, V, h, a, reg, x)
+            if abs(x - root) > max(WORST * root, math.ulp(0.0)):
+                far[exit_line] += 1
+                worst_far = max(worst_far, float(abs(x - root) / root))
+    print(f"subnormal returns checked: {len(subnormal)}, farther than max({WORST:g} * root, "
+          f"one double) from the root: {sum(far.values())}, "
+          f"their worst relative error {worst_far:.3g}")
+    for exit_line, count in sorted(far.items()):
+        print(f"  far from the root, exit {exit_line}: {count}  {text[exit_line]}")
     return 1 if representable or worst > WORST else 0
 
 
