@@ -10,13 +10,12 @@ protocols without building it; each kind's class in STREAMS declares its gradien
 from __future__ import annotations
 
 import math
-import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FLOAT, check_positive
+from .core import FLOAT, check_integer, check_positive
 from .protocol import RoundRecord
 
 Vector = np.ndarray | float  # a dim-vector in the package's form: a float at dim = 1
@@ -30,8 +29,8 @@ class AdversarySpec:
     No run or sweep reads seed: the runner passes its own seed to make_adversary.
 
     Checked when built, then frozen: a known kind; integers T >= 1, k >= 0,
-    window_start and dim >= 1; positive finite G and epsilon; finite D. Per
-    kind: sign_flip_window needs D = 1, dim = 1 and its window inside T;
+    window_start >= 0 and dim >= 1; positive finite G and epsilon; finite D.
+    Per kind: sign_flip_window needs D = 1, dim = 1 and its window inside T;
     lb_theorem2 k < T; lb_origin T <= LBOriginAdversary.MAX_T, k <= T and a
     finite comparator 2*epsilon*e^T; dro_reweight T >= 2k; iid_random k = 0.
     """
@@ -49,15 +48,8 @@ class AdversarySpec:
     def __post_init__(self):
         if self.kind not in STREAMS:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
-        # a size of 2.5, NaN or inf would reach numpy or range() as a TypeError
-        for name in ("T", "k", "window_start", "dim"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
-                object.__setattr__(self, name, int(value))
-        if self.T < 1 or self.k < 0 or self.dim < 1:
-            raise ValueError("T must be >= 1, k nonnegative and dim at least 1")
+        for name, low in (("T", 1), ("k", 0), ("window_start", 0), ("dim", 1)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), low))
         check_positive("G", self.G)
         check_positive("epsilon", self.epsilon)
         if not math.isfinite(self.D):

@@ -19,6 +19,7 @@ loop, the adversaries and the ledgers run one code path on either form.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from collections import namedtuple
@@ -78,6 +79,15 @@ def check_positive(name: str, value: float) -> None:
     """Every positive setting's test: raise ValueError naming it unless 0 < value < inf."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_integer(name: str, value, low: int) -> int:
+    """Every integer setting's test: value as an int if it is an integer-valued real (not a
+    bool) in [low, 2**53), where every integer is a float; else ValueError naming it."""
+    if (isinstance(value, (int, numbers.Real)) and not isinstance(value, bool)  # int skips the ABC
+            and low <= value < 2**53 and value == int(value)):
+        return int(value)
+    raise ValueError(f"{name} must be an integer in [{low}, 2**53), got {value!r}")
 
 
 def ensure_finite(x, context: str) -> None:
@@ -142,7 +152,7 @@ def clip_gradient(g_tilde: np.ndarray, h: float, g_norm: float) -> np.ndarray:
     threshold (subnormal entries step toward zero one unit at a time), so
     clipping is exactly idempotent and the result never exceeds h.
     """
-    if h <= 0:
+    if not h > 0.0:  # NaN fails too
         raise ValueError(f"clipping threshold must be positive, got {h}")
     if g_norm <= h:
         return g_tilde
@@ -186,7 +196,7 @@ def _coerce_float(x, dim: int) -> tuple[float, float]:
 
 
 def _clip_float(g: float, h: float, g_norm: float) -> float:
-    if h <= 0:
+    if not h > 0.0:
         raise ValueError(f"clipping threshold must be positive, got {h}")
     if g_norm <= h:
         return g
@@ -255,8 +265,7 @@ class CorruptionLedger:
     deviation_sum: float = 0.0
 
     def __post_init__(self):
-        if self.lipschitz_G <= 0:
-            raise ValueError("lipschitz_G must be positive")
+        check_positive("lipschitz_G", self.lipschitz_G)
 
     def update(self, g_true: np.ndarray | float, g_tilde: np.ndarray | float) -> bool:
         """Account one round; return True when it was corrupted (g_tilde != g_true).

@@ -48,8 +48,8 @@ def weighted_project(
     error grows with the cubic term 2 gamma^2 s^3, so on well-posed input it
     can stay above the first bound at every representable radius.
     """
-    if h <= 0 or gamma <= 0:
-        raise ValueError("projection weights must be positive")
+    if not (0.0 < h < math.inf and 0.0 < gamma < math.inf):  # NaN fails too
+        raise ValueError(f"projection weights must be positive and finite: h={h}, gamma={gamma}")
     if point.y >= w_norm * w_norm:
         return point
     if w_norm == 0.0:

@@ -8,6 +8,7 @@ after it has started ("run failed: ..."), 2 on usage and config errors
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -18,9 +19,10 @@ from .runner import run_experiment, run_sweep
 
 def _cmd_run(args) -> int:
     config = from_ini(Path(args.config).read_text())
+    if args.seed is not None:  # checked as [experiment] seeds is
+        config = dataclasses.replace(config, seeds=(args.seed,))
     out_dir = args.out if args.out else config.output_path
-    seeds = [args.seed] if args.seed is not None else list(config.seeds)
-    for seed in seeds:
+    for seed in config.seeds:
         trace = run_experiment(config, seed=seed, out_dir=out_dir)
         s = trace.summary
         print(

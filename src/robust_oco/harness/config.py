@@ -14,6 +14,7 @@ import math
 from dataclasses import MISSING, dataclass, fields
 
 from ..adversaries import STREAMS, AdversarySpec
+from ..core import check_integer
 from ..protocol import MODES, ProtocolConfig
 
 ALGORITHMS = ("kt_bettor",) + MODES
@@ -40,7 +41,7 @@ class ExperimentConfig:
 
     comparator is dim finite coordinates, or "adversary" for a stream that constructs one.
     Checked when built: a known algorithm (kt_bettor at dim 1), a protocol that
-    runs protocol_mode(algorithm) at the stream's T and dim, the comparator, a seed.
+    runs protocol_mode(algorithm) at the stream's T and dim, the comparator, seeds >= 0.
     """
 
     algorithm: str
@@ -81,14 +82,14 @@ class ExperimentConfig:
             if len(self.comparator) != self.adversary.dim:
                 raise ValueError(f"[experiment] comparator has {len(self.comparator)} "
                                  f"coordinates, but [adversary] dim = {self.adversary.dim}")
-        self.seeds = tuple(int(s) for s in self.seeds)
+        self.seeds = tuple([check_integer("[experiment] seeds", s, 0) for s in self.seeds])
         if not self.seeds:
             raise ValueError("at least one seed is required")
 
 
 @dataclass
 class SweepConfig:
-    """Corruption-scaling grid: k values (integers in [1, 2**53)) with horizon T = k^2 per cell."""
+    """Corruption-scaling grid: k values (integers >= 1) with horizon T = k^2 per cell."""
 
     ks: tuple[int, ...] = (20, 30, 40, 50, 60, 70)
     algorithms: tuple[str, ...] = ("kt_bettor", "known_g")
@@ -102,9 +103,7 @@ class SweepConfig:
         # checked before any cell runs, so a typo cannot discard finished cells
         for algorithm in self.algorithms:
             _check_algorithm(algorithm, "[sweep] algorithms")
-        for k in self.ks:
-            if not (isinstance(k, int) and 1 <= k < 2**53):
-                raise ValueError(f"[sweep] ks must hold integers in [1, 2**53), got {k!r}")
+        self.ks = tuple([check_integer("[sweep] ks", k, 1) for k in self.ks])
         for key in ("ks", "algorithms"):
             if not getattr(self, key):
                 raise ValueError(f"[sweep] {key} is empty, so the sweep has no cell")

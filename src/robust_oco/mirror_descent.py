@@ -133,8 +133,8 @@ def link_inverse_solve(
     200 iterations, a bracket closed to two neighbouring doubles in x returns
     the one with the smaller |residual|, and any other bracket raises.
     """
-    if theta_norm < 0:
-        raise ValueError("dual norm must be nonnegative")
+    if not theta_norm >= 0.0:  # NaN fails too
+        raise ValueError(f"dual norm must be nonnegative, got {theta_norm}")
     if theta_norm == 0.0:
         return 0.0, 0.0
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NonFiniteError, check_positive, kernels, kernels_of
+from .core import NonFiniteError, check_integer, check_positive, kernels, kernels_of
 from .epigraph import EpigraphLearner
 from .mirror_descent import MirrorDescentLearner
 from .regularizer import HuberRegularizer
@@ -36,8 +36,8 @@ MODES = ("known_g", "unknown_g_case1", "unknown_g_case2")
 class ProtocolConfig:
     """User-facing knobs; RobustProtocol applies its mode's rules and presets.
 
-    Checked when built: positive finite epsilon, tau_G and G (if given), an
-    integer k in [0, 2**53), dim >= 1. The unknown-bound modes refuse a G:
+    Checked when built: positive finite epsilon, tau_G and G (if given);
+    integers k >= 0, dim >= 1 and T >= 1. The unknown-bound modes refuse a G:
     their code paths may never touch the true gradient bound.
     """
 
@@ -51,11 +51,9 @@ class ProtocolConfig:
 
     def __post_init__(self):
         check_positive("epsilon", self.epsilon)
-        # below 2**53 every integer is a float: the presets and weights stay exact and finite
-        if not (0 <= self.k < 2**53 and self.k == int(self.k)):
-            raise ValueError(f"k must be an integer in [0, 2**53), got {self.k!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
+        self.k = check_integer("k", self.k, 0)
+        self.dim = check_integer("dim", self.dim, 1)
+        self.T = check_integer("T", self.T, 1)
         check_positive("tau_G", self.tau_G)
         if self.G is not None:
             check_positive("G", self.G)

@@ -58,6 +58,8 @@ class HuberRegularizer:
         """Penalty value at a point of the given norm, at the current round."""
         if self.t < 1:
             raise ValueError("evaluate requires at least one advance")
+        if not w_norm >= 0.0:  # NaN fails too
+            raise ValueError(f"invalid iterate norm {w_norm}")
         c, p, wt = self.c, self.p, self.last_iterate_norm
         # past a knot at wt = 0 the linear branch's slope is 0^(p-1) = 0
         if c == 0.0 or w_norm == 0.0 or wt == 0.0:
@@ -84,8 +86,8 @@ class HuberRegularizer:
 
     def radial_subgradient_inverse(self, y: float) -> float:
         """Radius whose subgradient norm is y; inf when y is at/above the c*p asymptote."""
-        if y < 0:
-            raise ValueError("subgradient norm must be nonnegative")
+        if not y >= 0.0:  # NaN fails too
+            raise ValueError(f"subgradient norm must be nonnegative, got {y}")
         if y == 0.0:
             return 0.0
         cp = self.c * self.p

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import check_positive
+from .core import check_integer, check_positive
 
 
 @dataclass
@@ -40,9 +40,7 @@ class GradientFilter:
     doublings: int = field(init=False, default=0)
 
     def __post_init__(self):
-        k = self.k
-        if not (0 <= k < 2**53 and k == int(k)):  # below 2**53 every integer is a float
-            raise ValueError(f"corruption budget k must be an integer in [0, 2**53), got {k!r}")
+        self.k = check_integer("corruption budget k", self.k, 0)
         check_positive("initial threshold tau_G", self.tau_G)
         self.h = self.tau_G
 

@@ -125,7 +125,9 @@ def test_spec_rejects_a_size_that_is_not_an_integer(kind, field, value):
     # unchecked, it reaches numpy or range() as a TypeError inside the stream builder
     sizes = {"T": 12, "k": 0 if kind == "iid_random" else 2, "window_start": 5, "dim": 1}
     sizes[field] = value
-    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+    low = {"T": 1, "k": 0, "window_start": 0, "dim": 1}[field]
+    with pytest.raises(ValueError, match=re.escape(
+        f"{field} must be an integer in [{low}, 2**53), got {value!r}") + "$"):
         AdversarySpec(kind=kind, **sizes)
 
 

@@ -74,7 +74,8 @@ class TestClip:
     @pytest.mark.parametrize("g, clip_of", [
         (np.array([1.0]), clip_gradient), (1.0, FLOAT.clip),
     ], ids=["array", "float"])
-    @pytest.mark.parametrize("h", [0.0, -1.0])
+    # a NaN threshold passed every gradient through unclipped (nan and [nan, nan] out)
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
     def test_requires_positive_threshold(self, g, clip_of, h):
         with pytest.raises(ValueError, match=f"^clipping threshold must be positive, got {h}$"):
             clip_of(g, h, 1.0)
@@ -305,9 +306,10 @@ class TestClipInvariant:
 
 
 class TestCorruptionLedger:
-    @pytest.mark.parametrize("G", [0.0, -1.0])
+    # a NaN bound counted no round as big and summed deviations uncapped
+    @pytest.mark.parametrize("G", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_bound_rejected(self, G):
-        with pytest.raises(ValueError, match="^lipschitz_G must be positive$"):
+        with pytest.raises(ValueError, match=f"^lipschitz_G must be positive and finite, got {G}$"):
             CorruptionLedger(lipschitz_G=G)
 
     def test_uncorrupted_round_changes_nothing(self):

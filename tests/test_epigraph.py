@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -17,10 +18,16 @@ from snapshot import state_bits
 
 
 class TestWeightedProject:
-    @pytest.mark.parametrize("h, gamma", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    # a NaN or infinite weight ran 300 bisection steps, then raised SolverError
+    @pytest.mark.parametrize("h, gamma", [
+        (0.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+    ])
     def test_nonpositive_weights_rejected(self, h, gamma):
         pt = EpigraphPoint(np.array([2.0]), 0.0)
-        with pytest.raises(ValueError, match="^projection weights must be positive$"):
+        with pytest.raises(ValueError, match=re.escape(
+            f"projection weights must be positive and finite: h={h}, gamma={gamma}"
+        ) + "$"):
             weighted_project(pt, h, gamma, 2.0)
 
     def test_interior_point_unchanged(self):

@@ -35,6 +35,7 @@ from robust_oco.harness.runner import (
 )
 from robust_oco.mirror_descent import SolverError
 from robust_oco.protocol import MODES, ProtocolConfig, RoundRecord
+from robust_oco.thresholds import GradientFilter
 from snapshot import state_bits
 
 DATA = Path(__file__).parent / "data"
@@ -783,13 +784,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("ks, window_frac, named", [
         ((20, 1), 0.75, "[sweep] ks = 1 with window_frac = 0.75: corruption window"),
-        ((0,), 0.75, "[sweep] ks must hold integers in [1, 2**53), got 0"),
+        ((0,), 0.75, "[sweep] ks must be an integer in [1, 2**53), got 0"),
         ((4,), math.nan, "[sweep] ks = 4 with window_frac = nan: cannot convert"),
         ((4,), math.inf, "[sweep] ks = 4 with window_frac = inf: cannot convert"),
         ((4,), 1.0, "[sweep] ks = 4 with window_frac = 1.0: corruption window"),
-        ((20, -1), 0.75, "[sweep] ks must hold integers in [1, 2**53), got -1"),
-        ((2.5,), 0.75, "[sweep] ks must hold integers in [1, 2**53), got 2.5"),
-        ((2**53,), 0.75, "[sweep] ks must hold integers in [1, 2**53), got 9007199254740992"),
+        ((20, -1), 0.75, "[sweep] ks must be an integer in [1, 2**53), got -1"),
+        ((2.5,), 0.75, "[sweep] ks must be an integer in [1, 2**53), got 2.5"),
+        ((2**53,), 0.75, "[sweep] ks must be an integer in [1, 2**53), got 9007199254740992"),
     ])
     def test_bad_cell_raises_before_any_cell_runs(self, monkeypatch, ks, window_frac, named):
         # ks = 20 1 ran every k = 20 cell, then failed naming no key; a ks
@@ -820,6 +821,104 @@ class TestSweep:
         rows = run_sweep(SweepConfig(ks=(4,), algorithms=("unknown_g_case2",), G=math.nan))
         assert rows == run_sweep(SweepConfig(ks=(4,), algorithms=("unknown_g_case2",)))
         assert [(row["algorithm"], row["k"]) for row in rows] == [("unknown_g_case2", 4)]
+
+
+def _trace_files(config, out):
+    """The trace CSVs, by file name, of config's run at its first seed."""
+    run_experiment(config, out_dir=out)
+    return {path.name: path.read_bytes() for path in out.glob("trace_*.csv")}
+
+
+def _run_adversary(spec, out):
+    protocol = ProtocolConfig(mode="known_g", T=spec.T, k=spec.budget, G=1.0, dim=spec.dim)
+    return _trace_files(ExperimentConfig("known_g", spec, protocol), out)
+
+
+def _run_protocol(protocol, out):
+    spec = AdversarySpec(kind="lb_theorem2", T=protocol.T, k=2, dim=protocol.dim)
+    return _trace_files(ExperimentConfig(protocol.mode, spec, protocol, comparator="adversary"), out)
+
+
+def _run_filter(f, out):
+    steps = []
+    for clipped in [True, False] + [True] * 9:
+        steps.append(f.step(clipped))
+        f.commit(clipped, steps[-1][1])
+    return steps
+
+
+def _run_sweep(sweep, out):
+    run_sweep(sweep, out_path=out / "sweep.csv")
+    return (out / "sweep.csv").read_bytes()
+
+
+def _setting(owner, key, low, make, read, run):
+    return pytest.param(key, low, make, read, run, id=f"{owner}.{key}")
+
+
+# every integer setting: (the key its message names, its lower bound, the
+# owner built with the setting at v, the stored setting, the owner's run)
+INTEGER_SETTINGS = pytest.mark.parametrize("key, low, make, read, run", [
+    _setting("AdversarySpec", "T", 1,
+             lambda v: AdversarySpec(kind="sign_flip_window", T=v, k=1, window_start=2),
+             lambda spec: spec.T, _run_adversary),
+    _setting("AdversarySpec", "k", 0,
+             lambda v: AdversarySpec(kind="sign_flip_window", T=12, k=v, window_start=5),
+             lambda spec: spec.k, _run_adversary),
+    _setting("AdversarySpec", "window_start", 0,
+             lambda v: AdversarySpec(kind="sign_flip_window", T=12, k=2, window_start=v),
+             lambda spec: spec.window_start, _run_adversary),
+    _setting("AdversarySpec", "dim", 1,
+             lambda v: AdversarySpec(kind="lb_theorem2", T=12, k=2, dim=v),
+             lambda spec: spec.dim, _run_adversary),
+    _setting("ProtocolConfig", "k", 0,
+             lambda v: ProtocolConfig(mode="unknown_g_case1", T=12, k=v),
+             lambda protocol: protocol.k, _run_protocol),
+    _setting("ProtocolConfig", "dim", 1,
+             lambda v: ProtocolConfig(mode="unknown_g_case1", T=12, k=2, dim=v),
+             lambda protocol: protocol.dim, _run_protocol),
+    _setting("ProtocolConfig", "T", 1,
+             lambda v: ProtocolConfig(mode="unknown_g_case1", T=v, k=2),
+             lambda protocol: protocol.T, _run_protocol),
+    _setting("GradientFilter", "corruption budget k", 0,
+             lambda v: GradientFilter(k=v, tau_G=1.0), lambda f: f.k, _run_filter),
+    _setting("SweepConfig", "[sweep] ks", 1,
+             lambda v: SweepConfig(ks=(v,)), lambda sweep: sweep.ks[0], _run_sweep),
+    _setting("ExperimentConfig", "[experiment] seeds", 0,
+             lambda v: ExperimentConfig("known_g", AdversarySpec(kind="lb_theorem2", T=12, k=2),
+                                        ProtocolConfig(mode="known_g", T=12, k=2, G=1.0),
+                                        seeds=(v,)),
+             lambda config: config.seeds[0], _trace_files),
+])
+
+
+class TestIntegerSettings:
+    """Every integer setting passes core.check_integer, where its owner declares it."""
+
+    @INTEGER_SETTINGS
+    @pytest.mark.parametrize("value", [
+        2.5, math.nan, math.inf, -math.inf, True, "3", None, "low - 1", 2**53,
+    ])
+    def test_refused_naming_the_key(self, key, low, make, read, run, value):
+        # these used to be kept (AdversarySpec and SweepConfig took True, and
+        # ProtocolConfig dim = 2.5 and T = 100.5), truncated (seeds = 2.7) or
+        # raised a TypeError ("3"), each owner by its own hand-written check
+        value = low - 1 if value == "low - 1" else value
+        with pytest.raises(ValueError, match=re.escape(
+            f"{key} must be an integer in [{low}, 2**53), got {value!r}"
+        ) + "$"):
+            make(value)
+
+    @INTEGER_SETTINGS
+    @pytest.mark.parametrize("value", [3.0, np.int64(3)], ids=["float", "np_int64"])
+    def test_integral_value_stored_as_int_and_runs_alike(
+        self, tmp_path, key, low, make, read, run, value
+    ):
+        owner = make(value)
+        assert type(read(owner)) is int and read(owner) == 3
+        (tmp_path / "int").mkdir()
+        (tmp_path / "value").mkdir()
+        assert run(owner, tmp_path / "value") == run(make(3), tmp_path / "int")
 
 
 class TestChecksRegistry:
@@ -1054,6 +1153,25 @@ class TestCLI:
         assert err.startswith(
             "run failed: run aborted at round 3: non-finite value in decomposition ledger"
         ), err
+
+    @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
+    @pytest.mark.parametrize("seed_from", ["cli", "ini"])
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys, kind, seed_from):
+        # --seed -1 skipped the seeds check: a stream that draws no random
+        # numbers ran and wrote *_seed-1.csv, and a random one exited 2 with
+        # numpy's "expected non-negative integer", which names no key
+        text = to_ini(comparator_config(kind, 1, (0.5,)))
+        argv = ["run", "--config", str(tmp_path / "exp.ini"), "--out", str(tmp_path / "out")]
+        if seed_from == "cli":
+            argv += ["--seed", "-1"]
+        else:
+            text = text.replace("seeds = 0\n", "seeds = -1\n")
+            assert "seeds = -1\n" in text
+        (tmp_path / "exp.ini").write_text(text)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: [experiment] seeds must be an integer in [0, 2**53), got -1\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit, prefix", [
         (lambda text: text.replace("T = 12\n", "T = ten\n"),

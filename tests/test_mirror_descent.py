@@ -408,10 +408,12 @@ class TestLinkInverse:
         reg = HuberRegularizer(c=1.0, p=2.0, alpha=1.0)
         assert link_value(0.0, 4.0, 2.0, 1.0, reg) == 0.0
 
-    def test_negative_dual_norm_rejected(self):
+    # a NaN dual norm raised SolverError, "the iterate has left float range"
+    @pytest.mark.parametrize("theta_norm", [-1.0, math.nan])
+    def test_negative_dual_norm_rejected(self, theta_norm):
         reg = HuberRegularizer(c=1.0, p=2.0, alpha=1.0)
-        with pytest.raises(ValueError, match="^dual norm must be nonnegative$"):
-            link_inverse_solve(-1.0, 1.0, 1.0, 1.0, reg)
+        with pytest.raises(ValueError, match=f"^dual norm must be nonnegative, got {theta_norm}$"):
+            link_inverse_solve(theta_norm, 1.0, 1.0, 1.0, reg)
 
     def test_strictly_increasing_link(self):
         rng = np.random.default_rng(101)

@@ -146,7 +146,8 @@ class TestPresets:
          f"k must be an integer in [0, 2**53), got {2**53}"),
         ({"mode": "unknown_g_case2", "T": 100, "k": 10**400},
          f"k must be an integer in [0, 2**53), got {10**400}"),
-        ({"mode": "known_g", "T": 100, "G": 1.0, "dim": 0}, "dim must be at least 1"),
+        ({"mode": "known_g", "T": 100, "G": 1.0, "dim": 0},
+         "dim must be an integer in [1, 2**53), got 0"),
     ], ids=["k", "k_fraction", "k_nan", "k_inf", "k_bound", "k_past_float_range", "dim"])
     def test_setting_out_of_range_rejected(self, settings, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -103,9 +103,19 @@ class TestEvaluate:
         assert math.isclose(above, at, rel_tol=1e-6)
         assert math.isclose(at, 1.5 * wt**3.0 / S(reg) ** (1 - 1 / 3.0), rel_tol=1e-12)
 
-    def test_negative_subgradient_norm_rejected(self):
-        with pytest.raises(ValueError, match="^subgradient norm must be nonnegative$"):
-            make_state().radial_subgradient_inverse(-1.0)
+    # a NaN subgradient norm returned a NaN radius
+    @pytest.mark.parametrize("y", [-1.0, math.nan])
+    def test_negative_subgradient_norm_rejected(self, y):
+        with pytest.raises(ValueError, match=f"^subgradient norm must be nonnegative, got {y}$"):
+            make_state().radial_subgradient_inverse(y)
+
+    # a NaN norm gave a NaN penalty, and -1.0 "math domain error"
+    @pytest.mark.parametrize("c", [0.0, 1.0], ids=["c0", "c1"])
+    @pytest.mark.parametrize("bad", [math.nan, -1.0], ids=["nan", "neg"])
+    def test_invalid_norm_rejected(self, c, bad):
+        reg = make_state(c=c, norms=[1.0])
+        with pytest.raises(ValueError, match=f"^invalid iterate norm {bad}$"):
+            reg.evaluate(bad)
 
     def test_requires_one_advance(self):
         reg = make_state()
