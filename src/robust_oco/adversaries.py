@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FLOAT, check_integer, check_positive
+from .core import FLOAT, NonFiniteError, check_integer, check_positive
 from .protocol import RoundRecord
 
 Vector = np.ndarray | float  # a dim-vector in the package's form: a float at dim = 1
@@ -272,8 +272,8 @@ class KTBettor:
         """Consume one gradient, admitted as a float unless its norm is given.
 
         A caller that passes g_norm promises a finite float, as for
-        MirrorDescentLearner.update. The round is computed on locals and
-        assigned last, so a raise moves nothing.
+        MirrorDescentLearner.update. The round, its iterate checked finite,
+        is computed on locals and assigned last, so a raise moves nothing.
         """
         if g_norm is None:
             gradient, g_norm = FLOAT.coerce(gradient, 1)
@@ -285,8 +285,10 @@ class KTBettor:
         wealth = self.epsilon + reward
         if wealth <= 0.0:
             raise RuntimeError(f"KT wealth went nonpositive ({wealth}) at t={t}")
-        self.reward, self.sum_neg_grad, self.t = reward, sum_neg_grad, t
-        self.w = sum_neg_grad / (t + 1) * wealth
+        w = sum_neg_grad / (t + 1) * wealth
+        if not -math.inf < w < math.inf:
+            raise NonFiniteError(f"non-finite value in KT iterate at t={t}: {w}")
+        self.reward, self.sum_neg_grad, self.t, self.w = reward, sum_neg_grad, t, w
 
     def round(self, g_tilde, g_true) -> RoundRecord:
         """One round: both gradients are coerced before observe() moves anything."""

@@ -14,7 +14,7 @@ import math
 from dataclasses import MISSING, dataclass, fields
 
 from ..adversaries import STREAMS, AdversarySpec
-from ..core import check_integer
+from ..core import check_integer, check_positive
 from ..protocol import MODES, ProtocolConfig
 
 ALGORITHMS = ("kt_bettor",) + MODES
@@ -89,24 +89,30 @@ class ExperimentConfig:
 
 @dataclass
 class SweepConfig:
-    """Corruption-scaling grid: k values (integers >= 1) with horizon T = k^2 per cell."""
+    """Corruption-scaling grid: per algorithm and k, a corrupted and a clean cell.
+
+    One design: sign_flip_window at T = k^2, its k flips from round int(0.75 * T),
+    epsilon = 1, and G = 1 (the stream's bound) in known_g mode. Checked when built,
+    so every cell builds: known algorithms, integers k >= 2 with k^2 < 2**53 (k = 1
+    gives T = 1; from k = 2 the window fits, as k^2 - k + 1 - 0.75k^2 = (k/2 - 1)^2),
+    and a positive finite tau_G.
+    """
 
     ks: tuple[int, ...] = (20, 30, 40, 50, 60, 70)
     algorithms: tuple[str, ...] = ("kt_bettor", "known_g")
-    epsilon: float = 1.0
-    G: float = 1.0
     tau_G: float = 1.0
-    window_frac: float = 0.75
     output_path: str = "out"
 
     def __post_init__(self):
-        # checked before any cell runs, so a typo cannot discard finished cells
         for algorithm in self.algorithms:
             _check_algorithm(algorithm, "[sweep] algorithms")
-        self.ks = tuple([check_integer("[sweep] ks", k, 1) for k in self.ks])
+        self.ks = tuple([check_integer("[sweep] ks", k, 2) for k in self.ks])
         for key in ("ks", "algorithms"):
             if not getattr(self, key):
                 raise ValueError(f"[sweep] {key} is empty, so the sweep has no cell")
+        if max(self.ks) ** 2 >= 2**53:
+            raise ValueError(f"[sweep] ks = {max(self.ks)} puts T = k**2 past 2**53")
+        check_positive("[sweep] tau_G", self.tau_G)
 
 
 # INI value parsers keyed by field annotation, which fields() reports as source

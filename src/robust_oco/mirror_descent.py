@@ -28,7 +28,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import check_positive, ensure_finite, kernels
+from .core import check_integer, check_positive, ensure_finite, kernels
 from .regularizer import HuberRegularizer
 
 _SOLVE_RTOL = 1e-9
@@ -66,7 +66,10 @@ def link_terms(
     xa = x / (a + x)
     r, dr = reg.radial_subgradient_log(u)
     if h * sf <= sv:
-        return 6.0 * sv * sf, r, (3.0 * sv * xa / sf if sf > 0.0 else 0.0) + dr
+        if F < 2.2250738585072014e-308:  # a subnormal x/a holds few bits: sqrt(F) from logs
+            sf = math.exp(0.5 * (u - math.log(a)))
+            return 6.0 * sv * sf, r, 3.0 * sv * sf + dr
+        return 6.0 * sv * sf, r, 3.0 * sv * xa / sf + dr
     return 3.0 * h * F + 3.0 * V / h, r, 3.0 * h * xa + dr
 
 
@@ -258,7 +261,7 @@ class MirrorDescentLearner:
         self.B = 16.0  # 4 * N at initialization
         self._wealth_scale(self.B)  # rejects a subnormal epsilon here
         self.t = 0
-        self.dim = dim
+        self.dim = dim = check_integer("dim", dim, 1)
         self.kernels = kernels(dim)
         self.reg = HuberRegularizer(c=c, p=p, alpha=alpha)
         self.w = self.kernels.zeros(dim)

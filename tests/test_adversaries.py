@@ -591,3 +591,19 @@ class TestKTBettor:
         with pytest.raises(RuntimeError, match="KT wealth went nonpositive"):
             kt.observe(np.array([1.0]))
         assert state_bits(kt) == before
+
+    def test_iterate_past_float_range_moves_no_state(self):
+        # the 1152nd iterate on this stream is past float range; it used to
+        # be assigned (w = inf), and the run aborted in the regret ledger
+        stream = make_adversary(
+            AdversarySpec(kind="sign_flip_window", T=2050, k=2000, window_start=51), seed=0)
+        kt = KTBettor(1.0)
+        for t in range(1, 1152):
+            g_true, g_tilde = stream.round(t, kt.w)
+            kt.round(g_tilde, g_true)
+        g_true, g_tilde = stream.round(1152, kt.w)
+        before = state_bits(kt)
+        with pytest.raises(NonFiniteError, match=r"^non-finite value in KT iterate at t=1152: inf$"):
+            kt.round(g_tilde, g_true)
+        assert state_bits(kt) == before
+        assert math.isfinite(kt.w) and kt.t == 1151

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from robust_oco import core, epigraph, mirror_descent
-from robust_oco.harness import runner
+from robust_oco.harness import checks, runner
 
 from robust_oco.adversaries import (
     ADVERSARY_KINDS, Adversary, AdversarySpec, KTBettor, SignFlipAdversary, make_adversary,
@@ -28,13 +28,14 @@ from robust_oco.harness.config import (
 from robust_oco.harness.runner import (
     ExperimentTrace,
     SweepConfig,
+    _sweep_cell_configs,
     make_player,
     run_experiment,
     run_sweep,
     trace_columns,
 )
 from robust_oco.mirror_descent import SolverError
-from robust_oco.protocol import MODES, ProtocolConfig, RoundRecord
+from robust_oco.protocol import MODES, DecompositionLedger, ProtocolConfig, RoundRecord
 from robust_oco.thresholds import GradientFilter
 from snapshot import state_bits
 
@@ -237,8 +238,7 @@ class TestConfigRoundTrip:
     def test_sweep_identity_on_full_config(self):
         sweep = SweepConfig(
             ks=(3, 5, 8), algorithms=("known_g", "unknown_g_case2"),
-            epsilon=0.1 + 0.2, G=2.5, tau_G=0.125,
-            window_frac=0.5, output_path="results/sweep",
+            tau_G=0.1 + 0.2, output_path="results/sweep",
         )
         assert sweep_from_ini(sweep_to_ini(sweep)) == sweep
 
@@ -371,6 +371,18 @@ class TestRunExperiment:
         assert type(info.value) is ValueError and info.value.aborted_at_round == 15
         assert isinstance(info.value.__cause__, ValueError)
         assert str(info.value.__cause__).startswith("KT bettor requires")
+
+    def test_kt_iterate_past_float_range_names_the_bettor(self):
+        # the run used to abort one step later, in the regret ledger ("true
+        # inf, observed -inf"), after the bettor had played w = inf
+        cfg = ExperimentConfig(
+            "kt_bettor", AdversarySpec(kind="sign_flip_window", T=2050, k=2000, window_start=51),
+            ProtocolConfig(mode="known_g", T=2050, k=2000), comparator=(1.0,))
+        with pytest.raises(NonFiniteError, match=re.escape(
+            "run aborted at round 1152: non-finite value in KT iterate at t=1152: inf") + "$"
+        ) as info:
+            run_experiment(cfg)
+        assert info.value.aborted_at_round == 1152
 
     def test_kt_rejected_gradient_leaves_the_ledger(self):
         # the player's own regret ledger used to be updated before the
@@ -782,45 +794,39 @@ class TestSweep:
             row["ratio"], row["regret_corrupted"] / row["regret_uncorrupted"]
         )
 
-    @pytest.mark.parametrize("ks, window_frac, named", [
-        ((20, 1), 0.75, "[sweep] ks = 1 with window_frac = 0.75: corruption window"),
-        ((0,), 0.75, "[sweep] ks must be an integer in [1, 2**53), got 0"),
-        ((4,), math.nan, "[sweep] ks = 4 with window_frac = nan: cannot convert"),
-        ((4,), math.inf, "[sweep] ks = 4 with window_frac = inf: cannot convert"),
-        ((4,), 1.0, "[sweep] ks = 4 with window_frac = 1.0: corruption window"),
-        ((20, -1), 0.75, "[sweep] ks must be an integer in [1, 2**53), got -1"),
-        ((2.5,), 0.75, "[sweep] ks must be an integer in [1, 2**53), got 2.5"),
-        ((2**53,), 0.75, "[sweep] ks must be an integer in [1, 2**53), got 9007199254740992"),
-    ])
-    def test_bad_cell_raises_before_any_cell_runs(self, monkeypatch, ks, window_frac, named):
-        # ks = 20 1 ran every k = 20 cell, then failed naming no key; a ks
-        # entry that is not an integer in [1, 2**53) read the protocol's k or
-        # the stream's T (ks = 0), and is now refused as SweepConfig is built
-        ran = []
-        monkeypatch.setattr(runner, "run_experiment", lambda config: ran.append(config))
-        with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
-            run_sweep(SweepConfig(ks=ks, window_frac=window_frac))
-        assert ran == []
-
-    @pytest.mark.parametrize("setting, named", [
-        ({"epsilon": 0.0}, "[sweep] epsilon must be positive and finite, got 0.0"),
-        ({"G": math.nan}, "[sweep] G must be positive and finite, got nan"),
-        ({"tau_G": -1.0}, "[sweep] tau_G must be positive and finite, got -1.0"),
-    ], ids=["epsilon", "G", "tau_G"])
-    def test_protocol_setting_raises_before_any_cell_runs(self, monkeypatch, setting, named):
-        # each cell's ProtocolConfig is the one check of these settings
-        sweep = SweepConfig(ks=(4, 5), **setting)
-        ran = []
-        monkeypatch.setattr(runner, "run_experiment", lambda config: ran.append(config))
+    @pytest.mark.parametrize("ks, named", [
+        ((20, 1), "[sweep] ks must be an integer in [2, 2**53), got 1"),
+        ((0,), "[sweep] ks must be an integer in [2, 2**53), got 0"),
+        ((20, -1), "[sweep] ks must be an integer in [2, 2**53), got -1"),
+        ((4, 94906266), "[sweep] ks = 94906266 puts T = k**2 past 2**53"),
+    ], ids=["one", "zero", "negative", "square_past_two_to_53"])
+    def test_bad_ks_refused_as_built(self, ks, named):
+        # k = 1 (T = 1) fits no window, and a k**2 past 2**53 is no integer
+        # setting T; TestIntegerSettings has the values check_integer refuses
         with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
-            run_sweep(sweep)
-        assert ran == []
+            SweepConfig(ks=ks)
 
-    def test_G_is_checked_only_where_a_cell_reads_it(self):
-        # SweepConfig used to refuse a NaN G for a sweep that never reads it
-        rows = run_sweep(SweepConfig(ks=(4,), algorithms=("unknown_g_case2",), G=math.nan))
-        assert rows == run_sweep(SweepConfig(ks=(4,), algorithms=("unknown_g_case2",)))
-        assert [(row["algorithm"], row["k"]) for row in rows] == [("unknown_g_case2", 4)]
+    @pytest.mark.parametrize("tau_G", [0.0, -1.0, math.nan, math.inf])
+    def test_tau_G_refused_as_built(self, tau_G):
+        with pytest.raises(ValueError, match=re.escape(
+            f"[sweep] tau_G must be positive and finite, got {tau_G}") + "$"):
+            SweepConfig(tau_G=tau_G)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("k", [2, 3, 4, 70, 94906265])
+    def test_every_cell_builds_in_the_one_design(self, algorithm, k):
+        # T = k**2 with the flips from int(0.75 * T); epsilon = 1, and G = 1
+        # in known_g mode alone; the clean cell has no flips. 94906265 is the
+        # largest k with k**2 < 2**53
+        T = k * k
+        corrupted, clean = _sweep_cell_configs(SweepConfig(ks=(k,), tau_G=0.5), algorithm, k)
+        for config, budget in ((corrupted, k), (clean, 0)):
+            assert config.adversary == AdversarySpec(
+                kind="sign_flip_window", T=T, k=budget, window_start=int(0.75 * T))
+            assert config.protocol == ProtocolConfig(
+                mode=protocol_mode(algorithm), T=T, k=k, tau_G=0.5,
+                G=1.0 if protocol_mode(algorithm) == "known_g" else None)
+        make_player(corrupted, corrupted.comparator)  # RobustProtocol refuses T < 3
 
 
 def _trace_files(config, out):
@@ -882,7 +888,7 @@ INTEGER_SETTINGS = pytest.mark.parametrize("key, low, make, read, run", [
              lambda protocol: protocol.T, _run_protocol),
     _setting("GradientFilter", "corruption budget k", 0,
              lambda v: GradientFilter(k=v, tau_G=1.0), lambda f: f.k, _run_filter),
-    _setting("SweepConfig", "[sweep] ks", 1,
+    _setting("SweepConfig", "[sweep] ks", 2,
              lambda v: SweepConfig(ks=(v,)), lambda sweep: sweep.ks[0], _run_sweep),
     _setting("ExperimentConfig", "[experiment] seeds", 0,
              lambda v: ExperimentConfig("known_g", AdversarySpec(kind="lb_theorem2", T=12, k=2),
@@ -938,6 +944,64 @@ class TestChecksRegistry:
         report = run_check("random_seq")
         assert report.passed
         assert len(report.lines) == 21
+
+
+def _unclipped(monkeypatch):
+    monkeypatch.setattr(checks, "clip_gradient", lambda g, h, g_norm: g)
+
+
+def _tracker_never_doubles(monkeypatch):
+    monkeypatch.setattr(checks.MagnitudeTracker, "step", lambda self, w_norm: (self.z, False))
+
+
+def _penalty_reads_zero(monkeypatch):
+    monkeypatch.setattr(checks.HuberRegularizer, "evaluate", lambda self, w_norm: 0.0)
+
+
+def _inverse_doubled(monkeypatch):
+    solve = checks.link_inverse_solve
+    monkeypatch.setattr(checks, "link_inverse_solve", lambda y, *args: (2.0 * solve(y, *args)[0], 0.0))
+
+
+def _projection_skipped(monkeypatch):
+    monkeypatch.setattr(checks, "weighted_project", lambda point, h, gamma, w_norm: point)
+
+
+def _projection_to_the_axis(monkeypatch):
+    # feasible, but it moves an interior point and is no stationary point
+    monkeypatch.setattr(checks, "weighted_project", lambda point, h, gamma, w_norm: (
+        epigraph.EpigraphPoint(0.0 * point.w, abs(point.y))))
+
+
+def _bias_term_dropped(monkeypatch):
+    monkeypatch.setattr(DecompositionLedger, "bias_term", property(lambda self: 0.0))
+
+
+class TestSuitesFail:
+    """Each suite, its dependency broken, logs a FAIL line and fails."""
+
+    @pytest.mark.parametrize("name, broken, fails", [
+        ("filter_lemma", _unclipped, ["stream violated output_within_threshold"]),
+        ("tracker_lemma", _tracker_never_doubles, ["trace violated epoch0_norm_bound"]),
+        ("regularizer_sums", _penalty_reads_zero, ["envelope failed (lower=False, upper=True)"]),
+        ("md_inversion", _inverse_doubled, ["round-trip error 1.00e+00"]),
+        ("epigraph_feasibility", _projection_skipped, ["infeasible projection"]),
+        ("epigraph_feasibility", _projection_to_the_axis,
+         ["interior point was moved by projection", "stationarity residual"]),
+        ("decomposition_identity", _bias_term_dropped, ["config 0 (known_g, "]),
+    ], ids=["filter_lemma", "tracker_lemma", "regularizer_sums", "md_inversion",
+            "epigraph_infeasible", "epigraph_not_stationary", "decomposition_identity"])
+    def test_broken_dependency_fails_the_suite(self, monkeypatch, name, broken, fails):
+        broken(monkeypatch)
+        report = run_check(name)
+        assert report.passed is False
+        for text in fails:
+            assert any(line.startswith(f"[FAIL] {text}") for line in report.lines), text
+
+    def test_failing_suite_exits_1(self, monkeypatch, capsys):
+        _inverse_doubled(monkeypatch)
+        assert main(["verify", "--check", "md_inversion"]) == 1
+        assert capsys.readouterr().out.endswith("=> FAIL\n")
 
 
 class TestCLI:
@@ -1105,15 +1169,19 @@ class TestCLI:
             ("run", lambda text: text.replace("sign_flip_window", "iid_random"),
              ("iid_random is uncorrupted: k must be 0, got 3",)),
             ("sweep", lambda text: text.replace("ks = 4", "ks = 4 1"),
-             ("[sweep] ks = 1", "window_frac = 0.75")),
-            ("sweep", lambda text: text + "window_frac = nan\n",
-             ("[sweep] ks = 4", "window_frac = nan")),
+             ("[sweep] ks must be an integer in [2, 2**53), got 1\n",)),
+            ("sweep", lambda text: text.replace("ks = 4", "ks = 4 94906266"),
+             ("[sweep] ks = 94906266 puts T = k**2 past 2**53\n",)),
+            # the sweep's design is fixed: epsilon = 1, G = 1 and the flips
+            # from 0.75 T are no keys
+            ("sweep", lambda text: text + "window_frac = 0.5\n",
+             ("[sweep] has unknown key 'window_frac'; expected: ks, algorithms, tau_G, "
+              "output_path\n",)),
             ("sweep", lambda text: text.replace("ks = 4", "ks ="), ("[sweep] ks is empty",)),
             ("sweep", lambda text: text + "algorithms =\n", ("[sweep] algorithms is empty",)),
-            ("sweep", lambda text: text + "epsilon = 0\n",
-             ("[sweep] epsilon must be positive and finite, got 0.0",)),
-            ("sweep", lambda text: text + "G = nan\n",
-             ("[sweep] G must be positive and finite, got nan",)),
+            ("sweep", lambda text: text + "epsilon = 1.0\n",
+             ("[sweep] has unknown key 'epsilon'",)),
+            ("sweep", lambda text: text + "G = 1.0\n", ("[sweep] has unknown key 'G'",)),
             ("sweep", lambda text: text + "tau_G = -1\n",
              ("[sweep] tau_G must be positive and finite, got -1.0",)),
         ],
@@ -1122,8 +1190,8 @@ class TestCLI:
              "misspelled_experiment_algorithm", "protocol_T_restated",
              "protocol_mode_restated", "protocol_dim_restated", "protocol_p",
              "iid_random_budget",
-             "sweep_k_too_small", "sweep_window_frac_nan", "sweep_ks_empty",
-             "sweep_algorithms_empty", "sweep_epsilon_zero", "sweep_G_nan",
+             "sweep_k_too_small", "sweep_k_squared_too_large", "sweep_window_frac_key",
+             "sweep_ks_empty", "sweep_algorithms_empty", "sweep_epsilon_key", "sweep_G_key",
              "sweep_tau_G_negative"],
     )
     def test_bad_key_is_usage_error_naming_it(self, tmp_path, capsys, command,

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,7 @@ import pytest
 import robust_oco
 from robust_oco import mirror_descent
 from robust_oco.core import ARRAY, NonFiniteError, norm
+from robust_oco.epigraph import EpigraphLearner
 from robust_oco.mirror_descent import (
     MirrorDescentLearner,
     SolverError,
@@ -324,14 +326,13 @@ class TestLinkInverse:
         resid = abs(link_value(x, V, h, a, reg) - theta)
         assert resid <= abs(link_value(other, V, h, a, reg) - theta)
 
-    @pytest.mark.xfail(strict=True, reason="link_terms takes log1p(x / a) of a subnormal "
-                       "quotient, which holds about 9 significant bits")
     def test_subnormal_return_within_one_double_of_its_root(self):
         # the worst of tools/link_sampler.py's subnormal returns: the solve
-        # returns 1.12627e-319, 15 doubles above the 50-digit root
+        # returned 1.12627e-319, 15 doubles above the 50-digit root
         # 1.1255118715026011e-319. At that radius x / a is about 2.1e-321,
-        # rounded to the subnormal grid, and the float link reads 5.7e-4
-        # (relative) below the exact one
+        # rounded to the subnormal grid, and log1p(x / a) read the link
+        # 5.7e-4 (relative) below the exact one; link_terms now takes
+        # sqrt(x / a) from logs there
         reg = HuberRegularizer(c=3.921766281519324e-09, p=15.528912539763363,
                                alpha=2.2758144236121477e+193)
         theta, V, h, a = (4.397663020908031e-152, 2.5215960734826616e+16, 21867960.973380487,
@@ -425,6 +426,18 @@ class TestLinkInverse:
 
 
 class TestMirrorDescentLearner:
+    @pytest.mark.parametrize("dim", [2.5, 0, True, "3", None, -1, math.nan, 2**53])
+    @pytest.mark.parametrize("build", [
+        lambda dim: MirrorDescentLearner(dim, 1.0, 1.0, p=2.0),
+        lambda dim: EpigraphLearner(dim, 1.0, 2.0, 0.5, c=1.0, p=2.0),
+    ], ids=["mirror_descent", "epigraph"])
+    def test_dim_refused_naming_it(self, build, dim):
+        # dim was taken unchecked: 2.5, "3" and None raised numpy's errors,
+        # 0 built a learner whose every observe failed, True a d = 1 learner
+        with pytest.raises(ValueError, match=re.escape(
+            f"dim must be an integer in [1, 2**53), got {dim!r}") + "$"):
+            build(dim)
+
     def test_first_prediction_is_origin(self):
         md = MirrorDescentLearner(3, epsilon=1.0, initial_hint=1.0, p=2.0)
         assert np.array_equal(np.atleast_1d(md.w), np.zeros(3))

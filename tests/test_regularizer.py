@@ -327,6 +327,10 @@ class TestLogAddExp:
 
 
 class TestSumBounds:
+    def test_horizon_below_3_refused(self):
+        with pytest.raises(ValueError, match="^the envelope is stated for horizons T >= 3$"):
+            check_sum_bounds([1.0, 2.0], 1.0, c=1.0, alpha=0.1, T=2)
+
     def test_all_zero_iterates(self):
         ok_lower, ok_upper = check_sum_bounds([0.0] * 10, 1.0, c=1.0, alpha=0.1, T=10)
         assert ok_lower and ok_upper

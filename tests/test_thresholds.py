@@ -98,6 +98,9 @@ class TestGradientFilter:
 
 
 class TestFilterPropertyChecker:
+    def test_empty_trace_violates_nothing(self):
+        assert check_filter_properties([], tau_G=1.0, k=2, G=1.0) == (True, None)
+
     def test_clean_stream_all_properties(self):
         f = GradientFilter(k=2, tau_G=1.0)
         _, _, trace = feed_norms(f, [0.5] * 50)
@@ -226,6 +229,9 @@ class TestTrackerPropertyChecker:
             z_next, doubled = track(tr, float(n))
             trace.append((float(n), z_t, z_next, doubled))
         return trace, tr
+
+    def test_empty_trace_violates_nothing(self):
+        assert check_tracker_properties([], tau_D=1.0) == (True, None)
 
     def test_four_step_trace(self):
         trace, tr = self.run_trace([0.5, 1.5, 2.0, 5.0], 1.0)

@@ -26,9 +26,10 @@ and the worst relative error among those. The roots come from
 just over a minute on one core (71 s, Python 3.11). It imports the package
 from ``src/`` beside this file and writes nothing.
 
-Exits 1 if any raise has a representable root, or if the first ORACLE
-returns' worst relative error exceeds WORST = 1e-10; otherwise 0. The
-subnormal tally is printed only, not gated.
+Exits 1 if any raise has a representable root, if the first ORACLE
+returns' worst relative error exceeds WORST = 1e-10, or if any subnormal
+return lies farther than max(WORST * root, one double) from its root;
+otherwise 0.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def main() -> int:
           f"their worst relative error {worst_far:.3g}")
     for exit_line, count in sorted(far.items()):
         print(f"  far from the root, exit {exit_line}: {count}  {text[exit_line]}")
-    return 1 if representable or worst > WORST else 0
+    return 1 if representable or worst > WORST or far else 0
 
 
 if __name__ == "__main__":
