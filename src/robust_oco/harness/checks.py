@@ -484,11 +484,3 @@ CHECKS = {
     "origin_safety": check_origin_safety,
     "decomposition_identity": check_decomposition_identity,
 }
-
-
-def run_check(name: str) -> CheckReport:
-    if name not in CHECKS:
-        raise KeyError(
-            f"unknown check {name!r}; valid names: {', '.join(sorted(CHECKS))}"
-        )
-    return CHECKS[name]()

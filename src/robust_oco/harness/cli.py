@@ -12,7 +12,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .checks import CHECKS, run_check
+from .checks import CHECKS
 from .config import from_ini, sweep_from_ini
 from .runner import run_experiment, run_sweep
 
@@ -49,22 +49,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        report = run_check(args.check)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    print(f"check {report.name}:")
-    for line in report.lines:
-        print(f"  {line}")
-    print(f"=> {'PASS' if report.passed else 'FAIL'}")
-    return 0 if report.passed else 1
-
-
-def _cmd_list_checks(_args) -> int:
-    for name in sorted(CHECKS):
-        print(name)
-    return 0
+    passed = True
+    for name in [args.check] if args.check else CHECKS:
+        report = CHECKS[name]()
+        print(f"check {report.name}:")
+        for line in report.lines:
+            print(f"  {line}")
+        print(f"=> {'PASS' if report.passed else 'FAIL'}")
+        passed = passed and report.passed
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,12 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None, help="override the sweep CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("--check", required=True, help="check name (see list-checks)")
+    p_verify = sub.add_parser("verify", help="run every verification suite, or one")
+    p_verify.add_argument("--check", choices=sorted(CHECKS), help="run only this suite")
     p_verify.set_defaults(func=_cmd_verify)
-
-    p_list = sub.add_parser("list-checks", help="list verification suite names")
-    p_list.set_defaults(func=_cmd_list_checks)
     return parser
 
 

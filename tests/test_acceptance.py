@@ -236,23 +236,32 @@ class _PoisonedBound:
     __lt__ = __le__ = __gt__ = __ge__ = _refuse
 
 
+def _poisoned_run(config: ProtocolConfig) -> RobustProtocol:
+    """300 sign-flip rounds with a poisoned bound wherever a round could read it."""
+    protocol = RobustProtocol(config, comparator=[1.0])
+    protocol.config.G = _PoisonedBound()
+    protocol.G = _PoisonedBound()
+    for t in range(1, 301):
+        w = np.atleast_1d(protocol.w)
+        g = np.array([1.0 if w[0] > 1 else -1.0])
+        protocol.round(g * (25.0 if t % 71 == 0 else 1.0), g_true=g)
+    return protocol
+
+
 class TestCriterion10UnknownBoundBlindness:
     def test_config_rejects_bound_and_run_never_reads_it(self):
         for mode in ("unknown_g_case1", "unknown_g_case2"):
             with pytest.raises(ValueError):
                 RobustProtocol(ProtocolConfig(mode=mode, T=100, k=5, G=1.0))
-        protocol = RobustProtocol(
-            ProtocolConfig(mode="unknown_g_case1", T=300, k=4, tau_G=0.5),
-            comparator=[1.0],
-        )
-        protocol.config.G = _PoisonedBound()
-        for t in range(1, 301):
-            w = np.atleast_1d(protocol.w)
-            g = np.array([1.0 if w[0] > 1 else -1.0])
-            protocol.round(g * (25.0 if t % 71 == 0 else 1.0), g_true=g)
+        protocol = _poisoned_run(ProtocolConfig(mode="unknown_g_case1", T=300, k=4, tau_G=0.5))
         ok = protocol.t == 300
         _verdict("10a", "unknown-bound blindness", ok, "instrumented run clean")
         assert ok
+
+    def test_poison_trips_a_reader_of_the_bound(self):
+        # the control: known_g reads G every round, so the same run must trip
+        with pytest.raises(AssertionError, match="read the adversary's bound"):
+            _poisoned_run(ProtocolConfig(mode="known_g", T=300, k=4, G=1.0))
 
     def test_unknown_bound_sweep_normalized(self):
         started = time.perf_counter()

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from robust_oco import core, epigraph, mirror_descent
-from robust_oco.harness import checks, runner
+from robust_oco.harness import checks, cli, runner
 
 from robust_oco.adversaries import (
     ADVERSARY_KINDS, Adversary, AdversarySpec, KTBettor, SignFlipAdversary, make_adversary,
 )
 from robust_oco.core import CorruptionLedger, NonFiniteError, RegretLedger, kernels
-from robust_oco.harness.checks import CHECKS, run_check
+from robust_oco.harness.checks import CHECKS, CheckReport
 from robust_oco.harness.cli import main
 from robust_oco.harness.config import (
     ALGORITHMS,
@@ -935,13 +935,8 @@ class TestChecksRegistry:
             "origin_safety", "decomposition_identity",
         }
 
-    def test_unknown_name_lists_valid_ones(self):
-        with pytest.raises(KeyError) as err:
-            run_check("nonexistent")
-        assert "random_seq" in str(err.value)
-
     def test_random_seq_check_passes(self):
-        report = run_check("random_seq")
+        report = CHECKS["random_seq"]()
         assert report.passed
         assert len(report.lines) == 21
 
@@ -993,7 +988,7 @@ class TestSuitesFail:
             "epigraph_infeasible", "epigraph_not_stationary", "decomposition_identity"])
     def test_broken_dependency_fails_the_suite(self, monkeypatch, name, broken, fails):
         broken(monkeypatch)
-        report = run_check(name)
+        report = CHECKS[name]()
         assert report.passed is False
         for text in fails:
             assert any(line.startswith(f"[FAIL] {text}") for line in report.lines), text
@@ -1130,14 +1125,36 @@ class TestCLI:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 2
 
-    def test_verify_pass_and_fail_codes(self):
+    def test_verify_pass_and_fail_codes(self, capsys):
         assert main(["verify", "--check", "random_seq"]) == 0
-        assert main(["verify", "--check", "not_a_check"]) == 2
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--check", "not_a_check"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'not_a_check'" in capsys.readouterr().err
 
-    def test_list_checks(self, capsys):
-        assert main(["list-checks"]) == 0
+    def test_verify_runs_every_suite_in_order(self, monkeypatch, capsys):
+        def suite(name, passed):
+            report = CheckReport(name)
+            report.line(passed, f"{name} ran")
+            return lambda: report
+
+        monkeypatch.setattr(cli, "CHECKS", {
+            "first": suite("first", True), "second": suite("second", False),
+            "third": suite("third", True),
+        })
+        assert main(["verify"]) == 1
+        assert capsys.readouterr().out == (
+            "check first:\n  [ok] first ran\n=> PASS\n"
+            "check second:\n  [FAIL] second ran\n=> FAIL\n"
+            "check third:\n  [ok] third ran\n=> PASS\n"
+        )
+
+    def test_verify_help_lists_every_suite(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--help"])
+        assert exit_.value.code == 0
         out = capsys.readouterr().out
-        assert "md_inversion" in out and "origin_safety" in out
+        assert all(name in out for name in CHECKS)
 
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.ini")]) == 2

@@ -8,10 +8,10 @@ pytest's cache plugin off) in this process under ``sys.settrace`` and
 the lines inside its functions that no test executed, then the total.
 Lines that run when a module is imported (module and class bodies) are left
 out: every import runs them. Tracing makes the suite two to three times
-slower, so a timing gate may fail under it; the listing is the output, and
-the exit code is 0 whatever pytest reports. It imports the package from
-``src/`` beside this file and needs only the standard library and the test
-dependencies.
+slower, so a timing gate may fail under it: pytest's result is ignored, and
+the exit code is 1 if any line is listed, 0 otherwise. It imports the
+package from ``src/`` beside this file and needs only the standard library
+and the test dependencies.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def main() -> int:
         total += len(missed)
         print(f"{path.relative_to(PACKAGE)}: {ranges(missed) if missed else 'none'}")
     print(f"total: {total} lines")
-    return 0
+    return 1 if total else 0
 
 
 if __name__ == "__main__":
