@@ -297,7 +297,7 @@ def check_md_inversion() -> CheckReport:
             reg.advance(float(w))
         x0 = float(np.exp(rng.uniform(math.log(1e-6), math.log(1e3))))
         y = link_value(x0, V, h, a, reg)
-        x_back, _ = link_inverse_solve(y, V, h, a, reg)
+        x_back = link_inverse_solve(y, V, h, a, reg)[0]
         rel = abs(x_back - x0) / max(x0, 1e-300)
         worst = max(worst, rel)
         if rel > 1e-8:

@@ -9,7 +9,9 @@ that leaves the current bracket falls back to the bracket midpoint, which
 keeps the iteration count bounded even when the bracket spans hundreds of
 orders of magnitude (parameter-free iterates are exponential in the dual
 norm). The solve also returns the mirror part of the link at its root, which
-the dual update reuses as the next round's mirror-map gradient.
+the dual update reuses as the next round's mirror-map gradient, and its
+root's offset from the bracket's upper end in log radius, where the learner
+starts its next solve: on a long horizon it barely moves from round to round.
 
 One update serves every dimension: at d = 1 the iterate, the dual
 accumulator and the mirror-map gradient are Python floats, above that
@@ -33,6 +35,8 @@ from .regularizer import HuberRegularizer
 
 _SOLVE_RTOL = 1e-9
 _SOLVE_UTOL = 1e-10  # bound on the estimated error in log radius
+# one Newton step from the upper end reaches a root closer than this: no warm start
+_WARM_OFFSET = -math.sqrt(_SOLVE_UTOL)
 _SOLVE_MAX_ITER = 200
 _LOG_TINY = math.log(5e-324)
 _LOG_MAX = math.log(sys.float_info.max)
@@ -113,46 +117,52 @@ def _out_of_range(theta_norm: float, V: float, h: float, a: float) -> SolverErro
 
 
 def link_inverse_solve(
-    theta_norm: float, V: float, h: float, a: float, reg: HuberRegularizer
-) -> tuple[float, float]:
+    theta_norm: float, V: float, h: float, a: float, reg: HuberRegularizer,
+    offset: float = 0.0,
+) -> tuple[float, float, float]:
     """Solve L(x) = theta_norm for the unique nonnegative radius x.
 
-    Returns x and the link's mirror part at x, which the learner reuses. At
-    p > 1 the link tends to 0 at the origin: no positive theta_norm is
-    absorbed there. With the penalty disabled the link is the mirror part
-    alone and inverts in closed form; otherwise the bracket comes from
-    inverting each summand separately (_bracket_end): either summand at the
-    full target bounds the root from above, and the smaller summand inverse
-    at half the target bounds it from below. Newton steps on
-    log L(u) - log theta in u = log x start from the upper end; a step that
-    leaves the bracket is replaced by the bracket midpoint, and an upper end
-    that rounding left short of the root moves up. The lower end is computed
-    only when the first evaluation, at the upper end, fails the slope test:
-    most solves converge there and never read it. An iterate returns when its
-    residual is within 1e-9 * max(1, theta_norm) and the root is pinned: in
-    u, by the Newton error estimate or a bracket collapsed below 1e-10 (the
-    closed-form lower end is exact only in reals), or in x, by repeating the
-    last iterate's radius (a subnormal root). Once no step moves u, or after
-    200 iterations, a bracket closed to two neighbouring doubles in x returns
-    the one with the smaller |residual|, and any other bracket raises.
+    Returns x, the link's mirror part at x, which the learner reuses, and
+    the offset log x - log(upper end), 0.0 if no Newton step ran, which it
+    passes to its next solve. At p > 1 the link tends to 0 at the origin: no
+    positive theta_norm is absorbed there. With the penalty disabled the
+    link is the mirror part alone and inverts in closed form; otherwise the
+    bracket comes from inverting each summand separately (_bracket_end):
+    either summand at the full target bounds the root from above, and the
+    smaller summand inverse at half the target bounds it from below. Newton
+    steps on log L(u) - log theta in u = log x start from the upper end or,
+    when the bracket is finite and offset is below -sqrt(1e-10), from the
+    upper end plus offset (at least the smallest positive double). A step
+    that leaves the bracket is replaced by the bracket midpoint, except that
+    a warm start's first step past the unread upper end goes to it; an upper
+    end that rounding left short of the root moves up. The lower end is
+    computed only when the first evaluation fails the slope test: most cold
+    solves converge at the upper end and never read it. An iterate returns
+    when its residual is within 1e-9 * max(1, theta_norm) and the root is
+    pinned: in u, by the Newton error estimate or a bracket collapsed below
+    1e-10 (the closed-form lower end is exact only in reals), or in x, by
+    repeating the last iterate's radius (a subnormal root). Once no step
+    moves u, or after 200 iterations, a bracket closed to two neighbouring
+    doubles in x returns the one with the smaller |residual|, and any other
+    bracket raises.
     """
     if not theta_norm >= 0.0:  # NaN fails too
         raise ValueError(f"dual norm must be nonnegative, got {theta_norm}")
     if theta_norm == 0.0:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
 
     if reg.c == 0.0:
         x = _mirror_part_inverse(theta_norm, V, h, a)
         if not math.isfinite(x):
             raise _out_of_range(theta_norm, V, h, a)
-        return x, theta_norm
+        return x, theta_norm, 0.0
 
     hi = _bracket_end(theta_norm, V, h, a, reg)
     floor = 0.0  # a known lower bound on the root
     if hi == 0.0:
         # the upper bound underflowed: the root lies below the smallest
         # positive double and rounds to zero
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
 
     if not math.isfinite(hi):
         # neither summand alone reaches theta at a representable radius; the
@@ -165,6 +175,7 @@ def link_inverse_solve(
             hi *= 2.0
         if not math.isfinite(hi):
             raise _out_of_range(theta_norm, V, h, a)
+        offset = 0.0  # the doubling search is not the bracket the offset was taken in
 
     def link_at(u: float, x: float) -> tuple[float, float, float]:
         # kept nested: the per-layer count pass (perfbench/layers.py) counts
@@ -173,7 +184,10 @@ def link_inverse_solve(
 
     tol = _SOLVE_RTOL * max(1.0, theta_norm)
     log_theta = math.log(theta_norm)
-    u = u_hi = math.log(hi)
+    u = u_top = u_hi = math.log(hi)
+    warm = offset < _WARM_OFFSET
+    if warm:
+        u = max(u + offset, _LOG_TINY)
     u_lo = None  # set after the first evaluation, unless that one converges
     x_prev = None
     for _ in range(_SOLVE_MAX_ITER):
@@ -183,13 +197,13 @@ def link_inverse_solve(
         resid = value - theta_norm
         small = abs(resid) <= tol
         if small and (abs(resid) <= _SOLVE_UTOL * slope or x == x_prev):
-            return x, mirror
+            return x, mirror, u - u_top
         x_prev = x
         if u_lo is None:
             lo = max(_bracket_end(0.5 * theta_norm, V, h, a, reg), floor)
             u_lo = math.log(lo) if lo > 0.0 else _LOG_TINY
         if small and u_hi - u_lo <= _SOLVE_UTOL:
-            return x, mirror
+            return x, mirror, u - u_top
         if resid < 0:
             u_lo = u
             if u >= u_hi:
@@ -203,7 +217,11 @@ def link_inverse_solve(
             u_hi = u
         # a flat link (slope 0) sends u_next to u_hi, forcing the midpoint
         u_next = u - (math.log(value) - log_theta) * value / slope if slope > 0.0 else u_hi
-        if not u_lo < u_next < u_hi:
+        if warm and u_next >= u_hi == u_top:
+            # a warm start below the root steps past the upper end, which no
+            # evaluation has read: go there once, as a cold solve starts
+            u_next, warm = u_hi, False
+        elif not u_lo < u_next < u_hi:
             u_next = 0.5 * (u_lo + u_hi)
             if u_next == u and not small:  # the bracket has collapsed: no step moves u
                 break
@@ -211,7 +229,8 @@ def link_inverse_solve(
     ends = (math.exp(u_lo), math.exp(u_hi))
     if ends[1] <= math.nextafter(ends[0], math.inf):
         x = min(ends, key=lambda y: abs(link_value(y, V, h, a, reg) - theta_norm))
-        return x, link_terms(math.log(x), x, V, h, a, reg)[0]
+        u = math.log(x)
+        return x, link_terms(u, x, V, h, a, reg)[0], u - u_top
     raise SolverError(
         f"link inversion did not converge: theta={theta_norm}, V={V}, h={h}, a={a}"
     )
@@ -220,7 +239,7 @@ def link_inverse_solve(
 # one round's new learner state, computed before any of it is assigned; w
 # and mirror_grad are in the learner's form, radius is the solved iterate norm.
 # It, RoundRecord and EpigraphPoint are built by tuple.__new__, a C call, in field order
-Update = namedtuple("Update", "w w_norm mirror_grad radius h C N B")
+Update = namedtuple("Update", "w w_norm mirror_grad radius h C N B root_offset")
 
 
 class MirrorDescentLearner:
@@ -234,8 +253,9 @@ class MirrorDescentLearner:
     The hint h bounds the next gradient's norm; C sums the squared gradient
     norms, N the same squares over the hint in force, and B adds 4N each
     round; update() derives the link's V = hint^2 + C and wealth scale a
-    (from B). A round is update(), which runs every check and the solve on
-    locals, then commit(), which assigns the result.
+    (from B). root_offset is the last solve's root offset, where the next
+    solve starts (link_inverse_solve). A round is update(), which runs every
+    check and the solve on locals, then commit(), which assigns the result.
 
     w and mirror_grad are held in the form core.kernels(dim) picks: floats
     at d = 1, float64 arrays above, bit for bit the learner on 1-entry
@@ -267,6 +287,7 @@ class MirrorDescentLearner:
         self.w = self.kernels.zeros(dim)
         self.w_norm = 0.0  # norm(self.w), kept from the check in update
         self.mirror_grad = self.kernels.zeros(dim)  # mirror-map gradient at w
+        self.root_offset = 0.0
 
     def _wealth_scale(self, B: float) -> float:
         """The scale a = epsilon / (sqrt(B) ln(B)^2) inside the mirror map's log.
@@ -325,8 +346,10 @@ class MirrorDescentLearner:
             # every entry of theta is a signed zero: abs gives the origin
             w = mirror_grad = abs(theta)
             radius = w_norm = 0.0
+            root_offset = self.root_offset
         else:
-            radius, mirror = link_inverse_solve(theta_norm, V, hint, a, self.reg)
+            radius, mirror, root_offset = link_inverse_solve(
+                theta_norm, V, hint, a, self.reg, self.root_offset)
             w = (radius / theta_norm) * theta
             mirror_grad = (mirror / theta_norm) * theta
             # as for theta: a finite norm proves the iterate finite
@@ -334,12 +357,12 @@ class MirrorDescentLearner:
             if not math.isfinite(w_norm):
                 ensure_finite(np.atleast_1d(w), "mirror descent iterate")
                 raise _out_of_range(theta_norm, V, hint, a)
-        return tuple.__new__(Update, (w, w_norm, mirror_grad, radius, hint, C, N, B))
+        return tuple.__new__(Update, (w, w_norm, mirror_grad, radius, hint, C, N, B, root_offset))
 
     def commit(self, update: Update) -> None:
         """Assign the state that update() computed and fold the new radius into the penalty."""
         if self.reg.c != 0.0:  # a penalty-free link never reads the penalty state
             self.reg.advance(update.radius)
         (self.w, self.w_norm, self.mirror_grad, _,
-         self.h, self.C, self.N, self.B) = update
+         self.h, self.C, self.N, self.B, self.root_offset) = update
         self.t += 1

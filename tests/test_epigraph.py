@@ -407,10 +407,10 @@ class TestEpigraphLearner:
         hat, played = learner._hat, learner._played
         solve, project = mirror_descent.link_inverse_solve, epigraph.weighted_project
 
-        def scalar_solve(theta_norm, V, h, a, reg):
+        def scalar_solve(theta_norm, V, h, a, reg, offset):
             if reg is learner.learner_y.reg:
                 raise SolverError("scalar solve failed")
-            return solve(theta_norm, V, h, a, reg)
+            return solve(theta_norm, V, h, a, reg, offset)
 
         def projection(*args):
             project(*args)

@@ -95,12 +95,12 @@ class TestPsiPrime:
 class TestLinkInverse:
     def test_zero_maps_to_zero(self):
         reg = HuberRegularizer(c=1.0, p=2.0, alpha=1.0)
-        assert link_inverse_solve(0.0, V=2.0, h=1.0, a=0.5, reg=reg) == (0.0, 0.0)
+        assert link_inverse_solve(0.0, V=2.0, h=1.0, a=0.5, reg=reg) == (0.0, 0.0, 0.0)
 
     def test_round_trip_thousand_states(self):
         worst = 0.0
         for V, h, a, reg, x0, y in round_trip_samples():
-            back, _ = link_inverse_solve(y, V, h, a, reg)
+            back = link_inverse_solve(y, V, h, a, reg)[0]
             worst = max(worst, abs(back - x0) / x0)
         assert worst <= 1e-8
 
@@ -110,10 +110,59 @@ class TestLinkInverse:
         worst = 0.0
         with mpmath.workdps(50):
             for V, h, a, reg, x0, theta in round_trip_samples():
-                got, _ = link_inverse_solve(theta, V, h, a, reg)
+                got = link_inverse_solve(theta, V, h, a, reg)[0]
                 root = mp_link_root(theta, V, h, a, reg, x0)
                 worst = max(worst, float(abs(got - root) / root))
         assert worst <= 1e-8
+
+    def test_warm_start_matches_fifty_digit_root(self):
+        # the learner starts each solve at its last root's offset from the
+        # upper end. From any offset, near that root, far below it,
+        # positive (a cold start) or below the log of the smallest double,
+        # the stop rule is the cold solve's: the root is within 1e-10
+        worst = {}
+        with mpmath.workdps(50):
+            for V, h, a, reg, x0, theta in round_trip_samples():
+                if reg.c == 0.0:  # the closed form takes no start
+                    continue
+                root = mp_link_root(theta, V, h, a, reg, x0)
+                offset = link_inverse_solve(theta, V, h, a, reg)[2]
+                for start, warm in (("near", offset - 1e-3), ("far", offset - 20.0),
+                                    ("positive", 0.5),
+                                    ("below_log_tiny", mirror_descent._LOG_TINY - 1.0)):
+                    got = link_inverse_solve(theta, V, h, a, reg, warm)[0]
+                    worst[start] = max(worst.get(start, 0.0), float(abs(got - root) / root))
+        assert max(worst.values()) <= 1e-10, worst
+
+    @pytest.mark.parametrize("offset", [0.0, -0.5 * math.sqrt(mirror_descent._SOLVE_UTOL),
+                                        0.5, math.inf, math.nan])
+    def test_offset_above_the_warm_threshold_is_the_cold_solve(self, offset):
+        # a root within sqrt(1e-10) of the upper end is one Newton step from
+        # it: such an offset, and one that is no offset at all, starts there
+        for V, h, a, reg, _, theta in round_trip_samples():
+            warm = link_inverse_solve(theta, V, h, a, reg, offset)
+            cold = link_inverse_solve(theta, V, h, a, reg)
+            assert list(map(float.hex, warm)) == list(map(float.hex, cold))
+
+    def test_warm_start_past_the_unread_upper_end_goes_there(self, monkeypatch):
+        # a root that the cold solve takes at the upper end, where rounding
+        # can leave it just above: from 1e-3 below, Newton aims past that
+        # end, and the midpoint fallback halved its way up in up to 13
+        # evaluations. The first such step goes to the upper end instead
+        us = []
+        monkeypatch.setattr(mirror_descent, "link_terms",
+                            lambda u, *rest: us.append(u) or link_terms(u, *rest))
+        most = 0
+        for V, h, a, reg, _, theta in round_trip_samples():
+            if reg.c == 0.0:
+                continue
+            us.clear()
+            offset = link_inverse_solve(theta, V, h, a, reg)[2]
+            cold = len(us)
+            us.clear()
+            link_inverse_solve(theta, V, h, a, reg, offset - 1e-3)
+            most = max(most, len(us) - cold)
+        assert most == 2
 
     def test_slope_matches_fifty_digit_derivative(self):
         # Newton still converges on a wrong slope, only more slowly, so the
@@ -171,7 +220,7 @@ class TestLinkInverse:
             V, h, a, reg = random_state(rng)
             theta = float(np.exp(rng.uniform(math.log(1e-4), math.log(1e3))))
             try:
-                x, mirror = link_inverse_solve(theta, V, h, a, reg)
+                x, mirror, _ = link_inverse_solve(theta, V, h, a, reg)
             except SolverError:
                 # only legitimate when no double-precision radius reaches
                 # theta even after crediting the penalty its full asymptote
@@ -193,7 +242,7 @@ class TestLinkInverse:
         inverse = mirror_descent._mirror_part_inverse
         monkeypatch.setattr(mirror_descent, "_mirror_part_inverse",
                             lambda y, *rest: min(inverse(y, *rest) / 16.0, 1e300))
-        x, mirror = link_inverse_solve(50.0, 4.0, 2.0, 1.0, reg)
+        x, mirror, _ = link_inverse_solve(50.0, 4.0, 2.0, 1.0, reg)
         assert math.isclose(x, exact[0], rel_tol=1e-9)
         assert math.isclose(mirror, exact[1], rel_tol=1e-9)
         with pytest.raises(SolverError, match="no representable radius"):
@@ -210,7 +259,7 @@ class TestLinkInverse:
         seen = []
         monkeypatch.setattr(reg, "radial_subgradient_inverse",
                             lambda y: seen.append(y) or inverse(y))
-        x, _ = link_inverse_solve(theta, 4.0, 2.0, 1.0, reg)
+        x = link_inverse_solve(theta, 4.0, 2.0, 1.0, reg)[0]
         assert seen == [theta, 0.5 * theta][:calls]
         assert abs(link_value(x, 4.0, 2.0, 1.0, reg) - theta) <= 1e-9 * theta
 
@@ -226,7 +275,7 @@ class TestLinkInverse:
         calls = []
         monkeypatch.setattr(mirror_descent, "link_value",
                             lambda x, *rest: calls.append(x) or link_value(x, *rest))
-        x, _ = link_inverse_solve(theta, V, h, a, reg)
+        x = link_inverse_solve(theta, V, h, a, reg)[0]
         assert len(calls) == 2 and calls[1] == 2.0 * calls[0]
         with mpmath.workdps(50):
             root = mp_link_root(theta, V, h, a, reg, x)
@@ -241,7 +290,7 @@ class TestLinkInverse:
         reg.advance(6.5834103654405644e-282)
         theta, V, h, a = (5126077153.844593, 196722340899667.9, 128741.55945776633,
                           3.809417993434546e-230)
-        x, mirror = link_inverse_solve(theta, V, h, a, reg)
+        x, mirror, _ = link_inverse_solve(theta, V, h, a, reg)
         at_x, penalty, slope = link_terms(math.log(x), x, V, h, a, reg)
         resid = abs(at_x + penalty - theta)
         assert resid <= 1e-9 * theta and resid > mirror_descent._SOLVE_UTOL * slope
@@ -256,7 +305,7 @@ class TestLinkInverse:
         # solve returns once an iterate repeats the last one's radius
         reg = HuberRegularizer(c=1.0, p=2.0, alpha=1.0)
         theta, V, h, a = 6e-9, 1.0, 1.0, 1e-300
-        x, mirror = link_inverse_solve(theta, V, h, a, reg)
+        x, mirror, _ = link_inverse_solve(theta, V, h, a, reg)
         at_x, penalty, slope = link_terms(math.log(x), x, V, h, a, reg)
         resid = abs(at_x + penalty - theta)
         assert resid <= 1e-9 and resid > mirror_descent._SOLVE_UTOL * slope
@@ -288,7 +337,7 @@ class TestLinkInverse:
             comparator=np.full(dim, 0.5) if dim > 1 else 0.5,
         )
         protocol.round(g if dim > 1 else g[0], g_true=np.zeros(dim) if dim > 1 else 0.0)
-        (theta, V, h, a, reg), (x, _) = solves[-1]
+        (theta, V, h, a, reg, _), (x, _, _) = solves[-1]
         assert 0.0 < x < 1e-320
         assert np.array_equal(np.atleast_1d(protocol.w), -x * (g > 0.0))
         with mpmath.workdps(50):
@@ -317,7 +366,7 @@ class TestLinkInverse:
         # returns the one with the smaller |residual|
         reg = HuberRegularizer(c=c, p=p, alpha=alpha)
         reg.log_S = log_S  # the state the sampled advances left; the link reads no other
-        x, mirror = link_inverse_solve(theta, V, h, a, reg)
+        x, mirror, _ = link_inverse_solve(theta, V, h, a, reg)
         assert mirror == link_terms(math.log(x), x, V, h, a, reg)[0]
         with mpmath.workdps(50):
             root = mp_link_root(theta, V, h, a, reg, x)
@@ -337,7 +386,7 @@ class TestLinkInverse:
                                alpha=2.2758144236121477e+193)
         theta, V, h, a = (4.397663020908031e-152, 2.5215960734826616e+16, 21867960.973380487,
                           52.83043724638845)
-        x, _ = link_inverse_solve(theta, V, h, a, reg)
+        x = link_inverse_solve(theta, V, h, a, reg)[0]
         with mpmath.workdps(50):
             root = mp_link_root(theta, V, h, a, reg, x)
             assert abs(x - root) <= mpmath.mpf(math.ulp(0.0))  # within one double
@@ -381,7 +430,7 @@ class TestLinkInverse:
         # every q >= 709, so both solves raised "link inversion did not
         # converge"; F is now log x - log a, the radius e^(log a + q)
         reg = HuberRegularizer(c=c, p=p, alpha=alpha)
-        x, mirror = link_inverse_solve(theta, V, h, a, reg)
+        x, mirror, _ = link_inverse_solve(theta, V, h, a, reg)
         assert x / a == math.inf
         assert mirror == link_terms(math.log(x), x, V, h, a, reg)[0]
         with mpmath.workdps(50):
@@ -462,6 +511,56 @@ class TestMirrorDescentLearner:
             md1.observe(np.array([g]), 1.0)
             md2.observe(np.array([g]), 1.0)
             assert np.array_equal(np.atleast_1d(md1.w), np.atleast_1d(md2.w))
+
+    def test_interleaved_learners_match_each_alone(self):
+        # the warm start's offset is each learner's own state, with no cache
+        # shared between learners: two learners on different streams, stepped
+        # in turn, give each one's lone run bit for bit
+        rng = np.random.default_rng(8)
+        streams = [rng.uniform(-1.0, 0.2, 300), rng.uniform(-0.55, 0.05, (300, 3))]
+
+        def build(i):
+            return MirrorDescentLearner(1 + 2 * i, 1.0, 1.0, c=70.0 / (1 + i),
+                                        p=math.log(4900), alpha=1.0 / 70.0)
+
+        alone = []
+        for i, stream in enumerate(streams):
+            md, bits = build(i), []
+            for g in stream:
+                md.observe(g, 1.0)
+                bits.append(state_bits(md))
+            alone.append(bits)
+        pair, warm = [build(0), build(1)], [0, 0]
+        for t, gs in enumerate(zip(*streams)):
+            for i, md in enumerate(pair):
+                warm[i] += md.root_offset < mirror_descent._WARM_OFFSET
+                md.observe(gs[i], 1.0)
+                assert state_bits(md) == alone[i][t]
+        assert min(warm) >= 50  # each learner warm-starts in at least 50 rounds
+
+    def test_warm_start_cuts_link_evaluations(self, monkeypatch):
+        # the known_g preset at T = 4,900 and k = 70 on a constant gradient:
+        # the root settles about 2e-2 below the upper end in log radius, and
+        # a solve started there takes one Newton step instead of three
+        calls = []
+        monkeypatch.setattr(mirror_descent, "link_terms",
+                            lambda *args: calls.append(None) or link_terms(*args))
+
+        def run(warm):
+            md = MirrorDescentLearner(1, 1.0, 1.0, c=70.0, p=math.log(4900), alpha=1.0 / 70.0)
+            path = []
+            for t in range(400):
+                if t == 200:
+                    calls.clear()
+                if not warm:
+                    md.root_offset = 0.0
+                md.observe(-1.0, 1.0)
+                path.append(md.w)
+            return len(calls) / 200, path
+
+        (warm, warm_path), (cold, cold_path) = run(True), run(False)
+        assert warm <= 2.5 and cold == 4.0
+        assert max(abs(x - y) / abs(y) for x, y in zip(warm_path, cold_path) if y) <= 1e-9
 
     def test_rejects_oversized_gradient(self):
         md = MirrorDescentLearner(1, 1.0, 1.0, p=2.0)
@@ -559,7 +658,7 @@ class TestMirrorDescentLearner:
         # whose norm overflows: the entrywise check passes them, and the
         # learner raises its float-range SolverError
         monkeypatch.setattr(
-            mirror_descent, "link_inverse_solve", lambda theta, *args: (radius, theta)
+            mirror_descent, "link_inverse_solve", lambda theta, *args: (radius, theta, 0.0)
         )
         md = MirrorDescentLearner(len(gradient), epsilon=1.0, initial_hint=2.0, c=1.0, p=3.0)
         before = state_bits(md)
@@ -690,7 +789,7 @@ class TestFloatRepresentation:
     @pytest.mark.parametrize("radius", [math.inf, math.nan], ids=["inf", "nan"])
     def test_non_finite_iterate_raises_as_the_vector_learner(self, monkeypatch, radius):
         monkeypatch.setattr(
-            mirror_descent, "link_inverse_solve", lambda theta, *args: (radius, theta)
+            mirror_descent, "link_inverse_solve", lambda theta, *args: (radius, theta, 0.0)
         )
         fast, ref = scalar_pair()
         before = state_bits(fast), state_bits(ref)
@@ -718,9 +817,9 @@ class TestFloatRepresentation:
         calls = []
         solve = mirror_descent.link_inverse_solve
 
-        def counted(theta_norm, V, h, a, reg):
+        def counted(theta_norm, V, h, a, reg, offset):
             calls.append(reg.c)
-            return solve(theta_norm, V, h, a, reg)
+            return solve(theta_norm, V, h, a, reg, offset)
 
         monkeypatch.setattr(mirror_descent, "link_inverse_solve", counted)
         fast = MirrorDescentLearner(1, 1.0, 1.5, c=0.0, p=2.0)

@@ -529,10 +529,10 @@ class TestFailedRoundMovesNothing:
             protocol.round(g, g_true=g)
         solve = mirror_descent.link_inverse_solve
 
-        def largest_radius(theta_norm, V, h, a, reg):
+        def largest_radius(theta_norm, V, h, a, reg, offset):
             if reg.c == 0.0:
-                return solve(theta_norm, V, h, a, reg)
-            return sys.float_info.max, theta_norm
+                return solve(theta_norm, V, h, a, reg, offset)
+            return sys.float_info.max, theta_norm, 0.0
 
         monkeypatch.setattr(mirror_descent, "link_inverse_solve", largest_radius)
         for _ in range(accepted):
@@ -594,6 +594,33 @@ class TestRaiseMovesNothing:
         _rejected(md.observe, g, hint)
         assert state_bits(md) == before
         assert md.t == rounds
+
+    @pytest.mark.parametrize("reject", ["nan", "above_hint", "decreasing_hint", "solver",
+                                        "iterate"])
+    def test_mirror_descent_learner_solver_offset(self, monkeypatch, reject):
+        # the known_g preset at T = 4,900 and k = 70 on a constant gradient
+        # holds a warm-start offset after 250 rounds; a rejected round, a
+        # raise inside the solve or on the iterate after it included, leaves
+        # it as it was, and the snapshot reads it
+        md = MirrorDescentLearner(1, 1.0, 1.0, c=70.0, p=math.log(4900), alpha=1.0 / 70.0)
+        for _ in range(250):
+            md.observe(-1.0, 1.0)
+        offset = md.root_offset
+        assert offset < mirror_descent._WARM_OFFSET
+        g, hint = {"nan": (math.nan, 1.0), "above_hint": (-2.0, 1.0),
+                   "decreasing_hint": (-1.0, 0.5)}.get(reject, (-1.0, 1.0))
+        if reject == "solver":
+            def solve(*args):
+                raise SolverError("planted")
+            monkeypatch.setattr(mirror_descent, "link_inverse_solve", solve)
+        elif reject == "iterate":  # a solve that returns a new offset and no finite iterate
+            monkeypatch.setattr(mirror_descent, "link_inverse_solve",
+                                lambda theta, *args: (math.inf, theta, -0.5))
+        before = state_bits(md)
+        _rejected(md.observe, g, hint)
+        assert state_bits(md) == before and md.root_offset == offset
+        md.root_offset = 0.0
+        assert state_bits(md) != before
 
     @given(data=st.data(), dim=st.sampled_from([1, 3]), rounds=ROUNDS,
            reject=st.sampled_from(["nan", "inf", "above_hint", "decreasing_hint",

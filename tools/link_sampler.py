@@ -22,14 +22,19 @@ every positive return below the smallest normal double (a subnormal
 radius, 3,368 of them) is checked against its root: how many lie farther
 than max(WORST * root, one double) from it, by which exit line they left,
 and the worst relative error among those. The roots come from
-``tests/link_oracle.py``, the oracle the solver's tests use. The run takes
+``tests/link_oracle.py``, the oracle the solver's tests use. Last, the
+first ORACLE returns are solved again warm-started, as the learner starts
+its next solve, once from NEAR = 1e-3 and once from FAR = 20 below each
+return's own offset in log radius, and checked against the same roots:
+how many raised, and the worst relative error of each pass. The run takes
 just over a minute on one core (71 s, Python 3.11). It imports the package
 from ``src/`` beside this file and writes nothing.
 
 Exits 1 if any raise has a representable root, if the first ORACLE
-returns' worst relative error exceeds WORST = 1e-10, or if any subnormal
-return lies farther than max(WORST * root, one double) from its root;
-otherwise 0.
+returns' worst relative error exceeds WORST = 1e-10, cold or in either
+warm pass, if a warm solve raises (its cold solve returned), or if any
+subnormal return lies farther than max(WORST * root, one double) from its
+root, in the warm passes too; otherwise 0.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from robust_oco import mirror_descent  # noqa: E402
 from robust_oco.regularizer import HuberRegularizer  # noqa: E402
 
 SAMPLES, SEED, ORACLE, SHOW, WORST = 300_000, 0, 2000, 5, 1e-10
+NEAR, FAR = 1e-3, 20.0
 
 
 def draw(rng):
@@ -95,7 +101,7 @@ def main() -> int:
         ran.clear()
         sys.settrace(tracer)
         try:
-            x, _ = mirror_descent.link_inverse_solve(*drawn)
+            x, _, offset = mirror_descent.link_inverse_solve(*drawn)
             error = None
         except (mirror_descent.SolverError, ValueError, OverflowError) as exc:
             error = exc
@@ -105,7 +111,7 @@ def main() -> int:
         if error is None:
             exits[f"{ran[-1]}: {text[ran[-1]]}"] += 1
             if x > 0.0 and len(returned) < ORACLE:
-                returned.append((drawn, x))
+                returned.append((drawn, x, offset))
             if 0.0 < x < sys.float_info.min:
                 subnormal.append((drawn, x, ran[-1]))
         else:
@@ -136,13 +142,31 @@ def main() -> int:
                   f"HuberRegularizer(c={reg.c!r}, p={reg.p!r}, alpha={reg.alpha!r}), "
                   f"log_S={reg.log_S!r}, last={reg.last_iterate_norm!r})")
     print(f"raises: {len(raised)}, with a representable root: {representable}")
-    worst = 0.0
-    for (theta, V, h, a, reg), x in returned:
+    def error(x, root):
+        """Relative error, or for a subnormal root 0 within max(WORST * root, one double)."""
+        if root >= sys.float_info.min:
+            return float(abs(x - root) / root)
+        # a subnormal root is pinned to the grid, not relatively
+        return 0.0 if abs(x - root) <= max(WORST * root, math.ulp(0.0)) else math.inf
+
+    worst, warm_worst, warm_raised = 0.0, {NEAR: 0.0, FAR: 0.0}, {NEAR: 0, FAR: 0}
+    for drawn, x, offset in returned:
         with mpmath.workdps(50):
-            root = mp_link_root(theta, V, h, a, reg, x)
-        if root >= sys.float_info.min:  # a subnormal root is pinned to the grid, not relatively
-            worst = max(worst, float(abs(x - root) / root))
+            root = mp_link_root(*drawn, x)
+        if root >= sys.float_info.min:
+            worst = max(worst, error(x, root))
+        for below in (NEAR, FAR):
+            try:
+                x_warm = mirror_descent.link_inverse_solve(*drawn, offset - below)[0]
+            except (mirror_descent.SolverError, ValueError, OverflowError):
+                warm_raised[below] += 1
+                continue
+            with mpmath.workdps(50):
+                warm_worst[below] = max(warm_worst[below], error(x_warm, root))
     print(f"returns checked: {len(returned)}, worst relative error {worst:.3g}")
+    for below in (NEAR, FAR):
+        print(f"  warm-started {below:g} below their offsets: raises {warm_raised[below]}, "
+              f"worst relative error {warm_worst[below]:.3g}")
 
     # below one double of the root a relative error says nothing (a root of
     # 2.5e-324 returns 5e-324), so the worst is taken over the far returns
@@ -158,7 +182,8 @@ def main() -> int:
           f"their worst relative error {worst_far:.3g}")
     for exit_line, count in sorted(far.items()):
         print(f"  far from the root, exit {exit_line}: {count}  {text[exit_line]}")
-    return 1 if representable or worst > WORST or far else 0
+    warm_failed = any(warm_raised.values()) or max(warm_worst.values()) > WORST
+    return 1 if representable or worst > WORST or far or warm_failed else 0
 
 
 if __name__ == "__main__":
