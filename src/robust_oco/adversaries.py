@@ -49,9 +49,10 @@ class AdversarySpec:
         if self.kind not in STREAMS:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         for name, low in (("T", 1), ("k", 0), ("window_start", 0), ("dim", 1)):
-            object.__setattr__(self, name, check_integer(name, getattr(self, name), low))
-        check_positive("G", self.G)
-        check_positive("epsilon", self.epsilon)
+            object.__setattr__(self, name, check_integer(
+                f"[adversary] {name}", getattr(self, name), low))
+        check_positive("[adversary] G", self.G)
+        check_positive("[adversary] epsilon", self.epsilon)
         if not math.isfinite(self.D):
             raise ValueError(f"D must be finite, got {self.D}")
         kind, T, k = self.kind, self.T, self.k

@@ -15,9 +15,7 @@ from dataclasses import MISSING, dataclass, fields
 
 from ..adversaries import STREAMS, AdversarySpec
 from ..core import check_integer, check_positive
-from ..protocol import MODES, ProtocolConfig
-
-ALGORITHMS = ("kt_bettor",) + MODES
+from ..protocol import ALGORITHMS, ProtocolConfig
 
 COMPARATOR_FROM_ADVERSARY = "adversary"
 
@@ -30,18 +28,14 @@ def _check_algorithm(algorithm: str, key: str) -> None:
         raise ValueError(f"{key}: unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
 
-def protocol_mode(algorithm: str) -> str:
-    """The ProtocolConfig mode of algorithm; the KT baseline reads only epsilon from it."""
-    return "known_g" if algorithm == "kt_bettor" else algorithm
-
-
 @dataclass
 class ExperimentConfig:
     """One experiment: an algorithm, a gradient stream, and bookkeeping targets.
 
     comparator is dim finite coordinates, or "adversary" for a stream that constructs one.
-    Checked when built: a known algorithm (kt_bettor at dim 1), a protocol that
-    runs protocol_mode(algorithm) at the stream's T and dim, the comparator, seeds >= 0.
+    Checked when built: a known algorithm (kt_bettor at dim 1), a protocol at the
+    stream's T and dim whose mode is the algorithm (any mode for kt_bettor, which
+    reads only its epsilon), the comparator, seeds >= 0.
     """
 
     algorithm: str
@@ -56,7 +50,8 @@ class ExperimentConfig:
         if self.algorithm == "kt_bettor" and self.adversary.dim != 1:
             raise ValueError("the KT baseline is one-dimensional")
         for key, expected, source in (
-            ("mode", protocol_mode(self.algorithm), "[experiment] algorithm"),
+            ("mode", self.protocol.mode if self.algorithm == "kt_bettor" else self.algorithm,
+             "[experiment] algorithm"),
             ("T", self.adversary.T, "[adversary] T"),
             ("dim", self.adversary.dim, "[adversary] dim"),
         ):
@@ -203,8 +198,9 @@ def from_ini(text: str) -> ExperimentConfig:
     parser = _read(text, "experiment", "adversary", "protocol")
     adversary = section_to_dataclass(AdversarySpec, parser, "adversary")
     algorithm = parser.get("experiment", "algorithm", fallback="").strip()
+    _check_algorithm(algorithm, "[experiment] algorithm")  # named as this key, not as a mode
     protocol = section_to_dataclass(
-        ProtocolConfig, parser, "protocol", mode=protocol_mode(algorithm),
+        ProtocolConfig, parser, "protocol", mode=algorithm,
         T=adversary.T, k=adversary.budget, dim=adversary.dim,
     )
     return section_to_dataclass(

@@ -20,7 +20,7 @@ from ..adversaries import AdversarySpec, KTBettor, make_adversary
 from ..core import CorruptionLedger, NonFiniteError, RegretLedger, kernels
 from ..mirror_descent import SolverError
 from ..protocol import ProtocolConfig, RobustProtocol, RoundRecord
-from .config import COMPARATOR_FROM_ADVERSARY, ExperimentConfig, SweepConfig, protocol_mode
+from .config import COMPARATOR_FROM_ADVERSARY, ExperimentConfig, SweepConfig
 
 
 def trace_columns(dim: int) -> list[str]:
@@ -140,9 +140,8 @@ SWEEP_COLUMNS = [
 def _sweep_cell_configs(sweep: SweepConfig, algorithm: str, k: int) -> list[ExperimentConfig]:
     """The cell's corrupted and clean configs, in SweepConfig's one design."""
     T = k * k
-    mode = protocol_mode(algorithm)
-    protocol = ProtocolConfig(mode=mode, T=T, k=k, G=1.0 if mode == "known_g" else None,
-                              tau_G=sweep.tau_G)
+    protocol = ProtocolConfig(mode=algorithm, T=T, k=k,
+                              G=1.0 if algorithm == "known_g" else None, tau_G=sweep.tau_G)
     return [
         ExperimentConfig(
             algorithm=algorithm, protocol=protocol, comparator=(1.0,),

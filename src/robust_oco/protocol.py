@@ -30,15 +30,19 @@ from .regularizer import HuberRegularizer
 from .thresholds import GradientFilter, MagnitudeTracker
 
 MODES = ("known_g", "unknown_g_case1", "unknown_g_case2")
+ALGORITHMS = ("kt_bettor",) + MODES
 
 
 @dataclass
 class ProtocolConfig:
-    """User-facing knobs; RobustProtocol applies its mode's rules and presets.
+    """User-facing knobs for one algorithm; RobustProtocol derives a robust mode's presets.
 
-    Checked when built: positive finite epsilon, tau_G and G (if given);
-    integers k >= 0, dim >= 1 and T >= 1. The unknown-bound modes refuse a G:
-    their code paths may never touch the true gradient bound.
+    Checked when built, each message naming its INI key (T and dim are the
+    [adversary] keys from_ini derives them from): a mode in ALGORITHMS;
+    positive finite epsilon, tau_G and G (if given); integers k >= 0, dim >= 1
+    and T >= 1. The robust modes add T >= 3 (p = ln T must exceed 1), k >= 1
+    in unknown_g_case1, and a G in known_g alone: the unknown-bound modes may
+    never touch the true gradient bound. kt_bettor reads only epsilon.
     """
 
     mode: str
@@ -50,13 +54,18 @@ class ProtocolConfig:
     dim: int = 1
 
     def __post_init__(self):
-        check_positive("epsilon", self.epsilon)
-        self.k = check_integer("k", self.k, 0)
-        self.dim = check_integer("dim", self.dim, 1)
-        self.T = check_integer("T", self.T, 1)
-        check_positive("tau_G", self.tau_G)
+        if self.mode not in ALGORITHMS:
+            raise ValueError(f"unknown mode {self.mode!r}; expected one of {ALGORITHMS}")
+        check_positive("[protocol] epsilon", self.epsilon)
+        self.k = check_integer("[protocol] k", self.k, 1 if self.mode == "unknown_g_case1" else 0)
+        self.dim = check_integer("[adversary] dim", self.dim, 1)
+        self.T = check_integer("[adversary] T", self.T, 3 if self.mode in MODES else 1)
+        check_positive("[protocol] tau_G", self.tau_G)
         if self.G is not None:
-            check_positive("G", self.G)
+            check_positive("[protocol] G", self.G)
+        if self.mode in MODES and (self.G is None) == (self.mode == "known_g"):
+            rule = "needs" if self.G is None else "must not be given"
+            raise ValueError(f"[protocol] G: {self.mode} {rule} the gradient bound")
 
 
 @dataclass
@@ -158,16 +167,12 @@ class RobustProtocol:
 
     def __init__(self, config: ProtocolConfig, comparator=None):
         mode, k, epsilon = config.mode, config.k, config.epsilon
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-        if config.T < 3:
-            raise ValueError("horizon T must be at least 3")
+        if mode not in MODES:  # kt_bettor's config would fall through to case2's presets
+            raise ValueError(f"RobustProtocol runs one of {MODES}, not {mode!r}")
         self.config = config
         self.G = config.G  # None in the unknown-bound modes
         p = math.log(config.T)
         if mode == "known_g":
-            if self.G is None:
-                raise ValueError("known_g mode requires the gradient bound G")
             if k == 0:
                 c, alpha = 0.0, 1.0  # penalty disabled; offset unused
             else:
@@ -179,11 +184,7 @@ class RobustProtocol:
             )
         else:
             tau_G = config.tau_G
-            if self.G is not None:
-                raise ValueError(f"{mode} must not be given the gradient bound G")
             if mode == "unknown_g_case1":
-                if k < 1:
-                    raise ValueError("unknown_g_case1 needs k >= 1 (its presets divide by k)")
                 c, tau_D = k * tau_G, epsilon / k
                 self.gamma_alpha, self.gamma_beta = 1.0, float(k)
             else:

@@ -127,7 +127,7 @@ def test_spec_rejects_a_size_that_is_not_an_integer(kind, field, value):
     sizes[field] = value
     low = {"T": 1, "k": 0, "window_start": 0, "dim": 1}[field]
     with pytest.raises(ValueError, match=re.escape(
-        f"{field} must be an integer in [{low}, 2**53), got {value!r}") + "$"):
+        f"[adversary] {field} must be an integer in [{low}, 2**53), got {value!r}") + "$"):
         AdversarySpec(kind=kind, **sizes)
 
 

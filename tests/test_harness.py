@@ -1,4 +1,6 @@
 import configparser
+import dataclasses
+import importlib.util
 import math
 import re
 import sys
@@ -20,7 +22,6 @@ from robust_oco.harness.config import (
     ALGORITHMS,
     ExperimentConfig,
     from_ini,
-    protocol_mode,
     sweep_from_ini,
     sweep_to_ini,
     to_ini,
@@ -41,19 +42,36 @@ from snapshot import state_bits
 
 DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).parent.parent / "configs"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def figure_config(algorithm="known_g", T=12, k=3, start=5, comparator=(1.0,)):
     """A sign-flip cell for any player: the stream |w - 1| with k flipped rounds."""
-    mode = protocol_mode(algorithm)
     return ExperimentConfig(
         algorithm=algorithm,
         adversary=AdversarySpec(kind="sign_flip_window", T=T, k=k, window_start=start),
-        protocol=ProtocolConfig(mode=mode, T=T, epsilon=1.0, k=k,
-                                G=1.0 if mode == "known_g" else None),
+        protocol=ProtocolConfig(mode=algorithm, T=T, epsilon=1.0, k=k,
+                                G=1.0 if algorithm == "known_g" else None),
         comparator=comparator,
         seeds=(0,),
     )
+
+
+def edited_figure1(tmp_path, edits):
+    """configs/figure1.ini with each (section, key) of edits set to its value, or
+    deleted at None, written to tmp_path; the path."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string((CONFIGS / "figure1.ini").read_text())
+    for (section, key), value in edits.items():
+        if value is None:
+            parser.remove_option(section, key)
+        else:
+            parser[section][key] = value
+    path = tmp_path / "exp.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return path
 
 
 def comparator_config(kind, dim, comparator):
@@ -135,7 +153,7 @@ def kt_reweight_config():
     return ExperimentConfig(
         algorithm="kt_bettor",
         adversary=AdversarySpec(kind="dro_reweight", T=200, k=20, seed=0),
-        protocol=ProtocolConfig(mode="known_g", T=200, k=20),
+        protocol=ProtocolConfig(mode="kt_bettor", T=200, k=20),
         comparator=(1.0,),
     )
 
@@ -145,14 +163,13 @@ def d1_config(kind, algorithm):
 
     The reweighted stream's observed gradients stay within twice G = 0.5.
     """
-    mode = protocol_mode(algorithm)
     T = 20 if kind == "lb_origin" else 60  # lb_origin's horizon cap is 30
     k = 0 if kind == "iid_random" else 4  # the iid stream takes no budget
     spec = AdversarySpec(kind=kind, T=T, k=k, window_start=30, G=0.5)
     return ExperimentConfig(
         algorithm=algorithm, adversary=spec,
-        protocol=ProtocolConfig(mode=mode, T=T, k=8, tau_G=0.25,
-                                G=1.0 if mode == "known_g" else None),
+        protocol=ProtocolConfig(mode=algorithm, T=T, k=8, tau_G=0.25,
+                                G=1.0 if algorithm == "known_g" else None),
         comparator=(0.5,) if kind in ("iid_random", "dro_reweight") else "adversary",
     )
 
@@ -261,6 +278,7 @@ class TestConfigRoundTrip:
 
     @pytest.mark.parametrize("key, value, source, needed", [
         ("mode", "unknown_g_case2", "[experiment] algorithm", "'known_g'"),
+        ("mode", "kt_bettor", "[experiment] algorithm", "'known_g'"),
         ("T", 50, "[adversary] T", "12"),
         ("dim", 2, "[adversary] dim", "1"),
     ])
@@ -322,6 +340,20 @@ class TestRunExperiment:
     def test_golden_trace(self, tmp_path):
         assert_golden(tmp_path, figure_config(), 0, "golden_trace.csv")
 
+    def test_kt_trace_is_the_same_under_the_benchmark_spelling(self, tmp_path, monkeypatch):
+        # perfbench/cells.py builds its KT cells with a known_g [protocol]
+        # (G = 1.0); KT reads only epsilon, so they write kt_bettor's bytes
+        spec = importlib.util.spec_from_file_location("perfbench_cells", PERFBENCH / "cells.py")
+        cells = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, cells)  # its dataclasses look it up
+        spec.loader.exec_module(cells)
+        config = cells.long_horizon_cell("kt_bettor", 0).config
+        own = dataclasses.replace(config, protocol=ProtocolConfig(
+            mode="kt_bettor", T=config.adversary.T, k=config.protocol.k, tau_G=0.5))
+        assert own.protocol != config.protocol
+        traces = _trace_files(config, tmp_path / "cells")
+        assert traces and traces == _trace_files(own, tmp_path / "own")
+
     @pytest.mark.parametrize(
         "config, seed, golden",
         [
@@ -377,7 +409,7 @@ class TestRunExperiment:
         # inf, observed -inf"), after the bettor had played w = inf
         cfg = ExperimentConfig(
             "kt_bettor", AdversarySpec(kind="sign_flip_window", T=2050, k=2000, window_start=51),
-            ProtocolConfig(mode="known_g", T=2050, k=2000), comparator=(1.0,))
+            ProtocolConfig(mode="kt_bettor", T=2050, k=2000), comparator=(1.0,))
         with pytest.raises(NonFiniteError, match=re.escape(
             "run aborted at round 1152: non-finite value in KT iterate at t=1152: inf") + "$"
         ) as info:
@@ -453,12 +485,11 @@ class TestRunExperiment:
         # player. A protocol player's split leaves it first: its penalty
         # term at u overflows at round 2, where the split used to read inf
         # and -inf while the run went on. Each abort names its round and ledger
-        mode = protocol_mode(algorithm)
         config = ExperimentConfig(
             algorithm=algorithm,
             adversary=AdversarySpec(kind="iid_random", T=20),
-            protocol=ProtocolConfig(mode=mode, T=20, k=2,
-                                    G=1.0 if mode == "known_g" else None),
+            protocol=ProtocolConfig(mode=algorithm, T=20, k=2,
+                                    G=1.0 if algorithm == "known_g" else None),
             comparator=(1e308,),
         )
         t, ledger = (7, "regret") if algorithm == "kt_bettor" else (2, "decomposition")
@@ -531,12 +562,11 @@ class TestRunExperiment:
 
         monkeypatch.setattr(runner, "make_player", player_of)
         monkeypatch.setattr(runner, "RegretLedger", ledger_of)
-        mode = protocol_mode(algorithm)
         config = ExperimentConfig(
             algorithm=algorithm,
             adversary=AdversarySpec(kind="lb_theorem2", T=20, k=4, dim=dim),
-            protocol=ProtocolConfig(mode=mode, T=20, k=4, dim=dim,
-                                    G=1.0 if mode == "known_g" else None),
+            protocol=ProtocolConfig(mode=algorithm, T=20, k=4, dim=dim,
+                                    G=1.0 if algorithm == "known_g" else None),
             comparator=(0.5,) * dim,
         )
         calls = []
@@ -824,9 +854,9 @@ class TestSweep:
             assert config.adversary == AdversarySpec(
                 kind="sign_flip_window", T=T, k=budget, window_start=int(0.75 * T))
             assert config.protocol == ProtocolConfig(
-                mode=protocol_mode(algorithm), T=T, k=k, tau_G=0.5,
-                G=1.0 if protocol_mode(algorithm) == "known_g" else None)
-        make_player(corrupted, corrupted.comparator)  # RobustProtocol refuses T < 3
+                mode=algorithm, T=T, k=k, tau_G=0.5,
+                G=1.0 if algorithm == "known_g" else None)
+        make_player(corrupted, corrupted.comparator)  # and each player builds
 
 
 def _trace_files(config, out):
@@ -865,25 +895,25 @@ def _setting(owner, key, low, make, read, run):
 # every integer setting: (the key its message names, its lower bound, the
 # owner built with the setting at v, the stored setting, the owner's run)
 INTEGER_SETTINGS = pytest.mark.parametrize("key, low, make, read, run", [
-    _setting("AdversarySpec", "T", 1,
+    _setting("AdversarySpec", "[adversary] T", 1,
              lambda v: AdversarySpec(kind="sign_flip_window", T=v, k=1, window_start=2),
              lambda spec: spec.T, _run_adversary),
-    _setting("AdversarySpec", "k", 0,
+    _setting("AdversarySpec", "[adversary] k", 0,
              lambda v: AdversarySpec(kind="sign_flip_window", T=12, k=v, window_start=5),
              lambda spec: spec.k, _run_adversary),
-    _setting("AdversarySpec", "window_start", 0,
+    _setting("AdversarySpec", "[adversary] window_start", 0,
              lambda v: AdversarySpec(kind="sign_flip_window", T=12, k=2, window_start=v),
              lambda spec: spec.window_start, _run_adversary),
-    _setting("AdversarySpec", "dim", 1,
+    _setting("AdversarySpec", "[adversary] dim", 1,
              lambda v: AdversarySpec(kind="lb_theorem2", T=12, k=2, dim=v),
              lambda spec: spec.dim, _run_adversary),
-    _setting("ProtocolConfig", "k", 0,
+    _setting("ProtocolConfig", "[protocol] k", 1,
              lambda v: ProtocolConfig(mode="unknown_g_case1", T=12, k=v),
              lambda protocol: protocol.k, _run_protocol),
-    _setting("ProtocolConfig", "dim", 1,
+    _setting("ProtocolConfig", "[adversary] dim", 1,
              lambda v: ProtocolConfig(mode="unknown_g_case1", T=12, k=2, dim=v),
              lambda protocol: protocol.dim, _run_protocol),
-    _setting("ProtocolConfig", "T", 1,
+    _setting("ProtocolConfig", "[adversary] T", 3,
              lambda v: ProtocolConfig(mode="unknown_g_case1", T=v, k=2),
              lambda protocol: protocol.T, _run_protocol),
     _setting("GradientFilter", "corruption budget k", 0,
@@ -1043,29 +1073,69 @@ class TestCLI:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("algorithm, edits, message", [
+        ("known_g", {("protocol", "G"): "none"},
+         "[protocol] G: known_g needs the gradient bound"),
+        ("unknown_g_case1", {},
+         "[protocol] G: unknown_g_case1 must not be given the gradient bound"),
+        ("unknown_g_case1", {("protocol", "G"): "none", ("protocol", "k"): "0"},
+         "[protocol] k must be an integer in [1, 2**53), got 0"),
+        ("unknown_g_case2", {},
+         "[protocol] G: unknown_g_case2 must not be given the gradient bound"),
+        ("known_g", {("adversary", "T"): "2", ("adversary", "k"): "1",
+                     ("adversary", "window_start"): "1"},
+         "[adversary] T must be an integer in [3, 2**53), got 2"),
+    ], ids=["known_g_without_G", "case1_with_G", "case1_k_0", "case2_with_G", "known_g_T_2"])
+    def test_mode_rule_exits_2_before_the_stream(self, tmp_path, capsys, monkeypatch,
+                                                 algorithm, edits, message):
+        # figure1.ini under another algorithm: RobustProtocol used to refuse
+        # these after run_experiment had drawn the stream, naming no key
+        monkeypatch.setattr(runner, "make_adversary",
+                            lambda *args, **kwargs: pytest.fail("a stream was drawn"))
+        path = edited_figure1(tmp_path, {("experiment", "algorithm"): algorithm, **edits})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edits", [
+        {("protocol", "G"): None},
+        {("adversary", "T"): "2", ("adversary", "k"): "1", ("adversary", "window_start"): "1"},
+    ], ids=["without_G", "T_2"])
+    def test_kt_runs_without_the_robust_rules(self, tmp_path, edits):
+        # KT reads only [protocol] epsilon: it needs no G, and no T >= 3
+        path = edited_figure1(tmp_path, edits)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "trace_kt_bettor_sign_flip_window_seed0.csv").exists()
+
     @pytest.mark.parametrize("section, algorithm, key, value, stem", [
-        ("protocol", "known_g", "G", "nan", "G must be positive and finite"),
-        ("protocol", "known_g", "epsilon", "nan", "epsilon must be positive and finite"),
-        ("protocol", "unknown_g_case2", "tau_G", "inf", "tau_G must be positive and finite"),
+        ("protocol", "known_g", "G", "nan", "[protocol] G must be positive and finite"),
+        ("protocol", "known_g", "epsilon", "nan", "[protocol] epsilon must be positive and finite"),
+        ("protocol", "unknown_g_case2", "tau_G", "inf",
+         "[protocol] tau_G must be positive and finite"),
         # a k of 401 digits has no float: the presets raised an untyped
         # OverflowError, exit 1 with a traceback, in every mode
-        *[("protocol", algorithm, "k", "1" + "0" * 400, "k must be an integer in [0, 2**53)")
-          for algorithm in ("known_g", "unknown_g_case1", "unknown_g_case2")],
+        *[("protocol", algorithm, "k", "1" + "0" * 400,
+           f"[protocol] k must be an integer in [{low}, 2**53)")
+          for algorithm, low in (("known_g", 0), ("unknown_g_case1", 1), ("unknown_g_case2", 0))],
         # the [protocol] section is checked as it is built, whichever player
         # reads it: these ran with exit 0 under known_g and the KT baseline,
         # and the KT baseline's epsilon was named by KTBettor, not by its key
-        ("protocol", "kt_bettor", "epsilon", "nan", "epsilon must be positive and finite"),
-        ("protocol", "known_g", "tau_G", "nan", "tau_G must be positive and finite"),
-        ("protocol", "known_g", "tau_G", "-1.0", "tau_G must be positive and finite"),
-        ("protocol", "kt_bettor", "tau_G", "nan", "tau_G must be positive and finite"),
-        ("protocol", "kt_bettor", "tau_G", "-1.0", "tau_G must be positive and finite"),
-        ("protocol", "kt_bettor", "G", "nan", "G must be positive and finite"),
-        ("adversary", "unknown_g_case1", "G", "nan", "G must be positive and finite"),
-        ("adversary", "unknown_g_case1", "G", "inf", "G must be positive and finite"),
-        ("adversary", "unknown_g_case1", "G", "-1.0", "G must be positive and finite"),
+        ("protocol", "kt_bettor", "epsilon", "nan",
+         "[protocol] epsilon must be positive and finite"),
+        ("protocol", "known_g", "tau_G", "nan", "[protocol] tau_G must be positive and finite"),
+        ("protocol", "known_g", "tau_G", "-1.0", "[protocol] tau_G must be positive and finite"),
+        ("protocol", "kt_bettor", "tau_G", "nan", "[protocol] tau_G must be positive and finite"),
+        ("protocol", "kt_bettor", "tau_G", "-1.0", "[protocol] tau_G must be positive and finite"),
+        ("protocol", "kt_bettor", "G", "nan", "[protocol] G must be positive and finite"),
+        # the same key in [adversary] is told apart from its [protocol] twin
+        ("adversary", "unknown_g_case1", "G", "nan", "[adversary] G must be positive and finite"),
+        ("adversary", "unknown_g_case1", "G", "inf", "[adversary] G must be positive and finite"),
+        ("adversary", "unknown_g_case1", "G", "-1.0", "[adversary] G must be positive and finite"),
+        ("adversary", "known_g", "G", "nan", "[adversary] G must be positive and finite"),
         ("adversary", "known_g", "D", "nan", "D must be finite"),
         ("adversary", "known_g", "D", "inf", "D must be finite"),
-        ("adversary", "known_g", "epsilon", "nan", "epsilon must be positive and finite"),
+        ("adversary", "known_g", "epsilon", "nan",
+         "[adversary] epsilon must be positive and finite"),
         ("experiment", "kt_bettor", "comparator", "nan", "[experiment] comparator must be finite"),
         ("experiment", "kt_bettor", "comparator", "inf", "[experiment] comparator must be finite"),
         ("experiment", "known_g", "comparator", "nan", "[experiment] comparator must be finite"),
@@ -1082,16 +1152,10 @@ class TestCLI:
         # lb_origin's epsilon). A NaN or Inf [experiment] comparator was a
         # run failure before round 1, exit 1 ("non-finite value in vector
         # input"), where a comparator of the wrong size is a config error
-        parser = configparser.ConfigParser()
-        parser.optionxform = str
-        parser.read_string((CONFIGS / "figure1.ini").read_text())
-        parser["experiment"]["algorithm"] = algorithm
+        edits = {("experiment", "algorithm"): algorithm}
         if algorithm.startswith("unknown_g"):
-            parser["protocol"]["G"] = "none"
-        parser[section][key] = value
-        path = tmp_path / "exp.ini"
-        with open(path, "w") as fh:
-            parser.write(fh)
+            edits["protocol", "G"] = "none"
+        path = edited_figure1(tmp_path, {**edits, (section, key): value})
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {stem}, got {value}"), err
@@ -1205,7 +1269,7 @@ class TestCLI:
         ids=["missing_T", "misspelled_window_start", "misspelled_section",
              "misspelled_workers", "misspelled_algorithm",
              "misspelled_experiment_algorithm", "protocol_T_restated",
-             "protocol_mode_restated", "protocol_dim_restated", "protocol_p",
+             "mode_restated_in_protocol", "protocol_dim_restated", "protocol_p",
              "iid_random_budget",
              "sweep_k_too_small", "sweep_k_squared_too_large", "sweep_window_frac_key",
              "sweep_ks_empty", "sweep_algorithms_empty", "sweep_epsilon_key", "sweep_G_key",

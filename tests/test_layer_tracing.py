@@ -94,7 +94,7 @@ def test_kt_round_opens_one_observe_span():
     config = ExperimentConfig(
         algorithm="kt_bettor",
         adversary=AdversarySpec(kind="sign_flip_window", T=50, k=5, window_start=20),
-        protocol=ProtocolConfig(mode="known_g", T=50, k=5),
+        protocol=ProtocolConfig(mode="kt_bettor", T=50, k=5),
         comparator=(1.0,),
     )
     with recorder.installed():

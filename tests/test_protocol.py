@@ -13,7 +13,7 @@ from robust_oco.adversaries import KTBettor
 from robust_oco.core import NonFiniteError, RegretLedger, norm
 from robust_oco.epigraph import EpigraphLearner, EpigraphPoint, weighted_project
 from robust_oco.mirror_descent import MirrorDescentLearner, SolverError
-from robust_oco.protocol import MODES, ProtocolConfig, RobustProtocol
+from robust_oco.protocol import ALGORITHMS, MODES, ProtocolConfig, RobustProtocol
 from snapshot import state_bits
 
 # how each layer names itself in the errors it raises
@@ -118,36 +118,69 @@ class TestPresets:
         # reads no tau_G, and it ran with a NaN one
         kw = {"G": 1.0} if mode == "known_g" else {}
         kw[field] = bad
-        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"[protocol] {field} must be positive and finite, got")):
             ProtocolConfig(mode=mode, T=100, k=2, **kw)
 
     @pytest.mark.parametrize("settings, message", [
-        ({"mode": "sgd", "T": 100}, f"unknown mode 'sgd'; expected one of {MODES}"),
-        ({"mode": "known_g", "T": 2, "G": 1.0}, "horizon T must be at least 3"),
-        ({"mode": "known_g", "T": 100}, "known_g mode requires the gradient bound G"),
-    ], ids=["mode", "T", "known_g_G"])
+        ({"mode": "sgd", "T": 100}, f"unknown mode 'sgd'; expected one of {ALGORITHMS}"),
+        ({"mode": "known_g", "T": 2, "G": 1.0},
+         "[adversary] T must be an integer in [3, 2**53), got 2"),
+        ({"mode": "unknown_g_case2", "T": 2},
+         "[adversary] T must be an integer in [3, 2**53), got 2"),
+        ({"mode": "known_g", "T": 100}, "[protocol] G: known_g needs the gradient bound"),
+        ({"mode": "unknown_g_case1", "T": 100, "k": 2, "G": 1.0},
+         "[protocol] G: unknown_g_case1 must not be given the gradient bound"),
+        ({"mode": "unknown_g_case2", "T": 100, "G": 1.0},
+         "[protocol] G: unknown_g_case2 must not be given the gradient bound"),
+        ({"mode": "unknown_g_case1", "T": 100, "k": 0},
+         "[protocol] k must be an integer in [1, 2**53), got 0"),
+    ], ids=["mode", "T", "case2_T", "known_g_G", "case1_G", "case2_G", "case1_k"])
     def test_mode_rule_rejected_by_the_protocol(self, settings, message):
-        config = ProtocolConfig(**settings)  # in range: only the protocol knows its mode's rules
+        # RobustProtocol used to check these once the runner had drawn the stream
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            RobustProtocol(config)
+            ProtocolConfig(**settings)
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 100])
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    @pytest.mark.parametrize("G", [None, 1.0])
+    @pytest.mark.parametrize("mode", ALGORITHMS)
+    def test_config_refuses_what_the_protocol_refused(self, mode, G, k, T):
+        # the mode rules RobustProtocol stated until they moved into the
+        # config; kt_bettor reads only epsilon, so it takes every cell
+        refused = mode != "kt_bettor" and (
+            T < 3 or (G is None) == (mode == "known_g") or (mode == "unknown_g_case1" and k < 1))
+        if refused:
+            with pytest.raises(ValueError):
+                ProtocolConfig(mode=mode, T=T, k=k, G=G)
+        else:
+            config = ProtocolConfig(mode=mode, T=T, k=k, G=G)
+            if mode != "kt_bettor":
+                RobustProtocol(config)
+
+    def test_protocol_refuses_a_kt_config(self):
+        # a kt_bettor config would otherwise take unknown_g_case2's presets
+        with pytest.raises(ValueError, match=re.escape(
+                f"RobustProtocol runs one of {MODES}, not 'kt_bettor'") + "$"):
+            RobustProtocol(ProtocolConfig(mode="kt_bettor", T=100, k=5))
 
     @pytest.mark.parametrize("settings, message", [
         ({"mode": "known_g", "T": 100, "G": 1.0, "k": -1},
-         "k must be an integer in [0, 2**53), got -1"),
+         "[protocol] k must be an integer in [0, 2**53), got -1"),
         # k = 2.5 ran, and its filter never doubled (the clip count n never
         # equals it); 10**400 raised OverflowError from the presets
         ({"mode": "unknown_g_case2", "T": 100, "k": 2.5},
-         "k must be an integer in [0, 2**53), got 2.5"),
+         "[protocol] k must be an integer in [0, 2**53), got 2.5"),
         ({"mode": "unknown_g_case1", "T": 100, "k": math.nan},
-         "k must be an integer in [0, 2**53), got nan"),
+         "[protocol] k must be an integer in [1, 2**53), got nan"),
         ({"mode": "known_g", "T": 100, "G": 1.0, "k": math.inf},
-         "k must be an integer in [0, 2**53), got inf"),
+         "[protocol] k must be an integer in [0, 2**53), got inf"),
         ({"mode": "unknown_g_case1", "T": 100, "k": 2**53},
-         f"k must be an integer in [0, 2**53), got {2**53}"),
+         f"[protocol] k must be an integer in [1, 2**53), got {2**53}"),
         ({"mode": "unknown_g_case2", "T": 100, "k": 10**400},
-         f"k must be an integer in [0, 2**53), got {10**400}"),
+         f"[protocol] k must be an integer in [0, 2**53), got {10**400}"),
         ({"mode": "known_g", "T": 100, "G": 1.0, "dim": 0},
-         "dim must be an integer in [1, 2**53), got 0"),
+         "[adversary] dim must be an integer in [1, 2**53), got 0"),
     ], ids=["k", "k_fraction", "k_nan", "k_inf", "k_bound", "k_past_float_range", "dim"])
     def test_setting_out_of_range_rejected(self, settings, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
