@@ -47,33 +47,36 @@ class AdversarySpec:
 
     def __post_init__(self):
         if self.kind not in STREAMS:
-            raise ValueError(f"unknown adversary kind {self.kind!r}")
+            raise ValueError(f"[adversary] kind: unknown adversary kind {self.kind!r}")
         for name, low in (("T", 1), ("k", 0), ("window_start", 0), ("dim", 1)):
             object.__setattr__(self, name, check_integer(
                 f"[adversary] {name}", getattr(self, name), low))
         check_positive("[adversary] G", self.G)
         check_positive("[adversary] epsilon", self.epsilon)
         if not math.isfinite(self.D):
-            raise ValueError(f"D must be finite, got {self.D}")
+            raise ValueError(f"[adversary] D must be finite, got {self.D}")
         kind, T, k = self.kind, self.T, self.k
         if kind == "sign_flip_window" and self.D != 1.0:  # the stream is |w - 1|
-            raise ValueError(f"sign_flip_window is centred at 1: D must be 1, got {self.D}")
+            raise ValueError(f"[adversary] D: sign_flip_window is centred at 1, not at {self.D}")
         if kind == "sign_flip_window" and self.dim != 1:
-            raise ValueError(f"sign_flip_window is one-dimensional: got dim {self.dim}")
+            raise ValueError(f"[adversary] dim = {self.dim}: sign_flip_window is one-dimensional")
         if kind == "sign_flip_window" and k > 0 and not 1 <= self.window_start <= T - k + 1:
-            raise ValueError("corruption window must fit inside the horizon")
+            raise ValueError(f"[adversary] window_start: the corruption window must fit inside "
+                             f"the horizon, so 1 to {T - k + 1}; got {self.window_start}")
         if kind == "lb_theorem2" and k >= T:
-            raise ValueError("budget k must be smaller than the horizon")
+            raise ValueError("[adversary] k: the budget must be smaller than the horizon T")
         if kind == "lb_origin" and T > LBOriginAdversary.MAX_T:
-            raise ValueError(f"horizon {T} exceeds the overflow guard {LBOriginAdversary.MAX_T}")
+            raise ValueError(
+                f"[adversary] T = {T} exceeds the overflow guard {LBOriginAdversary.MAX_T}")
         if kind == "lb_origin" and k > T:
-            raise ValueError("budget k cannot exceed the horizon")
+            raise ValueError("[adversary] k: the budget cannot exceed the horizon T")
         if kind == "lb_origin" and math.isinf(2.0 * self.epsilon * math.exp(T)):
-            raise ValueError(f"epsilon {self.epsilon} overflows the comparator 2*epsilon*e^{T}")
+            raise ValueError(
+                f"[adversary] epsilon {self.epsilon} overflows the comparator 2*epsilon*e^{T}")
         if kind == "dro_reweight" and T < 2 * k:
-            raise ValueError("reweighting construction needs T >= 2k")
+            raise ValueError("[adversary] k: the reweighting construction needs T >= 2k")
         if kind == "iid_random" and k != 0:  # the stream corrupts nothing
-            raise ValueError(f"iid_random is uncorrupted: k must be 0, got {k}")
+            raise ValueError(f"[adversary] k: iid_random is uncorrupted, so k must be 0, got {k}")
 
     @property
     def budget(self) -> int:
@@ -237,7 +240,6 @@ STREAMS: dict[str, type[Adversary]] = {
     "dro_reweight": DROReweightAdversary,
     "iid_random": IIDRandomAdversary,
 }
-ADVERSARY_KINDS = tuple(STREAMS)
 
 
 def make_adversary(spec: AdversarySpec, seed: int | None = None) -> Adversary:

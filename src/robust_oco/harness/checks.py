@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adversaries import ADVERSARY_KINDS, AdversarySpec, LBOriginAdversary, make_adversary
+from ..adversaries import STREAMS, AdversarySpec, LBOriginAdversary, make_adversary
 from ..core import RegretLedger, clip_gradient, norm
 from ..epigraph import EpigraphPoint, weighted_project
 from ..mirror_descent import link_inverse_solve, link_value
@@ -403,7 +403,7 @@ def check_origin_safety() -> CheckReport:
     """
     report = CheckReport("origin_safety")
     T, epsilon, G, seed = 1000, 1.0, 1.0, 7
-    for kind in ADVERSARY_KINDS:
+    for kind in STREAMS:
         for k in (0,) if kind == "iid_random" else (0, 10, 100):
             T_eff = min(T, LBOriginAdversary.MAX_T) if kind == "lb_origin" else T
             k_eff = min(k, T_eff)

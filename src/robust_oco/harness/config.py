@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, fields
 
 from ..adversaries import STREAMS, AdversarySpec
 from ..core import check_integer, check_positive
-from ..protocol import ALGORITHMS, ProtocolConfig
+from ..protocol import ProtocolConfig, check_algorithm
 
 COMPARATOR_FROM_ADVERSARY = "adversary"
 
@@ -23,19 +23,15 @@ COMPARATOR_FROM_ADVERSARY = "adversary"
 DERIVED_PROTOCOL_FIELDS = ("mode", "T", "dim")
 
 
-def _check_algorithm(algorithm: str, key: str) -> None:
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"{key}: unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: an algorithm, a gradient stream, and bookkeeping targets.
 
     comparator is dim finite coordinates, or "adversary" for a stream that constructs one.
-    Checked when built: a known algorithm (kt_bettor at dim 1), a protocol at the
-    stream's T and dim whose mode is the algorithm (any mode for kt_bettor, which
-    reads only its epsilon), the comparator, seeds >= 0.
+    Checked when built, then frozen (dataclasses.replace re-runs every rule), each
+    message naming its INI key: a known algorithm (kt_bettor at dim 1), a protocol
+    at the stream's T and dim whose mode is the algorithm (any mode for kt_bettor,
+    which reads only its epsilon), the comparator, at least one seed, each >= 0.
     """
 
     algorithm: str
@@ -46,9 +42,9 @@ class ExperimentConfig:
     output_path: str = "out"
 
     def __post_init__(self):
-        _check_algorithm(self.algorithm, "[experiment] algorithm")
+        check_algorithm(self.algorithm, "[experiment] algorithm")
         if self.algorithm == "kt_bettor" and self.adversary.dim != 1:
-            raise ValueError("the KT baseline is one-dimensional")
+            raise ValueError("[adversary] dim: the KT baseline is one-dimensional")
         for key, expected, source in (
             ("mode", self.protocol.mode if self.algorithm == "kt_bettor" else self.algorithm,
              "[experiment] algorithm"),
@@ -64,25 +60,26 @@ class ExperimentConfig:
         if isinstance(self.comparator, str):
             if self.comparator != COMPARATOR_FROM_ADVERSARY:
                 raise ValueError(
-                    f"comparator must be coordinates or {COMPARATOR_FROM_ADVERSARY!r}"
+                    f"[experiment] comparator must be coordinates or {COMPARATOR_FROM_ADVERSARY!r}"
                 )
             if not STREAMS[self.adversary.kind].constructs_comparator:
-                raise ValueError(f"adversary kind {self.adversary.kind!r} constructs no "
-                                 "comparator; set one explicitly")
+                raise ValueError(f"[experiment] comparator: adversary kind {self.adversary.kind!r} "
+                                 "constructs no comparator; set one explicitly")
         else:
-            self.comparator = tuple(float(x) for x in self.comparator)
+            object.__setattr__(self, "comparator", tuple(float(x) for x in self.comparator))
             for x in self.comparator:
                 if not math.isfinite(x):
                     raise ValueError(f"[experiment] comparator must be finite, got {x}")
             if len(self.comparator) != self.adversary.dim:
                 raise ValueError(f"[experiment] comparator has {len(self.comparator)} "
                                  f"coordinates, but [adversary] dim = {self.adversary.dim}")
-        self.seeds = tuple([check_integer("[experiment] seeds", s, 0) for s in self.seeds])
+        object.__setattr__(self, "seeds", tuple(
+            [check_integer("[experiment] seeds", s, 0) for s in self.seeds]))
         if not self.seeds:
-            raise ValueError("at least one seed is required")
+            raise ValueError("[experiment] seeds: at least one seed is required")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
     """Corruption-scaling grid: per algorithm and k, a corrupted and a clean cell.
 
@@ -90,7 +87,7 @@ class SweepConfig:
     epsilon = 1, and G = 1 (the stream's bound) in known_g mode. Checked when built,
     so every cell builds: known algorithms, integers k >= 2 with k^2 < 2**53 (k = 1
     gives T = 1; from k = 2 the window fits, as k^2 - k + 1 - 0.75k^2 = (k/2 - 1)^2),
-    and a positive finite tau_G.
+    and a positive finite tau_G. Frozen, like the other configs.
     """
 
     ks: tuple[int, ...] = (20, 30, 40, 50, 60, 70)
@@ -100,8 +97,8 @@ class SweepConfig:
 
     def __post_init__(self):
         for algorithm in self.algorithms:
-            _check_algorithm(algorithm, "[sweep] algorithms")
-        self.ks = tuple([check_integer("[sweep] ks", k, 2) for k in self.ks])
+            check_algorithm(algorithm, "[sweep] algorithms")
+        object.__setattr__(self, "ks", tuple([check_integer("[sweep] ks", k, 2) for k in self.ks]))
         for key in ("ks", "algorithms"):
             if not getattr(self, key):
                 raise ValueError(f"[sweep] {key} is empty, so the sweep has no cell")
@@ -198,7 +195,6 @@ def from_ini(text: str) -> ExperimentConfig:
     parser = _read(text, "experiment", "adversary", "protocol")
     adversary = section_to_dataclass(AdversarySpec, parser, "adversary")
     algorithm = parser.get("experiment", "algorithm", fallback="").strip()
-    _check_algorithm(algorithm, "[experiment] algorithm")  # named as this key, not as a mode
     protocol = section_to_dataclass(
         ProtocolConfig, parser, "protocol", mode=algorithm,
         T=adversary.T, k=adversary.budget, dim=adversary.dim,

@@ -33,16 +33,23 @@ MODES = ("known_g", "unknown_g_case1", "unknown_g_case2")
 ALGORITHMS = ("kt_bettor",) + MODES
 
 
-@dataclass
+def check_algorithm(algorithm: str, key: str) -> None:
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"{key}: unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+
+
+@dataclass(frozen=True)
 class ProtocolConfig:
     """User-facing knobs for one algorithm; RobustProtocol derives a robust mode's presets.
 
-    Checked when built, each message naming its INI key (T and dim are the
-    [adversary] keys from_ini derives them from): a mode in ALGORITHMS;
-    positive finite epsilon, tau_G and G (if given); integers k >= 0, dim >= 1
-    and T >= 1. The robust modes add T >= 3 (p = ln T must exceed 1), k >= 1
-    in unknown_g_case1, and a G in known_g alone: the unknown-bound modes may
-    never touch the true gradient bound. kt_bettor reads only epsilon.
+    Checked when built, then frozen (dataclasses.replace re-runs every rule),
+    each message naming its INI key (the mode is [experiment] algorithm; T and
+    dim are the [adversary] keys from_ini derives them from): a mode in
+    ALGORITHMS; positive finite epsilon, tau_G and G (if given); integers
+    k >= 0, dim >= 1 and T >= 1. The robust modes add T >= 3 (p = ln T must
+    exceed 1), k >= 1 in unknown_g_case1, and a G in known_g alone: the
+    unknown-bound modes may never touch the true gradient bound. kt_bettor
+    reads only epsilon.
     """
 
     mode: str
@@ -54,12 +61,12 @@ class ProtocolConfig:
     dim: int = 1
 
     def __post_init__(self):
-        if self.mode not in ALGORITHMS:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {ALGORITHMS}")
+        check_algorithm(self.mode, "[experiment] algorithm")
         check_positive("[protocol] epsilon", self.epsilon)
-        self.k = check_integer("[protocol] k", self.k, 1 if self.mode == "unknown_g_case1" else 0)
-        self.dim = check_integer("[adversary] dim", self.dim, 1)
-        self.T = check_integer("[adversary] T", self.T, 3 if self.mode in MODES else 1)
+        for key, name, low in (("[protocol] k", "k", 1 if self.mode == "unknown_g_case1" else 0),
+                               ("[adversary] dim", "dim", 1),
+                               ("[adversary] T", "T", 3 if self.mode in MODES else 1)):
+            object.__setattr__(self, name, check_integer(key, getattr(self, name), low))
         check_positive("[protocol] tau_G", self.tau_G)
         if self.G is not None:
             check_positive("[protocol] G", self.G)

@@ -23,8 +23,8 @@ from robust_oco.harness.checks import (
     check_regularizer_sums,
     check_tracker_lemma,
 )
-from robust_oco.harness.config import ExperimentConfig
-from robust_oco.harness.runner import SweepConfig, run_experiment, run_sweep
+from robust_oco.harness.config import ExperimentConfig, SweepConfig
+from robust_oco.harness.runner import run_experiment, run_sweep
 from robust_oco.protocol import ProtocolConfig, RobustProtocol
 
 
@@ -239,7 +239,7 @@ class _PoisonedBound:
 def _poisoned_run(config: ProtocolConfig) -> RobustProtocol:
     """300 sign-flip rounds with a poisoned bound wherever a round could read it."""
     protocol = RobustProtocol(config, comparator=[1.0])
-    protocol.config.G = _PoisonedBound()
+    object.__setattr__(protocol.config, "G", _PoisonedBound())  # the config is frozen
     protocol.G = _PoisonedBound()
     for t in range(1, 301):
         w = np.atleast_1d(protocol.w)

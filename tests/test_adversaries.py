@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_oco.adversaries import (
-    ADVERSARY_KINDS,
     STREAMS,
     AdversarySpec,
     DROReweightAdversary,
@@ -70,7 +69,6 @@ def replay_budget(adversary, T, dim=1, w_source=None):
 
 def test_every_kind_is_one_class_built_from_its_spec():
     # make_adversary is one lookup in STREAMS, and every stream class takes (spec, seed)
-    assert ADVERSARY_KINDS == tuple(STREAMS)
     for cls in STREAMS.values():
         assert list(inspect.signature(cls).parameters) == ["spec", "seed"]
     # a class, not the spec, says whether its stream constructs a comparator
@@ -79,7 +77,7 @@ def test_every_kind_is_one_class_built_from_its_spec():
         "dro_reweight", "iid_random"]
 
 
-@pytest.mark.parametrize("kind", ADVERSARY_KINDS)
+@pytest.mark.parametrize("kind", STREAMS)
 def test_a_d1_stream_trades_floats(kind):
     # the run loop passes the played float and gets the gradients as floats
     k = 0 if kind == "iid_random" else 4  # the iid stream takes no budget
@@ -91,13 +89,15 @@ def test_a_d1_stream_trades_floats(kind):
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"kind": "sign_flip", "T": 10}, "unknown adversary kind 'sign_flip'"),
-    ({"kind": "lb_theorem2", "T": 8, "k": 8}, "budget k must be smaller than the horizon"),
-    ({"kind": "lb_origin", "T": 8, "k": 9}, "budget k cannot exceed the horizon"),
+    ({"kind": "sign_flip", "T": 10}, "[adversary] kind: unknown adversary kind 'sign_flip'"),
+    ({"kind": "lb_theorem2", "T": 8, "k": 8},
+     "[adversary] k: the budget must be smaller than the horizon T"),
+    ({"kind": "lb_origin", "T": 8, "k": 9},
+     "[adversary] k: the budget cannot exceed the horizon T"),
 ], ids=["unknown_kind", "lb_theorem2_budget", "lb_origin_budget"])
 def test_out_of_range_stream_rejected(fields, message):
     # the spec checks every rule of its kind; the stream constructors check nothing
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         AdversarySpec(**fields)
 
 
@@ -105,7 +105,9 @@ def test_out_of_range_stream_rejected(fields, message):
     (12, 3, 0), (12, 3, 11), (12, 12, 2), (1, 1, 0),
 ])
 def test_sign_flip_window_must_fit_inside_the_horizon(T, k, window_start):
-    with pytest.raises(ValueError, match="^corruption window must fit inside the horizon$"):
+    message = (f"[adversary] window_start: the corruption window must fit inside the horizon, "
+               f"so 1 to {T - k + 1}; got {window_start}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         AdversarySpec(kind="sign_flip_window", T=T, k=k, window_start=window_start)
     # the widest window that fits, and any window_start with no corrupted round
     widest = AdversarySpec(kind="sign_flip_window", T=T, k=k, window_start=T - k + 1)
@@ -155,7 +157,7 @@ _NEAR_OVERFLOW = 1.7976931348623157e308 / (2.0 * math.exp(30))
 
 @st.composite
 def spec_fields(draw):
-    kind = draw(st.sampled_from(ADVERSARY_KINDS))
+    kind = draw(st.sampled_from(tuple(STREAMS)))
     T = draw(st.integers(1, 34))
     k = max(0, draw(st.sampled_from([0, T // 2, T])) + draw(st.integers(-2, 2)))
     return dict(
@@ -225,14 +227,16 @@ class TestSignFlip:
     @pytest.mark.parametrize("D", [-3.0, 0.0, 100.0])
     def test_offset_other_than_one_rejected(self, D):
         # the stream is |w - 1|: [adversary] D used to be silently ignored
-        with pytest.raises(ValueError, match="^sign_flip_window is centred at 1: D must be 1"):
+        message = f"[adversary] D: sign_flip_window is centred at 1, not at {D}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AdversarySpec(kind="sign_flip_window", T=12, k=3, window_start=5, D=D)
         spec = AdversarySpec(kind="sign_flip_window", T=12, k=3, window_start=5, D=1.0)
         assert np.array_equal(make_adversary(spec).comparator, [1.0])
 
     def test_dimension_other_than_one_rejected(self):
         # the float stream used to reach its first round, which failed there
-        with pytest.raises(ValueError, match="^sign_flip_window is one-dimensional: got dim 3"):
+        message = "[adversary] dim = 3: sign_flip_window is one-dimensional"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AdversarySpec(kind="sign_flip_window", T=12, k=3, window_start=5, dim=3)
 
 
@@ -318,7 +322,8 @@ class TestLBOrigin:
         assert math.isclose(norm(adv.comparator), 2.0 * math.exp(5.0), rel_tol=1e-12)
 
     def test_horizon_guard(self):
-        with pytest.raises(ValueError, match="^horizon 31 exceeds the overflow guard 30$"):
+        message = "[adversary] T = 31 exceeds the overflow guard 30"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AdversarySpec(kind="lb_origin", T=31)
 
     @pytest.mark.parametrize("dim", [1, 3])
@@ -326,7 +331,7 @@ class TestLBOrigin:
         # epsilon = 1e300 left an inf comparator at d = 1 (a run failure,
         # exit 1) and, with a RuntimeWarning, a NaN one at d = 3
         for epsilon in (1e300, 9e294):
-            message = f"epsilon {epsilon} overflows the comparator 2*epsilon*e^30"
+            message = f"[adversary] epsilon {epsilon} overflows the comparator 2*epsilon*e^30"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 AdversarySpec(kind="lb_origin", T=30, k=3, epsilon=epsilon, dim=dim)
         adv = make_adversary(AdversarySpec(kind="lb_origin", T=30, k=3, epsilon=8e294, dim=dim))
@@ -382,11 +387,15 @@ class TestIIDRandom:
     @pytest.mark.parametrize("k", [1, 10])
     def test_budget_other_than_zero_rejected(self, k):
         # the stream corrupts nothing: [adversary] k used to be silently ignored
-        with pytest.raises(ValueError, match=f"^iid_random is uncorrupted: k must be 0, got {k}$"):
+        message = f"[adversary] k: iid_random is uncorrupted, so k must be 0, got {k}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AdversarySpec(kind="iid_random", T=20, k=k)
         spec = AdversarySpec(kind="iid_random", T=20, k=0)
         assert spec.budget == 0
         make_adversary(spec)
+
+
+_NO_ROOM_TO_REWEIGHT = f"^{re.escape('[adversary] k: the reweighting construction needs T >= 2k')}$"
 
 
 class TestDROReweight:
@@ -438,7 +447,7 @@ class TestDROReweight:
             assert stream_bytes(adv) == full_array_stream(T, 1.5, gradient_stream, dim).tobytes()
 
     def test_needs_room_for_reweighting(self):
-        with pytest.raises(ValueError, match="^reweighting construction needs T >= 2k$"):
+        with pytest.raises(ValueError, match=_NO_ROOM_TO_REWEIGHT):
             AdversarySpec(kind="dro_reweight", T=10, k=6)
         weights = make_adversary(AdversarySpec(kind="dro_reweight", T=10, k=5)).weights
         assert weights.sum() == pytest.approx(1.0)
@@ -450,7 +459,7 @@ class TestDROReweight:
         # A stream is now built only from a spec, which refuses these settings
         with pytest.raises(TypeError):
             DROReweightAdversary(T=10, k=8, G=1.0, seed=0)
-        with pytest.raises(ValueError, match="^reweighting construction needs T >= 2k$"):
+        with pytest.raises(ValueError, match=_NO_ROOM_TO_REWEIGHT):
             AdversarySpec(kind="dro_reweight", T=10, k=8, G=1.0)
 
 

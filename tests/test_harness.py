@@ -13,14 +13,14 @@ from robust_oco import core, epigraph, mirror_descent
 from robust_oco.harness import checks, cli, runner
 
 from robust_oco.adversaries import (
-    ADVERSARY_KINDS, Adversary, AdversarySpec, KTBettor, SignFlipAdversary, make_adversary,
+    STREAMS, Adversary, AdversarySpec, KTBettor, SignFlipAdversary, make_adversary,
 )
 from robust_oco.core import CorruptionLedger, NonFiniteError, RegretLedger, kernels
 from robust_oco.harness.checks import CHECKS, CheckReport
 from robust_oco.harness.cli import main
 from robust_oco.harness.config import (
-    ALGORITHMS,
     ExperimentConfig,
+    SweepConfig,
     from_ini,
     sweep_from_ini,
     sweep_to_ini,
@@ -28,7 +28,6 @@ from robust_oco.harness.config import (
 )
 from robust_oco.harness.runner import (
     ExperimentTrace,
-    SweepConfig,
     _sweep_cell_configs,
     make_player,
     run_experiment,
@@ -36,7 +35,7 @@ from robust_oco.harness.runner import (
     trace_columns,
 )
 from robust_oco.mirror_descent import SolverError
-from robust_oco.protocol import MODES, DecompositionLedger, ProtocolConfig, RoundRecord
+from robust_oco.protocol import ALGORITHMS, MODES, DecompositionLedger, ProtocolConfig, RoundRecord
 from robust_oco.thresholds import GradientFilter
 from snapshot import state_bits
 
@@ -90,9 +89,11 @@ def comparator_config(kind, dim, comparator):
 # used to raise in run_experiment, after make_adversary had drawn the stream
 COMPARATOR_RULES = pytest.mark.parametrize("kind, dim, comparator, message", [
     ("iid_random", 1, "adversary",
-     "adversary kind 'iid_random' constructs no comparator; set one explicitly"),
+     "[experiment] comparator: adversary kind 'iid_random' constructs no comparator; "
+     "set one explicitly"),
     ("dro_reweight", 1, "adversary",
-     "adversary kind 'dro_reweight' constructs no comparator; set one explicitly"),
+     "[experiment] comparator: adversary kind 'dro_reweight' constructs no comparator; "
+     "set one explicitly"),
     ("lb_theorem2", 1, (1.0, 2.0),
      "[experiment] comparator has 2 coordinates, but [adversary] dim = 1"),
     ("lb_theorem2", 3, (1.0, 2.0),
@@ -249,7 +250,8 @@ class TestConfigRoundTrip:
 
     def test_float_fields_round_trip_exactly(self):
         cfg = figure_config()
-        cfg.protocol.epsilon = 0.1 + 0.2  # not exactly representable as 0.3
+        cfg = dataclasses.replace(cfg, protocol=dataclasses.replace(
+            cfg.protocol, epsilon=0.1 + 0.2))  # not exactly representable as 0.3
         assert from_ini(to_ini(cfg)).protocol.epsilon == cfg.protocol.epsilon
 
     def test_sweep_identity_on_full_config(self):
@@ -276,20 +278,21 @@ class TestConfigRoundTrip:
         # every shipped config spells out every key, in field order
         assert dump(config) == text
 
-    @pytest.mark.parametrize("key, value, source, needed", [
-        ("mode", "unknown_g_case2", "[experiment] algorithm", "'known_g'"),
-        ("mode", "kt_bettor", "[experiment] algorithm", "'known_g'"),
-        ("T", 50, "[adversary] T", "12"),
-        ("dim", 2, "[adversary] dim", "1"),
+    @pytest.mark.parametrize("key, value, source, needed, more", [
+        # case2 refuses a G itself, so that row drops figure1's G = 1.0 too
+        ("mode", "unknown_g_case2", "[experiment] algorithm", "'known_g'", {"G": None}),
+        ("mode", "kt_bettor", "[experiment] algorithm", "'known_g'", {}),
+        ("T", 50, "[adversary] T", "12", {}),
+        ("dim", 2, "[adversary] dim", "1", {}),
     ])
-    def test_hand_built_protocol_must_agree(self, key, value, source, needed):
+    def test_hand_built_protocol_must_agree(self, key, value, source, needed, more):
         # the INI reader derives these fields; a library caller's
         # ProtocolConfig is checked against the same sources
         cfg = figure_config()
-        setattr(cfg.protocol, key, value)
+        protocol = dataclasses.replace(cfg.protocol, **{key: value}, **more)
         with pytest.raises(ValueError) as info:
             ExperimentConfig(algorithm=cfg.algorithm, adversary=cfg.adversary,
-                             protocol=cfg.protocol)
+                             protocol=protocol)
         assert str(info.value) == (
             f"[protocol] {key} = {value!r} disagrees with {source}, which needs {needed}"
         )
@@ -306,7 +309,8 @@ class TestConfigRoundTrip:
         # the INI reader parses any other text as coordinates, so only a
         # library caller can pass one
         cfg = figure_config()
-        with pytest.raises(ValueError, match="^comparator must be coordinates or 'adversary'$"):
+        message = "[experiment] comparator must be coordinates or 'adversary'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(algorithm=cfg.algorithm, adversary=cfg.adversary,
                              protocol=cfg.protocol, comparator="adversry")
 
@@ -731,7 +735,7 @@ class TestFloatRunLoop:
     """At d = 1 the run loop trades Python floats, not 1-entry arrays."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("kind", ADVERSARY_KINDS)  # every kind runs at d = 1
+    @pytest.mark.parametrize("kind", STREAMS)  # every kind runs at d = 1
     def test_rows_and_summary_match_the_array_loop_bit_for_bit(self, kind, algorithm):
         config = d1_config(kind, algorithm)
         trace = run_experiment(config, seed=3)
@@ -957,6 +961,72 @@ class TestIntegerSettings:
         assert run(owner, tmp_path / "value") == run(make(3), tmp_path / "int")
 
 
+def _spec(**fields):
+    return AdversarySpec(**{"kind": "sign_flip_window", "T": 12, "k": 3, "window_start": 5,
+                            **fields})
+
+
+def _experiment(**fields):
+    return dataclasses.replace(figure_config(), **fields)
+
+
+# every refusal of AdversarySpec and ExperimentConfig, each with the INI key
+# its message starts with
+REFUSALS = pytest.mark.parametrize("make, key", [
+    (lambda: _spec(kind="sign_flip"), "[adversary] kind"),
+    (lambda: _spec(T=0), "[adversary] T"),
+    (lambda: _spec(k=-1), "[adversary] k"),
+    (lambda: _spec(window_start=-1), "[adversary] window_start"),
+    (lambda: _spec(dim=0), "[adversary] dim"),
+    (lambda: _spec(G=math.nan), "[adversary] G"),
+    (lambda: _spec(epsilon=0.0), "[adversary] epsilon"),
+    (lambda: _spec(D=math.inf), "[adversary] D"),
+    (lambda: _spec(D=2.0), "[adversary] D"),
+    (lambda: _spec(dim=2), "[adversary] dim"),
+    (lambda: _spec(window_start=11), "[adversary] window_start"),
+    (lambda: _spec(kind="lb_theorem2", k=12), "[adversary] k"),
+    (lambda: _spec(kind="lb_origin", T=31), "[adversary] T"),
+    (lambda: _spec(kind="lb_origin", k=13), "[adversary] k"),
+    (lambda: _spec(kind="lb_origin", T=30, epsilon=1e300), "[adversary] epsilon"),
+    (lambda: _spec(kind="dro_reweight", k=7), "[adversary] k"),
+    (lambda: _spec(kind="iid_random"), "[adversary] k"),
+    (lambda: _experiment(algorithm="sgd"), "[experiment] algorithm"),
+    (lambda: _experiment(algorithm="kt_bettor", adversary=_spec(kind="lb_theorem2", dim=3),
+                         protocol=ProtocolConfig(mode="kt_bettor", T=12, dim=3)),
+     "[adversary] dim"),
+    (lambda: _experiment(algorithm="unknown_g_case1"), "[protocol] mode"),
+    (lambda: _experiment(adversary=_spec(T=13)), "[protocol] T"),
+    (lambda: _experiment(adversary=_spec(kind="lb_theorem2", dim=2)), "[protocol] dim"),
+    (lambda: _experiment(comparator="adversry"), "[experiment] comparator"),
+    (lambda: _experiment(adversary=_spec(kind="dro_reweight", k=0), comparator="adversary"),
+     "[experiment] comparator"),
+    (lambda: _experiment(comparator=(math.nan,)), "[experiment] comparator"),
+    (lambda: _experiment(comparator=(1.0, 2.0)), "[experiment] comparator"),
+    (lambda: _experiment(seeds=(-1,)), "[experiment] seeds"),
+    (lambda: _experiment(seeds=()), "[experiment] seeds"),
+])
+
+
+class TestConfigsAreFrozen:
+    @pytest.mark.parametrize("config", [
+        ProtocolConfig(mode="known_g", T=12, k=3, G=1.0), figure_config(), SweepConfig(),
+    ], ids=lambda c: type(c).__name__)
+    def test_no_field_can_be_assigned(self, config):
+        # a config is checked once, as it is built; dataclasses.replace is
+        # the one way to vary it, and it runs every rule again
+        for f in dataclasses.fields(config):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, f.name, getattr(config, f.name))
+
+
+class TestRefusalsNameTheirKey:
+    @REFUSALS
+    def test_every_refusal_names_its_key(self, make, key):
+        # "[adversary] D = nan" used to read "D must be finite, got nan"
+        with pytest.raises(ValueError, match=f"^{re.escape(key)}[ :=]"):
+            make()
+
+
 class TestChecksRegistry:
     def test_registered_names(self):
         assert set(CHECKS) == {
@@ -1132,8 +1202,8 @@ class TestCLI:
         ("adversary", "unknown_g_case1", "G", "inf", "[adversary] G must be positive and finite"),
         ("adversary", "unknown_g_case1", "G", "-1.0", "[adversary] G must be positive and finite"),
         ("adversary", "known_g", "G", "nan", "[adversary] G must be positive and finite"),
-        ("adversary", "known_g", "D", "nan", "D must be finite"),
-        ("adversary", "known_g", "D", "inf", "D must be finite"),
+        ("adversary", "known_g", "D", "nan", "[adversary] D must be finite"),
+        ("adversary", "known_g", "D", "inf", "[adversary] D must be finite"),
         ("adversary", "known_g", "epsilon", "nan",
          "[adversary] epsilon must be positive and finite"),
         ("experiment", "kt_bettor", "comparator", "nan", "[experiment] comparator must be finite"),
@@ -1175,7 +1245,8 @@ class TestCLI:
         path.write_text(text)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err == "error: epsilon 1e+300 overflows the comparator 2*epsilon*e^30\n", err
+        assert err == (
+            "error: [adversary] epsilon 1e+300 overflows the comparator 2*epsilon*e^30\n"), err
         assert not (tmp_path / "out").exists()
 
     def test_sweep_subcommand(self, tmp_path):
@@ -1248,7 +1319,7 @@ class TestCLI:
             ("run", lambda text: text.replace("tau_G = 1.0\n", "tau_G = 1.0\np = 2.0\n"),
              ("[protocol]", "'p'")),
             ("run", lambda text: text.replace("sign_flip_window", "iid_random"),
-             ("iid_random is uncorrupted: k must be 0, got 3",)),
+             ("[adversary] k: iid_random is uncorrupted, so k must be 0, got 3",)),
             ("sweep", lambda text: text.replace("ks = 4", "ks = 4 1"),
              ("[sweep] ks must be an integer in [2, 2**53), got 1\n",)),
             ("sweep", lambda text: text.replace("ks = 4", "ks = 4 94906266"),
@@ -1303,7 +1374,7 @@ class TestCLI:
             "run failed: run aborted at round 3: non-finite value in decomposition ledger"
         ), err
 
-    @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
+    @pytest.mark.parametrize("kind", STREAMS)
     @pytest.mark.parametrize("seed_from", ["cli", "ini"])
     def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys, kind, seed_from):
         # --seed -1 skipped the seeds check: a stream that draws no random
@@ -1329,11 +1400,11 @@ class TestCLI:
         (lambda text: text.replace("[adversary]\n", "[adversary]\ngarbage\n"),
          "error: Source contains parsing errors"),
         (lambda text: text.replace("seeds = 0", "seeds ="),
-         "error: at least one seed is required\n"),
+         "error: [experiment] seeds: at least one seed is required\n"),
         (lambda text: text.replace("algorithm = known_g", "algorithm = kt_bettor")
          .replace("sign_flip_window", "lb_theorem2").replace("dim = 1", "dim = 3")
          .replace("comparator = 1.0", "comparator = adversary"),
-         "error: the KT baseline is one-dimensional\n"),
+         "error: [adversary] dim: the KT baseline is one-dimensional\n"),
     ], ids=["unparsable_value", "no_section_header", "malformed_line", "empty_seeds",
             "kt_bettor_dim_3"])
     def test_config_error_exits_2_with_its_message(self, tmp_path, capsys, edit, prefix):

@@ -10,7 +10,6 @@ import mpmath
 import numpy as np
 import pytest
 
-import robust_oco
 from robust_oco import mirror_descent
 from robust_oco.core import ARRAY, NonFiniteError, norm
 from robust_oco.epigraph import EpigraphLearner
@@ -182,12 +181,12 @@ class TestLinkInverse:
         # A subprocess with a timeout keeps a regression from hanging the suite.
         code = (
             "import numpy as np\n"
-            "from robust_oco import ProtocolConfig, RobustProtocol\n"
+            "from robust_oco.protocol import ProtocolConfig, RobustProtocol\n"
             "p = RobustProtocol(ProtocolConfig(mode='known_g', T=3, k=1, G=1.0))\n"
             "p.round(np.array([1e-40]))\n"
             "assert p.w == 0.0\n"
         )
-        src = str(Path(robust_oco.__file__).resolve().parents[1])
+        src = str(Path(mirror_descent.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         done = subprocess.run(
@@ -321,7 +320,7 @@ class TestLinkInverse:
         # moves u by about 2.4e-4, too little to change exp(u) on the
         # subnormal grid, so neither the Newton bound nor the bracket exit
         # holds. The solve returns once the iterate repeats its radius
-        from robust_oco import ProtocolConfig, RobustProtocol
+        from robust_oco.protocol import ProtocolConfig, RobustProtocol
 
         solves = []
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -123,7 +124,8 @@ class TestPresets:
             ProtocolConfig(mode=mode, T=100, k=2, **kw)
 
     @pytest.mark.parametrize("settings, message", [
-        ({"mode": "sgd", "T": 100}, f"unknown mode 'sgd'; expected one of {ALGORITHMS}"),
+        ({"mode": "sgd", "T": 100},
+         f"[experiment] algorithm: unknown algorithm 'sgd'; expected one of {ALGORITHMS}"),
         ({"mode": "known_g", "T": 2, "G": 1.0},
          "[adversary] T must be an integer in [3, 2**53), got 2"),
         ({"mode": "unknown_g_case2", "T": 2},
@@ -190,6 +192,23 @@ class TestPresets:
         for mode in ("unknown_g_case1", "unknown_g_case2"):
             with pytest.raises(ValueError):
                 RobustProtocol(ProtocolConfig(mode=mode, T=100, k=5, G=1.0))
+
+    def test_a_varied_config_is_checked_again(self):
+        # configs were mutable: c.G = None on a known_g config built a
+        # protocol whose first round raised TypeError, and c.k = 0 on a case1
+        # config raised ZeroDivisionError in RobustProtocol. They are frozen,
+        # and dataclasses.replace runs every rule again
+        known_g = ProtocolConfig(mode="known_g", T=100, k=2, G=1.0)
+        case1 = ProtocolConfig(mode="unknown_g_case1", T=100, k=2)
+        for config, field, value in ((known_g, "G", None), (case1, "k", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, field, value)
+        with pytest.raises(ValueError, match=re.escape(
+                "[protocol] G: known_g needs the gradient bound") + "$"):
+            dataclasses.replace(known_g, G=None)
+        with pytest.raises(ValueError, match=re.escape(
+                "[protocol] k must be an integer in [1, 2**53), got 0") + "$"):
+            dataclasses.replace(case1, k=0)
 
 
 def weighted_rounds(protocol, stream):
@@ -279,7 +298,7 @@ class TestUnknownModesAreBlindToTheBound:
         assert cfg.G is None
         # plant a poisoned value where the bound would live; any numeric read
         # of it during the run raises
-        protocol.config.G = _PoisonedBound()
+        object.__setattr__(protocol.config, "G", _PoisonedBound())  # the config is frozen
         protocol.G = _PoisonedBound()
         rng = np.random.default_rng(0)
         for t in range(1, 201):
