@@ -24,6 +24,7 @@ from .mirror_descent import MirrorDescentLearner, SolverError
 _PROJ_RTOL = 1e-12
 _PROJ_MAX_ITER = 300
 _PROJ_COLLAPSE = 4e-16  # relative bracket width of a few ulps
+_PROJ_NEWTON_ITER = 6  # residual evaluations a warm start gets before the bisection
 
 
 class EpigraphPoint(NamedTuple):
@@ -32,21 +33,24 @@ class EpigraphPoint(NamedTuple):
 
 
 def weighted_project(
-    point: EpigraphPoint, h: float, gamma: float, w_norm: float
+    point: EpigraphPoint, h: float, gamma: float, w_norm: float, start: float = 0.0
 ) -> EpigraphPoint:
     """Minimize h^2||w - w_hat||^2 + gamma^2(y - y_hat)^2 over y >= ||w||^2.
 
-    w_norm must be norm(point.w), which the caller already has; point.w is
-    a float64 array or, in the d = 1 form, a float. Interior points are
-    returned unchanged, as the same object. Boundary solutions
-    lie along the input direction at radius s, the unique nonnegative root of
-    s*(h^2 + 2 gamma^2 (s^2 - y_hat)) = h^2 ||w_hat||; the root is found by
-    bisection (the cubic is below the target before the crossing and above it
-    after, even when it dips negative first). The bisection stops when the
-    residual is within 1e-12 * max(1, h^2 ||w_hat||) or the bracket has
-    collapsed to a few ulps (hi - lo <= 4e-16 * hi): the residual's rounding
-    error grows with the cubic term 2 gamma^2 s^3, so on well-posed input it
-    can stay above the first bound at every representable radius.
+    w_norm must be norm(point.w), which the caller already has; point.w is a
+    float64 array or, in the d = 1 form, a float. Interior points are returned
+    unchanged, as the same object. Boundary solutions lie along the input
+    direction at radius s, the unique nonnegative root of
+    s*(h^2 + 2 gamma^2 (s^2 - y_hat)) = h^2 ||w_hat||: the cubic is below the
+    target before the crossing and above it after, even when it dips negative
+    first. Newton steps from a start in (0, hi), hi = max(||w_hat||,
+    sqrt(y_hat)) + 1, return the first iterate whose residual is within
+    1e-12 * max(1, h^2 ||w_hat||). Otherwise (a start of 0, the default, or
+    outside (0, hi), a step out of it, a slope not positive, or six
+    residuals) a bisection on [0, hi] finds s, stopping within that bound or
+    when the bracket has collapsed to a few ulps (hi - lo <= 4e-16 * hi): the
+    residual's rounding error grows with the cubic term 2 gamma^2 s^3, so on
+    well-posed input it can stay above the first bound at every radius.
     """
     if not (0.0 < h < math.inf and 0.0 < gamma < math.inf):  # NaN fails too
         raise ValueError(f"projection weights must be positive and finite: h={h}, gamma={gamma}")
@@ -68,7 +72,15 @@ def weighted_project(
 
     lo, hi = 0.0, max(w_norm, math.sqrt(max(y_hat, 0.0))) + 1.0
     tol = _PROJ_RTOL * max(1.0, target)
-    s = hi
+    s = start
+    for _ in range(_PROJ_NEWTON_ITER if 0.0 < s < hi else 0):
+        r = residual(s)
+        if abs(r) <= tol:
+            return _on_boundary(point, s, w_norm)
+        slope = h2 + two_g2 * (3.0 * s * s - y_hat)
+        s = s - r / slope if slope > 0.0 else hi  # hi: out of (0, hi)
+        if not 0.0 < s < hi:
+            break
     for _ in range(_PROJ_MAX_ITER):
         s = 0.5 * (lo + hi)
         r = residual(s)
@@ -82,7 +94,11 @@ def weighted_project(
         raise SolverError(
             f"epigraph projection did not converge for {point} (h={h}, gamma={gamma})"
         )
+    return _on_boundary(point, s, w_norm)
 
+
+def _on_boundary(point: EpigraphPoint, s: float, w_norm: float) -> EpigraphPoint:
+    """The boundary point at radius s along point.w, whose norm is w_norm."""
     w = (s / w_norm) * point.w
     # clamp: feasibility holds exactly; the BLAS sum of squares, not
     # core.dot, because callers check feasibility against w @ w
@@ -163,6 +179,7 @@ class EpigraphLearner:
         zero and is not built; adding its 0.0 still turns a -0.0 entry into
         0.0, which learner_w's dual update can tell apart where its mirror-map
         gradient holds -0.0 (a zero mirror part times a negative dual entry).
+        A boundary round's played norm starts the next round's projection.
         Nothing commits until both updates, the projection and the check of
         the played point's norm have succeeded.
         """
@@ -179,7 +196,8 @@ class EpigraphLearner:
         update_w = self.learner_w.update(0.5 * (gradient + delta_w), 2.0 * hint)
         update_y = self.learner_y.update(0.5 * (a_t + delta_y), 1.5 * self.gamma)
         hat = tuple.__new__(EpigraphPoint, (update_w.w, update_y.w))
-        played = weighted_project(hat, hint, self.gamma, update_w.w_norm)
+        played = weighted_project(hat, hint, self.gamma, update_w.w_norm,
+                                  0.0 if self._played is self._hat else self.w_norm)
         w_norm = update_w.w_norm if played is hat else k.norm(played.w)
         if not math.isfinite(w_norm):  # NaN only: a projected point stays far inside float range
             ensure_finite(np.atleast_1d(played.w), "epigraph iterate")

@@ -10,8 +10,8 @@ keeps the iteration count bounded even when the bracket spans hundreds of
 orders of magnitude (parameter-free iterates are exponential in the dual
 norm). The solve also returns the mirror part of the link at its root, which
 the dual update reuses as the next round's mirror-map gradient, and its
-root's offset from the bracket's upper end in log radius, where the learner
-starts its next solve: on a long horizon it barely moves from round to round.
+root's offset from the bracket's upper end in log radius, which moves so
+smoothly on a long horizon that the learner extrapolates its next start.
 
 One update serves every dimension: at d = 1 the iterate, the dual
 accumulator and the mirror-map gradient are Python floats, above that
@@ -38,6 +38,7 @@ _SOLVE_UTOL = 1e-10  # bound on the estimated error in log radius
 # one Newton step from the upper end reaches a root closer than this: no warm start
 _WARM_OFFSET = -math.sqrt(_SOLVE_UTOL)
 _SOLVE_MAX_ITER = 200
+_NO_OFFSETS = (0.0, 0.0, 0.0)  # no warm offsets before the last one
 _LOG_TINY = math.log(5e-324)
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -123,28 +124,31 @@ def link_inverse_solve(
     """Solve L(x) = theta_norm for the unique nonnegative radius x.
 
     Returns x, the link's mirror part at x, which the learner reuses, and
-    the offset log x - log(upper end), 0.0 if no Newton step ran, which it
-    passes to its next solve. At p > 1 the link tends to 0 at the origin: no
-    positive theta_norm is absorbed there. With the penalty disabled the
-    link is the mirror part alone and inverts in closed form; otherwise the
-    bracket comes from inverting each summand separately (_bracket_end):
-    either summand at the full target bounds the root from above, and the
-    smaller summand inverse at half the target bounds it from below. Newton
-    steps on log L(u) - log theta in u = log x start from the upper end or,
-    when the bracket is finite and offset is below -sqrt(1e-10), from the
-    upper end plus offset (at least the smallest positive double). A step
-    that leaves the bracket is replaced by the bracket midpoint, except that
-    a warm start's first step past the unread upper end goes to it; an upper
+    the offset log x - log(upper end), from which it predicts its next start
+    (0.0 if a cold solve ran no Newton step; one Newton step past a warm
+    start that passes at its first evaluation, which returns as x). At p > 1
+    the link tends to 0 at the origin: no positive theta_norm is absorbed
+    there. With the penalty disabled the link is the mirror part alone and
+    inverts in closed form; otherwise the bracket comes from inverting each
+    summand separately (_bracket_end): either summand at the full target
+    bounds the root from above, and the smaller summand inverse at half the
+    target bounds it from below. Newton steps on log L(u) - log theta in
+    u = log x start from the upper end or, when the bracket is finite and
+    offset is below -sqrt(1e-10), from the upper end plus offset (at least
+    the smallest positive double), on either side of the root. A step that
+    leaves the bracket is replaced by the bracket midpoint, except that a
+    warm start's first step past the unread upper end goes to it; an upper
     end that rounding left short of the root moves up. The lower end is
-    computed only when the first evaluation fails the slope test: most cold
-    solves converge at the upper end and never read it. An iterate returns
-    when its residual is within 1e-9 * max(1, theta_norm) and the root is
-    pinned: in u, by the Newton error estimate or a bracket collapsed below
-    1e-10 (the closed-form lower end is exact only in reals), or in x, by
-    repeating the last iterate's radius (a subnormal root). Once no step
-    moves u, or after 200 iterations, a bracket closed to two neighbouring
-    doubles in x returns the one with the smaller |residual|, and any other
-    bracket raises.
+    computed only when the first evaluation fails the slope test above the
+    root (a warm start below it is the lower end): most cold solves converge
+    at the upper end and never read it. An iterate returns when its residual
+    is within 1e-9 * max(1, theta_norm) and the root is pinned: in u, by the
+    Newton error estimate or a bracket collapsed below 1e-10 (the
+    closed-form lower end is exact only in reals), or in x, by repeating the
+    last iterate's radius (a subnormal root). Once no step moves u, or after
+    200 iterations, a bracket closed to two neighbouring doubles in x
+    returns the one with the smaller |residual|, and any other bracket
+    raises.
     """
     if not theta_norm >= 0.0:  # NaN fails too
         raise ValueError(f"dual norm must be nonnegative, got {theta_norm}")
@@ -197,9 +201,13 @@ def link_inverse_solve(
         resid = value - theta_norm
         small = abs(resid) <= tol
         if small and (abs(resid) <= _SOLVE_UTOL * slope or x == x_prev):
+            if warm and x_prev is None and value > 0.0 and slope > 0.0:  # refine the offset
+                u -= (math.log(value) - log_theta) * value / slope
             return x, mirror, u - u_top
         x_prev = x
-        if u_lo is None:
+        if u_lo is None and warm and resid < 0:
+            u_lo = u  # a warm start below the root is the lower end
+        elif u_lo is None:
             lo = max(_bracket_end(0.5 * theta_norm, V, h, a, reg), floor)
             u_lo = math.log(lo) if lo > 0.0 else _LOG_TINY
         if small and u_hi - u_lo <= _SOLVE_UTOL:
@@ -239,7 +247,7 @@ def link_inverse_solve(
 # one round's new learner state, computed before any of it is assigned; w
 # and mirror_grad are in the learner's form, radius is the solved iterate norm.
 # It, RoundRecord and EpigraphPoint are built by tuple.__new__, a C call, in field order
-Update = namedtuple("Update", "w w_norm mirror_grad radius h C N B root_offset")
+Update = namedtuple("Update", "w w_norm mirror_grad radius h C N B root_offset earlier_offsets")
 
 
 class MirrorDescentLearner:
@@ -253,9 +261,12 @@ class MirrorDescentLearner:
     The hint h bounds the next gradient's norm; C sums the squared gradient
     norms, N the same squares over the hint in force, and B adds 4N each
     round; update() derives the link's V = hint^2 + C and wealth scale a
-    (from B). root_offset is the last solve's root offset, where the next
-    solve starts (link_inverse_solve). A round is update(), which runs every
-    check and the solve on locals, then commit(), which assigns the result.
+    (from B). root_offset o1 is the last solve's root offset and
+    earlier_offsets the warm ones before it since the last cold start,
+    newest first, zero-padded to three; the next solve (link_inverse_solve)
+    starts at 4(o1 + o3) - 6 o2 - o4 when all four are warm, else at o1. A
+    round is update(), which runs every check and the solve on locals, then
+    commit(), which assigns the result.
 
     w and mirror_grad are held in the form core.kernels(dim) picks: floats
     at d = 1, float64 arrays above, bit for bit the learner on 1-entry
@@ -288,6 +299,7 @@ class MirrorDescentLearner:
         self.w_norm = 0.0  # norm(self.w), kept from the check in update
         self.mirror_grad = self.kernels.zeros(dim)  # mirror-map gradient at w
         self.root_offset = 0.0
+        self.earlier_offsets = _NO_OFFSETS
 
     def _wealth_scale(self, B: float) -> float:
         """The scale a = epsilon / (sqrt(B) ln(B)^2) inside the mirror map's log.
@@ -346,10 +358,17 @@ class MirrorDescentLearner:
             # every entry of theta is a signed zero: abs gives the origin
             w = mirror_grad = abs(theta)
             radius = w_norm = 0.0
-            root_offset = self.root_offset
+            root_offset, earlier = self.root_offset, self.earlier_offsets
         else:
+            start = o1 = self.root_offset
+            earlier = _NO_OFFSETS  # a cold start ends the run of warm offsets
+            if o1 < _WARM_OFFSET:
+                o2, o3, o4 = self.earlier_offsets
+                if o4 < _WARM_OFFSET:  # filled newest first: four warm solves in a row
+                    start = 4.0 * (o1 + o3) - 6.0 * o2 - o4
+                earlier = (o1, o2, o3)
             radius, mirror, root_offset = link_inverse_solve(
-                theta_norm, V, hint, a, self.reg, self.root_offset)
+                theta_norm, V, hint, a, self.reg, start)
             w = (radius / theta_norm) * theta
             mirror_grad = (mirror / theta_norm) * theta
             # as for theta: a finite norm proves the iterate finite
@@ -357,12 +376,13 @@ class MirrorDescentLearner:
             if not math.isfinite(w_norm):
                 ensure_finite(np.atleast_1d(w), "mirror descent iterate")
                 raise _out_of_range(theta_norm, V, hint, a)
-        return tuple.__new__(Update, (w, w_norm, mirror_grad, radius, hint, C, N, B, root_offset))
+        return tuple.__new__(
+            Update, (w, w_norm, mirror_grad, radius, hint, C, N, B, root_offset, earlier))
 
     def commit(self, update: Update) -> None:
         """Assign the state that update() computed and fold the new radius into the penalty."""
         if self.reg.c != 0.0:  # a penalty-free link never reads the penalty state
             self.reg.advance(update.radius)
         (self.w, self.w_norm, self.mirror_grad, _,
-         self.h, self.C, self.N, self.B, self.root_offset) = update
+         self.h, self.C, self.N, self.B, self.root_offset, self.earlier_offsets) = update
         self.t += 1

@@ -1,7 +1,9 @@
-"""The piecewise link and its root at the working mpmath precision, an oracle for the solver.
+"""The solvers' roots at the working mpmath precision: oracles for the link and the projection.
 
 The tests and ``tools/link_sampler.py`` check ``link_inverse_solve`` against
-these; each caller sets the precision (50 digits) with ``mpmath.workdps``.
+the piecewise link and its root, and the tests check ``weighted_project``
+against the projection's cubic root; each caller sets the precision (50
+digits) with ``mpmath.workdps``.
 """
 
 import math
@@ -40,3 +42,14 @@ def mp_link_root(theta, V, h, a, reg, x0=None):
         lambda u: mpmath.log(mp_link(u, V, h, a, reg)) - log_theta, bracket,
         solver="anderson", maxsteps=200,
     ))
+
+
+def mp_project_root(w_norm, y_hat, h, gamma):
+    """The boundary radius of weighted_project: the nonnegative real root of the cubic
+
+    s*(h^2 + 2 gamma^2 (s^2 - y_hat)) - h^2 w_norm, which is unique for w_norm > 0.
+    """
+    mpf = mpmath.mpf
+    g2, h2 = 2 * mpf(gamma) ** 2, mpf(h) ** 2
+    roots = mpmath.polyroots([g2, 0, h2 - g2 * mpf(y_hat), -h2 * mpf(w_norm)], extraprec=200)
+    return max(r.real for r in roots if abs(r.imag) < mpf(10) ** -30)

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -14,7 +15,30 @@ from robust_oco.epigraph import (
     weighted_project,
 )
 from robust_oco.mirror_descent import SolverError
+from link_oracle import mp_project_root
 from snapshot import state_bits
+
+
+# weighted_project's nested residual, whose calls are the projection's evaluations
+RESIDUAL = next(c for c in epigraph.weighted_project.__code__.co_consts
+                if getattr(c, "co_name", None) == "residual")
+
+
+def residuals_in(call):
+    """call()'s result and how many times it evaluated the projection's residual."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code is RESIDUAL
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        out = call()
+    finally:
+        sys.setprofile(previous)
+    return out, count
 
 
 class TestWeightedProject:
@@ -84,11 +108,78 @@ class TestWeightedProject:
         pt = EpigraphPoint(np.array([w_hat]), y_hat)
         out = weighted_project(pt, h, gamma, norm(pt.w))
         with mpmath.workdps(50):
-            g2, nw, y = 2 * mpmath.mpf(gamma) ** 2, mpmath.mpf(w_hat), mpmath.mpf(y_hat)
-            roots = mpmath.polyroots([g2, 0, h * h - g2 * y, -h * h * nw], extraprec=200)
-            root = max(r.real for r in roots if abs(r.imag) < mpmath.mpf(10) ** -30)
+            root = mp_project_root(w_hat, y_hat, h, gamma)
             assert abs(mpmath.mpf(float(out.w[0])) - root) <= 5e-16 * root
         assert out.y >= float(out.w @ out.w)
+
+    # (w_hat, y_hat, h, gamma, w bits, y bits) of calls without a start; the
+    # first is the round-1 boundary call of the first dro_highdim case1 cell,
+    # whose target h^2 ||w_hat|| is 6e-6, below 1
+    COLD_BITS = [
+        ([2.4067862516745284e-05], 0.0, 0.5, 51.0, ["0x1.93c96ce1da524p-16"],
+         "0x1.3e71e5a59f2b9p-31"),
+        ([2.0], 0.0, 1.0, 1.0, ["0x1.ab95280dc5800p-1"], "0x1.65157542cb92ap-1"),
+        ([2.0338438752003833], 4.020070730557359, 1.0, 31.0, ["0x1.00a4465adbbb8p+1"],
+         "0x1.0148f61fef366p+2"),
+        ([0.3, -1.2, 2.0], -0.5, 1.3, 0.6,
+         ["0x1.46d955c598d90p-3", "-0x1.46d955c598d90p-1", "0x1.105fc779ff5f8p+0"],
+         "0x1.90a474722f822p+0"),
+    ]
+
+    @pytest.mark.parametrize("w_hat, y_hat, h, gamma, w_bits, y_bits", COLD_BITS,
+                             ids=["dro_round_1", "cubic_example", "collapse", "d3"])
+    def test_cold_call_keeps_the_bisection_bits(self, w_hat, y_hat, h, gamma, w_bits, y_bits):
+        # a call without a start runs the bisection alone, with the bits it
+        # gave before the projection took a start
+        pt = EpigraphPoint(np.array(w_hat), y_hat)
+        out = weighted_project(pt, h, gamma, norm(pt.w))
+        assert [float(x).hex() for x in out.w] == w_bits and out.y.hex() == y_bits
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_warm_start_matches_fifty_digit_root(self, dim):
+        # from a start off the root by 1e-12 to 1e-1 (relative), either way,
+        # the radius is within the residual tolerance of the 50-digit root:
+        # |s - root| <= 1e-12 * max(1, target) / slope, plus a few ulps. Up
+        # to 1e-3 off, Newton accepts an iterate within six residuals
+        rng = np.random.default_rng(11 + dim)
+        checked = 0
+        for _ in range(40):
+            w_hat = rng.standard_normal(dim) * 2.0
+            w_norm = norm(w_hat)
+            y_hat = float(rng.uniform(-2.0, 0.9 * w_norm * w_norm))
+            h, gamma = (float(np.exp(rng.uniform(-1.0, 1.0))) for _ in range(2))
+            pt = EpigraphPoint(w_hat if dim > 1 else float(w_hat[0]), y_hat)
+            with mpmath.workdps(50):
+                root = mp_project_root(w_norm, y_hat, h, gamma)
+                slope = h * h + 2 * gamma * gamma * (3 * root * root - y_hat)
+                bound = 1e-12 * max(1.0, h * h * w_norm) / slope + 4 * math.ulp(float(root))
+                for rel in (1e-12, 1e-9, 1e-6, 1e-3, 1e-1):
+                    for sign in (-1.0, 1.0):
+                        start = float(root * (1 + sign * rel))
+                        out, residuals = residuals_in(
+                            lambda: weighted_project(pt, h, gamma, w_norm, start))
+                        w = np.atleast_1d(out.w)
+                        assert abs(norm(w) - root) <= bound, (rel, sign)
+                        assert out.y >= float(w @ w)
+                        if rel <= 1e-3:
+                            assert residuals <= 6, (rel, sign)
+                        checked += 1
+        assert checked == 400
+
+    @pytest.mark.parametrize("start", [0.0, -1.0, math.nan, math.inf, 4.0, 0.1, 1.6, 2.1],
+                             ids=["zero", "negative", "nan", "inf", "upper_end",
+                                  "slope_negative", "step_leaves", "not_accepted"])
+    def test_start_that_newton_cannot_use_runs_the_bisection(self, start):
+        # w_hat = 3, y_hat = 8, h = gamma = 1: the residual 2s^3 - 15s - 3 has
+        # its root near 2.834 in (0, 4) and a nonpositive slope below
+        # s = 1.58; from 1.6 the first step lands past 4, from 2.1 no iterate
+        # passes the residual test within six evaluations. Each falls back to
+        # the bisection from [0, 4], bit for bit the call without a start
+        pt = EpigraphPoint(np.array([3.0]), 8.0)
+        cold, bisection = residuals_in(lambda: weighted_project(pt, 1.0, 1.0, 3.0))
+        out, residuals = residuals_in(lambda: weighted_project(pt, 1.0, 1.0, 3.0, start))
+        assert out.w.tobytes() == cold.w.tobytes() and out.y.hex() == cold.y.hex()
+        assert residuals >= bisection
 
     def test_failure_names_the_weights(self):
         pt = EpigraphPoint(np.array([math.nan]), 0.0)
@@ -160,7 +251,8 @@ class AlwaysCorrected(EpigraphLearner):
     the correction (zero for an interior prediction) and adds it, and the
     projection takes a fresh norm of the lifted iterate. The vector side and
     the lifted point are float64 arrays at every dimension, d = 1 included,
-    where the learner itself runs on floats."""
+    where the learner itself runs on floats. A boundary projection starts,
+    as the learner's does, from last round's boundary radius."""
 
     def __init__(self, dim, **kw):
         super().__init__(dim, **kw)
@@ -170,9 +262,10 @@ class AlwaysCorrected(EpigraphLearner):
         self._project()
 
     def _project(self):
+        start = 0.0 if self._played is self._hat else norm(self._played.w)
         self._hat = EpigraphPoint(self.learner_w.w, self.learner_y.w)
         self._played = weighted_project(
-            self._hat, self.h, self.gamma, norm(self._hat.w)
+            self._hat, self.h, self.gamma, norm(self._hat.w), start
         )
         self.w = self._played.w
 

@@ -115,10 +115,11 @@ class TestLinkInverse:
         assert worst <= 1e-8
 
     def test_warm_start_matches_fifty_digit_root(self):
-        # the learner starts each solve at its last root's offset from the
-        # upper end. From any offset, near that root, far below it,
-        # positive (a cold start) or below the log of the smallest double,
-        # the stop rule is the cold solve's: the root is within 1e-10
+        # the learner starts each solve at a predicted offset from the upper
+        # end, which can land on either side of the root. From any offset,
+        # near that root, far below it, just or well above it, positive (a
+        # cold start) or below the log of the smallest double, the stop rule
+        # is the cold solve's: the root is within 1e-10
         worst = {}
         with mpmath.workdps(50):
             for V, h, a, reg, x0, theta in round_trip_samples():
@@ -127,7 +128,8 @@ class TestLinkInverse:
                 root = mp_link_root(theta, V, h, a, reg, x0)
                 offset = link_inverse_solve(theta, V, h, a, reg)[2]
                 for start, warm in (("near", offset - 1e-3), ("far", offset - 20.0),
-                                    ("positive", 0.5),
+                                    ("just_above", offset + 1e-9),
+                                    ("above", offset + 1e-3), ("positive", 0.5),
                                     ("below_log_tiny", mirror_descent._LOG_TINY - 1.0)):
                     got = link_inverse_solve(theta, V, h, a, reg, warm)[0]
                     worst[start] = max(worst.get(start, 0.0), float(abs(got - root) / root))
@@ -162,6 +164,35 @@ class TestLinkInverse:
             link_inverse_solve(theta, V, h, a, reg, offset - 1e-3)
             most = max(most, len(us) - cold)
         assert most == 2
+
+    def test_accepted_warm_start_returns_the_refined_offset(self, monkeypatch):
+        # a warm start 5e-11 from the root (in log radius) passes the stop
+        # rule at its first evaluation: the solve returns that evaluated
+        # radius, and the offset one Newton step from it, within 1e-13 of
+        # the 50-digit root's, for the learner's next prediction
+        evals = []
+        monkeypatch.setattr(mirror_descent, "link_terms",
+                            lambda *args: evals.append(None) or link_terms(*args))
+        accepted = 0
+        with mpmath.workdps(50):
+            for V, h, a, reg, x0, theta in round_trip_samples(300):
+                if reg.c == 0.0:
+                    continue
+                offset = link_inverse_solve(theta, V, h, a, reg)[2]
+                if not offset < mirror_descent._WARM_OFFSET - 1e-9:
+                    continue
+                u_top = math.log(mirror_descent._bracket_end(theta, V, h, a, reg))
+                true = mpmath.log(mp_link_root(theta, V, h, a, reg, x0)) - u_top
+                start = float(true) + 5e-11
+                evals.clear()
+                x, _, refined = link_inverse_solve(theta, V, h, a, reg, start)
+                if len(evals) > 1:  # the slope test wants a closer start here
+                    continue
+                accepted += 1
+                assert x == math.exp(u_top + start)
+                assert abs(refined - true) <= 1e-13 * max(1.0, abs(true))
+                assert abs(refined - true) <= 0.01 * abs(start - true)
+        assert accepted >= 100
 
     def test_slope_matches_fifty_digit_derivative(self):
         # Newton still converges on a wrong slope, only more slowly, so the
@@ -539,27 +570,64 @@ class TestMirrorDescentLearner:
 
     def test_warm_start_cuts_link_evaluations(self, monkeypatch):
         # the known_g preset at T = 4,900 and k = 70 on a constant gradient:
-        # the root settles about 2e-2 below the upper end in log radius, and
-        # a solve started there takes one Newton step instead of three
+        # the root settles about 2e-2 below the upper end in log radius and
+        # drifts smoothly, so a solve started at the cubic extrapolation of
+        # the last four offsets passes the stop rule at its first evaluation,
+        # where a cold solve takes four. Until about round 270 the offset is
+        # still relaxing and the cubic misses by 1e-7 to 1e-10, one more
+        # evaluation: 1.36 per solve over rounds 200-400, 1.0 over 300-500
         calls = []
         monkeypatch.setattr(mirror_descent, "link_terms",
                             lambda *args: calls.append(None) or link_terms(*args))
 
         def run(warm):
             md = MirrorDescentLearner(1, 1.0, 1.0, c=70.0, p=math.log(4900), alpha=1.0 / 70.0)
-            path = []
-            for t in range(400):
-                if t == 200:
-                    calls.clear()
+            path, evals = [], []
+            for _ in range(500):
                 if not warm:
                     md.root_offset = 0.0
+                calls.clear()
                 md.observe(-1.0, 1.0)
                 path.append(md.w)
-            return len(calls) / 200, path
+                evals.append(len(calls))
+            return sum(evals[200:400]) / 200, sum(evals[300:]) / 200, path
 
-        (warm, warm_path), (cold, cold_path) = run(True), run(False)
-        assert warm <= 2.5 and cold == 4.0
+        (*warm, warm_path), (*cold, cold_path) = run(True), run(False)
+        assert warm[0] <= 1.4 and warm[1] <= 1.3 and cold == [4.0, 4.0]
         assert max(abs(x - y) / abs(y) for x, y in zip(warm_path, cold_path) if y) <= 1e-9
+
+    def test_four_warm_offsets_start_at_their_cubic_extrapolation(self, monkeypatch):
+        # after four warm solves in a row the solve starts at
+        # 4(o1 + o3) - 6 o2 - o4 (o1 the newest offset). The history holds
+        # the warm offsets since the last cold start, newest first, padded
+        # with zeros: with fewer than four the solve starts at o1, and a cold
+        # start clears it
+        starts = []
+        solve = mirror_descent.link_inverse_solve
+        monkeypatch.setattr(mirror_descent, "link_inverse_solve",
+                            lambda *args: starts.append(args[5]) or solve(*args))
+        md = MirrorDescentLearner(1, 1.0, 1.0, c=70.0, p=math.log(4900), alpha=1.0 / 70.0)
+        for _ in range(250):
+            md.observe(-1.0, 1.0)
+        o1, (o2, o3, o4) = md.root_offset, md.earlier_offsets
+        assert max(o1, o2, o3, o4) < mirror_descent._WARM_OFFSET
+        md.observe(-1.0, 1.0)
+        assert starts[-1] == 4.0 * (o1 + o3) - 6.0 * o2 - o4
+        assert md.earlier_offsets == (o1, o2, o3)
+        o1, (o2, o3, _) = md.root_offset, md.earlier_offsets
+        md.earlier_offsets = (o2, o3, 0.0)  # three warm solves since a cold one
+        md.observe(-1.0, 1.0)
+        assert starts[-1] == o1 and md.earlier_offsets == (o1, o2, o3)
+        md.root_offset = 0.0
+        md.observe(-1.0, 1.0)
+        assert starts[-1] == 0.0 and md.earlier_offsets == (0.0, 0.0, 0.0)
+
+    def test_penalty_free_learner_keeps_no_offsets(self):
+        # its link inverts in closed form, so no solve has an offset to pass on
+        md = MirrorDescentLearner(1, 1.0, 1.5, c=0.0, p=math.log(4900))
+        for _ in range(100):
+            md.observe(-1.0, 1.5)
+            assert md.root_offset == 0.0 and md.earlier_offsets == (0.0, 0.0, 0.0)
 
     def test_rejects_oversized_gradient(self):
         md = MirrorDescentLearner(1, 1.0, 1.0, p=2.0)

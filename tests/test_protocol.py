@@ -370,8 +370,8 @@ class TestProtocolRound:
         g = np.full(dim, -1.0 / math.sqrt(dim))
         project = epigraph.weighted_project
 
-        def nan_on_the_boundary(point, h, gamma, w_norm):
-            out = project(point, h, gamma, w_norm)
+        def nan_on_the_boundary(point, h, gamma, w_norm, start):
+            out = project(point, h, gamma, w_norm, start)
             return out if out is point else EpigraphPoint(out.w * math.nan, out.y)
 
         monkeypatch.setattr(epigraph, "weighted_project", nan_on_the_boundary)
@@ -416,6 +416,35 @@ class TestProtocolRound:
         assert np.array_equal(point.w, np.atleast_1d(protocol.w))
         assert protocol.t == 4900
         assert point.y >= float(point.w @ point.w) and point.w[0] > 0
+
+    def test_boundary_projection_starts_from_the_last_radius(self):
+        # the benchmark's long-horizon case2 cell: the sign-flip stream at
+        # T = 4,900 with its window of k = 70 flips from 0.75 T. A boundary
+        # projection that follows another starts Newton from that round's
+        # radius: at most 8 residual evaluations per boundary projection,
+        # where the bisection alone took 52
+        T, k, flipped = 4900, 70, range(3675, 3745)
+        protocol = RobustProtocol(ProtocolConfig(mode="unknown_g_case2", T=T, k=k, tau_G=0.5))
+        project = epigraph.weighted_project.__code__
+        residual = next(c for c in project.co_consts if getattr(c, "co_name", None) == "residual")
+        counts = dict(boundary=0, residuals=0)
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is residual:
+                counts["residuals"] += 1
+            elif event == "return" and frame.f_code is project:
+                counts["boundary"] += arg is not frame.f_locals["point"]
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for t in range(T):
+                g = 1.0 if protocol.w > 1.0 else -1.0
+                protocol.round(-g if t in flipped else g, g_true=g)
+        finally:
+            sys.setprofile(previous)
+        assert counts["boundary"] >= T // 2
+        assert counts["residuals"] <= 8 * counts["boundary"]
 
 
 class TestHostileInputContract:
@@ -657,8 +686,8 @@ class TestRaiseMovesNothing:
         md = MirrorDescentLearner(1, 1.0, 1.0, c=70.0, p=math.log(4900), alpha=1.0 / 70.0)
         for _ in range(250):
             md.observe(-1.0, 1.0)
-        offset = md.root_offset
-        assert offset < mirror_descent._WARM_OFFSET
+        offset, earlier = md.root_offset, md.earlier_offsets
+        assert max(offset, *earlier) < mirror_descent._WARM_OFFSET  # the next start extrapolates
         g, hint = {"nan": (math.nan, 1.0), "above_hint": (-2.0, 1.0),
                    "decreasing_hint": (-1.0, 0.5)}.get(reject, (-1.0, 1.0))
         if reject == "solver":
@@ -671,8 +700,47 @@ class TestRaiseMovesNothing:
         before = state_bits(md)
         _rejected(md.observe, g, hint)
         assert state_bits(md) == before and md.root_offset == offset
+        assert md.earlier_offsets == earlier
         md.root_offset = 0.0
         assert state_bits(md) != before
+        md.root_offset, md.earlier_offsets = offset, (0.0,) + earlier[1:]
+        assert state_bits(md) != before
+
+    @pytest.mark.parametrize("reject", ["nan", "a_t_above_gamma", "decreasing_hint",
+                                        "projection"])
+    def test_epigraph_learner_boundary_radius(self, monkeypatch, reject):
+        # case2 on a constant stream projects on the boundary every round, and
+        # each projection starts from the last one's radius, the played norm.
+        # A rejected round, a raise in the projection included, leaves that
+        # start as it was: the next round passes it and plays what a twin
+        # that never saw the rejected round plays
+        cfg = ProtocolConfig(mode="unknown_g_case2", T=4900, k=5)
+        protocol, twin = RobustProtocol(cfg), RobustProtocol(cfg)
+        for p in (protocol, twin):
+            for _ in range(300):
+                p.round(-1.0)
+        learner = protocol.learner
+        assert learner._played is not learner._hat
+        radius, h = learner.w_norm, learner.h
+        g, hint, a_t = {"nan": (math.nan, h, 0.0), "a_t_above_gamma": (-0.1, h, 2 * learner.gamma),
+                        "decreasing_hint": (-0.1, 0.5 * h, 0.0)}.get(reject, (-0.1, h, 0.0))
+        project, starts = epigraph.weighted_project, []
+        if reject == "projection":
+            def failing(*args):
+                project(*args)
+                raise SolverError("planted")
+            monkeypatch.setattr(epigraph, "weighted_project", failing)
+        before = state_bits(learner)
+        _rejected(learner.observe, g, hint, a_t)
+        assert state_bits(learner) == before
+        assert learner._played is not learner._hat and learner.w_norm == radius
+        monkeypatch.setattr(epigraph, "weighted_project",
+                            lambda *args: starts.append(args[4]) or project(*args))
+        protocol.round(-1.0)
+        monkeypatch.undo()
+        twin.round(-1.0)
+        assert starts == [radius]
+        assert state_bits(protocol) == state_bits(twin)
 
     @given(data=st.data(), dim=st.sampled_from([1, 3]), rounds=ROUNDS,
            reject=st.sampled_from(["nan", "inf", "above_hint", "decreasing_hint",
