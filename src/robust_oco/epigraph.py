@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import check_positive, ensure_finite, kernels_of
 from .mirror_descent import MirrorDescentLearner, SolverError
+from .regularizer import HuberRegularizer
 
 _PROJ_RTOL = 1e-12
 _PROJ_MAX_ITER = 300
@@ -141,9 +142,10 @@ class EpigraphLearner:
 
     The vector side is the mirror descent learner, fed hints of twice the
     clipping threshold: the magnitude bound of its corrected feedback. The
-    scalar side is the same learner at d = 1 with the Huber penalty
-    disabled, so in Python floats, under a constant hint of 1.5*gamma,
-    exactly the magnitude bound of the corrected scalar feedback.
+    scalar side is the same learner at d = 1 with the Huber penalty off, in
+    Python floats, under a constant hint of 1.5*gamma: the magnitude bound
+    of the corrected scalar feedback. penalty, the played point's Huber
+    penalty, follows each played norm, learner_w.penalty the unprojected one.
     """
 
     def __init__(
@@ -163,11 +165,13 @@ class EpigraphLearner:
             dim, epsilon, initial_hint=2.0 * tau_G, c=c, p=p, alpha=alpha
         )
         self.learner_y = MirrorDescentLearner(1, epsilon, 1.5 * gamma, c=0.0, p=p)
+        self.penalty = HuberRegularizer(c=c, p=p, alpha=alpha)
         self.h = tau_G
         self._hat = tuple.__new__(EpigraphPoint, (self.learner_w.w, self.learner_y.w))
         self._played = weighted_project(self._hat, tau_G, gamma, self.learner_w.w_norm)
         # the played iterate in the learner's form (a float at d = 1), and its norm
         self.w, self.w_norm = self._played.w, self.learner_w.w_norm
+        self.penalty.advance(self.w_norm)
 
     def observe(self, gradient, hint: float, a_t: float = 0.0, g_norm: float | None = None) -> None:
         """Consume one round; a_t is its quadratic penalty weight, in [0, gamma].
@@ -180,8 +184,8 @@ class EpigraphLearner:
         0.0, which learner_w's dual update can tell apart where its mirror-map
         gradient holds -0.0 (a zero mirror part times a negative dual entry).
         A boundary round's played norm starts the next round's projection.
-        Nothing commits until both updates, the projection and the check of
-        the played point's norm have succeeded.
+        Nothing commits, the penalty's advance included, until both updates,
+        the projection and the check of the played point's norm succeed.
         """
         if not 0.0 <= a_t <= self.gamma * (1.0 + 1e-12):
             raise ValueError(f"penalty weight {a_t} outside [0, gamma {self.gamma}]")
@@ -201,6 +205,7 @@ class EpigraphLearner:
         w_norm = update_w.w_norm if played is hat else k.norm(played.w)
         if not math.isfinite(w_norm):  # NaN only: a projected point stays far inside float range
             ensure_finite(np.atleast_1d(played.w), "epigraph iterate")
+        self.penalty.advance(w_norm)
         self.learner_w.commit(update_w)
         self.learner_y.commit(update_y)
         self.h, self._hat, self._played = hint, hat, played

@@ -1,22 +1,19 @@
 """Centered mirror descent with a composite Huber penalty (known-bound base learner).
 
 The learner keeps a dual accumulator theta and maps it back to an iterate by
-inverting a scalar monotone link: the radial derivative of the mirror map
-plus the radial subgradient of the Huber penalty. The link is a function of
-the radius alone, evaluated with its slope by one function, link_terms. Its
-inversion is a safeguarded Newton iteration in log-radius space: any step
-that leaves the current bracket falls back to the bracket midpoint, which
-keeps the iteration count bounded even when the bracket spans hundreds of
-orders of magnitude (parameter-free iterates are exponential in the dual
-norm). The solve also returns the mirror part of the link at its root, which
-the dual update reuses as the next round's mirror-map gradient, and its
-root's offset from the bracket's upper end in log radius, which moves so
-smoothly on a long horizon that the learner extrapolates its next start.
+inverting a scalar monotone link, the radial derivative of the mirror map
+plus the radial subgradient of the Huber penalty, which link_terms evaluates
+with its slope. The inversion is a safeguarded Newton iteration in log
+radius: a step that leaves the bracket falls back to its midpoint, which
+bounds the iterations even when the bracket spans hundreds of orders of
+magnitude (parameter-free iterates are exponential in the dual norm). The
+solve also returns the link's mirror part at the root, the next round's
+mirror-map gradient, and the root's offset below the bracket's upper end in
+log radius, smooth enough on a long horizon to extrapolate the next start.
 
 One update serves every dimension: at d = 1 the iterate, the dual
 accumulator and the mirror-map gradient are Python floats, above that
-float64 arrays (core.kernels picks the form from dim), and the same
-subtraction, scaling and norm run on either, with the bits the 1-entry
+float64 arrays (core.kernels picks the form), with the bits the 1-entry
 array gave. The epigraph learner's scalar side is this learner at d = 1
 with the penalty off. The update computes the whole new state before
 commit() assigns any of it, so an observe() that raises changes nothing.
@@ -101,15 +98,6 @@ def _mirror_part_inverse(y: float, V: float, h: float, a: float) -> float:
     return math.exp(log_x) if log_x <= _LOG_MAX else math.inf
 
 
-def _bracket_end(y: float, V: float, h: float, a: float, reg: HuberRegularizer) -> float:
-    """The smaller of the two summand inverses at y, each summand alone reaching y.
-
-    At y = theta it bounds the link's root from above; at y = theta / 2 from
-    below, since there the whole link is at most theta.
-    """
-    return min(_mirror_part_inverse(y, V, h, a), reg.radial_subgradient_inverse(y))
-
-
 def _out_of_range(theta_norm: float, V: float, h: float, a: float) -> SolverError:
     return SolverError(
         f"no representable radius reaches dual norm {theta_norm} "
@@ -123,32 +111,31 @@ def link_inverse_solve(
 ) -> tuple[float, float, float]:
     """Solve L(x) = theta_norm for the unique nonnegative radius x.
 
-    Returns x, the link's mirror part at x, which the learner reuses, and
-    the offset log x - log(upper end), from which it predicts its next start
-    (0.0 if a cold solve ran no Newton step; one Newton step past a warm
-    start that passes at its first evaluation, which returns as x). At p > 1
-    the link tends to 0 at the origin: no positive theta_norm is absorbed
-    there. With the penalty disabled the link is the mirror part alone and
-    inverts in closed form; otherwise the bracket comes from inverting each
-    summand separately (_bracket_end): either summand at the full target
-    bounds the root from above, and the smaller summand inverse at half the
-    target bounds it from below. Newton steps on log L(u) - log theta in
-    u = log x start from the upper end or, when the bracket is finite and
-    offset is below -sqrt(1e-10), from the upper end plus offset (at least
-    the smallest positive double), on either side of the root. A step that
-    leaves the bracket is replaced by the bracket midpoint, except that a
-    warm start's first step past the unread upper end goes to it; an upper
-    end that rounding left short of the root moves up. The lower end is
-    computed only when the first evaluation fails the slope test above the
-    root (a warm start below it is the lower end): most cold solves converge
-    at the upper end and never read it. An iterate returns when its residual
-    is within 1e-9 * max(1, theta_norm) and the root is pinned: in u, by the
-    Newton error estimate or a bracket collapsed below 1e-10 (the
-    closed-form lower end is exact only in reals), or in x, by repeating the
-    last iterate's radius (a subnormal root). Once no step moves u, or after
-    200 iterations, a bracket closed to two neighbouring doubles in x
-    returns the one with the smaller |residual|, and any other bracket
-    raises.
+    Returns x, the link's mirror part at x (the learner reuses it) and the
+    offset log x - log(upper end), from which the learner predicts its next
+    start: 0.0 if a cold solve ran no Newton step, one Newton step past a
+    warm start that passes at its first evaluation. At p > 1 no positive
+    theta_norm is absorbed at the origin. Without the penalty the link is
+    the mirror part, inverted in closed form. Otherwise the smaller of the
+    summand inverses, the mirror part's M and the penalty's P, bounds the
+    root from above at theta and from below at theta / 2. A cold solve with
+    M finite and positive starts at M and computes P only if the penalty
+    part there exceeds theta / 2 (it grows with x, so below that P lies
+    above M far beyond either inverse's rounding); a smaller P restarts it
+    from P. Newton steps on log L(u) - log theta in u = log x start at the
+    upper end or, when the bracket is finite and offset is below
+    -sqrt(1e-10), at the upper end plus offset (at least the smallest
+    positive double). A step that leaves the bracket goes to its midpoint,
+    except that a warm start's first step past the unread upper end goes to
+    it; an upper end that rounding left short of the root moves up. The
+    lower end is computed only when the first evaluation fails the slope
+    test above the root (a warm start below it is the lower end). An
+    iterate returns when its residual is within 1e-9 * max(1, theta_norm)
+    and the root is pinned: in u, by the Newton error estimate or a bracket
+    collapsed below 1e-10, or in x, by repeating the last radius. Once no
+    step moves u, or after 200 iterations, a bracket closed to two
+    neighbouring doubles in x returns the one with the smaller |residual|;
+    any other bracket raises.
     """
     if not theta_norm >= 0.0:  # NaN fails too
         raise ValueError(f"dual norm must be nonnegative, got {theta_norm}")
@@ -161,7 +148,12 @@ def link_inverse_solve(
             raise _out_of_range(theta_norm, V, h, a)
         return x, theta_norm, 0.0
 
-    hi = _bracket_end(theta_norm, V, h, a, reg)
+    hi = _mirror_part_inverse(theta_norm, V, h, a)
+    warm = offset < _WARM_OFFSET
+    # a cold solve reads P after evaluating at M, where c*p cannot overflow the penalty part
+    lazy = not warm and 0.0 < hi < math.inf and reg.c * reg.p < math.inf
+    if not lazy:
+        hi = min(hi, reg.radial_subgradient_inverse(theta_norm))
     floor = 0.0  # a known lower bound on the root
     if hi == 0.0:
         # the upper bound underflowed: the root lies below the smallest
@@ -179,7 +171,7 @@ def link_inverse_solve(
             hi *= 2.0
         if not math.isfinite(hi):
             raise _out_of_range(theta_norm, V, h, a)
-        offset = 0.0  # the doubling search is not the bracket the offset was taken in
+        warm = False  # the doubling search is not the bracket the offset was taken in
 
     def link_at(u: float, x: float) -> tuple[float, float, float]:
         # kept nested: the per-layer count pass (perfbench/layers.py) counts
@@ -189,7 +181,6 @@ def link_inverse_solve(
     tol = _SOLVE_RTOL * max(1.0, theta_norm)
     log_theta = math.log(theta_norm)
     u = u_top = u_hi = math.log(hi)
-    warm = offset < _WARM_OFFSET
     if warm:
         u = max(u + offset, _LOG_TINY)
     u_lo = None  # set after the first evaluation, unless that one converges
@@ -197,6 +188,15 @@ def link_inverse_solve(
     for _ in range(_SOLVE_MAX_ITER):
         x = math.exp(u)
         mirror, penalty, slope = link_at(u, x)
+        if lazy:  # the evaluation at M: is P the smaller upper end?
+            lazy = False
+            top = reg.radial_subgradient_inverse(theta_norm) if penalty > 0.5 * theta_norm else hi
+            if top < hi:
+                if top == 0.0:  # as hi == 0.0 above
+                    return 0.0, 0.0, 0.0
+                u = u_top = u_hi = math.log(top)
+                x = math.exp(u)
+                mirror, penalty, slope = link_at(u, x)
         value = mirror + penalty
         resid = value - theta_norm
         small = abs(resid) <= tol
@@ -208,7 +208,8 @@ def link_inverse_solve(
         if u_lo is None and warm and resid < 0:
             u_lo = u  # a warm start below the root is the lower end
         elif u_lo is None:
-            lo = max(_bracket_end(0.5 * theta_norm, V, h, a, reg), floor)
+            lo = max(min(_mirror_part_inverse(0.5 * theta_norm, V, h, a),
+                         reg.radial_subgradient_inverse(0.5 * theta_norm)), floor)
             u_lo = math.log(lo) if lo > 0.0 else _LOG_TINY
         if small and u_hi - u_lo <= _SOLVE_UTOL:
             return x, mirror, u - u_top
@@ -255,22 +256,21 @@ class MirrorDescentLearner:
 
     Plays the origin first. Each observe() call consumes a gradient whose
     norm is at most the current hint, plus the (nondecreasing) hint for the
-    next round. Setting c = 0 disables the penalty and leaves the plain
-    parameter-free mirror descent update.
+    next round. c = 0 disables the penalty, leaving plain parameter-free
+    mirror descent. penalty is the HuberRegularizer the link reads and the
+    played point pays, advanced with each solved radius (once with 0.0 at
+    construction, so that it evaluates from round 1).
 
     The hint h bounds the next gradient's norm; C sums the squared gradient
     norms, N the same squares over the hint in force, and B adds 4N each
     round; update() derives the link's V = hint^2 + C and wealth scale a
     (from B). root_offset o1 is the last solve's root offset and
     earlier_offsets the warm ones before it since the last cold start,
-    newest first, zero-padded to three; the next solve (link_inverse_solve)
-    starts at 4(o1 + o3) - 6 o2 - o4 when all four are warm, else at o1. A
-    round is update(), which runs every check and the solve on locals, then
-    commit(), which assigns the result.
-
-    w and mirror_grad are held in the form core.kernels(dim) picks: floats
-    at d = 1, float64 arrays above, bit for bit the learner on 1-entry
-    arrays at d = 1.
+    newest first, zero-padded to three; the next solve starts at
+    4(o1 + o3) - 6 o2 - o4 when all four are warm, else at o1. A round is
+    update(), every check and the solve on locals, then commit(), which
+    assigns the result. w and mirror_grad are in core.kernels(dim)'s form:
+    floats at d = 1, bit for bit the learner on 1-entry arrays.
     """
 
     def __init__(
@@ -294,7 +294,8 @@ class MirrorDescentLearner:
         self.t = 0
         self.dim = dim = check_integer("dim", dim, 1)
         self.kernels = kernels(dim)
-        self.reg = HuberRegularizer(c=c, p=p, alpha=alpha)
+        self.penalty = HuberRegularizer(c=c, p=p, alpha=alpha)
+        self.penalty.advance(0.0)
         self.w = self.kernels.zeros(dim)
         self.w_norm = 0.0  # norm(self.w), kept from the check in update
         self.mirror_grad = self.kernels.zeros(dim)  # mirror-map gradient at w
@@ -368,7 +369,7 @@ class MirrorDescentLearner:
                     start = 4.0 * (o1 + o3) - 6.0 * o2 - o4
                 earlier = (o1, o2, o3)
             radius, mirror, root_offset = link_inverse_solve(
-                theta_norm, V, hint, a, self.reg, start)
+                theta_norm, V, hint, a, self.penalty, start)
             w = (radius / theta_norm) * theta
             mirror_grad = (mirror / theta_norm) * theta
             # as for theta: a finite norm proves the iterate finite
@@ -381,8 +382,8 @@ class MirrorDescentLearner:
 
     def commit(self, update: Update) -> None:
         """Assign the state that update() computed and fold the new radius into the penalty."""
-        if self.reg.c != 0.0:  # a penalty-free link never reads the penalty state
-            self.reg.advance(update.radius)
+        if self.penalty.c != 0.0:  # a penalty-free link never reads the penalty state
+            self.penalty.advance(update.radius)
         (self.w, self.w_norm, self.mirror_grad, _,
          self.h, self.C, self.N, self.B, self.root_offset, self.earlier_offsets) = update
         self.t += 1

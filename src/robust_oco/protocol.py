@@ -4,7 +4,7 @@ A single round clips the observed gradient at the current threshold, feeds it
 to the configured base learner, and accounts the round in the decomposition
 ledger; the regret score is the caller's (the runner keeps it for every
 player). The protocol keeps no bookkeeping of its own: the learner keeps the
-played iterate and its norm, the ledger the split's penalty and sums. Two
+played iterate, its norm and its penalty, the ledger the split's sums. Two
 wirings exist: a constant threshold equal to a known gradient bound with the
 mirror descent learner, and the adaptive filter + tracker + epigraph stack
 when no bound is known; there the filter counts the clips, and the
@@ -77,16 +77,16 @@ class ProtocolConfig:
 
 @dataclass
 class DecompositionLedger:
-    """Exact four-way split of the true linear regret, with the split's penalty.
+    """Exact four-way split of the true linear regret, read off the learner's penalty.
 
     error - correction + bias + composite reproduces the true regret as an
     algebraic identity for any regularizer sequence, so gap() is a pure
-    float-rounding diagnostic. penalty, the mode's HuberRegularizer, is
-    advanced with the norm of the iterate the coming round plays: by the
-    builder with the first, then by each commit(). The comparator and the
-    gradient accumulator are floats in the protocol's d = 1 form. A round is
-    step() on locals, which raises before anything moves, then commit(),
-    which cannot raise on a finite norm.
+    float-rounding diagnostic. penalty is the learner's own, which the
+    ledger never advances: step() reads the played point's penalty as
+    c * exp(log_knot) and evaluates the comparator's. The comparator and
+    the gradient accumulator are floats in the protocol's d = 1 form. A
+    round is step() on locals, which raises before anything moves, then
+    commit(), which only assigns.
     """
 
     comparator: np.ndarray | float
@@ -125,10 +125,10 @@ class DecompositionLedger:
                     dg = g_true - g_clipped
                     accum = accum + dg
             error += self._dot(dg, w)
-        u_norm = self._u_norm
+        u_norm, penalty = self._u_norm, self.penalty
         try:
-            r_w = self.penalty.evaluate(w_norm) + a_t * w_norm * w_norm
-            r_u = self.penalty.evaluate(u_norm) + a_t * u_norm * u_norm
+            r_w = penalty.c * math.exp(penalty.log_knot) + a_t * w_norm * w_norm
+            r_u = penalty.evaluate(u_norm) + a_t * u_norm * u_norm
         except OverflowError as exc:  # the penalty's exp past float range
             raise NonFiniteError("non-finite value in decomposition ledger") from exc
         composite = self.composite_term + (self._dot(g_clipped, w - self.comparator) + r_w - r_u)
@@ -139,11 +139,10 @@ class DecompositionLedger:
             raise NonFiniteError("non-finite value in decomposition ledger")
         return error, accum, bound, composite, correction, bias_reg
 
-    def commit(self, step: tuple, w_next_norm: float) -> None:
-        """Assign step()'s round; advance the penalty to the next played norm, checked finite."""
+    def commit(self, step: tuple) -> None:
+        """Assign step()'s round."""
         (self.error_term, self._bias_grad_accum, self._bias_grad_bound,
          self.composite_term, self.correction_term, self.bias_reg_sum) = step
-        self.penalty.advance(w_next_norm)
 
     def gap(self, true_regret: float) -> float:
         """Relative gap between the split's sum and the measured true regret."""
@@ -206,9 +205,7 @@ class RobustProtocol:
         self.kernels = k = kernels(config.dim)
         u = k.zeros(config.dim) if comparator is None else comparator
         self.comparator = k.coerce(u, config.dim)[0]
-        penalty = HuberRegularizer(c=c, p=p, alpha=alpha)
-        penalty.advance(self.learner.w_norm)
-        self.decomposition = DecompositionLedger(self.comparator, penalty)
+        self.decomposition = DecompositionLedger(self.comparator, self.learner.penalty)
         self.t = 0
 
     @property
@@ -266,5 +263,5 @@ class RobustProtocol:
         ))
 
     def _update_ledgers(self, step: tuple) -> None:
-        """Commit the round's decomposition with the norm the next round plays."""
-        self.decomposition.commit(step, self.learner.w_norm)
+        """Commit the round's decomposition."""
+        self.decomposition.commit(step)

@@ -21,6 +21,7 @@ class HuberRegularizer:
     """Running state (S_t, previous iterate norm) of the composite penalty.
 
     S is kept as log_S only: a sum of p-th powers soon leaves float range.
+    c * exp(log_knot) is evaluate(last_iterate_norm), bit for bit.
     c lies in [0, inf), p in (1, inf) and alpha in (0, inf); NaN fails each.
     """
 
@@ -30,6 +31,7 @@ class HuberRegularizer:
     log_S: float = field(init=False)
     last_iterate_norm: float = field(init=False, default=0.0)
     t: int = field(init=False, default=0)
+    log_knot: float = field(init=False, default=-math.inf)
 
     def __post_init__(self):
         if not 0.0 <= self.c < math.inf:
@@ -39,18 +41,24 @@ class HuberRegularizer:
         check_positive("offset alpha", self.alpha)
         self.log_S = self.p * math.log(self.alpha)
         # the formulas' constants log(c*p) (-inf at c = 0) and 1 - 1/p, computed once
-        self._log_cp = math.log(self.c * self.p) if self.c > 0.0 else -math.inf
+        cp = self.c * self.p
+        self._log_cp = (math.log(cp) if cp < math.inf else math.log(self.c) + math.log(self.p)
+                        ) if cp > 0.0 else -math.inf  # two logs where c*p passes float range
         self._denom_power = 1.0 - 1.0 / self.p
 
     def advance(self, w_next_norm: float) -> None:
         """Fold the next iterate norm into S and remember it for sigma.
 
-        With c = 0 the fold is skipped: no formula reads log_S then.
+        With c = 0 the fold is skipped: no formula reads log_S then; log_knot,
+        from the fold's operands, takes no exp that could overflow.
         """
         if not math.isfinite(w_next_norm) or w_next_norm < 0:
             raise ValueError(f"invalid iterate norm {w_next_norm}")
+        self.log_knot = -math.inf
         if w_next_norm > 0.0 and self.c != 0.0:
-            self.log_S = _logaddexp(self.log_S, self.p * math.log(w_next_norm))
+            p_log_w = self.p * math.log(w_next_norm)
+            self.log_S = _logaddexp(self.log_S, p_log_w)
+            self.log_knot = p_log_w - self._denom_power * self.log_S
         self.last_iterate_norm = w_next_norm
         self.t += 1
 
@@ -95,8 +103,8 @@ class HuberRegularizer:
             return math.inf
         p = self.p
         q = y / cp
-        # a subnormal y can underflow the ratio; take its log in two parts
-        log_q = math.log(q) if q >= _FLOAT_MIN else math.log(y) - math.log(cp)
+        # a subnormal y or a c*p past float range underflows the ratio: log in two parts
+        log_q = math.log(q) if q >= _FLOAT_MIN else math.log(y) - self._log_cp
         log_r = (p / (p - 1.0)) * log_q
         # x^p = S * r / (1 - r) with r = (y/cp)^(p/(p-1))
         log_xp = self.log_S + log_r - math.log1p(-math.exp(log_r))

@@ -28,9 +28,11 @@ def mp_link(u, V, h, a, reg):
 def mp_link_root(theta, V, h, a, reg, x0=None):
     """Root of the piecewise link L(x) = theta, bracketed in u = log x.
 
-    The bracket is log x0 +- 1, or without x0 every positive double's log.
-    The root solves log L = log theta: a residual in L itself passes
-    findroot's absolute tolerance anywhere once theta is tiny.
+    The bracket is log x0 +- 1, or without x0 every positive double's log;
+    where the narrow bracket defeats the solver (a link that grows 10^4-fold
+    within it, at p = 117), the wide one is taken. The root solves
+    log L = log theta: a residual in L itself passes findroot's absolute
+    tolerance anywhere once theta is tiny.
     """
     if x0 is None:
         bracket = (math.log(5e-324), math.log(sys.float_info.max))
@@ -38,10 +40,15 @@ def mp_link_root(theta, V, h, a, reg, x0=None):
         u0 = mpmath.log(mpmath.mpf(x0))
         bracket = (u0 - 1, u0 + 1)
     log_theta = mpmath.log(mpmath.mpf(theta))
-    return mpmath.exp(mpmath.findroot(
-        lambda u: mpmath.log(mp_link(u, V, h, a, reg)) - log_theta, bracket,
-        solver="anderson", maxsteps=200,
-    ))
+    try:
+        return mpmath.exp(mpmath.findroot(
+            lambda u: mpmath.log(mp_link(u, V, h, a, reg)) - log_theta, bracket,
+            solver="anderson", maxsteps=200,
+        ))
+    except ValueError:
+        if x0 is None:
+            raise
+        return mp_link_root(theta, V, h, a, reg)
 
 
 def mp_project_root(w_norm, y_hat, h, gamma):

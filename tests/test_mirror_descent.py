@@ -5,10 +5,13 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robust_oco import mirror_descent
 from robust_oco.core import ARRAY, NonFiniteError, norm
@@ -181,7 +184,8 @@ class TestLinkInverse:
                 offset = link_inverse_solve(theta, V, h, a, reg)[2]
                 if not offset < mirror_descent._WARM_OFFSET - 1e-9:
                     continue
-                u_top = math.log(mirror_descent._bracket_end(theta, V, h, a, reg))
+                u_top = math.log(min(_mirror_part_inverse(theta, V, h, a),
+                                     reg.radial_subgradient_inverse(theta)))
                 true = mpmath.log(mp_link_root(theta, V, h, a, reg, x0)) - u_top
                 start = float(true) + 5e-11
                 evals.clear()
@@ -278,19 +282,21 @@ class TestLinkInverse:
         with pytest.raises(SolverError, match="no representable radius"):
             link_inverse_solve(1e4, 4.0, 2.0, 1.0, reg)
 
-    @pytest.mark.parametrize("alpha, theta, calls", [(1e6, 5.0, 1), (1.0, 50.0, 2)])
+    @pytest.mark.parametrize("alpha, theta, halves", [(1e6, 5.0, 0), (1.0, 50.0, 1)])
     def test_lower_end_only_when_the_upper_end_misses(self, monkeypatch, alpha, theta,
-                                                      calls):
+                                                      halves):
         # a large alpha leaves the penalty negligible, so the first Newton
-        # evaluation, at the upper end, converges and the lower end (one more
-        # subgradient inverse) is never computed
+        # evaluation, at the upper end, converges and the lower end (one
+        # subgradient inverse at theta / 2) is never computed. The penalty
+        # part at the upper end is at most c*p = 3, below theta / 2 in both
+        # cases, so the subgradient inverse at theta is not computed either
         reg = HuberRegularizer(c=1.0, p=3.0, alpha=alpha)
         inverse = reg.radial_subgradient_inverse
         seen = []
         monkeypatch.setattr(reg, "radial_subgradient_inverse",
                             lambda y: seen.append(y) or inverse(y))
         x = link_inverse_solve(theta, 4.0, 2.0, 1.0, reg)[0]
-        assert seen == [theta, 0.5 * theta][:calls]
+        assert seen == [0.5 * theta][:halves]
         assert abs(link_value(x, 4.0, 2.0, 1.0, reg) - theta) <= 1e-9 * theta
 
     def test_infinite_bracket_expands_by_doubling(self, monkeypatch):
@@ -502,6 +508,161 @@ class TestLinkInverse:
             xs = np.exp(np.linspace(math.log(1e-6), math.log(1e4), 300))
             vals = [link_value(float(x), V, h, a, reg) for x in xs]
             assert all(b > a_ for a_, b in zip(vals, vals[1:]))
+
+
+def eager_solve(theta, V, h, a, reg, offset=0.0):
+    """link_inverse_solve with its upper end min(M, P) computed before the first evaluation.
+
+    M, the mirror part's inverse at theta, is replaced by min(M, P), so the
+    solve starts where it started before the upper end read P lazily.
+    """
+    inverse = mirror_descent._mirror_part_inverse
+
+    def forced(y, *rest):
+        m = inverse(y, *rest)
+        return min(m, reg.radial_subgradient_inverse(y)) if y == theta else m
+
+    with mock.patch.object(mirror_descent, "_mirror_part_inverse", forced):
+        return link_inverse_solve(theta, V, h, a, reg, offset)
+
+
+def solve_outcome(solve, *args):
+    """A solve's returned bits, or the type and message of what it raised."""
+    try:
+        return [float.hex(v) for v in solve(*args)]
+    except (SolverError, OverflowError, ValueError) as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def log_uniform(lo, hi):
+    return st.floats(lo, hi).map(math.exp)
+
+
+@st.composite
+def penalised_states(draw):
+    """(theta, V, h, a, reg): wide spans, theta near c*p or at a drawn radius's link."""
+    h = draw(log_uniform(-5.0, 5.0))
+    V = h * h * draw(log_uniform(0.0, 20.0))
+    a = draw(log_uniform(-20.0, 5.0))
+    reg = HuberRegularizer(c=draw(log_uniform(-10.0, 25.0)), p=1.0 + draw(log_uniform(-3.0, 3.0)),
+                           alpha=draw(log_uniform(-20.0, 20.0)))
+    for radius in draw(st.lists(log_uniform(-20.0, 20.0), max_size=3)):
+        reg.advance(radius)
+    if draw(st.booleans()):  # around the penalty's asymptote c*p
+        theta = reg.c * reg.p * draw(log_uniform(-0.7, 0.7))
+    else:
+        theta = link_value(draw(log_uniform(-30.0, 30.0)), V, h, a, reg)
+    return theta, V, h, a, reg
+
+
+class TestLazyUpperEnd:
+    """A cold solve reads the penalty inverse P only where it can be the smaller upper end."""
+
+    @given(state=penalised_states(),
+           shift=st.sampled_from([None, -1e-3, -20.0, 1e-9, 1e-3, -1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_the_eager_upper_end(self, state, shift):
+        # cold (shift None) and warm from the cold solve's own offset, the
+        # learner's starts on either side of the root
+        theta, V, h, a, reg = state
+        if not 0.0 < theta < math.inf:
+            return
+        cold = solve_outcome(eager_solve, theta, V, h, a, reg)
+        assert solve_outcome(link_inverse_solve, theta, V, h, a, reg) == cold
+        if shift is not None and len(cold) == 3:
+            offset = float.fromhex(cold[2]) + shift
+            assert (solve_outcome(link_inverse_solve, theta, V, h, a, reg, offset)
+                    == solve_outcome(eager_solve, theta, V, h, a, reg, offset))
+
+    def test_sampled_states_take_both_paths(self):
+        # the states of the property above that the learner meets most: a
+        # mirror-dominated link converges at M without P, a
+        # penalty-dominated one restarts from a smaller P; the same bits
+        rng = np.random.default_rng(47)
+        paths = {"no_p": 0, "p_above": 0, "restart": 0}
+        for _ in range(2000):
+            V, h, a, reg = random_state(rng, allow_zero_scale=False)
+            reg = HuberRegularizer(c=reg.c * float(np.exp(rng.uniform(0.0, 6.0))), p=reg.p,
+                                   alpha=reg.alpha)
+            theta = float(np.exp(rng.uniform(-3.0, 6.0)))
+            m = _mirror_part_inverse(theta, V, h, a)
+            penalty = link_terms(math.log(m), math.exp(math.log(m)), V, h, a, reg)[1]
+            if penalty <= 0.5 * theta:
+                paths["no_p"] += 1
+            elif reg.radial_subgradient_inverse(theta) < m:
+                paths["restart"] += 1
+            else:
+                paths["p_above"] += 1
+            assert (solve_outcome(link_inverse_solve, theta, V, h, a, reg)
+                    == solve_outcome(eager_solve, theta, V, h, a, reg))
+        assert min(paths.values()) >= 50, paths
+
+    @pytest.mark.parametrize("c, alpha, theta, p_calls, evaluations", [
+        # a large alpha leaves the penalty part at M negligible: the solve
+        # converges there and never computes P
+        (1.0, 1e6, 5.0, 0, 1),
+        # the penalty part at M is 0.54 theta: P is computed once, at
+        # theta, and lies above M, so the solve goes on from M
+        (25.0, 1.0, 5.0, 1, None),
+        # the penalty part at M is 3 theta: P, 0.62 against M = 9.3, is the
+        # upper end, and the solve restarts there
+        (20.0, 1.0, 20.0, 1, None),
+    ])
+    def test_penalty_inverse_calls_at_theta(self, monkeypatch, c, alpha, theta, p_calls,
+                                            evaluations):
+        V, h, a = 4.0, 2.0, 1.0
+        reg = HuberRegularizer(c=c, p=3.0, alpha=alpha)
+        expected = eager_solve(theta, V, h, a, reg)
+        inverse = reg.radial_subgradient_inverse
+        seen, us = [], []
+        monkeypatch.setattr(reg, "radial_subgradient_inverse",
+                            lambda y: seen.append(y) or inverse(y))
+        monkeypatch.setattr(mirror_descent, "link_terms",
+                            lambda u, *rest: us.append(u) or link_terms(u, *rest))
+        got = link_inverse_solve(theta, V, h, a, reg)
+        assert list(map(float.hex, got)) == list(map(float.hex, expected))
+        assert seen.count(theta) == p_calls
+        m, top = _mirror_part_inverse(theta, V, h, a), inverse(theta)
+        assert us[0] == math.log(m)  # the first evaluation is at M
+        if top < m:
+            assert us[1] == math.log(top)  # the restart's, at P
+        if evaluations is not None:
+            assert len(us) == evaluations
+
+    def test_restart_from_an_underflowing_penalty_inverse_returns_zero(self, monkeypatch):
+        # at p = ln 3 the penalty inverse of 1e-40 underflows to 0.0 while
+        # M is 1.4e-83; the penalty part at M is far above theta / 2, so the
+        # solve computes P after its first evaluation and returns the
+        # rounded root 0.0, as the eager upper end of 0.0 did
+        reg = HuberRegularizer(c=1.0, p=math.log(3.0), alpha=1.0)
+        assert _mirror_part_inverse(1e-40, 2.0, 1.0, 0.1) > 0.0
+        assert reg.radial_subgradient_inverse(1e-40) == 0.0
+        us = []
+        monkeypatch.setattr(mirror_descent, "link_terms",
+                            lambda u, *rest: us.append(u) or link_terms(u, *rest))
+        assert link_inverse_solve(1e-40, 2.0, 1.0, 0.1, reg) == (0.0, 0.0, 0.0)
+        assert len(us) == 1
+
+    @pytest.mark.parametrize("c", [1e308, 5e307])
+    def test_scale_whose_c_times_p_passes_float_range(self, c):
+        # c*p = 3e308 is past float range: log(c*p) was inf, so the penalty
+        # inverse read every y as 0 and the learner played 0.0 every round.
+        # It is log c + log p now, and the solve returns the 50-digit root.
+        # At theta = 4000, M = 1.0e289 and the penalty part there would
+        # overflow, so the solve reads P first, as before
+        reg = HuberRegularizer(c=c, p=3.0, alpha=1.0)
+        assert 1e288 < _mirror_part_inverse(4000.0, 4.0, 2.0, 1.0) < 1e290
+        with mpmath.workdps(50):
+            for theta in (1.0, 1e10, 4000.0, 1e300):
+                x = link_inverse_solve(theta, 4.0, 2.0, 1.0, reg)[0]
+                root = mp_link_root(theta, 4.0, 2.0, 1.0, reg, x)
+                assert float(abs(x - root) / root) <= 1e-10
+        md = MirrorDescentLearner(1, 1.0, initial_hint=1.0, c=c, p=3.0)
+        update = md.update(-1.0, 1.0)
+        a = md._wealth_scale(md.B + 4.0 * md.N)
+        with mpmath.workdps(50):
+            root = mp_link_root(1.0, 1.0 + 1.0, 1.0, a, md.penalty, update.w)
+        assert update.w > 0.0 and float(abs(update.w - root) / root) <= 1e-10
 
 
 class TestMirrorDescentLearner:
@@ -768,7 +929,7 @@ class TestMirrorDescentLearner:
 def shared_bits(md) -> bytes:
     """The state both forms of a mirror descent learner keep, as bytes: its
     floats and 1-entry arrays alike, its round and its penalty's state."""
-    reg = md.reg
+    reg = md.penalty
     values = [md.w, md.mirror_grad, md.w_norm, md.h, md.C, md.N, md.B,
               reg.log_S, reg.last_iterate_norm, reg.t]
     return b"".join(

@@ -14,7 +14,10 @@ from robust_oco.adversaries import KTBettor
 from robust_oco.core import NonFiniteError, RegretLedger, norm
 from robust_oco.epigraph import EpigraphLearner, EpigraphPoint, weighted_project
 from robust_oco.mirror_descent import MirrorDescentLearner, SolverError
-from robust_oco.protocol import ALGORITHMS, MODES, ProtocolConfig, RobustProtocol
+from robust_oco.protocol import (
+    ALGORITHMS, MODES, DecompositionLedger, ProtocolConfig, RobustProtocol,
+)
+from robust_oco.regularizer import HuberRegularizer
 from snapshot import state_bits
 
 # how each layer names itself in the errors it raises
@@ -59,8 +62,8 @@ def play(protocol, regret, g_tilde, g_true):
 def _penalty(protocol):
     """The learner's Huber penalty, whose c, p and alpha the presets set."""
     if protocol.filter is None:
-        return protocol.learner.reg
-    return protocol.learner.learner_w.reg
+        return protocol.learner.penalty
+    return protocol.learner.learner_w.penalty
 
 
 class TestPresets:
@@ -886,3 +889,79 @@ class TestFloatPathMatchesArrayPath:
         if one.filter is not None:
             # the stream reached the paths that differ by representation
             assert one.filter.clip_rounds > 0
+
+
+class CopyLedger(DecompositionLedger):
+    """The split on a second copy of the learner's penalty, advanced with the played
+    norm |w| in its own commit: the split as it was kept before it read the
+    learner's penalty."""
+
+    def __init__(self, protocol):
+        own = protocol.learner.penalty
+        copy = HuberRegularizer(c=own.c, p=own.p, alpha=own.alpha)
+        copy.advance(protocol.learner.w_norm)
+        super().__init__(protocol.comparator, copy)
+        self.learner = protocol.learner
+
+    def commit(self, step):
+        super().commit(step)
+        self.penalty.advance(self.learner.w_norm)
+
+
+class TestOnePenaltyState:
+    """The split reads the penalty its learner's played point pays and advances none."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_the_ledger_holds_the_learners_penalty(self, mode):
+        protocol = RobustProtocol(ProtocolConfig(mode=mode, T=100, k=2,
+                                                 G=1.0 if mode == "known_g" else None))
+        penalty = protocol.decomposition.penalty
+        assert penalty is protocol.learner.penalty
+        if mode != "known_g":  # the played point's penalty, not the unprojected one's
+            assert penalty is not protocol.learner.learner_w.penalty
+        assert penalty.t == 1 and penalty.last_iterate_norm == 0.0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_commit_advances_nothing(self, mode):
+        protocol = RobustProtocol(ProtocolConfig(mode=mode, T=100, k=2,
+                                                 G=1.0 if mode == "known_g" else None),
+                                  comparator=[0.5])
+        for g in (-1.0, -1.0, 0.5):
+            protocol.round([g], g_true=[g])
+        d = protocol.decomposition
+        step = d.step(protocol.w, protocol.learner.w_norm, -1.0, 1.0, 0.0, -1.0, 1.0)
+        penalty = state_bits(d.penalty)
+        d.commit(step)
+        assert state_bits(d.penalty) == penalty
+        assert (d.error_term, d._bias_grad_accum, d._bias_grad_bound, d.composite_term,
+                d.correction_term, d.bias_reg_sum) == step
+
+    @pytest.mark.parametrize("stream", [_sign_flip, _hidden_zeros, _clipping],
+                             ids=["sign_flip", "hidden_zeros", "clipping"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_split_matches_a_copy_advanced_with_the_played_norm(self, mode, stream, dim):
+        # every round's four terms, bit for bit, against a twin protocol whose
+        # ledger keeps its own penalty copy. The epigraph learner advances
+        # its played-point penalty with that same norm; known_g's learner
+        # advances its penalty with the solved radius, which is an ulp from
+        # |w| on 18 to 34 of these rounds: the terms agree all the same
+        protocols = [RobustProtocol(
+            ProtocolConfig(mode=mode, T=300, k=3, G=1.0 if mode == "known_g" else None,
+                           tau_G=0.5, dim=dim),
+            comparator=np.array([1.0, -0.5, 0.25][:dim])) for _ in range(2)]
+        protocols[1].decomposition = CopyLedger(protocols[1])
+        ulp_apart = 0
+        for t in range(1, 301):
+            g_true, g_tilde = stream(t, float(np.atleast_1d(protocols[0].w)[0]))
+            for p in protocols:
+                p.round(np.array([g_tilde, 0.0, 0.0][:dim]),
+                        g_true=np.array([g_true, 0.0, 0.0][:dim]))
+            terms = [[p.decomposition.error_term, p.decomposition.correction_term,
+                      p.decomposition.bias_term, p.decomposition.composite_term]
+                     for p in protocols]
+            assert _record_bits(terms[0]) == _record_bits(terms[1]), t
+            norms = [p.decomposition.penalty.last_iterate_norm for p in protocols]
+            ulp_apart += norms[0] != norms[1]
+        assert (ulp_apart > 0) == (mode == "known_g")
+

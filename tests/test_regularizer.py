@@ -242,12 +242,17 @@ class TestAgainstNaiveFormulas:
 
 
 def uncached_radial_subgradient_log(reg, log_x):
-    """radial_subgradient_log with log(c*p) and 1 - 1/p computed on the call."""
+    """radial_subgradient_log with log(c*p) and 1 - 1/p computed on the call.
+
+    Where c*p passes float range, log(c*p) is log c + log p.
+    """
     if reg.c == 0.0:
         return 0.0, 0.0
     p, log_S = reg.p, reg.log_S
     ls = _logaddexp(log_S, p * log_x)
-    r = math.exp(math.log(reg.c * p) + (p - 1.0) * log_x - (1.0 - 1.0 / p) * ls)
+    cp = reg.c * p
+    log_cp = math.log(cp) if cp < math.inf else math.log(reg.c) + math.log(p)
+    r = math.exp(log_cp + (p - 1.0) * log_x - (1.0 - 1.0 / p) * ls)
     return r, r * (p - 1.0) * math.exp(log_S - ls)
 
 
@@ -301,6 +306,20 @@ class TestConstantsComputedOnce:
             for w in (0.0, reg.last_iterate_norm, *10.0 ** rng.uniform(-300.0, 300.0, size=3)):
                 assert outcome_bits(reg.evaluate, float(w)) == outcome_bits(
                     uncached_evaluate, reg, float(w)), (reg, w)
+
+    def test_knot_value_is_evaluate_at_the_last_norm(self):
+        # the regret split reads the penalty at the played point as
+        # c * exp(log_knot), which advance keeps from its fold's operands:
+        # bit for bit evaluate(last_iterate_norm), also past float range: inf
+        # where c times the power overflows, OverflowError where the exp does
+        overflows = 0
+        for reg, rng in self.samples():
+            for w in (0.0, *10.0 ** rng.uniform(-300.0, 308.0, size=3)):
+                reg.advance(float(w))
+                knot = outcome_bits(lambda: reg.c * math.exp(reg.log_knot))
+                assert knot == outcome_bits(reg.evaluate, reg.last_iterate_norm), reg
+                overflows += knot in (outcome_bits(math.exp, 1e3), np.float64(np.inf).tobytes())
+        assert overflows > 0
 
 
 class TestLogAddExp:
