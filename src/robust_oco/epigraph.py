@@ -142,10 +142,10 @@ class EpigraphLearner:
 
     The vector side is the mirror descent learner, fed hints of twice the
     clipping threshold: the magnitude bound of its corrected feedback. The
-    scalar side is the same learner at d = 1 with the Huber penalty off, in
-    Python floats, under a constant hint of 1.5*gamma: the magnitude bound
-    of the corrected scalar feedback. penalty, the played point's Huber
-    penalty, follows each played norm, learner_w.penalty the unprojected one.
+    scalar side is the same learner at d = 1 with the Huber penalty
+    disabled, so in Python floats, under a constant hint of 1.5*gamma,
+    exactly the magnitude bound of the corrected scalar feedback. penalty
+    follows the played norms, learner_w.penalty the unprojected ones.
     """
 
     def __init__(
@@ -171,7 +171,6 @@ class EpigraphLearner:
         self._played = weighted_project(self._hat, tau_G, gamma, self.learner_w.w_norm)
         # the played iterate in the learner's form (a float at d = 1), and its norm
         self.w, self.w_norm = self._played.w, self.learner_w.w_norm
-        self.penalty.advance(self.w_norm)
 
     def observe(self, gradient, hint: float, a_t: float = 0.0, g_norm: float | None = None) -> None:
         """Consume one round; a_t is its quadratic penalty weight, in [0, gamma].

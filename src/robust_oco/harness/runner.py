@@ -160,14 +160,8 @@ def run_sweep(sweep: SweepConfig, out_path: str | Path | None = None) -> list[di
         for k in sweep.ks:
             r_cor, r_clean = (run_experiment(c).summary["final_true_regret"]
                               for c in _sweep_cell_configs(sweep, algorithm, k))
-            rows.append({
-                "algorithm": algorithm,
-                "k": k,
-                "T": k * k,
-                "regret_corrupted": r_cor,
-                "regret_uncorrupted": r_clean,
-                "ratio": r_cor / r_clean if r_clean != 0.0 else math.inf,
-            })
+            ratio = r_cor / r_clean if r_clean != 0.0 else math.inf
+            rows.append(dict(zip(SWEEP_COLUMNS, (algorithm, k, k * k, r_cor, r_clean, ratio))))
     if out_path is not None:
-        _write_csv(Path(out_path), SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))
+        _write_csv(Path(out_path), SWEEP_COLUMNS, (row.values() for row in rows))
     return rows

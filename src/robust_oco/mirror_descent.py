@@ -1,19 +1,22 @@
 """Centered mirror descent with a composite Huber penalty (known-bound base learner).
 
 The learner keeps a dual accumulator theta and maps it back to an iterate by
-inverting a scalar monotone link, the radial derivative of the mirror map
-plus the radial subgradient of the Huber penalty, which link_terms evaluates
-with its slope. The inversion is a safeguarded Newton iteration in log
-radius: a step that leaves the bracket falls back to its midpoint, which
-bounds the iterations even when the bracket spans hundreds of orders of
-magnitude (parameter-free iterates are exponential in the dual norm). The
-solve also returns the link's mirror part at the root, the next round's
-mirror-map gradient, and the root's offset below the bracket's upper end in
-log radius, smooth enough on a long horizon to extrapolate the next start.
+inverting a scalar monotone link: the radial derivative of the mirror map
+plus the radial subgradient of the Huber penalty. The link is a function of
+the radius alone, evaluated with its slope by one function, link_terms. Its
+inversion is a safeguarded Newton iteration in log-radius space: any step
+that leaves the current bracket falls back to the bracket midpoint, which
+keeps the iteration count bounded even when the bracket spans hundreds of
+orders of magnitude (parameter-free iterates are exponential in the dual
+norm). The solve also returns the mirror part of the link at its root, which
+the dual update reuses as the next round's mirror-map gradient, and its
+root's offset from the bracket's upper end in log radius, which moves so
+smoothly on a long horizon that the learner extrapolates its next start.
 
 One update serves every dimension: at d = 1 the iterate, the dual
 accumulator and the mirror-map gradient are Python floats, above that
-float64 arrays (core.kernels picks the form), with the bits the 1-entry
+float64 arrays (core.kernels picks the form from dim), and the same
+subtraction, scaling and norm run on either, with the bits the 1-entry
 array gave. The epigraph learner's scalar side is this learner at d = 1
 with the penalty off. The update computes the whole new state before
 commit() assigns any of it, so an observe() that raises changes nothing.
@@ -119,21 +122,22 @@ def link_inverse_solve(
     the mirror part, inverted in closed form. Otherwise the smaller of the
     summand inverses, the mirror part's M and the penalty's P, bounds the
     root from above at theta and from below at theta / 2. A cold solve with
-    M finite and positive starts at M and computes P only if the penalty
-    part there exceeds theta / 2 (it grows with x, so below that P lies
-    above M far beyond either inverse's rounding); a smaller P restarts it
-    from P. Newton steps on log L(u) - log theta in u = log x start at the
-    upper end or, when the bracket is finite and offset is below
-    -sqrt(1e-10), at the upper end plus offset (at least the smallest
-    positive double). A step that leaves the bracket goes to its midpoint,
-    except that a warm start's first step past the unread upper end goes to
-    it; an upper end that rounding left short of the root moves up. The
-    lower end is computed only when the first evaluation fails the slope
-    test above the root (a warm start below it is the lower end). An
-    iterate returns when its residual is within 1e-9 * max(1, theta_norm)
-    and the root is pinned: in u, by the Newton error estimate or a bracket
-    collapsed below 1e-10, or in x, by repeating the last radius. Once no
-    step moves u, or after 200 iterations, a bracket closed to two
+    M finite and positive evaluates at M and computes P only if the penalty
+    part there exceeds theta / 2: it grows with x, so else P lies above M,
+    far beyond either inverse's rounding. Newton steps on log L(u) - log
+    theta in u = log x start at the upper end or, when the bracket is finite
+    and offset is below -sqrt(1e-10), at the upper end plus offset (at least
+    the smallest positive double). A step that leaves the bracket goes to
+    its midpoint, except that a warm start's first step past the unread
+    upper end goes to it; an upper end that rounding left short of the root
+    moves up. The lower end is computed only when the first evaluation fails
+    the slope test above the root (a warm start below it is the lower end):
+    most cold solves converge at the upper end and never read it. An iterate
+    returns when its residual is within 1e-9 * max(1, theta_norm) and the
+    root is pinned: in u, by the Newton error estimate or a bracket
+    collapsed below 1e-10 (the closed-form lower end is exact only in
+    reals), or in x, by repeating the last radius (a subnormal root). Once
+    no step moves u, or after 200 iterations, a bracket closed to two
     neighbouring doubles in x returns the one with the smaller |residual|;
     any other bracket raises.
     """
@@ -148,16 +152,24 @@ def link_inverse_solve(
             raise _out_of_range(theta_norm, V, h, a)
         return x, theta_norm, 0.0
 
+    def link_at(u: float, x: float) -> tuple[float, float, float]:
+        # kept nested: the per-layer count pass (perfbench/layers.py) counts
+        # the calls of this code object as the solve's link evaluations
+        return link_terms(u, x, V, h, a, reg)
+
     hi = _mirror_part_inverse(theta_norm, V, h, a)
     warm = offset < _WARM_OFFSET
-    # a cold solve reads P after evaluating at M, where c*p cannot overflow the penalty part
-    lazy = not warm and 0.0 < hi < math.inf and reg.c * reg.p < math.inf
-    if not lazy:
-        hi = min(hi, reg.radial_subgradient_inverse(theta_norm))
+    first = None  # a cold solve's evaluation at M, its loop's first if M stays the upper end
+    if not warm and 0.0 < hi < math.inf:
+        u = math.log(hi)
+        x = math.exp(u)
+        first = link_at(u, x)
+    if first is None or first[1] > 0.5 * theta_norm:
+        top = reg.radial_subgradient_inverse(theta_norm)
+        if top < hi:
+            hi, first = top, None
     floor = 0.0  # a known lower bound on the root
-    if hi == 0.0:
-        # the upper bound underflowed: the root lies below the smallest
-        # positive double and rounds to zero
+    if hi == 0.0:  # M or P underflowed: the root rounds to zero, below the smallest double
         return 0.0, 0.0, 0.0
 
     if not math.isfinite(hi):
@@ -173,30 +185,16 @@ def link_inverse_solve(
             raise _out_of_range(theta_norm, V, h, a)
         warm = False  # the doubling search is not the bracket the offset was taken in
 
-    def link_at(u: float, x: float) -> tuple[float, float, float]:
-        # kept nested: the per-layer count pass (perfbench/layers.py) counts
-        # the calls of this code object as the solve's link evaluations
-        return link_terms(u, x, V, h, a, reg)
-
     tol = _SOLVE_RTOL * max(1.0, theta_norm)
     log_theta = math.log(theta_norm)
-    u = u_top = u_hi = math.log(hi)
+    u = u_top = u_hi = math.log(hi) if first is None else u
     if warm:
         u = max(u + offset, _LOG_TINY)
     u_lo = None  # set after the first evaluation, unless that one converges
     x_prev = None
     for _ in range(_SOLVE_MAX_ITER):
-        x = math.exp(u)
-        mirror, penalty, slope = link_at(u, x)
-        if lazy:  # the evaluation at M: is P the smaller upper end?
-            lazy = False
-            top = reg.radial_subgradient_inverse(theta_norm) if penalty > 0.5 * theta_norm else hi
-            if top < hi:
-                if top == 0.0:  # as hi == 0.0 above
-                    return 0.0, 0.0, 0.0
-                u = u_top = u_hi = math.log(top)
-                x = math.exp(u)
-                mirror, penalty, slope = link_at(u, x)
+        x = math.exp(u) if first is None else x  # the evaluation at M has its x
+        (mirror, penalty, slope), first = first or link_at(u, x), None
         value = mirror + penalty
         resid = value - theta_norm
         small = abs(resid) <= tol
@@ -256,21 +254,23 @@ class MirrorDescentLearner:
 
     Plays the origin first. Each observe() call consumes a gradient whose
     norm is at most the current hint, plus the (nondecreasing) hint for the
-    next round. c = 0 disables the penalty, leaving plain parameter-free
-    mirror descent. penalty is the HuberRegularizer the link reads and the
-    played point pays, advanced with each solved radius (once with 0.0 at
-    construction, so that it evaluates from round 1).
+    next round. Setting c = 0 disables the penalty and leaves the plain
+    parameter-free mirror descent update. penalty is the HuberRegularizer
+    the link reads and the played point pays, advanced with each solved radius.
 
     The hint h bounds the next gradient's norm; C sums the squared gradient
     norms, N the same squares over the hint in force, and B adds 4N each
     round; update() derives the link's V = hint^2 + C and wealth scale a
     (from B). root_offset o1 is the last solve's root offset and
     earlier_offsets the warm ones before it since the last cold start,
-    newest first, zero-padded to three; the next solve starts at
-    4(o1 + o3) - 6 o2 - o4 when all four are warm, else at o1. A round is
-    update(), every check and the solve on locals, then commit(), which
-    assigns the result. w and mirror_grad are in core.kernels(dim)'s form:
-    floats at d = 1, bit for bit the learner on 1-entry arrays.
+    newest first, zero-padded to three; the next solve (link_inverse_solve)
+    starts at 4(o1 + o3) - 6 o2 - o4 when all four are warm, else at o1. A
+    round is update(), which runs every check and the solve on locals, then
+    commit(), which assigns the result.
+
+    w and mirror_grad are held in the form core.kernels(dim) picks: floats
+    at d = 1, float64 arrays above, bit for bit the learner on 1-entry
+    arrays at d = 1.
     """
 
     def __init__(
@@ -295,7 +295,6 @@ class MirrorDescentLearner:
         self.dim = dim = check_integer("dim", dim, 1)
         self.kernels = kernels(dim)
         self.penalty = HuberRegularizer(c=c, p=p, alpha=alpha)
-        self.penalty.advance(0.0)
         self.w = self.kernels.zeros(dim)
         self.w_norm = 0.0  # norm(self.w), kept from the check in update
         self.mirror_grad = self.kernels.zeros(dim)  # mirror-map gradient at w

@@ -21,8 +21,9 @@ class HuberRegularizer:
     """Running state (S_t, previous iterate norm) of the composite penalty.
 
     S is kept as log_S only: a sum of p-th powers soon leaves float range.
-    c * exp(log_knot) is evaluate(last_iterate_norm), bit for bit.
-    c lies in [0, inf), p in (1, inf) and alpha in (0, inf); NaN fails each.
+    Built, it is round 1's state, knotted at the origin the learners play first.
+    c * exp(log_knot) is evaluate(last_iterate_norm), bit for bit. c lies in
+    [0, inf) with c * p finite, p in (1, inf) and alpha in (0, inf); NaN fails each.
     """
 
     c: float
@@ -30,27 +31,23 @@ class HuberRegularizer:
     alpha: float
     log_S: float = field(init=False)
     last_iterate_norm: float = field(init=False, default=0.0)
-    t: int = field(init=False, default=0)
     log_knot: float = field(init=False, default=-math.inf)
 
     def __post_init__(self):
-        if not 0.0 <= self.c < math.inf:
-            raise ValueError(f"scale c must be nonnegative and finite, got {self.c}")
         if not 1.0 < self.p < math.inf:
             raise ValueError(f"power p must be above 1 and finite, got {self.p}")
+        if not 0.0 <= self.c * self.p < math.inf:
+            raise ValueError(f"scale c must be nonnegative with c * p finite, got c={self.c}")
         check_positive("offset alpha", self.alpha)
         self.log_S = self.p * math.log(self.alpha)
         # the formulas' constants log(c*p) (-inf at c = 0) and 1 - 1/p, computed once
-        cp = self.c * self.p
-        self._log_cp = (math.log(cp) if cp < math.inf else math.log(self.c) + math.log(self.p)
-                        ) if cp > 0.0 else -math.inf  # two logs where c*p passes float range
+        self._log_cp = math.log(self.c * self.p) if self.c > 0.0 else -math.inf
         self._denom_power = 1.0 - 1.0 / self.p
 
     def advance(self, w_next_norm: float) -> None:
         """Fold the next iterate norm into S and remember it for sigma.
 
-        With c = 0 the fold is skipped: no formula reads log_S then; log_knot,
-        from the fold's operands, takes no exp that could overflow.
+        With c = 0 the fold is skipped: no formula reads log_S then.
         """
         if not math.isfinite(w_next_norm) or w_next_norm < 0:
             raise ValueError(f"invalid iterate norm {w_next_norm}")
@@ -60,12 +57,9 @@ class HuberRegularizer:
             self.log_S = _logaddexp(self.log_S, p_log_w)
             self.log_knot = p_log_w - self._denom_power * self.log_S
         self.last_iterate_norm = w_next_norm
-        self.t += 1
 
     def evaluate(self, w_norm: float) -> float:
         """Penalty value at a point of the given norm, at the current round."""
-        if self.t < 1:
-            raise ValueError("evaluate requires at least one advance")
         if not w_norm >= 0.0:  # NaN fails too
             raise ValueError(f"invalid iterate norm {w_norm}")
         c, p, wt = self.c, self.p, self.last_iterate_norm
@@ -85,9 +79,12 @@ class HuberRegularizer:
         The norm is c*p*x^(p-1) / (S + x^p)^(1-1/p): monotone nondecreasing
         in x and bounded above by c*p. Taking log x lets x exceed float range.
         """
-        if self.c == 0.0:
-            return 0.0, 0.0
         p, log_S = self.p, self.log_S
+        t = p * log_x - log_S  # c = 0 gives (0.0, 0.0): log(c*p) is -inf
+        if t > 0.0:  # x^p above S: the norm is c*p (1 + S/x^p)^(1/p-1), with no p log x to cancel
+            l1 = math.log1p(math.exp(-t))
+            r = math.exp(self._log_cp - self._denom_power * l1)
+            return r, r * (p - 1.0) * math.exp(-t - l1)
         ls = _logaddexp(log_S, p * log_x)  # log(S + x^p)
         r = math.exp(self._log_cp + (p - 1.0) * log_x - self._denom_power * ls)
         return r, r * (p - 1.0) * math.exp(log_S - ls)
@@ -103,8 +100,8 @@ class HuberRegularizer:
             return math.inf
         p = self.p
         q = y / cp
-        # a subnormal y or a c*p past float range underflows the ratio: log in two parts
-        log_q = math.log(q) if q >= _FLOAT_MIN else math.log(y) - self._log_cp
+        # a subnormal y can underflow the ratio; take its log in two parts
+        log_q = math.log(q) if q >= _FLOAT_MIN else math.log(y) - math.log(cp)
         log_r = (p / (p - 1.0)) * log_q
         # x^p = S * r / (1 - r) with r = (y/cp)^(p/(p-1))
         log_xp = self.log_S + log_r - math.log1p(-math.exp(log_r))

@@ -288,7 +288,7 @@ def learner_bits(learner):
         reg = md.penalty
         parts += [md.w, md.mirror_grad,
                   [md.w_norm, md.h, md.C, md.N, md.B, md.t,
-                   reg.log_S, reg.last_iterate_norm, reg.t]]
+                   reg.log_S, reg.last_iterate_norm, reg.log_knot]]
     return b"".join(np.asarray(x, dtype=np.float64).tobytes() for x in parts)
 
 
@@ -450,11 +450,11 @@ class TestEpigraphLearner:
             learner.observe(rng.uniform(-1.0, 1.0, dim) / math.sqrt(dim), 1.0,
                             float(rng.uniform(0.0, 2.0)))
         before = state_bits(learner)
-        rounds = (learner.learner_w.t, learner.learner_y.t, learner.learner_w.penalty.t)
+        rounds = (learner.learner_w.t, learner.learner_y.t)
         with pytest.raises(ValueError, match=r"penalty weight .* outside \[0, gamma 2\.0\]"):
             learner.observe(np.full(dim, 0.1), 1.0, a_t)
         assert state_bits(learner) == before
-        assert (learner.learner_w.t, learner.learner_y.t, learner.learner_w.penalty.t) == rounds
+        assert (learner.learner_w.t, learner.learner_y.t) == rounds
 
     @pytest.mark.parametrize("hint", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_hint_moves_no_state(self, hint):

@@ -318,22 +318,24 @@ class TestLinkInverse:
         assert float(abs(x - root) / root) <= 1e-12
 
     def test_sampled_root_returns_on_the_collapsed_bracket(self):
-        # a sampled solve near 5.2e220 whose residual meets the tolerance but
-        # never the Newton error bound: it returns once its bracket in u has
-        # collapsed, within 4e-13 of the 50-digit root
-        reg = HuberRegularizer(c=133796778.08689891, p=18.062983282960843,
-                               alpha=1.514085707700108e+193)
-        reg.advance(6.5834103654405644e-282)
-        theta, V, h, a = (5126077153.844593, 196722340899667.9, 128741.55945776633,
-                          3.809417993434546e-230)
+        # a sampled solve whose root, 7.3e-324, is subnormal: its residual
+        # meets the tolerance but never the Newton error bound, and it
+        # returns once its bracket in u has collapsed, at the double nearest
+        # the 50-digit root. (A solve near 5.2e220 took this return while the
+        # penalty's exponent cancelled; it now meets the Newton bound.)
+        reg = HuberRegularizer(c=17893347.225595262, p=1.162691902494211,
+                               alpha=3.3555374707542555e+296)
+        reg.log_S = 793.8578932787757  # the state the sampled advances left
+        theta, V, h, a = (1.0753100171903328e-19, 4.4359157805366767e-10,
+                          9.687541613803345e-08, 1.0098231914881807e-293)
         x, mirror, _ = link_inverse_solve(theta, V, h, a, reg)
         at_x, penalty, slope = link_terms(math.log(x), x, V, h, a, reg)
         resid = abs(at_x + penalty - theta)
-        assert resid <= 1e-9 * theta and resid > mirror_descent._SOLVE_UTOL * slope
-        assert mirror == at_x
+        assert resid <= 1e-9 and resid > mirror_descent._SOLVE_UTOL * slope
+        assert mirror == at_x and x == 5e-324
         with mpmath.workdps(50):
             root = mp_link_root(theta, V, h, a, reg, x)
-        assert float(abs(x - root) / root) <= 1e-12
+        assert abs(x - root) < abs(math.nextafter(x, 1.0) - root)
 
     def test_subnormal_root_returns_on_a_repeated_radius(self):
         # the root, 1e-318, is subnormal: neighbouring radii are 5e-324 apart,
@@ -489,6 +491,22 @@ class TestLinkInverse:
         # below q = 709 the bits are a * expm1(q)
         assert _mirror_part_inverse(3.0 * 708.5 + 3.0, V, h, a) == a * math.expm1(708.5)
 
+    def test_saturated_penalty_in_a_flat_link_solves_to_the_root(self):
+        # x^p exceeds S by e^80613 at the root, where the penalty part is c*p
+        # to 17 digits and the mirror part a seventh of the link, which is
+        # this flat: d log L / d log x = 1e-4. The penalty was exp(log(c*p)
+        # + (p-1) log x - (1-1/p) log(S + x^p)), whose terms near p log x =
+        # 25,105 cancel: 2.3e-12 off, which put the solve's root 2.2e-8
+        # above the 50-digit one
+        theta, V, h, a = (30.588481624282636, 0.0006734180251971999,
+                          0.0010717341878455423, 1.26696342676339e-237)
+        reg = HuberRegularizer(c=0.25897680064637285, p=100.97522471294546, alpha=1.0)
+        reg.log_S = -55507.428062799176  # the state the sampled advances left
+        x = link_inverse_solve(theta, V, h, a, reg)[0]
+        with mpmath.workdps(50):
+            root = mp_link_root(theta, V, h, a, reg, x)
+        assert float(abs(x - root) / root) <= 1e-10
+
     def test_link_is_zero_at_the_origin(self):
         # both summands vanish at x = 0, where log x is not taken
         reg = HuberRegularizer(c=1.0, p=2.0, alpha=1.0)
@@ -643,13 +661,20 @@ class TestLazyUpperEnd:
         assert link_inverse_solve(1e-40, 2.0, 1.0, 0.1, reg) == (0.0, 0.0, 0.0)
         assert len(us) == 1
 
-    @pytest.mark.parametrize("c", [1e308, 5e307])
-    def test_scale_whose_c_times_p_passes_float_range(self, c):
+    def test_scale_whose_c_times_p_passes_float_range_is_refused(self):
         # c*p = 3e308 is past float range: log(c*p) was inf, so the penalty
-        # inverse read every y as 0 and the learner played 0.0 every round.
-        # It is log c + log p now, and the solve returns the 50-digit root.
-        # At theta = 4000, M = 1.0e289 and the penalty part there would
-        # overflow, so the solve reads P first, as before
+        # inverse read every y as 0 and the learner played 0.0 every round,
+        # where the 50-digit root of its first solve is 6.0e-155
+        for build in (lambda: HuberRegularizer(c=1e308, p=3.0, alpha=1.0),
+                      lambda: MirrorDescentLearner(1, 1.0, initial_hint=1.0, c=1e308, p=3.0)):
+            with pytest.raises(ValueError, match=r"^scale c must be nonnegative with c \* p "
+                               r"finite, got c=1e\+308$"):
+                build()
+
+    def test_scale_whose_c_times_p_nears_float_range(self):
+        # c*p = 1.5e308 is finite: the solves return their 50-digit roots,
+        # at theta = 4000 from M = 1.0e289, where the penalty part is c*p
+        c = 5e307
         reg = HuberRegularizer(c=c, p=3.0, alpha=1.0)
         assert 1e288 < _mirror_part_inverse(4000.0, 4.0, 2.0, 1.0) < 1e290
         with mpmath.workdps(50):
@@ -931,7 +956,7 @@ def shared_bits(md) -> bytes:
     floats and 1-entry arrays alike, its round and its penalty's state."""
     reg = md.penalty
     values = [md.w, md.mirror_grad, md.w_norm, md.h, md.C, md.N, md.B,
-              reg.log_S, reg.last_iterate_norm, reg.t]
+              reg.log_S, reg.last_iterate_norm, reg.log_knot]
     return b"".join(
         np.asarray(v, dtype=np.float64).tobytes() for v in values
     ) + md.t.to_bytes(8, "little")

@@ -68,13 +68,14 @@ class TestAdvance:
     def test_invalid_norm_rejected(self, c, bad):
         # c = 0 skips the log-space fold, not the input check
         reg = make_state(c=c)
+        before = (reg.log_S, reg.last_iterate_norm, reg.log_knot)
         with pytest.raises(ValueError, match="invalid iterate norm"):
             reg.advance(bad)
-        assert reg.t == 0 and reg.last_iterate_norm == 0.0
+        assert (reg.log_S, reg.last_iterate_norm, reg.log_knot) == before
 
     def test_disabled_penalty_reads_zero_after_advances(self):
         reg = make_state(c=0.0, p=3.0, norms=[0.5, 2.0, 1e300])
-        assert reg.t == 3 and reg.last_iterate_norm == 1e300
+        assert reg.last_iterate_norm == 1e300 and reg.log_knot == -math.inf
         assert reg.evaluate(4.0) == 0.0
         assert reg.radial_subgradient_log(math.log(4.0)) == (0.0, 0.0)
         assert reg.radial_subgradient_inverse(0.5) == math.inf
@@ -117,10 +118,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"^invalid iterate norm {bad}$"):
             reg.evaluate(bad)
 
-    def test_requires_one_advance(self):
-        reg = make_state()
-        with pytest.raises(ValueError):
-            reg.evaluate(1.0)
+    @pytest.mark.parametrize("c", [0.0, 1.5], ids=["c0", "c1"])
+    def test_built_state_is_round_one(self, c):
+        # a built penalty is knotted at the origin the learners play first:
+        # it evaluates bit for bit as one advanced with that 0.0, at every norm
+        built, advanced = make_state(c=c, p=3.0, alpha=0.4), make_state(c=c, p=3.0, alpha=0.4)
+        advanced.advance(0.0)
+        assert (built.log_S, built.last_iterate_norm, built.log_knot) == (
+            advanced.log_S, advanced.last_iterate_norm, advanced.log_knot)
+        for w in (0.0, 1e-300, 0.4, 1.0, 1e300):
+            assert built.evaluate(w) == advanced.evaluate(w) == 0.0
 
     @given(
         st.floats(0.1, 5.0), st.floats(1.0, 8.0, exclude_min=True), st.floats(0.05, 3.0),
@@ -213,6 +220,26 @@ class TestRadialSubgradientInverse:
 class TestAgainstNaiveFormulas:
     """Log-space arithmetic must agree with direct evaluation where both work."""
 
+    def test_saturated_subgradient_keeps_its_digits(self):
+        # where x^p exceeds S by e^40 and more, the norm is c*p to 17 digits;
+        # it was exp(log(c*p) + (p-1) log x - (1-1/p) log(S + x^p)), whose
+        # terms near p log x (up to 1.3e5 here) cancel, off by up to 1e-11
+        rng = np.random.default_rng(47)
+        worst = 0.0
+        for _ in range(400):
+            p = 1.0 + float(10.0 ** rng.uniform(-2.0, 2.1))
+            reg = make_state(c=float(10.0 ** rng.uniform(-5.0, 5.0)), p=p,
+                             alpha=float(10.0 ** rng.uniform(-300.0, 0.0)))
+            log_x = float(rng.uniform(0.0, 700.0))
+            if p * log_x - reg.log_S < 40.0:
+                continue
+            with mpmath.workdps(50):
+                x, S, q = mpmath.exp(log_x), mpmath.exp(reg.log_S), mpmath.mpf(p)
+                exact = reg.c * q * x ** (q - 1) / (S + x**q) ** (1 - 1 / q)
+                r = reg.radial_subgradient_log(log_x)[0]
+                worst = max(worst, float(abs(r - exact) / exact))
+        assert 0.0 < worst <= 1e-15
+
     @given(
         st.floats(0.1, 5.0), st.floats(1.1, 6.0), st.floats(0.1, 3.0),
         st.lists(st.floats(0.01, 4.0), min_size=1, max_size=5),
@@ -242,17 +269,17 @@ class TestAgainstNaiveFormulas:
 
 
 def uncached_radial_subgradient_log(reg, log_x):
-    """radial_subgradient_log with log(c*p) and 1 - 1/p computed on the call.
-
-    Where c*p passes float range, log(c*p) is log c + log p.
-    """
+    """radial_subgradient_log with log(c*p) and 1 - 1/p computed on the call."""
     if reg.c == 0.0:
         return 0.0, 0.0
     p, log_S = reg.p, reg.log_S
+    t = p * log_x - log_S
+    if t > 0.0:
+        l1 = math.log1p(math.exp(-t))
+        r = math.exp(math.log(reg.c * p) - (1.0 - 1.0 / p) * l1)
+        return r, r * (p - 1.0) * math.exp(-t - l1)
     ls = _logaddexp(log_S, p * log_x)
-    cp = reg.c * p
-    log_cp = math.log(cp) if cp < math.inf else math.log(reg.c) + math.log(p)
-    r = math.exp(log_cp + (p - 1.0) * log_x - (1.0 - 1.0 / p) * ls)
+    r = math.exp(math.log(reg.c * p) + (p - 1.0) * log_x - (1.0 - 1.0 / p) * ls)
     return r, r * (p - 1.0) * math.exp(log_S - ls)
 
 
@@ -279,7 +306,8 @@ def outcome_bits(fn, *args):
 class TestConstantsComputedOnce:
     """The constructor computes log(c*p) and 1 - 1/p once; the formulas keep their bits."""
 
-    # c*p runs from the smallest subnormals (5e-324 * p) past the largest double
+    # c*p runs from the smallest subnormals (5e-324 * p) past the largest
+    # double, where the constructor refuses it
     EDGE_C = (0.0, 5e-324, 1e-310, 1e-300, 1e300, 1.7976931348623157e308)
 
     def samples(self, count=3000, seed=30):
@@ -293,6 +321,10 @@ class TestConstantsComputedOnce:
             alpha = float(10.0 ** rng.uniform(-300.0, 300.0))
             norms = [0.0 if u < 0.1 else float(10.0 ** (300.0 * u - 150.0))
                      for u in rng.uniform(size=int(rng.integers(1, 4)))]
+            if not c * p < math.inf:  # c * p past float range is refused
+                with pytest.raises(ValueError, match=r"with c \* p finite"):
+                    make_state(c=c, p=p, alpha=alpha)
+                continue
             yield make_state(c=c, p=p, alpha=alpha, norms=norms), rng
 
     def test_radial_subgradient_keeps_the_bits_of_the_uncached_formula(self):

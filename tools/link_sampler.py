@@ -14,41 +14,37 @@ Prints how many solves left at each exit line (a return, or the line that
 raised, with the error's first words); how many cold solves read the
 penalty's inverse P after their first evaluation, at the mirror part's
 inverse M (their penalty part there exceeded theta / 2), and how many of
-those restarted from a smaller P (7,932 and 7,895, 4,750 of them at an
+those restarted from a smaller P (7,932 and 7,895 of them, 4,750 at an
 underflowed P of 0); then every line of the function that fewer than 1%
 of the solves ran, with its count. Then every solve that raised is
 checked at 50 digits: a raise where the link reaches theta at a
 representable radius is a failure of the solve. They are counted, and the
 first SHOW = 5 are printed with their inputs and their 50-digit roots. The
-first ORACLE = 2,000 solves that returned a positive radius are checked
-against that root too, and their worst relative error is printed, and so
-are the first ORACLE returns whose offset lies below
-ABOVE_WARM = -sqrt(1e-10) - ABOVE (1,306 of them), with how many of those
-are farther than WORST = 1e-10 (3, each after the doubling search of an
-infinite bracket, in a link this flat: d log L / d log x near 1e-4). The
-roots come from
-``tests/link_oracle.py``, the oracle the solver's tests use. Both
-populations are solved again warm-started, as the learner starts its next
-solve from a predicted offset that can miss the root either way: the
-first from NEAR = 1e-3 and FAR = 20 below each return's own offset in log
-radius, the second from JUST_ABOVE = 1e-9 and ABOVE = 1e-3 above it, so
-that every start above the root is warm (a shifted offset at or above
+roots come from ``tests/link_oracle.py``, the oracle the solver's tests
+use. Two populations of returns are checked against their roots, each by
+its worst relative error over its normal roots: the first ORACLE = 2,000
+solves that returned a positive radius, and the first ORACLE whose offset
+lies below ABOVE_WARM = -sqrt(1e-10) - ABOVE (1,304 of them). Both are solved
+again warm-started, as the learner starts its next solve from a
+predicted offset that can miss the root either way: the first from
+NEAR = 1e-3 and FAR = 20 below each return's own offset in log radius,
+the second from JUST_ABOVE = 1e-9 and ABOVE = 1e-3 above it, so that
+every start above the root is warm (a shifted offset at or above
 -sqrt(1e-10) is a cold start). Each pass prints how many started warm,
-how many raised, its worst relative error and how many of its returns lie
-farther from the root than both WORST and their cold return. Last, every
-positive return below the smallest normal double (a subnormal radius,
-3,368 of them) is checked against its root: how many lie farther than
+how many raised and its worst relative error. Last, every positive return
+below the smallest normal double (a subnormal radius, 3,368 of them) is
+checked against its root: how many lie farther than
 max(WORST * root, one double) from it, by which exit line they left, and
 the worst relative error among those. The run takes about a minute on one
-core (45 to 71 s, Python 3.11). It imports the package from ``src/``
-beside this file and writes nothing.
+core (45 to 71 s, Python 3.11). It imports the package from ``src/`` beside
+this file and writes nothing.
 
-Exits 1 if any raise has a representable root, if the first ORACLE
-returns' worst relative error exceeds WORST, if a warm solve raises (its
-cold solve returned) or lies farther from its root than both WORST and its
-cold return, if any subnormal return lies farther than
-max(WORST * root, one double) from its root, or if no solve restarted from
-a smaller P, which would leave that path ungated; otherwise 0.
+Exits 1 if any raise has a representable root, if either population's
+worst relative error exceeds WORST = 1e-10, cold or in any warm pass, if
+a warm solve raises (its cold solve returned), if any subnormal return
+lies farther than max(WORST * root, one double) from its root, in the
+warm passes too, or if no solve restarted from a smaller P, which would
+leave that path ungated; otherwise 0.
 """
 
 from __future__ import annotations
@@ -105,10 +101,10 @@ def main() -> int:
     def tracer(frame, event, arg):
         return local if frame.f_code is code else None
 
-    # the cold solve's lines that read P after the evaluation at M, and restart from it
-    lazy_line = next(n for n, t in text.items() if t == "lazy = False")
-    restart_line = next(n for n, t in text.items() if t == "u = u_top = u_hi = math.log(top)")
-    zero_line = next(n for n, t in text.items() if t.startswith("if top == 0.0")) + 1
+    # the cold solve's lines that evaluate at M, read P there and restart from a smaller P
+    at_m, read_p_line, restart_line = (next(n for n, t in text.items() if t == line) for line in (
+        "u = math.log(hi)", "top = reg.radial_subgradient_inverse(theta_norm)",
+        "hi, first = top, None"))
 
     rng = np.random.default_rng(SEED)
     exits, line_solves = collections.Counter(), collections.Counter()
@@ -120,10 +116,6 @@ def main() -> int:
             continue
         solves += 1
         ran.clear()
-        reg, inverse = drawn[4], drawn[4].radial_subgradient_inverse
-        read_at_theta = []  # the solve's calls of P at theta itself
-        reg.radial_subgradient_inverse = lambda y: (
-            read_at_theta.append(y == drawn[0]) or inverse(y))
         sys.settrace(tracer)
         try:
             x, _, offset = mirror_descent.link_inverse_solve(*drawn)
@@ -132,12 +124,11 @@ def main() -> int:
             error = exc
         finally:
             sys.settrace(None)
-            del reg.radial_subgradient_inverse
         line_solves.update(set(ran))
-        if lazy_line in ran and any(read_at_theta):
+        if at_m in ran and read_p_line in ran:
             read_p += 1
-            restarted += restart_line in ran or zero_line in ran
-            restarted_to_zero += zero_line in ran
+            restarted += restart_line in ran
+            restarted_to_zero += restart_line in ran and error is None and x == 0.0
         if error is None:
             exits[f"{ran[-1]}: {text[ran[-1]]}"] += 1
             if x > 0.0 and len(returned) < ORACLE:
@@ -183,42 +174,37 @@ def main() -> int:
         # a subnormal root is pinned to the grid, not relatively
         return 0.0 if abs(x - root) <= max(WORST * root, math.ulp(0.0)) else math.inf
 
-    worst = worst_below = 0.0
-    cold_far = 0  # cold returns of the second population farther than WORST
+    worst = {"returns": 0.0, "below": 0.0}  # each population's, over its normal roots
+    far_cold = collections.Counter()  # and how many of those lie farther than WORST
     warm_worst, warm_raised = dict.fromkeys(SHIFTS, 0.0), dict.fromkeys(SHIFTS, 0)
-    warm_far = dict.fromkeys(SHIFTS, 0)
     warm_starts, warm_solves = collections.Counter(), collections.Counter()
-    for drawn, x, offset, shifts in ([(*r, SHIFTS[:2]) for r in returned]
-                                     + [(*r, SHIFTS[2:]) for r in below]):
-        with mpmath.workdps(50):
-            root = mp_link_root(*drawn, x)
-        cold = error(x, root)
-        if shifts == SHIFTS[:2]:
-            worst = max(worst, cold)
-        else:
-            worst_below = max(worst_below, cold)
-            cold_far += cold > WORST
-        for shift in shifts:
-            warm_solves[shift] += 1
-            warm_starts[shift] += offset + shift < mirror_descent._WARM_OFFSET
-            try:
-                x_warm = mirror_descent.link_inverse_solve(*drawn, offset + shift)[0]
-            except (mirror_descent.SolverError, ValueError, OverflowError):
-                warm_raised[shift] += 1
-                continue
+    for population, solved, shifts in (("returns", returned, SHIFTS[:2]),
+                                       ("below", below, SHIFTS[2:])):
+        for drawn, x, offset in solved:
             with mpmath.workdps(50):
-                warm = error(x_warm, root)
-            warm_worst[shift] = max(warm_worst[shift], warm)
-            warm_far[shift] += warm > max(WORST, cold)
-    print(f"returns checked: {len(returned)}, worst relative error {worst:.3g}")
-    print(f"returns with an offset below {ABOVE_WARM:.6g} checked: {len(below)}, worst "
-          f"relative error {worst_below:.3g}, {cold_far} farther than {WORST:g}")
+                root = mp_link_root(*drawn, x)
+            if root >= sys.float_info.min:
+                worst[population] = max(worst[population], error(x, root))
+                far_cold[population] += error(x, root) > WORST
+            for shift in shifts:
+                warm_solves[shift] += 1
+                warm_starts[shift] += offset + shift < mirror_descent._WARM_OFFSET
+                try:
+                    x_warm = mirror_descent.link_inverse_solve(*drawn, offset + shift)[0]
+                except (mirror_descent.SolverError, ValueError, OverflowError):
+                    warm_raised[shift] += 1
+                    continue
+                with mpmath.workdps(50):
+                    warm_worst[shift] = max(warm_worst[shift], error(x_warm, root))
+    print(f"returns checked: {len(returned)}, worst relative error {worst['returns']:.3g}, "
+          f"{far_cold['returns']} farther than {WORST:g}")
+    print(f"returns with an offset below {ABOVE_WARM:.6g} checked: {len(below)}, "
+          f"worst relative error {worst['below']:.3g}, {far_cold['below']} farther than {WORST:g}")
     for shift in SHIFTS:
         side = "below" if shift < 0 else "above"
         print(f"  started {abs(shift):g} {side} their offsets ({warm_starts[shift]} of "
-              f"{warm_solves[shift]} warm): raises {warm_raised[shift]}, worst relative "
-              f"error {warm_worst[shift]:.3g}, farther than their cold returns and "
-              f"{WORST:g}: {warm_far[shift]}")
+              f"{warm_solves[shift]} warm): raises {warm_raised[shift]}, "
+              f"worst relative error {warm_worst[shift]:.3g}")
 
     # below one double of the root a relative error says nothing (a root of
     # 2.5e-324 returns 5e-324), so the worst is taken over the far returns
@@ -234,8 +220,9 @@ def main() -> int:
           f"their worst relative error {worst_far:.3g}")
     for exit_line, count in sorted(far.items()):
         print(f"  far from the root, exit {exit_line}: {count}  {text[exit_line]}")
-    warm_failed = any(warm_raised.values()) or any(warm_far.values())
-    return 1 if representable or worst > WORST or far or warm_failed or not restarted else 0
+    warm_failed = any(warm_raised.values()) or max(warm_worst.values()) > WORST
+    return 1 if (representable or max(worst.values()) > WORST or far or warm_failed
+                 or not restarted) else 0
 
 
 if __name__ == "__main__":
