@@ -23,7 +23,7 @@ import numbers
 import operator
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -260,9 +260,9 @@ class CorruptionLedger:
     """
 
     lipschitz_G: float
-    count_corrupted: int = 0
-    big_rounds: int = 0
-    deviation_sum: float = 0.0
+    count_corrupted: int = field(init=False, default=0)
+    big_rounds: int = field(init=False, default=0)
+    deviation_sum: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         check_positive("lipschitz_G", self.lipschitz_G)
@@ -321,8 +321,8 @@ class RegretLedger:
     """
 
     comparator: np.ndarray | float
-    true_regret_linear: float = 0.0
-    observed_regret_linear: float = 0.0
+    true_regret_linear: float = field(init=False, default=0.0)
+    observed_regret_linear: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         self._kernels = kernels_of(self.comparator)

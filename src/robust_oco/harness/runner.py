@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..adversaries import AdversarySpec, KTBettor, make_adversary
-from ..core import CorruptionLedger, NonFiniteError, RegretLedger, kernels
+from ..core import CorruptionLedger, NonFiniteError, RegretLedger, check_integer, kernels
 from ..mirror_descent import SolverError
 from ..protocol import ProtocolConfig, RobustProtocol, RoundRecord
 from .config import COMPARATOR_FROM_ADVERSARY, ExperimentConfig, SweepConfig
@@ -70,7 +70,7 @@ def run_experiment(
     out_dir: str | Path | None = None,
 ) -> ExperimentTrace:
     """Run one (config, seed) cell; optionally write trace and summary CSVs."""
-    seed = config.seeds[0] if seed is None else seed
+    seed = config.seeds[0] if seed is None else check_integer("[experiment] seeds", seed, 0)
     adversary = make_adversary(config.adversary, seed=seed)
     dim = config.adversary.dim
     T = config.adversary.T

@@ -91,10 +91,10 @@ class DecompositionLedger:
 
     comparator: np.ndarray | float
     penalty: HuberRegularizer
-    error_term: float = 0.0
-    correction_term: float = 0.0
-    composite_term: float = 0.0
-    bias_reg_sum: float = 0.0
+    error_term: float = field(init=False, default=0.0)
+    correction_term: float = field(init=False, default=0.0)
+    composite_term: float = field(init=False, default=0.0)
+    bias_reg_sum: float = field(init=False, default=0.0)
     _bias_grad_accum: np.ndarray | float = field(init=False)
     # the rounds' |g_true| + |g_clipped|, summed: a bound on each accumulator entry
     _bias_grad_bound: float = field(default=0.0, init=False)

@@ -730,6 +730,22 @@ class TestRunExperiment:
                 envelope = pinned_C * math.sqrt(T) * (1 + math.log(1 + T)) ** 2
                 assert regret <= envelope
 
+    @pytest.mark.parametrize("kind", ["sign_flip_window", "lb_theorem2"])
+    @pytest.mark.parametrize("seed", [-1, True, 2.5])
+    def test_seed_argument_passes_the_seeds_rule(self, tmp_path, monkeypatch, kind, seed):
+        # the seed argument skipped it: sign_flip_window ran and wrote
+        # *_seed-1.csv, *_seedTrue.csv and *_seed2.5.csv, and lb_theorem2
+        # raised numpy's unnamed "expected non-negative integer" at -1 and a
+        # TypeError, past the runner's abort wrapping, at 2.5
+        monkeypatch.setattr(runner, "make_adversary",
+                            lambda *args, **kwargs: pytest.fail("a stream was drawn"))
+        config = figure_config() if kind == "sign_flip_window" else dataclasses.replace(
+            figure_config(), adversary=AdversarySpec(kind=kind, T=12, k=3), comparator="adversary")
+        with pytest.raises(ValueError, match=re.escape(
+            f"[experiment] seeds must be an integer in [0, 2**53), got {seed!r}") + "$"):
+            run_experiment(config, seed=seed, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 class TestFloatRunLoop:
     """At d = 1 the run loop trades Python floats, not 1-entry arrays."""
@@ -1177,6 +1193,16 @@ class TestCLI:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "trace_kt_bettor_sign_flip_window_seed0.csv").exists()
 
+    def test_kt_trace_without_G_is_figure1s(self, tmp_path):
+        # KT reads only [protocol] epsilon: dropping the G line keeps the trace's bytes
+        traces = []
+        for out, edits in (("with_G", {}), ("without_G", {("protocol", "G"): None})):
+            path = edited_figure1(tmp_path, edits)
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / out)]) == 0
+            traces.append((tmp_path / out / "trace_kt_bettor_sign_flip_window_seed0.csv")
+                          .read_bytes())
+        assert traces[0] == traces[1]
+
     @pytest.mark.parametrize("section, algorithm, key, value, stem", [
         ("protocol", "known_g", "G", "nan", "[protocol] G must be positive and finite"),
         ("protocol", "known_g", "epsilon", "nan", "[protocol] epsilon must be positive and finite"),
@@ -1320,8 +1346,14 @@ class TestCLI:
              ("[protocol]", "'p'")),
             ("run", lambda text: text.replace("sign_flip_window", "iid_random"),
              ("[adversary] k: iid_random is uncorrupted, so k must be 0, got 3",)),
+            # T = 12 and k = 3: the last start that fits is 10
+            ("run", lambda text: text.replace("window_start = 5", "window_start = 390"),
+             ("[adversary] window_start: the corruption window must fit inside the horizon, "
+              "so 1 to 10; got 390\n",)),
             ("sweep", lambda text: text.replace("ks = 4", "ks = 4 1"),
              ("[sweep] ks must be an integer in [2, 2**53), got 1\n",)),
+            ("sweep", lambda text: text.replace("ks = 4", "ks = -1"),
+             ("[sweep] ks must be an integer in [2, 2**53), got -1\n",)),
             ("sweep", lambda text: text.replace("ks = 4", "ks = 4 94906266"),
              ("[sweep] ks = 94906266 puts T = k**2 past 2**53\n",)),
             # the sweep's design is fixed: epsilon = 1, G = 1 and the flips
@@ -1341,8 +1373,9 @@ class TestCLI:
              "misspelled_workers", "misspelled_algorithm",
              "misspelled_experiment_algorithm", "protocol_T_restated",
              "mode_restated_in_protocol", "protocol_dim_restated", "protocol_p",
-             "iid_random_budget",
-             "sweep_k_too_small", "sweep_k_squared_too_large", "sweep_window_frac_key",
+             "iid_random_budget", "window_past_the_horizon",
+             "sweep_k_too_small", "sweep_k_negative", "sweep_k_squared_too_large",
+             "sweep_window_frac_key",
              "sweep_ks_empty", "sweep_algorithms_empty", "sweep_epsilon_key", "sweep_G_key",
              "sweep_tau_G_negative"],
     )

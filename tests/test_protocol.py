@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from robust_oco import epigraph, mirror_descent
 from robust_oco.adversaries import KTBettor
-from robust_oco.core import NonFiniteError, RegretLedger, norm
+from robust_oco.core import CorruptionLedger, NonFiniteError, RegretLedger, norm
 from robust_oco.epigraph import EpigraphLearner, EpigraphPoint, weighted_project
 from robust_oco.mirror_descent import MirrorDescentLearner, SolverError
 from robust_oco.protocol import (
@@ -965,3 +965,30 @@ class TestOnePenaltyState:
             ulp_apart += norms[0] != norms[1]
         assert (ulp_apart > 0) == (mode == "known_g")
 
+
+LEDGERS = {
+    "CorruptionLedger": lambda **totals: CorruptionLedger(1.0, **totals),
+    "RegretLedger": lambda **totals: RegretLedger(0.5, **totals),
+    "DecompositionLedger": lambda **totals: DecompositionLedger(
+        0.5, HuberRegularizer(c=1.0, p=2.0, alpha=1.0), **totals),
+}
+
+
+class TestLedgerTotalsAreNoOptions:
+    """A ledger's running totals start at zero: none is a constructor keyword."""
+
+    @pytest.mark.parametrize("ledger, total", [
+        ("CorruptionLedger", "count_corrupted"), ("CorruptionLedger", "big_rounds"),
+        ("CorruptionLedger", "deviation_sum"), ("RegretLedger", "true_regret_linear"),
+        ("RegretLedger", "observed_regret_linear"), ("DecompositionLedger", "error_term"),
+        ("DecompositionLedger", "correction_term"), ("DecompositionLedger", "composite_term"),
+        ("DecompositionLedger", "bias_reg_sum"),
+    ])
+    def test_a_total_keyword_is_refused(self, ledger, total):
+        # these were keywords: CorruptionLedger(1.0, count_corrupted=-3,
+        # big_rounds=5) broke big_rounds <= count_corrupted, a NaN
+        # true_regret_linear made a finite round raise, and an infinite
+        # error_term made gap() inf
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{total}'"):
+            LEDGERS[ledger](**{total: 0.0})
+        assert getattr(LEDGERS[ledger](), total) == 0

@@ -17,6 +17,8 @@ its parent: run it in both checkouts, or point ``--root`` at the other
 one. Where the total differs, the workload lines show which workload
 moved. It imports the package from ``CHECKOUT/src`` and the cells from
 ``CHECKOUT/perfbench``, reads ``CHECKOUT/configs``, and writes nothing.
+The run takes about half a minute (21 s with Python 3.11 on a 2-CPU
+x86-64 machine).
 """
 
 from __future__ import annotations
