@@ -92,7 +92,7 @@ def _mirror_part_inverse(y: float, V: float, h: float, a: float) -> float:
     The piece is picked by y against 6V/h, the mirror part's value at x*.
     """
     if y <= 6.0 * V / h:
-        q = (y / 6.0) ** 2 / V
+        q = (y / 6.0) * (y / 6.0) / V  # a product: ** 2 is libm's pow, not correctly rounded
     else:
         q = (y - 3.0 * V / h) / (3.0 * h)
     if q < 709.0:

@@ -78,16 +78,14 @@ class HuberRegularizer:
 
         The norm is c*p*x^(p-1) / (S + x^p)^(1-1/p): monotone nondecreasing
         in x and bounded above by c*p. Taking log x lets x exceed float range.
+        On either side of x^p = S it is r = c*p exp((1-1/p)(min(t, 0) - l1)), with
+        t = p log x - log S and l1 = log(1 + e^-|t|); its slope is r (p-1) exp(min(-t, 0) - l1).
         """
-        p, log_S = self.p, self.log_S
-        t = p * log_x - log_S  # c = 0 gives (0.0, 0.0): log(c*p) is -inf
-        if t > 0.0:  # x^p above S: the norm is c*p (1 + S/x^p)^(1/p-1), with no p log x to cancel
-            l1 = math.log1p(math.exp(-t))
-            r = math.exp(self._log_cp - self._denom_power * l1)
-            return r, r * (p - 1.0) * math.exp(-t - l1)
-        ls = _logaddexp(log_S, p * log_x)  # log(S + x^p)
-        r = math.exp(self._log_cp + (p - 1.0) * log_x - self._denom_power * ls)
-        return r, r * (p - 1.0) * math.exp(log_S - ls)
+        p = self.p
+        t = p * log_x - self.log_S  # c = 0 gives (0.0, 0.0): log(c*p) is -inf
+        l1 = math.log1p(math.exp(-t if t > 0.0 else t))  # |t| and min(): conditionals, not C calls
+        r = math.exp(self._log_cp + self._denom_power * ((t if t < 0.0 else 0.0) - l1))
+        return r, r * (p - 1.0) * math.exp((0.0 if t < 0.0 else -t) - l1)
 
     def radial_subgradient_inverse(self, y: float) -> float:
         """Radius whose subgradient norm is y; inf when y is at/above the c*p asymptote."""

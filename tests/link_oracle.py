@@ -1,7 +1,8 @@
 """The solvers' roots at the working mpmath precision: oracles for the link and the projection.
 
 The tests and ``tools/link_sampler.py`` check ``link_inverse_solve`` against
-the piecewise link and its root, and the tests check ``weighted_project``
+the piecewise link and its root, and the tests check the penalty's radial
+subgradient against the link's penalty part and ``weighted_project``
 against the projection's cubic root; each caller sets the precision (50
 digits) with ``mpmath.workdps``.
 """
@@ -15,14 +16,20 @@ import mpmath
 def mp_link(u, V, h, a, reg):
     """The piecewise link at radius e^u, its mirror branch chosen by x against x*."""
     mpf = mpmath.mpf
-    V, h, a, c, p = mpf(V), mpf(h), mpf(a), mpf(reg.c), mpf(reg.p)
+    V, h, a = mpf(V), mpf(h), mpf(a)
     x = mpmath.exp(u)
     F = mpmath.log1p(x / a)
     mirror = 6 * mpmath.sqrt(V * F) if x <= a * mpmath.expm1(V / (h * h)) else 3 * h * F + 3 * V / h
     if reg.c == 0.0:  # no penalty, whose log_S may be -inf
         return mirror
-    S = mpmath.exp(mpf(reg.log_S))
-    return mirror + c * p * x ** (p - 1) / (S + x ** p) ** (1 - 1 / p)
+    return mirror + mp_penalty(u, reg)
+
+
+def mp_penalty(u, reg):
+    """The penalty part of the link, c p x^(p-1) / (S + x^p)^(1-1/p) at radius x = e^u."""
+    c, p = mpmath.mpf(reg.c), mpmath.mpf(reg.p)
+    x, S = mpmath.exp(u), mpmath.exp(mpmath.mpf(reg.log_S))
+    return c * p * x ** (p - 1) / (S + x ** p) ** (1 - 1 / p)
 
 
 def mp_link_root(theta, V, h, a, reg, x0=None):

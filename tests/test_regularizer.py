@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from robust_oco.harness.checks import check_sum_bounds
 from robust_oco.regularizer import HuberRegularizer, _logaddexp
+from link_oracle import mp_penalty
 
 
 def make_state(c=1.0, p=2.0, alpha=1.0, norms=()):
@@ -234,11 +235,37 @@ class TestAgainstNaiveFormulas:
             if p * log_x - reg.log_S < 40.0:
                 continue
             with mpmath.workdps(50):
-                x, S, q = mpmath.exp(log_x), mpmath.exp(reg.log_S), mpmath.mpf(p)
-                exact = reg.c * q * x ** (q - 1) / (S + x**q) ** (1 - 1 / q)
+                exact = mp_penalty(log_x, reg)
                 r = reg.radial_subgradient_log(log_x)[0]
                 worst = max(worst, float(abs(r - exact) / exact))
         assert 0.0 < worst <= 1e-15
+
+    # error units of max(1, |p log x|, |log S|) * 2^-52 on either side of x^p = S
+    ROUNDING_OF_T = 4.0
+
+    def test_subgradient_keeps_its_digits_on_both_sides(self):
+        # one formula from t = p log x - log S serves t from -700 to 700; the
+        # exp's argument, of size up to |t| + |log(c*p)|, is rounded to its
+        # ulp, and t carries the rounding of p log x: measured 1.3 units at worst
+        # here, 1.6 over five other seeds
+        rng = np.random.default_rng(49)
+        sides = set()  # t > 0 of each draw
+        for _ in range(4000):
+            p = 1.0 + float(10.0 ** rng.uniform(-3.0, math.log10(199.0)))
+            log_x = float(rng.uniform(-600.0, 600.0))
+            log_alpha = log_x - float(rng.uniform(-700.0, 700.0)) / p  # S = alpha^p
+            if abs(log_alpha) > 700.0:
+                continue
+            reg = make_state(c=float(10.0 ** rng.uniform(-5.0, 5.0)), p=p,
+                             alpha=math.exp(log_alpha))
+            t = p * log_x - reg.log_S
+            with mpmath.workdps(50):
+                exact = mp_penalty(log_x, reg)
+                error = float(abs(reg.radial_subgradient_log(log_x)[0] - exact) / exact)
+            unit = max(1.0, abs(p * log_x), abs(reg.log_S)) * 2.0**-52
+            assert error <= self.ROUNDING_OF_T * unit, (reg, log_x)
+            sides.add(t > 0.0)
+        assert sides == {False, True}
 
     @given(
         st.floats(0.1, 5.0), st.floats(1.1, 6.0), st.floats(0.1, 3.0),
@@ -272,15 +299,11 @@ def uncached_radial_subgradient_log(reg, log_x):
     """radial_subgradient_log with log(c*p) and 1 - 1/p computed on the call."""
     if reg.c == 0.0:
         return 0.0, 0.0
-    p, log_S = reg.p, reg.log_S
-    t = p * log_x - log_S
-    if t > 0.0:
-        l1 = math.log1p(math.exp(-t))
-        r = math.exp(math.log(reg.c * p) - (1.0 - 1.0 / p) * l1)
-        return r, r * (p - 1.0) * math.exp(-t - l1)
-    ls = _logaddexp(log_S, p * log_x)
-    r = math.exp(math.log(reg.c * p) + (p - 1.0) * log_x - (1.0 - 1.0 / p) * ls)
-    return r, r * (p - 1.0) * math.exp(log_S - ls)
+    p = reg.p
+    t = p * log_x - reg.log_S
+    l1 = math.log1p(math.exp(-t if t > 0.0 else t))
+    r = math.exp(math.log(reg.c * p) + (1.0 - 1.0 / p) * ((t if t < 0.0 else 0.0) - l1))
+    return r, r * (p - 1.0) * math.exp((0.0 if t < 0.0 else -t) - l1)
 
 
 def uncached_evaluate(reg, w_norm):

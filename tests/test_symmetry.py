@@ -15,9 +15,11 @@ bit, in every robust mode: no norm reads a sign. Permuting the coordinates
 permutes every iterate, within PERMUTED of its norm (bit for bit, as
 measured on Python 3.11). Scaling G and every gradient by a power of two
 leaves every known_g iterate as it was: bit for bit without the penalty
-([protocol] k = 0), where every step scales exactly but the one the strict
-xfail below names, and within SCALED of its norm with it (k = 5), whose
-penalty, c = k G, is kept in log space (measured: 2.2e-14 at worst).
+([protocol] k = 0), where every step scales exactly, and within SCALED of
+its norm with it (k = 5). There the link solve's Newton step reads
+log L - log theta, whose two roundings do not scale: 8 of the 32 scalings
+(lb_origin, at d = 1 and 3) move 178 of 9,840 iterates, by 2.1e-14 at
+worst, as measured; with the step on log(L / theta) none moves.
 """
 
 import numpy as np
@@ -154,13 +156,7 @@ def scaled_runs(kind: str, dim: int, k: int, j: int):
 SCALINGS = [(kind, dim, j) for kind in OBLIVIOUS for dim in (1, 3) for j in (1, -1, 20, -20)]
 
 
-@pytest.mark.parametrize("kind, dim, j", [
-    pytest.param(kind, dim, j, marks=pytest.mark.xfail(strict=True, reason=(
-        "mirror_descent._mirror_part_inverse squares y / 6 with ** 2, libm's pow, which "
-        "is not correctly rounded: the iterate of round 241 moves by an ulp")))
-    if (kind, dim, j) in {("dro_reweight", 3, -1), ("dro_reweight", 3, -20)}
-    else (kind, dim, j) for kind, dim, j in SCALINGS
-])
+@pytest.mark.parametrize("kind, dim, j", SCALINGS)
 def test_power_of_two_scaling_keeps_every_iterate_without_the_penalty(kind, dim, j):
     moved = 0
     for t, w, w_image, (record, record_image) in scaled_runs(kind, dim, 0, j):

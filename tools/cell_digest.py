@@ -10,12 +10,15 @@ left out; then the cell count and the same sha256 over all cells. The
 line ``configs <runs> runs <sha256>`` digests every run of the checkout's
 own ``configs/*.ini`` in file-name order: each seed of an experiment
 config (its rows and summary, as for a cell) and each row of a sweep
-config. The last line, ``verify <n> suites <sha256>``, digests each
+config. The line ``verify <n> suites <sha256>`` digests each
 verification suite's name, verdict and lines, in ``CHECKS`` order. A
 change meant to leave the output bits alone must print the same lines as
 its parent: run it in both checkouts, or point ``--root`` at the other
 one. Where the total differs, the workload lines show which workload
-moved. It imports the package from ``CHECKOUT/src`` and the cells from
+moved. Each cell's outcome is also checked, by ``cells.check_cell``,
+against the checkout's ``perfbench/reference.json``: if any cell fails,
+up to 20 ``CHECK FAILED`` lines follow the digests and the exit status
+is 1. It imports the package from ``CHECKOUT/src`` and the cells from
 ``CHECKOUT/perfbench``, reads ``CHECKOUT/configs``, and writes nothing.
 The run takes about half a minute (21 s with Python 3.11 on a 2-CPU
 x86-64 machine).
@@ -53,13 +56,17 @@ def main(argv: list[str] | None = None) -> int:
         summary = {k: v for k, v in trace.summary.items() if k != "wall_time_s"}
         return repr((trace.rows, summary)).encode()
 
+    reference = cells.load_reference()
+    failures = []
     digest = hashlib.sha256()
     count = 0
     for workload in cells.WORKLOADS:
         workload_digest = hashlib.sha256()
         workload_count = 0
         for cell in cells.reference_cells(workload):
-            cell_record = record(run_experiment(cell.config, seed=cell.seed))
+            trace = run_experiment(cell.config, seed=cell.seed)
+            failures += cells.check_cell(cell, cells.outcome_of(trace), reference[workload])
+            cell_record = record(trace)
             digest.update(cell_record)
             workload_digest.update(cell_record)
             workload_count += 1
@@ -86,7 +93,11 @@ def main(argv: list[str] | None = None) -> int:
         report = check()
         suites_digest.update(repr((report.name, report.passed, report.lines)).encode())
     print(f"verify {len(CHECKS)} suites {suites_digest.hexdigest()}")
-    return 0
+    for line in failures[:20]:
+        print(f"CHECK FAILED {line}")
+    if len(failures) > 20:
+        print(f"CHECK FAILED ... and {len(failures) - 20} more")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
